@@ -234,11 +234,3 @@ let start hv ts (spec : Boot_spec.t) ~main =
              main handle))
        ())
     (fun _unikernel -> result)
-
-(* Deprecated thin wrapper (one release, mirroring the boot_networked
-   precedent): projects the handle away for callers that only ever wanted
-   the network plumbing. *)
-let boot hv ts spec ~main =
-  Mthread.Promise.bind
-    (start hv ts spec ~main:(fun h -> main (Handle.networked h)))
-    (fun h -> Mthread.Promise.return (Handle.networked h))

@@ -59,7 +59,7 @@ module Handle : sig
   val status : t -> status
   val status_name : status -> string
 
-  (** The network plumbing, as [boot] used to return it. *)
+  (** The network plumbing: unikernel, address and stack or sockets. *)
   val networked : t -> networked
 
   val unikernel : t -> Unikernel.t
@@ -112,11 +112,3 @@ val start :
   Boot_spec.t ->
   main:(Handle.t -> int Mthread.Promise.t) ->
   Handle.t Mthread.Promise.t
-
-val boot :
-  Xensim.Hypervisor.t ->
-  Xensim.Toolstack.t ->
-  Boot_spec.t ->
-  main:(networked -> int Mthread.Promise.t) ->
-  networked Mthread.Promise.t
-[@@ocaml.deprecated "use Appliance.start, which returns a lifecycle Handle"]

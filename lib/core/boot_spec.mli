@@ -14,7 +14,7 @@ type t = {
   ip : Netstack.Ipv4.config option;  (** static address, or DHCP when [None] *)
   target : Target.t;  (** which backend the appliance is configured against *)
   metrics_port : int option;
-      (** when set, [Appliance.boot] mounts a /metrics exposition endpoint
+      (** when set, [Appliance.start] mounts a /metrics exposition endpoint
           on this port and advertises it in the bridge's service directory
           (see [Netsim.Bridge.advertise]) — one line makes the appliance
           scrapable by the monitor *)
@@ -27,10 +27,12 @@ type t = {
           [false] — normal appliances keep announcing. *)
   rx_slots : int;
       (** receive credit the vif posts on its ring, as netfront's
-          negotiated ring size. The default (512) absorbs several TCP
-          windows of burst; boot storms use a small ring because 10â´
-          vifs times 511 posted grants is millions of live grant-table
-          entries for appliances that each serve a handful of frames. *)
+          negotiated ring size: the RX ring page holds the smallest power
+          of two above [min rx_slots 511] slots. The default (512)
+          absorbs several TCP windows of burst; boot storms use a small
+          ring because 10⁴ vifs times 511 posted grants is millions of
+          live grant-table entries for appliances that each serve a
+          handful of frames. *)
 }
 
 (** Smart constructor; defaults: [mode = `Async], [mem_mib = 32],

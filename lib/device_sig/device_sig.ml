@@ -19,7 +19,10 @@ module type FLOW = sig
   type flow
   type ipaddr
 
-  (** Next chunk of the stream; [None] at end-of-stream. *)
+  (** Next chunk of the stream; [None] at end-of-stream. The chunk may
+      alias a pooled driver page: it is valid until the next [read] on
+      the same flow, or until the transport discards the flow, whichever
+      comes first. Copy what must outlive that. *)
   val read : flow -> Bytestruct.t option Mthread.Promise.t
 
   (** Queue bytes for transmission, blocking while the send buffer is
@@ -126,7 +129,8 @@ end = struct
      (no intermediate string), lines and blocks are found by scanning in
      place and extracted with a single [Bytes.sub_string] each — the one
      mandatory copy at the application boundary, since stack chunks may
-     alias pooled driver pages that are only valid until the next read. *)
+     alias pooled driver pages that are only valid until the next read
+     (or until the transport discards the flow). *)
   type t = {
     read : unit -> Bytestruct.t option Mthread.Promise.t;
     mutable buf : bytes;

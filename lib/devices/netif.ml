@@ -304,17 +304,29 @@ let frontend_handle_rx_responses t () =
       (List.rev !arrived)
   end
 
+(* Multi-page rings (as blkif's multi-page ring extension): 512 slots
+   absorb several full TCP windows, on TX before a writer blocks and on
+   RX before the backend must drop. *)
+let max_ring_slots = 512
+
+(* Receive credit is at most one less than the ring, so the RX ring is
+   the smallest power of two above it: the default 511 credits get 512
+   slots, a storm vif's 64 get 128. *)
+let rx_ring_slots_for credit =
+  let rec pow2 n = if n > credit then n else pow2 (2 * n) in
+  pow2 1
+
 let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
-  (* Multi-page rings (as blkif's multi-page ring extension): 16 KiB gives
-     512 receive slots, enough burst absorption for several full TCP
-     windows before the backend must drop. *)
-  let make_ring () =
-    let page = Bytestruct.create 16384 in
+  (* Each ring page is sized to its slot count; indices are free-running,
+     so the ring size changes no notification threshold or event. *)
+  let make_ring nr_slots =
+    let page = Bytestruct.create (Xensim.Ring.Sring.page_bytes ~slot_bytes nr_slots) in
     let sring = Xensim.Ring.Sring.init page ~slot_bytes in
     (Xensim.Ring.Front.init sring, Xensim.Ring.Back.init (Xensim.Ring.Sring.attach page ~slot_bytes))
   in
-  let tx_front, tx_back = make_ring () in
-  let rx_front, rx_back = make_ring () in
+  let credit = min rx_slots (max_ring_slots - 1) in
+  let tx_front, tx_back = make_ring max_ring_slots in
+  let rx_front, rx_back = make_ring (rx_ring_slots_for credit) in
   let ev = hv.Xensim.Hypervisor.evtchn in
   let alloc_pair () =
     let back_port = Xensim.Evtchn.alloc_unbound ev ~owner:backend_dom.Xensim.Domain.id in
@@ -367,9 +379,7 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
   Xensim.Evtchn.set_handler ev rx_port_back (fun () -> backend_handle_rx_credit t ());
   Xensim.Evtchn.set_handler ev rx_port_front (fun () -> frontend_handle_rx_responses t ());
   Netsim.Nic.set_rx nic (fun frame -> backend_handle_frame t frame);
-  (* Seed receive credit; a 16 kB ring with 16-byte slots holds 512. *)
-  let slots = min rx_slots 511 in
-  for _ = 1 to slots do
+  for _ = 1 to credit do
     post_rx_buffer t
   done;
   if Xensim.Ring.Front.push_requests_and_check_notify t.rx_front then
@@ -625,6 +635,9 @@ let set_listener t f =
 let set_capture t c =
   match t with Pv p -> p.capture <- c | Direct d -> d.d_capture <- c
 
+let tx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.tx_front | Direct _ -> 0
+let rx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.rx_front | Direct _ -> 0
+let rx_posted = function Pv t -> Hashtbl.length t.rx_posted | Direct _ -> 0
 let tx_frames = function Pv t -> t.tx_frames | Direct d -> d.d_tx_frames
 let rx_frames = function Pv t -> t.rx_frames | Direct d -> d.d_rx_frames
 let rx_dropped = function Pv t -> t.rx_dropped | Direct d -> d.d_rx_dropped

@@ -22,7 +22,9 @@ type t
 
 (** [connect hv ~dom ~backend_dom ~nic ()] wires a frontend in [dom] to a
     backend in [backend_dom] driving [nic]. [rx_slots] bounds posted
-    receive buffers (default 128). *)
+    receive credit (default 512, at most 511 posted). Each ring page is
+    sized to its slots: the TX ring has 512, the RX ring the smallest
+    power of two above the posted credit. *)
 val connect :
   Xensim.Hypervisor.t ->
   dom:Xensim.Domain.t ->
@@ -98,6 +100,12 @@ val tx_doorbells : unit -> int
     reachable from the hypervisor's port table for ever. Writers blocked
     on a full TX ring never resume, as for a destroyed domain. *)
 val disconnect : t -> unit
+
+(** Ring sizes in slots, and receive credit currently posted ([0] for
+    a direct attachment, which has no rings). *)
+val tx_ring_slots : t -> int
+val rx_ring_slots : t -> int
+val rx_posted : t -> int
 
 val tx_frames : t -> int
 val rx_frames : t -> int

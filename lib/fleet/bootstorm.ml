@@ -51,7 +51,10 @@ let mask8 = Netstack.Ipaddr.v4 255 0 0 0
    broadcast or client address. *)
 let ip_of_index i = Netstack.Ipaddr.v4 10 0 (i / 250) (1 + (i mod 250))
 
-let run ?(seed = 42) ~n () =
+(* [at_peak] runs once every appliance has answered (or given up) and
+   before the reap: the moment the storm holds the most live state, for
+   host-side footprint probes. *)
+let run ?(seed = 42) ?(at_peak = ignore) ~n () =
   if n < 1 then invalid_arg "Bootstorm.run: n must be >= 1";
   (* the registry would add 10⁴ domains of registration work and nobody
      scrapes here; keep the storm lean and deterministic *)
@@ -146,6 +149,7 @@ let run ?(seed = 42) ~n () =
           (fun _ -> P.return ()))
   done;
   Engine.Sim.run sim;
+  at_peak ();
   let boot_window_ns = Array.fold_left max 0 ready in
 
   (* -- the reap: everything back to zero -- *)

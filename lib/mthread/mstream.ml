@@ -47,6 +47,12 @@ let next t =
 
 let next_opt t = Queue.take_opt t.buffered
 
+let map_buffered f t =
+  let mapped = Queue.create () in
+  Queue.iter (fun v -> Queue.add (f v) mapped) t.buffered;
+  Queue.clear t.buffered;
+  Queue.transfer mapped t.buffered
+
 let rec iter f t =
   Promise.bind (next t) (function
     | None -> Promise.return ()

@@ -23,6 +23,10 @@ val next : 'a t -> 'a option Promise.t
 (** Non-blocking variant: [None] when nothing is buffered. *)
 val next_opt : 'a t -> 'a option
 
+(** [map_buffered f t] replaces every buffered (not yet consumed) value
+    [v] by [f v] in place, keeping order; works on a closed stream. *)
+val map_buffered : ('a -> 'a) -> 'a t -> unit
+
 (** [iter f t] consumes the stream, applying [f] to each element; the
     promise resolves at end-of-stream. *)
 val iter : ('a -> unit Promise.t) -> 'a t -> unit Promise.t

@@ -252,6 +252,20 @@ let release_rx_refs fl =
   List.iter (fun (_, _, o) -> Option.iter Pktbuf.release o) fl.ooo;
   fl.ooo <- []
 
+(* The flow is leaving the table: return the pool references it still
+   holds for the application. The chunk last returned by [read] is valid
+   only until now (see [read]). Chunks pushed but not yet read are first
+   copied out of their pool pages, so a late reader still gets the same
+   bytes. *)
+let release_app_refs fl =
+  Option.iter Pktbuf.release fl.read_hold;
+  fl.read_hold <- None;
+  if not (Queue.is_empty fl.rx_owners) then begin
+    Mthread.Mstream.map_buffered Bytestruct.copy fl.rx;
+    Queue.iter (Option.iter Pktbuf.release) fl.rx_owners;
+    Queue.clear fl.rx_owners
+  end
+
 let rec arm_rto fl =
   cancel_rto fl;
   if not (Queue.is_empty fl.rtx) then
@@ -390,6 +404,7 @@ and fail_flow fl err =
     fl.tx_buffered <- 0;
     release_rx_refs fl;
     Hashtbl.remove fl.t.flows fl.key;
+    release_app_refs fl;
     Mthread.Mstream.close fl.rx;
     (match fl.connect_waker with
     | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup_exn u err
@@ -884,7 +899,8 @@ let enter_time_wait fl =
   ignore
     (Engine.Sim.schedule fl.t.sim ~delay:(2 * msl_ns) (fun () ->
          fl.state <- Closed;
-         Hashtbl.remove fl.t.flows fl.key))
+         Hashtbl.remove fl.t.flows fl.key;
+         release_app_refs fl))
 
 let finish_close fl =
   fl.state <- Closed;
@@ -892,6 +908,7 @@ let finish_close fl =
   cancel_persist fl;
   release_rx_refs fl;
   Hashtbl.remove fl.t.flows fl.key;
+  release_app_refs fl;
   match fl.close_waker with
   | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
   | _ -> ()
@@ -1304,7 +1321,8 @@ let read fl =
   Mthread.Promise.bind (Mthread.Mstream.next fl.rx) (function
     | Some c as chunk ->
       (* The previous chunk's pool reference drops now: a returned chunk
-         is valid until the next [read] (the Device_sig contract). *)
+         is valid until the next [read] or until the flow leaves the
+         table (the Device_sig contract). *)
       Option.iter Pktbuf.release fl.read_hold;
       fl.read_hold <- (match Queue.take_opt fl.rx_owners with Some o -> o | None -> None);
       let free_before = rcv_wnd_bytes - fl.rx_buffered in

@@ -3,10 +3,8 @@ exception Double_free
 type pool = {
   name : string;
   buf_bytes : int;
-  grow_batch : int;
   free : t Queue.t;
-  slab : Pvboot.Slab_allocator.t;
-  mutable total : int;  (* buffers ever created (all slab-registered) *)
+  mutable total : int;  (* buffers ever created *)
 }
 
 and t = {
@@ -19,35 +17,24 @@ let c_alloc = Trace.counter "pktbuf.alloc"
 let c_recycle = Trace.counter "pktbuf.recycle"
 let c_grow = Trace.counter "pktbuf.grow"
 
-let create_pool ?(buf_bytes = 2048) ?(grow_batch = 64) ~name () =
-  if buf_bytes <= 0 || grow_batch <= 0 then invalid_arg "Pktbuf.create_pool";
-  {
-    name;
-    buf_bytes;
-    grow_batch;
-    free = Queue.create ();
-    slab = Pvboot.Slab_allocator.create ();
-    total = 0;
-  }
+let create_pool ?(buf_bytes = 2048) ~name () =
+  if buf_bytes <= 0 then invalid_arg "Pktbuf.create_pool";
+  { name; buf_bytes; free = Queue.create (); total = 0 }
 
 let buf_bytes p = p.buf_bytes
 let free_buffers p = Queue.length p.free
 let outstanding p = p.total - Queue.length p.free
-let bytes_reserved p = Pvboot.Slab_allocator.bytes_reserved p.slab
+let bytes_reserved p = p.total * p.buf_bytes
 
-(* Growth is the only allocating path: register each new buffer with the
-   slab once; freelist recycling below never touches the slab. *)
+(* Growth is the only allocating path, one buffer per empty-freelist
+   alloc: the pool's size is its high-water mark of buffers in flight. *)
 let grow p =
   Trace.incr c_grow;
-  for _ = 1 to p.grow_batch do
-    ignore (Pvboot.Slab_allocator.alloc p.slab ~bytes:p.buf_bytes);
-    p.total <- p.total + 1;
-    Queue.add { pool = p; storage = Bytestruct.create p.buf_bytes; refs = 0 } p.free
-  done
+  p.total <- p.total + 1;
+  { pool = p; storage = Bytestruct.create p.buf_bytes; refs = 0 }
 
 let alloc p =
-  if Queue.is_empty p.free then grow p;
-  let pb = Queue.take p.free in
+  let pb = if Queue.is_empty p.free then grow p else Queue.take p.free in
   pb.refs <- 1;
   Trace.incr c_alloc;
   pb

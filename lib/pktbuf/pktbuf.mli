@@ -8,18 +8,19 @@
     {!release}. When the count reaches zero the buffer returns to the
     freelist — nothing on the steady-state path allocates.
 
-    Pool footprint is accounted through the PVBoot slab allocator
-    ({!Pvboot.Slab_allocator}): each buffer is registered once when the
-    pool grows, so [bytes_reserved] reports the packet-buffer arena the
-    same way the boot-time allocators report theirs. Freelist recycling
-    never touches the slab and never allocates.
+    A pool grows one buffer at a time, only when an [alloc] finds the
+    freelist empty, so its size is the high-water mark of buffers in
+    flight: an appliance that moves a dozen frames in its life holds a
+    handful of buffers, and a steady-state datapath stops growing once
+    its working set is reached. Freelist recycling never allocates.
 
     Ownership at each hop is documented in DESIGN.md ("Datapath buffer
     ownership"). The short version: the netfront owns RX buffers and
     publishes the current one ambiently ({!with_current}) while the
     synchronous RX chain runs; any layer that defers work over the
     payload calls {!retain_current} instead of copying; the app-facing
-    boundary releases on the next read. *)
+    boundary releases on the next read, or when the flow leaves the
+    table. *)
 
 type t
 type pool
@@ -32,8 +33,8 @@ exception Double_free
 
 (** [create_pool ~name ~buf_bytes ()] makes an empty pool of
     [buf_bytes]-sized buffers (default 2048 — one wire frame plus room).
-    The pool grows on demand, [grow_batch] buffers at a time. *)
-val create_pool : ?buf_bytes:int -> ?grow_batch:int -> name:string -> unit -> pool
+    The pool grows on demand, one buffer at a time. *)
+val create_pool : ?buf_bytes:int -> name:string -> unit -> pool
 
 val buf_bytes : pool -> int
 
@@ -43,7 +44,8 @@ val free_buffers : pool -> int
 (** Buffers out of the pool with a non-zero reference count. *)
 val outstanding : pool -> int
 
-(** Arena footprint per the slab accounting (grows, never shrinks). *)
+(** Arena footprint: buffers ever created times [buf_bytes] (grows,
+    never shrinks). [0] until the first [alloc]. *)
 val bytes_reserved : pool -> int
 
 (** {1 Ownership} *)

@@ -38,6 +38,7 @@ module Sring = struct
     pow2 1
 
   let attach page ~slot_bytes = { page; slot_bytes; nr_slots = geometry page ~slot_bytes }
+  let page_bytes ~slot_bytes n = header_bytes + (n * slot_bytes)
 
   let init page ~slot_bytes =
     let t = attach page ~slot_bytes in
@@ -75,6 +76,7 @@ module Front = struct
   type t = { sring : Sring.t; mutable req_prod_pvt : int; mutable rsp_cons : int }
 
   let init sring = { sring; req_prod_pvt = 0; rsp_cons = 0 }
+  let nr_slots t = Sring.nr_slots t.sring
 
   let free_requests t = Sring.nr_slots t.sring - diff t.req_prod_pvt t.rsp_cons
 

@@ -22,6 +22,11 @@ module Sring : sig
       side, after grant-mapping it). *)
   val attach : Bytestruct.t -> slot_bytes:int -> t
 
+  (** [page_bytes ~slot_bytes n] is the size of a page holding exactly
+      [n] slots after the index header; [n] should be a power of two, or
+      {!init} rounds the slot count down. *)
+  val page_bytes : slot_bytes:int -> int -> int
+
   (** Number of slots (a power of two). *)
   val nr_slots : t -> int
 
@@ -35,6 +40,9 @@ module Front : sig
   type t
 
   val init : Sring.t -> t
+
+  (** Ring size in slots. *)
+  val nr_slots : t -> int
 
   (** Request slots available before the ring is full. *)
   val free_requests : t -> int

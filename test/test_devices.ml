@@ -29,16 +29,16 @@ let test_io_page_recycle_rejects_views () =
 
 (* ---- Netif ---- *)
 
+let vif ?rx_slots w name =
+  let dom = Xensim.Hypervisor.create_domain w.hv ~name ~mem_mib:32 ~platform:Platform.xen_extent () in
+  dom.Xensim.Domain.state <- Xensim.Domain.Running;
+  let nic = Netsim.Bridge.new_nic w.bridge ~mac:(Netsim.mac_of_int (10 + dom.Xensim.Domain.id)) () in
+  (nic, Devices.Netif.connect w.hv ~dom ~backend_dom:w.dom0 ~nic ?rx_slots ())
+
 let netif_pair () =
   let w = make_world () in
-  let mk name =
-    let dom = Xensim.Hypervisor.create_domain w.hv ~name ~mem_mib:32 ~platform:Platform.xen_extent () in
-    dom.Xensim.Domain.state <- Xensim.Domain.Running;
-    let nic = Netsim.Bridge.new_nic w.bridge ~mac:(Netsim.mac_of_int (10 + dom.Xensim.Domain.id)) () in
-    (dom, nic, Devices.Netif.connect w.hv ~dom ~backend_dom:w.dom0 ~nic ())
-  in
-  let _, _, na = mk "neta" in
-  let _, nic_b, nb = mk "netb" in
+  let _, na = vif w "neta" in
+  let nic_b, nb = vif w "netb" in
   (w, na, nic_b, nb)
 
 let eth_frame ~dst ~src payload =
@@ -115,6 +115,34 @@ let test_netif_rx_drop_without_credit () =
   Engine.Sim.run w.sim;
   check_bool "some frames dropped for lack of credit" true (Devices.Netif.rx_dropped nb > 0);
   check_bool "some frames delivered" true (Devices.Netif.rx_frames nb > 0)
+
+(* Each ring page holds exactly its slots: a full TX ring, and an RX
+   ring just big enough for the posted credit (credit <= slots - 1). *)
+let test_netif_rings_sized_to_credit () =
+  let w = make_world () in
+  let _, storm = vif w ~rx_slots:64 "storm" in
+  let _, dflt = vif w "default" in
+  check_int "rx_slots:64 -> 128-slot rx ring" 128 (Devices.Netif.rx_ring_slots storm);
+  check_int "rx_slots:64 -> 64 credits posted" 64 (Devices.Netif.rx_posted storm);
+  check_int "rx_slots:64 keeps a 512-slot tx ring" 512 (Devices.Netif.tx_ring_slots storm);
+  check_int "default -> 512-slot rx ring" 512 (Devices.Netif.rx_ring_slots dflt);
+  check_int "default -> 511 credits posted" 511 (Devices.Netif.rx_posted dflt);
+  check_int "default tx ring" 512 (Devices.Netif.tx_ring_slots dflt)
+
+(* The small ring wraps many times over under a paced stream and every
+   consumed credit is reposted. *)
+let test_netif_small_rx_ring_wraps () =
+  let w = make_world () in
+  let _, tx = vif w "tx" in
+  let _, rx = vif w ~rx_slots:64 "rx" in
+  let count = ref 0 in
+  Devices.Netif.set_listener rx (fun _ -> incr count);
+  let frame = eth_frame ~dst:(Devices.Netif.mac rx) ~src:(Devices.Netif.mac tx) (String.make 200 'r') in
+  ignore (run w (P.join (List.init 1000 (fun _ -> Devices.Netif.write tx frame))));
+  Engine.Sim.run w.sim;
+  check_int "every frame delivered or dropped" 1000 (!count + Devices.Netif.rx_dropped rx);
+  check_bool "ring wrapped several times" true (!count > 4 * 128);
+  check_int "credit fully reposted" 64 (Devices.Netif.rx_posted rx)
 
 let test_netif_mtu_enforced () =
   let w, na, _, _ = netif_pair () in
@@ -232,6 +260,8 @@ let () =
           Alcotest.test_case "pipelines many frames" `Quick test_netif_pipelining_many_frames;
           Alcotest.test_case "rx drops without credit" `Quick test_netif_rx_drop_without_credit;
           Alcotest.test_case "mtu enforced" `Quick test_netif_mtu_enforced;
+          Alcotest.test_case "rings sized to credit" `Quick test_netif_rings_sized_to_credit;
+          Alcotest.test_case "small rx ring wraps" `Quick test_netif_small_rx_ring_wraps;
         ] );
       ( "console",
         [

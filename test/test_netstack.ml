@@ -575,6 +575,47 @@ let test_tcp_half_close_peer_can_still_send () =
   check_bool "data flows against the half-close" true
     (match got with Some c -> Bytestruct.to_string c = "after your fin" | None -> false)
 
+(* A client and a server that each read one chunk and close without
+   reading to end-of-stream. The chunk each read last must go back to
+   the pool when the flow leaves the table: 2 MSL after TIME_WAIT on the
+   server (the active closer), at the final ACK on the client. *)
+let test_tcp_discarded_flows_release_pool_refs () =
+  let w, a, b = pair_world () in
+  N.Tcp.listen (N.Stack.tcp b.stack) ~port:80 (fun flow ->
+      N.Tcp.read flow >>= fun _ ->
+      N.Tcp.write flow (bs "HTTP/1.0 200 OK\r\n\r\nhi") >>= fun () -> N.Tcp.close flow);
+  let get () =
+    N.Tcp.connect (N.Stack.tcp a.stack) ~dst:(N.Stack.address b.stack) ~dst_port:80
+    >>= fun flow ->
+    N.Tcp.write flow (bs "GET / HTTP/1.0\r\n\r\n") >>= fun () ->
+    N.Tcp.read flow >>= fun _ -> N.Tcp.close flow
+  in
+  for _ = 1 to 20 do
+    run w (get ())
+  done;
+  Engine.Sim.run w.sim (* past every 2-MSL linger *);
+  check_int "client pool: nothing outstanding" 0 (Pktbuf.outstanding (Devices.Netif.pool a.netif));
+  check_int "server pool: nothing outstanding" 0 (Pktbuf.outstanding (Devices.Netif.pool b.netif))
+
+(* Data that arrived but was never read is copied out of the pool when
+   the flow leaves the table, and a late reader still gets it. *)
+let test_tcp_unread_data_survives_flow_removal () =
+  let w, a, b = pair_world () in
+  N.Tcp.listen (N.Stack.tcp b.stack) ~port:5001 (fun flow ->
+      N.Tcp.write flow (bs "unread") >>= fun () -> N.Tcp.close flow);
+  let flow =
+    run w (N.Tcp.connect (N.Stack.tcp a.stack) ~dst:(N.Stack.address b.stack) ~dst_port:5001)
+  in
+  Engine.Sim.run w.sim;
+  run w (N.Tcp.close flow);
+  check_string "flow left the table" "CLOSED" (N.Tcp.state_name flow);
+  check_int "pool reference returned" 0 (Pktbuf.outstanding (Devices.Netif.pool a.netif));
+  check_bool "late read sees the bytes" true
+    (match run w (N.Tcp.read flow) with
+    | Some c -> Bytestruct.to_string c = "unread"
+    | None -> false);
+  check_bool "then end-of-stream" true (run w (N.Tcp.read flow) = None)
+
 (* ---- deterministic recovery paths ---- *)
 
 (* TCP payload length of an Ethernet frame, 0 for anything that is not a
@@ -986,6 +1027,10 @@ let () =
             test_tcp_zero_window_persist_probe;
           Alcotest.test_case "ooo cap eviction" `Quick test_tcp_ooo_cap_eviction;
           prop_tcp_delivers_under_random_loss;
+          Alcotest.test_case "discarded flows release pool refs" `Quick
+            test_tcp_discarded_flows_release_pool_refs;
+          Alcotest.test_case "unread data survives flow removal" `Quick
+            test_tcp_unread_data_survives_flow_removal;
         ] );
       ( "gro",
         [

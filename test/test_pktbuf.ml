@@ -4,43 +4,42 @@ module Pb = Pktbuf
 (* ---- pool recycling ---- *)
 
 let test_pool_grow_and_recycle () =
-  let p = Pb.create_pool ~buf_bytes:256 ~grow_batch:4 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:256 ~name:"t" () in
   check_int "pool starts empty" 0 (Pb.free_buffers p);
   check_int "nothing reserved yet" 0 (Pb.bytes_reserved p);
   let b = Pb.alloc p in
-  check_int "grew by one batch" 3 (Pb.free_buffers p);
+  check_int "grew by exactly one buffer" 0 (Pb.free_buffers p);
   check_int "one outstanding" 1 (Pb.outstanding p);
   check_int "fresh buffer has one ref" 1 (Pb.refs b);
-  (* The slab rounds each buffer up to its size class, so the arena is
-     at least batch * buf_bytes, never exact. *)
-  check_bool "arena covers the batch" true (Pb.bytes_reserved p >= 4 * 256);
-  let reserved = Pb.bytes_reserved p in
+  check_int "arena is one buffer" 256 (Pb.bytes_reserved p);
   Pb.release b;
-  check_int "released buffer back on freelist" 4 (Pb.free_buffers p);
+  check_int "released buffer back on freelist" 1 (Pb.free_buffers p);
   check_int "none outstanding" 0 (Pb.outstanding p);
-  (* Steady-state recycling: the released buffer comes back around (the
-     freelist is FIFO, so behind its batch-mates) and the slab arena
-     never grows. *)
-  let round = List.init 4 (fun _ -> Pb.alloc p) in
-  check_bool "recycled buffer reuses storage" true
-    (List.exists (fun pb -> Pb.storage pb == Pb.storage b) round);
-  check_int "recycling does not touch the slab" reserved (Pb.bytes_reserved p);
-  List.iter Pb.release round
+  (* Steady-state recycling: alloc/release cycles reuse the one buffer
+     and the arena never grows. *)
+  for _ = 1 to 10 do
+    let again = Pb.alloc p in
+    check_bool "recycled buffer reuses storage" true (Pb.storage again == Pb.storage b);
+    Pb.release again
+  done;
+  check_int "recycling does not grow the arena" 256 (Pb.bytes_reserved p)
 
 let test_pool_grows_under_pressure () =
-  let p = Pb.create_pool ~buf_bytes:128 ~grow_batch:2 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:128 ~name:"t" () in
   let bufs = List.init 5 (fun _ -> Pb.alloc p) in
-  check_int "three batches grown" 5 (Pb.outstanding p);
-  check_bool "arena covers every buffer" true (Pb.bytes_reserved p >= 6 * 128);
-  let reserved = Pb.bytes_reserved p in
+  check_int "five outstanding" 5 (Pb.outstanding p);
+  check_int "arena is the high-water mark" (5 * 128) (Pb.bytes_reserved p);
   List.iter Pb.release bufs;
-  check_int "all returned" 6 (Pb.free_buffers p);
-  check_int "arena never shrinks" reserved (Pb.bytes_reserved p)
+  check_int "all returned" 5 (Pb.free_buffers p);
+  (* Below the high-water mark nothing grows. *)
+  let again = List.init 3 (fun _ -> Pb.alloc p) in
+  check_int "arena never shrinks or regrows" (5 * 128) (Pb.bytes_reserved p);
+  List.iter Pb.release again
 
 (* ---- ownership bugs must raise ---- *)
 
 let test_double_free_raises () =
-  let p = Pb.create_pool ~buf_bytes:64 ~grow_batch:1 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
   let b = Pb.alloc p in
   Pb.release b;
   Alcotest.check_raises "second release" Pb.Double_free (fun () -> Pb.release b);
@@ -59,7 +58,7 @@ let test_double_free_raises () =
    freelist until the deferred callback releases it. *)
 let test_refcount_across_deferred () =
   let sim = Engine.Sim.create ~seed:1 () in
-  let p = Pb.create_pool ~buf_bytes:64 ~grow_batch:1 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
   let b = Pb.alloc p in
   Bytestruct.set_uint8 (Pb.storage b) 0 0xab;
   let seen = ref (-1) in
@@ -84,7 +83,7 @@ let test_refcount_across_deferred () =
 (* ---- the ambient current packet ---- *)
 
 let test_ambient_current_scoping () =
-  let p = Pb.create_pool ~buf_bytes:64 ~grow_batch:1 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
   let b = Pb.alloc p in
   check_bool "no ambient outside delivery" true (Pb.current () = None);
   check_bool "retain_current falls back to None" true (Pb.retain_current () = None);
@@ -100,13 +99,57 @@ let test_ambient_current_scoping () =
   Pb.release b
 
 let test_views_share_storage () =
-  let p = Pb.create_pool ~buf_bytes:64 ~grow_batch:1 ~name:"t" () in
+  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
   let b = Pb.alloc p in
   let v = Pb.view b ~off:8 ~len:4 in
   Bytestruct.set_uint8 v 0 0x55;
   check_int "view aliases the buffer" 0x55 (Bytestruct.get_uint8 (Pb.storage b) 8);
   check_int "view length" 4 (Bytestruct.length v);
   Pb.release b
+
+(* ---- a vif's pool is sized to its use ---- *)
+
+(* Posted receive credit is a promise of a buffer, not a buffer: a
+   connected, configured appliance that has moved no frame holds none. *)
+let test_fresh_vif_reserves_nothing () =
+  let w = make_world () in
+  let h = make_host w ~announce:false ~name:"fresh" ~ip:"10.0.0.1" () in
+  let pool = Devices.Netif.pool h.netif in
+  check_int "no frame yet, nothing reserved" 0 (Pb.bytes_reserved pool);
+  check_int "no buffer created" 0 (Pb.free_buffers pool + Pb.outstanding pool)
+
+(* One request: each pool reserves at most its peak of buffers in
+   flight, sampled after every event, never a pre-sized batch. *)
+let test_one_request_reserves_peak_only () =
+  let module P = Mthread.Promise in
+  let w = make_world () in
+  let a = make_host w ~announce:false ~name:"client" ~ip:"10.0.0.1" () in
+  let b = make_host w ~announce:false ~name:"server" ~ip:"10.0.0.2" () in
+  let pools = [ Devices.Netif.pool a.netif; Devices.Netif.pool b.netif ] in
+  Netstack.Tcp.listen (Netstack.Stack.tcp b.stack) ~port:80 (fun flow ->
+      P.bind (Netstack.Tcp.read flow) (fun _ ->
+          P.bind (Netstack.Tcp.write flow (Bytestruct.of_string "HTTP/1.0 200 OK\r\n\r\n"))
+            (fun () -> Netstack.Tcp.close flow)));
+  P.async (fun () ->
+      P.bind
+        (Netstack.Tcp.connect (Netstack.Stack.tcp a.stack) ~dst:(Netstack.Stack.address b.stack)
+           ~dst_port:80)
+        (fun flow ->
+          P.bind (Netstack.Tcp.write flow (Bytestruct.of_string "GET / HTTP/1.0\r\n\r\n"))
+            (fun () -> P.bind (Netstack.Tcp.read flow) (fun _ -> Netstack.Tcp.close flow))));
+  let peak = List.map (fun p -> ref (Pb.outstanding p)) pools in
+  while Engine.Sim.step w.sim do
+    List.iter2 (fun p m -> m := max !m (Pb.outstanding p)) pools peak
+  done;
+  List.iter2
+    (fun p m ->
+      check_bool "the request moved frames" true (Pb.bytes_reserved p > 0);
+      check_bool
+        (Printf.sprintf "reserved %d B <= peak %d in flight x %d B" (Pb.bytes_reserved p) !m
+           (Pb.buf_bytes p))
+        true
+        (Pb.bytes_reserved p <= !m * Pb.buf_bytes p))
+    pools peak
 
 let () =
   Alcotest.run "pktbuf"
@@ -115,6 +158,9 @@ let () =
         [
           Alcotest.test_case "grow and recycle" `Quick test_pool_grow_and_recycle;
           Alcotest.test_case "grows under pressure" `Quick test_pool_grows_under_pressure;
+          Alcotest.test_case "fresh vif reserves nothing" `Quick test_fresh_vif_reserves_nothing;
+          Alcotest.test_case "one request reserves its peak only" `Quick
+            test_one_request_reserves_peak_only;
         ] );
       ( "ownership",
         [

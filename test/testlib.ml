@@ -37,7 +37,7 @@ type host = {
    an infinitely fast load generator, as the paper's client machines are
    relative to the appliance under test. *)
 let make_host ?(platform = Platform.xen_extent) ?(vcpus = 1) ?(account_cpu = true) ?bandwidth_bps
-    ?latency_ns w ~name ~ip () =
+    ?latency_ns ?announce w ~name ~ip () =
   let dom = Xensim.Hypervisor.create_domain w.hv ~name ~mem_mib:64 ~platform ~vcpus () in
   dom.Xensim.Domain.state <- Xensim.Domain.Running;
   let nic =
@@ -55,8 +55,8 @@ let make_host ?(platform = Platform.xen_extent) ?(vcpus = 1) ?(account_cpu = tru
       }
   in
   let stack =
-    if account_cpu then Mthread.Promise.run w.sim (Netstack.Stack.create w.sim ~dom ~netif cfg)
-    else Mthread.Promise.run w.sim (Netstack.Stack.create w.sim ~netif cfg)
+    if account_cpu then Mthread.Promise.run w.sim (Netstack.Stack.create w.sim ~dom ?announce ~netif cfg)
+    else Mthread.Promise.run w.sim (Netstack.Stack.create w.sim ?announce ~netif cfg)
   in
   { dom; nic; netif; stack }
 
