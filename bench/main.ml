@@ -27,10 +27,7 @@ let experiments =
     ("dpath", "per-packet per-hop datapath cost attribution", Dpath.run);
     ("capture", "wire-capture overhead on the Figure 8 transfer", Capture_bench.run);
     ("micro", "real-time microbenchmarks", Micro.run);
-    ("trace-guard", "disabled-tracing overhead guard", Micro.trace_guard);
-    ("monitor-guard", "disabled-metrics overhead + figure-8 invariance guard", Micro.monitor_guard);
-    ("profile-guard", "disabled-profiler overhead + figure-8 invariance guard", Micro.profile_guard);
-    ("capture-guard", "disabled-capture overhead + figure-8 invariance guard", Micro.capture_guard);
+    ("guard", "disabled-site budgets + figure-8 invariance, every plane", Micro.guard);
   ]
 
 let run requested trace_out out profile_out flight_dir =

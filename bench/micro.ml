@@ -132,51 +132,31 @@ let test_compress_hash_big =
     (Staged.stage (fun () ->
          ignore (Dns.Dns_wire.encode ~impl:Dns.Compress.Hashtable big_response)))
 
-(* The TCP retransmission queue is appended to once per segment sent.
-   With a 256-entry flight (a full 128 KB window of tinygrams), the old
-   list representation paid O(n) per append — O(n²) per window — where
-   Queue.add is O(1). *)
-let test_rtx_list_append =
-  Test.make ~name:"rtx append x256 (list @ [x])"
-    (Staged.stage (fun () ->
-         let l = ref [] in
-         for i = 0 to 255 do
-           l := !l @ [ i ]
-         done;
-         ignore !l))
-
-let test_rtx_queue_append =
-  Test.make ~name:"rtx append x256 (Queue.add)"
-    (Staged.stage (fun () ->
-         let q = Queue.create () in
-         for i = 0 to 255 do
-           Queue.add i q
-         done;
-         ignore (Queue.length q)))
-
 let all_tests =
   [
     test_dns_encode_fmap; test_dns_encode_hashtable; test_compress_fmap_big;
     test_compress_hash_big; test_dns_decode; test_checksum; test_tcp_encode; test_ring_cycle;
     test_of_flow_mod; test_http_parse_render; test_sha256; test_chacha; test_json_parse;
-    test_rtx_list_append; test_rtx_queue_append;
   ]
 
-(* ---- tracing-overhead guard ----
+(* ---- the observability guard ----
 
-   Every hot-path trace hook in the tree is written as
-   `if Trace.enabled () then Trace.emit ...`, so the disabled cost is
-   one load and one predictable branch. This guard measures that cost
-   for real and fails the build (exit 1) if it regresses past a pinned
-   budget — e.g. if someone moves payload construction outside the
-   guard, or turns the flag check into something allocating. Run by
-   `dune runtest` via the bench rule, and standalone as the
-   `trace-guard` experiment. *)
+   With its plane off, as in every figure run, each observability hot
+   site must cost one load and one predictable branch. One table, a row
+   per plane, checks that twice. Each disabled site is timed against one
+   pinned budget, so a payload built outside its guard fails the build.
+   Figure 8 runs once with every plane off, then once with each armable
+   row on. Planes only observe (no PRNG draws, no scheduling, no vCPU
+   charges), so each armed run's stdout must be byte-identical to the
+   off run, and the plane must have observed something. A row whose
+   plane is already on (say under --trace) is skipped: it cannot be
+   measured disabled, and disarming it would wipe what the run records.
+   Run by `dune runtest` via the bench rule. *)
 
 let guard_budget_ns = 25.0
 let guard_iters = 5_000_000
 
-(* best-of-5 per-op cost, like the trace guard has always measured *)
+(* best-of-5 per-op cost *)
 let guard_best f =
   let per_op () =
     let t0 = Sys.time () in
@@ -185,272 +165,142 @@ let guard_best f =
     done;
     (Sys.time () -. t0) *. 1e9 /. float_of_int guard_iters
   in
-  let m = ref infinity in
-  for _ = 1 to 5 do
-    m := Float.min !m (per_op ())
-  done;
-  !m
+  List.fold_left (fun m _ -> Float.min m (per_op ())) infinity [ 1; 2; 3; 4; 5 ]
 
-let guard_baseline i = i land 0xff
+type guard_row = {
+  plane : string;
+  on : unit -> bool;  (* already on for this run: skip the row *)
+  sites : (string * (int -> unit)) list;  (* disabled hot sites *)
+  arm : (unit -> unit) option;  (* switch the plane on for one Figure 8 run *)
+  disarm : unit -> int;  (* switch it off again; how much that run observed *)
+}
 
-let trace_guard_measure () =
-  let emit_site i =
-    if Trace.enabled () then
-      Trace.emit ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "guard.event";
-    i land 0xff
+let guard_rows () =
+  (* with the registry off, every subsystem's handle is detached like this *)
+  let m = Trace.Metrics.detached in
+  let cap : Netsim.Capture.t option ref = ref None and frame = Bytestruct.create 64 in
+  let prof_on () = Trace.Prof.enabled () || Trace.Dpath.enabled () || Trace.Flight.enabled () in
+  [
+    { plane = "trace"; on = Trace.enabled; arm = None; disarm = (fun () -> 0);
+      sites =
+        [ ("emit-site", fun i ->
+              if Trace.enabled () then
+                Trace.emit ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "guard.event") ] };
+    { plane = "metrics"; on = Trace.Metrics.enabled; arm = Some Trace.Metrics.enable;
+      sites =
+        [ ("inc-site", fun _ -> Trace.Metrics.inc m 1);
+          ("observe-site", fun i -> Trace.Metrics.observe m i) ];
+      disarm =
+        (fun () ->
+          let series = List.length (Trace.Metrics.snapshot ()) in
+          Trace.Metrics.disable ();
+          Trace.Metrics.reset ();
+          series) };
+    { plane = "prof+dpath+flight"; on = prof_on;
+      sites =
+        [ ("account-site", fun i -> if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i);
+          ("frame-site", fun i ->
+              let f () = i land 0xff in
+              ignore (if Trace.Prof.enabled () then Trace.Prof.with_frame "guard" f else f ()));
+          ("dpath-site", fun i ->
+              let f () = i land 0xff in
+              ignore
+                (if Trace.Dpath.enabled () then Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:i f
+                 else f ()));
+          ("flight-site", fun _ ->
+              if Trace.Flight.enabled () then
+                Trace.Flight.note ~dom:0 ~cat:Trace.Net "guard.note") ];
+      arm = Some (fun () -> Trace.Prof.enable (); Trace.Dpath.enable (); Trace.Flight.enable ());
+      disarm =
+        (fun () ->
+          let rows = List.length (Trace.Prof.stats ()) + List.length (Trace.Dpath.stats ()) in
+          Trace.Prof.disable (); Trace.Dpath.disable (); Trace.Flight.disable ();
+          Trace.Prof.reset (); Trace.Dpath.reset (); Trace.Flight.reset ();
+          rows) };
+    { plane = "capture"; on = (fun () -> !Util.capture_worlds);
+      sites =
+        [ ("capture-site", fun i ->
+              match !cap with
+              | None -> ()
+              | Some c -> Netsim.Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame) ];
+      arm = Some (fun () -> Util.capture_worlds := true);
+      disarm =
+        (fun () ->
+          Util.capture_worlds := false;
+          let matched n c = n + Netsim.Capture.matched c in
+          let frames = List.fold_left matched 0 !Util.world_captures in
+          Util.close_world_captures ();
+          frames) };
+  ]
+
+let guard_sites rows =
+  let base = guard_best ignore in
+  let over =
+    List.concat_map (fun r -> List.map (fun (site, f) -> (r.plane ^ "/" ^ site, f)) r.sites) rows
+    |> List.filter (fun (name, f) ->
+           let cost = Float.max 0.0 (guard_best f -. base) in
+           Util.emit ~figure:"guard" ~metric:name ~unit_:"ns/op" cost;
+           Printf.printf "  disabled %-32s %5.2f ns/op\n" name cost;
+           cost > guard_budget_ns)
   in
-  let base = guard_best guard_baseline in
-  let site = guard_best emit_site in
-  let cost = Float.max 0.0 (site -. base) in
-  Util.emit ~figure:"trace-guard" ~metric:"disabled-emit-site" ~unit_:"ns/op" cost;
-  Printf.printf "  disabled emit site: %.2f ns/op (baseline %.2f, budget %.1f)\n" cost base
-    guard_budget_ns;
-  if cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-tracing overhead exceeds budget\n";
+  Printf.printf "  (baseline %.2f ns/op, budget %.1f ns/op per site)\n" base guard_budget_ns;
+  if over <> [] then begin
+    Printf.printf "  FAIL: over budget: %s\n" (String.concat ", " (List.map fst over));
     exit 1
   end
-  else Printf.printf "  OK: within budget\n"
 
-let trace_guard () =
-  Util.header "Tracing-overhead guard (disabled emit site)";
-  if Trace.enabled () then
-    (* re-enabling after the measurement would resize (and clear) the
-       event ring, so under --trace the guard is a no-op *)
-    Printf.printf "  skipped: tracing is enabled for this run\n"
-  else trace_guard_measure ()
-
-(* ---- monitoring-plane guard ----
-
-   Two invariants of the metrics registry (Trace.Metrics), enforced by
-   `dune runtest` alongside the tracing guard:
-
-   1. With the registry compiled in but the plane off (the default for
-      every figure run), a metric-update site costs one load and one
-      predictable branch — measured for real against the same pinned
-      budget as trace emit sites.
-   2. Even *enabling* the plane must not perturb the simulation:
-      registration is pull-based reads over stats the subsystems keep
-      anyway, so Figure 8's stdout must be byte-identical with metrics
-      off and on (no scraper booted — in-band exposition only charges
-      when something actually scrapes). *)
-
-let monitor_guard_measure () =
-  (* registry disabled: registration is a no-op and the handles are
-     detached, exactly the state every figure runs in *)
-  let counter = Trace.Metrics.counter "guard_counter" in
-  let summ = Trace.Metrics.summary "guard_summary" in
-  let inc_site i =
-    Trace.Metrics.inc counter 1;
-    i land 0xff
-  in
-  let observe_site i =
-    Trace.Metrics.observe summ i;
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let inc_cost = Float.max 0.0 (guard_best inc_site -. base) in
-  let obs_cost = Float.max 0.0 (guard_best observe_site -. base) in
-  Util.emit ~figure:"monitor-guard" ~metric:"disabled-inc-site" ~unit_:"ns/op" inc_cost;
-  Util.emit ~figure:"monitor-guard" ~metric:"disabled-observe-site" ~unit_:"ns/op" obs_cost;
-  Printf.printf "  disabled inc site    : %.2f ns/op (baseline %.2f, budget %.1f)\n" inc_cost
-    base guard_budget_ns;
-  Printf.printf "  disabled observe site: %.2f ns/op (baseline %.2f, budget %.1f)\n" obs_cost
-    base guard_budget_ns;
-  if inc_cost > guard_budget_ns || obs_cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-metrics overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let capture_stdout f =
+(* Figure 8's stdout. Its --out records are dropped, so a full-suite
+   bench.json does not repeat its data points. *)
+let fig8_stdout () =
+  let saved_results = !Util.results in
   flush stdout;
   let saved = Unix.dup Unix.stdout in
   let tmp = Filename.temp_file ~temp_dir:(Sys.getcwd ()) "fig8" ".out" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   Unix.dup2 fd Unix.stdout;
   Unix.close fd;
-  Fun.protect f ~finally:(fun () ->
+  Fun.protect Fig8.run ~finally:(fun () ->
       flush stdout;
       Unix.dup2 saved Unix.stdout;
-      Unix.close saved);
+      Unix.close saved;
+      Util.results := saved_results);
   let ic = open_in_bin tmp in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove tmp;
   s
 
-let fig8_invariance () =
-  (* fig8 runs twice under capture; restore the --out records afterwards
-     so its data points are not triplicated in a full-suite bench.json *)
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Trace.Metrics.enable ();
-  let on = capture_stdout Fig8.run in
-  Trace.Metrics.disable ();
-  Trace.Metrics.reset ();
-  Util.results := saved_results;
-  Util.emit ~figure:"monitor-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if off = on then
-    Printf.printf "  OK: figure 8 stdout byte-identical with metrics off/on (%d bytes)\n"
-      (String.length off)
-  else begin
-    Printf.printf "  FAIL: enabling the metrics registry changed figure 8 output\n";
-    exit 1
-  end
+let guard_fig8 rows =
+  match List.filter_map (fun r -> Option.map (fun arm -> (r, arm)) r.arm) rows with
+  | [] -> ()
+  | armed ->
+    let off = fig8_stdout () in
+    Printf.printf "  figure 8, every plane off: %d bytes of stdout\n" (String.length off);
+    let failed =
+      List.filter
+        (fun (r, arm) ->
+          arm ();
+          let same = fig8_stdout () = off in
+          let observed = r.disarm () in
+          Util.emit ~figure:"guard" ~metric:(r.plane ^ "/fig8-byte-identical") ~unit_:"bool"
+            (if same then 1.0 else 0.0);
+          Printf.printf "  figure 8, %-17s on: %s (%d observed)\n" r.plane
+            (if not same then "FAIL: stdout changed"
+             else if observed = 0 then "FAIL: vacuous, nothing observed"
+             else "byte-identical")
+            observed;
+          (not same) || observed = 0)
+        armed
+    in
+    if failed <> [] then exit 1
 
-let monitor_guard () =
-  Util.header "Monitoring-plane guard (disabled metric sites, figure-8 invariance)";
-  if Trace.Metrics.enabled () then
-    Printf.printf "  skipped: the metrics registry is enabled for this run\n"
-  else begin
-    monitor_guard_measure ();
-    fig8_invariance ()
-  end
-
-(* ---- profiler guard ----
-
-   Same contract as the trace and metrics guards, for the profiling
-   plane (Trace.Prof / Trace.Dpath / Trace.Flight): every hot site is
-   `if X.enabled () then ... else f ()`, so with the planes off (the
-   default for every figure run) the cost is one load and one
-   predictable branch. Measured for real against the shared pinned
-   budget; then Figure 8 must be byte-identical with all three planes
-   enabled, because profiling and the flight recorder only accumulate —
-   they never change scheduling, costs or behaviour. *)
-
-let profile_guard_measure () =
-  let account_site i =
-    if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i;
-    i land 0xff
-  in
-  let frame_site i =
-    let f () = i land 0xff in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "guard" f else f ()
-  in
-  let dpath_site i =
-    let f () = i land 0xff in
-    if Trace.Dpath.enabled () then Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:i f else f ()
-  in
-  let flight_site i =
-    if Trace.Flight.enabled () then Trace.Flight.note ~dom:0 ~cat:Trace.Net "guard.note";
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let report metric cost =
-    Util.emit ~figure:"profile-guard" ~metric ~unit_:"ns/op" cost;
-    Printf.printf "  disabled %-13s: %.2f ns/op (baseline %.2f, budget %.1f)\n" metric cost base
-      guard_budget_ns;
-    cost > guard_budget_ns
-  in
-  let bad_account = report "account-site" (Float.max 0.0 (guard_best account_site -. base)) in
-  let bad_frame = report "frame-site" (Float.max 0.0 (guard_best frame_site -. base)) in
-  let bad_dpath = report "dpath-site" (Float.max 0.0 (guard_best dpath_site -. base)) in
-  let bad_flight = report "flight-site" (Float.max 0.0 (guard_best flight_site -. base)) in
-  let bad = bad_account || bad_frame || bad_dpath || bad_flight in
-  if bad then begin
-    Printf.printf "  FAIL: disabled-profiler overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let fig8_profile_invariance () =
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Trace.Prof.enable ();
-  Trace.Dpath.enable ();
-  Trace.Flight.enable ();
-  let on = capture_stdout Fig8.run in
-  Trace.Prof.disable ();
-  Trace.Prof.reset ();
-  Trace.Dpath.disable ();
-  Trace.Dpath.reset ();
-  Trace.Flight.disable ();
-  Trace.Flight.reset ();
-  Util.results := saved_results;
-  Util.emit ~figure:"profile-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if off = on then
-    Printf.printf
-      "  OK: figure 8 stdout byte-identical with profiler+flight recorder off/on (%d bytes)\n"
-      (String.length off)
-  else begin
-    Printf.printf "  FAIL: enabling the profiling planes changed figure 8 output\n";
-    exit 1
-  end
-
-let profile_guard () =
-  Util.header "Profiler guard (disabled frame/account/dpath/flight sites, figure-8 invariance)";
-  if Trace.Prof.enabled () || Trace.Dpath.enabled () || Trace.Flight.enabled () then
-    Printf.printf "  skipped: a profiling plane is enabled for this run\n"
-  else begin
-    profile_guard_measure ();
-    fig8_profile_invariance ()
-  end
-
-(* ---- capture guard ----
-
-   Same contract again, for the wire-capture plane. The per-vif capture
-   sites in Devices.Netif are `match t.capture with None -> () | Some c
-   -> Capture.record ...` and the bridge's tap dispatch is `match taps
-   with [] -> () | ...`, so with no capture installed (the state every
-   figure runs in) the per-frame cost is one load and one branch —
-   measured for real against the shared pinned budget. Then Figure 8
-   must be byte-identical with a bridge-wide capture attached and
-   recording, because capture only retains references: it draws nothing
-   from the PRNG, schedules nothing and charges no vCPU. *)
-
-let capture_guard_measure () =
-  let cap : Netsim.Capture.t option ref = ref None in
-  let frame = Bytestruct.create 64 in
-  let capture_site i =
-    (match !cap with
-    | None -> ()
-    | Some c -> Netsim.Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame);
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let cost = Float.max 0.0 (guard_best capture_site -. base) in
-  Util.emit ~figure:"capture-guard" ~metric:"disabled-capture-site" ~unit_:"ns/op" cost;
-  Printf.printf "  disabled capture site: %.2f ns/op (baseline %.2f, budget %.1f)\n" cost base
-    guard_budget_ns;
-  if cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-capture overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let fig8_capture_invariance () =
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Util.capture_worlds := true;
-  let on = capture_stdout Fig8.run in
-  Util.capture_worlds := false;
-  let recorded =
-    List.fold_left (fun acc c -> acc + Netsim.Capture.matched c) 0 !Util.world_captures
-  in
-  Util.close_world_captures ();
-  Util.results := saved_results;
-  Util.emit ~figure:"capture-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if recorded = 0 then begin
-    Printf.printf "  FAIL: the attached captures observed no frames (guard is vacuous)\n";
-    exit 1
-  end;
-  if off = on then
-    Printf.printf
-      "  OK: figure 8 stdout byte-identical with wire capture off/on (%d bytes, %d frames \
-       captured)\n"
-      (String.length off) recorded
-  else begin
-    Printf.printf "  FAIL: attaching a wire capture changed figure 8 output\n";
-    exit 1
-  end
-
-let capture_guard () =
-  Util.header "Capture guard (disabled per-vif capture site, figure-8 invariance)";
-  capture_guard_measure ();
-  fig8_capture_invariance ()
+let guard () =
+  Util.header "Observability guard (disabled-site budgets, figure-8 invariance)";
+  let rows, skipped = List.partition (fun r -> not (r.on ())) (guard_rows ()) in
+  List.iter (fun r -> Printf.printf "  skipped %s: the plane is on for this run\n" r.plane) skipped;
+  guard_sites rows;
+  guard_fig8 rows;
+  Printf.printf "  OK\n"
 
 let run () =
   Util.header "Microbenchmarks (real wall-clock, Bechamel)";
@@ -474,5 +324,4 @@ let run () =
     "  (4.2: raw speed of the two compression tables is workload-dependent here; the\n";
   Printf.printf
     "   functional map's advantage is structural - immunity to the hash-collision\n";
-  Printf.printf "   denial-of-service the paper describes)\n";
-  trace_guard ()
+  Printf.printf "   denial-of-service the paper describes)\n"

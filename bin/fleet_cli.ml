@@ -83,10 +83,7 @@ let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
   | Some file ->
     Engine.Trace_report.write_jsonl ~file;
     Printf.printf "\ntrace: %s\n" file);
-  Trace.Metrics.disable ();
-  Trace.Metrics.reset ();
-  Trace.disable ();
-  Trace.reset ()
+  Trace.quiesce ()
 
 let policy_conv =
   let parse = function

@@ -237,10 +237,7 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   | Some file ->
     Engine.Trace_report.write_jsonl ~file;
     Printf.printf "\ntrace: %s\n" file);
-  Trace.Metrics.disable ();
-  Trace.Metrics.reset ();
-  Trace.disable ();
-  Trace.reset ()
+  Trace.quiesce ()
 
 let cmd =
   let doc = "Boot an appliance fleet plus the monitor unikernel; render the scrape dashboard" in

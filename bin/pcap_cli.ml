@@ -142,8 +142,7 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
     Printf.printf "\nwrote %s (libpcap, %d packets) and %s.flows (sidecar)\n" file
       (Netsim.Capture.stored cap) file);
   Netsim.Capture.close cap;
-  Trace.disable ();
-  Trace.reset ()
+  Trace.quiesce ()
 
 let cmd =
   let doc = "Capture wire traffic from a live scenario into a real pcap file" in

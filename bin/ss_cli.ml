@@ -110,8 +110,7 @@ let run_ss seed duration_ms loss =
   Engine.Sim.run ~until:(started + duration_ns) sim;
   snap "end of run";
   print_string (Buffer.contents snapshots);
-  Trace.disable ();
-  Trace.reset ()
+  Trace.quiesce ()
 
 let cmd =
   let doc = "Boot a client/server scenario and render ss-style socket tables" in

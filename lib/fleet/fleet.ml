@@ -127,9 +127,7 @@ let static_ip s =
     gateway = None;
   }
 
-let run p =
-  Trace.Metrics.reset ();
-  Trace.Metrics.enable ();
+let simulate p =
   let sim = Engine.Sim.create ~seed:p.seed () in
   let hv = Xensim.Hypervisor.create sim in
   let dom0 =
@@ -375,6 +373,20 @@ let run p =
     o_held = Apps.Lb.held_total lb;
     o_held_wait_max_ns = Apps.Lb.held_wait_max_ns lb;
   }
+
+(* The orchestrator decides from scraped metrics, so a run owns the
+   metrics plane. On return the plane goes back to its prior on/off
+   state and the run's registrations are dropped: their read callbacks
+   would otherwise pin the finished fleet's world. *)
+let run p =
+  let was_on = Trace.Metrics.enabled () in
+  Trace.Metrics.reset ();
+  Trace.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.Metrics.reset ();
+      if not was_on then Trace.Metrics.disable ())
+    (fun () -> simulate p)
 
 (* The single-shard reference: same machinery, flat schedule at the base
    rate, autoscaler parked. Its p99 is the denominator of the "p99 within

@@ -1,3 +1,30 @@
+(* ---- plane registry ----
+
+   Every in-process observability plane (the event tracer, Metrics, Prof,
+   Dpath, Flight) is one entry here: its on/off flag, how to clear it,
+   and how to forget a retired domain. A plane's [enabled ()] reads its
+   own entry's [on] field, so the registry adds nothing to a disabled
+   hot site; only the whole-process calls below walk the list. *)
+
+type plane = { name : string; mutable on : bool; reset : unit -> unit; drop_dom : int -> unit }
+
+let all_planes : plane list ref = ref []
+
+let register_plane ?(drop_dom = ignore) name reset =
+  let p = { name; on = false; reset; drop_dom } in
+  all_planes := !all_planes @ [ p ];
+  p
+
+let planes () = List.map (fun p -> (p.name, p.on)) !all_planes
+let drop_dom dom = List.iter (fun p -> p.drop_dom dom) !all_planes
+
+let quiesce () =
+  List.iter
+    (fun p ->
+      p.on <- false;
+      p.reset ())
+    !all_planes
+
 type category =
   | Sched
   | Boot
@@ -182,7 +209,6 @@ type span = {
 }
 
 type state = {
-  mutable on : bool;
   mutable ring : event array;
   mutable head : int;  (* next write position *)
   mutable length : int;
@@ -214,7 +240,6 @@ let dummy_event =
 
 let t =
   {
-    on = false;
     ring = [||];
     head = 0;
     length = 0;
@@ -231,20 +256,6 @@ let t =
     spans = Hashtbl.create 32;
   }
 
-let enabled () = t.on
-
-let enable ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Trace.enable: capacity must be positive";
-  if Array.length t.ring <> capacity then begin
-    t.ring <- Array.make capacity dummy_event;
-    t.head <- 0;
-    t.length <- 0;
-    t.dropped <- 0
-  end;
-  t.on <- true
-
-let disable () = t.on <- false
-
 let reset () =
   Array.fill t.ring 0 (Array.length t.ring) dummy_event;
   t.head <- 0;
@@ -259,6 +270,21 @@ let reset () =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
   Hashtbl.iter (fun _ g -> g.g_value <- 0) t.gauges;
   Hashtbl.reset t.spans
+
+let tracer = register_plane "trace" reset
+let enabled () = tracer.on
+
+let enable ?(capacity = default_capacity) () =
+  if capacity <= 0 then invalid_arg "Trace.enable: capacity must be positive";
+  if Array.length t.ring <> capacity then begin
+    t.ring <- Array.make capacity dummy_event;
+    t.head <- 0;
+    t.length <- 0;
+    t.dropped <- 0
+  end;
+  tracer.on <- true
+
+let disable () = tracer.on <- false
 
 let set_clock f =
   (* Re-base so a fresh simulator (starting at t=0) continues the trace
@@ -288,7 +314,7 @@ let record ?(dom = -1) ?(payload = []) ~cat ~phase name =
   t.seq <- seq + 1;
   push { seq; time = now (); dom; cat; name; phase; depth = t.depth; flow = t.cur_flow; payload }
 
-let emit ?dom ?payload ~cat name = if t.on then record ?dom ?payload ~cat ~phase:Instant name
+let emit ?dom ?payload ~cat name = if tracer.on then record ?dom ?payload ~cat ~phase:Instant name
 
 let events () =
   let cap = Array.length t.ring in
@@ -309,7 +335,7 @@ module Flow = struct
     t.next_flow <- id + 1;
     let prev = t.cur_flow in
     t.cur_flow <- id;
-    if t.on then record ?dom ~cat:Sched ~phase:Instant "flow.begin";
+    if tracer.on then record ?dom ~cat:Sched ~phase:Instant "flow.begin";
     t.cur_flow <- prev;
     id
 
@@ -338,7 +364,7 @@ let counter name =
     c
 
 let add c n =
-  if t.on && n > 0 then
+  if tracer.on && n > 0 then
     (* Saturate instead of wrapping negative on overflow. *)
     c.c_value <- (if c.c_value > max_int - n then max_int else c.c_value + n)
 
@@ -364,8 +390,8 @@ let gauge name =
     Hashtbl.replace t.gauges name g;
     g
 
-let gauge_set g v = if t.on then g.g_value <- v
-let gauge_add g d = if t.on then g.g_value <- g.g_value + d
+let gauge_set g v = if tracer.on then g.g_value <- v
+let gauge_add g d = if tracer.on then g.g_value <- g.g_value + d
 let gauge_value g = g.g_value
 
 let gauges () =
@@ -389,7 +415,7 @@ let dead_span =
   { sp_live = false; sp_name = ""; sp_cat = Sched; sp_dom = -1; sp_start = 0; sp_closed = true }
 
 let span ?(dom = -1) ?payload ~cat name =
-  if not t.on then dead_span
+  if not tracer.on then dead_span
   else begin
     record ~dom ?payload ~cat ~phase:Begin name;
     t.depth <- t.depth + 1;
@@ -399,7 +425,7 @@ let span ?(dom = -1) ?payload ~cat name =
 let finish ?(payload = []) sp =
   if sp.sp_live && not sp.sp_closed then begin
     sp.sp_closed <- true;
-    if t.on then begin
+    if tracer.on then begin
       let dur = max 0 (now () - sp.sp_start) in
       span_record (span_acc ~cat:sp.sp_cat ~dom:sp.sp_dom sp.sp_name) dur;
       if t.depth > 0 then t.depth <- t.depth - 1;
@@ -410,14 +436,14 @@ let finish ?(payload = []) sp =
   end
 
 let record_span_ns ?(dom = -1) ?(payload = []) ~cat name dur =
-  if t.on then begin
+  if tracer.on then begin
     let dur = max 0 dur in
     span_record (span_acc ~cat ~dom name) dur;
     record ~dom ~payload:(("dur_ns", Int dur) :: payload) ~cat ~phase:End name
   end
 
 let sample ?(dom = -1) ~cat name v =
-  if t.on then span_record (span_acc ~cat ~dom name) (max 0 v)
+  if tracer.on then span_record (span_acc ~cat ~dom name) (max 0 v)
 
 let span_stats () =
   Hashtbl.fold
@@ -505,8 +531,8 @@ let export_jsonl oc =
    can be off while the monitoring plane is on, and vice versa.
 
    Cost discipline: with the registry disabled (the default) an update
-   site is one load and one predictable branch — the monitor-guard
-   benchmark pins that cost. Pull-based metrics ([register_read]) cost
+   site is one load and one predictable branch — `bench guard` pins
+   that cost. Pull-based metrics ([register_read]) cost
    nothing at the update site at all: the callback reads state the
    subsystem already maintains, evaluated only at snapshot time. *)
 
@@ -532,12 +558,24 @@ module Metrics = struct
   }
 
   let quantiles = [ 0.5; 0.9; 0.99 ]
-  let m_on = ref false
-  let enabled () = !m_on
   let registry : (string * int, metric) Hashtbl.t = Hashtbl.create 64
-  let enable () = m_on := true
-  let disable () = m_on := false
   let reset () = Hashtbl.reset registry
+
+  (* Domain teardown drops every series the domain registered, so read
+     callbacks (which capture device and stack state) do not pin a
+     destroyed domain's world. Cost is one pass over the registry, which
+     holds live domains' series only, precisely because destroy calls
+     this. *)
+  let drop_dom dom =
+    let doomed =
+      Hashtbl.fold (fun ((_, d) as k) _ acc -> if d = dom then k :: acc else acc) registry []
+    in
+    List.iter (Hashtbl.remove registry) doomed
+
+  let plane = register_plane ~drop_dom "metrics" reset
+  let enabled () = plane.on
+  let enable () = plane.on <- true
+  let disable () = plane.on <- false
 
   (* Registration is itself gated: with the plane off, subsystem create
      paths leave no trace in the registry, so successive disabled runs in
@@ -545,24 +583,13 @@ module Metrics = struct
      metric is then detached — updates to it are no-ops. *)
   let register ?(dom = -1) ~kind ?read ?hist name =
     let m = { m_name = name; m_dom = dom; m_kind = kind; m_value = 0; m_read = read; m_hist = hist } in
-    if !m_on then Hashtbl.replace registry (name, dom) m;
+    if plane.on then Hashtbl.replace registry (name, dom) m;
     m
 
   let counter ?dom name = register ?dom ~kind:Counter name
   let gauge ?dom name = register ?dom ~kind:Gauge name
   let summary ?dom name = register ?dom ~kind:Summary ~hist:(Hist.create ()) name
   let register_read ?dom ~kind name read = ignore (register ?dom ~kind ~read name)
-
-  (* Domain teardown: drop every series the domain registered, so read
-     callbacks (which capture device and stack state) do not pin a
-     destroyed domain's world.  Cost is one pass over the registry —
-     which holds live domains' series only, precisely because destroy
-     calls this. *)
-  let unregister_dom dom =
-    let doomed =
-      Hashtbl.fold (fun ((_, d) as k) _ acc -> if d = dom then k :: acc else acc) registry []
-    in
-    List.iter (Hashtbl.remove registry) doomed
 
   (* A metric attached to nothing: every update is a no-op. Lets a
      subsystem keep one unconditional update site while opting out of
@@ -571,14 +598,14 @@ module Metrics = struct
     { m_name = ""; m_dom = -1; m_kind = Counter; m_value = 0; m_read = None; m_hist = None }
 
   let inc m n =
-    if !m_on && n > 0 then
+    if plane.on && n > 0 then
       m.m_value <- (if m.m_value > max_int - n then max_int else m.m_value + n)
 
-  let set m v = if !m_on then m.m_value <- v
-  let add m d = if !m_on then m.m_value <- m.m_value + d
+  let set m v = if plane.on then m.m_value <- v
+  let add m d = if plane.on then m.m_value <- m.m_value + d
 
   let observe m v =
-    if !m_on then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
+    if plane.on then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
 
   let value m = match m.m_read with Some f -> f () | None -> m.m_value
 
@@ -667,9 +694,6 @@ module Prof = struct
     p_samples : int;
   }
 
-  let p_on = ref false
-  let enabled () = !p_on
-
   let make_root () =
     {
       n_name = "engine";
@@ -681,12 +705,23 @@ module Prof = struct
 
   let root = ref (make_root ())
   let cur = ref !root
-  let enable () = p_on := true
-  let disable () = p_on := false
 
   let reset () =
     root := make_root ();
     cur := !root
+
+  (* Domain teardown: retired domains leave no stale series behind. *)
+  let drop_dom dom =
+    let rec go n =
+      Hashtbl.remove n.n_accs dom;
+      Hashtbl.iter (fun _ c -> go c) n.n_children
+    in
+    go !root
+
+  let plane = register_plane ~drop_dom "prof" reset
+  let enabled () = plane.on
+  let enable () = plane.on <- true
+  let disable () = plane.on <- false
 
   let current_node () = !cur
   let is_root n = n.n_parent = None
@@ -726,7 +761,7 @@ module Prof = struct
       cur := child
 
   let with_frame name f =
-    if not !p_on then f ()
+    if not plane.on then f ()
     else begin
       let prev = !cur in
       enter name;
@@ -739,7 +774,7 @@ module Prof = struct
     Fun.protect ~finally:(fun () -> cur := prev) f
 
   let account ?(dom = -1) ?(wait_ns = 0) run_ns =
-    if !p_on then begin
+    if plane.on then begin
       let node = !cur in
       let a =
         match Hashtbl.find_opt node.n_accs dom with
@@ -753,15 +788,6 @@ module Prof = struct
       a.a_wait_ns <- a.a_wait_ns + max 0 wait_ns;
       a.a_samples <- a.a_samples + 1
     end
-
-  (* Domain teardown: retired domains must not leave stale series behind
-     (same discipline as [Metrics.unregister_dom]). *)
-  let unregister_dom dom =
-    let rec go n =
-      Hashtbl.remove n.n_accs dom;
-      Hashtbl.iter (fun _ c -> go c) n.n_children
-    in
-    go !root
 
   let stats () =
     let acc = ref [] in
@@ -819,8 +845,6 @@ module Dpath = struct
   type hstat = { h_hop : hop; h_pkts : int; h_vcpu_ns : int; h_alloc_b : float }
   type cell = { mutable pkts : int; mutable vcpu_ns : int; mutable alloc_b : float }
 
-  let d_on = ref false
-  let enabled () = !d_on
   let cells = Array.init n_hops (fun _ -> { pkts = 0; vcpu_ns = 0; alloc_b = 0. })
 
   (* The region stack is flat, preallocated, and float-unboxed so that
@@ -845,6 +869,9 @@ module Dpath = struct
       cells;
     depth := 0
 
+  let plane = register_plane "dpath" reset
+  let enabled () = plane.on
+
   (* Datapath totals double as pull metrics on the monitoring plane when
      both are enabled: zero update-site cost, read at snapshot time. *)
   let register_metrics () =
@@ -860,10 +887,10 @@ module Dpath = struct
       all_hops
 
   let enable () =
-    d_on := true;
+    plane.on <- true;
     if Metrics.enabled () then register_metrics ()
 
-  let disable () = d_on := false
+  let disable () = plane.on <- false
 
   (* OCaml 5.0/5.1's [Gc.allocated_bytes] folds the live minor-heap
      region into its result only around collection boundaries, so between
@@ -903,7 +930,7 @@ module Dpath = struct
     end
 
   let measure hop ?(pkts = 1) ~vcpu_ns f =
-    if not !d_on then f ()
+    if not plane.on then f ()
     else begin
       enter hop;
       match f () with
@@ -969,7 +996,6 @@ module Flight = struct
   let max_bundles = 8
 
   type fstate = {
-    mutable f_on : bool;
     mutable f_cap : int;
     mutable f_dir : string option;
     rings : (int, ring) Hashtbl.t;
@@ -981,7 +1007,6 @@ module Flight = struct
 
   let fs =
     {
-      f_on = false;
       f_cap = default_capacity;
       f_dir = None;
       rings = Hashtbl.create 8;
@@ -991,16 +1016,6 @@ module Flight = struct
       f_seq = 0;
     }
 
-  let enabled () = fs.f_on
-
-  let enable ?(capacity = default_capacity) ?dir () =
-    if capacity <= 0 then invalid_arg "Trace.Flight.enable: capacity must be positive";
-    fs.f_cap <- capacity;
-    (match dir with Some _ -> fs.f_dir <- dir | None -> ());
-    fs.f_on <- true
-
-  let disable () = fs.f_on <- false
-
   let reset () =
     Hashtbl.reset fs.rings;
     Hashtbl.reset fs.marks;
@@ -1008,6 +1023,19 @@ module Flight = struct
     fs.f_bundles <- [];
     fs.f_seq <- 0;
     fs.f_dir <- None
+
+  (* Domain teardown drops the retired domain's ring (postmortem-on-exit
+     trips before this runs, so a crash bundle still sees the ring). *)
+  let plane = register_plane ~drop_dom:(Hashtbl.remove fs.rings) "flight" reset
+  let enabled () = plane.on
+
+  let enable ?(capacity = default_capacity) ?dir () =
+    if capacity <= 0 then invalid_arg "Trace.Flight.enable: capacity must be positive";
+    fs.f_cap <- capacity;
+    (match dir with Some _ -> fs.f_dir <- dir | None -> ());
+    plane.on <- true
+
+  let disable () = plane.on <- false
 
   let dummy_fev = { fe_t = 0; fe_dom = -1; fe_cat = Sched; fe_name = ""; fe_payload = [] }
 
@@ -1020,7 +1048,7 @@ module Flight = struct
       r
 
   let note ?(dom = -1) ?(payload = []) ~cat name =
-    if fs.f_on then begin
+    if plane.on then begin
       let r = ring_of dom in
       r.buf.(r.head) <-
         { fe_t = now (); fe_dom = dom; fe_cat = cat; fe_name = name; fe_payload = payload };
@@ -1029,7 +1057,7 @@ module Flight = struct
     end
 
   let watermark name v =
-    if fs.f_on then
+    if plane.on then
       match Hashtbl.find_opt fs.marks name with
       | Some m -> if v > !m then m := v
       | None -> Hashtbl.replace fs.marks name (ref v)
@@ -1044,10 +1072,6 @@ module Flight = struct
   let watermarks () =
     Hashtbl.fold (fun name m acc -> (name, !m) :: acc) fs.marks []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  (* Domain teardown: drop the retired domain's ring (postmortem-on-exit
-     trips before this runs, so a crash bundle still sees the ring). *)
-  let unregister_dom dom = Hashtbl.remove fs.rings dom
 
   let fev_to_json fe =
     Printf.sprintf "{\"t\":%d,\"dom\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"args\":%s}" fe.fe_t
@@ -1103,7 +1127,7 @@ module Flight = struct
     Buffer.contents b
 
   let trip ?(dom = -1) ?(payload = []) ~reason () =
-    if fs.f_on then begin
+    if plane.on then begin
       fs.f_seq <- fs.f_seq + 1;
       fs.f_trips <- fs.f_trips + 1;
       let name = Printf.sprintf "flight-%04d-%s.jsonl" fs.f_seq (sanitize_reason reason) in
@@ -1117,7 +1141,7 @@ module Flight = struct
           close_out oc
         with Sys_error _ -> ())
       | None -> ());
-      if t.on then
+      if tracer.on then
         record ~dom
           ~payload:(("reason", String reason) :: payload)
           ~cat:(User "flight") ~phase:Instant "flight.trip"

@@ -85,7 +85,33 @@ module Hist : sig
   val buckets : t -> (int * int * int) list
 end
 
-(** {1 Lifecycle} *)
+(** {1 Planes}
+
+    The event tracer, {!Metrics}, {!Prof}, {!Dpath} and {!Flight} are the
+    five in-process observability planes. Each is switched on with its
+    own [enable] (which may take plane-specific settings), and all of
+    them register in one table that owns whole-process teardown. A
+    plane's [enabled ()] reads a single mutable field, so the table adds
+    nothing to a disabled hot site. *)
+
+(** Every plane as [(name, on)], in registration order: ["trace"],
+    ["metrics"], ["prof"], ["dpath"], ["flight"]. *)
+val planes : unit -> (string * bool) list
+
+(** [drop_dom dom] forgets [dom] in every plane: its metric series
+    (whose read callbacks would otherwise pin the domain's devices and
+    stack), its profiler accumulators and its flight ring. Called once
+    from domain teardown ([Xensim.Hypervisor.destroy]). *)
+val drop_dom : int -> unit
+
+(** Disable and reset every plane: afterwards each [enabled ()] is
+    false and every table is empty (events, counter values, spans,
+    metric registrations, profile stacks, datapath cells, flight rings,
+    watermarks and bundles). The teardown for a run that owned the whole
+    process. *)
+val quiesce : unit -> unit
+
+(** {1 Lifecycle of the event tracer} *)
 
 val enabled : unit -> bool
 
@@ -290,11 +316,6 @@ module Metrics : sig
       cost for stats the subsystem already maintains. *)
   val register_read : ?dom:int -> kind:kind -> string -> (unit -> int) -> unit
 
-  (** [unregister_dom dom] drops every series registered under [dom].
-      Called from domain teardown so read callbacks do not pin a
-      destroyed domain's devices and stack. *)
-  val unregister_dom : int -> unit
-
   (** A metric attached to nothing: every update is a no-op. Lets a
       subsystem keep one unconditional update site while opting out of
       registration. *)
@@ -379,9 +400,6 @@ module Prof : sig
   (** [account ~dom ~wait_ns run_ns] attributes one vCPU charge to the
       ambient stack. Called from the vCPU accounting chokepoint. *)
   val account : ?dom:int -> ?wait_ns:int -> int -> unit
-
-  (** Drop the domain's series from every frame (domain teardown). *)
-  val unregister_dom : int -> unit
 
   (** All non-empty (stack, dom) accumulators, sorted by (stack, dom).
       Deterministic for deterministic runs. *)
@@ -498,10 +516,6 @@ module Flight : sig
   val bundles : unit -> (string * string) list
 
   val last_bundle : unit -> (string * string) option
-
-  (** Drop the domain's ring (domain teardown; postmortem-on-exit trips
-      before this). *)
-  val unregister_dom : int -> unit
 
   (** Install (or remove, with [None]) the wire-capture hook: called
       while building each {!trip} bundle with the trip's context, it

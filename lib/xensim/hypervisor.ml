@@ -66,12 +66,10 @@ let destroy ?(exit_code = -1) t d =
   (match Hashtbl.find_opt t.domain_table d.Domain.id with
   | Some x when x == d ->
     Hashtbl.remove t.domain_table d.Domain.id;
-    (* Teardown audit: drop the domain's metric series too, or their
-       read callbacks pin the dead domain's devices and stack — and the
-       profiler/flight series, so retired domains leave no stale rows. *)
-    Trace.Metrics.unregister_dom d.Domain.id;
-    Trace.Prof.unregister_dom d.Domain.id;
-    Trace.Flight.unregister_dom d.Domain.id
+    (* Teardown audit: every observability plane forgets the domain, or
+       metric read callbacks pin its devices and stack and retired
+       domains leave stale profiler/flight rows. *)
+    Trace.drop_dom d.Domain.id
   | _ -> ())
 
 let domain_count t = Hashtbl.length t.domain_table

@@ -19,8 +19,7 @@ let static_ip s =
   }
 
 let run () =
-  Trace.disable ();
-  Trace.reset ();
+  Trace.quiesce ();
   Trace.enable ~capacity:65536 ();
   let sim = Engine.Sim.create ~seed:11 () in
   let hv = Xensim.Hypervisor.create sim in
@@ -81,6 +80,5 @@ let run () =
   let pcap = Netsim.Capture.to_pcap cap in
   let flows = Netsim.Capture.flows_json cap in
   Netsim.Capture.close cap;
-  Trace.disable ();
-  Trace.reset ();
+  Trace.quiesce ();
   (pcap, flows)

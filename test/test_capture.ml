@@ -328,8 +328,7 @@ let test_flight_includes_capture () =
   | Some (_, bundle) ->
     Alcotest.(check bool) "no capture lines after close" true
       (not (contains ~needle:"\"capture\":" bundle)));
-  Trace.Flight.disable ();
-  Trace.Flight.reset ()
+  Trace.quiesce ()
 
 let () =
   Alcotest.run "capture"

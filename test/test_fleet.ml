@@ -324,6 +324,13 @@ let test_fleet_deterministic_under_seed () =
   in
   check_bool "identical scale-event schedule" true (sig_of a = sig_of b)
 
+(* A run borrows the metrics plane and hands it back: off and empty, so
+   no read callback pins the finished fleet's world. *)
+let test_fleet_releases_metrics_plane () =
+  ignore (Fleet.run small_params);
+  check_bool "metrics plane off again" false (Trace.Metrics.enabled ());
+  check_int "no registrations left" 0 (List.length (Trace.Metrics.snapshot ()))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -350,5 +357,7 @@ let () =
             test_fleet_scales_out_and_in;
           Alcotest.test_case "deterministic under a pinned seed" `Quick
             test_fleet_deterministic_under_seed;
+          Alcotest.test_case "run leaves the metrics plane off and empty" `Quick
+            test_fleet_releases_metrics_plane;
         ] );
     ]

@@ -15,11 +15,7 @@ let bs = Bytestruct.of_string
 let with_flight ?dir f =
   Trace.Flight.reset ();
   Trace.Flight.enable ?dir ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Flight.disable ();
-      Trace.Flight.reset ())
-    f
+  Fun.protect ~finally:Trace.quiesce f
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -31,11 +27,7 @@ let contains hay needle =
 let test_ring_bounds () =
   Trace.Flight.reset ();
   Trace.Flight.enable ~capacity:4 ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Flight.disable ();
-      Trace.Flight.reset ())
-    (fun () ->
+  Fun.protect ~finally:Trace.quiesce (fun () ->
       for i = 0 to 9 do
         Trace.Flight.note ~dom:3 ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "tick"
       done;
@@ -142,39 +134,35 @@ let test_peer_death_postmortem () =
 (* ---- teardown: no stale series after destroy ---- *)
 
 let test_destroy_clears_series () =
+  (* with_flight's teardown quiesces every plane, the profiler too *)
   with_flight (fun () ->
       Trace.Prof.reset ();
       Trace.Prof.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.Prof.disable ();
-          Trace.Prof.reset ())
-        (fun () ->
-          let w = make_world () in
-          let a = make_host w ~name:"client" ~ip:"10.0.0.9" () in
-          let b = make_host w ~name:"server" ~ip:"10.0.0.2" () in
-          (match run_kill_scenario ~kill_peer:false with
-          | `Clean -> ()
-          | `Timeout -> Alcotest.fail "clean exchange must not time out");
-          ignore a;
-          let victim = b.dom.Xensim.Domain.id in
-          (* some traffic was attributed to the server... *)
-          Trace.Flight.note ~dom:victim ~cat:Trace.Net "breadcrumb";
-          Trace.Prof.account ~dom:victim 1_000;
-          check_bool "flight ring exists before destroy" true
-            (Trace.Flight.recent victim <> []);
-          check_bool "profiler series exist before destroy" true
-            (List.exists (fun (s : Trace.Prof.stat) -> s.Trace.Prof.p_dom = victim)
-               (Trace.Prof.stats ()));
-          (* orderly teardown (exit 0): no postmortem, no stale series *)
-          let trips_before = Trace.Flight.trips () in
-          Xensim.Hypervisor.destroy ~exit_code:0 w.hv b.dom;
-          check_int "clean exit does not trip" trips_before (Trace.Flight.trips ());
-          check_bool "flight ring dropped on destroy" true (Trace.Flight.recent victim = []);
-          check_bool "profiler series dropped on destroy" true
-            (not
-               (List.exists (fun (s : Trace.Prof.stat) -> s.Trace.Prof.p_dom = victim)
-                  (Trace.Prof.stats ())))))
+      let w = make_world () in
+      let a = make_host w ~name:"client" ~ip:"10.0.0.9" () in
+      let b = make_host w ~name:"server" ~ip:"10.0.0.2" () in
+      (match run_kill_scenario ~kill_peer:false with
+      | `Clean -> ()
+      | `Timeout -> Alcotest.fail "clean exchange must not time out");
+      ignore a;
+      let victim = b.dom.Xensim.Domain.id in
+      (* some traffic was attributed to the server... *)
+      Trace.Flight.note ~dom:victim ~cat:Trace.Net "breadcrumb";
+      Trace.Prof.account ~dom:victim 1_000;
+      check_bool "flight ring exists before destroy" true
+        (Trace.Flight.recent victim <> []);
+      check_bool "profiler series exist before destroy" true
+        (List.exists (fun (s : Trace.Prof.stat) -> s.Trace.Prof.p_dom = victim)
+           (Trace.Prof.stats ()));
+      (* orderly teardown (exit 0): no postmortem, no stale series *)
+      let trips_before = Trace.Flight.trips () in
+      Xensim.Hypervisor.destroy ~exit_code:0 w.hv b.dom;
+      check_int "clean exit does not trip" trips_before (Trace.Flight.trips ());
+      check_bool "flight ring dropped on destroy" true (Trace.Flight.recent victim = []);
+      check_bool "profiler series dropped on destroy" true
+        (not
+           (List.exists (fun (s : Trace.Prof.stat) -> s.Trace.Prof.p_dom = victim)
+              (Trace.Prof.stats ()))))
 
 let test_crash_exit_trips () =
   with_flight (fun () ->
@@ -186,7 +174,7 @@ let test_crash_exit_trips () =
       (match Trace.Flight.last_bundle () with
       | Some (name, contents) ->
         check_bool "named after the exit" true (contains name "domain.exit");
-        (* the bundle froze the ring before unregister dropped it *)
+        (* the bundle froze the ring before drop_dom dropped it *)
         check_bool "breadcrumb captured" true (contains contents "last.words")
       | None -> Alcotest.fail "no bundle on crash exit");
       check_bool "ring dropped after the bundle froze" true

@@ -782,11 +782,7 @@ let test_tcp_gro_bulk_coalesces () =
   with_gro (fun () ->
       (* Counters only tick while the trace plane is on. *)
       Trace.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.disable ();
-          Trace.reset ())
-        (fun () ->
+      Fun.protect ~finally:Trace.quiesce (fun () ->
           let merged_before = Trace.counter_value (Trace.counter "tcp.gro_coalesced") in
           let w, a, b = pair_world () in
           let received, data, _ = transfer w a b ~bytes:300_000 ~chunk:8192 in
@@ -911,11 +907,7 @@ let test_dpath_steady_state_alloc_budget () =
   ignore (exchange ~blocks:16);
   Trace.Dpath.reset ();
   Trace.Dpath.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Dpath.disable ();
-      Trace.Dpath.reset ())
-    (fun () ->
+  Fun.protect ~finally:Trace.quiesce (fun () ->
       let blocks = 64 in
       check_int "all bytes delivered" (blocks * 4096) (exchange ~blocks);
       (* Exclusive per-hop attribution moves between hops when promise

@@ -10,11 +10,7 @@ module P = Mthread.Promise
 let with_trace ?(capacity = 4096) f =
   Trace.enable ~capacity ();
   Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    f
+  Fun.protect ~finally:Trace.quiesce f
 
 let nth_event evs i = List.nth evs i
 
@@ -198,11 +194,7 @@ let test_gauges () =
 let with_metrics f =
   Trace.Metrics.reset ();
   Trace.Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Metrics.disable ();
-      Trace.Metrics.reset ())
-    f
+  Fun.protect ~finally:Trace.quiesce f
 
 let test_metrics_registry () =
   with_metrics (fun () ->
@@ -296,8 +288,7 @@ let traced_ping_run ~seed =
   check_bool "ping completed" true (rtt > 0);
   let lines = List.map Trace.to_json_line (Trace.events ()) in
   let events = Trace.events () in
-  Trace.disable ();
-  Trace.reset ();
+  Trace.quiesce ();
   (lines, events)
 
 let test_deterministic_jsonl () =
@@ -330,11 +321,7 @@ let test_deterministic_jsonl () =
 let test_appliance_boot_trace () =
   Trace.enable ~capacity:65536 ();
   Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    (fun () ->
+  Fun.protect ~finally:Trace.quiesce (fun () ->
       let w = make_world () in
       let ts = Xensim.Toolstack.create w.hv in
       let ip =
@@ -376,11 +363,7 @@ let test_appliance_boot_trace () =
 let test_flow_propagation () =
   Trace.enable ~capacity:65536 ();
   Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    (fun () ->
+  Fun.protect ~finally:Trace.quiesce (fun () ->
       let w = make_world () in
       let server = make_host w ~platform:Platform.xen_extent ~name:"dns" ~ip:"10.0.0.53" () in
       let client = make_host w ~platform:Platform.linux_native ~name:"resolver" ~ip:"10.0.0.9" () in
@@ -442,11 +425,7 @@ let test_flow_propagation () =
 let with_prof f =
   Trace.Prof.reset ();
   Trace.Prof.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Prof.disable ();
-      Trace.Prof.reset ())
-    f
+  Fun.protect ~finally:Trace.quiesce f
 
 let find_stat ~dom ~stack =
   List.find_opt
@@ -495,11 +474,11 @@ let test_prof_unregister () =
       Trace.Prof.with_frame "netif" (fun () ->
           Trace.Prof.account ~dom:1 10;
           Trace.Prof.account ~dom:2 20);
-      Trace.Prof.unregister_dom 1;
+      Trace.drop_dom 1;
       check_bool "dom 1 series dropped" true (find_stat ~dom:1 ~stack:"engine;netif" = None);
       match find_stat ~dom:2 ~stack:"engine;netif" with
       | Some s -> check_int "dom 2 series survives" 20 s.Trace.Prof.p_run_ns
-      | None -> Alcotest.fail "unregister_dom dropped the wrong series")
+      | None -> Alcotest.fail "drop_dom dropped the wrong series")
 
 let test_prof_disabled_noop () =
   Trace.Prof.reset ();
@@ -512,11 +491,7 @@ let test_prof_disabled_noop () =
 let test_dpath_exclusive () =
   Trace.Dpath.reset ();
   Trace.Dpath.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.Dpath.disable ();
-      Trace.Dpath.reset ())
-    (fun () ->
+  Fun.protect ~finally:Trace.quiesce (fun () ->
       Trace.Dpath.measure Trace.Dpath.Netfront ~vcpu_ns:100 (fun () ->
           ignore (Sys.opaque_identity (Bytes.create 64));
           Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:40 (fun () ->
@@ -541,6 +516,95 @@ let test_dpath_disabled_noop () =
   Trace.Dpath.reset ();
   Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:10 (fun () -> ());
   check_bool "disabled dpath stays empty" true (Trace.Dpath.stats () = [])
+
+(* ---- the plane registry ---- *)
+
+let with_dom_planes f =
+  Trace.Metrics.enable ();
+  Trace.Prof.enable ();
+  Trace.Flight.enable ();
+  Fun.protect ~finally:Trace.quiesce f
+
+(* One series per domain in each plane that keys by domain. *)
+let record_series doms =
+  List.iter
+    (fun dom ->
+      Trace.Metrics.inc (Trace.Metrics.counter ~dom "requests") 1;
+      Trace.Prof.account ~dom 10;
+      Trace.Flight.note ~dom ~cat:Trace.Net "breadcrumb")
+    doms
+
+let check_series dom ~present =
+  let what plane = Printf.sprintf "%s %s dom %d" plane (if present then "keeps" else "drops") dom in
+  check_bool (what "metrics") present
+    (List.exists (fun s -> s.Trace.Metrics.s_dom = dom) (Trace.Metrics.snapshot ()));
+  check_bool (what "prof") present
+    (List.exists (fun s -> s.Trace.Prof.p_dom = dom) (Trace.Prof.stats ()));
+  check_bool (what "flight") present (Trace.Flight.recent dom <> [])
+
+let test_drop_dom_every_plane () =
+  with_dom_planes (fun () ->
+      record_series [ 1; 2 ];
+      Trace.drop_dom 1;
+      check_series 1 ~present:false;
+      check_series 2 ~present:true)
+
+let test_destroy_drops_every_plane () =
+  with_dom_planes (fun () ->
+      let w = make_world () in
+      let dom name =
+        Xensim.Hypervisor.create_domain w.hv ~name ~mem_mib:64 ~platform:Platform.xen_extent ()
+      in
+      let a = dom "a" and b = dom "b" in
+      let ida = a.Xensim.Domain.id and idb = b.Xensim.Domain.id in
+      record_series [ ida; idb ];
+      Xensim.Hypervisor.destroy w.hv a;
+      check_series ida ~present:false;
+      check_series idb ~present:true)
+
+let test_quiesce () =
+  Trace.enable ();
+  Trace.Metrics.enable ();
+  Trace.Prof.enable ();
+  Trace.Dpath.enable ();
+  Trace.Flight.enable ();
+  let c = Trace.counter "test.quiesce" in
+  Trace.incr c;
+  Trace.emit ~cat:Trace.Net "event";
+  Trace.record_span_ns ~cat:Trace.Net "span" 5;
+  record_series [ 1 ];
+  Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 5);
+  Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:1 (fun () -> ());
+  Trace.Flight.watermark "queue" 3;
+  Trace.Flight.trip ~reason:"test" ();
+  check_bool "every plane recorded something" true
+    (Trace.events () <> []
+    && Trace.span_stats () <> []
+    && Trace.Metrics.snapshot () <> []
+    && Trace.Prof.stats () <> []
+    && Trace.Dpath.stats () <> []
+    && Trace.Flight.recent 1 <> []
+    && Trace.Flight.bundles () <> []);
+  Trace.quiesce ();
+  check_bool "five planes, registration order" true
+    (List.map fst (Trace.planes ()) = [ "trace"; "metrics"; "prof"; "dpath"; "flight" ]);
+  check_bool "registry: every plane off" true
+    (List.for_all (fun (_, on) -> not on) (Trace.planes ()));
+  check_bool "trace off" false (Trace.enabled ());
+  check_bool "metrics off" false (Trace.Metrics.enabled ());
+  check_bool "prof off" false (Trace.Prof.enabled ());
+  check_bool "dpath off" false (Trace.Dpath.enabled ());
+  check_bool "flight off" false (Trace.Flight.enabled ());
+  check_int "no events" 0 (List.length (Trace.events ()));
+  check_int "counter value zeroed" 0 (Trace.counter_value c);
+  check_int "no spans" 0 (List.length (Trace.span_stats ()));
+  check_int "empty metrics registry" 0 (List.length (Trace.Metrics.snapshot ()));
+  check_int "no profile stacks" 0 (List.length (Trace.Prof.stats ()));
+  check_int "no dpath cells" 0 (List.length (Trace.Dpath.stats ()));
+  check_int "no flight ring" 0 (List.length (Trace.Flight.recent 1));
+  check_int "no watermarks" 0 (List.length (Trace.Flight.watermarks ()));
+  check_int "no bundles" 0 (List.length (Trace.Flight.bundles ()));
+  check_int "no trips" 0 (Trace.Flight.trips ())
 
 let () =
   Alcotest.run "trace"
@@ -569,5 +633,9 @@ let () =
           Alcotest.test_case "profiler disabled no-op" `Quick test_prof_disabled_noop;
           Alcotest.test_case "dpath exclusive attribution" `Quick test_dpath_exclusive;
           Alcotest.test_case "dpath disabled no-op" `Quick test_dpath_disabled_noop;
+          Alcotest.test_case "drop_dom clears every plane" `Quick test_drop_dom_every_plane;
+          Alcotest.test_case "Hypervisor.destroy clears every plane" `Quick
+            test_destroy_drops_every_plane;
+          Alcotest.test_case "quiesce leaves every plane off and empty" `Quick test_quiesce;
         ] );
     ]

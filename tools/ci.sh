@@ -6,9 +6,10 @@
 #
 # Stages:
 #   1. dune build           — the tree compiles
-#   2. dune runtest         — unit/golden tests plus the trace, monitor,
-#                             profiler and capture guards (disabled-site
-#                             budgets, figure-8 invariance)
+#   2. dune runtest         — unit/golden tests plus `bench guard`, one
+#                             table-driven guard over every observability
+#                             plane (disabled-site budgets, figure-8
+#                             invariance)
 #   3. tools/check_fmt.sh   — dune + ocamlformat formatting gate
 #   4. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
