@@ -100,12 +100,13 @@ let trace_term =
            (analyse with mirage_sim trace).")
 
 let with_trace trace_out f =
-  (match trace_out with Some _ -> Trace.enable ~capacity:262144 () | None -> ());
+  let trace_out = Engine.Trace_report.open_output trace_out in
+  if Option.is_some trace_out then Trace.enable ~capacity:262144 ();
   f ();
   match trace_out with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_jsonl ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_jsonl oc;
     Printf.printf "\ntrace written to %s\n" file;
     Engine.Trace_report.print_summary ()
 
@@ -139,7 +140,8 @@ let flight_term =
            signals only.")
 
 let with_profile profile_out flight_dir f =
-  if profile_out <> None then begin
+  let profile_out = Engine.Trace_report.open_output profile_out in
+  if Option.is_some profile_out then begin
     Trace.Prof.enable ();
     Trace.Dpath.enable ()
   end;
@@ -147,8 +149,8 @@ let with_profile profile_out flight_dir f =
   f ();
   (match profile_out with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_profile ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_profile oc;
     Printf.printf "\nprofile written to %s\n" file;
     Engine.Trace_report.print_profile_summary ());
   if flight_dir <> None then
@@ -221,12 +223,12 @@ let out_term =
            ({\"figure\",\"metric\",\"value\",\"unit\",\"seed\"}), one object per point.")
 
 let with_out out f =
+  let out = Engine.Trace_report.open_output out in
   results := [];
   f ();
   match out with
   | None -> ()
-  | Some file ->
-    let oc = open_out file in
+  | Some (file, oc) ->
     List.iter
       (fun r ->
         Printf.fprintf oc

@@ -6,7 +6,8 @@
 open Cmdliner
 
 let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
-  (if trace_out <> None then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
+  let trace_out = Engine.Trace_report.open_output trace_out in
+  (if Option.is_some trace_out then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
   let scale n = n * duration_scale / 100 in
   let d = Fleet.defaults in
   let p =
@@ -80,8 +81,8 @@ let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
 
   (match trace_out with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_jsonl ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_jsonl oc;
     Printf.printf "\ntrace: %s\n" file);
   Trace.quiesce ()
 

@@ -92,7 +92,8 @@ let build_cmd =
           ~doc:"Trace the build pipeline stages and write the events to $(docv) as JSON lines.")
   in
   let run (name, mk) dce seed target trace_out =
-    if trace_out <> None then Trace.enable ();
+    let trace_out = Engine.Trace_report.open_output trace_out in
+    if Option.is_some trace_out then Trace.enable ();
     let staged what f =
       if Trace.enabled () then begin
         let sp = Trace.span ~cat:Trace.Boot ("build." ^ what) in
@@ -156,8 +157,8 @@ let build_cmd =
       Core.Target.all;
     match trace_out with
     | None -> ()
-    | Some file ->
-      Engine.Trace_report.write_jsonl ~file;
+    | Some (file, oc) ->
+      Engine.Trace_report.write_jsonl oc;
       Printf.printf "trace: %s\n" file;
       Engine.Trace_report.print_summary ()
   in
@@ -199,8 +200,10 @@ let boot_cmd =
              non-zero domain exits). No bundle is written on a clean run.")
   in
   let run (name, mk) mem sync no_seal target trace_out profile_out flight_dir =
-    if trace_out <> None then Trace.enable ();
-    if profile_out <> None then begin
+    let trace_out = Engine.Trace_report.open_output trace_out in
+    let profile_out = Engine.Trace_report.open_output profile_out in
+    if Option.is_some trace_out then Trace.enable ();
+    if Option.is_some profile_out then begin
       Trace.Prof.enable ();
       Trace.Dpath.enable ()
     end;
@@ -251,8 +254,8 @@ let boot_cmd =
     | None -> ());
     (match trace_out with
     | None -> ()
-    | Some file ->
-      Engine.Trace_report.write_jsonl ~file;
+    | Some (file, oc) ->
+      Engine.Trace_report.write_jsonl oc;
       Printf.printf "  trace        : %s\n" file;
       Engine.Trace_report.print_summary ();
       (match Engine.Sim.vcpu_totals sim with
@@ -268,8 +271,8 @@ let boot_cmd =
           totals));
     (match profile_out with
     | None -> ()
-    | Some file ->
-      Engine.Trace_report.write_profile ~file;
+    | Some (file, oc) ->
+      Engine.Trace_report.write_profile oc;
       Printf.printf "  profile      : %s\n" file;
       Engine.Trace_report.print_profile_summary ());
     if Trace.Flight.enabled () then

@@ -43,7 +43,8 @@ let fmt_rate v =
 (* ---- the scenario ---- *)
 
 let run_monitor seed servers duration_ms interval_ms flap trace_out =
-  (if trace_out <> None then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
+  let trace_out = Engine.Trace_report.open_output trace_out in
+  (if Option.is_some trace_out then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
   Trace.Metrics.enable ();
   let sim = Engine.Sim.create ~seed () in
   let hv = Xensim.Hypervisor.create sim in
@@ -234,8 +235,8 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
       alerts);
   (match trace_out with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_jsonl ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_jsonl oc;
     Printf.printf "\ntrace: %s\n" file);
   Trace.quiesce ()
 

@@ -33,6 +33,8 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
       Printf.eprintf "pcap: bad filter %S: %s\n" filter_str e;
       exit 2
   in
+  let out = Engine.Trace_report.open_output out in
+  let flows_out = Engine.Trace_report.open_output (Option.map (fun (f, _) -> f ^ ".flows") out) in
   Trace.enable ();
   let sim = Engine.Sim.create ~seed () in
   let hv = Xensim.Hypervisor.create sim in
@@ -130,17 +132,15 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
         (if r.Netsim.Capture.r_flow < 0 then "-" else string_of_int r.Netsim.Capture.r_flow)
         r.Netsim.Capture.r_len r.Netsim.Capture.r_summary)
     (Netsim.Capture.records cap);
-  (match out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out_bin file in
+  (match (out, flows_out) with
+  | Some (file, oc), Some (_, flows_oc) ->
     output_string oc (Netsim.Capture.to_pcap cap);
     close_out oc;
-    let oc = open_out (file ^ ".flows") in
-    output_string oc (Netsim.Capture.flows_json cap);
-    close_out oc;
+    output_string flows_oc (Netsim.Capture.flows_json cap);
+    close_out flows_oc;
     Printf.printf "\nwrote %s (libpcap, %d packets) and %s.flows (sidecar)\n" file
-      (Netsim.Capture.stored cap) file);
+      (Netsim.Capture.stored cap) file
+  | _ -> ());
   Netsim.Capture.close cap;
   Trace.quiesce ()
 

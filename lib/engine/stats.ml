@@ -1,53 +1,3 @@
-type acc = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable mn : float;
-  mutable mx : float;
-}
-
-let acc_create () = { n = 0; mean = 0.0; m2 = 0.0; mn = infinity; mx = neg_infinity }
-
-let acc_add a x =
-  a.n <- a.n + 1;
-  let delta = x -. a.mean in
-  a.mean <- a.mean +. (delta /. float_of_int a.n);
-  a.m2 <- a.m2 +. (delta *. (x -. a.mean));
-  if x < a.mn then a.mn <- x;
-  if x > a.mx then a.mx <- x
-
-let acc_count a = a.n
-let acc_mean a = a.mean
-let acc_stddev a = if a.n < 2 then 0.0 else sqrt (a.m2 /. float_of_int (a.n - 1))
-let acc_min a = a.mn
-let acc_max a = a.mx
-
-let acc_of_list xs =
-  let a = acc_create () in
-  List.iter (acc_add a) xs;
-  a
-
-(* Chan et al.'s parallel-variance combination: exact, order-independent. *)
-let acc_merge a b =
-  let n = a.n + b.n in
-  if n = 0 then acc_create ()
-  else begin
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let delta = b.mean -. a.mean in
-    {
-      n;
-      mean = a.mean +. (delta *. fb /. float_of_int n);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n);
-      mn = min a.mn b.mn;
-      mx = max a.mx b.mx;
-    }
-  end
-
-let mean xs = acc_mean (acc_of_list xs)
-let stddev xs = acc_stddev (acc_of_list xs)
-let minimum xs = acc_min (acc_of_list xs)
-let maximum xs = acc_max (acc_of_list xs)
-
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
@@ -62,40 +12,3 @@ let percentile p xs =
     let frac = rank -. float_of_int lo in
     arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
   end
-
-let median xs = percentile 50.0 xs
-
-let cdf xs =
-  let arr = Array.of_list xs in
-  Array.sort compare arr;
-  let n = float_of_int (Array.length arr) in
-  Array.to_list (Array.mapi (fun i v -> (v, float_of_int (i + 1) /. n)) arr)
-
-type histogram = {
-  lo : float;
-  hi : float;
-  bins : int array;
-  mutable total : int;
-}
-
-let histogram_create ~lo ~hi ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram_create: bins must be positive";
-  if hi <= lo then invalid_arg "Stats.histogram_create: hi must exceed lo";
-  { lo; hi; bins = Array.make bins 0; total = 0 }
-
-let histogram_add h x =
-  let nbins = Array.length h.bins in
-  let width = (h.hi -. h.lo) /. float_of_int nbins in
-  let idx = int_of_float (floor ((x -. h.lo) /. width)) in
-  let idx = if idx < 0 then 0 else if idx >= nbins then nbins - 1 else idx in
-  h.bins.(idx) <- h.bins.(idx) + 1;
-  h.total <- h.total + 1
-
-let histogram_bins h =
-  let nbins = Array.length h.bins in
-  let width = (h.hi -. h.lo) /. float_of_int nbins in
-  List.init nbins (fun i ->
-      let blo = h.lo +. (float_of_int i *. width) in
-      (blo, blo +. width, h.bins.(i)))
-
-let histogram_total h = h.total

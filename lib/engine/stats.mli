@@ -1,54 +1,8 @@
-(** Summary statistics and distribution helpers used by every benchmark. *)
-
-(** Online accumulator (Welford's algorithm). *)
-type acc
-
-val acc_create : unit -> acc
-val acc_add : acc -> float -> unit
-val acc_count : acc -> int
-val acc_mean : acc -> float
-
-(** Unbiased sample standard deviation; 0 for fewer than two samples. *)
-val acc_stddev : acc -> float
-
-val acc_min : acc -> float
-val acc_max : acc -> float
-
-(** Fold a list into a fresh accumulator. *)
-val acc_of_list : float list -> acc
-
-(** [acc_merge a b] combines two accumulators into a fresh one, as if
-    every sample of [a] and [b] had been fed to a single accumulator
-    (Chan et al.'s parallel variance formula). [a] and [b] are
-    unchanged; used by [Trace_report] to combine per-domain span
-    statistics. *)
-val acc_merge : acc -> acc -> acc
-
-(** Batch helpers over float lists, implemented on the accumulator. *)
-
-val mean : float list -> float
-val stddev : float list -> float
-val minimum : float list -> float
-val maximum : float list -> float
+(** The exact percentile: the reference that [Trace.Hist]'s streaming
+    estimate is tested against, and what Figure 7b and the boot-storm
+    time-to-first-response rows print. Streaming and windowed
+    percentiles use [Trace.Hist] instead. *)
 
 (** [percentile p xs] with [p] in [0, 100], linear interpolation between
     order statistics. @raise Invalid_argument on empty input or bad [p]. *)
 val percentile : float -> float list -> float
-
-val median : float list -> float
-
-(** [cdf xs] returns the empirical CDF as [(value, cumulative_fraction)]
-    pairs sorted by value. *)
-val cdf : float list -> (float * float) list
-
-(** Fixed-bin histogram. *)
-type histogram
-
-val histogram_create : lo:float -> hi:float -> bins:int -> histogram
-val histogram_add : histogram -> float -> unit
-
-(** [(bin_low, bin_high, count)] triples in order. Out-of-range samples are
-    clamped into the first/last bin. *)
-val histogram_bins : histogram -> (float * float * int) list
-
-val histogram_total : histogram -> int

@@ -1,6 +1,11 @@
-let write_jsonl ~file =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_jsonl oc)
+let open_output =
+  Option.map (fun file ->
+      try (file, open_out file)
+      with Sys_error msg ->
+        Printf.eprintf "%s: cannot write output: %s\n" (Filename.basename Sys.executable_name) msg;
+        exit 1)
+
+let write_jsonl oc = Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_jsonl oc)
 
 let us ns = float_of_int ns /. 1e3
 
@@ -82,8 +87,7 @@ let print_summary () =
 
 (* ---- profiler ---- *)
 
-let write_profile ~file =
-  let oc = open_out file in
+let write_profile oc =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_profile_jsonl oc)
 
 let profile_summary_string () =

@@ -3,9 +3,13 @@
     per-span log-linear histograms ([Trace.Hist]), merging per-domain
     histograms into an appliance-wide row. *)
 
-(** Write every recorded event, counter and span statistic to [file] as
-    JSON lines (see [Trace.export_jsonl]). *)
-val write_jsonl : file:string -> unit
+(** Open an optional output file before the run, paired with its name,
+    so a bad path fails at once: one line on stderr, exit status 1. *)
+val open_output : string option -> (string * out_channel) option
+
+(** Write every recorded event, counter and span statistic to [oc] as
+    JSON lines (see [Trace.export_jsonl]), then close [oc]. *)
+val write_jsonl : out_channel -> unit
 
 (** Multi-line summary: non-zero counters, then one row per span name
     and domain with count/mean/min/p50/p95/p99/max in microseconds
@@ -17,9 +21,10 @@ val summary_string : unit -> string
 (** Print {!summary_string} to stdout with a heading, if non-empty. *)
 val print_summary : unit -> unit
 
-(** Write the profiler and datapath tables to [file] as JSON lines (see
-    [Trace.export_profile_jsonl]) — input to [mirage_sim profile]. *)
-val write_profile : file:string -> unit
+(** Write the profiler and datapath tables to [oc] as JSON lines (see
+    [Trace.export_profile_jsonl]), then close [oc] — input to
+    [mirage_sim profile]. *)
+val write_profile : out_channel -> unit
 
 (** Top-style table of the profiler state: per-(stack, dom) vCPU time
     sorted by run time descending with share-of-total, then the per-packet

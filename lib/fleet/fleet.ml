@@ -217,11 +217,14 @@ let simulate p =
         (* windowed p99 gauge: the recoverable latency signal the SLO
            rule watches (the cumulative http_request_ns summary never
            comes back down after an overload) *)
-        let win = Lb.Latwin.create sim ~window_ns:(4 * p.interval_ns) () in
-        Lb.Latwin.register_gauge win ~dom:dom.Xensim.Domain.id "http_p99_window_ns";
+        let win = Trace.Hist.Window.create ~window_ns:(4 * p.interval_ns) in
+        Trace.Metrics.register_read ~dom:dom.Xensim.Domain.id ~kind:Trace.Metrics.Gauge
+          "http_p99_window_ns" (fun () ->
+            int_of_float (Trace.Hist.Window.percentile win ~now:(Engine.Sim.now sim) 99.0));
         let srv =
           Apps.Http.create sim ~dom ~per_request_cost_ns:p.per_request_cost_ns
-            ~on_request:(fun ~latency_ns -> Lb.Latwin.observe win latency_ns)
+            ~on_request:(fun ~latency_ns ->
+              Trace.Hist.Window.record win ~now:(Engine.Sim.now sim) latency_ns)
             ~tcp:(Netstack.Stack.tcp (Handle.stack h))
             ~port:80
             (fun _req -> P.return (Uhttp.Http_wire.response ~status:200 body))
@@ -330,10 +333,7 @@ let simulate p =
           s_ms = Engine.Sim.to_ms (now - t0);
           s_shards = Apps.Orchestrator.shard_count orch;
           s_rate_rps = Option.value (Apps.Orchestrator.total_rate orch) ~default:0.0;
-          s_p99_ms =
-            (match Lb.Latwin.p99 (Apps.Loadgen.window gen) with
-            | Some v -> Engine.Sim.to_ms v
-            | None -> 0.0);
+          s_p99_ms = Trace.Hist.Window.percentile (Apps.Loadgen.window gen) ~now 99.0 /. 1e6;
           s_in_flight = Apps.Loadgen.in_flight gen;
         }
         :: !timeline;

@@ -13,8 +13,8 @@
    from the engine's deterministic PRNG), so identical seeds replay the
    exact arrival sequence. Each arrival opens a connection through the
    front address, issues one GET, and records the end-to-end latency in
-   both a cumulative histogram (reporting) and a [Latwin] window
-   (control). *)
+   both a cumulative histogram (reporting) and a one-second
+   [Trace.Hist.Window] (control). *)
 
 let ( >>= ) = Mthread.Promise.bind
 let return = Mthread.Promise.return
@@ -33,7 +33,7 @@ module Make (T : Device_sig.TCP) = struct
     prng : Engine.Prng.t;
     on_sample : (latency_ns:int -> unit) option;
     latencies : Trace.Hist.t;
-    window : Latwin.t;
+    window : Trace.Hist.Window.t;
     mutable peak_rate : float;
     mutable issued : int;
     mutable ok : int;
@@ -44,7 +44,7 @@ module Make (T : Device_sig.TCP) = struct
   }
 
   let create sim ~tcp ~dst ?(port = 80) ?(path = "/") ?(think_ns = 100_000_000_000)
-      ?(timeout_ns = 2_000_000_000) ?(window_ns = 1_000_000_000) ?on_sample ~prng () =
+      ?(timeout_ns = 2_000_000_000) ?on_sample ~prng () =
     {
       sim;
       tcp;
@@ -56,7 +56,7 @@ module Make (T : Device_sig.TCP) = struct
       prng;
       on_sample;
       latencies = Trace.Hist.create ();
-      window = Latwin.create sim ~window_ns ();
+      window = Trace.Hist.Window.create ~window_ns:1_000_000_000;
       peak_rate = 0.0;
       issued = 0;
       ok = 0;
@@ -112,7 +112,7 @@ module Make (T : Device_sig.TCP) = struct
             if resp.Uhttp.Http_wire.status = 200 then begin
               t.ok <- t.ok + 1;
               Trace.Hist.record t.latencies lat;
-              Latwin.observe t.window lat;
+              Trace.Hist.Window.record t.window ~now:(Engine.Sim.now t.sim) lat;
               match t.on_sample with None -> () | Some f -> f ~latency_ns:lat
             end
             else t.errors <- t.errors + 1;

@@ -55,17 +55,6 @@ module Series = struct
       let t1, v1 = get t (t.len - 1) in
       if t1 <= t0 then None else Some ((v1 -. v0) *. 1e9 /. float_of_int (t1 - t0))
     end
-
-  (* Histogram-free quantile over the retained window (for gauges and
-     already-derived values): nearest-rank on a sorted copy. *)
-  let quantile t q =
-    if t.len = 0 then None
-    else begin
-      let a = Array.init t.len (fun i -> snd (get t i)) in
-      Array.sort compare a;
-      let rank = int_of_float (ceil (q *. float_of_int t.len)) - 1 in
-      Some a.(max 0 (min (t.len - 1) rank))
-    end
 end
 
 (* ---- exposition text parsing ---- *)

@@ -172,8 +172,9 @@ module Make (T : Device_sig.TCP) = struct
           | Some r -> Some (Option.value acc ~default:0.0 +. max 0.0 r)))
       None (shards t)
 
-  (* Worst windowed p99 across the fleet (the gauge each shard publishes
-     via [Lb.Latwin.register_gauge]); for event annotations. *)
+  (* Worst windowed p99 across the fleet (the [http_p99_window_ns] gauge
+     each shard publishes from a [Trace.Hist.Window]); for event
+     annotations. *)
   let worst_p99_ns t =
     List.fold_left
       (fun acc ep ->

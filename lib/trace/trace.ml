@@ -143,32 +143,38 @@ module Hist = struct
     m.h_max <- max a.h_max b.h_max;
     m
 
-  let percentile h p =
-    if h.h_count = 0 then 0.
-    else if p <= 0. then float_of_int h.h_min
-    else if p >= 100. then float_of_int h.h_max
+  (* Percentile of the union of [hs], without merging them: the
+     bucket-midpoint estimate at that rank, clamped to the exact
+     min/max. *)
+  let percentile_of hs p =
+    let count = ref 0 and h_min = ref max_int and h_max = ref 0 and n = ref 0 in
+    Array.iter
+      (fun h ->
+        count := !count + h.h_count;
+        h_min := min !h_min h.h_min;
+        h_max := max !h_max h.h_max;
+        n := max !n (Array.length h.counts))
+      hs;
+    if !count = 0 then 0.
+    else if p <= 0. then float_of_int !h_min
+    else if p >= 100. then float_of_int !h_max
     else begin
-      let rank = p /. 100. *. float_of_int h.h_count in
-      let rank = int_of_float (ceil rank) in
-      let rank = max 1 (min h.h_count rank) in
-      let cum = ref 0 and res = ref (float_of_int h.h_max) and found = ref false in
-      let n = Array.length h.counts in
-      let i = ref 0 in
-      while (not !found) && !i < n do
-        let c = h.counts.(!i) in
-        if c > 0 then begin
-          cum := !cum + c;
-          if !cum >= rank then begin
-            let lo = bucket_lo !i and w = bucket_width !i in
-            let mid = float_of_int lo +. (float_of_int (w - 1) /. 2.) in
-            res := Float.min (Float.max mid (float_of_int h.h_min)) (float_of_int h.h_max);
-            found := true
-          end
-        end;
+      let rank = p /. 100. *. float_of_int !count in
+      let rank = max 1 (min !count (int_of_float (ceil rank))) in
+      let cum = ref 0 and i = ref 0 in
+      while !cum < rank && !i < !n do
+        for j = 0 to Array.length hs - 1 do
+          let c = hs.(j).counts in
+          if !i < Array.length c then cum := !cum + c.(!i)
+        done;
         incr i
       done;
-      !res
+      let b = !i - 1 in
+      let mid = float_of_int (bucket_lo b) +. (float_of_int (bucket_width b - 1) /. 2.) in
+      Float.min (Float.max mid (float_of_int !h_min)) (float_of_int !h_max)
     end
+
+  let percentile h p = percentile_of [| h |] p
 
   let buckets h =
     let acc = ref [] in
@@ -176,6 +182,43 @@ module Hist = struct
       (fun i c -> if c > 0 then acc := (bucket_lo i, bucket_lo i + bucket_width i - 1, c) :: !acc)
       h.counts;
     List.rev !acc
+
+  (* One histogram per [slot_ns] time slot, indexed by slot number mod
+     [slots]; [epochs.(i)] is the slot number [hists.(i)] holds, so a
+     record landing on a stale entry clears it first (in place: a fresh
+     histogram would regrow its bucket array every slot). *)
+  module Window = struct
+    let slots = 8
+
+    type nonrec t = { slot_ns : int; hists : t array; epochs : int array }
+
+    let create ~window_ns =
+      if window_ns < slots then invalid_arg "Hist.Window.create: window_ns below the slot count";
+      {
+        slot_ns = window_ns / slots;
+        hists = Array.init slots (fun _ -> create ());
+        epochs = Array.make slots min_int;
+      }
+
+    let record w ~now v =
+      let e = now / w.slot_ns in
+      let i = e mod slots in
+      let h = w.hists.(i) in
+      if w.epochs.(i) <> e then begin
+        Array.fill h.counts 0 (Array.length h.counts) 0;
+        h.h_count <- 0;
+        h.h_total <- 0;
+        h.h_min <- max_int;
+        h.h_max <- 0;
+        w.epochs.(i) <- e
+      end;
+      record h v
+
+    let percentile w ~now p =
+      let oldest = (now / w.slot_ns) - slots + 1 in
+      let live = List.filteri (fun i _ -> w.epochs.(i) >= oldest) (Array.to_list w.hists) in
+      percentile_of (Array.of_list live) p
+  end
 end
 
 type counter = { c_name : string; mutable c_value : int }

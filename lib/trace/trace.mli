@@ -83,6 +83,27 @@ module Hist : sig
 
   (** Non-empty buckets as [(lo, hi_inclusive, count)], ascending. *)
   val buckets : t -> (int * int * int) list
+
+  (** Percentiles over a sliding time window, for control loops: a
+      cumulative histogram never recovers after an overload (one bad
+      episode raises its p99 for the rest of the run), a window does.
+      It is a ring of 8 histograms, one per slot of [s = window_ns / 8]
+      ns; a read covers the current slot and the 7 before it, so every
+      sample younger than [7 * s] and none older than [8 * s] -- the
+      last 7/8 to 8/8 of [window_ns] when it is a multiple of 8. Times
+      are non-negative, non-decreasing ns. *)
+  module Window : sig
+    type t
+
+    (** @raise Invalid_argument when [window_ns] is below 8. *)
+    val create : window_ns:int -> t
+
+    val record : t -> now:int -> int -> unit
+
+    (** As {!Hist.percentile} over the samples covered at [now]; 0 when
+        there are none. *)
+    val percentile : t -> now:int -> float -> float
+  end
 end
 
 (** {1 Planes}

@@ -80,12 +80,12 @@ let () =
   Trace.Prof.enable ();
   Trace.Dpath.enable ();
   scenario ~gets:3 ~ping:true;
-  Engine.Trace_report.write_jsonl ~file;
-  Engine.Trace_report.write_profile ~file:profile_a;
+  Engine.Trace_report.write_jsonl (open_out file);
+  Engine.Trace_report.write_profile (open_out profile_a);
   Printf.eprintf "wrote %s (%d events), %s\n" file (List.length (Trace.events ())) profile_a;
   (* Run B: same world, more work — the `profile diff` golden input. *)
   Trace.Prof.reset ();
   Trace.Dpath.reset ();
   scenario ~gets:5 ~ping:false;
-  Engine.Trace_report.write_profile ~file:profile_b;
+  Engine.Trace_report.write_profile (open_out profile_b);
   Printf.eprintf "wrote %s\n" profile_b

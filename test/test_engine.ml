@@ -61,19 +61,6 @@ let test_prng_exponential_positive () =
 
 (* ---- Stats ---- *)
 
-let test_stats_mean_stddev () =
-  let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  check (Alcotest.float 1e-9) "mean" 5.0 (Engine.Stats.mean xs);
-  check (Alcotest.float 1e-6) "stddev (sample)" 2.13809 (Engine.Stats.stddev xs)
-
-let test_stats_acc_matches_batch () =
-  let xs = List.init 100 (fun i -> float_of_int (i * i) /. 7.0) in
-  let acc = Engine.Stats.acc_create () in
-  List.iter (Engine.Stats.acc_add acc) xs;
-  check (Alcotest.float 1e-6) "mean" (Engine.Stats.mean xs) (Engine.Stats.acc_mean acc);
-  check (Alcotest.float 1e-6) "stddev" (Engine.Stats.stddev xs) (Engine.Stats.acc_stddev acc);
-  check_int "count" 100 (Engine.Stats.acc_count acc)
-
 let test_stats_percentile () =
   let xs = List.init 101 (fun i -> float_of_int i) in
   check (Alcotest.float 1e-9) "p0" 0.0 (Engine.Stats.percentile 0.0 xs);
@@ -98,40 +85,6 @@ let test_stats_percentile_edges () =
   let xs = [ 9.0; 1.0; 4.0 ] in
   check (Alcotest.float 1e-9) "p0 is min" 1.0 (Engine.Stats.percentile 0.0 xs);
   check (Alcotest.float 1e-9) "p100 is max" 9.0 (Engine.Stats.percentile 100.0 xs)
-
-let test_stats_acc_of_list_merge () =
-  let xs = [ 2.0; 4.0; 4.0; 4.0 ] and ys = [ 5.0; 5.0; 7.0; 9.0 ] in
-  let merged = Engine.Stats.acc_merge (Engine.Stats.acc_of_list xs) (Engine.Stats.acc_of_list ys) in
-  let whole = Engine.Stats.acc_of_list (xs @ ys) in
-  check_int "count" (Engine.Stats.acc_count whole) (Engine.Stats.acc_count merged);
-  check (Alcotest.float 1e-9) "mean" (Engine.Stats.acc_mean whole) (Engine.Stats.acc_mean merged);
-  check (Alcotest.float 1e-9) "stddev" (Engine.Stats.acc_stddev whole)
-    (Engine.Stats.acc_stddev merged);
-  check (Alcotest.float 1e-9) "min" (Engine.Stats.acc_min whole) (Engine.Stats.acc_min merged);
-  check (Alcotest.float 1e-9) "max" (Engine.Stats.acc_max whole) (Engine.Stats.acc_max merged);
-  (* merging with an empty accumulator is the identity *)
-  let with_empty = Engine.Stats.acc_merge (Engine.Stats.acc_create ()) (Engine.Stats.acc_of_list xs) in
-  check_int "empty + xs count" 4 (Engine.Stats.acc_count with_empty);
-  check (Alcotest.float 1e-9) "empty + xs mean" 3.5 (Engine.Stats.acc_mean with_empty);
-  check_int "empty + empty" 0
-    (Engine.Stats.acc_count (Engine.Stats.acc_merge (Engine.Stats.acc_create ()) (Engine.Stats.acc_create ())))
-
-let test_stats_cdf () =
-  let cdf = Engine.Stats.cdf [ 3.0; 1.0; 2.0; 2.0 ] in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "sorted cumulative"
-    [ (1.0, 0.25); (2.0, 0.5); (2.0, 0.75); (3.0, 1.0) ]
-    cdf
-
-let test_histogram () =
-  let h = Engine.Stats.histogram_create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Engine.Stats.histogram_add h) [ 0.5; 1.0; 3.0; 9.9; 15.0; -3.0 ];
-  check_int "total" 6 (Engine.Stats.histogram_total h);
-  let bins = Engine.Stats.histogram_bins h in
-  check_int "five bins" 5 (List.length bins);
-  let counts = List.map (fun (_, _, c) -> c) bins in
-  (* -3 clamps to first bin, 15 clamps to last *)
-  Alcotest.(check (list int)) "counts" [ 3; 1; 0; 0; 2 ] counts
 
 (* ---- Eventq / Sim ---- *)
 
@@ -431,14 +384,9 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean and stddev" `Quick test_stats_mean_stddev;
-          Alcotest.test_case "online acc matches batch" `Quick test_stats_acc_matches_batch;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "percentile errors" `Quick test_stats_percentile_errors;
           Alcotest.test_case "percentile edge cases" `Quick test_stats_percentile_edges;
-          Alcotest.test_case "acc_of_list and acc_merge" `Quick test_stats_acc_of_list_merge;
-          Alcotest.test_case "cdf" `Quick test_stats_cdf;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "sim",
         [

@@ -606,6 +606,96 @@ let test_quiesce () =
   check_int "no bundles" 0 (List.length (Trace.Flight.bundles ()));
   check_int "no trips" 0 (Trace.Flight.trips ())
 
+(* ---- windowed histograms ---- *)
+
+(* A seeded (time, latency) stream: at each read the window's p50/p99
+   must track the exact percentile of exactly the samples in the
+   covered slots (the current slot and the 7 before it). *)
+let test_window_accuracy () =
+  let window_ns = 80_000_000 in
+  let slot_ns = window_ns / 8 in
+  let w = Trace.Hist.Window.create ~window_ns in
+  let prng = Engine.Prng.create ~seed:11 () in
+  let now = ref 0 and seen = ref [] and reads = ref 0 in
+  for i = 1 to 20_000 do
+    now := !now + Engine.Prng.int prng 100_000;
+    let v = 1_000_000 + Engine.Prng.int prng 9_000_000 in
+    Trace.Hist.Window.record w ~now:!now v;
+    seen := (!now, v) :: !seen;
+    if i mod 700 = 0 then begin
+      incr reads;
+      let oldest = (!now / slot_ns) - 7 in
+      let covered =
+        List.filter_map
+          (fun (t, v) -> if t / slot_ns >= oldest then Some (float_of_int v) else None)
+          !seen
+      in
+      List.iter
+        (fun p ->
+          let exact = Engine.Stats.percentile p covered in
+          let approx = Trace.Hist.Window.percentile w ~now:!now p in
+          let tol = max 1.0 (0.015 *. Float.abs exact) in
+          if Float.abs (approx -. exact) > tol then
+            Alcotest.failf "read %d p%.0f: window %.1f vs exact %.1f (tol %.2f)" !reads p approx
+              exact tol)
+        [ 50.; 99. ]
+    end
+  done;
+  check_int "reads" 28 !reads
+
+(* One sample of 1000 at [t0], read back at [t0 + age]: counted iff the
+   read's p100 is the sample. *)
+let window_counts ~window_ns ~t0 ~age =
+  let w = Trace.Hist.Window.create ~window_ns in
+  Trace.Hist.Window.record w ~now:t0 1000;
+  Trace.Hist.Window.percentile w ~now:(t0 + age) 100.0 = 1000.0
+
+let test_window_drops_old () =
+  List.iter
+    (fun window_ns ->
+      for t0 = 0 to 2 * window_ns do
+        List.iter
+          (fun age ->
+            if window_counts ~window_ns ~t0 ~age then
+              Alcotest.failf "window %d: sample at %d counted at age %d" window_ns t0 age)
+          [ window_ns + 1; window_ns + 7; (3 * window_ns / 2) + 1; 5 * window_ns ]
+      done)
+    [ 64; 67; 800 ]
+
+let test_window_keeps_young () =
+  let window_ns = 64 in
+  for t0 = 0 to 2 * window_ns do
+    for age = 0 to (7 * window_ns / 8) - 1 do
+      if not (window_counts ~window_ns ~t0 ~age) then
+        Alcotest.failf "sample at %d missed at age %d" t0 age
+    done
+  done
+
+let test_window_empty_reads_zero () =
+  let w = Trace.Hist.Window.create ~window_ns:1_000_000 in
+  List.iter
+    (fun p -> check (Alcotest.float 0.0) "empty" 0.0 (Trace.Hist.Window.percentile w ~now:0 p))
+    [ 0.; 50.; 100. ];
+  List.iter (fun v -> Trace.Hist.Window.record w ~now:2_000_000 v) [ 5; 50; 500 ];
+  check (Alcotest.float 0.0) "live p100" 500.0 (Trace.Hist.Window.percentile w ~now:2_000_000 100.0);
+  List.iter
+    (fun p -> check (Alcotest.float 0.0) "aged" 0.0 (Trace.Hist.Window.percentile w ~now:12_000_000 p))
+    [ 0.; 50.; 100. ];
+  (* the same ring slot again: only the new sample counts *)
+  Trace.Hist.Window.record w ~now:12_000_000 7;
+  List.iter
+    (fun p -> check (Alcotest.float 0.0) "reused" 7.0 (Trace.Hist.Window.percentile w ~now:12_000_000 p))
+    [ 0.; 50.; 100. ]
+
+let test_window_rejects_small () =
+  List.iter
+    (fun window_ns ->
+      match Trace.Hist.Window.create ~window_ns with
+      | _ -> Alcotest.failf "window_ns %d accepted" window_ns
+      | exception Invalid_argument _ -> ())
+    [ 7; 1; 0; -5 ];
+  ignore (Trace.Hist.Window.create ~window_ns:8)
+
 let () =
   Alcotest.run "trace"
     [
@@ -637,5 +727,13 @@ let () =
           Alcotest.test_case "Hypervisor.destroy clears every plane" `Quick
             test_destroy_drops_every_plane;
           Alcotest.test_case "quiesce leaves every plane off and empty" `Quick test_quiesce;
+          Alcotest.test_case "window accuracy vs Stats.percentile" `Quick test_window_accuracy;
+          Alcotest.test_case "window never counts a sample older than window_ns" `Quick
+            test_window_drops_old;
+          Alcotest.test_case "window always counts a sample younger than 7/8" `Quick
+            test_window_keeps_young;
+          Alcotest.test_case "empty or aged window reads 0" `Quick test_window_empty_reads_zero;
+          Alcotest.test_case "window rejects window_ns below the slot count" `Quick
+            test_window_rejects_small;
         ] );
     ]

@@ -1,8 +1,7 @@
 #!/bin/sh
 # The whole CI gate in one command, run from anywhere inside the repo:
 #
-#   tools/ci.sh            build + tests + formatting + virtual-time bench gate
-#   CI_FULL=1 tools/ci.sh  also re-measures the fleet scenario (slower)
+#   tools/ci.sh            build + tests + formatting + virtual-time bench gates
 #
 # Stages:
 #   1. dune build           — the tree compiles
@@ -16,6 +15,10 @@
 #                             capture) against the committed BENCH_micro.json
 #                             snapshot; every gated metric prints its
 #                             delta even on pass
+#   5. tools/bench_gate.sh  — fresh `bench fleet --out` run (~13 s,
+#                             deterministic) against BENCH_fleet.json: the
+#                             only gate on the autoscaler's scale-event
+#                             schedule
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 
@@ -34,10 +37,8 @@ trap 'rm -f "$out"' EXIT
 dune exec bench/main.exe -- dpath bootstorm capture --out "$out" >/dev/null
 tools/bench_gate.sh BENCH_micro.json "$out"
 
-if [ "${CI_FULL:-0}" = 1 ]; then
-  echo "== ci: bench gate (fleet scenario) =="
-  dune exec bench/main.exe -- fleet --out "$out" >/dev/null
-  tools/bench_gate.sh BENCH_fleet.json "$out"
-fi
+echo "== ci: bench gate (fleet scenario) =="
+dune exec bench/main.exe -- fleet --out "$out" >/dev/null
+tools/bench_gate.sh BENCH_fleet.json "$out"
 
 echo "== ci: OK =="
