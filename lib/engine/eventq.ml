@@ -2,7 +2,6 @@ type handle = {
   time : int;
   seq : int;
   action : unit -> unit;
-  mutable cancelled : bool;
   (* Physical index in the owner's heap array, maintained by every swap;
      -1 once fired or removed. Cancellation uses it to delete the entry
      in O(log n) instead of leaving a corpse to skip at pop time — a
@@ -22,8 +21,7 @@ and t = {
 
 (* The placeholder for empty slots needs an owner of its own; tie the
    knot with a throwaway queue that never schedules anything. *)
-let rec dummy =
-  { time = 0; seq = 0; action = (fun () -> ()); cancelled = true; pos = -1; owner = dummy_q }
+let rec dummy = { time = 0; seq = 0; action = (fun () -> ()); pos = -1; owner = dummy_q }
 
 and dummy_q = { heap = [||]; size = 0; next_seq = 0 }
 
@@ -80,7 +78,7 @@ let maybe_shrink t =
   end
 
 let push t ~time action =
-  let h = { time; seq = t.next_seq; action; cancelled = false; pos = t.size; owner = t } in
+  let h = { time; seq = t.next_seq; action; pos = t.size; owner = t } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.heap then grow t;
   t.heap.(t.size) <- h;
@@ -107,13 +105,7 @@ let remove t h =
   else t.heap.(t.size) <- dummy;
   maybe_shrink t
 
-let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
-    if h.pos >= 0 then remove h.owner h
-  end
-
-let is_cancelled h = h.cancelled
+let cancel h = if h.pos >= 0 then remove h.owner h
 
 let pop t =
   if t.size = 0 then None
@@ -137,7 +129,5 @@ let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 let length t = t.size
 
 let is_empty t = t.size = 0
-
-let physical_size t = t.size
 
 let capacity t = Array.length t.heap

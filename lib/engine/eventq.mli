@@ -14,7 +14,7 @@ type handle
 
 val create : unit -> t
 
-(** Number of live (non-cancelled) events; O(1). *)
+(** Number of pending events; O(1). *)
 val length : t -> int
 
 (** O(1). *)
@@ -23,21 +23,15 @@ val is_empty : t -> bool
 (** [push t ~time f] schedules [f] at absolute virtual [time]. *)
 val push : t -> time:int -> (unit -> unit) -> handle
 
-(** [cancel h] prevents the event from firing; idempotent. *)
+(** [cancel h] prevents the event from firing; idempotent, and a no-op
+    once the event has fired. *)
 val cancel : handle -> unit
-
-val is_cancelled : handle -> bool
 
 (** Time of the earliest live event. *)
 val peek_time : t -> int option
 
 (** Pop the earliest live event, or [None] if the queue is empty. *)
 val pop : t -> (int * (unit -> unit)) option
-
-(** Entries physically present in the heap array — equals {!length}
-    now that cancellation deletes eagerly; kept for tests asserting
-    cancelled entries really leave the array. *)
-val physical_size : t -> int
 
 (** Current backing-array capacity — for tests asserting the array
     shrinks back after mass cancellation. *)

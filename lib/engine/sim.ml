@@ -32,11 +32,10 @@ let prng t = t.prng
 
 (* Causal flow propagation: a callback scheduled while a flow is
    ambient runs under that flow, however many hops later. Only when
-   tracing — with it off, [f] is returned untouched. The same trick
+   tracing — with it off, [f] is pushed untouched. The same trick
    applies to profiler frames, so vCPU charges made by deferred
-   continuations still land on the layer that caused them. Exposed so
-   the timer wheel can capture ambients at arm time the way [at] does. *)
-let wrap_ambient f =
+   continuations still land on the layer that caused them. *)
+let at t ~time f =
   let f =
     if Trace.enabled () then begin
       let fl = Trace.Flow.current () in
@@ -44,14 +43,14 @@ let wrap_ambient f =
     end
     else f
   in
-  if Trace.Prof.enabled () then begin
-    let node = Trace.Prof.current_node () in
-    if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
-  end
-  else f
-
-let at_raw t ~time f = Eventq.push t.q ~time:(max time t.now) f
-let at t ~time f = at_raw t ~time (wrap_ambient f)
+  let f =
+    if Trace.Prof.enabled () then begin
+      let node = Trace.Prof.current_node () in
+      if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
+    end
+    else f
+  in
+  Eventq.push t.q ~time:(max time t.now) f
 
 let vcpu_account t ~dom ~run_ns ~wait_ns =
   let a =

@@ -21,25 +21,18 @@ val prng : t -> Prng.t
     negative delays). *)
 val schedule : t -> delay:int -> (unit -> unit) -> handle
 
-(** [at t ~time f] runs [f] at absolute virtual [time]. When tracing is
-    enabled and a causal flow is ambient ([Trace.Flow.current]), the
-    flow is captured here and restored for the duration of [f] — this is
-    the one chokepoint through which every asynchronous hop (thread
-    sleeps, vCPU charges, event-channel delivery, link latency, TCP
-    timers) passes, so flow ids propagate across the whole stack without
-    per-subsystem plumbing. *)
+(** [at t ~time f] runs [f] at absolute virtual [time] (clamped to now
+    for past times). When tracing is enabled and a causal flow is ambient
+    ([Trace.Flow.current]), the flow is captured here and restored for
+    the duration of [f]; the profiler's current frame likewise. Every
+    asynchronous hop (thread sleeps, vCPU charges, event-channel
+    delivery, link latency, TCP retransmit and persist timers) is an
+    event pushed here, so flow ids propagate across the whole stack
+    without per-subsystem plumbing. *)
 val at : t -> time:int -> (unit -> unit) -> handle
 
-(** [at_raw] is {!at} without the ambient flow/profiler capture — for
-    callers (the timer wheel) that capture ambients themselves at a
-    different point than the push. *)
-val at_raw : t -> time:int -> (unit -> unit) -> handle
-
-(** [wrap_ambient f] captures the current trace flow and profiler frame
-    (when those planes are on) so that running the result later restores
-    them — the capture {!at} applies to every callback it pushes. *)
-val wrap_ambient : (unit -> unit) -> unit -> unit
-
+(** [cancel h] removes the event in O(log n); idempotent, and a no-op
+    once it has fired. *)
 val cancel : handle -> unit
 
 (** Number of pending events. *)

@@ -127,8 +127,8 @@ type flow = {
   mutable srtt_ns : int;
   mutable rttvar_ns : int;
   mutable rtt_probe : (Seq.t * int) option;
-  mutable rto_timer : Engine.Timerwheel.timer option;
-  mutable persist_timer : Engine.Timerwheel.timer option;
+  mutable rto_timer : Engine.Sim.handle option;
+  mutable persist_timer : Engine.Sim.handle option;
   mutable persist_backoff_ns : int;
   mutable probes_out : int;  (* consecutive unanswered zero-window probes *)
   (* lifecycle *)
@@ -147,9 +147,6 @@ type flow = {
 and engine = {
   sim : Engine.Sim.t;
   ip : Ipv4.t;
-  (* All protocol timers (RTO, persist) live on one hierarchical wheel:
-     O(1) arm/cancel per segment instead of a heap entry per flow timer. *)
-  wheel : Engine.Timerwheel.t;
   dom : Xensim.Domain.t option;
   flows : (key, flow) Hashtbl.t;
   listeners : (int, flow -> unit Mthread.Promise.t) Hashtbl.t;
@@ -225,14 +222,14 @@ let send_rst_for t ~key ~seq ~ack =
 let cancel_rto fl =
   match fl.rto_timer with
   | Some h ->
-    Engine.Timerwheel.cancel fl.t.wheel h;
+    Engine.Sim.cancel h;
     fl.rto_timer <- None
   | None -> ()
 
 let cancel_persist fl =
   match fl.persist_timer with
   | Some h ->
-    Engine.Timerwheel.cancel fl.t.wheel h;
+    Engine.Sim.cancel h;
     fl.persist_timer <- None
   | None -> ()
 
@@ -269,11 +266,7 @@ let release_app_refs fl =
 let rec arm_rto fl =
   cancel_rto fl;
   if not (Queue.is_empty fl.rtx) then
-    fl.rto_timer <-
-      Some
-        (Engine.Timerwheel.arm fl.t.wheel
-           ~deadline:(Engine.Sim.now fl.t.sim + fl.rto_ns)
-           (fun () -> on_rto fl))
+    fl.rto_timer <- Some (Engine.Sim.schedule fl.t.sim ~delay:fl.rto_ns (fun () -> on_rto fl))
 
 and on_rto fl =
   fl.rto_timer <- None;
@@ -552,9 +545,7 @@ and maybe_arm_persist fl =
     if fl.persist_backoff_ns = 0 then fl.persist_backoff_ns <- max fl.rto_ns min_rto_ns;
     fl.persist_timer <-
       Some
-        (Engine.Timerwheel.arm fl.t.wheel
-           ~deadline:(Engine.Sim.now fl.t.sim + fl.persist_backoff_ns)
-           (fun () -> on_persist fl))
+        (Engine.Sim.schedule fl.t.sim ~delay:fl.persist_backoff_ns (fun () -> on_persist fl))
   end
 
 and on_persist fl =
@@ -641,9 +632,7 @@ and on_persist fl =
       fl.persist_backoff_ns <- min (fl.persist_backoff_ns * 2) max_persist_ns;
       fl.persist_timer <-
         Some
-          (Engine.Timerwheel.arm fl.t.wheel
-             ~deadline:(Engine.Sim.now fl.t.sim + fl.persist_backoff_ns)
-             (fun () -> on_persist fl))
+          (Engine.Sim.schedule fl.t.sim ~delay:fl.persist_backoff_ns (fun () -> on_persist fl))
     end
   | Syn_sent | Syn_rcvd | Fin_wait_2 | Time_wait | Closed -> ()
 
@@ -1239,7 +1228,6 @@ let create sim ?dom ip =
     {
       sim;
       ip;
-      wheel = Engine.Timerwheel.create sim;
       dom;
       flows = Hashtbl.create 64;
       listeners = Hashtbl.create 8;

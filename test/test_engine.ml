@@ -173,25 +173,18 @@ let test_eventq_pending_count () =
   Engine.Sim.run sim;
   check_int "none pending after run" 0 (Engine.Sim.pending sim)
 
-(* Mass cancellation must physically evict the corpses (so their
-   closures are collectable) and shrink the backing array, while [length]
-   stays exact throughout — the boot-storm reap cancels thousands of
-   timers at once. *)
+(* Mass cancellation must delete the entries (so their closures are
+   collectable) and shrink the backing array, while [length] stays exact
+   throughout — the boot-storm reap cancels thousands of timers at once. *)
 let test_eventq_compaction () =
   let q = Engine.Eventq.create () in
   let handles = Array.init 1000 (fun i -> Engine.Eventq.push q ~time:i (fun () -> ())) in
   check_int "all live" 1000 (Engine.Eventq.length q);
-  check_int "all physically present" 1000 (Engine.Eventq.physical_size q);
+  check_bool "backing array holds them all" true (Engine.Eventq.capacity q >= 1000);
   Array.iteri (fun i h -> if i mod 100 <> 0 then Engine.Eventq.cancel h) handles;
   check_int "live after mass cancel" 10 (Engine.Eventq.length q);
-  (* the eager sweep runs whenever corpses outnumber the living, so at
-     rest at most half the physical entries are cancelled *)
-  check_bool "cancelled entries swept out" true
-    (Engine.Eventq.physical_size q <= 2 * Engine.Eventq.length q);
-  check_bool "backing array shrank"
-    true
-    (Engine.Eventq.capacity q < 1000);
-  (* cancelling an already-swept handle must not corrupt the counters *)
+  check_bool "backing array shrank" true (Engine.Eventq.capacity q < 1000);
+  (* cancelling an already-deleted handle must not corrupt the counters *)
   Engine.Eventq.cancel handles.(1);
   Engine.Eventq.cancel handles.(1);
   check_int "re-cancel is a no-op" 10 (Engine.Eventq.length q);
@@ -235,123 +228,8 @@ let test_eventq_length_exact () =
           i
   done;
   check_int "final length exact" !expected (Engine.Eventq.length q);
-  check_bool "physical never below live" true
-    (Engine.Eventq.physical_size q >= Engine.Eventq.length q)
-
-(* ---- timer wheel ---- *)
-
-(* The wheel replaces direct [Sim.schedule] for the high-churn protocol
-   timers; it must be behaviour-preserving. Arm the same pinned-seed
-   deadline sequence through a wheel and through plain heap events and
-   compare the firing orders. *)
-let test_timerwheel_matches_heap_order () =
-  let deadlines seed n =
-    let prng = Engine.Prng.create ~seed () in
-    Array.init n (fun _ -> Engine.Prng.int prng 5_000_000)
-  in
-  List.iter
-    (fun seed ->
-      let n = 300 in
-      let wheel_sim = Engine.Sim.create ~seed () in
-      let heap_sim = Engine.Sim.create ~seed () in
-      let wheel = Engine.Timerwheel.create wheel_sim in
-      let wheel_order = ref [] and heap_order = ref [] in
-      Array.iteri
-        (fun i d ->
-          ignore
-            (Engine.Timerwheel.arm wheel ~deadline:d (fun () ->
-                 if Engine.Sim.now wheel_sim <> d then
-                   Alcotest.failf "timer %d fired at %d, armed for %d" i
-                     (Engine.Sim.now wheel_sim) d;
-                 wheel_order := i :: !wheel_order)))
-        (deadlines seed n);
-      Array.iteri
-        (fun i d ->
-          ignore (Engine.Sim.at heap_sim ~time:d (fun () -> heap_order := i :: !heap_order)))
-        (deadlines seed n);
-      Engine.Sim.run wheel_sim;
-      Engine.Sim.run heap_sim;
-      check_int "all wheel timers fired" n (List.length !wheel_order);
-      check_bool "wheel fires in heap order" true (!wheel_order = !heap_order);
-      check_int "wheel drained" 0 (Engine.Timerwheel.live wheel);
-      check_bool "no deadline left" true (Engine.Timerwheel.next_deadline wheel = None))
-    [ 7; 21; 1234 ]
-
-let test_timerwheel_cancel () =
-  let sim = Engine.Sim.create ~seed:3 () in
-  let wheel = Engine.Timerwheel.create sim in
-  let fired = ref [] in
-  let arm tag d = Engine.Timerwheel.arm wheel ~deadline:d (fun () -> fired := tag :: !fired) in
-  let a = arm "a" 10_000 in
-  let _b = arm "b" 20_000 in
-  let c = arm "c" 30_000 in
-  check_int "three live" 3 (Engine.Timerwheel.live wheel);
-  check_bool "anchor at the minimum" true (Engine.Timerwheel.next_deadline wheel = Some 10_000);
-  (* Cancelling the minimum must re-anchor, not fire early or late. *)
-  Engine.Timerwheel.cancel wheel a;
-  check_int "cancel drops live" 2 (Engine.Timerwheel.live wheel);
-  check_bool "anchor moved to next live deadline" true
-    (Engine.Timerwheel.next_deadline wheel = Some 20_000);
-  Engine.Timerwheel.cancel wheel a;
-  check_int "cancel is idempotent" 2 (Engine.Timerwheel.live wheel);
-  Engine.Timerwheel.cancel wheel c;
-  Engine.Sim.run sim;
-  check_bool "only the survivor fired" true (!fired = [ "b" ]);
-  check_int "wheel drained" 0 (Engine.Timerwheel.live wheel);
-  (* Cancelling after the timer fired is a no-op. *)
-  Engine.Timerwheel.cancel wheel c;
-  check_int "post-fire cancel is a no-op" 0 (Engine.Timerwheel.live wheel)
-
-(* Randomized arm/cancel churn against the heap, pinned seed: the wheel
-   and plain heap events must agree on which timers fire and in what
-   order, and a fully cancelled wheel must leave the simulator queue
-   empty (the lazy-cancel sweep must not strand an anchor). *)
-let test_timerwheel_churn_matches_heap () =
-  let n = 400 in
-  let prng = Engine.Prng.create ~seed:77 () in
-  let deadline = Array.init n (fun _ -> Engine.Prng.int prng 2_000_000) in
-  let cancelled = Array.init n (fun _ -> Engine.Prng.int prng 3 = 0) in
-  let wheel_sim = Engine.Sim.create ~seed:5 () in
-  let heap_sim = Engine.Sim.create ~seed:5 () in
-  let wheel = Engine.Timerwheel.create wheel_sim in
-  let wheel_order = ref [] and heap_order = ref [] in
-  let wheel_timers =
-    Array.mapi
-      (fun i d -> Engine.Timerwheel.arm wheel ~deadline:d (fun () -> wheel_order := i :: !wheel_order))
-      deadline
-  in
-  let heap_handles =
-    Array.mapi (fun i d -> Engine.Sim.at heap_sim ~time:d (fun () -> heap_order := i :: !heap_order)) deadline
-  in
-  Array.iteri
-    (fun i cancel ->
-      if cancel then begin
-        Engine.Timerwheel.cancel wheel wheel_timers.(i);
-        Engine.Sim.cancel heap_handles.(i)
-      end)
-    cancelled;
-  let survivors = Array.fold_left (fun acc c -> if c then acc else acc + 1) 0 cancelled in
-  check_int "live tracks cancellations" survivors (Engine.Timerwheel.live wheel);
-  Engine.Sim.run wheel_sim;
-  Engine.Sim.run heap_sim;
-  check_int "every survivor fired" survivors (List.length !wheel_order);
-  check_bool "same firing order as the heap" true (!wheel_order = !heap_order);
-  check_int "wheel drained" 0 (Engine.Timerwheel.live wheel);
-  check_int "nothing stranded in the simulator" 0 (Engine.Sim.pending wheel_sim)
-
-let test_timerwheel_cancel_all_leaves_queue_empty () =
-  let sim = Engine.Sim.create ~seed:9 () in
-  let wheel = Engine.Timerwheel.create sim in
-  let timers =
-    List.init 50 (fun i ->
-        Engine.Timerwheel.arm wheel ~deadline:((i + 1) * 1000) (fun () ->
-            Alcotest.fail "cancelled timer fired"))
-  in
-  List.iter (Engine.Timerwheel.cancel wheel) timers;
-  check_int "nothing live" 0 (Engine.Timerwheel.live wheel);
-  check_bool "no next deadline" true (Engine.Timerwheel.next_deadline wheel = None);
-  Engine.Sim.run sim;
-  check_int "drained wheel leaves the simulator empty" 0 (Engine.Sim.pending sim)
+  check_bool "backing array holds every live event" true
+    (Engine.Eventq.capacity q >= Engine.Eventq.length q)
 
 (* property: events always pop in nondecreasing time order *)
 let prop_eventq_sorted =
@@ -402,13 +280,5 @@ let () =
           Alcotest.test_case "eventq compaction" `Quick test_eventq_compaction;
           Alcotest.test_case "eventq length exact" `Quick test_eventq_length_exact;
           prop_eventq_sorted;
-        ] );
-      ( "timerwheel",
-        [
-          Alcotest.test_case "matches heap order" `Quick test_timerwheel_matches_heap_order;
-          Alcotest.test_case "cancel and re-anchor" `Quick test_timerwheel_cancel;
-          Alcotest.test_case "churn matches heap" `Quick test_timerwheel_churn_matches_heap;
-          Alcotest.test_case "cancel-all leaves queue empty" `Quick
-            test_timerwheel_cancel_all_leaves_queue_empty;
         ] );
     ]

@@ -616,6 +616,112 @@ let test_tcp_unread_data_survives_flow_removal () =
     | None -> false);
   check_bool "then end-of-stream" true (run w (N.Tcp.read flow) = None)
 
+(* [data] in 8 KB writes, then [close]. Beyond the 128 KB receive window
+   plus the 256 KB send buffer, a writer whose bytes are not acknowledged
+   blocks — and a flow that gives up wakes it with [Timeout]. *)
+let write_then_close flow data =
+  let len = String.length data in
+  let rec send off =
+    if off >= len then N.Tcp.close flow
+    else
+      N.Tcp.write flow (bs (String.sub data off (min 8192 (len - off)))) >>= fun () ->
+      send (off + 8192)
+  in
+  send 0
+
+(* ACKs must cancel every RTO they make obsolete, so a clean transfer
+   fires none — also when the reader stalls long enough for the sender
+   to probe a zero window — and once both flows have left the table the
+   simulator holds no TCP event. The check in between is the sharp one:
+   when each flow is either gone or lingering 2 MSL in TIME_WAIT, only
+   the lingers may be pending — a stale RTO or persist event would still
+   be queued, not yet fired. *)
+let test_tcp_clean_transfer_leaves_no_timer () =
+  let scenario ~stall =
+    let w, a, b = pair_world () in
+    Engine.Sim.run w.sim;
+    let before = Engine.Sim.pending w.sim in
+    let ta = N.Stack.tcp a.stack and tb = N.Stack.tcp b.stack in
+    let server = ref None in
+    let resume, resume_u = P.wait () in
+    N.Tcp.listen tb ~port:5001 (fun flow ->
+        server := Some flow;
+        let rec drain () =
+          N.Tcp.read flow >>= function None -> N.Tcp.close flow | Some _ -> drain ()
+        in
+        if stall then resume >>= drain else drain ());
+    let client =
+      run w
+        ( N.Tcp.connect ta ~dst:(N.Stack.address b.stack) ~dst_port:5001 >>= fun flow ->
+          if stall then
+            ignore (Engine.Sim.schedule w.sim ~delay:(Engine.Sim.ms 300) (P.wakeup resume_u));
+          write_then_close flow (pattern 500_000) >>= fun () -> P.return flow )
+    in
+    let flows = [ client; Option.get !server ] in
+    let count state = List.length (List.filter (fun f -> N.Tcp.state_name f = state) flows) in
+    while count "TIME_WAIT" + count "CLOSED" < 2 do
+      ignore (Engine.Sim.step w.sim)
+    done;
+    (* let in-flight frames land; any RTO is at least 50 ms out *)
+    Engine.Sim.run w.sim ~until:(Engine.Sim.now w.sim + Engine.Sim.ms 10);
+    let path = if stall then "stalled reader" else "steady reader" in
+    if stall then check_bool "persist probes were sent" true (N.Tcp.persist_probes ta > 0);
+    check_bool (path ^ ": a flow lingers") true (count "TIME_WAIT" > 0);
+    check_int (path ^ ": only the 2-MSL lingers pending") (before + count "TIME_WAIT")
+      (Engine.Sim.pending w.sim);
+    while N.Tcp.active_flows ta + N.Tcp.active_flows tb > 0 do
+      ignore (Engine.Sim.step w.sim)
+    done;
+    check_int (path ^ ": no client RTO fired") 0 (N.Tcp.rto_fires ta);
+    check_int (path ^ ": no server RTO fired") 0 (N.Tcp.rto_fires tb);
+    check_int (path ^ ": no TCP event pending") before (Engine.Sim.pending w.sim)
+  in
+  scenario ~stall:false;
+  scenario ~stall:true
+
+(* The peer vanishes (every frame either way is dropped) and the sender
+   gives up with [Timeout] — through RTO backoff with data in flight, or
+   through unanswered persist probes against a zero window. The failed
+   flow must leave no RTO or persist event behind. *)
+let test_tcp_vanished_peer_leaves_no_timer () =
+  let scenario ~zero_window =
+    let w, a, b = pair_world () in
+    Engine.Sim.run w.sim;
+    let before = Engine.Sim.pending w.sim in
+    let ta = N.Stack.tcp a.stack in
+    N.Tcp.listen (N.Stack.tcp b.stack) ~port:5001 (fun flow ->
+        if zero_window then P.return () (* never reads: the window closes *)
+        else
+          let rec sink () = N.Tcp.read flow >>= function None -> P.return () | Some _ -> sink () in
+          sink ());
+    let vanish () =
+      Netsim.Bridge.set_loss w.bridge a.nic 1.0;
+      Netsim.Bridge.set_loss w.bridge b.nic 1.0
+    in
+    let outcome =
+      run w
+        (P.catch
+           (fun () ->
+             N.Tcp.connect ta ~dst:(N.Stack.address b.stack) ~dst_port:5001 >>= fun flow ->
+             (* with a zero window, vanish only once the sender is probing *)
+             if zero_window then
+               ignore (Engine.Sim.schedule w.sim ~delay:(Engine.Sim.ms 400) vanish)
+             else vanish ();
+             write_then_close flow (pattern 500_000) >>= fun () -> P.return `Clean)
+           (function P.Timeout -> P.return `Timeout | e -> P.fail e))
+    in
+    let path = if zero_window then "persist" else "rto" in
+    check_bool (path ^ ": gave up with Timeout") true (outcome = `Timeout);
+    if zero_window then begin
+      check_bool "persist probes were sent" true (N.Tcp.persist_probes ta > 0);
+      check_int "no RTO fired" 0 (N.Tcp.rto_fires ta)
+    end
+    else check_bool "RTOs fired" true (N.Tcp.rto_fires ta > 0);
+    check_int (path ^ ": no RTO or persist event pending") before (Engine.Sim.pending w.sim)
+  in
+  scenario ~zero_window:false;
+  scenario ~zero_window:true
+
 (* ---- deterministic recovery paths ---- *)
 
 (* TCP payload length of an Ethernet frame, 0 for anything that is not a
@@ -1023,6 +1129,10 @@ let () =
             test_tcp_discarded_flows_release_pool_refs;
           Alcotest.test_case "unread data survives flow removal" `Quick
             test_tcp_unread_data_survives_flow_removal;
+          Alcotest.test_case "clean transfer leaves no timer" `Quick
+            test_tcp_clean_transfer_leaves_no_timer;
+          Alcotest.test_case "vanished peer leaves no timer" `Quick
+            test_tcp_vanished_peer_leaves_no_timer;
         ] );
       ( "gro",
         [

@@ -122,37 +122,6 @@ let prop_extent_accounting =
       then ok := false;
       !ok)
 
-(* ---- Slab allocator ---- *)
-
-let test_slab_alloc_free () =
-  let s = Pvboot.Slab_allocator.create () in
-  let a = Pvboot.Slab_allocator.alloc s ~bytes:40 in
-  let b = Pvboot.Slab_allocator.alloc s ~bytes:40 in
-  check_int "two live" 2 (Pvboot.Slab_allocator.live_objects s);
-  check_int "binned to 64B class" 2 (Pvboot.Slab_allocator.class_live s ~bytes:40);
-  Pvboot.Slab_allocator.free s a;
-  Pvboot.Slab_allocator.free s b;
-  check_int "none live" 0 (Pvboot.Slab_allocator.live_objects s)
-
-let test_slab_double_free () =
-  let s = Pvboot.Slab_allocator.create () in
-  let a = Pvboot.Slab_allocator.alloc s ~bytes:16 in
-  Pvboot.Slab_allocator.free s a;
-  match Pvboot.Slab_allocator.free s a with
-  | exception Pvboot.Slab_allocator.Bad_free -> ()
-  | _ -> Alcotest.fail "double free detected"
-
-let test_slab_size_limits () =
-  let s = Pvboot.Slab_allocator.create () in
-  match Pvboot.Slab_allocator.alloc s ~bytes:(1 lsl 20) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oversized alloc rejected"
-
-let test_slab_reserves_pages () =
-  let s = Pvboot.Slab_allocator.create () in
-  ignore (Pvboot.Slab_allocator.alloc s ~bytes:100);
-  check_bool "backing reserved" true (Pvboot.Slab_allocator.bytes_reserved s > 0)
-
 (* ---- Heap GC model (Figure 7a's mechanism) ---- *)
 
 let fill_heap platform =
@@ -249,13 +218,6 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_extent_exhaustion;
           Alcotest.test_case "alignment enforced" `Quick test_extent_alignment_enforced;
           prop_extent_accounting;
-        ] );
-      ( "slab_allocator",
-        [
-          Alcotest.test_case "alloc/free" `Quick test_slab_alloc_free;
-          Alcotest.test_case "double free" `Quick test_slab_double_free;
-          Alcotest.test_case "size limits" `Quick test_slab_size_limits;
-          Alcotest.test_case "reserves pages" `Quick test_slab_reserves_pages;
         ] );
       ( "heap",
         [

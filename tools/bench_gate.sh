@@ -12,10 +12,10 @@
 #     direction 'lower'  — lower is better; fail when current > baseline*(1+tol)
 #     direction 'higher' — higher is better; fail when current < baseline*(1-tol)
 #
-# With no SPECs the default set below gates the fleet scenario's
-# deterministic virtual-time metrics. Wall-clock metrics (the 'micro'
-# figure) are machine-dependent: snapshot them for reference, but only
-# gate them explicitly, on hardware you control, e.g.
+# With no SPECs the default set below gates the deterministic virtual-time
+# metrics of the fleet, bootstorm, dpath and capture scenarios. Wall-clock
+# metrics (the 'micro' figure) are machine-dependent: snapshot them for
+# reference, but only gate them explicitly, on hardware you control, e.g.
 #
 #   dune exec bench/main.exe -- fleet --out /tmp/now.json
 #   tools/bench_gate.sh BENCH_fleet.json /tmp/now.json
