@@ -30,8 +30,6 @@ let close t =
     flush ()
   end
 
-let is_closed t = t.closed
-
 let length t = Queue.length t.buffered
 
 let next t =
@@ -44,8 +42,6 @@ let next t =
       Queue.add u t.waiters;
       p
     end
-
-let next_opt t = Queue.take_opt t.buffered
 
 let map_buffered f t =
   let mapped = Queue.create () in

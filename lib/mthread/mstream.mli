@@ -12,16 +12,11 @@ val push : 'a t -> 'a -> unit
     buffered values drain. *)
 val close : 'a t -> unit
 
-val is_closed : 'a t -> bool
-
 (** Buffered (not yet consumed) element count. *)
 val length : 'a t -> int
 
 (** [next t] blocks until a value or end-of-stream is available. *)
 val next : 'a t -> 'a option Promise.t
-
-(** Non-blocking variant: [None] when nothing is buffered. *)
-val next_opt : 'a t -> 'a option
 
 (** [map_buffered f t] replaces every buffered (not yet consumed) value
     [v] by [f v] in place, keeping order; works on a closed stream. *)

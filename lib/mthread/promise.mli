@@ -17,7 +17,17 @@ exception Timeout
 
 val return : 'a -> 'a t
 val fail : exn -> 'a t
+
+(** [bind t f] runs [f] on [t]'s value once [t] resolves; a failure of [t]
+    skips [f]. If [f] returns a promise that is still pending, that promise
+    becomes a {e proxy} of [bind]'s result rather than forwarding its outcome
+    to it: the two are merged into one promise, the proxy's waiters and cancel
+    hooks joining the result's. So [let rec loop () = read c >>= fun x -> ...;
+    loop ()] runs in constant space: each round's promise merges into the
+    first round's result, and nothing is kept per round, whether or not the
+    caller holds that result. *)
 val bind : 'a t -> ('a -> 'b t) -> 'b t
+
 val map : ('a -> 'b) -> 'a t -> 'b t
 
 module Infix : sig
@@ -47,7 +57,12 @@ val on_resolve : 'a t -> (('a, exn) result -> unit) -> unit
 
 (** {1 Exception handling} *)
 
+(** [catch f handler] is [f ()], or [handler e] if it fails with [e]. A
+    pending promise returned by [handler] becomes a proxy of the result, as
+    in {!bind}, so a loop recursing through [catch] runs in constant space
+    too. *)
 val catch : (unit -> 'a t) -> (exn -> 'a t) -> 'a t
+
 val try_bind : (unit -> 'a t) -> ('a -> 'b t) -> (exn -> 'b t) -> 'b t
 
 (** [finalize f g] runs [g] whichever way [f]'s promise settles. *)
@@ -80,7 +95,8 @@ val both : 'a t -> 'b t -> ('a * 'b) t
 (** [cancel t] fails a pending [t] with {!Canceled}, running its registered
     cancel hooks (e.g. descheduling its timer) and propagating upstream
     through [bind]. The paper relies on this to free wrapped resources such
-    as grant references (§3.4.1). *)
+    as grant references (§3.4.1). A proxy and the promise it was merged into
+    (see {!bind}) are one promise: cancelling either runs both sides' hooks. *)
 val cancel : 'a t -> unit
 
 (** [on_cancel t f] registers a hook run if [t] is cancelled. *)
@@ -108,6 +124,12 @@ val run : Engine.Sim.t -> 'a t -> 'a
 
 (** {1 Introspection} — thread counters for tests and the Figure 7 bench. *)
 
+(** Promises created, proxies included, since the last {!reset_counters}. *)
 val created_count : unit -> int
+
+(** Promises settled since the last {!reset_counters}. A promise that
+    became a proxy (see {!bind}) settles with the promise it was merged
+    into and is not counted again. *)
 val resolved_count : unit -> int
+
 val reset_counters : unit -> unit

@@ -303,6 +303,150 @@ let test_mcond_signal_broadcast () =
   check_int "broadcast w2" 9 (P.run s w2);
   check_int "broadcast w3" 9 (P.run s w3)
 
+(* ---- Recursive loops and proxy promises ---- *)
+
+(* A reader over [wait]/[wakeup] promises: [read ()] blocks until the next
+   [feed], as a stream read does. *)
+let reader () =
+  let next = ref None in
+  let read () =
+    let p, u = P.wait () in
+    next := Some (p, u);
+    p
+  in
+  let feed v = match !next with Some (_, u) -> P.wakeup u v | None -> assert false in
+  let pending () = match !next with Some (p, _) -> p | None -> assert false in
+  (read, feed, pending)
+
+let test_loop_constant_space () =
+  let read, feed, _ = reader () in
+  let rec loop n = read () >>= fun more -> if more then loop (n + 1) else P.return n in
+  (* the caller holds the loop's promise and never reads it while it runs *)
+  let outer = loop 0 in
+  let live_after iterations =
+    for _ = 1 to iterations do
+      feed true
+    done;
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let early = live_after 1_000 in
+  let late = live_after 99_000 in
+  check_bool
+    (Printf.sprintf "live words flat: %d after 10^3 reads, %d after 10^5" early late)
+    true
+    (late - early < 1_000);
+  feed false;
+  check_bool "loop result" true (P.state outer = `Resolved 100_000)
+
+let test_loop_cancel () =
+  let read, feed, pending = reader () in
+  let hooks = ref 0 in
+  let read () =
+    let p = read () in
+    P.on_cancel p (fun () -> incr hooks);
+    p
+  in
+  let rec loop () = read () >>= fun () -> loop () in
+  let outer = loop () in
+  for _ = 1 to 100 do
+    feed ()
+  done;
+  let current = pending () in
+  P.cancel outer;
+  P.cancel outer;
+  check_int "pending read cancelled exactly once" 1 !hooks;
+  check_bool "pending read failed" true (P.state current = `Failed P.Canceled);
+  check_bool "loop failed" true (P.state outer = `Failed P.Canceled)
+
+let test_merge_waiter_order () =
+  let log = ref [] in
+  let note name _ = log := name :: !log in
+  let t, tu = P.wait () in
+  let inner, iu = P.wait () in
+  P.on_resolve inner (note "inner-before");
+  let outer = t >>= fun () -> inner in
+  P.on_resolve outer (note "outer-before");
+  P.wakeup tu ();
+  (* [inner] is pending, so bind has now joined [outer] to it *)
+  P.on_resolve outer (note "outer-after");
+  P.on_resolve inner (note "inner-after");
+  P.wakeup iu 7;
+  check_bool "order" true
+    (List.rev !log = [ "inner-before"; "outer-before"; "outer-after"; "inner-after" ]);
+  check_bool "outer value" true (P.state outer = `Resolved 7)
+
+let test_handlers_return_pending () =
+  let t, tu = P.wait () and h, hu = P.wait () in
+  let c = P.catch (fun () -> t) (fun _ -> h) in
+  P.wakeup_exn tu Exit;
+  check_bool "catch waits for handler" true (P.state c = `Pending);
+  P.wakeup hu 5;
+  check_bool "catch resolved by handler" true (P.state c = `Resolved 5);
+  let t, tu = P.wait () and h, hu = P.wait () in
+  let c = P.catch (fun () -> t) (fun _ -> h) in
+  P.wakeup_exn tu Exit;
+  P.wakeup_exn hu Not_found;
+  check_bool "catch fails with handler's failure" true (P.state c = `Failed Not_found);
+  let t, tu = P.wait () and k, ku = P.wait () in
+  let b = P.try_bind (fun () -> t) (fun v -> k >|= ( + ) v) (fun _ -> P.return 0) in
+  P.wakeup tu 1;
+  check_bool "try_bind waits for on_ok" true (P.state b = `Pending);
+  P.wakeup ku 2;
+  check_bool "try_bind ok path" true (P.state b = `Resolved 3);
+  let t, tu = P.wait () and k, ku = P.wait () in
+  let b = P.try_bind (fun () -> t) (fun _ -> P.return 0) (fun _ -> k) in
+  P.wakeup_exn tu Exit;
+  check_bool "try_bind waits for on_err" true (P.state b = `Pending);
+  P.wakeup ku 9;
+  check_bool "try_bind error path" true (P.state b = `Resolved 9);
+  let finalized outcome =
+    let t, tu = P.wait () and cl, clu = P.wait () in
+    let cleaned = ref false in
+    let f = P.finalize (fun () -> t) (fun () -> cl >|= fun () -> cleaned := true) in
+    (match outcome with Ok v -> P.wakeup tu v | Error e -> P.wakeup_exn tu e);
+    check_bool "finalize waits for cleanup" true (P.state f = `Pending && not !cleaned);
+    P.wakeup clu ();
+    check_bool "cleanup ran" true !cleaned;
+    P.state f
+  in
+  check_bool "finalize success" true (finalized (Ok 4) = `Resolved 4);
+  check_bool "finalize failure" true (finalized (Error Exit) = `Failed Exit)
+
+let test_proxied_state () =
+  let t, tu = P.wait () and inner, iu = P.wait () in
+  let outer = t >>= fun () -> inner in
+  P.wakeup tu ();
+  check_bool "inner pending" true (P.state inner = `Pending);
+  check_bool "inner wakener pending" true (P.wakener_pending iu);
+  check_bool "outer pending" true (P.state outer = `Pending);
+  P.wakeup iu 3;
+  check_bool "inner resolved" true (P.state inner = `Resolved 3);
+  check_bool "outer resolved" true (P.state outer = `Resolved 3);
+  check_bool "inner wakener spent" false (P.wakener_pending iu);
+  let hooks = ref [] in
+  let t, tu = P.wait () and inner, iu = P.wait () in
+  P.on_cancel inner (fun () -> hooks := "inner" :: !hooks);
+  let outer = t >>= fun () -> inner in
+  P.on_cancel outer (fun () -> hooks := "outer" :: !hooks);
+  P.wakeup tu ();
+  P.cancel outer;
+  check_bool "cancel hooks: outer's, then inner's" true (List.rev !hooks = [ "outer"; "inner" ]);
+  check_bool "inner cancelled" true (P.state inner = `Failed P.Canceled);
+  check_bool "cancelled wakener spent" false (P.wakener_pending iu);
+  P.wakeup iu 1;
+  check_bool "late wakeup ignored" true (P.state outer = `Failed P.Canceled);
+  (* a chain: [inner] joins [mid], then [mid] joins [top] *)
+  let t1, tu1 = P.wait () and t2, tu2 = P.wait () and inner, iu = P.wait () in
+  let mid = t1 >>= fun () -> inner in
+  let top = t2 >>= fun () -> mid in
+  P.wakeup tu1 ();
+  P.wakeup tu2 ();
+  check_bool "chain pending" true (P.state top = `Pending && P.wakener_pending iu);
+  P.wakeup iu 4;
+  check_bool "chain resolved" true
+    (List.for_all (fun p -> P.state p = `Resolved 4) [ inner; mid; top ])
+
 let () =
   Alcotest.run "mthread"
     [
@@ -367,5 +511,14 @@ let () =
           Alcotest.test_case "semaphore bounds concurrency" `Quick test_msem_limits_concurrency;
           Alcotest.test_case "semaphore releases on failure" `Quick test_msem_release_on_failure;
           Alcotest.test_case "condition signal/broadcast" `Quick test_mcond_signal_broadcast;
+        ] );
+      ( "proxy",
+        [
+          Alcotest.test_case "recursive loop in constant space" `Quick test_loop_constant_space;
+          Alcotest.test_case "cancel a running loop" `Quick test_loop_cancel;
+          Alcotest.test_case "waiter order across a merge" `Quick test_merge_waiter_order;
+          Alcotest.test_case "handlers returning pending promises" `Quick
+            test_handlers_return_pending;
+          Alcotest.test_case "state of a proxied promise" `Quick test_proxied_state;
         ] );
     ]
