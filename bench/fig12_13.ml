@@ -1,8 +1,9 @@
 (* Figures 12 and 13: the web appliances of 4.4.
 
-   Figure 12: the Twitter-like dynamic service — Mirage + B-tree appliance
-   vs. nginx+fastCGI+web.py on a Linux VM — reply rate vs. offered session
-   rate (sessions are 9 GETs + 1 POST on one connection).
+   Figure 12: the Twitter-like dynamic service — a Mirage appliance keeping
+   its tweets in an in-memory Hashtbl vs. nginx+fastCGI+web.py on a Linux
+   VM — reply rate vs. offered session rate (sessions are 9 GETs + 1 POST
+   on one connection).
 
    Figure 13: static page serving — Apache2 on Linux in three vCPU
    configurations vs. six single-vCPU Mirage unikernels. *)

@@ -80,18 +80,6 @@ let test_http_parse_render =
   Test.make ~name:"http request render"
     (Staged.stage (fun () -> ignore (Uhttp.Http_wire.render_request req)))
 
-let test_sha256 =
-  let block = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
-  Test.make ~name:"sha256 4KB"
-    (Staged.stage (fun () -> ignore (Crypto.Sha256.digest block)))
-
-let test_chacha =
-  let key = Crypto.Sha256.digest "key" in
-  let nonce = String.sub (Crypto.Sha256.digest "n") 0 12 in
-  let block = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
-  Test.make ~name:"chacha20 4KB"
-    (Staged.stage (fun () -> ignore (Crypto.Chacha20.crypt ~key ~nonce block)))
-
 let test_json_parse =
   let doc =
     Formats.Json.to_string
@@ -136,7 +124,7 @@ let all_tests =
   [
     test_dns_encode_fmap; test_dns_encode_hashtable; test_compress_fmap_big;
     test_compress_hash_big; test_dns_decode; test_checksum; test_tcp_encode; test_ring_cycle;
-    test_of_flow_mod; test_http_parse_render; test_sha256; test_chacha; test_json_parse;
+    test_of_flow_mod; test_http_parse_render; test_json_parse;
   ]
 
 (* ---- the observability guard ----

@@ -44,8 +44,6 @@ end
 
 val webpy_request_cost_ns : int
 
-val apache_request_cost_ns : int
-
 (** The lean Mirage dynamic-web handler cost (§4.4), for symmetry. *)
 val mirage_request_cost_ns : int
 

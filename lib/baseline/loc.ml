@@ -9,7 +9,6 @@ type component = { name : string; loc : int }
 let linux_kernel = { name = "linux (active appliance slice)"; loc = 220_000 }
 let glibc = { name = "glibc (active)"; loc = 60_000 }
 let bind9 = { name = "bind9 (active)"; loc = 75_000 }
-let nsd = { name = "nsd (active)"; loc = 18_000 }
 let apache2 = { name = "apache2 + apr (active)"; loc = 70_000 }
 let nginx_webpy = { name = "nginx + python + web.py (active)"; loc = 130_000 }
 let openssl = { name = "openssl (active)"; loc = 25_000 }

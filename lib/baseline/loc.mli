@@ -8,22 +8,6 @@
 
 type component = { name : string; loc : int }
 
-(** Pre-processed Linux kernel slice relevant to a network appliance. *)
-val linux_kernel : component
-
-(** Userspace components by appliance role. *)
-val glibc : component
-
-val bind9 : component
-val nsd : component
-val apache2 : component
-val nginx_webpy : component
-val openssl : component
-val nox : component
-
-(** Mirage-side counts: runtime plus per-subsystem libraries. *)
-val mirage_components : component list
-
 (** Total active LoC of a Linux appliance for a role. *)
 val linux_appliance : role:[ `Dns | `Web_static | `Web_dynamic | `Openflow ] -> component list
 

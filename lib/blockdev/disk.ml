@@ -5,7 +5,7 @@ type t = {
   sim : Engine.Sim.t;
   sector_bytes : int;
   sectors : int;
-  data : Bytestruct.t;
+  chunks : (int, Bytestruct.t) Hashtbl.t;  (* chunk index -> contents; see [iter_chunks] *)
   access_ns : int;
   bandwidth : int;
   mutable busy_until : int;
@@ -24,7 +24,7 @@ let create sim ?(sector_bytes = 512) ?(access_ns = 55_000) ?(bandwidth_bytes_per
     sim;
     sector_bytes;
     sectors;
-    data = Bytestruct.create (sector_bytes * sectors);
+    chunks = Hashtbl.create 16;
     access_ns;
     bandwidth = bandwidth_bytes_per_sec;
     busy_until = 0;
@@ -35,7 +35,6 @@ let create sim ?(sector_bytes = 512) ?(access_ns = 55_000) ?(bandwidth_bytes_per
 
 let sector_bytes t = t.sector_bytes
 let sectors t = t.sectors
-let capacity_bytes t = t.sector_bytes * t.sectors
 let reads_issued t = t.reads
 let writes_issued t = t.writes
 
@@ -52,12 +51,49 @@ let check t ~sector ~count =
   if sector < 0 || count < 0 || sector + count > t.sectors then
     raise (Out_of_range (Printf.sprintf "sectors [%d,%d) of %d" sector (sector + count) t.sectors))
 
-let peek t ~sector ~count =
-  check t ~sector ~count;
+(* Contents live in fixed-size chunks, allocated on the first write that
+   touches them, so a device costs memory only for what was written; an
+   absent chunk reads as zeros. [iter_chunks] splits the byte range
+   [pos, pos + len) at chunk boundaries and calls [f chunk_index
+   offset_in_chunk offset_in_range n] once per piece. *)
+let chunk_bytes = 65536
+
+let iter_chunks ~pos ~len f =
+  let rec go off =
+    if off < len then begin
+      let p = pos + off in
+      let within = p mod chunk_bytes in
+      let n = min (chunk_bytes - within) (len - off) in
+      f (p / chunk_bytes) within off n;
+      go (off + n)
+    end
+  in
+  go 0
+
+let load t ~sector ~count =
   let bytes = count * t.sector_bytes in
   let out = Bytestruct.create bytes in
-  Bytestruct.blit t.data (sector * t.sector_bytes) out 0 bytes;
+  iter_chunks ~pos:(sector * t.sector_bytes) ~len:bytes (fun i within off n ->
+      match Hashtbl.find_opt t.chunks i with
+      | Some chunk -> Bytestruct.blit chunk within out off n
+      | None -> ());
   out
+
+let store t ~sector data ~len =
+  iter_chunks ~pos:(sector * t.sector_bytes) ~len (fun i within off n ->
+      let chunk =
+        match Hashtbl.find_opt t.chunks i with
+        | Some chunk -> chunk
+        | None ->
+          let chunk = Bytestruct.create chunk_bytes in
+          Hashtbl.add t.chunks i chunk;
+          chunk
+      in
+      Bytestruct.blit data off chunk within n)
+
+let peek t ~sector ~count =
+  check t ~sector ~count;
+  load t ~sector ~count
 
 let read t ~sector ~count =
   check t ~sector ~count;
@@ -65,9 +101,7 @@ let read t ~sector ~count =
   let bytes = count * t.sector_bytes in
   let delay = service t ~bytes in
   Mthread.Promise.bind (Mthread.Promise.sleep t.sim delay) (fun () ->
-      let out = Bytestruct.create bytes in
-      Bytestruct.blit t.data (sector * t.sector_bytes) out 0 bytes;
-      Mthread.Promise.return out)
+      Mthread.Promise.return (load t ~sector ~count))
 
 let write t ~sector data =
   let len = Bytestruct.length data in
@@ -80,9 +114,9 @@ let write t ~sector data =
       match t.torn with
       | Some keep when keep < count ->
         t.torn <- None;
-        Bytestruct.blit data 0 t.data (sector * t.sector_bytes) (keep * t.sector_bytes);
+        store t ~sector data ~len:(keep * t.sector_bytes);
         Mthread.Promise.fail Torn_write
       | _ ->
         t.torn <- None;
-        Bytestruct.blit data 0 t.data (sector * t.sector_bytes) len;
+        store t ~sector data ~len;
         Mthread.Promise.return ())

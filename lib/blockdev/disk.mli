@@ -2,8 +2,8 @@
 
     Requests are serviced in arrival order through a single queue; each
     request costs a fixed access latency plus size divided by internal
-    bandwidth. Contents are backed by real bytes so filesystems and the
-    B-tree store read back exactly what they wrote. *)
+    bandwidth. Contents are backed by real bytes, so a reader gets back
+    exactly what was written; sectors never written read as zeros. *)
 
 type t
 
@@ -18,7 +18,6 @@ val create :
 
 val sector_bytes : t -> int
 val sectors : t -> int
-val capacity_bytes : t -> int
 
 exception Out_of_range of string
 
@@ -36,7 +35,8 @@ val write : t -> sector:int -> Bytestruct.t -> unit Mthread.Promise.t
 val peek : t -> sector:int -> count:int -> Bytestruct.t
 
 (** Torn-write failure injection: the next write persists only its first
-    [sectors] sectors and then fails — used to test B-tree crash safety. *)
+    [sectors] sectors and then fails — for testing crash safety of layers
+    above the device. *)
 val inject_torn_write : t -> sectors:int -> unit
 
 exception Torn_write

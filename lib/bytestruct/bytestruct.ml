@@ -179,4 +179,3 @@ let hexdump t =
   done;
   Buffer.contents buf
 
-let pp fmt t = Format.fprintf fmt "<bytestruct len=%d>" t.len

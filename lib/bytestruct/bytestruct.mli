@@ -109,4 +109,3 @@ val set_string : t -> int -> string -> unit
 (** Conventional 16-bytes-per-line hexdump. *)
 val hexdump : t -> string
 
-val pp : Format.formatter -> t -> unit

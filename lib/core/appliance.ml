@@ -88,8 +88,6 @@ let hostnet n = match n.net with Sockets h -> Some h | Direct _ -> None
 module Handle = struct
   type status = Running | Draining | Stopped
 
-  let status_name = function Running -> "running" | Draining -> "draining" | Stopped -> "stopped"
-
   type t = {
     h_networked : networked;
     h_hv : Xensim.Hypervisor.t;

@@ -57,7 +57,6 @@ module Handle : sig
     | Stopped
 
   val status : t -> status
-  val status_name : status -> string
 
   (** The network plumbing: unikernel, address and stack or sockets. *)
   val networked : t -> networked
@@ -82,11 +81,6 @@ module Handle : sig
       ([Uhttp.Server], [Dns.Server]). All hooks run concurrently when
       {!drain} is called; {!shutdown} skips them. *)
   val on_drain : t -> (unit -> unit Mthread.Promise.t) -> unit
-
-  (** Record an extra service-directory advertisement to withdraw at
-      death (the /metrics advertisement from [Boot_spec.metrics_port] is
-      recorded automatically). *)
-  val add_advertisement : t -> string -> unit
 
   (** Immediate stop: withdraw advertisements, detach the vif (frames in
       flight vanish), destroy the domain with exit code 0. Idempotent. *)

@@ -11,7 +11,6 @@ module Net = struct
   module Http_client = Uhttp.Client.Make (Netstack.Device.Tcp)
   module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
   module Dns = Dns.Server.Make (Netstack.Device.Udp)
-  module Smtp = Smtp.Make (Netstack.Device.Tcp)
   module Baseline = Baseline.Appliances.Make (Netstack.Device.Tcp)
   module Metrics = Uhttp.Metrics_export.Make (Netstack.Device)
   module Monitor = Monitor.Make (Netstack.Device.Tcp)
@@ -25,7 +24,6 @@ module Host = struct
   module Http_client = Uhttp.Client.Make (Hostnet.Device.Tcp)
   module Httperf = Uhttp.Httperf.Make (Hostnet.Device.Tcp)
   module Dns = Dns.Server.Make (Hostnet.Device.Udp)
-  module Smtp = Smtp.Make (Hostnet.Device.Tcp)
   module Baseline = Baseline.Appliances.Make (Hostnet.Device.Tcp)
   module Metrics = Uhttp.Metrics_export.Make (Hostnet.Device)
   module Monitor = Monitor.Make (Hostnet.Device.Tcp)

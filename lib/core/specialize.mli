@@ -35,7 +35,6 @@ val plan : ?target:Target.t -> Config.t -> dce -> plan
     outside the closure of the requested roots. *)
 val verify : plan -> (unit, string) result
 
-val contains : plan -> string -> bool
 
 (** Libraries in the registry that specialisation dropped. *)
 val elided : plan -> string list

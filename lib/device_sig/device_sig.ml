@@ -1,7 +1,7 @@
 (* Device signatures (paper §3, Fig. 2): the module types that separate
    application libraries from the device backends they run on. Protocol
-   servers (`Uhttp.Server`, `Dns.Server`, `Smtp`, `Baseline.Appliances`)
-   are functors over these signatures; the configure step — `Unikernel.target`
+   servers (`Uhttp.Server`, `Dns.Server`, `Baseline.Appliances`) are
+   functors over these signatures; the configure step — `Unikernel.target`
    via `Core.Appliance`/`Core.Apps` — picks the implementation: the
    type-safe unikernel netstack over a PV ring or tuntap device, or the
    `Hostnet` shim that models host-kernel sockets for the POSIX developer
@@ -99,7 +99,7 @@ end
 
 (** Buffered reading over any {!FLOW}: lines and counted blocks. The
     channel-iteratee bridge between packet streams and typed protocol
-    streams (paper §3.5) that the HTTP, SMTP and memcache parsers share.
+    streams (paper §3.5) that the HTTP parser reads from.
     Backend-agnostic: [create] closes over the flow's [read], so one
     reader implementation serves every transport. *)
 module Reader : sig
@@ -113,14 +113,6 @@ module Reader : sig
 
   (** Exactly [n] bytes; [None] if the stream ends first. *)
   val exactly : t -> int -> string option Mthread.Promise.t
-
-  (** Like {!exactly} but also consumes a trailing CRLF (memcache framing). *)
-  val block_crlf : t -> int -> string option Mthread.Promise.t
-
-  (** Bytes buffered but not yet consumed. *)
-  val buffered : t -> int
-
-  val eof : t -> bool
 end = struct
   let ( >>= ) = Mthread.Promise.bind
   let return = Mthread.Promise.return
@@ -203,12 +195,4 @@ end = struct
     if available t >= n then return (Some (take t n))
     else if t.eof then return None
     else refill t >>= fun ok -> if ok then exactly t n else return None
-
-  let rec block_crlf t n =
-    if available t >= n + 2 then return (Some (take_drop t (n + 2) 2))
-    else if t.eof then return None
-    else refill t >>= fun ok -> if ok then block_crlf t n else return None
-
-  let buffered = available
-  let eof t = t.eof
 end

@@ -20,7 +20,6 @@ val connect :
   unit ->
   t
 
-val sector_bytes : t -> int
 val sectors : t -> int
 
 (** [read t ~sector ~count] returns a fresh buffer of [count] sectors,

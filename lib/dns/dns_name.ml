@@ -21,4 +21,3 @@ let is_suffix ~suffix name =
 
 let encoded_length t = List.fold_left (fun acc l -> acc + 1 + String.length l) 1 t
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

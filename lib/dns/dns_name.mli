@@ -19,4 +19,3 @@ val is_suffix : suffix:t -> t -> bool
 (** Total encoded length (labels + length bytes + root). *)
 val encoded_length : t -> int
 
-val pp : Format.formatter -> t -> unit

@@ -24,18 +24,6 @@ let qtype_of_int = function
   | 255 -> ANY
   | i -> Unknown_qtype i
 
-let qtype_to_string = function
-  | A -> "A"
-  | NS -> "NS"
-  | CNAME -> "CNAME"
-  | SOA -> "SOA"
-  | PTR -> "PTR"
-  | MX -> "MX"
-  | TXT -> "TXT"
-  | AAAA -> "AAAA"
-  | ANY -> "ANY"
-  | Unknown_qtype i -> string_of_int i
-
 type rcode = No_error | Format_error | Server_failure | Name_error | Not_implemented | Refused
 
 let rcode_to_int = function

@@ -4,13 +4,8 @@
 type qtype = A | NS | CNAME | SOA | PTR | MX | TXT | AAAA | ANY | Unknown_qtype of int
 
 val qtype_to_int : qtype -> int
-val qtype_of_int : int -> qtype
-val qtype_to_string : qtype -> string
 
 type rcode = No_error | Format_error | Server_failure | Name_error | Not_implemented | Refused
-
-val rcode_to_int : rcode -> int
-val rcode_of_int : int -> rcode
 
 type flags = {
   qr : bool;  (** response *)
@@ -22,7 +17,6 @@ type flags = {
   rcode : rcode;
 }
 
-val query_flags : flags
 val response_flags : aa:bool -> rcode:rcode -> flags
 
 type question = { qname : Dns_name.t; qtype : qtype }

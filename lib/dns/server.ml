@@ -146,7 +146,6 @@ module Make (U : Device_sig.UDP) = struct
     end;
     Mthread.Promise.return ()
 
-  let draining t = t.draining
   let queries_served t = t.served
   let decode_failures t = t.decode_failures
   let memo t = t.memo

@@ -38,7 +38,6 @@ module Make (U : Device_sig.UDP) : sig
       listener). Resolves immediately; idempotent. *)
   val drain : t -> unit Mthread.Promise.t
 
-  val draining : t -> bool
   val queries_served : t -> int
   val decode_failures : t -> int
   val memo : t -> Memo.t option

@@ -128,6 +128,4 @@ let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let capacity t = Array.length t.heap

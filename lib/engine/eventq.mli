@@ -17,9 +17,6 @@ val create : unit -> t
 (** Number of pending events; O(1). *)
 val length : t -> int
 
-(** O(1). *)
-val is_empty : t -> bool
-
 (** [push t ~time f] schedules [f] at absolute virtual [time]. *)
 val push : t -> time:int -> (unit -> unit) -> handle
 

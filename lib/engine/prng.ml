@@ -33,8 +33,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then epsilon_float else u in
   -.mean *. log u
 
-let uniform_in t lo hi = lo +. float t (hi -. lo)
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -32,8 +32,5 @@ val bool : t -> bool
 (** [exponential t ~mean] samples an exponential distribution. *)
 val exponential : t -> mean:float -> float
 
-(** [uniform_in t lo hi] returns a uniform float in [lo, hi). *)
-val uniform_in : t -> float -> float -> float
-
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit

@@ -26,11 +26,8 @@ val print_summary : unit -> unit
     [mirage_sim profile]. *)
 val write_profile : out_channel -> unit
 
-(** Top-style table of the profiler state: per-(stack, dom) vCPU time
-    sorted by run time descending with share-of-total, then the per-packet
-    datapath cost table. [""] when both planes are empty. *)
-val profile_summary_string : unit -> string
-
-(** Print {!profile_summary_string} to stdout with a heading, if
-    non-empty. *)
+(** Print a top-style table of the profiler state to stdout with a
+    heading: per-(stack, dom) vCPU time sorted by run time descending with
+    share-of-total, then the per-packet datapath cost table. Prints
+    nothing when both planes are empty. *)
 val print_profile_summary : unit -> unit

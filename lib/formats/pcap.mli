@@ -15,8 +15,6 @@
     ids and link metadata travel in a JSONL sidecar written next to the
     capture (see [Netsim.Capture]). *)
 
-val linktype_ethernet : int
-
 (** One captured record. [len] is the original frame length on the wire;
     [data] holds the stored bytes ([String.length data <= len] when the
     capture truncated at its snaplen). *)

@@ -16,8 +16,6 @@ type t = {
   dom : Xensim.Domain.t;
   netif : Devices.Netif.t;
   stack : Netstack.Stack.t;
-  mutable socket_ops : int;  (* syscalls crossing the boundary *)
-  mutable bytes_copied : int;  (* payload bytes copied across it *)
 }
 
 (* One socket call moving [bytes_len] payload bytes between user and
@@ -27,25 +25,19 @@ let tax t ~bytes_len =
   Platform.syscall_cost p 1 + Platform.copy_cost p ~bytes_len
 
 let charge t ~bytes_len =
-  t.socket_ops <- t.socket_ops + 1;
-  t.bytes_copied <- t.bytes_copied + bytes_len;
   Xensim.Domain.charge t.dom ~cost:(tax t ~bytes_len)
 
 let charge_k t ~bytes_len k =
-  t.socket_ops <- t.socket_ops + 1;
-  t.bytes_copied <- t.bytes_copied + bytes_len;
   Xensim.Domain.charge_k t.dom ~cost:(tax t ~bytes_len) k
 
 let create sim ~dom ~nic config =
   let netif = Devices.Netif.connect_direct ~dom ~nic () in
   Netstack.Stack.create sim ~dom ~netif config >>= fun stack ->
-  return { sim; dom; netif; stack; socket_ops = 0; bytes_copied = 0 }
+  return { sim; dom; netif; stack }
 
 let kernel_stack t = t.stack
 let netif t = t.netif
 let address t = Netstack.Stack.address t.stack
-let socket_ops t = t.socket_ops
-let bytes_copied t = t.bytes_copied
 
 module Device = struct
   module Tcp = struct

@@ -26,12 +26,6 @@ val kernel_stack : t -> Netstack.Stack.t
 val netif : t -> Devices.Netif.t
 val address : t -> Netstack.Ipaddr.t
 
-(** Socket calls that crossed the user/kernel boundary. *)
-val socket_ops : t -> int
-
-(** Payload bytes copied across it. *)
-val bytes_copied : t -> int
-
 (** The socket layer under the {!Device_sig} contracts. *)
 module Device : sig
   module Tcp : Device_sig.TCP with type t = t and type ipaddr = Netstack.Ipaddr.t

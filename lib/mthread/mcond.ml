@@ -16,5 +16,3 @@ let broadcast t v =
   let all = Queue.to_seq t.waiters |> List.of_seq in
   Queue.clear t.waiters;
   List.iter (fun u -> if Promise.wakener_pending u then Promise.wakeup u v) all
-
-let waiter_count t = Queue.length t.waiters

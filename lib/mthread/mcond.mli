@@ -12,5 +12,3 @@ val signal : 'a t -> 'a -> unit
 
 (** Wake every current waiter. *)
 val broadcast : 'a t -> 'a -> unit
-
-val waiter_count : 'a t -> int

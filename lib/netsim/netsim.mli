@@ -309,9 +309,6 @@ module Capture : sig
       [{"idx","t_ns","dir","link","flow","len","summary"}]. *)
   val flows_json : t -> string
 
-  (** tcpdump-style one-liner for a raw Ethernet frame. *)
-  val summarize : Bytestruct.t -> string
-
   (** Drop all retained frames (releasing their references). *)
   val clear : t -> unit
 

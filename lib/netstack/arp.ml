@@ -13,7 +13,6 @@ type t = {
   cache : (Ipaddr.t, Macaddr.t) Hashtbl.t;
   waiting : (Ipaddr.t, Macaddr.t Mthread.Promise.u list ref) Hashtbl.t;
   mutable requests_sent : int;
-  mutable replies_sent : int;
 }
 
 let build_packet ~op ~sha ~spa ~tha ~tpa =
@@ -49,7 +48,6 @@ let handle t ~payload =
     let tpa = Ipaddr.get payload 24 in
     if not (Ipaddr.equal spa Ipaddr.any) then learn t spa sha;
     if op = op_request && Ipaddr.equal tpa t.ip then begin
-      t.replies_sent <- t.replies_sent + 1;
       let reply =
         build_packet ~op:op_reply ~sha:(Ethernet.mac t.eth) ~spa:t.ip ~tha:sha ~tpa:spa
       in
@@ -66,7 +64,6 @@ let create sim eth ~ip =
       cache = Hashtbl.create 32;
       waiting = Hashtbl.create 8;
       requests_sent = 0;
-      replies_sent = 0;
     }
   in
   Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_arp (fun ~src:_ ~dst:_ ~payload ->
@@ -145,6 +142,4 @@ let resolve t ip =
 let add_static t ~ip ~mac = learn t ip mac
 
 let cached t ip = Hashtbl.find_opt t.cache ip
-let cache_size t = Hashtbl.length t.cache
 let requests_sent t = t.requests_sent
-let replies_sent t = t.replies_sent

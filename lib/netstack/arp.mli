@@ -25,6 +25,4 @@ val add_static : t -> ip:Ipaddr.t -> mac:Macaddr.t -> unit
 (** Broadcast a gratuitous ARP for our address. *)
 val announce : t -> unit Mthread.Promise.t
 
-val cache_size : t -> int
 val requests_sent : t -> int
-val replies_sent : t -> int

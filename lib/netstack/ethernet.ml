@@ -7,7 +7,6 @@ type handler = src:Macaddr.t -> dst:Macaddr.t -> payload:Bytestruct.t -> unit
 type t = {
   netif : Devices.Netif.t;
   handlers : (int, handler) Hashtbl.t;
-  mutable unknown : int;
 }
 
 let handle t frame =
@@ -18,11 +17,11 @@ let handle t frame =
     let payload = Bytestruct.shift frame header_bytes in
     match Hashtbl.find_opt t.handlers ethertype with
     | Some f -> f ~src ~dst ~payload
-    | None -> t.unknown <- t.unknown + 1
+    | None -> ()
   end
 
 let create netif =
-  let t = { netif; handlers = Hashtbl.create 4; unknown = 0 } in
+  let t = { netif; handlers = Hashtbl.create 4 } in
   Devices.Netif.set_listener netif (fun frame -> handle t frame);
   t
 
@@ -52,5 +51,3 @@ let output t ~dst ~ethertype fragments =
       header_bytes fragments
   in
   Devices.Netif.write ~owner:pb t.netif frame
-
-let unknown_frames t = t.unknown

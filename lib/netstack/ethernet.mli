@@ -24,6 +24,3 @@ val set_handler : t -> ethertype:int -> handler -> unit
 
 (** [output t ~dst ~ethertype fragments] writes one frame. *)
 val output : t -> dst:Macaddr.t -> ethertype:int -> Bytestruct.t list -> unit Mthread.Promise.t
-
-(** Frames received with an EtherType nobody registered. *)
-val unknown_frames : t -> int

@@ -2,7 +2,6 @@ type t = int32
 
 let any = 0l
 let broadcast = 0xFFFFFFFFl
-let localhost = 0x7F000001l
 
 let v4 a b c d =
   List.iter
@@ -35,4 +34,3 @@ let same_subnet ~netmask a b =
 
 let get buf off = Bytestruct.BE.get_uint32 buf off
 let set buf off t = Bytestruct.BE.set_uint32 buf off t
-let pp fmt t = Format.pp_print_string fmt (to_string t)

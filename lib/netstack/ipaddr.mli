@@ -4,7 +4,6 @@ type t
 
 val any : t
 val broadcast : t
-val localhost : t
 
 (** [v4 a b c d] builds [a.b.c.d]. *)
 val v4 : int -> int -> int -> int -> t
@@ -26,4 +25,3 @@ val same_subnet : netmask:t -> t -> t -> bool
 val get : Bytestruct.t -> int -> t
 
 val set : Bytestruct.t -> int -> t -> unit
-val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ type t = {
   mutable cfg : config;
   handlers : (int, handler) Hashtbl.t;
   mutable ident : int;
-  mutable sent : int;
-  mutable received : int;
   mutable checksum_failures : int;
 }
 
@@ -28,13 +26,10 @@ let create sim eth arp cfg =
       cfg;
       handlers = Hashtbl.create 4;
       ident = 1;
-      sent = 0;
-      received = 0;
       checksum_failures = 0;
     }
   in
   Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_ipv4 (fun ~src:_ ~dst:_ ~payload ->
-      t.received <- t.received + 1;
       if Bytestruct.length payload < header_bytes then
         t.checksum_failures <- t.checksum_failures + 1
       else begin
@@ -109,7 +104,6 @@ let output t ~dst ~proto fragments =
   let payload_len = Bytestruct.lenv fragments in
   if payload_len > payload_mtu t then invalid_arg "Ipv4.output: payload exceeds MTU";
   let header = build_header t ~dst ~proto ~payload_len in
-  t.sent <- t.sent + 1;
   if Ipaddr.equal dst Ipaddr.broadcast then
     Ethernet.output t.eth ~dst:Macaddr.broadcast ~ethertype:Ethernet.ethertype_ipv4
       (header :: fragments)
@@ -117,6 +111,4 @@ let output t ~dst ~proto fragments =
     bind (Arp.resolve t.arp (next_hop t dst)) (fun mac ->
         Ethernet.output t.eth ~dst:mac ~ethertype:Ethernet.ethertype_ipv4 (header :: fragments))
 
-let packets_sent t = t.sent
-let packets_received t = t.received
 let checksum_failures t = t.checksum_failures

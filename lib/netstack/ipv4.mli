@@ -30,11 +30,5 @@ val set_handler : t -> proto:int -> handler -> unit
     fragments must already fit the MTU less the 20-byte header. *)
 val output : t -> dst:Ipaddr.t -> proto:int -> Bytestruct.t list -> unit Mthread.Promise.t
 
-(** Maximum payload per datagram. *)
-val payload_mtu : t -> int
-
-val packets_sent : t -> int
-val packets_received : t -> int
-
 (** Datagrams dropped for bad header checksum / malformed header. *)
 val checksum_failures : t -> int

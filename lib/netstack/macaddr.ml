@@ -30,4 +30,3 @@ let is_broadcast t = t = broadcast
 
 let get buf off = Bytestruct.get_string buf off 6
 let set buf off t = Bytestruct.set_string buf off t
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -20,4 +20,3 @@ val is_broadcast : t -> bool
 val get : Bytestruct.t -> int -> t
 
 val set : Bytestruct.t -> int -> t -> unit
-val pp : Format.formatter -> t -> unit

@@ -9,14 +9,5 @@
 (** The column-header line (no trailing newline). *)
 val header : string
 
-(** [tcp_row local si] — one rendered row; [local] is the stack's own
-    address as a string. *)
-val tcp_row : string -> Tcp.sock_info -> string
-
-val udp_row : string -> Udp.sock_info -> string
-
 (** The full table, header first, one socket per line. *)
 val render : Stack.t -> string
-
-(** Human rendering of a nanosecond duration ([12us], [3.4ms], [1.20s]). *)
-val ns_str : int -> string

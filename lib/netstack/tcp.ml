@@ -137,7 +137,6 @@ type flow = {
   mutable syn_tries : int;
   mutable rto_tries : int;  (* consecutive data RTOs without forward progress *)
   mutable error : exn option;
-  mutable bytes_acked : int;
   mutable bytes_received : int;
   (* introspection (the ss-style socket table) *)
   created_ns : int;
@@ -696,7 +695,6 @@ let handle_ack fl ~old_wnd (seg : Tcp_wire.segment) =
     (* New data acknowledged. *)
     let acked = remove_acked fl ack in
     fl.snd_una <- ack;
-    fl.bytes_acked <- fl.bytes_acked + acked;
     fl.dupacks <- 0;
     fl.rto_tries <- 0;
     fl.probes_out <- 0;
@@ -1118,7 +1116,6 @@ let make_flow t key state =
     syn_tries = 0;
     rto_tries = 0;
     error = None;
-    bytes_acked = 0;
     bytes_received = 0;
     created_ns = Engine.Sim.now t.sim;
     retx_count = 0;
@@ -1395,7 +1392,6 @@ let state_name fl =
   | Time_wait -> "TIME_WAIT"
   | Closed -> "CLOSED"
 
-let bytes_acked fl = fl.bytes_acked
 let bytes_received fl = fl.bytes_received
 let cwnd fl = fl.cwnd
 
@@ -1468,7 +1464,6 @@ let sockets t =
     (listens @ flows)
 
 let segments_sent t = t.segs_sent
-let segments_received t = t.segs_received
 let retransmissions t = t.retransmissions
 let fast_retransmits t = t.fast_retransmits
 let rto_fires t = t.rto_fires

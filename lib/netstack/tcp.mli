@@ -66,9 +66,6 @@ val remote : flow -> Ipaddr.t * int
 val local_port : flow -> int
 val state_name : flow -> string
 
-(** Bytes acked by the peer — the iperf measurement hook. *)
-val bytes_acked : flow -> int
-
 val bytes_received : flow -> int
 val cwnd : flow -> int
 
@@ -111,7 +108,6 @@ val sockets : t -> sock_info list
 (** {1 Engine statistics} *)
 
 val segments_sent : t -> int
-val segments_received : t -> int
 val retransmissions : t -> int
 val fast_retransmits : t -> int
 val rto_fires : t -> int

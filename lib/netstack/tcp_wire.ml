@@ -17,7 +17,6 @@ module Seq = struct
   let geq a b = diff a b >= 0
   let equal a b = a = b
   let max a b = if geq a b then a else b
-  let pp fmt t = Format.fprintf fmt "%u" t
 end
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
@@ -141,10 +140,3 @@ let decode ~src ~dst buf =
         }
     end
   end
-
-let pp_segment fmt s =
-  let flag b c = if b then c else "" in
-  Format.fprintf fmt "%d>%d seq=%a ack=%a %s%s%s%s%s win=%d len=%d" s.src_port s.dst_port Seq.pp
-    s.seq Seq.pp s.ack (flag s.flags.syn "S") (flag s.flags.ack "A") (flag s.flags.fin "F")
-    (flag s.flags.rst "R") (flag s.flags.psh "P") s.window
-    (Bytestruct.length s.payload)

@@ -19,7 +19,6 @@ module Seq : sig
   val geq : t -> t -> bool
   val equal : t -> t -> bool
   val max : t -> t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
@@ -49,4 +48,3 @@ val encode : src:Ipaddr.t -> dst:Ipaddr.t -> segment -> Bytestruct.t list
 val decode :
   src:Ipaddr.t -> dst:Ipaddr.t -> Bytestruct.t -> (segment, [ `Too_short | `Bad_checksum ]) result
 
-val pp_segment : Format.formatter -> segment -> unit

@@ -112,7 +112,6 @@ let sendto t ~src_port ~dst ~dst_port payload =
   Ipv4.output t.ip ~dst ~proto:Ipv4.proto_udp [ h; payload ]
 
 let datagrams_sent t = t.sent
-let datagrams_received t = t.received
 let checksum_failures t = t.checksum_failures
 let no_listener t = t.no_listener
 

@@ -26,7 +26,6 @@ val sendto :
   t -> src_port:int -> dst:Ipaddr.t -> dst_port:int -> Bytestruct.t -> unit Mthread.Promise.t
 
 val datagrams_sent : t -> int
-val datagrams_received : t -> int
 val checksum_failures : t -> int
 
 (** Datagrams for ports nobody listens on. *)

@@ -53,34 +53,12 @@ let learning_app () =
   in
   { packet_in }
 
-let blind_app () =
-  let packet_in ~dpid:_ (pi : Of_wire.packet_in) =
-    match parse_l2 pi.Of_wire.data with
-    | None -> []
-    | Some (dl_dst, dl_src) ->
-      [
-        Of_wire.Flow_mod
-          {
-            Of_wire.fm_match = Of_wire.match_l2 ~in_port:pi.Of_wire.pi_in_port ~dl_src ~dl_dst;
-            cookie = 0L;
-            command = `Add;
-            idle_timeout = 60;
-            hard_timeout = 0;
-            priority = 100;
-            buffer_id = pi.Of_wire.pi_buffer_id;
-            fm_actions = [ Of_wire.Output 1 ];
-          };
-      ]
-  in
-  { packet_in }
-
 type t = {
   sim : Engine.Sim.t;
   dom : Xensim.Domain.t option;
   profile : profile;
   app : app;
   mutable packet_ins : int;
-  mutable replies : int;
   mutable switches : int;
   mutable next_xid : int;
 }
@@ -106,7 +84,6 @@ let serve t flow =
   let out = Buffer.create 512 in
   let queue_reply msg =
     t.next_xid <- t.next_xid + 1;
-    t.replies <- t.replies + 1;
     Buffer.add_string out (Of_wire.encode ~xid:t.next_xid msg)
   in
   let rec handle_buffered () =
@@ -154,7 +131,7 @@ let serve t flow =
 let create sim ?dom ~tcp ?(port = 6633) ~profile ?app () =
   let app = match app with Some a -> a | None -> learning_app () in
   let t =
-    { sim; dom; profile; app; packet_ins = 0; replies = 0; switches = 0; next_xid = 0 }
+    { sim; dom; profile; app; packet_ins = 0; switches = 0; next_xid = 0 }
   in
   Netstack.Tcp.listen tcp ~port (fun flow ->
       Mthread.Promise.catch
@@ -165,5 +142,4 @@ let create sim ?dom ~tcp ?(port = 6633) ~profile ?app () =
   t
 
 let packet_ins t = t.packet_ins
-let replies_sent t = t.replies
 let switches_connected t = t.switches

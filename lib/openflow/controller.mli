@@ -26,15 +26,6 @@ val maestro_profile : profile
 (** Application logic: replies to send for a packet-in. *)
 type app = { packet_in : dpid:int64 -> Of_wire.packet_in -> Of_wire.msg list }
 
-(** L2 learning switch application (the cbench workload's target):
-    learns [dl_src -> in_port]; known destinations get a Flow_mod (counted
-    by cbench) plus a Packet_out, unknown ones a flood Packet_out. *)
-val learning_app : unit -> app
-
-(** Reply Flow_mod to every packet-in unconditionally (destiny-fast
-    semantics; maximises measurable throughput). *)
-val blind_app : unit -> app
-
 type t
 
 val create :
@@ -48,5 +39,4 @@ val create :
   t
 
 val packet_ins : t -> int
-val replies_sent : t -> int
 val switches_connected : t -> int

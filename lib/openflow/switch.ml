@@ -8,7 +8,6 @@ type t = {
   buffers : (int32, string * int) Hashtbl.t;  (* buffer_id -> frame, in_port *)
   mutable next_buffer : int32;
   mutable next_xid : int;
-  mutable packet_ins : int;
 }
 
 let ( >>= ) = Mthread.Promise.bind
@@ -103,7 +102,6 @@ let connect sim tcp ~controller ?(port = 6633) ~dpid ~n_ports ~send_frame () =
       buffers = Hashtbl.create 64;
       next_buffer = 1l;
       next_xid = 0;
-      packet_ins = 0;
     }
   in
   send t Of_wire.Hello;
@@ -119,7 +117,6 @@ let receive_frame t ~in_port frame =
     let buffer_id = t.next_buffer in
     t.next_buffer <- Int32.add t.next_buffer 1l;
     Hashtbl.replace t.buffers buffer_id (frame, in_port);
-    t.packet_ins <- t.packet_ins + 1;
     send t
       (Of_wire.Packet_in
          {
@@ -131,6 +128,5 @@ let receive_frame t ~in_port frame =
          })
 
 let flow_table t = t.table
-let packet_ins_sent t = t.packet_ins
 let table_hits t = Flow_table.hits t.table
 let buffered_packets t = Hashtbl.length t.buffers

@@ -25,6 +25,5 @@ val connect :
 val receive_frame : t -> in_port:int -> string -> unit
 
 val flow_table : t -> Flow_table.t
-val packet_ins_sent : t -> int
 val table_hits : t -> int
 val buffered_packets : t -> int

@@ -129,4 +129,3 @@ let tx_cost t ~bytes_len =
   let base = t.per_packet_ns + t.io_sched_penalty_ns in
   if t.userspace_copy then base + t.syscall_ns + copy_cost t ~bytes_len else base
 
-let pp fmt t = Format.fprintf fmt "%s" t.name

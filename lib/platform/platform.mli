@@ -88,4 +88,3 @@ val tx_cost : t -> bytes_len:int -> int
 (** Pure memcpy of [bytes_len] bytes. *)
 val copy_cost : t -> bytes_len:int -> int
 
-val pp : Format.formatter -> t -> unit

@@ -49,4 +49,3 @@ let free t (e : extent) =
 
 let free_bytes t = List.fold_left (fun acc h -> acc + h.len) 0 t.holes
 let used_bytes t = t.size - free_bytes t
-let largest_hole t = List.fold_left (fun acc h -> max acc h.len) 0 t.holes

@@ -22,6 +22,3 @@ val free : t -> extent -> unit
 
 val used_bytes : t -> int
 val free_bytes : t -> int
-
-(** Largest allocation that would currently succeed. *)
-val largest_hole : t -> int

@@ -8,7 +8,6 @@ type t = {
   mutable next_major_at : int;  (* live threshold triggering a major cycle *)
   mutable minor_collections : int;
   mutable major_collections : int;
-  mutable total_gc_ns : int;
 }
 
 (* Calibration:
@@ -38,7 +37,6 @@ let create ~platform ?(minor_kib = 2048) () =
     next_major_at = 8 * 1024 * 1024;
     minor_collections = 0;
     major_collections = 0;
-    total_gc_ns = 0;
   }
 
 let page_map_cost_ns t ~bytes =
@@ -86,7 +84,6 @@ let minor_collect t =
     end
     else cost
   in
-  t.total_gc_ns <- t.total_gc_ns + cost;
   cost
 
 let alloc_common t ~bytes ~live =
@@ -104,4 +101,3 @@ let live_bytes t = t.live_bytes
 let major_capacity_bytes t = t.major_capacity
 let minor_collections t = t.minor_collections
 let major_collections t = t.major_collections
-let total_gc_ns t = t.total_gc_ns

@@ -27,6 +27,3 @@ val live_bytes : t -> int
 val major_capacity_bytes : t -> int
 val minor_collections : t -> int
 val major_collections : t -> int
-
-(** Cumulative ns spent in modelled collector work. *)
-val total_gc_ns : t -> int

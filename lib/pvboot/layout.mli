@@ -28,13 +28,7 @@ val install : t -> Xensim.Pagetable.t -> unit
     text/data sections (paper §2.3.4). *)
 val install_only : t -> Xensim.Pagetable.t -> region_kind list -> unit
 
-val kind_to_string : region_kind -> string
-
 (** Canonical virtual-address constants (exposed for tests). *)
-
-val text_base : int
-val xen_reserved_base : int
-val xen_reserved_len : int
 val minor_heap_extent_bytes : int
 
 (** 2 MB, the superpage granule used by the major heap. *)

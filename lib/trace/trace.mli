@@ -24,8 +24,6 @@ type category =
   | Net  (** network stack (TCP rtt, retransmit, rx processing) *)
   | User of string
 
-val category_name : category -> string
-
 (** Typed event payloads, kept primitive so emission never allocates
     surprisingly. *)
 type value = Int of int | Float of float | String of string | Bool of bool

@@ -2,9 +2,6 @@
 
 type meth = GET | POST | PUT | DELETE | HEAD
 
-val meth_to_string : meth -> string
-val meth_of_string : string -> meth option
-
 type request = {
   meth : meth;
   path : string;
@@ -24,8 +21,6 @@ val header : (string * string) list -> string -> string option
 
 (** True unless [Connection: close] (HTTP/1.1 default keep-alive). *)
 val keep_alive : (string * string) list -> bool
-
-val reason_of_status : int -> string
 
 (** Build a response; adds Content-Length automatically. *)
 val response : ?headers:(string * string) list -> status:int -> string -> response

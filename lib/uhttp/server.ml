@@ -204,10 +204,8 @@ module Make (T : Device_sig.TCP) = struct
       p
     end
 
-  let draining t = t.draining
   let active_connections t = t.active
   let requests_served t = t.requests
   let connections_accepted t = t.connections
   let bad_requests t = t.bad
-  let bytes_sent t = t.bytes_sent
 end

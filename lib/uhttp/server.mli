@@ -69,13 +69,10 @@ module Make (T : Device_sig.TCP) : sig
       drained server never serves again. *)
   val drain : t -> unit Mthread.Promise.t
 
-  val draining : t -> bool
-
   (** Connections currently open (serving or parked). *)
   val active_connections : t -> int
 
   val requests_served : t -> int
   val connections_accepted : t -> int
   val bad_requests : t -> int
-  val bytes_sent : t -> int
 end

@@ -101,6 +101,3 @@ let hypercall d ~name =
 
 let shutdown d ~exit_code = d.state <- Shutdown exit_code
 
-let is_running d = match d.state with Running -> true | Building | Blocked | Shutdown _ -> false
-
-let pp fmt d = Format.fprintf fmt "dom%d(%s)" d.id d.name

@@ -51,5 +51,3 @@ val utilisation : t -> span_ns:int -> float
 val hypercall : t -> name:string -> unit
 
 val shutdown : t -> exit_code:int -> unit
-val is_running : t -> bool
-val pp : Format.formatter -> t -> unit

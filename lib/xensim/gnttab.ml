@@ -92,4 +92,3 @@ let end_access t r =
 
 let active_grants t = Hashtbl.length t.entries
 
-let is_mapped t r = (get t r).mapped_by <> []

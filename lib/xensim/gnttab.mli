@@ -54,4 +54,3 @@ val end_access : t -> grant_ref -> unit
 (** Number of live (unrevoked) grants — leak detection in tests. *)
 val active_grants : t -> int
 
-val is_mapped : t -> grant_ref -> bool

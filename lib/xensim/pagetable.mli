@@ -53,4 +53,3 @@ val can_exec : t -> va:int -> bool
 val can_write : t -> va:int -> bool
 
 val regions : t -> region list
-val find_region : t -> va:int -> region option

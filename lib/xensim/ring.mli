@@ -60,7 +60,6 @@ module Front : sig
       once afterwards (Xen's final-check idiom). *)
   val consume_responses : t -> (Bytestruct.t -> unit) -> int
 
-  val has_unconsumed_responses : t -> bool
 end
 
 (** Backend (request consumer / response producer). *)
@@ -72,8 +71,6 @@ module Back : sig
   (** Consume available requests; same final-check contract as
       {!Front.consume_responses}. *)
   val consume_requests : t -> (Bytestruct.t -> unit) -> int
-
-  val has_unconsumed_requests : t -> bool
 
   (** [next_response t] claims the next response slot (aliasing the oldest
       consumed request slot). *)

@@ -31,11 +31,6 @@ let write t ~path value =
 
 let read t ~path = Hashtbl.find_opt t.nodes (normalise path)
 
-let read_exn t ~path =
-  match read t ~path with
-  | Some v -> v
-  | None -> failwith ("Xenstore.read_exn: no node " ^ path)
-
 let rm t ~path =
   let path = normalise path in
   let doomed = Hashtbl.fold (fun k _ acc -> if under ~prefix:path k then k :: acc else acc) t.nodes [] in

@@ -22,6 +22,3 @@ val directory : t -> path:string -> string list
 val watch : t -> path:string -> (path:string -> value:string -> unit) -> watch_id
 
 val unwatch : t -> watch_id -> unit
-
-(** Transaction-free convenience: wait (poll-once) helper used by drivers. *)
-val read_exn : t -> path:string -> string

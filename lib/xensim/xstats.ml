@@ -27,9 +27,3 @@ let reset t =
   t.domain_builds <- 0;
   t.seals <- 0;
   t.page_table_writes <- 0
-
-let pp fmt t =
-  Format.fprintf fmt
-    "hypercalls=%d notifies=%d grant_maps=%d grant_copies=%d builds=%d seals=%d ptw=%d"
-    t.hypercalls t.evtchn_notifies t.grant_maps t.grant_copies t.domain_builds t.seals
-    t.page_table_writes

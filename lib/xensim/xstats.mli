@@ -17,4 +17,3 @@ type t = {
 
 val create : unit -> t
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -63,6 +63,69 @@ let test_disk_torn_write () =
   check_string "first two sectors new" (String.make 1024 'B') (Bytestruct.get_string back 0 1024);
   check_string "last two sectors old" (String.make 1024 'A') (Bytestruct.get_string back 1024 1024)
 
+(* ---- Sparse contents ----
+
+   Contents are kept in 64 KiB chunks, allocated on first write: 128
+   sectors of 512 B, so sector 128 starts the second chunk. *)
+
+let test_disk_rw_across_chunks () =
+  let sim, disk = disk_world () in
+  let data = pattern (8 * 512) in
+  ignore (P.run sim (Blockdev.Disk.write disk ~sector:124 (bs data)));
+  let back = P.run sim (Blockdev.Disk.read disk ~sector:124 ~count:8) in
+  check_string "roundtrip across a chunk boundary" data (Bytestruct.to_string back);
+  let wider = Blockdev.Disk.peek disk ~sector:120 ~count:16 in
+  check_string "unwritten head" (String.make (4 * 512) '\000')
+    (Bytestruct.get_string wider 0 (4 * 512));
+  check_string "written middle" data (Bytestruct.get_string wider (4 * 512) (8 * 512));
+  check_string "unwritten tail" (String.make (4 * 512) '\000')
+    (Bytestruct.get_string wider (12 * 512) (4 * 512))
+
+let test_disk_unwritten_reads_zero () =
+  let sim, disk = disk_world () in
+  ignore (P.run sim (Blockdev.Disk.write disk ~sector:0 (bs (pattern 512))));
+  let back = P.run sim (Blockdev.Disk.read disk ~sector:1000 ~count:300) in
+  check_string "never-written sectors are zero" (String.make (300 * 512) '\000')
+    (Bytestruct.to_string back)
+
+let test_disk_torn_write_across_chunks () =
+  let sim, disk = disk_world () in
+  ignore (P.run sim (Blockdev.Disk.write disk ~sector:124 (bs (String.make (8 * 512) 'A'))));
+  Blockdev.Disk.inject_torn_write disk ~sectors:5;
+  (match P.run sim (Blockdev.Disk.write disk ~sector:124 (bs (String.make (8 * 512) 'B'))) with
+  | exception Blockdev.Disk.Torn_write -> ()
+  | _ -> Alcotest.fail "expected Torn_write");
+  let back = Blockdev.Disk.peek disk ~sector:124 ~count:8 in
+  check_string "five sectors persisted, across the boundary" (String.make (5 * 512) 'B')
+    (Bytestruct.get_string back 0 (5 * 512));
+  check_string "last three sectors old" (String.make (3 * 512) 'A')
+    (Bytestruct.get_string back (5 * 512) (3 * 512));
+  (* Onto never-written sectors: the kept part ends at a chunk boundary,
+     and the next chunk, never written, still reads as zeros. *)
+  Blockdev.Disk.inject_torn_write disk ~sectors:2;
+  (match P.run sim (Blockdev.Disk.write disk ~sector:254 (bs (String.make (4 * 512) 'C'))) with
+  | exception Blockdev.Disk.Torn_write -> ()
+  | _ -> Alcotest.fail "expected Torn_write");
+  let back = Blockdev.Disk.peek disk ~sector:254 ~count:4 in
+  check_string "two sectors persisted" (String.make (2 * 512) 'C')
+    (Bytestruct.get_string back 0 1024);
+  check_string "rest unwritten" (String.make (2 * 512) '\000')
+    (Bytestruct.get_string back 1024 1024)
+
+let test_disk_create_is_lazy () =
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  let sim = Engine.Sim.create () in
+  let disk = Blockdev.Disk.create sim ~sectors:(1 lsl 19) () in
+  let grown = major_words () -. before in
+  check_int "256 MiB device" (1 lsl 19) (Blockdev.Disk.sectors disk);
+  check_bool
+    (Printf.sprintf "creating a 256 MiB disk allocates < 1M major words (%.0f)" grown)
+    true (grown < 1e6)
+
 (* ---- Buffer cache ---- *)
 
 let test_cache_hits () =
@@ -138,6 +201,10 @@ let () =
           Alcotest.test_case "service time scales" `Quick test_disk_service_time_scales;
           Alcotest.test_case "requests queue" `Quick test_disk_queueing;
           Alcotest.test_case "torn write" `Quick test_disk_torn_write;
+          Alcotest.test_case "read/write across chunks" `Quick test_disk_rw_across_chunks;
+          Alcotest.test_case "unwritten sectors read zero" `Quick test_disk_unwritten_reads_zero;
+          Alcotest.test_case "torn write across chunks" `Quick test_disk_torn_write_across_chunks;
+          Alcotest.test_case "create allocates nothing up front" `Quick test_disk_create_is_lazy;
         ] );
       ( "buffer_cache",
         [

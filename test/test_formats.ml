@@ -95,41 +95,6 @@ let prop_sexp_roundtrip =
   qtest ~count:200 "sexp roundtrip" (QCheck.make (gen 3)) (fun v ->
       Formats.Sexp.equal (Formats.Sexp.parse (Formats.Sexp.to_string v)) v)
 
-(* ---- Xml ---- *)
-
-let test_xml_parse () =
-  let doc =
-    {|<?xml version="1.0"?>
-<config env="prod">
-  <listen port="80"/>
-  <greeting>hello &amp; welcome</greeting>
-</config>|}
-  in
-  let root = Formats.Xml.parse doc in
-  check_bool "root attr" true (Formats.Xml.attr "env" root = Some "prod");
-  (match Formats.Xml.child "listen" root with
-  | Some listen -> check_bool "self-closing child attr" true (Formats.Xml.attr "port" listen = Some "80")
-  | None -> Alcotest.fail "listen child");
-  match Formats.Xml.child "greeting" root with
-  | Some g -> check_string "entity decoded" "hello & welcome" (Formats.Xml.text g)
-  | None -> Alcotest.fail "greeting child"
-
-let test_xml_roundtrip () =
-  let v =
-    Formats.Xml.Element
-      ( "stream", [ ("to", "example.org") ],
-        [ Formats.Xml.Element ("message", [], [ Formats.Xml.Text "a < b & c" ]) ] )
-  in
-  check_bool "roundtrip with escaping" true (Formats.Xml.parse (Formats.Xml.to_string v) = v)
-
-let test_xml_errors () =
-  let bad s =
-    match Formats.Xml.parse s with
-    | exception Formats.Xml.Parse_error _ -> ()
-    | _ -> Alcotest.fail ("should reject: " ^ s)
-  in
-  List.iter bad [ "<a><b></a></b>"; "<a"; "<a attr></a>"; "<a></a><b/>"; "plain text" ]
-
 let () =
   Alcotest.run "formats"
     [
@@ -148,11 +113,5 @@ let () =
           Alcotest.test_case "quoting roundtrip" `Quick test_sexp_roundtrip_quoting;
           Alcotest.test_case "errors" `Quick test_sexp_errors;
           prop_sexp_roundtrip;
-        ] );
-      ( "xml",
-        [
-          Alcotest.test_case "parse" `Quick test_xml_parse;
-          Alcotest.test_case "roundtrip" `Quick test_xml_roundtrip;
-          Alcotest.test_case "errors" `Quick test_xml_errors;
         ] );
     ]

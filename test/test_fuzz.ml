@@ -83,27 +83,12 @@ let fuzz_sexp prng =
   | _ -> ()
   | exception Formats.Sexp.Parse_error _ -> ()
 
-let fuzz_xml prng =
-  let s = Bytestruct.to_string (random_buf prng 64) in
-  match Formats.Xml.parse s with
-  | _ -> ()
-  | exception Formats.Xml.Parse_error _ -> ()
-
 let fuzz_zone prng =
   let s = Bytestruct.to_string (random_buf prng 200) in
   match Dns.Zone.parse ~origin:"fz" s with
   | _ -> ()
   | exception Dns.Zone.Parse_error _ -> ()
   | exception Invalid_argument _ -> () (* bad IP literals *)
-
-let fuzz_ssh prng =
-  let s = Bytestruct.to_string (random_buf prng 128) in
-  (match Ssh.Ssh_wire.decode_msg s with
-  | _ -> ()
-  | exception Ssh.Ssh_wire.Decode_error _ -> ());
-  match Ssh.Ssh_wire.unseal ~cipher:None ~mac_key:None ~seq:0 s with
-  | _ -> ()
-  | exception Ssh.Ssh_wire.Decode_error _ -> ()
 
 (* ---- live-stack bombardment ---- *)
 
@@ -200,9 +185,7 @@ let () =
           survives "openflow decode survives random bytes" fuzz_openflow;
           survives "json parser survives random bytes" fuzz_json;
           survives "sexp parser survives random bytes" fuzz_sexp;
-          survives "xml parser survives random bytes" fuzz_xml;
           survives "zone parser survives random bytes" fuzz_zone;
-          survives "ssh decode survives random bytes" fuzz_ssh;
         ] );
       ( "live stack",
         [

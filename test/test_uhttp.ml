@@ -137,7 +137,7 @@ let test_bad_request () =
       ~dst:(Netstack.Stack.address server.stack) ~dst_port:80
     >>= fun flow ->
     Netstack.Tcp.write flow (bs "THIS IS NOT HTTP\r\n\r\n") >>= fun () ->
-    let reader = Netstack.Flow_reader.create flow in
+    let reader = Device_sig.Reader.create ~read:(fun () -> Netstack.Tcp.read flow) in
     H.read_response reader
   in
   (match run w raw_session with

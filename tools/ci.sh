@@ -2,6 +2,7 @@
 # The whole CI gate in one command, run from anywhere inside the repo:
 #
 #   tools/ci.sh            build + tests + formatting + virtual-time bench gates
+#                          + the exact paper-figure gate
 #
 # Stages:
 #   1. dune build           — the tree compiles
@@ -19,6 +20,11 @@
 #                             deterministic) against BENCH_fleet.json: the
 #                             only gate on the autoscaler's scale-event
 #                             schedule
+#   6. diff                 — fresh `--out` run of every paper figure and
+#                             table (fig5 … fig14, table1, table2) against
+#                             BENCH_paper.json. Every row is deterministic,
+#                             so the gate is equality: the diff lists each
+#                             row that moved
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 
@@ -40,5 +46,10 @@ tools/bench_gate.sh BENCH_micro.json "$out"
 echo "== ci: bench gate (fleet scenario) =="
 dune exec bench/main.exe -- fleet --out "$out" >/dev/null
 tools/bench_gate.sh BENCH_fleet.json "$out"
+
+echo "== ci: paper gate (every figure and table, exact) =="
+dune exec bench/main.exe -- fig5 fig6 fig7a fig7b fig8 fig9 fig10 fig11 fig12 fig13 table1 table2 \
+  fig14 --out "$out" >/dev/null
+diff -u BENCH_paper.json "$out"
 
 echo "== ci: OK =="
