@@ -9,18 +9,6 @@ let slot_bytes = 16
 let mtu_bytes = 1500
 let backend_per_packet_ns = 1_600 (* dom0 netback work per frame *)
 
-(* TSO-style doorbell coalescing: when on, TX requests accumulate on the
-   ring and one event-channel notify covers the batch (flushed after
-   [tx_flush_delay_ns] or [tx_batch_max] frames, whichever first). Off
-   by default — the per-frame doorbell keeps wire behaviour, and thus
-   every figure, bit-identical. *)
-let tx_batching = ref false
-let tx_flush_delay_ns = ref 10_000
-let tx_batch_max = 32
-let set_tx_batching ?(flush_delay_ns = 10_000) on =
-  tx_batching := on;
-  tx_flush_delay_ns := flush_delay_ns
-
 let c_doorbell = Trace.counter "netif.tx_doorbells"
 
 (* Instantaneous ring occupancy across all PV netifs in the process;
@@ -62,8 +50,6 @@ type pv = {
   mutable tx_frames : int;
   mutable rx_frames : int;
   mutable rx_dropped : int;
-  mutable tx_unflushed : int;  (* requests on the ring since last doorbell *)
-  mutable tx_flush_pending : bool;
   mutable closed : bool;
   (* Per-vif wire capture: frames as this guest's device sees them (TX at
      the ring, RX at delivery), as opposed to a bridge-wide tap. One null
@@ -368,8 +354,6 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
       tx_frames = 0;
       rx_frames = 0;
       rx_dropped = 0;
-      tx_unflushed = 0;
-      tx_flush_pending = false;
       closed = false;
       capture = None;
     }
@@ -510,18 +494,6 @@ let pool = function Pv t -> t.pool | Direct d -> d.d_pool
 
 let tx_doorbells () = Trace.counter_value c_doorbell
 
-(* Push whatever requests accumulated since the last doorbell and ring
-   it once — the flush side of TSO-style batching. *)
-let pv_tx_flush t =
-  t.tx_flush_pending <- false;
-  if (not t.closed) && t.tx_unflushed > 0 then begin
-    t.tx_unflushed <- 0;
-    if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
-      Trace.incr c_doorbell;
-      Xensim.Evtchn.notify (evtchn t) t.tx_port_front
-    end
-  end
-
 let rec pv_write ?owner t frame =
   let open Mthread.Promise in
   let len = Bytestruct.length frame in
@@ -562,23 +534,9 @@ let rec pv_write ?owner t frame =
         (Xensim.Domain.charge t.dom
            ~cost:(Platform.tx_cost t.dom.Xensim.Domain.platform ~bytes_len:len))
         (fun () ->
-          if not !tx_batching then begin
-            if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
-              Trace.incr c_doorbell;
-              Xensim.Evtchn.notify (evtchn t) t.tx_port_front
-            end
-          end
-          else begin
-            t.tx_unflushed <- t.tx_unflushed + 1;
-            if t.tx_unflushed >= tx_batch_max then pv_tx_flush t
-            else if not t.tx_flush_pending then begin
-              t.tx_flush_pending <- true;
-              let sim = t.hv.Xensim.Hypervisor.sim in
-              ignore
-                (Engine.Sim.at sim
-                   ~time:(Engine.Sim.now sim + !tx_flush_delay_ns)
-                   (fun () -> pv_tx_flush t))
-            end
+          if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
+            Trace.incr c_doorbell;
+            Xensim.Evtchn.notify (evtchn t) t.tx_port_front
           end;
           done_p)
     in

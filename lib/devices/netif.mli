@@ -78,18 +78,10 @@ val set_listener : t -> (Bytestruct.t -> unit) -> unit
     check per frame. *)
 val set_capture : t -> Netsim.Capture.t option -> unit
 
-(** {1 TSO-style doorbell coalescing}
-
-    When enabled, TX requests accumulate on the ring and one
-    event-channel notify covers the whole batch (flushed after
-    [flush_delay_ns], default 10 µs, or 32 frames — whichever first).
-    Off by default: the per-frame doorbell keeps wire timing, and so
-    every figure, bit-identical. *)
-
-val set_tx_batching : ?flush_delay_ns:int -> bool -> unit
-
 (** Process-wide count of TX doorbells rung (the [netif.tx_doorbells]
-    trace counter) — how batching is observed in tests and benches. *)
+    trace counter, so it counts only while tracing is on). Each frame
+    pushes its request and notifies the backend unless it has not yet
+    consumed up to the previous notify. *)
 val tx_doorbells : unit -> int
 
 (** [disconnect t] tears the device down: closes its event channels

@@ -41,20 +41,6 @@ let c_retransmit = Trace.counter "tcp.retransmits"
 let c_persist = Trace.counter "tcp.persist_probes"
 let c_ooo_evict = Trace.counter "tcp.ooo_evictions"
 let c_wnd_stale = Trace.counter "tcp.stale_window_updates"
-let c_gro_merged = Trace.counter "tcp.gro_coalesced"
-
-(* GRO-style receive coalescing: contiguous in-order segments are parked
-   on the flow and delivered (plus ACKed) as one batch when a PSH
-   arrives, a hole opens, the batch hits [gro_max_bytes], or the flush
-   timer expires. Off by default: immediate per-segment delivery and
-   ACKing is what every committed figure was produced under. *)
-let gro_enabled = ref false
-let gro_flush_delay_ns = ref 100_000
-let gro_max_bytes = 65536
-
-let set_gro ?(flush_delay_ns = 100_000) on =
-  gro_enabled := on;
-  gro_flush_delay_ns := flush_delay_ns
 
 type state =
   | Syn_sent
@@ -117,11 +103,6 @@ type flow = {
   rx : Bytestruct.t Mthread.Mstream.t;
   rx_owners : Pktbuf.t option Queue.t;  (* one entry per [rx] push, FIFO *)
   mutable read_hold : Pktbuf.t option;  (* ref backing the chunk last returned by [read] *)
-  (* GRO pending batch: reverse-ordered in-order segments not yet pushed. *)
-  mutable gro_rev : (Bytestruct.t * Pktbuf.t option) list;
-  mutable gro_bytes : int;
-  mutable gro_pkts : int;
-  mutable gro_timer : Engine.Sim.handle option;
   (* timers and RTT estimation *)
   mutable rto_ns : int;
   mutable srtt_ns : int;
@@ -232,19 +213,9 @@ let cancel_persist fl =
     fl.persist_timer <- None
   | None -> ()
 
-(* Drop reassembly and coalescing references back to the pool. Data that
-   never reached the stream is discarded — on an abortive close that is
-   RST semantics, and on an orderly one the FIN flush has already run. *)
+(* Drop reassembly references back to the pool. Data that never reached
+   the stream is discarded — RST semantics on an abortive close. *)
 let release_rx_refs fl =
-  (match fl.gro_timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    fl.gro_timer <- None
-  | None -> ());
-  List.iter (fun (_, o) -> Option.iter Pktbuf.release o) fl.gro_rev;
-  fl.gro_rev <- [];
-  fl.gro_bytes <- 0;
-  fl.gro_pkts <- 0;
   List.iter (fun (_, _, o) -> Option.iter Pktbuf.release o) fl.ooo;
   fl.ooo <- []
 
@@ -750,7 +721,6 @@ let push_rx fl view owner =
   Queue.add owner fl.rx_owners;
   Mthread.Mstream.push fl.rx view
 
-
 let rx_account fl len =
   fl.bytes_received <- fl.bytes_received + len;
   fl.rx_buffered <- fl.rx_buffered + len;
@@ -830,49 +800,6 @@ let send_ack fl =
     ~flags:{ Tcp_wire.flags_none with ack = true }
     ~options:[] ~window:(advertised_window fl) ~payload:(Bytestruct.create 0)
 
-(* Deliver the pending GRO batch to the stream as one measured region.
-   Accounting (rcv_nxt, rx_buffered) already happened at append; the
-   flush only moves chunks and their references. ACKing is the caller's
-   business — the normal per-segment ACK logic covers PSH/hole/FIN
-   flushes, and only the timer flush ACKs here. *)
-let gro_flush fl =
-  (match fl.gro_timer with
-  | Some h ->
-    Engine.Sim.cancel h;
-    fl.gro_timer <- None
-  | None -> ());
-  if fl.gro_pkts > 0 then begin
-    let segs = List.rev fl.gro_rev in
-    let pkts = fl.gro_pkts in
-    fl.gro_rev <- [];
-    fl.gro_bytes <- 0;
-    fl.gro_pkts <- 0;
-    if Trace.Dpath.enabled () then
-      Trace.Dpath.measure Trace.Dpath.Deliver ~pkts ~vcpu_ns:0 (fun () ->
-          List.iter (fun (v, o) -> push_rx fl v o) segs)
-    else List.iter (fun (v, o) -> push_rx fl v o) segs
-  end
-
-let gro_timer_flush fl =
-  fl.gro_timer <- None;
-  if fl.gro_pkts > 0 && fl.state <> Closed then begin
-    gro_flush fl;
-    (* The batch's single deferred ACK. *)
-    send_ack fl
-  end
-
-let gro_append fl payload owner =
-  rx_account fl (Bytestruct.length payload);
-  Option.iter Pktbuf.retain owner;
-  fl.gro_rev <- (payload, owner) :: fl.gro_rev;
-  fl.gro_bytes <- fl.gro_bytes + Bytestruct.length payload;
-  fl.gro_pkts <- fl.gro_pkts + 1;
-  if fl.gro_pkts > 1 then Trace.incr c_gro_merged;
-  if fl.gro_timer = None then
-    fl.gro_timer <-
-      Some
-        (Engine.Sim.schedule fl.t.sim ~delay:!gro_flush_delay_ns (fun () -> gro_timer_flush fl))
-
 let enter_time_wait fl =
   fl.state <- Time_wait;
   cancel_rto fl;
@@ -935,7 +862,7 @@ let update_snd_wnd fl (seg : Tcp_wire.segment) =
 
 (* [owner] is the datagram's reference on the pool buffer backing
    [seg.payload] ([None] when the payload is a private copy); consumers
-   that outlive this call (stream, reassembly, GRO batch) retain their
+   that outlive this call (stream, reassembly) retain their
    own references — the datagram's is released by [handle_datagram]. *)
 let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
   let t = fl.t in
@@ -1000,39 +927,15 @@ let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
          retransmissions arriving after our receive side closed; without
          this, a sender whose final ACKs were lost retransmits forever. *)
       let paylen = Bytestruct.length seg.payload in
-      let had_data = ref (paylen > 0) in
+      let had_data = paylen > 0 in
       if paylen > 0 && (fl.state = Established || fl.state = Fin_wait_1 || fl.state = Fin_wait_2)
       then begin
         if Seq.equal seg.seq fl.rcv_nxt then begin
-          if !gro_enabled then begin
-            (* Coalesce: park the segment; delivery and the ACK are
-               deferred until a flush boundary. *)
-            gro_append fl seg.payload owner;
-            fl.rcv_nxt <- Seq.add fl.rcv_nxt paylen;
-            if fl.ooo <> [] then begin
-              (* This segment may have plugged the hole: drain the batch
-                 first so reassembled data follows it in order. *)
-              gro_flush fl;
-              integrate_ooo fl
-            end;
-            if seg.flags.Tcp_wire.psh || fl.gro_bytes >= gro_max_bytes then gro_flush fl
-            else if fl.gro_pkts > 0 then
-              (* Pure coalesce: suppress the per-segment ACK — the flush
-                 (PSH, hole, FIN or timer) acknowledges the batch. *)
-              had_data := false
-          end
-          else begin
-            deliver_rx fl ?owner seg.payload;
-            fl.rcv_nxt <- Seq.add fl.rcv_nxt paylen;
-            integrate_ooo fl
-          end
+          deliver_rx fl ?owner seg.payload;
+          fl.rcv_nxt <- Seq.add fl.rcv_nxt paylen;
+          integrate_ooo fl
         end
-        else if Seq.gt seg.seq fl.rcv_nxt then begin
-          (* A hole stops coalescing: deliver what we have, then let the
-             normal path emit the duplicate ACK. *)
-          if !gro_enabled then gro_flush fl;
-          insert_ooo fl seg.seq seg.payload owner
-        end
+        else if Seq.gt seg.seq fl.rcv_nxt then insert_ooo fl seg.seq seg.payload owner
         (* else: pure duplicate, just re-ACK *)
       end;
       (* FIN. *)
@@ -1040,7 +943,6 @@ let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
         seg.flags.Tcp_wire.fin && Seq.equal (Seq.add seg.seq paylen) fl.rcv_nxt
       in
       if fin_in_order then begin
-        if !gro_enabled then gro_flush fl;
         fl.rcv_nxt <- Seq.add fl.rcv_nxt 1;
         Mthread.Mstream.close fl.rx;
         (match fl.state with
@@ -1050,7 +952,7 @@ let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
         | _ -> ());
         send_ack fl
       end
-      else if !had_data || (seg.flags.Tcp_wire.fin && Seq.lt (Seq.add seg.seq paylen) fl.rcv_nxt)
+      else if had_data || (seg.flags.Tcp_wire.fin && Seq.lt (Seq.add seg.seq paylen) fl.rcv_nxt)
       then send_ack fl;
       (* Our FIN's fate drives the closing states. *)
       (match fl.state with
@@ -1099,10 +1001,6 @@ let make_flow t key state =
     rx = Mthread.Mstream.create ();
     rx_owners = Queue.create ();
     read_hold = None;
-    gro_rev = [];
-    gro_bytes = 0;
-    gro_pkts = 0;
-    gro_timer = None;
     rto_ns = initial_rto_ns;
     srtt_ns = 0;
     rttvar_ns = 0;

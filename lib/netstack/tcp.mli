@@ -69,17 +69,6 @@ val state_name : flow -> string
 val bytes_received : flow -> int
 val cwnd : flow -> int
 
-(** {1 GRO-style receive coalescing}
-
-    [set_gro on] parks contiguous in-order segments per flow and
-    delivers (and acknowledges) them as one batch when a PSH arrives, a
-    sequence hole opens, the batch reaches 64 KB, or [flush_delay_ns]
-    (default 100 µs) elapses. Off by default: per-segment immediate
-    delivery and ACKing is what every committed figure assumes. Global,
-    like the netif doorbell-coalescing knob. *)
-
-val set_gro : ?flush_delay_ns:int -> bool -> unit
-
 (** {1 Socket-table introspection}
 
     The `ss`-style view of the engine: one row per bound listener and one

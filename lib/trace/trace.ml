@@ -485,9 +485,6 @@ let record_span_ns ?(dom = -1) ?(payload = []) ~cat name dur =
     record ~dom ~payload:(("dur_ns", Int dur) :: payload) ~cat ~phase:End name
   end
 
-let sample ?(dom = -1) ~cat name v =
-  if tracer.on then span_record (span_acc ~cat ~dom name) (max 0 v)
-
 let span_stats () =
   Hashtbl.fold
     (fun _ sa acc ->
@@ -630,7 +627,6 @@ module Metrics = struct
     m
 
   let counter ?dom name = register ?dom ~kind:Counter name
-  let gauge ?dom name = register ?dom ~kind:Gauge name
   let summary ?dom name = register ?dom ~kind:Summary ~hist:(Hist.create ()) name
   let register_read ?dom ~kind name read = ignore (register ?dom ~kind ~read name)
 
@@ -643,9 +639,6 @@ module Metrics = struct
   let inc m n =
     if plane.on && n > 0 then
       m.m_value <- (if m.m_value > max_int - n then max_int else m.m_value + n)
-
-  let set m v = if plane.on then m.m_value <- v
-  let add m d = if plane.on then m.m_value <- m.m_value + d
 
   let observe m v =
     if plane.on then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
@@ -959,7 +952,7 @@ module Dpath = struct
     end;
     depth := d + 1
 
-  let leave ?(pkts = 1) ~vcpu_ns () =
+  let leave vcpu_ns =
     let d = !depth - 1 in
     depth := d;
     if d >= 0 && d < max_depth then begin
@@ -967,21 +960,21 @@ module Dpath = struct
       let self = if total > r_inner.(d) then total -. r_inner.(d) else 0. in
       if d > 0 then r_inner.(d - 1) <- r_inner.(d - 1) +. total;
       let c = cells.(r_idx.(d)) in
-      c.pkts <- c.pkts + pkts;
+      c.pkts <- c.pkts + 1;
       c.vcpu_ns <- c.vcpu_ns + vcpu_ns;
       c.alloc_b <- c.alloc_b +. self
     end
 
-  let measure hop ?(pkts = 1) ~vcpu_ns f =
+  let measure hop ~vcpu_ns f =
     if not plane.on then f ()
     else begin
       enter hop;
       match f () with
       | v ->
-        leave ~pkts ~vcpu_ns ();
+        leave vcpu_ns;
         v
       | exception e ->
-        leave ~pkts ~vcpu_ns ();
+        leave vcpu_ns;
         raise e
     end
 

@@ -249,12 +249,6 @@ val finish : ?payload:payload -> span -> unit
     ["lag_ns"] payload when present). *)
 val record_span_ns : ?dom:int -> ?payload:payload -> cat:category -> string -> int -> unit
 
-(** [sample ~dom ~cat name v] records into the same per-(name, domain)
-    histogram WITHOUT emitting an event — for high-frequency series where
-    the distribution matters but per-occurrence events would flood the
-    ring. *)
-val sample : ?dom:int -> cat:category -> string -> int -> unit
-
 type span_stat = {
   span_name : string;
   span_cat : category;
@@ -326,8 +320,6 @@ module Metrics : sig
       created but not entered in the registry, and updates to it are
       no-ops. Re-registering the same (name, dom) replaces the entry. *)
   val counter : ?dom:int -> string -> metric
-
-  val gauge : ?dom:int -> string -> metric
   val summary : ?dom:int -> string -> metric
 
   (** [register_read ~dom ~kind name read] registers a pull metric whose
@@ -342,11 +334,6 @@ module Metrics : sig
 
   (** Saturating add of [n > 0] (counters). *)
   val inc : metric -> int -> unit
-
-  (** Gauge store / signed delta. *)
-  val set : metric -> int -> unit
-
-  val add : metric -> int -> unit
 
   (** Record one observation into a summary's histogram. *)
   val observe : metric -> int -> unit
@@ -456,12 +443,12 @@ module Dpath : sig
   val disable : unit -> unit
   val reset : unit -> unit
 
-  (** [measure hop ~pkts ~vcpu_ns f] runs [f] as one region of [hop],
-      charging it [pkts] packets (default 1), [vcpu_ns] of modeled vCPU
-      cost, and the bytes allocated inside [f] minus nested regions.
+  (** [measure hop ~vcpu_ns f] runs [f] as one region of [hop],
+      charging it one packet, [vcpu_ns] of modeled vCPU cost, and the
+      bytes allocated inside [f] minus nested regions.
       Runs [f] unchanged when disabled — guard call sites with {!enabled}
       so the closure and cost arguments are never constructed. *)
-  val measure : hop -> ?pkts:int -> vcpu_ns:int -> (unit -> 'a) -> 'a
+  val measure : hop -> vcpu_ns:int -> (unit -> 'a) -> 'a
 
   (** Hops with at least one packet, in path order. *)
   val stats : unit -> hstat list

@@ -58,43 +58,6 @@ let prop_json_roundtrip =
   qtest ~count:200 "json print/parse roundtrip" (QCheck.make (gen_value 3)) (fun v ->
       J.equal (J.parse (J.to_string v)) v)
 
-(* ---- Sexp ---- *)
-
-let test_sexp_basics () =
-  check_bool "atom" true (Formats.Sexp.parse "hello" = Formats.Sexp.Atom "hello");
-  check_bool "list" true
-    (Formats.Sexp.parse "(a (b c) d)"
-    = Formats.Sexp.List
-        [ Formats.Sexp.Atom "a";
-          Formats.Sexp.List [ Formats.Sexp.Atom "b"; Formats.Sexp.Atom "c" ];
-          Formats.Sexp.Atom "d" ]);
-  check_bool "quoted atom" true
-    (Formats.Sexp.parse "(\"two words\")" = Formats.Sexp.List [ Formats.Sexp.Atom "two words" ])
-
-let test_sexp_roundtrip_quoting () =
-  let v = Formats.Sexp.List [ Formats.Sexp.Atom "with space"; Formats.Sexp.Atom "plain"; Formats.Sexp.Atom "" ] in
-  check_bool "needs-quoting atoms roundtrip" true
-    (Formats.Sexp.equal (Formats.Sexp.parse (Formats.Sexp.to_string v)) v)
-
-let test_sexp_errors () =
-  let bad s =
-    match Formats.Sexp.parse s with
-    | exception Formats.Sexp.Parse_error _ -> ()
-    | _ -> Alcotest.fail ("should reject: " ^ s)
-  in
-  List.iter bad [ "(unclosed"; ")"; "a b"; "\"open" ]
-
-let prop_sexp_roundtrip =
-  let rec gen depth =
-    let open QCheck.Gen in
-    if depth = 0 then map (fun s -> Formats.Sexp.Atom s) (string_size ~gen:printable (int_range 0 10))
-    else
-      frequency
-        [ (2, gen 0); (1, map (fun l -> Formats.Sexp.List l) (list_size (int_range 0 4) (gen (depth - 1)))) ]
-  in
-  qtest ~count:200 "sexp roundtrip" (QCheck.make (gen 3)) (fun v ->
-      Formats.Sexp.equal (Formats.Sexp.parse (Formats.Sexp.to_string v)) v)
-
 let () =
   Alcotest.run "formats"
     [
@@ -106,12 +69,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "pretty" `Quick test_json_pretty;
           prop_json_roundtrip;
-        ] );
-      ( "sexp",
-        [
-          Alcotest.test_case "basics" `Quick test_sexp_basics;
-          Alcotest.test_case "quoting roundtrip" `Quick test_sexp_roundtrip_quoting;
-          Alcotest.test_case "errors" `Quick test_sexp_errors;
-          prop_sexp_roundtrip;
         ] );
     ]

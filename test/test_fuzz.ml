@@ -77,12 +77,6 @@ let fuzz_json prng =
   | _ -> ()
   | exception Formats.Json.Parse_error _ -> ()
 
-let fuzz_sexp prng =
-  let s = Bytestruct.to_string (random_buf prng 64) in
-  match Formats.Sexp.parse s with
-  | _ -> ()
-  | exception Formats.Sexp.Parse_error _ -> ()
-
 let fuzz_zone prng =
   let s = Bytestruct.to_string (random_buf prng 200) in
   match Dns.Zone.parse ~origin:"fz" s with
@@ -184,7 +178,6 @@ let () =
           survives "tcp decode survives random bytes" fuzz_tcp;
           survives "openflow decode survives random bytes" fuzz_openflow;
           survives "json parser survives random bytes" fuzz_json;
-          survives "sexp parser survives random bytes" fuzz_sexp;
           survives "zone parser survives random bytes" fuzz_zone;
         ] );
       ( "live stack",

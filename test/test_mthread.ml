@@ -194,37 +194,6 @@ let test_counters () =
   check_bool "created counted" true (P.created_count () >= 2);
   check_bool "resolved counted" true (P.resolved_count () >= 2)
 
-(* ---- Mvar ---- *)
-
-let test_mvar_put_take () =
-  let s = sim () in
-  let mv = Mthread.Mvar.create_empty () in
-  P.async (fun () -> Mthread.Mvar.put mv 7);
-  check_int "take" 7 (P.run s (Mthread.Mvar.take mv));
-  check_bool "empty after take" true (Mthread.Mvar.is_empty mv)
-
-let test_mvar_blocking_take () =
-  let s = sim () in
-  let mv = Mthread.Mvar.create_empty () in
-  let taker = Mthread.Mvar.take mv in
-  ignore (Engine.Sim.schedule s ~delay:5 (fun () -> P.async (fun () -> Mthread.Mvar.put mv 9)));
-  check_int "blocked take wakes" 9 (P.run s taker)
-
-let test_mvar_put_blocks_when_full () =
-  let s = sim () in
-  let mv = Mthread.Mvar.create 1 in
-  let put2 = Mthread.Mvar.put mv 2 in
-  check_bool "second put blocks" true (P.state put2 = `Pending);
-  check_int "first value" 1 (P.run s (Mthread.Mvar.take mv));
-  Engine.Sim.run s;
-  check_bool "second put completed" true (P.state put2 = `Resolved ());
-  check_int "second value" 2 (P.run s (Mthread.Mvar.take mv))
-
-let test_mvar_take_opt () =
-  let mv = Mthread.Mvar.create 5 in
-  check_bool "some" true (Mthread.Mvar.take_opt mv = Some 5);
-  check_bool "none" true (Mthread.Mvar.take_opt mv = None)
-
 (* ---- Mstream ---- *)
 
 let test_mstream_push_next () =
@@ -490,13 +459,6 @@ let () =
             test_cancel_propagates_through_bind;
           Alcotest.test_case "on_cancel hook" `Quick test_on_cancel_hook;
           Alcotest.test_case "async exception hook" `Quick test_async_exception_hook;
-        ] );
-      ( "mvar",
-        [
-          Alcotest.test_case "put/take" `Quick test_mvar_put_take;
-          Alcotest.test_case "blocking take" `Quick test_mvar_blocking_take;
-          Alcotest.test_case "put blocks when full" `Quick test_mvar_put_blocks_when_full;
-          Alcotest.test_case "take_opt" `Quick test_mvar_take_opt;
         ] );
       ( "mstream",
         [

@@ -875,96 +875,6 @@ let test_tcp_ooo_cap_eviction () =
   check_bool "delivered intact" true (received = data);
   check_bool "reassembly cap evicted" true (N.Tcp.ooo_evictions (N.Stack.tcp b.stack) >= 1)
 
-(* ---- GRO receive coalescing ---- *)
-
-(* GRO is a global knob, default off: every other test runs the
-   committed per-segment configuration. These flip it on around one
-   exchange and always restore it. *)
-let with_gro ?flush_delay_ns f =
-  N.Tcp.set_gro ?flush_delay_ns true;
-  Fun.protect ~finally:(fun () -> N.Tcp.set_gro false) f
-
-let test_tcp_gro_bulk_coalesces () =
-  with_gro (fun () ->
-      (* Counters only tick while the trace plane is on. *)
-      Trace.enable ();
-      Fun.protect ~finally:Trace.quiesce (fun () ->
-          let merged_before = Trace.counter_value (Trace.counter "tcp.gro_coalesced") in
-          let w, a, b = pair_world () in
-          let received, data, _ = transfer w a b ~bytes:300_000 ~chunk:8192 in
-          check_bool "coalesced stream intact" true (received = data);
-          check_bool "segments actually coalesced" true
-            (Trace.counter_value (Trace.counter "tcp.gro_coalesced") > merged_before);
-          check_bool "no spurious retransmissions" true
-            (N.Tcp.retransmissions (N.Stack.tcp a.stack) = 0)))
-
-let test_tcp_gro_psh_flushes_batch () =
-  (* A pushed request/response must flush the batch immediately, not
-     wait for the flush timer: with the timer set absurdly long, the
-     whole echo exchange still completes in well under one timer tick. *)
-  let long = Engine.Sim.sec 30 in
-  with_gro ~flush_delay_ns:long (fun () ->
-      let w, a, b = pair_world () in
-      N.Tcp.listen (N.Stack.tcp b.stack) ~port:7 (fun flow ->
-          let rec echo () =
-            N.Tcp.read flow >>= function
-            | None -> N.Tcp.close flow
-            | Some c -> N.Tcp.write flow c >>= echo
-          in
-          echo ());
-      let session =
-        N.Tcp.connect (N.Stack.tcp a.stack) ~dst:(N.Stack.address b.stack) ~dst_port:7
-        >>= fun flow ->
-        let rec ping n acc =
-          if n = 0 then N.Tcp.close flow >>= fun () -> P.return acc
-          else
-            N.Tcp.write flow (bs "ping") >>= fun () ->
-            N.Tcp.read flow >>= function
-            | Some c -> ping (n - 1) (acc ^ Bytestruct.to_string c)
-            | None -> P.fail Exit
-        in
-        ping 5 ""
-      in
-      let echoed = run w session in
-      check_string "five pushed round trips" "pingpingpingpingping" echoed;
-      check_bool "PSH flushed, no timer wait" true (Engine.Sim.now w.sim < long))
-
-let test_tcp_gro_hole_flushes_and_reassembles () =
-  (* A sequence hole must flush the parked batch before out-of-order
-     integration, so reassembled bytes follow it in order. Punch one
-     hole mid-transfer: delivery must stay intact and prompt. *)
-  with_gro (fun () ->
-      let w, a, b = pair_world () in
-      (* Drop one data segment mid-stream to open a hole behind a parked
-         GRO batch. *)
-      let data_frames = ref 0 in
-      let dropped = ref false in
-      Netsim.Bridge.set_faults w.bridge a.nic
-        (Netsim.Faults.make
-           ~drop_when:(fun ~now_ns:_ ~nth:_ frame ->
-             if tcp_data_len frame > 0 then incr data_frames;
-             if (not !dropped) && !data_frames = 20 then begin
-               dropped := true;
-               true
-             end
-             else false)
-           ());
-      let received, data, _ = transfer w a b ~bytes:200_000 ~chunk:8192 in
-      check_bool "hole was punched" true !dropped;
-      check_bool "delivered intact across the hole" true (received = data);
-      check_bool "recovered by retransmission" true
-        (N.Tcp.retransmissions (N.Stack.tcp a.stack) > 0);
-      check_bool "hole flush kept delivery prompt" true
-        (Engine.Sim.now w.sim < Engine.Sim.sec 10))
-
-let test_tcp_gro_loss_stress () =
-  with_gro (fun () ->
-      let w, a, b = pair_world () in
-      Netsim.Bridge.set_loss w.bridge a.nic 0.05;
-      Netsim.Bridge.set_loss w.bridge b.nic 0.05;
-      let received, data, _ = transfer w a b ~bytes:200_000 ~chunk:4096 in
-      check_bool "intact under loss with GRO on" true (received = data))
-
 (* ---- steady-state allocation guard ---- *)
 
 (* The zero-copy datapath's regression tripwire: after warm-up (pools
@@ -1133,14 +1043,6 @@ let () =
             test_tcp_clean_transfer_leaves_no_timer;
           Alcotest.test_case "vanished peer leaves no timer" `Quick
             test_tcp_vanished_peer_leaves_no_timer;
-        ] );
-      ( "gro",
-        [
-          Alcotest.test_case "bulk transfer coalesces" `Quick test_tcp_gro_bulk_coalesces;
-          Alcotest.test_case "psh flushes batch" `Quick test_tcp_gro_psh_flushes_batch;
-          Alcotest.test_case "hole flushes and reassembles" `Quick
-            test_tcp_gro_hole_flushes_and_reassembles;
-          Alcotest.test_case "intact under loss" `Quick test_tcp_gro_loss_stress;
         ] );
       ( "dpath",
         [

@@ -72,9 +72,6 @@ if [ $# -eq 0 ]; then
     'dpath:base/tcp/vcpu-ns-per-pkt:lower' \
     'dpath:base/app/vcpu-ns-per-pkt:lower' \
     'dpath:base/replies:higher' \
-    'dpath:batch/ring/pkts:lower' \
-    'dpath:batch/tcp/vcpu-ns-per-pkt:lower' \
-    'dpath:batch/replies:higher' \
     'capture:goodput-capture-off:higher' \
     'capture:goodput-capture-on:higher' \
     'capture:overhead-pct:lower'
