@@ -39,10 +39,17 @@ type pv = {
   rx_port_front : Xensim.Evtchn.port;
   rx_port_back : Xensim.Evtchn.port;
   tx_pending : (int, tx_pending) Hashtbl.t;
-  rx_posted : (int, Xensim.Gnttab.grant_ref * Pktbuf.t Lazy.t) Hashtbl.t;
+  (* Posted RX credit, indexed by RX id = ring index of the credit's
+     request (Linux netfront's xennet_rxidx): a slot's grant, or
+     [no_credit], and its buffer once netback has copied a frame in.
+     Ids of live credit are distinct because credit stays below the ring
+     size, and a slot is cleared when its response is consumed. *)
+  rx_gref : Xensim.Gnttab.grant_ref array;
+  rx_buf : Pktbuf.t option array;
+  mutable rx_posted : int;
+  rx_fill : int -> Bytestruct.t;  (* the grant-table fill for every credit *)
   rx_spans : (int, Trace.span) Hashtbl.t;  (* backend copy -> guest delivery *)
   rx_flows : (int, Trace.Flow.id) Hashtbl.t;  (* per-slot flow: one evtchn batch mixes flows *)
-  rx_avail : (int * Xensim.Gnttab.grant_ref) Queue.t;  (* backend side *)
   tx_waiters : unit Mthread.Promise.u Queue.t;
   mutable listener : (Bytestruct.t -> unit) option;
   mutable next_tx_id : int;
@@ -121,12 +128,12 @@ let backend_handle_tx t () =
       Xensim.Evtchn.notify (evtchn t) t.tx_port_back
   end
 
+(* Consuming RX requests only moves [req_cons] (and re-arms
+   [req_event]): a consumed request stays readable in its slot until the
+   response that aliases it is pushed, so netback keeps no credit list of
+   its own. *)
 let backend_handle_rx_credit t () =
-  ignore
-    (Xensim.Ring.Back.consume_requests t.rx_back (fun slot ->
-         let id = Bytestruct.LE.get_uint16 slot 0 in
-         let gref = Int32.to_int (Bytestruct.LE.get_uint32 slot 4) in
-         Queue.add (id, gref) t.rx_avail))
+  ignore (Xensim.Ring.Back.consume_requests t.rx_back ignore)
 
 let backend_deliver_frame t ~id ~gref frame =
   if Trace.enabled () then
@@ -149,12 +156,15 @@ let backend_deliver_frame t ~id ~gref frame =
 let backend_handle_frame t frame =
   (* Pull any freshly-posted credit before deciding to drop. *)
   backend_handle_rx_credit t ();
-  match Queue.take_opt t.rx_avail with
-  | None ->
+  if Xensim.Ring.Back.unanswered t.rx_back = 0 then begin
     t.rx_dropped <- t.rx_dropped + 1;
     if Trace.Flight.enabled () then
       Trace.Flight.note ~dom:t.dom.Xensim.Domain.id ~cat:Trace.Device "netif.rx_drop"
-  | Some (id, gref) ->
+  end
+  else begin
+    let slot = Xensim.Ring.Back.oldest_unanswered t.rx_back in
+    let id = Bytestruct.LE.get_uint16 slot 0 in
+    let gref = Int32.to_int (Bytestruct.LE.get_uint32 slot 4) in
     if Trace.enabled () then begin
       (* Every frame entering a backend begins a fresh causal flow; the
          flow then rides the scheduler ([Engine.Sim.at]) through evtchn
@@ -165,23 +175,35 @@ let backend_handle_frame t frame =
       Trace.Flow.with_flow fl (fun () -> backend_deliver_frame t ~id ~gref frame)
     end
     else backend_deliver_frame t ~id ~gref frame
+  end
 
 (* ---- frontend ---- *)
+
+let no_credit = -1
+
+(* The buffer behind credit [id], drawn from the pool the first time it
+   is needed: when netback copies a frame in. *)
+let rx_buffer t id =
+  match t.rx_buf.(id) with
+  | Some pb -> pb
+  | None ->
+    let pb = Pktbuf.alloc t.pool in
+    t.rx_buf.(id) <- Some pb;
+    pb
 
 let post_rx_buffer t =
   (* Credit is a promise of a page, not a page: the grant materialises
      the buffer only when the backend actually copies a frame into it.
-     A vif posts ~511 slots but a storm appliance receives a handful of
-     frames, so eager buffers would pin ~2 MiB per vif. *)
-  let page = lazy (Pktbuf.alloc t.pool) in
+     A vif posts up to 511 slots but a storm appliance receives a
+     handful of frames, so eager buffers would pin ~1 MiB per vif. *)
+  let id = t.next_rx_id land (Array.length t.rx_gref - 1) in
+  t.next_rx_id <- t.next_rx_id + 1;
   let gref =
-    Xensim.Gnttab.grant_access_lazy (gnttab t) ~dom:t.dom.Xensim.Domain.id
-      ~peer:t.backend_dom.Xensim.Domain.id ~writable:true (fun () ->
-        Pktbuf.storage (Lazy.force page))
+    Xensim.Gnttab.grant_access_deferred (gnttab t) ~dom:t.dom.Xensim.Domain.id
+      ~peer:t.backend_dom.Xensim.Domain.id ~writable:true ~fill:t.rx_fill id
   in
-  let id = t.next_rx_id in
-  t.next_rx_id <- (t.next_rx_id + 1) land 0xffff;
-  Hashtbl.replace t.rx_posted id (gref, page);
+  t.rx_gref.(id) <- gref;
+  t.rx_posted <- t.rx_posted + 1;
   Trace.gauge_add g_rx_posted 1;
   let slot = Xensim.Ring.Front.next_request t.rx_front in
   Bytestruct.LE.set_uint16 slot 0 id;
@@ -222,14 +244,17 @@ let frontend_handle_rx_responses t () =
     Xensim.Ring.Front.consume_responses t.rx_front (fun slot ->
         let id = Bytestruct.LE.get_uint16 slot 0 in
         let size = Bytestruct.LE.get_uint16 slot 2 in
-        match Hashtbl.find_opt t.rx_posted id with
-        | None -> ()
-        | Some (gref, page) ->
-          Hashtbl.remove t.rx_posted id;
+        let gref = t.rx_gref.(id) in
+        if gref <> no_credit then begin
+          (* a response means the backend copied into it: materialised *)
+          let page = rx_buffer t id in
+          t.rx_gref.(id) <- no_credit;
+          t.rx_buf.(id) <- None;
+          t.rx_posted <- t.rx_posted - 1;
           Trace.gauge_add g_rx_posted (-1);
           Xensim.Gnttab.end_access (gnttab t) gref;
-          (* a response means the backend copied into it: materialised *)
-          arrived := (id, Lazy.force page, size) :: !arrived)
+          arrived := (id, page, size) :: !arrived
+        end)
   in
   if n > 0 then begin
     let plat = t.dom.Xensim.Domain.platform in
@@ -240,42 +265,49 @@ let frontend_handle_rx_responses t () =
         (* Deliver once the vCPU has done the receive-path work; charge_k
            keeps per-frame ordering (sequential reservations on one vCPU). *)
         let deliver () =
-          (* The evtchn kick that scheduled us carries only the flow of
-             the frame that raised it; a batched ring holds frames from
-             many flows, so re-establish this slot's own. *)
-          let fl =
-            match Hashtbl.find_opt t.rx_flows id with
-            | Some fl ->
-              Hashtbl.remove t.rx_flows id;
-              fl
-            | None -> Trace.Flow.none
-          in
-          Trace.Flow.with_flow fl (fun () ->
-              (match Hashtbl.find_opt t.rx_spans id with
-              | Some span ->
-                Hashtbl.remove t.rx_spans id;
-                Trace.finish span
-              | None -> ());
-              (* Zero-copy handoff: the listener gets a view straight
-                 over the granted buffer, with the pktbuf ambient so any
-                 layer that defers work can retain instead of copying.
-                 Releasing the driver's reference afterwards returns the
-                 buffer to the pool only if nobody retained. *)
-              (match t.capture with
-              | None -> ()
-              | Some c ->
-                Netsim.Capture.record ~owner:page c ~dir:Netsim.Rx
-                  ~link:(Netsim.Nic.id t.nic)
-                  ~time_ns:(Engine.Sim.now t.hv.Xensim.Hypervisor.sim)
-                  (Pktbuf.view page ~off:0 ~len:size));
-              (match t.listener with
-              | Some f -> Pktbuf.with_current page (fun () -> f (Pktbuf.view page ~off:0 ~len:size))
-              | None -> ());
-              Pktbuf.release page;
-              (* Replace the consumed credit. *)
-              post_rx_buffer t;
-              if Xensim.Ring.Front.push_requests_and_check_notify t.rx_front then
-                Xensim.Evtchn.notify (evtchn t) t.rx_port_front)
+          if t.closed then
+            (* Torn down while the vCPU worked: the frame is dropped.
+               Reposting would grant a page nobody revokes and notify a
+               closed port. *)
+            Pktbuf.release page
+          else begin
+            (* The evtchn kick that scheduled us carries only the flow of
+               the frame that raised it; a batched ring holds frames from
+               many flows, so re-establish this slot's own. *)
+            let fl =
+              match Hashtbl.find_opt t.rx_flows id with
+              | Some fl ->
+                Hashtbl.remove t.rx_flows id;
+                fl
+              | None -> Trace.Flow.none
+            in
+            Trace.Flow.with_flow fl (fun () ->
+                (match Hashtbl.find_opt t.rx_spans id with
+                | Some span ->
+                  Hashtbl.remove t.rx_spans id;
+                  Trace.finish span
+                | None -> ());
+                (* Zero-copy handoff: the listener gets a view straight
+                   over the granted buffer, with the pktbuf ambient so any
+                   layer that defers work can retain instead of copying.
+                   Releasing the driver's reference afterwards returns the
+                   buffer to the pool only if nobody retained. *)
+                (match t.capture with
+                | None -> ()
+                | Some c ->
+                  Netsim.Capture.record ~owner:page c ~dir:Netsim.Rx
+                    ~link:(Netsim.Nic.id t.nic)
+                    ~time_ns:(Engine.Sim.now t.hv.Xensim.Hypervisor.sim)
+                    (Pktbuf.view page ~off:0 ~len:size));
+                (match t.listener with
+                | Some f -> Pktbuf.with_current page (fun () -> f (Pktbuf.view page ~off:0 ~len:size))
+                | None -> ());
+                Pktbuf.release page;
+                (* Replace the consumed credit. *)
+                post_rx_buffer t;
+                if Xensim.Ring.Front.push_requests_and_check_notify t.rx_front then
+                  Xensim.Evtchn.notify (evtchn t) t.rx_port_front)
+          end
         in
         let deliver () =
           if Trace.Dpath.enabled () then
@@ -323,16 +355,18 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
   in
   let tx_port_front, tx_port_back = alloc_pair () in
   let rx_port_front, rx_port_back = alloc_pair () in
-  let t =
+  let rx_slots = Xensim.Ring.Front.nr_slots rx_front in
+  let rec t =
     {
       hv;
       dom;
       backend_dom;
       nic;
-      (* No pre-allocation: credit posts lazy grants, so buffers exist
-         only for frames actually in flight (pool grows on demand and
-         recycles). An eager [rx_slots]-buffer pool would pin ~1 MiB per
-         vif whether or not a single frame ever arrives. *)
+      (* No pre-allocation: credit posts deferred grants, so buffers
+         exist only for frames actually in flight, drawn from and
+         returned to the shared freelist. An eager [rx_slots]-buffer
+         pool would pin ~1 MiB per vif whether or not a single frame
+         ever arrives. *)
       pool = Pktbuf.create_pool ~name:(Printf.sprintf "netif.dom%d" dom.Xensim.Domain.id) ();
       tx_front;
       tx_back;
@@ -342,11 +376,13 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
       tx_port_back;
       rx_port_front;
       rx_port_back;
-      tx_pending = Hashtbl.create 64;
-      rx_posted = Hashtbl.create 64;
-      rx_spans = Hashtbl.create 64;
-      rx_flows = Hashtbl.create 64;
-      rx_avail = Queue.create ();
+      tx_pending = Hashtbl.create 1;
+      rx_gref = Array.make rx_slots no_credit;
+      rx_buf = Array.make rx_slots None;
+      rx_posted = 0;
+      rx_fill = (fun id -> Pktbuf.storage (rx_buffer t id));
+      rx_spans = Hashtbl.create 1;
+      rx_flows = Hashtbl.create 1;
       tx_waiters = Queue.create ();
       listener = None;
       next_tx_id = 0;
@@ -378,7 +414,7 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
     regc "netif_rx_frames" (fun () -> t.rx_frames);
     regc "netif_rx_dropped" (fun () -> t.rx_dropped);
     regg "netif_tx_inflight" (fun () -> Hashtbl.length t.tx_pending);
-    regg "netif_rx_posted" (fun () -> Hashtbl.length t.rx_posted)
+    regg "netif_rx_posted" (fun () -> t.rx_posted)
   end;
   Pv t
 
@@ -498,7 +534,12 @@ let rec pv_write ?owner t frame =
   let open Mthread.Promise in
   let len = Bytestruct.length frame in
   if len > mtu_bytes + 14 then invalid_arg "Netif.write: frame exceeds MTU";
-  if Xensim.Ring.Front.free_requests t.tx_front = 0 then begin
+  if t.closed then begin
+    (* A write to a torn-down vif is a drop. *)
+    Option.iter Pktbuf.release owner;
+    return ()
+  end
+  else if Xensim.Ring.Front.free_requests t.tx_front = 0 then begin
     let p, u = wait () in
     Queue.add u t.tx_waiters;
     bind p (fun () -> pv_write ?owner t frame)
@@ -534,11 +575,17 @@ let rec pv_write ?owner t frame =
         (Xensim.Domain.charge t.dom
            ~cost:(Platform.tx_cost t.dom.Xensim.Domain.platform ~bytes_len:len))
         (fun () ->
-          if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
-            Trace.incr c_doorbell;
-            Xensim.Evtchn.notify (evtchn t) t.tx_port_front
-          end;
-          done_p)
+          (* Torn down while the vCPU worked: [disconnect] has revoked
+             the grant and released the buffer, so the frame is dropped
+             unpushed and nobody is notified. *)
+          if t.closed then return ()
+          else begin
+            if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
+              Trace.incr c_doorbell;
+              Xensim.Evtchn.notify (evtchn t) t.tx_port_front
+            end;
+            done_p
+          end)
     in
     if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" send else send ()
   end
@@ -567,16 +614,19 @@ let pv_disconnect t =
       match p.owner with Some pb -> Pktbuf.release pb | None -> ())
     t.tx_pending;
   Hashtbl.reset t.tx_pending;
-  Trace.gauge_add g_rx_posted (-Hashtbl.length t.rx_posted);
-  Hashtbl.iter
-    (fun _ (gref, page) ->
-      Xensim.Gnttab.end_access (gnttab t) gref;
-      if Lazy.is_val page then Pktbuf.release (Lazy.force page))
-    t.rx_posted;
-  Hashtbl.reset t.rx_posted;
+  Trace.gauge_add g_rx_posted (-t.rx_posted);
+  Array.iteri
+    (fun id gref ->
+      if gref <> no_credit then begin
+        Xensim.Gnttab.end_access (gnttab t) gref;
+        t.rx_gref.(id) <- no_credit;
+        Option.iter Pktbuf.release t.rx_buf.(id);
+        t.rx_buf.(id) <- None
+      end)
+    t.rx_gref;
+  t.rx_posted <- 0;
   Hashtbl.reset t.rx_spans;
   Hashtbl.reset t.rx_flows;
-  Queue.clear t.rx_avail;
   Queue.clear t.tx_waiters;
   Netsim.Nic.set_rx t.nic (fun _ -> ())
 
@@ -595,7 +645,7 @@ let set_capture t c =
 
 let tx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.tx_front | Direct _ -> 0
 let rx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.rx_front | Direct _ -> 0
-let rx_posted = function Pv t -> Hashtbl.length t.rx_posted | Direct _ -> 0
+let rx_posted = function Pv t -> t.rx_posted | Direct _ -> 0
 let tx_frames = function Pv t -> t.tx_frames | Direct d -> d.d_tx_frames
 let rx_frames = function Pv t -> t.rx_frames | Direct d -> d.d_rx_frames
 let rx_dropped = function Pv t -> t.rx_dropped | Direct d -> d.d_rx_dropped

@@ -8,7 +8,11 @@
     on the wire; the grant is revoked when the TX response returns. Receive
     pre-posts granted pages; the backend grant-copies each arriving frame
     into one (netback's GNTTABOP_copy path) and the frontend hands the
-    filled view to the listener without further copying.
+    filled view to the listener without further copying. Receive credit
+    costs one grant-table entry per slot and no buffer: each credit's id
+    is its RX ring index, its grant is deferred
+    ({!Xensim.Gnttab.grant_access_deferred}), and the buffer is drawn
+    from the pool only when netback copies a frame in.
 
     A second, {e direct} attachment mode serves the POSIX developer
     targets (paper §5.4): no rings, grants or backend domain — frames go
@@ -58,7 +62,10 @@ val pool : t -> Pktbuf.pool
     the caller transfers its reference on the frame's backing pktbuf:
     the driver holds it until the TX response (PV) or the wire send
     (direct), and the wire itself retains per in-flight delivery — so
-    the buffer returns to the pool only after the last consumer. *)
+    the buffer returns to the pool only after the last consumer. A write
+    to a disconnected vif, or one whose vCPU work completes after
+    {!disconnect}, drops the frame: the buffer is released, nothing is
+    pushed and the promise resolves. *)
 val write : ?owner:Pktbuf.t -> t -> Bytestruct.t -> unit Mthread.Promise.t
 
 (** Frames delivered to the listener are views over pool buffers
@@ -90,7 +97,10 @@ val tx_doorbells : unit -> int
     accepting frames from the wire. Part of the domain-teardown audit:
     without it every destroyed domain's rings and page pool stay
     reachable from the hypervisor's port table for ever. Writers blocked
-    on a full TX ring never resume, as for a destroyed domain. *)
+    on a full TX ring never resume, as for a destroyed domain. A frame
+    whose response was consumed but whose delivery still waits on the
+    vCPU is dropped when that work completes, and its credit is not
+    reposted. *)
 val disconnect : t -> unit
 
 (** Ring sizes in slots, and receive credit currently posted ([0] for

@@ -1,14 +1,19 @@
 exception Double_free
 
+(* A pool is accounting only: what its owner has out and the most it
+   ever had out at once. Storage lives in one freelist per buffer size,
+   shared by every pool of that size, so a buffer one device releases is
+   the next one any device allocates, and idle devices hold nothing. *)
 type pool = {
   name : string;
   buf_bytes : int;
-  free : t Queue.t;
-  mutable total : int;  (* buffers ever created *)
+  free : t Stack.t;  (* the shared freelist for [buf_bytes] *)
+  mutable outstanding : int;
+  mutable high_water : int;
 }
 
 and t = {
-  pool : pool;
+  mutable pool : pool;  (* the pool that allocated it last *)
   storage : Bytestruct.t;
   mutable refs : int;  (* 0 = on the freelist *)
 }
@@ -17,25 +22,37 @@ let c_alloc = Trace.counter "pktbuf.alloc"
 let c_recycle = Trace.counter "pktbuf.recycle"
 let c_grow = Trace.counter "pktbuf.grow"
 
+let freelists : (int, t Stack.t) Hashtbl.t = Hashtbl.create 4
+
+let freelist buf_bytes =
+  match Hashtbl.find_opt freelists buf_bytes with
+  | Some free -> free
+  | None ->
+    let free = Stack.create () in
+    Hashtbl.replace freelists buf_bytes free;
+    free
+
 let create_pool ?(buf_bytes = 2048) ~name () =
   if buf_bytes <= 0 then invalid_arg "Pktbuf.create_pool";
-  { name; buf_bytes; free = Queue.create (); total = 0 }
+  { name; buf_bytes; free = freelist buf_bytes; outstanding = 0; high_water = 0 }
 
 let buf_bytes p = p.buf_bytes
-let free_buffers p = Queue.length p.free
-let outstanding p = p.total - Queue.length p.free
-let bytes_reserved p = p.total * p.buf_bytes
+let free_buffers p = p.high_water - p.outstanding
+let outstanding p = p.outstanding
+let bytes_reserved p = p.high_water * p.buf_bytes
 
-(* Growth is the only allocating path, one buffer per empty-freelist
-   alloc: the pool's size is its high-water mark of buffers in flight. *)
+(* Growth is the only allocating path, one buffer per alloc that finds
+   the shared freelist empty. *)
 let grow p =
   Trace.incr c_grow;
-  p.total <- p.total + 1;
   { pool = p; storage = Bytestruct.create p.buf_bytes; refs = 0 }
 
 let alloc p =
-  let pb = if Queue.is_empty p.free then grow p else Queue.take p.free in
+  let pb = if Stack.is_empty p.free then grow p else Stack.pop p.free in
+  pb.pool <- p;
   pb.refs <- 1;
+  p.outstanding <- p.outstanding + 1;
+  if p.outstanding > p.high_water then p.high_water <- p.outstanding;
   Trace.incr c_alloc;
   pb
 
@@ -48,7 +65,8 @@ let release pb =
   pb.refs <- pb.refs - 1;
   if pb.refs = 0 then begin
     Trace.incr c_recycle;
-    Queue.add pb pb.pool.free
+    pb.pool.outstanding <- pb.pool.outstanding - 1;
+    Stack.push pb pb.pool.free
   end
 
 let refs pb = pb.refs

@@ -1,18 +1,20 @@
 (** Pooled, ownership-tracked packet buffers — the zero-copy datapath's
     currency (paper §5: collapsing the I/O path is the library-OS win).
 
-    A [t] is a fixed-size buffer drawn from a per-device freelist [pool],
-    with an explicit reference count. The driver that allocates a buffer
-    owns one reference; every layer that needs the bytes to outlive its
-    own stack frame takes another with {!retain} and gives it back with
+    A [t] is a fixed-size buffer with an explicit reference count, drawn
+    through a device's [pool]. The driver that allocates a buffer owns
+    one reference; every layer that needs the bytes to outlive its own
+    stack frame takes another with {!retain} and gives it back with
     {!release}. When the count reaches zero the buffer returns to the
     freelist — nothing on the steady-state path allocates.
 
-    A pool grows one buffer at a time, only when an [alloc] finds the
-    freelist empty, so its size is the high-water mark of buffers in
-    flight: an appliance that moves a dozen frames in its life holds a
-    handful of buffers, and a steady-state datapath stops growing once
-    its working set is reached. Freelist recycling never allocates.
+    Storage lives in one freelist per buffer size, shared by every pool
+    of that size; a pool is accounting only (its buffers out and their
+    high-water mark). A buffer is created only when an [alloc] finds the
+    shared freelist empty, so the process holds the high-water mark of
+    buffers in flight across all devices, and an idle appliance holds
+    none: what one device releases is the next buffer any device
+    allocates. Freelist recycling never allocates.
 
     Ownership at each hop is documented in DESIGN.md ("Datapath buffer
     ownership"). The short version: the netfront owns RX buffers and
@@ -32,33 +34,37 @@ exception Double_free
 (** {1 Pools} *)
 
 (** [create_pool ~name ~buf_bytes ()] makes an empty pool of
-    [buf_bytes]-sized buffers (default 2048 — one wire frame plus room).
-    The pool grows on demand, one buffer at a time. *)
+    [buf_bytes]-sized buffers (default 2048 — one wire frame plus room),
+    drawing on the shared freelist for that size. *)
 val create_pool : ?buf_bytes:int -> name:string -> unit -> pool
 
 val buf_bytes : pool -> int
 
-(** Buffers currently sitting in the freelist. *)
+(** The pool's high-water mark of outstanding buffers minus those out
+    now: what a private freelist would hold. *)
 val free_buffers : pool -> int
 
 (** Buffers out of the pool with a non-zero reference count. *)
 val outstanding : pool -> int
 
-(** Arena footprint: buffers ever created times [buf_bytes] (grows,
-    never shrinks). [0] until the first [alloc]. *)
+(** Arena footprint: the pool's high-water mark of outstanding buffers
+    times [buf_bytes] (grows, never shrinks). [0] until the first
+    [alloc]. *)
 val bytes_reserved : pool -> int
 
 (** {1 Ownership} *)
 
-(** [alloc pool] takes a buffer off the freelist (growing the pool if
-    empty) with a reference count of 1. Contents are not zeroed. *)
+(** [alloc pool] takes a buffer off the shared freelist (creating one if
+    it is empty) with a reference count of 1, charged to [pool].
+    Contents are not zeroed. *)
 val alloc : pool -> t
 
 (** [retain pb] adds a reference. @raise Double_free if [pb] is free. *)
 val retain : t -> unit
 
-(** [release pb] drops a reference; at zero the buffer returns to its
-    pool's freelist. @raise Double_free if [pb] was already free. *)
+(** [release pb] drops a reference; at zero the buffer leaves its pool's
+    outstanding count and returns to the shared freelist.
+    @raise Double_free if [pb] was already free. *)
 val release : t -> unit
 
 val refs : t -> int

@@ -4,16 +4,21 @@ exception Invalid_grant of grant_ref
 exception Grant_busy of grant_ref
 exception Permission_denied of grant_ref
 
-(* [page] is lazy so a grant can promise storage without materialising
-   it: netfront posts hundreds of receive buffers per vif as credit, and
-   in a 10^4-domain storm most are never filled.  Eager pages would pin
-   ~2 MiB per vif (511 slots x 4 KiB) for the vif's whole lifetime; the
-   thunk allocates only when the peer actually maps or copies. *)
+(* A grant either shares a page that exists ([grant_access]) or promises
+   one ([grant_access_deferred]): netfront posts tens to hundreds of
+   receive credits per vif, and in a 10^4-domain storm most are never
+   filled.  A deferred entry holds the [unfilled] sentinel until the peer
+   first maps or copies, then [fill key] supplies the page.  [fill] is
+   one closure per device, shared by all its credits, so a deferred
+   grant costs exactly what an eager one does: this record and its
+   table entry. *)
 type entry = {
   dom : int;
   peer : int;
   writable : bool;
-  page : Bytestruct.t Lazy.t;
+  mutable page : Bytestruct.t;
+  fill : int -> Bytestruct.t;
+  key : int;
   mutable mapped_by : int list;
 }
 
@@ -33,17 +38,23 @@ let create ~stats = { stats; entries = Hashtbl.create 128; next_ref = 8 }
 let get t r =
   match Hashtbl.find_opt t.entries r with Some e -> e | None -> raise (Invalid_grant r)
 
-let grant_lazy t ~dom ~peer ~writable page =
+let unfilled = Bytestruct.create 0
+let no_fill _ = unfilled
+
+let grant t ~dom ~peer ~writable page fill key =
   let r = t.next_ref in
   t.next_ref <- t.next_ref + 1;
-  Hashtbl.replace t.entries r { dom; peer; writable; page; mapped_by = [] };
+  Hashtbl.replace t.entries r { dom; peer; writable; page; fill; key; mapped_by = [] };
   r
 
-let grant_access t ~dom ~peer ~writable page =
-  grant_lazy t ~dom ~peer ~writable (Lazy.from_val page)
+let grant_access t ~dom ~peer ~writable page = grant t ~dom ~peer ~writable page no_fill 0
 
-let grant_access_lazy t ~dom ~peer ~writable alloc =
-  grant_lazy t ~dom ~peer ~writable (Lazy.from_fun alloc)
+let grant_access_deferred t ~dom ~peer ~writable ~fill key =
+  grant t ~dom ~peer ~writable unfilled fill key
+
+let page e =
+  if e.page == unfilled then e.page <- e.fill e.key;
+  e.page
 
 let map t ~by r =
   let e = get t r in
@@ -51,7 +62,7 @@ let map t ~by r =
   e.mapped_by <- by :: e.mapped_by;
   t.stats.Xstats.grant_maps <- t.stats.Xstats.grant_maps + 1;
   trace_op "gnttab.map" ~by r;
-  Lazy.force e.page
+  page e
 
 let map_rw t ~by r =
   let e = get t r in
@@ -72,7 +83,7 @@ let copy t ~by r ~dst =
   if e.peer <> by then raise (Permission_denied r);
   t.stats.Xstats.grant_copies <- t.stats.Xstats.grant_copies + 1;
   trace_op "gnttab.copy" ~by r;
-  let page = Lazy.force e.page in
+  let page = page e in
   let len = min (Bytestruct.length page) (Bytestruct.length dst) in
   Bytestruct.blit page 0 dst 0 len
 
@@ -81,7 +92,7 @@ let copy_to t ~by r ~src =
   if e.peer <> by || not e.writable then raise (Permission_denied r);
   t.stats.Xstats.grant_copies <- t.stats.Xstats.grant_copies + 1;
   trace_op "gnttab.copy" ~by r;
-  let page = Lazy.force e.page in
+  let page = page e in
   let len = min (Bytestruct.length page) (Bytestruct.length src) in
   Bytestruct.blit src 0 page 0 len
 

@@ -21,14 +21,17 @@ val create : stats:Xstats.t -> t
 val grant_access :
   t -> dom:int -> peer:int -> writable:bool -> Bytestruct.t -> grant_ref
 
-(** [grant_access_lazy t ~dom ~peer ~writable alloc] grants a page that is
-    only materialised (by calling [alloc] once) when the peer first maps or
-    copies through the grant. Receive credit posted on device rings is the
-    intended user: netfront posts hundreds of buffers per vif, and in a
-    large boot storm most are revoked without ever carrying a frame —
-    backing them eagerly would pin pages for the vif's whole lifetime. *)
-val grant_access_lazy :
-  t -> dom:int -> peer:int -> writable:bool -> (unit -> Bytestruct.t) -> grant_ref
+(** [grant_access_deferred t ~dom ~peer ~writable ~fill key] grants a
+    page that does not exist yet: the first {!map}, {!map_rw}, {!copy} or
+    {!copy_to} through the grant calls [fill key] once and keeps the page
+    it returns. Receive credit posted on device rings is the intended
+    user: netfront posts up to 511 buffers per vif, and in a large boot
+    storm most are revoked without ever carrying a frame. One [fill]
+    closure serves every credit of a device, [key] naming the credit, so
+    a deferred grant allocates nothing beyond the entry an eager one
+    does. *)
+val grant_access_deferred :
+  t -> dom:int -> peer:int -> writable:bool -> fill:(int -> Bytestruct.t) -> int -> grant_ref
 
 (** [map t ~by ref] returns a view aliasing the granted page.
     @raise Permission_denied when [by] is not the grantee. *)

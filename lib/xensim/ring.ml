@@ -140,6 +140,12 @@ module Back = struct
     trace_consume c_req_consumed "ring.consume_req" ~n:!handled;
     !handled
 
+  let unanswered t = diff t.req_cons t.rsp_prod_pvt
+
+  let oldest_unanswered t =
+    if unanswered t = 0 then failwith "Ring.Back.oldest_unanswered: no unanswered request";
+    Sring.slot t.sring t.rsp_prod_pvt
+
   let next_response t =
     let s = Sring.slot t.sring t.rsp_prod_pvt in
     t.rsp_prod_pvt <- u32 (t.rsp_prod_pvt + 1);

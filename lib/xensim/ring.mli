@@ -72,6 +72,17 @@ module Back : sig
       {!Front.consume_responses}. *)
   val consume_requests : t -> (Bytestruct.t -> unit) -> int
 
+  (** Requests consumed but not yet answered by {!next_response}. *)
+  val unanswered : t -> int
+
+  (** [oldest_unanswered t] is the slot of the oldest consumed request
+      still awaiting its response — the very slot {!next_response} will
+      return, so a backend can read a request's fields there instead of
+      copying them out at consume time. The frontend cannot reuse it
+      until the response is pushed and consumed.
+      @raise Failure when {!unanswered} is 0. *)
+  val oldest_unanswered : t -> Bytestruct.t
+
   (** [next_response t] claims the next response slot (aliasing the oldest
       consumed request slot). *)
   val next_response : t -> Bytestruct.t

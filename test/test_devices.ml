@@ -156,6 +156,120 @@ let test_netif_tx_doorbells () =
       check_int "32-frame pipelined burst" 1 (burst p 32);
       check_int "one frame once the vif is idle again" 1 (burst p 1))
 
+(* ---- Netif teardown ---- *)
+
+(* Teardown mid-frame must leave no grant, no buffer and no event behind:
+   [disconnect] can land while a frame is anywhere between the wire and
+   the listener. Each case connects the vif under test into a world
+   whose other vifs stay up, and checks the grant table against its
+   value before that vif was connected. *)
+let assert_torn_down w ~grants pools =
+  check_int "every grant revoked" grants (Xensim.Gnttab.active_grants w.hv.Xensim.Hypervisor.gnttab);
+  List.iter (fun pool -> check_int "every buffer released" 0 (Pktbuf.outstanding pool)) pools
+
+let step_until w what cond =
+  while not (cond ()) do
+    if not (Engine.Sim.step w.sim) then Alcotest.fail ("simulation ended before " ^ what)
+  done
+
+(* The response has been consumed and the frame waits on the vCPU's
+   receive work when the vif goes away: the deferred delivery must drop
+   it instead of reposting credit and notifying a closed port. *)
+let test_netif_disconnect_mid_delivery () =
+  let w = make_world () in
+  let _, na = vif w "neta" in
+  let grants = Xensim.Gnttab.active_grants w.hv.Xensim.Hypervisor.gnttab in
+  let _, nb = vif ~rx_slots:64 w "netb" in
+  let delivered = ref 0 in
+  Devices.Netif.set_listener nb (fun _ -> incr delivered);
+  ignore (Devices.Netif.write na (eth_frame ~dst:(Devices.Netif.mac nb) ~src:(Devices.Netif.mac na) "late"));
+  step_until w "the response was consumed" (fun () -> Devices.Netif.rx_frames nb = 1);
+  check_int "not yet delivered" 0 !delivered;
+  Devices.Netif.disconnect nb;
+  Engine.Sim.run w.sim;
+  check_int "dropped, not delivered" 0 !delivered;
+  assert_torn_down w ~grants [ Devices.Netif.pool na; Devices.Netif.pool nb ]
+
+(* The frame has been granted and queued, but the vCPU charge that puts
+   it on the ring completes after teardown: it is dropped unpushed. A
+   write issued after teardown is dropped before it takes a grant. *)
+let test_netif_disconnect_mid_write () =
+  let w = make_world () in
+  let _, nb = vif w "netb" in
+  let grants = Xensim.Gnttab.active_grants w.hv.Xensim.Hypervisor.gnttab in
+  let _, na = vif w "neta" in
+  Devices.Netif.set_listener nb (fun _ -> ());
+  let pb = Pktbuf.alloc (Devices.Netif.pool na) in
+  let payload = eth_frame ~dst:(Devices.Netif.mac nb) ~src:(Devices.Netif.mac na) "late" in
+  let frame = Pktbuf.view pb ~off:0 ~len:(Bytestruct.length payload) in
+  Bytestruct.blit payload 0 frame 0 (Bytestruct.length payload);
+  let written = Devices.Netif.write ~owner:pb na frame in
+  check_bool "charge still pending" true (P.state written = `Pending);
+  Devices.Netif.disconnect na;
+  Engine.Sim.run w.sim;
+  check_int "nothing reached the peer" 0 (Devices.Netif.rx_frames nb);
+  check_bool "the write resolves as a drop" true (P.state written = `Resolved ());
+  let pb = Pktbuf.alloc (Devices.Netif.pool na) in
+  let after = Devices.Netif.write ~owner:pb na (Pktbuf.view pb ~off:0 ~len:(Bytestruct.length payload)) in
+  Engine.Sim.run w.sim;
+  check_bool "a write after teardown is a drop too" true (P.state after = `Resolved ());
+  assert_torn_down w ~grants [ Devices.Netif.pool na; Devices.Netif.pool nb ]
+
+(* Netback has copied the frame into a credit (materialising its
+   buffer) and pushed the response, but the frontend has not consumed
+   it: [disconnect] revokes that grant with the rest and releases the
+   buffer itself. *)
+let test_netif_disconnect_after_copy () =
+  let w = make_world () in
+  let _, na = vif w "neta" in
+  let grants = Xensim.Gnttab.active_grants w.hv.Xensim.Hypervisor.gnttab in
+  let _, nb = vif ~rx_slots:64 w "netb" in
+  Devices.Netif.set_listener nb (fun _ -> ());
+  let pool = Devices.Netif.pool nb in
+  ignore (Devices.Netif.write na (eth_frame ~dst:(Devices.Netif.mac nb) ~src:(Devices.Netif.mac na) "copied"));
+  step_until w "netback copied the frame" (fun () -> Pktbuf.outstanding pool = 1);
+  check_int "response not consumed yet" 0 (Devices.Netif.rx_frames nb);
+  check_int "all credit still posted" 64 (Devices.Netif.rx_posted nb);
+  Devices.Netif.disconnect nb;
+  check_int "credit dropped" 0 (Devices.Netif.rx_posted nb);
+  check_int "copied buffer released by disconnect" 0 (Pktbuf.outstanding pool);
+  Engine.Sim.run w.sim;
+  check_int "never consumed" 0 (Devices.Netif.rx_frames nb);
+  assert_torn_down w ~grants [ Devices.Netif.pool na; pool ]
+
+(* What an idle vif costs: 64 posted credits, two rings, ports, grants.
+   Credit is two ring-indexed arrays plus one grant entry per slot, and
+   an idle vif holds no packet buffer; the bound fails if per-credit
+   heap objects come back (a lazy buffer and closures per credit cost
+   ~33 KB per vif). *)
+let test_netif_idle_footprint () =
+  let n = 200 in
+  let w = make_world () in
+  let hosts =
+    List.init n (fun i ->
+        let dom =
+          Xensim.Hypervisor.create_domain w.hv ~name:(Printf.sprintf "idle%d" i) ~mem_mib:32
+            ~platform:Platform.xen_extent ()
+        in
+        dom.Xensim.Domain.state <- Xensim.Domain.Running;
+        (dom, Netsim.Bridge.new_nic w.bridge ~mac:(Netsim.mac_of_int (10 + dom.Xensim.Domain.id)) ()))
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let before = live () in
+  let vifs =
+    List.map
+      (fun (dom, nic) -> Devices.Netif.connect w.hv ~dom ~backend_dom:w.dom0 ~nic ~rx_slots:64 ())
+      hosts
+  in
+  Engine.Sim.run w.sim;
+  let per_vif = (live () - before) / n in
+  List.iter (fun v -> check_int "credit posted" 64 (Devices.Netif.rx_posted v)) vifs;
+  List.iter (fun v -> check_int "no buffer held" 0 (Pktbuf.bytes_reserved (Devices.Netif.pool v))) vifs;
+  check_bool (Printf.sprintf "%d B live per idle vif <= 24 KB" per_vif) true (per_vif <= 24 * 1024)
+
 (* ---- Blkif ---- *)
 
 let blkif_world () =
@@ -262,6 +376,10 @@ let () =
           Alcotest.test_case "rings sized to credit" `Quick test_netif_rings_sized_to_credit;
           Alcotest.test_case "small rx ring wraps" `Quick test_netif_small_rx_ring_wraps;
           Alcotest.test_case "tx doorbells" `Quick test_netif_tx_doorbells;
+          Alcotest.test_case "disconnect mid-delivery" `Quick test_netif_disconnect_mid_delivery;
+          Alcotest.test_case "disconnect mid-write" `Quick test_netif_disconnect_mid_write;
+          Alcotest.test_case "disconnect after netback copy" `Quick test_netif_disconnect_after_copy;
+          Alcotest.test_case "idle footprint" `Quick test_netif_idle_footprint;
         ] );
       ( "console",
         [

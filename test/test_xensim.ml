@@ -270,6 +270,30 @@ let test_gnttab_copy_ops () =
   check_string "copy in" "TARGET" (Bytestruct.to_string page);
   check_int "copies counted" 2 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.grant_copies
 
+(* A deferred grant has no page until the grantee first touches it;
+   then the device's one fill function supplies it, keyed by credit,
+   exactly once. Revoking an untouched grant never fills. *)
+let test_gnttab_deferred_fill () =
+  let w = make_world () in
+  let gt = w.hv.Xensim.Hypervisor.gnttab in
+  let filled = ref [] in
+  let fill key =
+    filled := key :: !filled;
+    bs (Printf.sprintf "page%02d" key)
+  in
+  let r5 = Xensim.Gnttab.grant_access_deferred gt ~dom:1 ~peer:2 ~writable:true ~fill 5 in
+  let r6 = Xensim.Gnttab.grant_access_deferred gt ~dom:1 ~peer:2 ~writable:true ~fill 6 in
+  Alcotest.(check (list int)) "nothing filled at grant time" [] !filled;
+  Xensim.Gnttab.copy_to gt ~by:2 r5 ~src:(bs "fr");
+  Alcotest.(check (list int)) "first copy fills its own key" [ 5 ] !filled;
+  check_string "copy lands in the filled page" "frge05"
+    (Bytestruct.to_string (Xensim.Gnttab.map gt ~by:2 r5));
+  Xensim.Gnttab.unmap gt ~by:2 r5;
+  Alcotest.(check (list int)) "filled once" [ 5 ] !filled;
+  Xensim.Gnttab.end_access gt r5;
+  Xensim.Gnttab.end_access gt r6;
+  Alcotest.(check (list int)) "a revoked untouched grant never fills" [ 5 ] !filled
+
 (* ---- Shared rings ---- *)
 
 let make_ring () =
@@ -296,6 +320,41 @@ let test_ring_request_response_cycle () =
   ignore (Xensim.Ring.Front.consume_responses front (fun s ->
       rsps := Int32.to_int (Bytestruct.LE.get_uint32 s 0) :: !rsps));
   Alcotest.(check (list int)) "response payload" [ 78 ] !rsps
+
+(* A backend may leave consumed requests in their slots and read each one
+   when it answers it (netback's RX credit): the slot it exposes is the
+   one [next_response] then claims, FIFO, across wraparound. *)
+let test_ring_unanswered_requests () =
+  let page = Bytestruct.create (Xensim.Ring.Sring.page_bytes ~slot_bytes:16 4) in
+  let front = Xensim.Ring.Front.init (Xensim.Ring.Sring.init page ~slot_bytes:16) in
+  let back = Xensim.Ring.Back.init (Xensim.Ring.Sring.attach page ~slot_bytes:16) in
+  let tag = ref 0 in
+  for round = 1 to 3 do
+    for _ = 1 to 3 do
+      incr tag;
+      Bytestruct.LE.set_uint16 (Xensim.Ring.Front.next_request front) 0 !tag
+    done;
+    ignore (Xensim.Ring.Front.push_requests_and_check_notify front);
+    check_int "nothing consumed, nothing unanswered" 0 (Xensim.Ring.Back.unanswered back);
+    check_int "three consumed" 3 (Xensim.Ring.Back.consume_requests back ignore);
+    for k = 3 downto 1 do
+      check_int "unanswered count" k (Xensim.Ring.Back.unanswered back);
+      let oldest = Xensim.Ring.Back.oldest_unanswered back in
+      check_int
+        (Printf.sprintf "round %d: oldest request first" round)
+        (!tag - k + 1)
+        (Bytestruct.LE.get_uint16 oldest 0);
+      let rsp = Xensim.Ring.Back.next_response back in
+      Bytestruct.LE.set_uint16 rsp 2 (1000 + k);
+      check_int "the response slot is the exposed slot" (1000 + k) (Bytestruct.LE.get_uint16 oldest 2)
+    done;
+    check_int "all answered" 0 (Xensim.Ring.Back.unanswered back);
+    ignore (Xensim.Ring.Back.push_responses_and_check_notify back);
+    check_int "three responses" 3 (Xensim.Ring.Front.consume_responses front ignore)
+  done;
+  match Xensim.Ring.Back.oldest_unanswered back with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "no unanswered request to expose"
 
 let test_ring_capacity_and_full () =
   let front, _back = make_ring () in
@@ -605,6 +664,7 @@ let () =
           Alcotest.test_case "permissions" `Quick test_gnttab_permissions;
           Alcotest.test_case "busy revocation" `Quick test_gnttab_busy_revocation;
           Alcotest.test_case "copy ops" `Quick test_gnttab_copy_ops;
+          Alcotest.test_case "deferred fill" `Quick test_gnttab_deferred_fill;
         ] );
       ( "ring",
         [
@@ -613,6 +673,7 @@ let () =
           Alcotest.test_case "event suppression" `Quick test_ring_event_suppression;
           Alcotest.test_case "final check closes race" `Quick test_ring_final_check_closes_race;
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
+          Alcotest.test_case "unanswered requests" `Quick test_ring_unanswered_requests;
           prop_ring_fifo;
         ] );
       ( "xenstore",
