@@ -148,6 +148,40 @@ module LE = struct
     Bytes.set_int64_le t.buffer (t.off + off) v
 end
 
+external unsafe_get16 : bytes -> int -> int = "%caml_bytes_get16u"
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Eight bytes per iteration, one 64-bit load split into its two unsigned
+   32-bit halves and added to a 63-bit accumulator (2^29 iterations before
+   it could overflow); then 16-bit loads, then the odd byte as the first
+   byte of a zero-padded word. One bounds check covers every load. *)
+let sum16_ne t off len =
+  check_view t off len;
+  let b = t.buffer in
+  let stop = t.off + off + len in
+  let i = ref (t.off + off) and acc = ref 0 in
+  while !i + 8 <= stop do
+    let w = unsafe_get64 b !i in
+    acc :=
+      !acc
+      + Int64.to_int (Int64.shift_right_logical w 32)
+      + Int64.to_int (Int64.logand w 0xffff_ffffL);
+    i := !i + 8
+  done;
+  while !i + 2 <= stop do
+    acc := !acc + unsafe_get16 b !i;
+    i := !i + 2
+  done;
+  if !i < stop then begin
+    let last = Char.code (Bytes.unsafe_get b !i) in
+    acc := !acc + if Sys.big_endian then last lsl 8 else last
+  end;
+  let s = ref !acc in
+  while !s > 0xffff do
+    s := (!s land 0xffff) + (!s lsr 16)
+  done;
+  !s
+
 let get_string t off len =
   bounds t off len;
   Bytes.sub_string t.buffer (t.off + off) len

@@ -96,6 +96,15 @@ module LE : sig
   val set_uint64 : t -> int -> int64 -> unit
 end
 
+(** {1 Checksumming} *)
+
+(** [sum16_ne t off len] is the one's-complement sum of the [len] bytes at
+    [off], read as native-endian 16-bit words (an odd last byte is padded
+    with a zero byte) and folded to 16 bits. It is allocation-free and reads
+    nothing outside [\[off, off+len)]; {!Netstack.Checksum} turns it into
+    the network-order Internet checksum. *)
+val sum16_ne : t -> int -> int -> int
+
 (** {1 Strings within buffers} *)
 
 (** [get_string t off len] copies out a substring. *)

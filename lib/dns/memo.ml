@@ -8,7 +8,21 @@ type t = {
 
 let create () = { table = Hashtbl.create 1024; hits = 0; misses = 0 }
 
-let key ~qname ~qtype = (Dns_name.to_string qname, Dns_wire.qtype_to_int qtype)
+(* Keyed on the length-prefixed labels (the wire form less its root byte),
+   not the dotted form: ["a.b"; "c"] and ["a"; "b"; "c"] both print as
+   "a.b.c" but are different names. Decoded labels are at most 63 bytes. *)
+let key ~qname ~qtype =
+  let b = Bytes.create (Dns_name.encoded_length qname - 1) in
+  let _ =
+    List.fold_left
+      (fun pos label ->
+        let n = String.length label in
+        Bytes.set b pos (Char.chr n);
+        Bytes.blit_string label 0 b (pos + 1) n;
+        pos + 1 + n)
+      0 qname
+  in
+  (Bytes.unsafe_to_string b, Dns_wire.qtype_to_int qtype)
 
 let find t ~qname ~qtype =
   match Hashtbl.find_opt t.table (key ~qname ~qtype) with

@@ -1,40 +1,31 @@
-(* One's-complement sum carried across buffer boundaries: an odd-length
-   buffer contributes its last byte as the high half of a 16-bit word whose
-   low half is the first byte of the next buffer. *)
+(* The running sum is one immediate int: bit 0 is the parity of the bytes
+   added so far, the bits above it an unfolded network-order sum. A view
+   starting at an odd stream offset has its 16-bit words straddle the
+   stream's, which in one's-complement arithmetic is a byte swap of its
+   folded sum (RFC 1071 §2(B)); so is the step from native to network
+   order. *)
 
-let fold_buffer (sum, carry_byte) buf =
-  let len = Bytestruct.length buf in
-  let sum = ref sum in
-  let i = ref 0 in
-  (match carry_byte with
-  | Some hi when len > 0 ->
-    sum := !sum + ((hi lsl 8) lor Bytestruct.get_uint8 buf 0);
-    incr i
-  | _ -> ());
-  let carry = ref (match carry_byte with Some hi when len = 0 -> Some hi | _ -> None) in
-  while !i + 1 < len do
-    sum := !sum + Bytestruct.BE.get_uint16 buf !i;
-    i := !i + 2
+let swap16 s = ((s land 0xff) lsl 8) lor (s lsr 8)
+
+let pseudo ~src ~dst ~proto ~len =
+  let src = Int32.to_int (Ipaddr.to_int32 src) land 0xffff_ffff
+  and dst = Int32.to_int (Ipaddr.to_int32 dst) land 0xffff_ffff in
+  let sum =
+    (src lsr 16) + (src land 0xffff) + (dst lsr 16) + (dst land 0xffff) + proto + (len land 0xffff)
+  in
+  sum lsl 1
+
+let add acc buf ~off ~len =
+  let s = Bytestruct.sum16_ne buf off len in
+  let odd = acc land 1 = 1 in
+  let s = if odd = Sys.big_endian then swap16 s else s in
+  (((acc lsr 1) + s) lsl 1) lor ((acc lxor len) land 1)
+
+let finish acc =
+  let s = ref (acc lsr 1) in
+  while !s > 0xffff do
+    s := (!s land 0xffff) + (!s lsr 16)
   done;
-  if !i < len then carry := Some (Bytestruct.get_uint8 buf !i);
-  (!sum, !carry)
+  lnot !s land 0xffff
 
-let finish (sum, carry_byte) =
-  let sum = match carry_byte with Some hi -> sum + (hi lsl 8) | None -> sum in
-  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
-  lnot (fold sum) land 0xffff
-
-let ones_complement_list bufs = finish (List.fold_left fold_buffer (0, None) bufs)
-
-let ones_complement buf = ones_complement_list [ buf ]
-
-let pseudo_header ~src ~dst ~proto ~len =
-  let b = Bytestruct.create 12 in
-  Ipaddr.set b 0 src;
-  Ipaddr.set b 4 dst;
-  Bytestruct.set_uint8 b 8 0;
-  Bytestruct.set_uint8 b 9 proto;
-  Bytestruct.BE.set_uint16 b 10 len;
-  b
-
-let valid bufs = ones_complement_list bufs = 0
+let ones_complement buf = finish (add 0 buf ~off:0 ~len:(Bytestruct.length buf))

@@ -21,11 +21,13 @@ let build ~typ ~id ~seq ~payload =
   Bytestruct.BE.set_uint16 h 2 0;
   Bytestruct.BE.set_uint16 h 4 id;
   Bytestruct.BE.set_uint16 h 6 seq;
-  Bytestruct.BE.set_uint16 h 2 (Checksum.ones_complement_list [ h; payload ]);
+  let csum = Checksum.add 0 h ~off:0 ~len:8 in
+  let csum = Checksum.add csum payload ~off:0 ~len:(Bytestruct.length payload) in
+  Bytestruct.BE.set_uint16 h 2 (Checksum.finish csum);
   [ h; payload ]
 
 let handle t ~src ~payload =
-  if Bytestruct.length payload < 8 || not (Checksum.valid [ payload ]) then
+  if Bytestruct.length payload < 8 || Checksum.ones_complement payload <> 0 then
     t.checksum_failures <- t.checksum_failures + 1
   else begin
     let typ = Bytestruct.get_uint8 payload 0 in

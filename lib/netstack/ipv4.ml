@@ -40,7 +40,7 @@ let create sim eth arp cfg =
           vihl lsr 4 <> 4
           || ihl < header_bytes
           || total_len > Bytestruct.length payload
-          || Checksum.ones_complement (Bytestruct.sub payload 0 ihl) <> 0
+          || Checksum.finish (Checksum.add 0 payload ~off:0 ~len:ihl) <> 0
         then t.checksum_failures <- t.checksum_failures + 1
         else begin
           let proto = Bytestruct.get_uint8 payload 9 in

@@ -84,8 +84,10 @@ let encode ~src ~dst seg =
     incr off
   done;
   let total = hlen + Bytestruct.length seg.payload in
-  let pseudo = Checksum.pseudo_header ~src ~dst ~proto:6 ~len:total in
-  let csum = Checksum.ones_complement_list [ pseudo; h; seg.payload ] in
+  let csum = Checksum.pseudo ~src ~dst ~proto:6 ~len:total in
+  let csum = Checksum.add csum h ~off:0 ~len:hlen in
+  let csum = Checksum.add csum seg.payload ~off:0 ~len:(Bytestruct.length seg.payload) in
+  let csum = Checksum.finish csum in
   Bytestruct.BE.set_uint16 h 16 csum;
   [ h; seg.payload ]
 
@@ -114,9 +116,8 @@ let decode ~src ~dst buf =
     let data_off = (Bytestruct.BE.get_uint16 buf 12 lsr 12) * 4 in
     if data_off < base_header || data_off > Bytestruct.length buf then Error `Too_short
     else if
-      Checksum.ones_complement_list
-        [ Checksum.pseudo_header ~src ~dst ~proto:6 ~len:(Bytestruct.length buf); buf ]
-      <> 0
+      let len = Bytestruct.length buf in
+      Checksum.finish (Checksum.add (Checksum.pseudo ~src ~dst ~proto:6 ~len) buf ~off:0 ~len) <> 0
     then Error `Bad_checksum
     else begin
       let fl = Bytestruct.BE.get_uint16 buf 12 land 0x3f in

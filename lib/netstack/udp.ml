@@ -38,11 +38,9 @@ let handle t ~src ~dst ~payload =
     else begin
       let ok =
         csum = 0
-        || Checksum.valid
-             [
-               Checksum.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len;
-               Bytestruct.sub payload 0 len;
-             ]
+        || Checksum.finish
+             (Checksum.add (Checksum.pseudo ~src ~dst ~proto:Ipv4.proto_udp ~len) payload ~off:0 ~len)
+           = 0
       in
       if not ok then t.checksum_failures <- t.checksum_failures + 1
       else begin
@@ -98,10 +96,10 @@ let sendto t ~src_port ~dst ~dst_port payload =
   Bytestruct.BE.set_uint16 h 2 dst_port;
   Bytestruct.BE.set_uint16 h 4 len;
   Bytestruct.BE.set_uint16 h 6 0;
-  let pseudo =
-    Checksum.pseudo_header ~src:(Ipv4.address t.ip) ~dst ~proto:Ipv4.proto_udp ~len
-  in
-  let csum = Checksum.ones_complement_list [ pseudo; h; payload ] in
+  let csum = Checksum.pseudo ~src:(Ipv4.address t.ip) ~dst ~proto:Ipv4.proto_udp ~len in
+  let csum = Checksum.add csum h ~off:0 ~len:header_bytes in
+  let csum = Checksum.add csum payload ~off:0 ~len:(len - header_bytes) in
+  let csum = Checksum.finish csum in
   Bytestruct.BE.set_uint16 h 6 (if csum = 0 then 0xffff else csum);
   t.sent <- t.sent + 1;
   (match Hashtbl.find_opt t.listeners src_port with

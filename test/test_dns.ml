@@ -322,6 +322,16 @@ let test_memo () =
   check_int "hits" 2 (Dns.Memo.hits m);
   check_int "misses" 2 (Dns.Memo.misses m)
 
+let test_memo_dotted_label_is_distinct () =
+  let m = Dns.Memo.create () in
+  Dns.Memo.add m ~qname:[ "a"; "b"; "example" ] ~qtype:Dns.Dns_wire.A (bs "THREE LABELS");
+  check_bool "a label holding a dot is another name" true
+    (Dns.Memo.find m ~qname:[ "a.b"; "example" ] ~qtype:Dns.Dns_wire.A = None);
+  Dns.Memo.add m ~qname:[ "a.b"; "example" ] ~qtype:Dns.Dns_wire.A (bs "TWO LABELS");
+  match Dns.Memo.find m ~qname:[ "a"; "b"; "example" ] ~qtype:Dns.Dns_wire.A with
+  | Some hit -> check_string "first entry kept" "THREE LABELS" (Bytestruct.to_string hit)
+  | None -> Alcotest.fail "expected hit"
+
 (* ---- server over the simulated network ---- *)
 
 let dns_world ~engine =
@@ -440,7 +450,9 @@ let () =
           Alcotest.test_case "not authoritative" `Quick test_db_not_authoritative;
           Alcotest.test_case "answer rcodes" `Quick test_db_answer_rcodes;
         ] );
-      ( "memo", [ Alcotest.test_case "cache behaviour" `Quick test_memo ] );
+      ( "memo",
+        [ Alcotest.test_case "cache behaviour" `Quick test_memo;
+          Alcotest.test_case "dotted label is distinct" `Quick test_memo_dotted_label_is_distinct ] );
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;

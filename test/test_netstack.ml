@@ -49,7 +49,8 @@ let test_checksum_scatter_equals_contiguous () =
       Bytestruct.of_string (String.sub data 33 20);
       Bytestruct.of_string (String.sub data 53 48) ]
   in
-  check_int "scatter-gather equal" whole (N.Checksum.ones_complement_list parts)
+  let sum = List.fold_left (fun acc b -> N.Checksum.add acc b ~off:0 ~len:(Bytestruct.length b)) 0 parts in
+  check_int "scatter-gather equal" whole (N.Checksum.finish sum)
 
 let test_checksum_verifies_to_zero () =
   let data = Bytestruct.of_string (pattern 40) in
@@ -57,7 +58,7 @@ let test_checksum_verifies_to_zero () =
   let packet = Bytestruct.create 42 in
   Bytestruct.blit data 0 packet 0 40;
   Bytestruct.BE.set_uint16 packet 40 c;
-  check_bool "valid" true (N.Checksum.valid [ packet ])
+  check_bool "valid" true (N.Checksum.ones_complement packet = 0)
 
 let prop_checksum_detects_single_bit_flips =
   qtest "checksum detects bit flips" QCheck.(pair (string_of_size (QCheck.Gen.int_range 4 64)) small_nat)
@@ -69,6 +70,98 @@ let prop_checksum_detects_single_bit_flips =
       Bytestruct.set_uint8 b byte (Bytestruct.get_uint8 b byte lxor (1 lsl off));
       let c2 = N.Checksum.ones_complement b in
       c1 <> c2)
+
+(* The byte-pair algorithm the word-at-a-time kernel replaced, kept here as
+   the oracle: 16-bit big-endian words over the concatenated fragments, an
+   odd fragment's last byte carried into the next fragment's first. *)
+let reference_checksum bufs =
+  let sum, carry =
+    List.fold_left
+      (fun (sum, carry) buf ->
+        let sum = ref sum and carry = ref carry in
+        for i = 0 to Bytestruct.length buf - 1 do
+          let b = Bytestruct.get_uint8 buf i in
+          match !carry with
+          | Some hi ->
+            sum := !sum + ((hi lsl 8) lor b);
+            carry := None
+          | None -> carry := Some b
+        done;
+        (!sum, !carry))
+      (0, None) bufs
+  in
+  let sum = match carry with Some hi -> sum + (hi lsl 8) | None -> sum in
+  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
+  lnot (fold sum) land 0xffff
+
+let pseudo_buffer ~src ~dst ~proto ~len =
+  let b = Bytestruct.create 12 in
+  N.Ipaddr.set b 0 src;
+  N.Ipaddr.set b 4 dst;
+  Bytestruct.set_uint8 b 9 proto;
+  Bytestruct.BE.set_uint16 b 10 len;
+  b
+
+(* A fragment is a [Bytestruct.sub] view 0-9 bytes into a larger buffer
+   whose other bytes are not zero; its own bytes are random, all 0x00 or
+   all 0xFF. *)
+let gen_fragment =
+  let open QCheck.Gen in
+  let* len = frequency [ (1, int_range 0 3); (3, int_range 0 64); (1, int_range 0 2048) ] in
+  let* bytes =
+    frequency
+      [ (4, string_size ~gen:char (return len));
+        (1, return (String.make len '\x00'));
+        (1, return (String.make len '\xff')) ]
+  in
+  let* before = int_range 0 9 and* after = int_range 0 9 in
+  return (String.make before '\xa5' ^ bytes ^ String.make after '\x5a', before, len)
+
+let prop_checksum_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (opt (quad ui32 ui32 (int_range 0 255) (int_range 0 0xffff)))
+        (list_size (int_range 0 6) gen_fragment))
+  in
+  let print (_, frags) =
+    String.concat " " (List.map (fun (_, off, len) -> Printf.sprintf "[%d+%d]" off len) frags)
+  in
+  qtest ~count:500 "checksum equals byte-pair reference" (QCheck.make ~print gen)
+    (fun (pseudo, frags) ->
+      let views =
+        List.map (fun (s, off, len) -> Bytestruct.sub (Bytestruct.of_string s) off len) frags
+      in
+      let acc, prefix =
+        match pseudo with
+        | None -> (0, [])
+        | Some (src, dst, proto, len) ->
+          let src = N.Ipaddr.of_int32 src and dst = N.Ipaddr.of_int32 dst in
+          (N.Checksum.pseudo ~src ~dst ~proto ~len, [ pseudo_buffer ~src ~dst ~proto ~len ])
+      in
+      let acc =
+        List.fold_left (fun acc v -> N.Checksum.add acc v ~off:0 ~len:(Bytestruct.length v)) acc views
+      in
+      N.Checksum.finish acc = reference_checksum (prefix @ views))
+
+let test_checksum_allocation_free () =
+  let src = N.Ipaddr.v4 10 0 0 1 and dst = N.Ipaddr.v4 10 0 0 2 in
+  let header = Bytestruct.of_string (pattern 20) in
+  let payload = Bytestruct.sub (Bytestruct.of_string (pattern 1461)) 1 1460 in
+  let segment () =
+    let acc = N.Checksum.pseudo ~src ~dst ~proto:6 ~len:1480 in
+    let acc = N.Checksum.add acc header ~off:0 ~len:20 in
+    N.Checksum.finish (N.Checksum.add acc payload ~off:0 ~len:1460)
+  in
+  let expected = reference_checksum [ pseudo_buffer ~src ~dst ~proto:6 ~len:1480; header; payload ] in
+  check_int "agrees with reference" expected (segment ());
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (segment ()))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "1000 checksums allocate %.0f minor words, want < 1000" words) true
+    (words < 1000.)
 
 (* ---- integration helpers ---- *)
 
@@ -978,6 +1071,8 @@ let () =
           Alcotest.test_case "scatter equals contiguous" `Quick test_checksum_scatter_equals_contiguous;
           Alcotest.test_case "verifies to zero" `Quick test_checksum_verifies_to_zero;
           prop_checksum_detects_single_bit_flips;
+          prop_checksum_matches_reference;
+          Alcotest.test_case "allocation-free" `Quick test_checksum_allocation_free;
         ] );
       ( "arp",
         [
