@@ -120,11 +120,31 @@ let test_compress_hash_big =
     (Staged.stage (fun () ->
          ignore (Dns.Dns_wire.encode ~impl:Dns.Compress.Hashtable big_response)))
 
+(* The event set's hold model: take the earliest event and push it back
+   a pseudo-random increment later, so the pending count stays fixed.
+   128 pending is about dns_udp's peak, 2500 bulk_tcp's. *)
+let test_eventq_hold pending =
+  let q = Engine.Eventq.create () in
+  let state = ref 1 in
+  let increment () =
+    state := ((!state * 1103515245) + 12345) land 0x3fff_ffff;
+    1 + (!state lsr 10)
+  in
+  for _ = 1 to pending do
+    ignore (Engine.Eventq.push q ~time:(increment ()) ignore)
+  done;
+  Test.make ~name:(Printf.sprintf "eventq hold %d pending" pending)
+    (Staged.stage (fun () ->
+         let time = Engine.Eventq.min_time q in
+         let f = Engine.Eventq.take q in
+         ignore (Engine.Eventq.push q ~time:(time + increment ()) f)))
+
 let all_tests =
   [
     test_dns_encode_fmap; test_dns_encode_hashtable; test_compress_fmap_big;
     test_compress_hash_big; test_dns_decode; test_checksum; test_tcp_encode; test_ring_cycle;
-    test_of_flow_mod; test_http_parse_render; test_json_parse;
+    test_of_flow_mod; test_http_parse_render; test_json_parse; test_eventq_hold 128;
+    test_eventq_hold 2500;
   ]
 
 (* ---- the observability guard ----

@@ -1,131 +1,183 @@
+(* A 4-ary min-heap over three parallel arrays: slot [i] holds the event
+   whose key is [(times.(i), seqs.(i))] and whose handle is
+   [handles.(i)]. The keys sit unboxed in [int array]s, so a comparison
+   reads two adjacent words and never dereferences a handle, and
+   storing a key costs no write barrier. Four children per node halve
+   the depth of a binary heap, and a node's four children are adjacent
+   words, usually in one cache line. Entries move by hole sifting: the entry being placed is held
+   in registers while the entries it passes shift one level each, so a
+   level costs one store per array instead of a swap. *)
+
 type handle = {
-  time : int;
-  seq : int;
   action : unit -> unit;
-  (* Physical index in the owner's heap array, maintained by every swap;
-     -1 once fired or removed. Cancellation uses it to delete the entry
-     in O(log n) instead of leaving a corpse to skip at pop time — a
-     steady arm/cancel pattern (RTO timers, session timeouts) would
-     otherwise pile dead entries into the array and churn it through
-     grow/shrink cycles, and that garbage lands on whichever datapath
-     hop happens to push next. *)
+  (* Slot in the owner's arrays, maintained on every move; -1 once fired
+     or removed. Cancellation uses it to delete the entry in O(log n)
+     instead of leaving a corpse to skip at pop time — a steady
+     arm/cancel pattern (RTO timers, session timeouts) would otherwise
+     pile dead entries into the arrays, and the garbage would land on
+     whichever datapath hop happens to push next. *)
   mutable pos : int;
   owner : t;
 }
 
 and t = {
-  mutable heap : handle array;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable handles : handle array;
   mutable size : int;
   mutable next_seq : int;
 }
 
 (* The placeholder for empty slots needs an owner of its own; tie the
    knot with a throwaway queue that never schedules anything. *)
-let rec dummy = { time = 0; seq = 0; action = (fun () -> ()); pos = -1; owner = dummy_q }
+let rec dummy = { action = (fun () -> ()); pos = -1; owner = dummy_q }
 
-and dummy_q = { heap = [||]; size = 0; next_seq = 0 }
+and dummy_q = { times = [||]; seqs = [||]; handles = [||]; size = 0; next_seq = 0 }
 
 let initial_capacity = 64
 
-let create () = { heap = Array.make initial_capacity dummy; size = 0; next_seq = 0 }
+let create () =
+  {
+    times = Array.make initial_capacity 0;
+    seqs = Array.make initial_capacity 0;
+    handles = Array.make initial_capacity dummy;
+    size = 0;
+    next_seq = 0;
+  }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b;
-  b.pos <- i;
-  t.heap.(j) <- a;
-  a.pos <- j
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let grow t =
-  let bigger = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 bigger 0 t.size;
-  t.heap <- bigger
+let resize t cap =
+  let times = Array.make cap 0 and seqs = Array.make cap 0 and handles = Array.make cap dummy in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.handles 0 handles 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.handles <- handles
 
 (* Return memory after mass cancellation (ACKed retransmits, reaped
-   domains): halve while under a quarter full. The 4x hysteresis against
-   [grow]'s doubling keeps a heap hovering at one size from thrashing
-   allocations in either direction. *)
+   domains): halve while at most an eighth full. The 8x hysteresis
+   against [push]'s doubling is wider than the swing of a loaded
+   simulator's pending count (bulk TCP moves between about 600 and 2500
+   events as windows open and RTO timers are cancelled), so a queue
+   breathing across that range keeps its arrays instead of reallocating
+   them on every swing. *)
 let maybe_shrink t =
-  let cap = ref (Array.length t.heap) in
-  while !cap > initial_capacity && t.size * 4 <= !cap do
+  let cap = ref (Array.length t.times) in
+  while !cap > initial_capacity && t.size * 8 <= !cap do
     cap := !cap / 2
   done;
-  if !cap < Array.length t.heap then begin
-    let smaller = Array.make !cap dummy in
-    Array.blit t.heap 0 smaller 0 t.size;
-    t.heap <- smaller
-  end
+  if !cap < Array.length t.times then resize t !cap
+
+let set t i time seq h =
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.handles i h;
+  h.pos <- i
+
+let move t ~src ~dst =
+  set t dst (Array.unsafe_get t.times src) (Array.unsafe_get t.seqs src)
+    (Array.unsafe_get t.handles src)
+
+(* Place [(time, seq, h)] at or above the hole at slot [i]. Every slot
+   index here is below [t.size], which is at most the array length. *)
+let sift_up t i time seq h =
+  let i = ref i and placed = ref false in
+  while not !placed do
+    if !i = 0 then placed := true
+    else begin
+      let p = (!i - 1) lsr 2 in
+      let pt = Array.unsafe_get t.times p in
+      if time < pt || (time = pt && seq < Array.unsafe_get t.seqs p) then begin
+        move t ~src:p ~dst:!i;
+        i := p
+      end
+      else placed := true
+    end
+  done;
+  set t !i time seq h
+
+(* Place [(time, seq, h)] at or below the hole at slot [i]. *)
+let sift_down t i time seq h =
+  let times = t.times and seqs = t.seqs and size = t.size in
+  let i = ref i and placed = ref false in
+  while not !placed do
+    let first = (4 * !i) + 1 in
+    if first >= size then placed := true
+    else begin
+      (* the least of up to four children *)
+      let c = ref first in
+      let ct = ref (Array.unsafe_get times first) and cs = ref (Array.unsafe_get seqs first) in
+      let last = if first + 3 < size then first + 3 else size - 1 in
+      for k = first + 1 to last do
+        let kt = Array.unsafe_get times k in
+        if kt < !ct || (kt = !ct && Array.unsafe_get seqs k < !cs) then begin
+          c := k;
+          ct := kt;
+          cs := Array.unsafe_get seqs k
+        end
+      done;
+      if !ct < time || (!ct = time && !cs < seq) then begin
+        move t ~src:!c ~dst:!i;
+        i := !c
+      end
+      else placed := true
+    end
+  done;
+  set t !i time seq h
 
 let push t ~time action =
-  let h = { time; seq = t.next_seq; action; pos = t.size; owner = t } in
-  t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- h;
+  let h = { action; pos = -1; owner = t } in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if t.size = Array.length t.times then resize t (2 * t.size);
   t.size <- t.size + 1;
-  sift_up t (t.size - 1);
+  sift_up t (t.size - 1) time seq h;
   h
 
-(* True deletion: move the last entry into the vacated slot and restore
-   the heap property around it. Pop order among survivors is a pure
-   function of their (time, seq) keys, so when a removal happens cannot
-   change what pops next — determinism is preserved. *)
-let remove t h =
+(* Detach the last entry and re-place it at the hole [i] left by a
+   removed entry. *)
+let fill_hole t i =
+  let last = t.size - 1 in
+  t.size <- last;
+  let h = Array.unsafe_get t.handles last in
+  Array.unsafe_set t.handles last dummy;
+  if i < last then begin
+    let time = Array.unsafe_get t.times last and seq = Array.unsafe_get t.seqs last in
+    (* A hole in the middle can need the entry to travel either way;
+       only one direction ever moves anything. *)
+    let above =
+      i > 0
+      &&
+      let p = (i - 1) lsr 2 in
+      let pt = Array.unsafe_get t.times p in
+      time < pt || (time = pt && seq < Array.unsafe_get t.seqs p)
+    in
+    if above then sift_up t i time seq h else sift_down t i time seq h
+  end
+
+(* True deletion. Pop order among survivors is a pure function of their
+   (time, seq) keys, so when a removal happens cannot change what pops
+   next — determinism is preserved. *)
+let cancel h =
   let i = h.pos in
-  h.pos <- -1;
-  t.size <- t.size - 1;
-  if i < t.size then begin
-    let moved = t.heap.(t.size) in
-    t.heap.(i) <- moved;
-    moved.pos <- i;
-    t.heap.(t.size) <- dummy;
-    sift_down t i;
-    sift_up t i
-  end
-  else t.heap.(t.size) <- dummy;
-  maybe_shrink t
-
-let cancel h = if h.pos >= 0 then remove h.owner h
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    top.pos <- -1;
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      let moved = t.heap.(t.size) in
-      t.heap.(0) <- moved;
-      moved.pos <- 0;
-      t.heap.(t.size) <- dummy;
-      sift_down t 0
-    end
-    else t.heap.(t.size) <- dummy;
-    Some (top.time, top.action)
+  if i >= 0 then begin
+    let t = h.owner in
+    h.pos <- -1;
+    fill_hole t i;
+    maybe_shrink t
   end
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+let min_time t =
+  if t.size = 0 then invalid_arg "Eventq.min_time: empty queue";
+  Array.unsafe_get t.times 0
+
+let take t =
+  if t.size = 0 then invalid_arg "Eventq.take: empty queue";
+  let top = Array.unsafe_get t.handles 0 in
+  top.pos <- -1;
+  fill_hole t 0;
+  top.action
 
 let length t = t.size
 
-let capacity t = Array.length t.heap
+let capacity t = Array.length t.times

@@ -1,11 +1,19 @@
 (** Priority queue of timestamped events, the heart of the simulator.
 
-    Events fire in (time, insertion-order) order; cancellation is
-    O(log n) true deletion — the handle tracks its heap index, so a
-    cancelled entry leaves the array (and its captured closure becomes
-    collectable) immediately instead of lingering as a corpse to skip
-    at pop time. Steady arm/cancel traffic therefore keeps the heap at
-    exactly the live-event count, with no grow/shrink churn. *)
+    Events fire in (time, insertion-order) order. The queue is a 4-ary
+    min-heap whose time and insertion keys sit unboxed in [int] arrays
+    beside the handles, with entries moved by hole sifting, so a
+    comparison never dereferences a handle. Reading the earliest time
+    and taking the earliest event allocate nothing; [push] allocates
+    only the returned handle.
+
+    Cancellation is O(log n) true deletion — the handle tracks its heap
+    slot, so a cancelled entry leaves the arrays (and its captured
+    closure becomes collectable) immediately instead of lingering as a
+    corpse to skip at pop time. The arrays double when full and halve
+    only once at most an eighth full, so a pending count that swings
+    within a factor of four keeps one allocation, with no grow/shrink
+    churn. *)
 
 type t
 
@@ -24,12 +32,15 @@ val push : t -> time:int -> (unit -> unit) -> handle
     once the event has fired. *)
 val cancel : handle -> unit
 
-(** Time of the earliest live event. *)
-val peek_time : t -> int option
+(** Time of the earliest pending event.
+    @raise Invalid_argument if the queue is empty. *)
+val min_time : t -> int
 
-(** Pop the earliest live event, or [None] if the queue is empty. *)
-val pop : t -> (int * (unit -> unit)) option
+(** Remove the earliest pending event and return its action (the
+    caller runs it).
+    @raise Invalid_argument if the queue is empty. *)
+val take : t -> (unit -> unit)
 
-(** Current backing-array capacity — for tests asserting the array
-    shrinks back after mass cancellation. *)
+(** Current backing-array capacity — for tests asserting the arrays
+    shrink back after mass cancellation and hold steady under load. *)
 val capacity : t -> int

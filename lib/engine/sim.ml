@@ -90,10 +90,11 @@ let cancel = Eventq.cancel
 let pending t = Eventq.length t.q
 
 let step t =
-  match Eventq.pop t.q with
-  | None -> false
-  | Some (time, action) ->
-    t.now <- max t.now time;
+  if Eventq.length t.q = 0 then false
+  else begin
+    let time = Eventq.min_time t.q in
+    if time > t.now then t.now <- time;
+    let action = Eventq.take t.q in
     if Trace.enabled () then begin
       Trace.incr c_dispatch;
       Trace.emit ~cat:Trace.Sched
@@ -103,17 +104,12 @@ let step t =
     if Trace.Flight.enabled () then Trace.Flight.watermark "sim.pending" (Eventq.length t.q);
     action ();
     true
+  end
 
 let run ?until t =
   t.stopped <- false;
-  let continue () =
-    (not t.stopped)
-    &&
-    match Eventq.peek_time t.q with
-    | None -> false
-    | Some time -> ( match until with None -> true | Some limit -> time <= limit)
-  in
-  while continue () do
+  let limit = match until with None -> max_int | Some limit -> limit in
+  while (not t.stopped) && Eventq.length t.q > 0 && Eventq.min_time t.q <= limit do
     ignore (step t)
   done;
   match until with

@@ -190,14 +190,11 @@ let test_eventq_compaction () =
   check_int "re-cancel is a no-op" 10 (Engine.Eventq.length q);
   (* survivors still pop in time order with correct accounting *)
   let times = ref [] in
-  let rec drain () =
-    match Engine.Eventq.pop q with
-    | None -> ()
-    | Some (t, _) ->
-      times := t :: !times;
-      drain ()
-  in
-  drain ();
+  while Engine.Eventq.length q > 0 do
+    times := Engine.Eventq.min_time q :: !times;
+    let (_ : unit -> unit) = Engine.Eventq.take q in
+    ()
+  done;
   check (Alcotest.list Alcotest.int) "survivors in order"
     [ 0; 100; 200; 300; 400; 500; 600; 700; 800; 900 ]
     (List.rev !times);
@@ -230,6 +227,143 @@ let test_eventq_length_exact () =
   check_int "final length exact" !expected (Engine.Eventq.length q);
   check_bool "backing array holds every live event" true
     (Engine.Eventq.capacity q >= Engine.Eventq.length q)
+
+(* A loaded simulator's pending count breathes: bulk TCP swings between
+   about 600 and 2500 events as windows open and RTO timers are
+   cancelled. Once the arrays have grown to fit the peak, a swing of that
+   size must not reallocate them in either direction. *)
+let test_eventq_capacity_stable () =
+  let q = Engine.Eventq.create () in
+  let prng = Engine.Prng.create ~seed:13 () in
+  let live = Array.make 2500 None and n = ref 0 in
+  let cap = ref 0 and resizes = ref 0 in
+  let observe cycle =
+    let now = Engine.Eventq.capacity q in
+    if cycle > 0 && now <> !cap then incr resizes;
+    cap := now
+  in
+  for cycle = 0 to 49 do
+    while !n < 2500 do
+      live.(!n) <- Some (Engine.Eventq.push q ~time:(Engine.Prng.int prng 1_000_000) ignore);
+      incr n;
+      observe cycle
+    done;
+    while !n > 600 do
+      let i = Engine.Prng.int prng !n in
+      Option.iter Engine.Eventq.cancel live.(i);
+      decr n;
+      live.(i) <- live.(!n);
+      observe cycle
+    done
+  done;
+  check_int "live at the trough" 600 (Engine.Eventq.length q);
+  check_int "resizes after the first cycle" 0 !resizes;
+  check_bool "capacity fits the peak" true (!cap >= 2500)
+
+(* The queue against a sorted-list model, over random interleavings of
+   pushes (few distinct times, so ties are the common case), cancels of
+   live, fired and already-cancelled handles, and takes. Every take must
+   yield the model's least (time, insertion) entry, and [length] must
+   equal the model's size after every operation. *)
+type eventq_op = Push of int | Cancel of int | Take
+
+let eventq_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (5, Gen.map (fun t -> Push t) (Gen.int_bound 7));
+        (2, Gen.map (fun k -> Cancel k) Gen.nat);
+        (3, Gen.return Take);
+      ]
+  in
+  let print = function
+    | Push t -> Printf.sprintf "push %d" t
+    | Cancel k -> Printf.sprintf "cancel #%d" k
+    | Take -> "take"
+  in
+  make ~print:(Print.list print) (Gen.list_size (Gen.int_bound 400) op)
+
+let prop_eventq_model =
+  qtest ~count:300 "eventq order equals sorted model" eventq_ops (fun ops ->
+      let q = Engine.Eventq.create () in
+      let handles = Hashtbl.create 64 and pushed = ref 0 in
+      let model = ref [] (* live (time, id), ascending; ids count pushes *) in
+      let fired = ref (-1) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push time ->
+              let id = !pushed in
+              incr pushed;
+              Hashtbl.replace handles id (Engine.Eventq.push q ~time (fun () -> fired := id));
+              model := List.merge compare !model [ (time, id) ];
+              true
+            | Cancel k ->
+              if !pushed > 0 then begin
+                let id = k mod !pushed in
+                Engine.Eventq.cancel (Hashtbl.find handles id);
+                model := List.filter (fun (_, i) -> i <> id) !model
+              end;
+              true
+            | Take -> (
+              match !model with
+              | [] -> Engine.Eventq.length q = 0
+              | (time, id) :: rest ->
+                model := rest;
+                let at = Engine.Eventq.min_time q in
+                Engine.Eventq.take q ();
+                at = time && !fired = id)
+          in
+          ok && Engine.Eventq.length q = List.length !model)
+        ops)
+
+(* Once the arrays have settled, a hold loop (take the earliest event,
+   push a successor) allocates only the pushed handle: reading the
+   earliest time, taking the event and [Sim.step] allocate nothing. *)
+let test_eventq_hold_allocation () =
+  let n = 10_000 and slack = 100. in
+  let q = Engine.Eventq.create () in
+  for i = 1 to 2500 do
+    ignore (Engine.Eventq.push q ~time:i ignore)
+  done;
+  let handle_words = Obj.size (Obj.repr (Engine.Eventq.push q ~time:0 ignore)) + 1 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    let time = Engine.Eventq.min_time q in
+    let f = Engine.Eventq.take q in
+    ignore (Sys.opaque_identity (Engine.Eventq.push q ~time:(time + 1 + (i land 1023)) f))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "%d push+take cycles allocate %.0f minor words, want %d (handles) + < %.0f" n
+       words (n * handle_words) slack)
+    true
+    (words < float_of_int (n * handle_words) +. slack);
+  let before = Gc.minor_words () in
+  while Engine.Eventq.length q > 0 do
+    ignore (Sys.opaque_identity (Engine.Eventq.min_time q));
+    Engine.Eventq.take q ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "draining takes allocate %.0f minor words, want < %.0f" words slack)
+    true (words < slack);
+  let sim = Engine.Sim.create () in
+  let rec tick () = ignore (Engine.Sim.schedule sim ~delay:7 tick) in
+  for d = 1 to 128 do
+    ignore (Engine.Sim.schedule sim ~delay:d tick)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Engine.Sim.step sim)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "%d Sim.step calls allocate %.0f minor words, want %d (handles) + < %.0f" n
+       words (n * handle_words) slack)
+    true
+    (words < float_of_int (n * handle_words) +. slack)
 
 (* property: events always pop in nondecreasing time order *)
 let prop_eventq_sorted =
@@ -279,6 +413,9 @@ let () =
           Alcotest.test_case "pending count" `Quick test_eventq_pending_count;
           Alcotest.test_case "eventq compaction" `Quick test_eventq_compaction;
           Alcotest.test_case "eventq length exact" `Quick test_eventq_length_exact;
+          Alcotest.test_case "eventq capacity stable" `Quick test_eventq_capacity_stable;
+          Alcotest.test_case "eventq hold allocation" `Quick test_eventq_hold_allocation;
           prop_eventq_sorted;
+          prop_eventq_model;
         ] );
     ]
