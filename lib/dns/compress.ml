@@ -4,76 +4,79 @@ module type S = sig
   type t
 
   val create : unit -> t
-  val find_longest : t -> Dns_name.t -> (Dns_name.t * int * string list) option
-  val add : t -> Dns_name.t -> int -> unit
+  val find_longest : t -> Dns_name.t -> (int * int) option
+  val add : t -> Dns_name.t -> start:int -> int -> unit
   val entries : t -> int
 end
 
-(* Shared: walk the suffixes of [name] longest-first, returning leading
-   labels not covered by the match. *)
-let split_at_suffix name suffix =
-  let keep = List.length name - List.length suffix in
-  let rec take n = function
-    | _ when n = 0 -> []
-    | [] -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take keep name
+(* A key is a name and the label boundary its suffix starts at. *)
+type key = string * int
+
+let rec bytes_compare a i b j n =
+  if n = 0 then 0
+  else
+    let c = Char.compare (String.unsafe_get a i) (String.unsafe_get b j) in
+    if c <> 0 then c else bytes_compare a (i + 1) b (j + 1) (n - 1)
+
+(* The paper's customised ordering: total size first, which is O(1) and
+   rejects most pairs immediately, then contents. *)
+let key_compare ((a, i) : key) ((b, j) : key) =
+  let la = String.length a - i and lb = String.length b - j in
+  if la <> lb then Int.compare la lb else bytes_compare a i b j la
+
+(* Probe suffixes longest first: every label boundary of [s] from [p]. *)
+let rec longest find t s p =
+  if p >= String.length s then None
+  else
+    match find t (s, p) with
+    | Some off -> Some (p, off)
+    | None -> longest find t s (p + 1 + Char.code (String.unsafe_get s p))
 
 module Hashtable : S = struct
-  (* The naive approach: hash the label list directly. An attacker who can
-     pick query names can force collisions in the generic hash. *)
-  type t = (Dns_name.t, int) Hashtbl.t
+  (* The naive approach: a fixed, unkeyed hash (FNV-1a over the suffix's
+     octets). An attacker who can pick query names can force collisions. *)
+  module H = Hashtbl.Make (struct
+    type t = key
 
-  let create () = Hashtbl.create 17
+    let equal a b = key_compare a b = 0
 
-  let find_longest t name =
-    let rec go = function
-      | [] -> None
-      | suffix :: rest -> (
-        match Hashtbl.find_opt t suffix with
-        | Some off -> Some (suffix, off, split_at_suffix name suffix)
-        | None -> go rest)
-    in
-    go (Dns_name.suffixes name)
+    let hash ((s, i) : key) =
+      let h = ref 0x811c9dc5 in
+      for k = i to String.length s - 1 do
+        h := (!h lxor Char.code (String.unsafe_get s k)) * 0x01000193
+      done;
+      !h land max_int
+  end)
 
-  let add t suffix offset = if offset < 0x4000 && not (Hashtbl.mem t suffix) then Hashtbl.replace t suffix offset
+  type t = int H.t
 
-  let entries = Hashtbl.length
+  let create () = H.create 17
+  let find_longest t (name : Dns_name.t) = longest H.find_opt t (name :> string) 0
+
+  let add t (name : Dns_name.t) ~start offset =
+    let k = ((name :> string), start) in
+    if offset < 0x4000 && not (H.mem t k) then H.replace t k offset
+
+  let entries = H.length
 end
 
 module Fmap : S = struct
-  (* Functional map with the paper's customised ordering: compare total
-     encoded sizes first, then contents. Size comparison is O(1) with a
-     cached length and rejects most pairs immediately, which is where the
-     ~20% win comes from; as a balanced tree it is also immune to hash
-     collisions. *)
-  module Key = struct
-    type t = int * Dns_name.t (* encoded length, labels *)
+  (* Functional map under the size-first ordering; as a balanced tree it
+     is immune to hash collisions. *)
+  module M = Map.Make (struct
+    type t = key
 
-    let compare (la, na) (lb, nb) = if la <> lb then compare la lb else compare na nb
-  end
-
-  module M = Map.Make (Key)
+    let compare = key_compare
+  end)
 
   type t = int M.t ref
 
   let create () = ref M.empty
+  let find_longest t (name : Dns_name.t) = longest (fun t k -> M.find_opt k !t) t (name :> string) 0
 
-  let key name = (Dns_name.encoded_length name, name)
-
-  let find_longest t name =
-    let rec go = function
-      | [] -> None
-      | suffix :: rest -> (
-        match M.find_opt (key suffix) !t with
-        | Some off -> Some (suffix, off, split_at_suffix name suffix)
-        | None -> go rest)
-    in
-    go (Dns_name.suffixes name)
-
-  let add t suffix offset =
-    if offset < 0x4000 && not (M.mem (key suffix) !t) then t := M.add (key suffix) offset !t
+  let add t (name : Dns_name.t) ~start offset =
+    let k = ((name :> string), start) in
+    if offset < 0x4000 && not (M.mem k !t) then t := M.add k offset !t
 
   let entries t = M.cardinal !t
 end
@@ -85,5 +88,5 @@ let create = function
   | Fmap -> T ((module Fmap), Fmap.create ())
 
 let find_longest (T ((module M), t)) name = M.find_longest t name
-let add (T ((module M), t)) suffix offset = M.add t suffix offset
+let add (T ((module M), t)) name ~start offset = M.add t name ~start offset
 let entries (T ((module M), t)) = M.entries t

@@ -1,8 +1,13 @@
-type t = {
-  origin : Dns_name.t;
-  table : (Dns_name.t, Dns_wire.rr list) Hashtbl.t;
-  mutable soa : Dns_wire.rr option;
-}
+(* Keyed on the name's wire form itself: one string hash and one memcmp
+   per probe. *)
+module Tbl = Hashtbl.Make (struct
+  type t = Dns_name.t
+
+  let equal = Dns_name.equal
+  let hash (n : t) = Hashtbl.hash (n :> string)
+end)
+
+type t = { origin : Dns_name.t; table : Dns_wire.rr list Tbl.t; mutable soa : Dns_wire.rr option }
 
 type lookup_result =
   | Answers of Dns_wire.rr list
@@ -10,14 +15,14 @@ type lookup_result =
   | Nx_domain of Dns_wire.rr
   | Not_authoritative
 
-let create ~origin = { origin; table = Hashtbl.create 64; soa = None }
+let create ~origin = { origin; table = Tbl.create 64; soa = None }
 
 let add t (rr : Dns_wire.rr) =
   (match rr.Dns_wire.rdata with
   | Dns_wire.SOA_data _ when t.soa = None -> t.soa <- Some rr
   | _ -> ());
-  let existing = match Hashtbl.find_opt t.table rr.Dns_wire.name with Some l -> l | None -> [] in
-  Hashtbl.replace t.table rr.Dns_wire.name (existing @ [ rr ])
+  let existing = match Tbl.find_opt t.table rr.Dns_wire.name with Some l -> l | None -> [] in
+  Tbl.replace t.table rr.Dns_wire.name (existing @ [ rr ])
 
 let of_zone (z : Zone.t) =
   let t = create ~origin:z.Zone.origin in
@@ -35,8 +40,8 @@ let soa_rr t =
       rdata =
         Dns_wire.SOA_data
           {
-            mname = "ns" :: t.origin;
-            rname = "hostmaster" :: t.origin;
+            mname = Dns_name.cons "ns" t.origin;
+            rname = Dns_name.cons "hostmaster" t.origin;
             serial = 1;
             refresh = 7200;
             retry = 1800;
@@ -52,7 +57,7 @@ let lookup t ~qname ~qtype =
   if not (Dns_name.is_suffix ~suffix:t.origin qname) then Not_authoritative
   else begin
     let rec chase name acc depth =
-      match Hashtbl.find_opt t.table name with
+      match Tbl.find_opt t.table name with
       | None -> if acc = [] then Nx_domain (soa_rr t) else Answers (List.rev acc)
       | Some rrs -> (
         let wanted = List.filter (matches qtype) rrs in
@@ -74,7 +79,7 @@ let lookup t ~qname ~qtype =
     chase qname [] 0
   end
 
-let entries t = Hashtbl.length t.table
+let entries t = Tbl.length t.table
 
 let origin t = t.origin
 

@@ -58,14 +58,17 @@ type message = {
 val query : id:int -> Dns_name.t -> qtype -> message
 
 (** [encode ?impl msg] serialises with label compression using the chosen
-    table implementation (default {!Compress.Fmap}). *)
+    table implementation (default {!Compress.Fmap}). The result is a view
+    of the buffer it was written into. *)
 val encode : ?impl:Compress.impl -> message -> Bytestruct.t
 
 exception Decode_error of string
 
 (** @raise Decode_error on malformed input (never reads out of bounds —
     type-safety does the bounds checks the paper credits with eliminating
-    BIND's packet-parsing CVEs). *)
+    BIND's packet-parsing CVEs), including a reserved label type (length
+    byte 0x40–0xBF), a forward or looping compression pointer, and a name
+    over 255 octets. Names come out lowercased. *)
 val decode : Bytestruct.t -> message
 
 (** Patch the transaction id of an already-encoded message in place — the

@@ -1,41 +1,36 @@
-type key = string * int
+(* Keyed on the name's wire form followed by the 2-byte qtype; a name
+   holding a dotted label is a different key from the name split at that
+   dot. Responses are kept as immutable strings. *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
 
-type t = {
-  table : (key, Bytestruct.t) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-}
+  let equal = String.equal
+  let hash (s : t) = Hashtbl.hash s
+end)
 
-let create () = { table = Hashtbl.create 1024; hits = 0; misses = 0 }
+type t = { table : string Tbl.t; mutable hits : int; mutable misses : int }
 
-(* Keyed on the length-prefixed labels (the wire form less its root byte),
-   not the dotted form: ["a.b"; "c"] and ["a"; "b"; "c"] both print as
-   "a.b.c" but are different names. Decoded labels are at most 63 bytes. *)
+let create () = { table = Tbl.create 1024; hits = 0; misses = 0 }
+
 let key ~qname ~qtype =
-  let b = Bytes.create (Dns_name.encoded_length qname - 1) in
-  let _ =
-    List.fold_left
-      (fun pos label ->
-        let n = String.length label in
-        Bytes.set b pos (Char.chr n);
-        Bytes.blit_string label 0 b (pos + 1) n;
-        pos + 1 + n)
-      0 qname
-  in
-  (Bytes.unsafe_to_string b, Dns_wire.qtype_to_int qtype)
+  let s = (qname : Dns_name.t :> string) in
+  let n = String.length s in
+  let b = Bytes.create (n + 2) in
+  Bytes.blit_string s 0 b 0 n;
+  Bytes.set_uint16_be b n (Dns_wire.qtype_to_int qtype land 0xffff);
+  Bytes.unsafe_to_string b
 
 let find t ~qname ~qtype =
-  match Hashtbl.find_opt t.table (key ~qname ~qtype) with
+  match Tbl.find_opt t.table (key ~qname ~qtype) with
   | Some encoded ->
     t.hits <- t.hits + 1;
-    (* Copy: the caller patches the id, and cached bytes must stay clean. *)
-    Some (Bytestruct.copy encoded)
+    (* A fresh copy: the caller patches the id. *)
+    Some (Bytestruct.of_string encoded)
   | None ->
     t.misses <- t.misses + 1;
     None
 
-let add t ~qname ~qtype encoded = Hashtbl.replace t.table (key ~qname ~qtype) (Bytestruct.copy encoded)
-
+let add t ~qname ~qtype encoded = Tbl.replace t.table (key ~qname ~qtype) (Bytestruct.to_string encoded)
 let hits t = t.hits
 let misses t = t.misses
-let entries t = Hashtbl.length t.table
+let entries t = Tbl.length t.table

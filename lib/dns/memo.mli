@@ -1,7 +1,7 @@
 (** Response memoisation — the paper's "simple 20 line patch" that lifted
     the Mirage DNS appliance from ~40 to 75-80 kqueries/s (§4.2): encoded
     responses are cached by (name, type); a hit only patches the
-    transaction id. *)
+    transaction id. Each response is kept as one immutable string. *)
 
 type t
 

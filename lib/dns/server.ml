@@ -65,6 +65,7 @@ module Make (U : Device_sig.UDP) = struct
         query_cost_ns t.engine ~zone_entries:(Db.entries t.db) ~platform:d.Xensim.Domain.platform
           ~memo_hit
       in
+      if Trace.Dpath.enabled () then Trace.Dpath.add_vcpu cost;
       if Trace.enabled () then begin
         (* Retro-span from enqueue to the end of the vCPU slice: the
            application layer of a DNS flow's waterfall (the response is
@@ -83,10 +84,14 @@ module Make (U : Device_sig.UDP) = struct
     Mthread.Promise.async (fun () ->
         U.sendto t.udp ~src_port:dst_port ~dst:src ~dst_port:src_port encoded)
 
-  let handle t ~src ~src_port ~dst_port ~payload =
+  (* The synchronous application work for one datagram: decode, memo or
+     database lookup, encode. [None] when nothing is to be sent. *)
+  let answer t payload =
     match Dns_wire.decode payload with
-    | exception Dns_wire.Decode_error _ -> t.decode_failures <- t.decode_failures + 1
-    | msg when msg.Dns_wire.flags.Dns_wire.qr -> () (* ignore stray responses *)
+    | exception Dns_wire.Decode_error _ ->
+      t.decode_failures <- t.decode_failures + 1;
+      None
+    | msg when msg.Dns_wire.flags.Dns_wire.qr -> None (* ignore stray responses *)
     | { Dns_wire.questions = [ q ]; id; _ } ->
       t.served <- t.served + 1;
       let qname = q.Dns_wire.qname and qtype = q.Dns_wire.qtype in
@@ -110,7 +115,7 @@ module Make (U : Device_sig.UDP) = struct
         | None -> (false, Dns_wire.encode (Db.answer t.db ~id q))
       in
       charge t ~memo_hit;
-      respond t ~src ~src_port ~dst_port encoded
+      Some encoded
     | msg ->
       (* zero or multiple questions: FORMERR *)
       t.served <- t.served + 1;
@@ -125,7 +130,17 @@ module Make (U : Device_sig.UDP) = struct
         }
       in
       charge t ~memo_hit:false;
-      respond t ~src ~src_port ~dst_port (Dns_wire.encode err)
+      Some (Dns_wire.encode err)
+
+  (* App hop: each datagram's [answer], charged the engine's query cost;
+     sending the response is the stack's work. *)
+  let handle t ~src ~src_port ~dst_port ~payload =
+    let reply =
+      if Trace.Dpath.enabled () then
+        Trace.Dpath.measure Trace.Dpath.App ~vcpu_ns:0 (fun () -> answer t payload)
+      else answer t payload
+    in
+    match reply with Some encoded -> respond t ~src ~src_port ~dst_port encoded | None -> ()
 
   let create sim ?dom ~udp ?(port = 53) ~db ~engine () =
     let memo = match engine with Mirage { memoize = true } -> Some (Memo.create ()) | _ -> None in

@@ -45,10 +45,15 @@ let logical_lines text =
   if !depth <> 0 then raise (Parse_error (List.length lines, "unclosed parenthesis"));
   List.rev !out
 
-let absolute origin name =
-  if name = "@" then origin
-  else if String.length name > 0 && name.[String.length name - 1] = '.' then Dns_name.of_string name
-  else Dns_name.of_string name @ origin
+(* A name that breaks RFC 1035's limits is the zone file's error, at
+   this line. *)
+let name_at lineno f = try f () with Invalid_argument msg -> raise (Parse_error (lineno, msg))
+
+let absolute lineno origin name =
+  name_at lineno (fun () ->
+      if name = "@" then origin
+      else if String.length name > 0 && name.[String.length name - 1] = '.' then Dns_name.of_string name
+      else Dns_name.append (Dns_name.of_string name) origin)
 
 let parse_u lineno s =
   match int_of_string_opt s with
@@ -78,7 +83,7 @@ let parse ~origin text =
       else
         match tokens with
         | first :: rest ->
-          let n = absolute !origin first in
+          let n = absolute lineno !origin first in
           last_name := Some n;
           (n, rest)
         | [] -> raise (Parse_error (lineno, "empty record"))
@@ -92,16 +97,16 @@ let parse ~origin text =
     let rdata =
       match rest with
       | [ "A"; ip ] -> Dns_wire.A_data (Netstack.Ipaddr.of_string ip)
-      | [ "NS"; n ] -> Dns_wire.NS_data (absolute !origin n)
-      | [ "CNAME"; n ] -> Dns_wire.CNAME_data (absolute !origin n)
-      | [ "PTR"; n ] -> Dns_wire.PTR_data (absolute !origin n)
-      | [ "MX"; pref; n ] -> Dns_wire.MX_data (parse_u lineno pref, absolute !origin n)
+      | [ "NS"; n ] -> Dns_wire.NS_data (absolute lineno !origin n)
+      | [ "CNAME"; n ] -> Dns_wire.CNAME_data (absolute lineno !origin n)
+      | [ "PTR"; n ] -> Dns_wire.PTR_data (absolute lineno !origin n)
+      | [ "MX"; pref; n ] -> Dns_wire.MX_data (parse_u lineno pref, absolute lineno !origin n)
       | "TXT" :: data -> Dns_wire.TXT_data (unquote (String.concat " " data))
       | [ "SOA"; mname; rname; serial; refresh; retry; expire; minimum ] ->
         Dns_wire.SOA_data
           {
-            mname = absolute !origin mname;
-            rname = absolute !origin rname;
+            mname = absolute lineno !origin mname;
+            rname = absolute lineno !origin rname;
             serial = parse_u lineno serial;
             refresh = parse_u lineno refresh;
             retry = parse_u lineno retry;
@@ -119,7 +124,7 @@ let parse ~origin text =
       match tokenize line with
       | [] -> ()
       | [ "$TTL"; v ] -> default_ttl := parse_u lineno v
-      | [ "$ORIGIN"; v ] -> origin := Dns_name.of_string v
+      | [ "$ORIGIN"; v ] -> origin := name_at lineno (fun () -> Dns_name.of_string v)
       | tokens -> handle_record lineno ~indented tokens)
     (logical_lines text);
   { origin = !origin; default_ttl = !default_ttl; records = List.rev !records }
@@ -133,8 +138,8 @@ let synthesize ~origin ~entries =
       rdata =
         Dns_wire.SOA_data
           {
-            mname = "ns1" :: o;
-            rname = "hostmaster" :: o;
+            mname = Dns_name.cons "ns1" o;
+            rname = Dns_name.cons "hostmaster" o;
             serial = 2013031600;
             refresh = 7200;
             retry = 1800;
@@ -143,10 +148,10 @@ let synthesize ~origin ~entries =
           };
     }
   in
-  let ns = { Dns_wire.name = o; ttl = 3600; rdata = Dns_wire.NS_data ("ns1" :: o) } in
+  let ns = { Dns_wire.name = o; ttl = 3600; rdata = Dns_wire.NS_data (Dns_name.cons "ns1" o) } in
   let ns_a =
     {
-      Dns_wire.name = "ns1" :: o;
+      Dns_wire.name = Dns_name.cons "ns1" o;
       ttl = 3600;
       rdata = Dns_wire.A_data (Netstack.Ipaddr.v4 10 1 0 1);
     }
@@ -154,7 +159,7 @@ let synthesize ~origin ~entries =
   let hosts =
     List.init entries (fun i ->
         {
-          Dns_wire.name = Printf.sprintf "host-%d" i :: o;
+          Dns_wire.name = Dns_name.cons (Printf.sprintf "host-%d" i) o;
           ttl = 3600;
           rdata =
             Dns_wire.A_data

@@ -7,6 +7,9 @@ type t = { origin : Dns_name.t; default_ttl : int; records : Dns_wire.rr list }
 
 exception Parse_error of int * string  (** line number, message *)
 
+(** @raise Parse_error also for a name that breaks RFC 1035's limits (an
+    empty label, a label over 63 octets, a name over 255 octets).
+    @raise Invalid_argument when [origin] itself does. *)
 val parse : origin:string -> string -> t
 
 (** Generate a synthetic zone of [entries] A records (queryperf-style

@@ -895,6 +895,7 @@ module Dpath = struct
   let r_idx = Array.make max_depth 0
   let r_start = Array.make max_depth 0.
   let r_inner = Array.make max_depth 0.
+  let r_vcpu = Array.make max_depth 0
 
   let reset () =
     Array.iter
@@ -943,16 +944,17 @@ module Dpath = struct
     Gc.minor ();
     Gc.allocated_bytes ()
 
-  let enter hop =
+  let enter hop vcpu_ns =
     let d = !depth in
     if d < max_depth then begin
       r_idx.(d) <- hop_index hop;
+      r_vcpu.(d) <- vcpu_ns;
       r_inner.(d) <- 0.;
       r_start.(d) <- sample ()
     end;
     depth := d + 1
 
-  let leave vcpu_ns =
+  let leave () =
     let d = !depth - 1 in
     depth := d;
     if d >= 0 && d < max_depth then begin
@@ -961,22 +963,26 @@ module Dpath = struct
       if d > 0 then r_inner.(d - 1) <- r_inner.(d - 1) +. total;
       let c = cells.(r_idx.(d)) in
       c.pkts <- c.pkts + 1;
-      c.vcpu_ns <- c.vcpu_ns + vcpu_ns;
+      c.vcpu_ns <- c.vcpu_ns + r_vcpu.(d);
       c.alloc_b <- c.alloc_b +. self
     end
 
   let measure hop ~vcpu_ns f =
     if not plane.on then f ()
     else begin
-      enter hop;
+      enter hop vcpu_ns;
       match f () with
       | v ->
-        leave vcpu_ns;
+        leave ();
         v
       | exception e ->
-        leave vcpu_ns;
+        leave ();
         raise e
     end
+
+  let add_vcpu ns =
+    let d = !depth - 1 in
+    if d >= 0 && d < max_depth then r_vcpu.(d) <- r_vcpu.(d) + ns
 
   let stats () =
     List.filter_map

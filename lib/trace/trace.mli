@@ -450,6 +450,11 @@ module Dpath : sig
       so the closure and cost arguments are never constructed. *)
   val measure : hop -> vcpu_ns:int -> (unit -> 'a) -> 'a
 
+  (** [add_vcpu ns] adds [ns] of modeled vCPU cost to the innermost open
+      {!measure} region, for a hop whose cost is known only once it has
+      run. No-op outside a region. *)
+  val add_vcpu : int -> unit
+
   (** Hops with at least one packet, in path order. *)
   val stats : unit -> hstat list
 end

@@ -6,20 +6,69 @@ let name = Dns.Dns_name.of_string
 (* ---- names ---- *)
 
 let test_name_parsing () =
-  Alcotest.(check (list string)) "labels" [ "www"; "example"; "com" ] (name "www.Example.COM");
-  Alcotest.(check (list string)) "trailing dot" [ "a"; "b" ] (name "a.b.");
-  Alcotest.(check (list string)) "root" [] (name ".");
+  Alcotest.(check (list string)) "labels" [ "www"; "example"; "com" ]
+    (Dns.Dns_name.labels (name "www.Example.COM"));
+  Alcotest.(check (list string)) "trailing dot" [ "a"; "b" ] (Dns.Dns_name.labels (name "a.b."));
+  Alcotest.(check (list string)) "root" [] (Dns.Dns_name.labels (name "."));
   check_string "to_string" "www.example.com" (Dns.Dns_name.to_string (name "www.example.com"));
-  check_string "root prints dot" "." (Dns.Dns_name.to_string [])
+  check_string "root prints dot" "." (Dns.Dns_name.to_string (Dns.Dns_name.of_labels []));
+  check_string "wire form" "\003www\007example\003com" (name "WWW.example.com" :> string);
+  check_bool "of_labels inverts labels" true
+    (Dns.Dns_name.equal (Dns.Dns_name.of_labels [ "www"; "Example"; "com" ]) (name "www.example.com"));
+  check_bool "cons" true (Dns.Dns_name.equal (Dns.Dns_name.cons "WWW" (name "example.com")) (name "www.example.com"));
+  check_bool "append" true
+    (Dns.Dns_name.equal (Dns.Dns_name.append (name "a.b") (name "example.com")) (name "a.b.example.com"))
 
 let test_name_suffixes () =
-  Alcotest.(check (list (list string)))
-    "suffixes longest first"
-    [ [ "a"; "b"; "c" ]; [ "b"; "c" ]; [ "c" ] ]
-    (Dns.Dns_name.suffixes (name "a.b.c"));
+  (* Compression splits a name at the label boundary where its longest
+     known suffix starts. *)
+  let t = Dns.Compress.create Dns.Compress.Fmap in
+  Dns.Compress.add t (name "b.c") ~start:0 12;
+  Alcotest.(check (option (pair int int)))
+    "split before b.c" (Some (2, 12)) (Dns.Compress.find_longest t (name "a.b.c"));
+  Dns.Compress.add t (name "a.b.c") ~start:0 20;
+  Alcotest.(check (option (pair int int)))
+    "whole name" (Some (0, 20)) (Dns.Compress.find_longest t (name "a.b.c"));
   check_bool "is_suffix" true (Dns.Dns_name.is_suffix ~suffix:(name "example.com") (name "www.example.com"));
   check_bool "not suffix" false (Dns.Dns_name.is_suffix ~suffix:(name "example.org") (name "www.example.com"));
+  check_bool "root is a suffix of all" true (Dns.Dns_name.is_suffix ~suffix:(name ".") (name "a.b"));
+  check_bool "a name is its own suffix" true (Dns.Dns_name.is_suffix ~suffix:(name "a.b") (name "a.b"));
   check_int "encoded length" 17 (Dns.Dns_name.encoded_length (name "www.example.com"))
+
+let test_name_suffix_label_boundary () =
+  (* "\009a\007example" ends with the bytes of "\007example", but inside
+     its one label. *)
+  check_bool "bytes match off a label boundary" false
+    (Dns.Dns_name.is_suffix ~suffix:(name "example") (Dns.Dns_name.of_labels [ "a\007example" ]));
+  let t = Dns.Compress.create Dns.Compress.Hashtable in
+  Dns.Compress.add t (name "example") ~start:0 12;
+  check_bool "compression never splits a label" true
+    (Dns.Compress.find_longest t (Dns.Dns_name.of_labels [ "a\007example" ]) = None)
+
+let rejects what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s accepted" what
+
+let test_name_empty_label () =
+  rejects "a..b.example" (fun () -> name "a..b.example");
+  rejects "leading dot" (fun () -> name ".a");
+  rejects "of_labels empty label" (fun () -> Dns.Dns_name.of_labels [ "a"; ""; "b" ])
+
+let test_name_long_label () =
+  ignore (name (String.make 63 'a' ^ ".example"));
+  rejects "64-octet label" (fun () -> name (String.make 64 'a' ^ ".example"));
+  rejects "cons 64-octet label" (fun () -> Dns.Dns_name.cons (String.make 64 'a') (name "example"))
+
+let test_name_long_name () =
+  (* 4 x 63-octet labels encode to 4 * 64 + 1 = 257 octets; one octet
+     shorter in the last label is 256, and two shorter is the limit. *)
+  let l = String.make 63 'a' in
+  let name_of last = name (String.concat "." [ l; l; l; String.make last 'b' ]) in
+  check_int "255 octets accepted" 255 (Dns.Dns_name.encoded_length (name_of 61));
+  rejects "256 octets" (fun () -> name_of 62);
+  rejects "579 octets" (fun () -> name (String.concat "." (List.init 9 (fun _ -> l)) ^ ".x"));
+  rejects "append past 255" (fun () -> Dns.Dns_name.append (name_of 61) (name "x"))
 
 (* ---- compression ---- *)
 
@@ -29,19 +78,17 @@ let test_compress_find_longest () =
   List.iter
     (fun (label, impl) ->
       let t = Dns.Compress.create impl in
-      Dns.Compress.add t (name "example.com") 12;
-      Dns.Compress.add t (name "www.example.com") 30;
+      Dns.Compress.add t (name "example.com") ~start:0 12;
+      Dns.Compress.add t (name "www.example.com") ~start:0 30;
       (match Dns.Compress.find_longest t (name "mail.example.com") with
-      | Some (suffix, off, leading) ->
-        check_string (label ^ " longest suffix") "example.com" (Dns.Dns_name.to_string suffix);
+      | Some (split, off) ->
         check_int (label ^ " offset") 12 off;
-        Alcotest.(check (list string)) (label ^ " leading") [ "mail" ] leading
+        check_int (label ^ " leading \\004mail") 5 split
       | None -> Alcotest.fail (label ^ ": expected a match"));
       (match Dns.Compress.find_longest t (name "www.example.com") with
-      | Some (suffix, off, leading) ->
-        check_string (label ^ " exact") "www.example.com" (Dns.Dns_name.to_string suffix);
+      | Some (split, off) ->
         check_int (label ^ " exact offset") 30 off;
-        check_int (label ^ " no leading") 0 (List.length leading)
+        check_int (label ^ " no leading") 0 split
       | None -> Alcotest.fail (label ^ ": exact match expected"));
       check_bool (label ^ " miss") true (Dns.Compress.find_longest t (name "other.org") = None))
     compression_impls
@@ -50,7 +97,7 @@ let test_compress_ignores_high_offsets () =
   List.iter
     (fun (_, impl) ->
       let t = Dns.Compress.create impl in
-      Dns.Compress.add t (name "far.example") 0x4000;
+      Dns.Compress.add t (name "far.example") ~start:0 0x4000;
       check_int "not stored" 0 (Dns.Compress.entries t))
     compression_impls
 
@@ -63,8 +110,8 @@ let prop_compress_impls_agree =
       let mk i = name (Printf.sprintf "h%d.zone%d.example.com" i (i mod 3)) in
       List.iter
         (fun (i, off) ->
-          Dns.Compress.add ht (mk i) off;
-          Dns.Compress.add fm (mk i) off)
+          Dns.Compress.add ht (mk i) ~start:0 off;
+          Dns.Compress.add fm (mk i) ~start:0 off)
         entries;
       List.for_all
         (fun (i, _) ->
@@ -199,6 +246,215 @@ let test_wire_long_txt_chunks () =
     check_bool "600-byte TXT survives 255-byte chunking" true (s = long)
   | _ -> Alcotest.fail "expected one TXT answer"
 
+(* The list-based encoder this codec replaced, kept as the oracle the
+   new one must match byte for byte: names as label lists, a table keyed
+   on label-list suffixes, and a scratch buffer per rdata. *)
+module Oracle = struct
+  let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+
+  let add_u16 buf v =
+    add_u8 buf (v lsr 8);
+    add_u8 buf v
+
+  let add_u32 buf v =
+    add_u16 buf (v lsr 16);
+    add_u16 buf v
+
+  let rec suffixes = function [] -> [] | _ :: rest as l -> l :: suffixes rest
+
+  let write_name ?(pos_base = 0) buf table name =
+    let name = Dns.Dns_name.labels name in
+    let emit = List.iter (fun l -> add_u8 buf (String.length l); Buffer.add_string buf l) in
+    let rec reg tail labels pos =
+      match labels with
+      | [] -> ()
+      | l :: rest ->
+        let key = labels @ tail in
+        if pos < 0x4000 && not (Hashtbl.mem table key) then Hashtbl.replace table key pos;
+        reg tail rest (pos + 1 + String.length l)
+    in
+    match List.find_opt (Hashtbl.mem table) (suffixes name) with
+    | Some suffix ->
+      let leading = List.filteri (fun i _ -> i < List.length name - List.length suffix) name in
+      reg suffix leading (pos_base + Buffer.length buf);
+      emit leading;
+      add_u16 buf (0xC000 lor Hashtbl.find table suffix)
+    | None ->
+      reg [] name (pos_base + Buffer.length buf);
+      emit name;
+      add_u8 buf 0
+
+  let write_rdata ~pos_base buf table = function
+    | Dns.Dns_wire.A_data ip -> add_u32 buf (Int32.to_int (Netstack.Ipaddr.to_int32 ip) land 0xFFFFFFFF)
+    | Dns.Dns_wire.NS_data n | Dns.Dns_wire.CNAME_data n | Dns.Dns_wire.PTR_data n ->
+      write_name ~pos_base buf table n
+    | Dns.Dns_wire.SOA_data s ->
+      write_name ~pos_base buf table s.Dns.Dns_wire.mname;
+      write_name ~pos_base buf table s.Dns.Dns_wire.rname;
+      List.iter (add_u32 buf)
+        Dns.Dns_wire.[ s.serial; s.refresh; s.retry; s.expire; s.minimum ]
+    | Dns.Dns_wire.MX_data (pref, n) ->
+      add_u16 buf pref;
+      write_name ~pos_base buf table n
+    | Dns.Dns_wire.TXT_data s ->
+      let rec chunks off =
+        if off < String.length s then begin
+          let n = min 255 (String.length s - off) in
+          add_u8 buf n;
+          Buffer.add_string buf (String.sub s off n);
+          chunks (off + n)
+        end
+        else if String.length s = 0 then add_u8 buf 0
+      in
+      chunks 0
+    | Dns.Dns_wire.AAAA_data raw | Dns.Dns_wire.Raw_data (_, raw) -> Buffer.add_string buf raw
+
+  let write_rr buf table (r : Dns.Dns_wire.rr) =
+    write_name buf table r.Dns.Dns_wire.name;
+    add_u16 buf (Dns.Dns_wire.qtype_to_int (Dns.Dns_wire.rdata_qtype r.Dns.Dns_wire.rdata));
+    add_u16 buf 1;
+    add_u32 buf r.Dns.Dns_wire.ttl;
+    let scratch = Buffer.create 32 in
+    write_rdata ~pos_base:(Buffer.length buf + 2) scratch table r.Dns.Dns_wire.rdata;
+    add_u16 buf (Buffer.length scratch);
+    Buffer.add_buffer buf scratch
+
+  let rcode_to_int = function
+    | Dns.Dns_wire.No_error -> 0
+    | Format_error -> 1
+    | Server_failure -> 2
+    | Name_error -> 3
+    | Not_implemented -> 4
+    | Refused -> 5
+
+  let encode (msg : Dns.Dns_wire.message) =
+    let buf = Buffer.create 256 and table = Hashtbl.create 17 in
+    let f = msg.Dns.Dns_wire.flags in
+    add_u16 buf msg.Dns.Dns_wire.id;
+    add_u16 buf
+      ((if f.Dns.Dns_wire.qr then 0x8000 else 0)
+      lor (f.Dns.Dns_wire.opcode lsl 11)
+      lor (if f.Dns.Dns_wire.aa then 0x0400 else 0)
+      lor (if f.Dns.Dns_wire.tc then 0x0200 else 0)
+      lor (if f.Dns.Dns_wire.rd then 0x0100 else 0)
+      lor (if f.Dns.Dns_wire.ra then 0x0080 else 0)
+      lor rcode_to_int f.Dns.Dns_wire.rcode);
+    add_u16 buf (List.length msg.Dns.Dns_wire.questions);
+    add_u16 buf (List.length msg.Dns.Dns_wire.answers);
+    add_u16 buf (List.length msg.Dns.Dns_wire.authorities);
+    add_u16 buf (List.length msg.Dns.Dns_wire.additionals);
+    List.iter
+      (fun (q : Dns.Dns_wire.question) ->
+        write_name buf table q.Dns.Dns_wire.qname;
+        add_u16 buf (Dns.Dns_wire.qtype_to_int q.Dns.Dns_wire.qtype);
+        add_u16 buf 1)
+      msg.Dns.Dns_wire.questions;
+    List.iter (write_rr buf table) msg.Dns.Dns_wire.answers;
+    List.iter (write_rr buf table) msg.Dns.Dns_wire.authorities;
+    List.iter (write_rr buf table) msg.Dns.Dns_wire.additionals;
+    Buffer.contents buf
+end
+
+(* Names over a small label pool, so suffixes repeat and compression
+   fires; messages with 0-3 questions and 0-6 RRs of every rdata type. *)
+let gen_message =
+  let open QCheck.Gen in
+  let gen_name =
+    map Dns.Dns_name.of_labels
+      (list_size (int_range 0 4) (oneofl [ "a"; "www"; "mail"; "Example"; "com"; "x-1"; "zone" ]))
+  in
+  let u32 = map (fun i -> i land 0xFFFFFFFF) (int_bound 0x3FFFFFFF) in
+  let gen_rdata =
+    oneof
+      [
+        map (fun i -> Dns.Dns_wire.A_data (Netstack.Ipaddr.of_int32 (Int32.of_int i))) u32;
+        map (fun n -> Dns.Dns_wire.NS_data n) gen_name;
+        map (fun n -> Dns.Dns_wire.CNAME_data n) gen_name;
+        map (fun n -> Dns.Dns_wire.PTR_data n) gen_name;
+        map2 (fun p n -> Dns.Dns_wire.MX_data (p, n)) (int_bound 0xffff) gen_name;
+        map (fun s -> Dns.Dns_wire.TXT_data s) (string_size ~gen:printable (int_range 0 600));
+        map (fun s -> Dns.Dns_wire.AAAA_data s) (string_size (return 16));
+        map (fun s -> Dns.Dns_wire.Raw_data (99, s)) (string_size (int_range 0 40));
+        map3
+          (fun (mname, rname) serial (refresh, retry, expire, minimum) ->
+            Dns.Dns_wire.SOA_data { Dns.Dns_wire.mname; rname; serial; refresh; retry; expire; minimum })
+          (pair gen_name gen_name) u32 (quad u32 u32 u32 u32);
+      ]
+  in
+  let gen_rr = map3 (fun name ttl rdata -> { Dns.Dns_wire.name; ttl; rdata }) gen_name u32 gen_rdata in
+  let gen_qtype =
+    oneofl Dns.Dns_wire.[ A; NS; CNAME; SOA; PTR; MX; TXT; AAAA; ANY; Unknown_qtype 99 ]
+  in
+  let gen_flags =
+    map
+      (fun ((qr, aa, tc, rd), (ra, opcode, rcode)) ->
+        { Dns.Dns_wire.qr; opcode; aa; tc; rd; ra; rcode })
+      (pair (quad bool bool bool bool)
+         (triple bool (int_bound 15)
+            (oneofl
+               Dns.Dns_wire.[ No_error; Format_error; Server_failure; Name_error; Not_implemented; Refused ])))
+  in
+  let rrs n = list_size (int_range 0 n) gen_rr in
+  map
+    (fun ((id, flags), questions, (answers, authorities, additionals)) ->
+      { Dns.Dns_wire.id; flags; questions; answers; authorities; additionals })
+    (triple (pair (int_bound 0xffff) gen_flags)
+       (list_size (int_range 0 3) (map2 (fun qname qtype -> { Dns.Dns_wire.qname; qtype }) gen_name gen_qtype))
+       (triple (rrs 2) (rrs 2) (rrs 2)))
+
+let print_message m = Bytestruct.hexdump (Dns.Dns_wire.encode m)
+
+let prop_encode_matches_oracle =
+  qtest ~count:300 "encode matches the list-based encoder"
+    (QCheck.make ~print:print_message gen_message)
+    (fun msg ->
+      let expected = Oracle.encode msg in
+      List.for_all
+        (fun (_, impl) -> Bytestruct.to_string (Dns.Dns_wire.encode ~impl msg) = expected)
+        compression_impls)
+
+let prop_decode_encode =
+  qtest ~count:300 "decode inverts encode"
+    (QCheck.make ~print:print_message gen_message)
+    (fun msg -> Dns.Dns_wire.decode (Dns.Dns_wire.encode msg) = msg)
+
+(* A query (id 1, RD) whose questions have the hand-built QNAMEs given,
+   each of type A. *)
+let raw_query qnames =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "\x00\x01\x01\x00\x00";
+  Buffer.add_char b (Char.chr (List.length qnames));
+  Buffer.add_string b "\x00\x00\x00\x00\x00\x00";
+  List.iter (fun q -> Buffer.add_string b q; Buffer.add_string b "\x00\x01\x00\x01") qnames;
+  bs (Buffer.contents b)
+
+let label63 c = "\x3f" ^ String.make 63 c
+
+let test_wire_decode_rejects_reserved_label () =
+  List.iter
+    (fun len ->
+      let qname = String.make 1 (Char.chr len) ^ String.make len 'a' ^ "\x00" in
+      match Dns.Dns_wire.decode (raw_query [ qname ]) with
+      | exception Dns.Dns_wire.Decode_error _ -> ()
+      | _ -> Alcotest.failf "label length byte 0x%02x accepted" len)
+    [ 0x40; 0x80; 0xBF ]
+
+let test_wire_decode_rejects_long_name () =
+  let reject what q =
+    match Dns.Dns_wire.decode (raw_query q) with
+    | exception Dns.Dns_wire.Decode_error _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let three = label63 'a' ^ label63 'b' ^ label63 'c' in
+  (match Dns.Dns_wire.decode (raw_query [ three ^ "\x3d" ^ String.make 61 'd' ^ "\x00" ]) with
+  | { Dns.Dns_wire.questions = [ q ]; _ } ->
+    check_int "255 octets decode" 255 (Dns.Dns_name.encoded_length q.Dns.Dns_wire.qname)
+  | _ -> Alcotest.fail "expected one question");
+  reject "256 octets" [ three ^ "\x3e" ^ String.make 62 'd' ^ "\x00" ];
+  reject "321 octets" [ three ^ label63 'd' ^ label63 'e' ^ "\x00" ];
+  (* the second name's 64 octets plus a pointer to the first's 192 *)
+  reject "256 octets through a pointer" [ three ^ "\x00"; label63 'd' ^ "\xC0\x0C" ]
+
 (* ---- zone files ---- *)
 
 let zone_text =
@@ -254,6 +510,21 @@ let test_zone_parse_errors () =
   match Dns.Zone.parse ~origin:"x" "a IN SOA only three (" with
   | exception Dns.Zone.Parse_error _ -> ()
   | _ -> Alcotest.fail "unbalanced parens"
+
+let test_zone_name_limits () =
+  let line_of text =
+    match Dns.Zone.parse ~origin:"example.org" text with
+    | exception Dns.Zone.Parse_error (line, _) -> line
+    | _ -> 0
+  in
+  let ok = "ok IN A 10.0.0.1\n" in
+  check_int "empty label" 2 (line_of (ok ^ "a..b IN A 10.0.0.2\n"));
+  check_int "64-octet label" 2 (line_of (ok ^ String.make 64 'a' ^ " IN A 10.0.0.2\n"));
+  (* 4 x 60-octet labels are 244 octets, 257 with example.org *)
+  let long = String.concat "." (List.init 4 (fun _ -> String.make 60 'a')) in
+  check_int "over 255 octets under the origin" 3 (line_of (ok ^ ok ^ long ^ " IN A 10.0.0.2\n"));
+  check_int "rdata name" 2 (line_of (ok ^ "www IN CNAME a..b\n"));
+  check_int "$ORIGIN" 1 (line_of "$ORIGIN a..b.\n")
 
 let test_zone_synthesize_and_roundtrip () =
   let z = Dns.Zone.synthesize ~origin:"bench.zone" ~entries:50 in
@@ -324,11 +595,12 @@ let test_memo () =
 
 let test_memo_dotted_label_is_distinct () =
   let m = Dns.Memo.create () in
-  Dns.Memo.add m ~qname:[ "a"; "b"; "example" ] ~qtype:Dns.Dns_wire.A (bs "THREE LABELS");
+  let labels = Dns.Dns_name.of_labels in
+  Dns.Memo.add m ~qname:(labels [ "a"; "b"; "example" ]) ~qtype:Dns.Dns_wire.A (bs "THREE LABELS");
   check_bool "a label holding a dot is another name" true
-    (Dns.Memo.find m ~qname:[ "a.b"; "example" ] ~qtype:Dns.Dns_wire.A = None);
-  Dns.Memo.add m ~qname:[ "a.b"; "example" ] ~qtype:Dns.Dns_wire.A (bs "TWO LABELS");
-  match Dns.Memo.find m ~qname:[ "a"; "b"; "example" ] ~qtype:Dns.Dns_wire.A with
+    (Dns.Memo.find m ~qname:(labels [ "a.b"; "example" ]) ~qtype:Dns.Dns_wire.A = None);
+  Dns.Memo.add m ~qname:(labels [ "a.b"; "example" ]) ~qtype:Dns.Dns_wire.A (bs "TWO LABELS");
+  match Dns.Memo.find m ~qname:(labels [ "a"; "b"; "example" ]) ~qtype:Dns.Dns_wire.A with
   | Some hit -> check_string "first entry kept" "THREE LABELS" (Bytestruct.to_string hit)
   | None -> Alcotest.fail "expected hit"
 
@@ -392,6 +664,21 @@ let test_server_bad_packet_counted () =
   Engine.Sim.run w.sim;
   check_int "decode failure counted" 1 (Core.Apps.Net.Dns.decode_failures srv)
 
+let test_server_reserved_label_counted () =
+  let w, server, client, srv = dns_world ~engine:(Dns.Server.Mirage { memoize = true }) in
+  let ip = Netstack.Stack.address server.stack in
+  (* a 64-octet label under the origin: length byte 0x40 is reserved *)
+  let crafted = raw_query [ "\x40" ^ String.make 64 'a' ^ "\x04test\x04zone\x00" ] in
+  ignore
+    (run w
+       (Netstack.Udp.sendto (Netstack.Stack.udp client.stack) ~src_port:3333 ~dst:ip ~dst_port:53
+          crafted));
+  Engine.Sim.run w.sim;
+  check_int "crafted query counted" 1 (Core.Apps.Net.Dns.decode_failures srv);
+  match query w client ip "host-1.test.zone" with
+  | Some reply -> check_int "valid query answered" 1 (List.length reply.Dns.Dns_wire.answers)
+  | None -> Alcotest.fail "valid query after the crafted one timed out"
+
 let test_server_engines_have_calibrated_costs () =
   (* Per-query engine cost ordering behind Figure 10: memoised Mirage
      cheapest, then NSD, then BIND, then unmemoised Mirage. *)
@@ -419,6 +706,10 @@ let () =
         [
           Alcotest.test_case "parsing" `Quick test_name_parsing;
           Alcotest.test_case "suffixes" `Quick test_name_suffixes;
+          Alcotest.test_case "suffix at a label boundary" `Quick test_name_suffix_label_boundary;
+          Alcotest.test_case "empty label rejected" `Quick test_name_empty_label;
+          Alcotest.test_case "label over 63 octets rejected" `Quick test_name_long_label;
+          Alcotest.test_case "name over 255 octets rejected" `Quick test_name_long_name;
         ] );
       ( "compression",
         [
@@ -435,12 +726,17 @@ let () =
           Alcotest.test_case "patch id" `Quick test_patch_id;
           Alcotest.test_case "long TXT chunking" `Quick test_wire_long_txt_chunks;
           prop_wire_roundtrip;
+          prop_encode_matches_oracle;
+          prop_decode_encode;
+          Alcotest.test_case "rejects reserved label types" `Quick test_wire_decode_rejects_reserved_label;
+          Alcotest.test_case "rejects names over 255 octets" `Quick test_wire_decode_rejects_long_name;
         ] );
       ( "zone",
         [
           Alcotest.test_case "parse" `Quick test_zone_parse;
           Alcotest.test_case "parse errors" `Quick test_zone_parse_errors;
           Alcotest.test_case "synthesize + roundtrip" `Quick test_zone_synthesize_and_roundtrip;
+          Alcotest.test_case "name limits are parse errors" `Quick test_zone_name_limits;
         ] );
       ( "db",
         [
@@ -459,5 +755,6 @@ let () =
           Alcotest.test_case "memoization hits" `Quick test_server_memoization_hits;
           Alcotest.test_case "bad packet counted" `Quick test_server_bad_packet_counted;
           Alcotest.test_case "engine cost calibration" `Quick test_server_engines_have_calibrated_costs;
+          Alcotest.test_case "crafted label counted, then served" `Quick test_server_reserved_label_counted;
         ] );
     ]

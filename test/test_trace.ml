@@ -512,6 +512,50 @@ let test_dpath_exclusive () =
       check_bool "inner alloc attributed to tcp" true (tcp.Trace.Dpath.h_alloc_b >= 200_000.);
       check_bool "outer alloc excludes inner" true (nf.Trace.Dpath.h_alloc_b < 50_000.))
 
+(* The DNS server's decode -> memo/lookup -> encode is the App hop: one
+   packet per query served, charged the engine's query cost. *)
+let test_dpath_dns_app () =
+  Trace.Dpath.reset ();
+  Trace.Dpath.enable ();
+  Fun.protect ~finally:Trace.quiesce (fun () ->
+      let w = make_world () in
+      let server = make_host w ~platform:Platform.xen_extent ~name:"dns" ~ip:"10.0.0.53" () in
+      let client = make_host w ~platform:Platform.linux_native ~name:"resolver" ~ip:"10.0.0.9" () in
+      let db = Dns.Db.of_zone (Dns.Zone.synthesize ~origin:"test.zone" ~entries:100) in
+      let engine = Dns.Server.Mirage { memoize = true } in
+      let srv =
+        Core.Apps.Net.Dns.create w.sim ~dom:server.dom ~udp:(Netstack.Stack.udp server.stack) ~db
+          ~engine ()
+      in
+      List.iter
+        (fun i ->
+          let reply =
+            run w
+              (Core.Apps.Net.Dns.Client.query w.sim
+                 (Netstack.Stack.udp client.stack)
+                 ~server:(Netstack.Stack.address server.stack)
+                 ~qname:(Dns.Dns_name.of_string (Printf.sprintf "host-%d.test.zone" i))
+                 ~qtype:Dns.Dns_wire.A ())
+          in
+          check_bool "query answered" true (reply <> None))
+        [ 1; 2; 1; 3 ];
+      Engine.Sim.run w.sim;
+      let cost memo_hit =
+        Dns.Server.query_cost_ns engine ~zone_entries:(Dns.Db.entries db)
+          ~platform:Platform.xen_extent ~memo_hit
+      in
+      match
+        List.find_opt
+          (fun (h : Trace.Dpath.hstat) -> h.Trace.Dpath.h_hop = Trace.Dpath.App)
+          (Trace.Dpath.stats ())
+      with
+      | None -> Alcotest.fail "no App hop"
+      | Some app ->
+        check_int "App pkts = queries served" (Core.Apps.Net.Dns.queries_served srv)
+          app.Trace.Dpath.h_pkts;
+        check_int "App vCPU = three misses and a hit" ((3 * cost false) + cost true)
+          app.Trace.Dpath.h_vcpu_ns)
+
 let test_dpath_disabled_noop () =
   Trace.Dpath.reset ();
   Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:10 (fun () -> ());
@@ -735,5 +779,6 @@ let () =
           Alcotest.test_case "empty or aged window reads 0" `Quick test_window_empty_reads_zero;
           Alcotest.test_case "window rejects window_ns below the slot count" `Quick
             test_window_rejects_small;
+          Alcotest.test_case "dpath App hop is the DNS answer path" `Quick test_dpath_dns_app;
         ] );
     ]
