@@ -17,12 +17,7 @@ let transfer_bytes = 4 * 1024 * 1024
 
 let vchan_throughput () =
   let w = Util.make_world () in
-  let mk name =
-    let d = Xensim.Hypervisor.create_domain w.Util.hv ~name ~mem_mib:32 ~platform:Platform.xen_extent () in
-    d.Xensim.Domain.state <- Xensim.Domain.Running;
-    d
-  in
-  let a = mk "a" and b = mk "b" in
+  let a = Util.domain w ~name:"a" () and b = Util.domain w ~name:"b" () in
   let b_ep, a_ep = Xensim.Vchan.connect w.Util.hv ~server:b ~client:a ~ring_bytes:65536 () in
   let chunk = Bytestruct.create 16384 in
   P.async (fun () ->
@@ -51,11 +46,11 @@ let vchan_throughput () =
 let tcp_throughput () =
   let w = Util.make_world () in
   let a =
-    Util.make_host w ~platform:Platform.xen_extent ~bandwidth_bps:10_000_000_000 ~name:"a"
+    Util.host w ~platform:Platform.xen_extent ~bandwidth_bps:10_000_000_000 ~name:"a"
       ~ip:"10.0.0.1" ()
   in
   let b =
-    Util.make_host w ~platform:Platform.xen_extent ~bandwidth_bps:10_000_000_000 ~name:"b"
+    Util.host w ~platform:Platform.xen_extent ~bandwidth_bps:10_000_000_000 ~name:"b"
       ~ip:"10.0.0.2" ()
   in
   let received = ref 0 in

@@ -42,8 +42,8 @@ type outcome = {
 
 let one_run ~seed ~schedule =
   let w = Util.make_world ~seed () in
-  let a = Util.make_host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
-  let b = Util.make_host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
+  let a = Util.host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
+  let b = Util.host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
   let received = Buffer.create bytes in
   let finished_at = ref 0 in
   let server_flow = ref None in
@@ -120,10 +120,10 @@ let goodput_floor = 20_000.0 (* bytes/s; clean load runs well above 100 kB/s *)
 let alerting_run ~seed ~lossy =
   Trace.Metrics.enable ();
   let w = Util.make_world ~seed () in
-  let web = Util.make_host w ~platform:Platform.xen_extent ~name:"web" ~ip:"10.0.0.2" () in
-  let mon = Util.make_host w ~platform:Platform.xen_extent ~name:"monitor" ~ip:"10.0.0.3" () in
+  let web = Util.host w ~platform:Platform.xen_extent ~name:"web" ~ip:"10.0.0.2" () in
+  let mon = Util.host w ~platform:Platform.xen_extent ~name:"monitor" ~ip:"10.0.0.3" () in
   let client =
-    Util.make_host w ~platform:Platform.linux_native ~account_cpu:false ~name:"load"
+    Util.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"load"
       ~ip:"10.0.0.9" ()
   in
   ignore

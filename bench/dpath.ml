@@ -7,7 +7,8 @@
 
    vCPU time is simulated virtual time, so per-hop ns/pkt depends only
    on the seed and the cost model: the gateable numbers. Allocation is
-   real `Gc.allocated_bytes` deltas of this binary — deterministic for a
+   real allocation of this binary (`Trace.Dpath.allocated_bytes` deltas,
+   exact whatever the GC phase) — deterministic for a
    fixed build, snapshotted for reference and gated with a generous
    tolerance. *)
 
@@ -24,9 +25,9 @@ let run_world () =
      client's application-side costs into the 'ip' hop and hide what the
      stack itself costs per packet. *)
   let client =
-    Util.make_host w ~platform:Platform.linux_native ~name:"load" ~ip:"10.0.0.9" ()
+    Util.host w ~platform:Platform.linux_native ~name:"load" ~ip:"10.0.0.9" ()
   in
-  let server = Util.make_host w ~platform:Platform.xen_extent ~name:"mirage-web" ~ip:"10.0.0.80" () in
+  let server = Util.host w ~platform:Platform.xen_extent ~name:"mirage-web" ~ip:"10.0.0.80" () in
   ignore
     (Core.Apps.Net.Http.create w.Util.sim ~dom:server.Util.dom
        ~per_request_cost_ns:Baseline.Appliances.mirage_static_cost_ns
@@ -84,9 +85,9 @@ let run () =
   let was_on = Trace.Dpath.enabled () in
   if not was_on then Trace.Dpath.enable ();
   Trace.Dpath.reset ();
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Trace.Dpath.allocated_bytes () in
   let replies = run_world () in
-  let total_alloc = Gc.allocated_bytes () -. a0 in
+  let total_alloc = Trace.Dpath.allocated_bytes () -. a0 in
   (* The "base" label keeps the metric names of the committed snapshot. *)
   report ~label:"base" replies total_alloc (Trace.Dpath.stats ());
   (* Under `--profile` the plane was already on: keep the ledger so the

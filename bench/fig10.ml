@@ -14,9 +14,9 @@ let warmup_ns = Engine.Sim.ms 400
    is CPU-unaccounted (the paper's load generator is not the bottleneck). *)
 let measure ~engine ~platform ~entries =
   let w = Util.make_world () in
-  let server = Util.make_host w ~platform ~name:"dns" ~ip:"10.0.0.53" () in
+  let server = Util.host w ~platform ~name:"dns" ~ip:"10.0.0.53" () in
   let client =
-    Util.make_host w ~platform:Platform.linux_native ~account_cpu:false ~name:"queryperf"
+    Util.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"queryperf"
       ~ip:"10.0.0.9" ()
   in
   let zone = Dns.Zone.synthesize ~origin:"bench.zone" ~entries in

@@ -7,9 +7,9 @@ let duration_ns = Engine.Sim.ms 250
 
 let measure ~profile ~mode =
   let w = Util.make_world () in
-  let ctl = Util.make_host w ~platform:Platform.xen_extent ~name:"controller" ~ip:"10.0.0.100" () in
+  let ctl = Util.host w ~platform:Platform.xen_extent ~name:"controller" ~ip:"10.0.0.100" () in
   let gen =
-    Util.make_host w ~platform:Platform.linux_native ~account_cpu:false
+    Util.host w ~platform:Platform.linux_native ~account_cpu:false
       ~bandwidth_bps:10_000_000_000 ~name:"cbench" ~ip:"10.0.0.9" ()
   in
   ignore

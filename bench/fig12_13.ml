@@ -29,7 +29,7 @@ let twitter_router () =
 let fig12_point ~appliance ~rate =
   let w = Util.make_world () in
   let client =
-    Util.make_host w ~platform:Platform.linux_native ~account_cpu:false ~name:"httperf"
+    Util.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"httperf"
       ~ip:"10.0.0.9" ()
   in
   let counter = ref 0 in
@@ -37,13 +37,13 @@ let fig12_point ~appliance ~rate =
   let server_ip = Netstack.Ipaddr.of_string "10.0.0.80" in
   (match appliance with
   | `Mirage ->
-    let server = Util.make_host w ~platform:Platform.xen_extent ~name:"mirage-web" ~ip:"10.0.0.80" () in
+    let server = Util.host w ~platform:Platform.xen_extent ~name:"mirage-web" ~ip:"10.0.0.80" () in
     ignore
       (Core.Apps.Net.Http.of_router w.Util.sim ~dom:server.Util.dom
          ~per_request_cost_ns:Baseline.Appliances.mirage_request_cost_ns
          ~tcp:(Netstack.Stack.tcp server.Util.stack) ~port:80 (twitter_router ()))
   | `Linux ->
-    let server = Util.make_host w ~platform:Platform.linux_pv ~name:"nginx-webpy" ~ip:"10.0.0.80" () in
+    let server = Util.host w ~platform:Platform.linux_pv ~name:"nginx-webpy" ~ip:"10.0.0.80" () in
     let router = twitter_router () in
     ignore
       (Core.Apps.Net.Baseline.nginx_webpy w.Util.sim ~dom:server.Util.dom
@@ -87,14 +87,14 @@ let fig13_config ~label ~servers =
      round-robin across the server IPs, one static GET per connection. *)
   let w = Util.make_world () in
   let client =
-    Util.make_host w ~platform:Platform.linux_native ~account_cpu:false
+    Util.host w ~platform:Platform.linux_native ~account_cpu:false
       ~bandwidth_bps:10_000_000_000 ~name:"load" ~ip:"10.0.0.9" ()
   in
   let ips =
     List.mapi
       (fun i (platform, vcpus, kind) ->
         let ip = Printf.sprintf "10.0.0.%d" (80 + i) in
-        let server = Util.make_host w ~platform ~vcpus ~name:(label ^ string_of_int i) ~ip () in
+        let server = Util.host w ~platform ~vcpus ~name:(label ^ string_of_int i) ~ip () in
         (match kind with
         | `Apache ->
           ignore

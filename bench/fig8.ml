@@ -10,11 +10,11 @@ let transfer_throughput ~sender_platform ~receiver_platform ~flows =
   let w = Util.make_world () in
   let fast = 10_000_000_000 in
   let snd =
-    Util.make_host w ~platform:sender_platform ~bandwidth_bps:fast ~latency_ns:20_000
+    Util.host w ~platform:sender_platform ~bandwidth_bps:fast ~latency_ns:20_000
       ~name:"sender" ~ip:"10.0.0.1" ()
   in
   let rcv =
-    Util.make_host w ~platform:receiver_platform ~bandwidth_bps:fast ~latency_ns:20_000
+    Util.host w ~platform:receiver_platform ~bandwidth_bps:fast ~latency_ns:20_000
       ~name:"receiver" ~ip:"10.0.0.2" ()
   in
   let received = ref 0 in
@@ -72,10 +72,10 @@ let run () =
   let rtt platform =
     let w = Util.make_world () in
     let client =
-      Util.make_host w ~platform:Platform.linux_native ~account_cpu:false ~latency_ns:5_000
+      Util.host w ~platform:Platform.linux_native ~account_cpu:false ~latency_ns:5_000
         ~name:"pinger" ~ip:"10.0.0.9" ()
     in
-    let target = Util.make_host w ~platform ~latency_ns:5_000 ~name:"target" ~ip:"10.0.0.10" () in
+    let target = Util.host w ~platform ~latency_ns:5_000 ~name:"target" ~ip:"10.0.0.10" () in
     let icmp = Netstack.Stack.icmp client.Util.stack in
     let dst = Netstack.Stack.address target.Util.stack in
     let n = 2000 in

@@ -7,10 +7,7 @@ let device_sectors = 1 lsl 22 (* 2 GiB at 512 B *)
 
 let throughput_direct ~platform ~block_kib =
   let w = Util.make_world () in
-  let dom =
-    Xensim.Hypervisor.create_domain w.Util.hv ~name:"io" ~mem_mib:256 ~platform ()
-  in
-  dom.Xensim.Domain.state <- Xensim.Domain.Running;
+  let dom = Util.domain w ~platform ~name:"io" () in
   let disk = Blockdev.Disk.create w.Util.sim ~sectors:device_sectors () in
   let blkif = Devices.Blkif.connect w.Util.hv ~dom ~backend_dom:w.Util.dom0 ~disk () in
   let sectors_per_block = block_kib * 1024 / 512 in

@@ -2,13 +2,8 @@
 
 module P = Mthread.Promise
 
-type world = {
-  sim : Engine.Sim.t;
-  hv : Xensim.Hypervisor.t;
-  dom0 : Xensim.Domain.t;
-  bridge : Netsim.Bridge.t;
-  toolstack : Xensim.Toolstack.t;
-}
+(* Worlds and hosts are [Core.World]'s. *)
+include Core.World
 
 (* When [capture_worlds] is set, every world made after that point gets a
    wire capture attached to its bridge (collected in [world_captures] so
@@ -21,54 +16,14 @@ let close_world_captures () =
   List.iter Netsim.Capture.close !world_captures;
   world_captures := []
 
-let make_world ?(seed = 42) () =
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
+let make_world ?seed () =
+  let w = create ?seed () in
   if !capture_worlds then begin
     let c = Netsim.Capture.create ~name:"bench-cap" () in
-    Netsim.Capture.attach_bridge c bridge;
+    Netsim.Capture.attach_bridge c w.bridge;
     world_captures := c :: !world_captures
   end;
-  { sim; hv; dom0; bridge; toolstack = Xensim.Toolstack.create hv }
-
-type host = {
-  dom : Xensim.Domain.t;
-  nic : Netsim.Nic.t;
-  netif : Devices.Netif.t;
-  stack : Netstack.Stack.t;
-}
-
-(* [account_cpu:false] makes the host an infinitely fast load generator. *)
-let make_host ?(platform = Platform.xen_extent) ?(vcpus = 1) ?(account_cpu = true)
-    ?(bandwidth_bps = 1_000_000_000) ?(latency_ns = 30_000) w ~name ~ip () =
-  let dom = Xensim.Hypervisor.create_domain w.hv ~name ~mem_mib:256 ~platform ~vcpus () in
-  dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let nic =
-    Netsim.Bridge.new_nic w.bridge ~bandwidth_bps ~latency_ns
-      ~mac:(Netsim.mac_of_int (100 + dom.Xensim.Domain.id))
-      ()
-  in
-  let netif = Devices.Netif.connect w.hv ~dom ~backend_dom:w.dom0 ~nic () in
-  let cfg =
-    Netstack.Stack.Static
-      {
-        Netstack.Ipv4.address = Netstack.Ipaddr.of_string ip;
-        netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-        gateway = None;
-      }
-  in
-  let stack =
-    if account_cpu then P.run w.sim (Netstack.Stack.create w.sim ~dom ~netif cfg)
-    else P.run w.sim (Netstack.Stack.create w.sim ~netif cfg)
-  in
-  { dom; nic; netif; stack }
-
-let run w p = P.run w.sim p
+  w
 
 let bs = Bytestruct.of_string
 

@@ -209,18 +209,13 @@ let boot_cmd =
     end;
     (match flight_dir with Some dir -> Trace.Flight.enable ~dir () | None -> ());
     let mk () = mk ?aslr_seed:None () in
-    let sim = Engine.Sim.create () in
-    let hv = Xensim.Hypervisor.create ~seal_patch:(not no_seal) sim in
-    let dom0 =
-      Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv ()
-    in
-    dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-    let ts = Xensim.Toolstack.create hv in
+    let w = Core.World.create ~seal_patch:(not no_seal) () in
+    let sim = w.Core.World.sim in
     let config = mk () in
     let t0 = Engine.Sim.now sim in
     let u =
       P.run sim
-        (Core.Unikernel.boot hv ts
+        (Core.Unikernel.boot w.Core.World.hv w.Core.World.toolstack
            ~mode:(if sync then `Sync else `Async)
            ~target ~config ~mem_mib:mem
            ~main:(fun _ -> P.return 0)
@@ -247,11 +242,9 @@ let boot_cmd =
     Printf.printf "  sealed       : %b\n" u.Core.Unikernel.sealed;
     Printf.printf "  exit code    : %s\n"
       (match Core.Unikernel.exit_code u with Some c -> string_of_int c | None -> "running");
-    (match Devices.Console.of_domain u.Core.Unikernel.domain with
-    | Some console ->
-      List.iter (fun line -> Printf.printf "  console      | %s\n" line)
-        (Devices.Console.log console)
-    | None -> ());
+    List.iter
+      (fun line -> Printf.printf "  console      | %s\n" line)
+      (Devices.Console.log u.Core.Unikernel.console);
     (match trace_out with
     | None -> ()
     | Some (file, oc) ->

@@ -13,13 +13,6 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let metrics_port = 9100
 
 (* ---- dashboard helpers ---- *)
@@ -46,14 +39,8 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   let trace_out = Engine.Trace_report.open_output trace_out in
   (if Option.is_some trace_out then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
   Trace.Metrics.enable ();
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed () in
+  let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
   let duration_ns = Engine.Sim.ms duration_ms in
   let interval_ns = Engine.Sim.ms interval_ms in
 
@@ -62,37 +49,25 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 (String.make 512 'x')));
   let boot_web i =
-    let ip = Printf.sprintf "10.0.0.%d" (10 + i) in
-    P.run sim
-      (Core.Appliance.start hv ts
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
-            ~config:(Core.Appliance.web_server ~aslr_seed:(0x3eb + i) ())
-            ~ip:(static_ip ip) ~metrics_port ())
-         ~main:(fun h ->
-           let dom = Core.Appliance.Handle.domain h in
-           ignore
-             (Core.Apps.Net.Http.of_router sim ~dom
-                ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h))
-                ~port:80 router);
-           P.sleep sim (duration_ns * 2) >>= fun () -> P.return 0))
+    Core.World.appliance w ~metrics_port
+      ~config:(Core.Appliance.web_server ~aslr_seed:(0x3eb + i) ())
+      ~ip:(Printf.sprintf "10.0.0.%d" (10 + i))
+      ~main:(fun h ->
+        let dom = Core.Appliance.Handle.domain h in
+        ignore
+          (Core.Apps.Net.Http.of_router sim ~dom
+             ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h))
+             ~port:80 router);
+        P.sleep sim (duration_ns * 2) >>= fun () -> P.return 0)
+      ()
     |> Core.Appliance.Handle.networked
   in
   let webs = List.init servers boot_web in
 
   (* -- load generator: one host, an independent request loop per server
      (a faulted target must not depress the others' request rates) -- *)
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"loadgen" ~mem_mib:256 ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + client_dom.Xensim.Domain.id)) ()
-  in
-  let client_netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic () in
-  let client_stack =
-    P.run sim (Netstack.Stack.create sim ~netif:client_netif (Netstack.Stack.Static (static_ip "10.0.0.9")))
-  in
-  let client_tcp = Netstack.Stack.tcp client_stack in
+  let client = Core.World.host w ~account_cpu:false ~name:"loadgen" ~ip:"10.0.0.9" () in
+  let client_tcp = Netstack.Stack.tcp client.Core.World.stack in
   List.iter
     (fun (n : Core.Appliance.networked) ->
       let dst = Core.Appliance.address n in
@@ -144,24 +119,21 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   in
   let monitor_ref = ref None in
   let _mon =
-    P.run sim
-      (Core.Appliance.start hv ts
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
-            ~config:(Core.Appliance.monitor_appliance ())
-            ~ip:(static_ip "10.0.0.100") ())
-         ~main:(fun h ->
-           let dom = Core.Appliance.Handle.domain h in
-           let m =
-             Core.Apps.Net.Monitor.create sim ~dom:dom.Xensim.Domain.id
-               ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h))
-               ~interval_ns ~rules ()
-           in
-           List.iter
-             (fun (name, ip, port) ->
-               Core.Apps.Net.Monitor.add_target m ~name ~addr:(Netstack.Ipaddr.of_string ip) ~port)
-             (Monitor.discover bridge);
-           monitor_ref := Some m;
-           Core.Apps.Net.Monitor.run m >>= fun () -> P.return 0))
+    Core.World.appliance w ~config:(Core.Appliance.monitor_appliance ()) ~ip:"10.0.0.100"
+      ~main:(fun h ->
+        let dom = Core.Appliance.Handle.domain h in
+        let m =
+          Core.Apps.Net.Monitor.create sim ~dom:dom.Xensim.Domain.id
+            ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h))
+            ~interval_ns ~rules ()
+        in
+        List.iter
+          (fun (name, ip, port) ->
+            Core.Apps.Net.Monitor.add_target m ~name ~addr:(Netstack.Ipaddr.of_string ip) ~port)
+          (Monitor.discover bridge);
+        monitor_ref := Some m;
+        Core.Apps.Net.Monitor.run m >>= fun () -> P.return 0)
+      ()
   in
   let started = Engine.Sim.now sim in
   Engine.Sim.run ~until:(started + duration_ns) sim;

@@ -12,61 +12,36 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let run_ss seed duration_ms loss =
   Trace.enable ();
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed () in
+  let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
   let duration_ns = Engine.Sim.ms duration_ms in
 
   let router = Uhttp.Router.create () in
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 (String.make 4096 'x')));
   let server =
-    P.run sim
-      (Core.Appliance.start hv ts
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
-            ~config:(Core.Appliance.web_server ~aslr_seed:0x55 ())
-            ~ip:(static_ip "10.0.0.10") ())
-         ~main:(fun h ->
-           let stack = Core.Appliance.Handle.stack h in
-           ignore
-             (Core.Apps.Net.Http.of_router sim
-                ~dom:(Core.Appliance.Handle.domain h)
-                ~tcp:(Netstack.Stack.tcp stack) ~port:80 router);
-           let udp = Netstack.Stack.udp stack in
-           Netstack.Udp.listen udp ~port:53 (fun ~src ~src_port ~dst_port:_ ~payload ->
-               P.async (fun () ->
-                   Netstack.Udp.sendto udp ~src_port:53 ~dst:src ~dst_port:src_port payload));
-           P.sleep sim (duration_ns * 2) >>= fun () -> P.return 0))
+    Core.World.appliance w ~config:(Core.Appliance.web_server ~aslr_seed:0x55 ()) ~ip:"10.0.0.10"
+      ~main:(fun h ->
+        let stack = Core.Appliance.Handle.stack h in
+        ignore
+          (Core.Apps.Net.Http.of_router sim
+             ~dom:(Core.Appliance.Handle.domain h)
+             ~tcp:(Netstack.Stack.tcp stack) ~port:80 router);
+        let udp = Netstack.Stack.udp stack in
+        Netstack.Udp.listen udp ~port:53 (fun ~src ~src_port ~dst_port:_ ~payload ->
+            P.async (fun () ->
+                Netstack.Udp.sendto udp ~src_port:53 ~dst:src ~dst_port:src_port payload));
+        P.sleep sim (duration_ns * 2) >>= fun () -> P.return 0)
+      ()
   in
   (if loss > 0.0 then
      let nic = Devices.Netif.nic (Core.Appliance.netif (Core.Appliance.Handle.networked server)) in
      Netsim.Bridge.set_loss bridge nic loss);
 
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"client" ~mem_mib:256 ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (200 + client_dom.Xensim.Domain.id)) ()
-  in
-  let client_netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic () in
   let client_stack =
-    P.run sim
-      (Netstack.Stack.create sim ~netif:client_netif (Netstack.Stack.Static (static_ip "10.0.0.9")))
+    (Core.World.host w ~account_cpu:false ~name:"client" ~ip:"10.0.0.9" ()).Core.World.stack
   in
   let dst = Core.Appliance.Handle.address server in
   let rec http_drive () =

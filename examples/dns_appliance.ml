@@ -24,12 +24,8 @@ info    IN TXT "Mirage unikernel DNS appliance"
 |}
 
 let () =
-  let sim = Engine.Sim.create ~seed:53 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let toolstack = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed:53 () in
+  let sim = w.Core.World.sim in
 
   (* Parse the zone and build the authoritative database. *)
   let zone = Dns.Zone.parse ~origin:"example.org" zone_file in
@@ -40,23 +36,18 @@ let () =
 
   (* Boot the appliance. *)
   let config = Core.Appliance.dns_appliance () in
-  let ip =
-    { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.53";
-      netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }
-  in
   let server_ref = ref None in
   let networked =
-    P.run sim
-      (Core.Appliance.start hv toolstack
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge ~config ~ip ())
-         ~main:(fun h ->
-           let srv =
-             Core.Apps.Net.Dns.create sim ~dom:(Core.Appliance.Handle.domain h)
-               ~udp:(Netstack.Stack.udp (Core.Appliance.Handle.stack h)) ~db
-               ~engine:(Dns.Server.Mirage { memoize = true }) ()
-           in
-           server_ref := Some srv;
-           P.sleep sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0))
+    Core.World.appliance w ~config ~ip:"10.0.0.53"
+      ~main:(fun h ->
+        let srv =
+          Core.Apps.Net.Dns.create sim ~dom:(Core.Appliance.Handle.domain h)
+            ~udp:(Netstack.Stack.udp (Core.Appliance.Handle.stack h)) ~db
+            ~engine:(Dns.Server.Mirage { memoize = true }) ()
+        in
+        server_ref := Some srv;
+        P.sleep sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0)
+      ()
     |> Core.Appliance.Handle.networked
   in
   Printf.printf "appliance image: %d kB (%d kB before dead-code elimination), sealed=%b\n"
@@ -65,22 +56,16 @@ let () =
     networked.Core.Appliance.unikernel.Core.Unikernel.sealed;
 
   (* A resolver host asks questions. *)
-  let client_dom = Xensim.Hypervisor.create_domain hv ~name:"resolver" ~mem_mib:64 ~platform:Platform.linux_native () in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let nic = Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int 901) () in
-  let netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic () in
   let client =
-    P.run sim
-      (Netstack.Stack.create sim ~netif
-         (Netstack.Stack.Static
-            { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.9";
-              netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }))
+    (Core.World.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"resolver"
+       ~ip:"10.0.0.9" ()).Core.World.stack
   in
   let server_ip = Netstack.Stack.address (Core.Appliance.stack networked) in
+  let resolver = Core.Apps.Net.Dns.Client.create sim (Netstack.Stack.udp client) in
   let ask qname qtype =
     match
       P.run sim
-        (Core.Apps.Net.Dns.Client.query sim (Netstack.Stack.udp client) ~server:server_ip
+        (Core.Apps.Net.Dns.Client.query resolver ~server:server_ip
            ~qname:(Dns.Dns_name.of_string qname) ~qtype ())
     with
     | None -> Printf.printf "  %-22s -> (timeout)\n" qname

@@ -12,16 +12,13 @@ module P = Mthread.Promise
 open P.Infix
 
 let () =
-  let sim = Engine.Sim.create ~seed:3 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let ts = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed:3 () in
+  let sim = w.Core.World.sim and hv = w.Core.World.hv in
 
   let boot name =
     let config = Core.Config.make ~app_name:name ~roots:[ "kv" ] () in
     P.run sim
-      (Core.Unikernel.boot hv ts ~config ~mem_mib:16
+      (Core.Unikernel.boot hv w.Core.World.toolstack ~config ~mem_mib:16
          ~main:(fun _ -> fst (P.wait ()) (* stay alive; the pipeline drives us *))
          ())
   in

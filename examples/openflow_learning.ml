@@ -12,25 +12,11 @@ let mac = Netsim.mac_of_int
 let eth ~dst ~src payload = dst ^ src ^ "\x08\x00" ^ payload
 
 let () =
-  let sim = Engine.Sim.create ~seed:66 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let host name ip platform =
-    let dom = Xensim.Hypervisor.create_domain hv ~name ~mem_mib:64 ~platform () in
-    dom.Xensim.Domain.state <- Xensim.Domain.Running;
-    let nic = Netsim.Bridge.new_nic bridge ~mac:(mac (300 + dom.Xensim.Domain.id)) () in
-    let netif = Devices.Netif.connect hv ~dom ~backend_dom:dom0 ~nic () in
-    ( dom,
-      P.run sim
-        (Netstack.Stack.create sim ~dom ~netif
-           (Netstack.Stack.Static
-              { Netstack.Ipv4.address = Netstack.Ipaddr.of_string ip;
-                netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None })) )
-  in
-  let ctl_dom, ctl_stack = host "controller" "10.0.0.100" Platform.xen_extent in
-  let _sw_dom, sw_stack = host "switch" "10.0.0.10" Platform.xen_extent in
+  let w = Core.World.create ~seed:66 () in
+  let sim = w.Core.World.sim in
+  let ctl = Core.World.host w ~name:"controller" ~ip:"10.0.0.100" () in
+  let ctl_dom = ctl.Core.World.dom and ctl_stack = ctl.Core.World.stack in
+  let sw_stack = (Core.World.host w ~name:"switch" ~ip:"10.0.0.10" ()).Core.World.stack in
 
   let controller =
     Openflow.Controller.create sim ~dom:ctl_dom ~tcp:(Netstack.Stack.tcp ctl_stack)

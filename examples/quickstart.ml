@@ -9,12 +9,8 @@ open P.Infix
 let () =
   (* A simulated machine: hypervisor (with the seal patch), a control
      domain, a bridged network. *)
-  let sim = Engine.Sim.create ~seed:2013 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let toolstack = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed:2013 () in
+  let sim = w.Core.World.sim in
 
   (* 1. Configuration as code (paper 2.1): pick libraries and typed keys. *)
   let config =
@@ -33,24 +29,19 @@ let () =
 
   (* 3. Boot: toolstack build, randomised layout install, seal, run main. *)
   let greeting = match Core.Config.string config "greeting" with Some s -> s | None -> "?" in
-  let ip =
-    { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.2";
-      netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }
-  in
   let t0 = Engine.Sim.now sim in
   let networked =
-    P.run sim
-      (Core.Appliance.start hv toolstack
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge ~config ~ip ())
-         ~main:(fun h ->
-           (* a one-route HTTP appliance *)
-           let router = Uhttp.Router.create () in
-           Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
-               P.return (Uhttp.Http_wire.response ~status:200 greeting));
-           ignore
-             (Core.Apps.Net.Http.of_router sim ~dom:(Core.Appliance.Handle.domain h)
-                ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h)) ~port:80 router);
-           P.sleep sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0))
+    Core.World.appliance w ~config ~ip:"10.0.0.2"
+      ~main:(fun h ->
+        (* a one-route HTTP appliance *)
+        let router = Uhttp.Router.create () in
+        Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
+            P.return (Uhttp.Http_wire.response ~status:200 greeting));
+        ignore
+          (Core.Apps.Net.Http.of_router sim ~dom:(Core.Appliance.Handle.domain h)
+             ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h)) ~port:80 router);
+        P.sleep sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0)
+      ()
     |> Core.Appliance.Handle.networked
   in
   Printf.printf "booted in        : %.1f ms (sealed=%b, %d randomised sections)\n"
@@ -59,16 +50,9 @@ let () =
     (List.length networked.Core.Appliance.unikernel.Core.Unikernel.image.Core.Linker.sections);
 
   (* 4. A client host talks to it. *)
-  let client_dom = Xensim.Hypervisor.create_domain hv ~name:"client" ~mem_mib:64 ~platform:Platform.linux_native () in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic = Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int 900) () in
-  let client_netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic () in
   let client =
-    P.run sim
-      (Netstack.Stack.create sim ~netif:client_netif
-         (Netstack.Stack.Static
-            { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.9";
-              netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }))
+    (Core.World.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"client"
+       ~ip:"10.0.0.9" ()).Core.World.stack
   in
   let rtt =
     P.run sim

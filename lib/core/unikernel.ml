@@ -8,6 +8,7 @@ type t = {
   sealed : bool;
   ready_at_ns : int;
   target : target;
+  console : Devices.Console.t;
 }
 
 exception Build_error of string
@@ -22,8 +23,6 @@ let mirage_profile ~image_bytes =
     image_bytes;
     kernel_init_ns = (fun ~mem_mib -> 12_000_000 + (9_000 * mem_mib));
   }
-
-let exit_codes : (int, int) Hashtbl.t = Hashtbl.create 16
 
 (* The POSIX targets run as host processes: link against the host libc,
    no domain build, no sealing. *)
@@ -78,24 +77,22 @@ let boot hv ts ?(mode = `Async) ?(dce = Specialize.Ocamlclean) ?(seal = true)
         end
         else false
       in
-      let console = Devices.Console.create hv ~dom:domain in
+      let console = Devices.Console.create () in
       Devices.Console.write console
         (Printf.sprintf "Mirage unikernel %s: %d libraries, %d bytes, sealed=%b\n"
            config.Config.app_name
            (List.length plan.Specialize.libs)
            image.Linker.total_bytes sealed);
-      let u = { domain; image; plan; config; sealed; ready_at_ns; target } in
+      let u = { domain; image; plan; config; sealed; ready_at_ns; target; console } in
       (* The application main thread: the VM shuts down with its return
          value as exit code. *)
       async (fun () ->
           catch
             (fun () ->
               bind (main u) (fun code ->
-                  Hashtbl.replace exit_codes domain.Xensim.Domain.id code;
                   Xensim.Domain.shutdown domain ~exit_code:code;
                   return ()))
             (fun _exn ->
-              Hashtbl.replace exit_codes domain.Xensim.Domain.id 255;
               Xensim.Domain.shutdown domain ~exit_code:255;
               return ()));
       return u)
@@ -112,4 +109,4 @@ let boot_estimate_ns ~target ~mem_mib ~image_bytes =
 let exit_code t =
   match t.domain.Xensim.Domain.state with
   | Xensim.Domain.Shutdown code -> Some code
-  | _ -> Hashtbl.find_opt exit_codes t.domain.Xensim.Domain.id
+  | Xensim.Domain.Building | Xensim.Domain.Running | Xensim.Domain.Blocked -> None

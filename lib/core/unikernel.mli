@@ -28,6 +28,7 @@ type t = {
   sealed : bool;  (** false on an unpatched hypervisor (§2.3.3) *)
   ready_at_ns : int;  (** boot-complete instant *)
   target : target;
+  console : Devices.Console.t;  (** the boot banner and anything main writes *)
 }
 
 exception Build_error of string
@@ -53,7 +54,9 @@ val boot :
   unit ->
   t Mthread.Promise.t
 
-(** Exit code once the main thread has returned. *)
+(** Exit code once the domain has shut down: main's return value (255 if
+    it raised), or the code a later teardown recorded. [None] while the
+    domain runs. *)
 val exit_code : t -> int option
 
 (** Host libc bytes a POSIX-target image drags in (the unikernel links

@@ -1,15 +1,9 @@
 type t = {
-  dom : Xensim.Domain.t;
   mutable lines : string list;  (* newest first *)
   buf : Buffer.t;
 }
 
-let registry : (int, t) Hashtbl.t = Hashtbl.create 16
-
-let create _hv ~dom =
-  let t = { dom; lines = []; buf = Buffer.create 80 } in
-  Hashtbl.replace registry dom.Xensim.Domain.id t;
-  t
+let create () = { lines = []; buf = Buffer.create 80 }
 
 let write t s =
   String.iter
@@ -23,4 +17,3 @@ let write t s =
 
 let log t = List.rev t.lines
 let partial t = Buffer.contents t.buf
-let of_domain dom = Hashtbl.find_opt registry dom.Xensim.Domain.id

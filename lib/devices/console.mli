@@ -1,10 +1,11 @@
-(** The paravirtual console: a byte ring to dom0, surfaced as per-domain
-    log lines (what `xl console` would show). The unikernel runtime writes
-    its boot banner here. *)
+(** The paravirtual console: a byte ring to dom0, surfaced as log lines
+    (what `xl console` would show). The unikernel runtime writes its boot
+    banner here; the console belongs to the unikernel that owns it
+    ([Core.Unikernel.t]'s [console]). *)
 
 type t
 
-val create : Xensim.Hypervisor.t -> dom:Xensim.Domain.t -> t
+val create : unit -> t
 
 (** [write t s] appends to the console; complete lines (ending ['\n'])
     become log entries. *)
@@ -15,6 +16,3 @@ val log : t -> string list
 
 (** Any unterminated partial line. *)
 val partial : t -> string
-
-(** Console of a domain, if one was created. *)
-val of_domain : Xensim.Domain.t -> t option

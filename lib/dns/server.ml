@@ -36,10 +36,6 @@ let query_cost_ns engine ~zone_entries ~platform ~memo_hit =
   in
   int_of_float (base *. app)
 
-(* One client id sequence shared by every backend instantiation, so query
-   id streams (and thus wire traces) are globally deterministic. *)
-let next_client_id = ref 1
-
 (* The answering path is a functor over the datagram transport: the same
    decode/lookup/encode/memo code serves over the unikernel netstack or
    Hostnet's host-kernel sockets. *)
@@ -165,12 +161,19 @@ module Make (U : Device_sig.UDP) = struct
   let decode_failures t = t.decode_failures
   let memo t = t.memo
 
+  (* Concurrent queries of one resolver get distinct source ports while
+     fewer than 0x4000 are in flight. *)
   module Client = struct
-    let query sim udp ~server ?(port = 53) ~qname ~qtype () =
+    type t = { sim : Engine.Sim.t; udp : U.t; mutable next_id : int }
+
+    let create sim udp = { sim; udp; next_id = 1 }
+
+    let query t ~server ?(port = 53) ~qname ~qtype () =
       let open Mthread.Promise in
-      let id = !next_client_id land 0xffff in
-      incr next_client_id;
-      let src_port = 10000 + (!next_client_id land 0x3fff) in
+      let udp = t.udp and sim = t.sim in
+      let id = t.next_id land 0xffff in
+      t.next_id <- t.next_id + 1;
+      let src_port = 10000 + (t.next_id land 0x3fff) in
       let msg = Dns_wire.query ~id qname qtype in
       let p, u = wait () in
       U.listen udp ~port:src_port (fun ~src:_ ~src_port:_ ~dst_port:_ ~payload ->

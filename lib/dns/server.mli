@@ -45,11 +45,18 @@ module Make (U : Device_sig.UDP) : sig
   (** {1 Client} (tests, examples, load generators) *)
 
   module Client : sig
-    (** [query sim udp ~server ~qname ~qtype] sends one query and resolves
+    (** A resolver on one UDP stack. It numbers its queries from 1, so
+        its query ids and source ports do not depend on other resolvers
+        or on earlier worlds. Use one resolver per stack: two on the same
+        stack would pick the same source ports. *)
+    type t
+
+    val create : Engine.Sim.t -> U.t -> t
+
+    (** [query t ~server ~qname ~qtype ()] sends one query and resolves
         with the response ([None] on 2 s timeout). *)
     val query :
-      Engine.Sim.t ->
-      U.t ->
+      t ->
       server:U.ipaddr ->
       ?port:int ->
       qname:Dns_name.t ->

@@ -22,6 +22,7 @@
 module P = Mthread.Promise
 module Apps = Core.Apps.Net
 module Handle = Core.Appliance.Handle
+module World = Core.World
 
 let ( >>= ) = P.bind
 
@@ -60,23 +61,15 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
      scrapes here; keep the storm lean and deterministic *)
   Trace.Metrics.disable ();
   Trace.Metrics.reset ();
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:4096 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create ~static_fdb:true sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = World.create ~seed ~static_fdb:true () in
+  let sim = w.World.sim in
 
   (* -- the measuring client: infinitely fast (no ~dom), quiet -- *)
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"storm-client" ~mem_mib:512
-      ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
+  let client_dom = World.domain w ~name:"storm-client" () in
   let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + client_dom.Xensim.Domain.id)) ()
+    Netsim.Bridge.new_nic w.World.bridge
+      ~mac:(Netsim.mac_of_int (100 + client_dom.Xensim.Domain.id))
+      ()
   in
   (* Direct (host) attachment, not a PV vif: a measuring client behind a
      511-slot receive ring would drop bursts from 10^4 concurrent
@@ -103,7 +96,7 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
      entries — GC marking cost that swamps the engine. 64 slots still
      absorb far more burst than one connection generates. *)
   let template =
-    Core.Boot_spec.make ~backend_dom:dom0 ~bridge
+    Core.Boot_spec.make ~backend_dom:w.World.dom0 ~bridge:w.World.bridge
       ~config:(Core.Appliance.web_server ())
       ~metrics_port:9100 ~quiet_net:true ~rx_slots:64 ()
   in
@@ -115,7 +108,7 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
   let handles = Array.make n None in
   for i = 0 to n - 1 do
     P.async (fun () ->
-        Core.Appliance.start hv ts
+        Core.Appliance.start w.World.hv w.World.toolstack
           (Core.Boot_spec.clone template ~name:names.(i)
              ~ip:{ Netstack.Ipv4.address = ip_of_index i; netmask = mask8; gateway = None }
              ())
@@ -171,7 +164,7 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
     bs_ttfr_p50_ns = (if ttfrs = [] then 0.0 else Engine.Stats.percentile 50.0 ttfrs);
     bs_ttfr_p99_ns = (if ttfrs = [] then 0.0 else Engine.Stats.percentile 99.0 ttfrs);
     bs_reap_ns = reap_ns;
-    bs_domains_left = Xensim.Hypervisor.domain_count hv;
+    bs_domains_left = Xensim.Hypervisor.domain_count w.World.hv;
     bs_schedule =
       List.init n (fun i -> { e_name = names.(i); e_ready_ns = ready.(i); e_ttfr_ns = ttfr.(i) });
   }

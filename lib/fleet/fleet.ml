@@ -23,6 +23,7 @@ module Bootstorm = Bootstorm
 module P = Mthread.Promise
 module Apps = Core.Apps.Net
 module Handle = Core.Appliance.Handle
+module World = Core.World
 
 let ( >>= ) = P.bind
 
@@ -120,22 +121,9 @@ type outcome = {
   o_held_wait_max_ns : int;  (* longest park before dispatch *)
 }
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let simulate p =
-  let sim = Engine.Sim.create ~seed:p.seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = World.create ~seed:p.seed () in
+  let sim = w.World.sim in
 
   (* -- the front door: LB appliance -- *)
   (* Forward reference broken by a ref: the balancer's on-demand hook
@@ -149,23 +137,20 @@ let simulate p =
   in
   let lb_ref = ref None in
   let lb_h =
-    P.run sim
-      (Core.Appliance.start hv ts
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
-            ~config:(Core.Appliance.lb_appliance ())
-            ~ip:(static_ip "10.0.0.2") ~metrics_port:9100 ())
-         ~main:(fun h ->
-           let dom = Handle.domain h in
-           let lb =
-             Apps.Lb.create sim ~dom:dom.Xensim.Domain.id ~policy:p.policy
-               ~check_interval_ns:p.interval_ns ?on_demand
-               ~pending_timeout_ns:p.s2z_pending_timeout_ns
-               ~tcp:(Netstack.Stack.tcp (Handle.stack h))
-               ~port:80 ()
-           in
-           lb_ref := Some lb;
-           Handle.on_drain h (fun () -> Apps.Lb.drain lb);
-           Handle.stopped h >>= fun () -> P.return 0))
+    World.appliance w ~metrics_port:9100 ~config:(Core.Appliance.lb_appliance ()) ~ip:"10.0.0.2"
+      ~main:(fun h ->
+        let dom = Handle.domain h in
+        let lb =
+          Apps.Lb.create sim ~dom:dom.Xensim.Domain.id ~policy:p.policy
+            ~check_interval_ns:p.interval_ns ?on_demand
+            ~pending_timeout_ns:p.s2z_pending_timeout_ns
+            ~tcp:(Netstack.Stack.tcp (Handle.stack h))
+            ~port:80 ()
+        in
+        lb_ref := Some lb;
+        Handle.on_drain h (fun () -> Apps.Lb.drain lb);
+        Handle.stopped h >>= fun () -> P.return 0)
+      ()
   in
   let lb = match !lb_ref with Some lb -> lb | None -> failwith "lb did not boot" in
 
@@ -181,27 +166,24 @@ let simulate p =
   in
   let mon_ref = ref None in
   let mon_h =
-    P.run sim
-      (Core.Appliance.start hv ts
-         (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
-            ~config:(Core.Appliance.monitor_appliance ())
-            ~ip:(static_ip "10.0.0.100") ())
-         ~main:(fun h ->
-           let dom = Handle.domain h in
-           let m =
-             Apps.Monitor.create sim ~dom:dom.Xensim.Domain.id
-               ~tcp:(Netstack.Stack.tcp (Handle.stack h))
-               ~interval_ns:p.interval_ns ~rules ()
-           in
-           mon_ref := Some m;
-           Apps.Monitor.run m >>= fun () -> P.return 0))
+    World.appliance w ~config:(Core.Appliance.monitor_appliance ()) ~ip:"10.0.0.100"
+      ~main:(fun h ->
+        let dom = Handle.domain h in
+        let m =
+          Apps.Monitor.create sim ~dom:dom.Xensim.Domain.id
+            ~tcp:(Netstack.Stack.tcp (Handle.stack h))
+            ~interval_ns:p.interval_ns ~rules ()
+        in
+        mon_ref := Some m;
+        Apps.Monitor.run m >>= fun () -> P.return 0)
+      ()
   in
   ignore mon_h;
   let mon = match !mon_ref with Some m -> m | None -> failwith "monitor did not boot" in
 
   (* -- shard factory: what the orchestrator calls to scale out -- *)
   let template =
-    Core.Boot_spec.make ~backend_dom:dom0 ~bridge
+    Core.Boot_spec.make ~backend_dom:w.World.dom0 ~bridge:w.World.bridge
       ~config:(Core.Appliance.web_server ())
       ~metrics_port:9100 ()
   in
@@ -209,8 +191,8 @@ let simulate p =
   let shard_handles = ref [] in
   let boot_shard ~index =
     let name = Printf.sprintf "web.%d" index in
-    let ip = static_ip (Printf.sprintf "10.0.0.%d" (110 + (index mod 140))) in
-    Core.Appliance.start hv ts
+    let ip = World.static_ip (Printf.sprintf "10.0.0.%d" (110 + (index mod 140))) in
+    Core.Appliance.start w.World.hv w.World.toolstack
       (Core.Boot_spec.clone template ~name ~ip ())
       ~main:(fun h ->
         let dom = Handle.domain h in
@@ -258,20 +240,10 @@ let simulate p =
   if p.autoscale then P.async (fun () -> Apps.Orchestrator.run orch);
 
   (* -- the client population -- *)
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"clients" ~mem_mib:512 ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + client_dom.Xensim.Domain.id)) ()
-  in
-  let client_netif =
-    Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic ()
-  in
-  (* no ~dom: the population is an infinitely fast traffic source, not a
-     workload competing for simulated CPU *)
+  (* no vCPU accounting: the population is an infinitely fast traffic
+     source, not a workload competing for simulated CPU *)
   let client_stack =
-    P.run sim (Netstack.Stack.create sim ~netif:client_netif (Netstack.Stack.Static (static_ip "10.0.0.9")))
+    (World.host w ~account_cpu:false ~name:"clients" ~ip:"10.0.0.9" ()).World.stack
   in
   let t0 = Engine.Sim.now sim in
   let hold_start = p.warm_ns + p.ramp_up_ns in
@@ -367,7 +339,7 @@ let simulate p =
     o_peak_population = Apps.Loadgen.peak_population gen;
     o_events = events;
     o_timeline = List.rev !timeline;
-    o_domains_left = Xensim.Hypervisor.domain_count hv;
+    o_domains_left = Xensim.Hypervisor.domain_count w.World.hv;
     o_shard_handles = List.rev !shard_handles;
     o_cold_starts = Apps.Orchestrator.cold_starts orch;
     o_held = Apps.Lb.held_total lb;

@@ -851,7 +851,7 @@ end
 
    A fixed set of hops along the RX→app→TX path, each accumulating
    packet count, modeled vCPU ns, and bytes allocated. Allocation is
-   measured with [Gc.allocated_bytes] deltas over a region stack, so
+   measured with exact allocation-counter deltas over a region stack, so
    nested hops report exclusive (self) allocation: a parent region
    subtracts everything consumed by regions opened inside it. *)
 
@@ -887,7 +887,7 @@ module Dpath = struct
      measuring does not itself allocate inside measured regions: a
      cons/record/boxed-float per region would charge the instrument's own
      garbage to whichever hop encloses it (tens of thousands of regions
-     per run add megabytes). [Gc.allocated_bytes]'s boxed return is the
+     per run add megabytes). The counter reading's own boxes are the
      only unavoidable residue. Depth 64 is far beyond any real nesting;
      deeper regions saturate and measure as zero rather than crash. *)
   let max_depth = 64
@@ -929,20 +929,20 @@ module Dpath = struct
 
   let disable () = plane.on <- false
 
-  (* OCaml 5.0/5.1's [Gc.allocated_bytes] folds the live minor-heap
-     region into its result only around collection boundaries, so between
-     minor collections the counter barely moves — and a whole epoch's
-     allocation then lands as one minor-heap-sized lump on whichever
-     region happens to span the collection. That made per-hop attribution
-     a knife-edge on GC phase: an 8-byte/frame change anywhere in the
-     program could swing a hop's exclusive bytes by megabytes. Draining
-     the minor heap right before sampling makes the counter exact at
-     every region edge (~0.4us, and only while the plane is enabled), so
-     attribution depends on what a hop allocates, not on where the GC
-     clock was. *)
-  let sample () =
-    Gc.minor ();
-    Gc.allocated_bytes ()
+  (* Bytes allocated so far, exact at any instant: minor-heap words
+     ([Gc.minor_words] counts the live minor heap too) plus words
+     allocated directly in the major heap (major minus promoted). OCaml
+     5.0/5.1's [Gc.allocated_bytes] only folds the minor heap in around
+     collections, so its reading would depend on where the GC clock was.
+     This one needs no collection at a region edge and reads the same
+     with or without a minor GC inside the region; the [Gc.counters]
+     tuple is a constant residue per region. *)
+  let word_bytes = float_of_int (Sys.word_size / 8)
+
+  let allocated_bytes () =
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
+    (minor +. major -. promoted) *. word_bytes
 
   let enter hop vcpu_ns =
     let d = !depth in
@@ -950,7 +950,7 @@ module Dpath = struct
       r_idx.(d) <- hop_index hop;
       r_vcpu.(d) <- vcpu_ns;
       r_inner.(d) <- 0.;
-      r_start.(d) <- sample ()
+      r_start.(d) <- allocated_bytes ()
     end;
     depth := d + 1
 
@@ -958,7 +958,7 @@ module Dpath = struct
     let d = !depth - 1 in
     depth := d;
     if d >= 0 && d < max_depth then begin
-      let total = sample () -. r_start.(d) in
+      let total = allocated_bytes () -. r_start.(d) in
       let self = if total > r_inner.(d) then total -. r_inner.(d) else 0. in
       if d > 0 then r_inner.(d - 1) <- r_inner.(d - 1) +. total;
       let c = cells.(r_idx.(d)) in

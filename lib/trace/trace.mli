@@ -457,6 +457,12 @@ module Dpath : sig
 
   (** Hops with at least one packet, in path order. *)
   val stats : unit -> hstat list
+
+  (** Bytes this process has allocated so far, exact at any instant with
+      no collection (unlike OCaml 5.1's [Gc.allocated_bytes], which only
+      counts the minor heap around collections): the counter {!measure}
+      reads at region edges. *)
+  val allocated_bytes : unit -> float
 end
 
 (** Write the profiler and datapath tables as JSON lines: a

@@ -11,23 +11,11 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let run () =
   Trace.quiesce ();
   Trace.enable ~capacity:65536 ();
-  let sim = Engine.Sim.create ~seed:11 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
+  let w = Core.World.create ~seed:11 () in
+  let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
   let cap =
     Netsim.Capture.create ~name:"golden" ~capacity:512
       ~filter:
@@ -37,30 +25,17 @@ let run () =
       ()
   in
   Netsim.Capture.attach_bridge cap bridge;
-  let host name ip =
-    let dom =
-      Xensim.Hypervisor.create_domain hv ~name ~mem_mib:64 ~platform:Platform.xen_extent ()
-    in
-    dom.Xensim.Domain.state <- Xensim.Domain.Running;
-    let nic =
-      Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + dom.Xensim.Domain.id)) ()
-    in
-    let netif = Devices.Netif.connect hv ~dom ~backend_dom:dom0 ~nic () in
-    let stack =
-      P.run sim (Netstack.Stack.create sim ~dom ~netif (Netstack.Stack.Static (static_ip ip)))
-    in
-    (dom, nic, stack)
-  in
-  let s_dom, s_nic, server = host "server" "10.0.0.2" in
-  let _, _, client = host "client" "10.0.0.9" in
+  let s = Core.World.host w ~name:"server" ~ip:"10.0.0.2" () in
+  let server = s.Core.World.stack in
+  let client = (Core.World.host w ~name:"client" ~ip:"10.0.0.9" ()).Core.World.stack in
   (* bursty loss on the server link: the retransmit storm the walkthrough
      in EXPERIMENTS.md dissects *)
-  Netsim.Bridge.set_faults bridge s_nic
+  Netsim.Bridge.set_faults bridge s.Core.World.nic
     (Netsim.Faults.make
        ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.08 ~burst_len:4 ())
        ());
   ignore
-    (Core.Apps.Net.Http.create sim ~dom:s_dom ~tcp:(Netstack.Stack.tcp server) ~port:80
+    (Core.Apps.Net.Http.create sim ~dom:s.Core.World.dom ~tcp:(Netstack.Stack.tcp server) ~port:80
        (fun _req -> P.return (Uhttp.Http_wire.response ~status:200 (String.make 2048 'y'))));
   let dst = Netstack.Stack.address server in
   P.run sim

@@ -22,41 +22,16 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 (* Two PV guests on one bridge; the server answers [gets] HTTP GETs from
    the client, then optionally one ping. *)
 let scenario ~gets ~ping =
-  let sim = Engine.Sim.create ~seed:11 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let host name ip =
-    let dom =
-      Xensim.Hypervisor.create_domain hv ~name ~mem_mib:64 ~platform:Platform.xen_extent ()
-    in
-    dom.Xensim.Domain.state <- Xensim.Domain.Running;
-    let nic =
-      Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + dom.Xensim.Domain.id)) ()
-    in
-    let netif = Devices.Netif.connect hv ~dom ~backend_dom:dom0 ~nic () in
-    let stack =
-      P.run sim (Netstack.Stack.create sim ~dom ~netif (Netstack.Stack.Static (static_ip ip)))
-    in
-    (dom, stack)
-  in
-  let s_dom, server = host "server" "10.0.0.2" in
-  let _, client = host "client" "10.0.0.9" in
+  let w = Core.World.create ~seed:11 () in
+  let sim = w.Core.World.sim in
+  let s = Core.World.host w ~name:"server" ~ip:"10.0.0.2" () in
+  let server = s.Core.World.stack in
+  let client = (Core.World.host w ~name:"client" ~ip:"10.0.0.9" ()).Core.World.stack in
   ignore
-    (Core.Apps.Net.Http.create sim ~dom:s_dom ~tcp:(Netstack.Stack.tcp server) ~port:80
+    (Core.Apps.Net.Http.create sim ~dom:s.Core.World.dom ~tcp:(Netstack.Stack.tcp server) ~port:80
        (fun _req -> P.return (Uhttp.Http_wire.response ~status:200 (String.make 256 'x'))));
   let dst = Netstack.Stack.address server in
   P.run sim

@@ -7,13 +7,6 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -213,24 +206,9 @@ let test_capture_deterministic () =
 (* ---- ss introspection matches the state machine ---- *)
 
 let test_ss_matches_tcp_state () =
-  let sim = Engine.Sim.create ~seed:7 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let host name ip =
-    let dom =
-      Xensim.Hypervisor.create_domain hv ~name ~mem_mib:64 ~platform:Platform.xen_extent ()
-    in
-    dom.Xensim.Domain.state <- Xensim.Domain.Running;
-    let nic =
-      Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + dom.Xensim.Domain.id)) ()
-    in
-    let netif = Devices.Netif.connect hv ~dom ~backend_dom:dom0 ~nic () in
-    P.run sim (Netstack.Stack.create sim ~netif (Netstack.Stack.Static (static_ip ip)))
-  in
+  let w = Core.World.create ~seed:7 () in
+  let sim = w.Core.World.sim in
+  let host name ip = (Core.World.host w ~account_cpu:false ~name ~ip ()).Core.World.stack in
   let server = host "server" "10.0.0.2" in
   let client = host "client" "10.0.0.9" in
   let stcp = Netstack.Stack.tcp server in
