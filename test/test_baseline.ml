@@ -25,10 +25,10 @@ let test_debian_phase_inventory () =
 (* ---- appliances ---- *)
 
 let web_world ~vcpus =
-  let w = make_world () in
-  let server = make_host w ~platform:Platform.linux_pv ~vcpus ~name:"linuxvm" ~ip:"10.0.0.80" () in
+  let w = create () in
+  let server = host w ~platform:Platform.linux_pv ~vcpus ~name:"linuxvm" ~ip:"10.0.0.80" () in
   let client =
-    make_host w ~platform:Platform.linux_native ~account_cpu:false ~name:"load" ~ip:"10.0.0.2" ()
+    host w ~platform:Platform.linux_native ~account_cpu:false ~name:"load" ~ip:"10.0.0.2" ()
   in
   (w, server, client)
 

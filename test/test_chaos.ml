@@ -45,9 +45,9 @@ type outcome = {
    directions once established. Bounded by a sim-time deadline so a
    deadlock fails the test instead of hanging it. *)
 let chaos_run ~seed ~schedule ~bytes =
-  let w = make_world ~seed () in
-  let a = make_host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
-  let b = make_host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
+  let w = create ~seed () in
+  let a = host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
+  let b = host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
   let received = Buffer.create bytes in
   let server_done, done_u = P.wait () in
   N.Tcp.listen (N.Stack.tcp b.stack) ~port:5001 (fun flow ->
@@ -131,9 +131,9 @@ let test_zero_window_under_loss () =
   (* The sharpest deadlock scenario: the receiver stalls until the window
      is zero while the link also loses packets, so the reopening window
      update can be lost. Persist probes must unstick it. *)
-  let w = make_world ~seed:11 () in
-  let a = make_host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
-  let b = make_host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
+  let w = create ~seed:11 () in
+  let a = host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
+  let b = host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
   let start_reading, start_u = P.wait () in
   let received = Buffer.create 0 in
   let server_done, done_u = P.wait () in

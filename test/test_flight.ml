@@ -80,9 +80,9 @@ let test_disabled_noop () =
    failure mode — no RST, no FIN, just silence). The client flow must
    retransmit, back off, give up with Timeout, and trip the recorder. *)
 let run_kill_scenario ~kill_peer =
-  let w = make_world () in
-  let a = make_host w ~name:"client" ~ip:"10.0.0.9" () in
-  let b = make_host w ~name:"server" ~ip:"10.0.0.2" () in
+  let w = create () in
+  let a = host w ~name:"client" ~ip:"10.0.0.9" () in
+  let b = host w ~name:"server" ~ip:"10.0.0.2" () in
   N.Tcp.listen (N.Stack.tcp b.stack) ~port:5001 (fun flow ->
       let rec sink () =
         N.Tcp.read flow >>= function None -> N.Tcp.close flow | Some _ -> sink ()
@@ -138,9 +138,9 @@ let test_destroy_clears_series () =
   with_flight (fun () ->
       Trace.Prof.reset ();
       Trace.Prof.enable ();
-      let w = make_world () in
-      let a = make_host w ~name:"client" ~ip:"10.0.0.9" () in
-      let b = make_host w ~name:"server" ~ip:"10.0.0.2" () in
+      let w = create () in
+      let a = host w ~name:"client" ~ip:"10.0.0.9" () in
+      let b = host w ~name:"server" ~ip:"10.0.0.2" () in
       (match run_kill_scenario ~kill_peer:false with
       | `Clean -> ()
       | `Timeout -> Alcotest.fail "clean exchange must not time out");
@@ -166,8 +166,8 @@ let test_destroy_clears_series () =
 
 let test_crash_exit_trips () =
   with_flight (fun () ->
-      let w = make_world () in
-      let a = make_host w ~name:"crasher" ~ip:"10.0.0.3" () in
+      let w = create () in
+      let a = host w ~name:"crasher" ~ip:"10.0.0.3" () in
       Trace.Flight.note ~dom:a.dom.Xensim.Domain.id ~cat:Trace.Device "last.words";
       Xensim.Hypervisor.destroy ~exit_code:2 w.hv a.dom;
       check_int "non-zero exit trips" 1 (Trace.Flight.trips ());

@@ -87,9 +87,9 @@ let fuzz_zone prng =
 (* ---- live-stack bombardment ---- *)
 
 let test_stack_survives_garbage_frames () =
-  let w = make_world () in
-  let victim = make_host w ~platform:Platform.xen_extent ~name:"victim" ~ip:"10.0.0.1" () in
-  let client = make_host w ~platform:Platform.linux_native ~name:"client" ~ip:"10.0.0.2" () in
+  let w = create () in
+  let victim = host w ~platform:Platform.xen_extent ~name:"victim" ~ip:"10.0.0.1" () in
+  let client = host w ~platform:Platform.linux_native ~name:"client" ~ip:"10.0.0.2" () in
   let attacker = Netsim.Bridge.new_nic w.bridge ~mac:(Netsim.mac_of_int 666) () in
   let prng = Engine.Prng.create ~seed:99 () in
   (* a real service keeps running underneath *)
@@ -133,9 +133,9 @@ let test_stack_survives_garbage_frames () =
 let test_tcp_survives_mutated_segments () =
   (* Mutate real TCP segments in flight: the connection may stall or reset
      but the stacks must not crash, and a fresh connection must work. *)
-  let w = make_world () in
-  let a = make_host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
-  let b = make_host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
+  let w = create () in
+  let a = host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
+  let b = host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
   let prng = Engine.Prng.create ~seed:7 () in
   let evil = Netsim.Bridge.new_nic w.bridge ~bandwidth_bps:max_int ~latency_ns:0 ~mac:(Netsim.mac_of_int 665) () in
   ignore

@@ -127,10 +127,10 @@ let test_flow_table_delete () =
 (* ---- controller + switch integration ---- *)
 
 let of_world () =
-  let w = make_world () in
-  let ctl_host = make_host w ~platform:Platform.xen_extent ~name:"controller" ~ip:"10.0.0.100" () in
+  let w = create () in
+  let ctl_host = host w ~platform:Platform.xen_extent ~name:"controller" ~ip:"10.0.0.100" () in
   let sw_host =
-    make_host w ~platform:Platform.linux_pv ~account_cpu:false ~name:"switch" ~ip:"10.0.0.10" ()
+    host w ~platform:Platform.linux_pv ~account_cpu:false ~name:"switch" ~ip:"10.0.0.10" ()
   in
   (w, ctl_host, sw_host)
 

@@ -142,8 +142,8 @@ let test_views_share_storage () =
 (* Posted receive credit is a promise of a buffer, not a buffer: a
    connected, configured appliance that has moved no frame holds none. *)
 let test_fresh_vif_reserves_nothing () =
-  let w = make_world () in
-  let h = make_host w ~announce:false ~name:"fresh" ~ip:"10.0.0.1" () in
+  let w = create () in
+  let h = host w ~announce:false ~name:"fresh" ~ip:"10.0.0.1" () in
   let pool = Devices.Netif.pool h.netif in
   check_int "no frame yet, nothing reserved" 0 (Pb.bytes_reserved pool);
   check_int "no buffer created" 0 (Pb.free_buffers pool + Pb.outstanding pool)
@@ -152,9 +152,9 @@ let test_fresh_vif_reserves_nothing () =
    flight, sampled after every event, never a pre-sized batch. *)
 let test_one_request_reserves_peak_only () =
   let module P = Mthread.Promise in
-  let w = make_world () in
-  let a = make_host w ~announce:false ~name:"client" ~ip:"10.0.0.1" () in
-  let b = make_host w ~announce:false ~name:"server" ~ip:"10.0.0.2" () in
+  let w = create () in
+  let a = host w ~announce:false ~name:"client" ~ip:"10.0.0.1" () in
+  let b = host w ~announce:false ~name:"server" ~ip:"10.0.0.2" () in
   let pools = [ Devices.Netif.pool a.netif; Devices.Netif.pool b.netif ] in
   Netstack.Tcp.listen (Netstack.Stack.tcp b.stack) ~port:80 (fun flow ->
       P.bind (Netstack.Tcp.read flow) (fun _ ->

@@ -172,7 +172,7 @@ let test_heap_release () =
 (* ---- Domainpoll / Wallclock ---- *)
 
 let test_domainpoll_event () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -183,7 +183,7 @@ let test_domainpoll_event () =
   | Pvboot.Domainpoll.Timed_out -> Alcotest.fail "should not time out")
 
 let test_domainpoll_timeout () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   (match run w (Pvboot.Domainpoll.poll w.hv ~ports:[ back ] ~timeout_ns:1000) with

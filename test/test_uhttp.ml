@@ -10,9 +10,9 @@ let is_sub needle haystack =
 
 (* A loopback flow pair via the full network stack for reader tests. *)
 let http_world () =
-  let w = make_world () in
-  let server = make_host w ~platform:Platform.xen_extent ~name:"www" ~ip:"10.0.0.80" () in
-  let client = make_host w ~platform:Platform.linux_pv ~name:"curl" ~ip:"10.0.0.2" () in
+  let w = create () in
+  let server = host w ~platform:Platform.xen_extent ~name:"www" ~ip:"10.0.0.80" () in
+  let client = host w ~platform:Platform.linux_pv ~name:"curl" ~ip:"10.0.0.2" () in
   (w, server, client)
 
 (* ---- wire ---- *)

@@ -78,14 +78,14 @@ let test_double_seal () =
   | _ -> Alcotest.fail "double seal rejected"
 
 let test_hypervisor_seal_requires_patch () =
-  let w = make_world ~seal_patch:false () in
+  let w = create ~seal_patch:false () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"g" ~mem_mib:16 ~platform:Platform.xen_extent () in
   match Xensim.Hypervisor.seal w.hv d with
   | exception Xensim.Hypervisor.Seal_unsupported -> ()
   | _ -> Alcotest.fail "unpatched hypervisor must refuse seal"
 
 let test_hypervisor_seal_counts () =
-  let w = make_world () in
+  let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"g" ~mem_mib:16 ~platform:Platform.xen_extent () in
   Xensim.Hypervisor.seal w.hv d;
   check_int "seal counted" 1 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.seals;
@@ -98,7 +98,7 @@ let test_hypervisor_seal_counts () =
    exactly, and a stale handle to a reused id must not evict the new
    tenant. *)
 let test_hypervisor_lookup_after_destroy () =
-  let w = make_world () in
+  let w = create () in
   let ds =
     List.init 50 (fun i ->
         Xensim.Hypervisor.create_domain w.hv ~name:(Printf.sprintf "g%d" i) ~mem_mib:16
@@ -128,7 +128,7 @@ let test_hypervisor_lookup_after_destroy () =
 (* [domains] must iterate in creation (= id) order regardless of hash
    bucket layout — reports and the boot storm's schedule depend on it. *)
 let test_hypervisor_domains_deterministic () =
-  let w = make_world () in
+  let w = create () in
   let ds =
     List.init 200 (fun i ->
         Xensim.Hypervisor.create_domain w.hv ~name:(Printf.sprintf "d%d" i) ~mem_mib:16
@@ -144,7 +144,7 @@ let test_hypervisor_domains_deterministic () =
 (* ---- Event channels ---- *)
 
 let test_evtchn_notify () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -156,7 +156,7 @@ let test_evtchn_notify () =
   check_int "delivered" 1 !hits
 
 let test_evtchn_bidirectional () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -167,7 +167,7 @@ let test_evtchn_bidirectional () =
   check_int "reverse direction" 1 !f_hits
 
 let test_evtchn_mask_unmask () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -184,7 +184,7 @@ let test_evtchn_mask_unmask () =
 
 let test_evtchn_coalescing () =
   (* Multiple notifies while pending coalesce into one delivery. *)
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -198,7 +198,7 @@ let test_evtchn_coalescing () =
   check_int "notifies counted" 3 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.evtchn_notifies
 
 let test_evtchn_close () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   let front = Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back in
@@ -208,7 +208,7 @@ let test_evtchn_close () =
   | _ -> Alcotest.fail "closed port unusable"
 
 let test_evtchn_double_bind_rejected () =
-  let w = make_world () in
+  let w = create () in
   let ev = w.hv.Xensim.Hypervisor.evtchn in
   let back = Xensim.Evtchn.alloc_unbound ev ~owner:0 in
   ignore (Xensim.Evtchn.bind_interdomain ev ~local:1 ~remote_port:back);
@@ -219,7 +219,7 @@ let test_evtchn_double_bind_rejected () =
 (* ---- Grant tables ---- *)
 
 let test_gnttab_map_is_zero_copy () =
-  let w = make_world () in
+  let w = create () in
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let page = bs "granted page contents" in
   let r = Xensim.Gnttab.grant_access gt ~dom:1 ~peer:2 ~writable:true page in
@@ -231,7 +231,7 @@ let test_gnttab_map_is_zero_copy () =
   check_int "no copies" 0 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.grant_copies
 
 let test_gnttab_permissions () =
-  let w = make_world () in
+  let w = create () in
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let page = Bytestruct.create 8 in
   let r = Xensim.Gnttab.grant_access gt ~dom:1 ~peer:2 ~writable:false page in
@@ -243,7 +243,7 @@ let test_gnttab_permissions () =
   | _ -> Alcotest.fail "read-only grant cannot be mapped rw"
 
 let test_gnttab_busy_revocation () =
-  let w = make_world () in
+  let w = create () in
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let page = Bytestruct.create 8 in
   let r = Xensim.Gnttab.grant_access gt ~dom:1 ~peer:2 ~writable:true page in
@@ -259,7 +259,7 @@ let test_gnttab_busy_revocation () =
   | _ -> Alcotest.fail "revoked grant unusable"
 
 let test_gnttab_copy_ops () =
-  let w = make_world () in
+  let w = create () in
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let page = bs "SOURCE" in
   let r = Xensim.Gnttab.grant_access gt ~dom:1 ~peer:2 ~writable:true page in
@@ -274,7 +274,7 @@ let test_gnttab_copy_ops () =
    then the device's one fill function supplies it, keyed by credit,
    exactly once. Revoking an untouched grant never fills. *)
 let test_gnttab_deferred_fill () =
-  let w = make_world () in
+  let w = create () in
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let filled = ref [] in
   let fill key =
@@ -493,7 +493,7 @@ let test_xenstore_rm () =
 (* ---- vchan ---- *)
 
 let vchan_world () =
-  let w = make_world () in
+  let w = create () in
   let a = Xensim.Hypervisor.create_domain w.hv ~name:"server" ~mem_mib:16 ~platform:Platform.xen_extent () in
   let b = Xensim.Hypervisor.create_domain w.hv ~name:"client" ~mem_mib:16 ~platform:Platform.xen_extent () in
   let s_ep, c_ep = Xensim.Vchan.connect w.hv ~server:a ~client:b () in
@@ -561,7 +561,7 @@ let test_vchan_close_eof () =
 (* ---- Toolstack & domains ---- *)
 
 let test_toolstack_sync_serialises () =
-  let w = make_world () in
+  let w = create () in
   let ts = Xensim.Toolstack.create w.hv in
   let profile =
     { Xensim.Toolstack.kind = "test"; image_bytes = 1_000_000; kernel_init_ns = (fun ~mem_mib:_ -> 1_000_000) }
@@ -574,7 +574,7 @@ let test_toolstack_sync_serialises () =
   let both = P.both (boot `Sync "a") (boot `Sync "b") in
   ignore (run w both);
   let sync_elapsed = Engine.Sim.now w.sim - t0 in
-  let w2 = make_world () in
+  let w2 = create () in
   let ts2 = Xensim.Toolstack.create w2.hv in
   let boot2 mode name =
     Xensim.Toolstack.boot ts2 ~mode ~profile ~name ~mem_mib:128 ~platform:Platform.xen_extent
@@ -590,14 +590,14 @@ let test_toolstack_build_time_grows_with_memory () =
   check_bool "monotone in memory" true (large > small * 10)
 
 let test_domain_charge_serialises () =
-  let w = make_world () in
+  let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"d" ~mem_mib:16 ~platform:Platform.xen_extent () in
   let t0 = Engine.Sim.now w.sim in
   ignore (run w (P.join [ Xensim.Domain.charge d ~cost:1000; Xensim.Domain.charge d ~cost:1000 ]));
   check_int "single vCPU serialises work" 2000 (Engine.Sim.now w.sim - t0)
 
 let test_domain_multi_vcpu_parallel () =
-  let w = make_world () in
+  let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"smp" ~mem_mib:16 ~platform:Platform.linux_pv ~vcpus:2 () in
   let t0 = Engine.Sim.now w.sim in
   ignore (run w (P.join [ Xensim.Domain.charge d ~cost:1000; Xensim.Domain.charge d ~cost:1000 ]));
@@ -606,14 +606,14 @@ let test_domain_multi_vcpu_parallel () =
   check_int "parallel with contention tax" 1150 elapsed
 
 let test_domain_utilisation () =
-  let w = make_world () in
+  let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"u" ~mem_mib:16 ~platform:Platform.xen_extent () in
   ignore (run w (Xensim.Domain.charge d ~cost:500));
   ignore (run w (P.sleep w.sim 500));
   check (Alcotest.float 1e-9) "50% busy" 0.5 (Xensim.Domain.utilisation d ~span_ns:1000)
 
 let test_vcpu_accounting () =
-  let w = make_world () in
+  let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"acct" ~mem_mib:16 ~platform:Platform.xen_extent () in
   (* Two back-to-back charges on one vCPU: the second queues behind the
      first, so its wait time equals the first's run time. *)
