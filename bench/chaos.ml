@@ -8,28 +8,9 @@ module P = Mthread.Promise
 module N = Netstack
 module F = Netsim.Faults
 
-let ms = Engine.Sim.ms
 let bytes = 200_000
 let seeds = [ 1; 2; 3; 5; 7; 11; 42; 101; 443; 1001; 4242; 65537 ]
-
-let schedules : (string * (now:int -> F.t)) list =
-  [
-    ( "burst-loss-2pct",
-      fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.02 ~burst_len:5 ()) () );
-    ("reorder-15pct", fun ~now:_ -> F.make ~reorder:(0.15, 300_000) ());
-    ("duplicate-5pct", fun ~now:_ -> F.make ~duplicate:0.05 ());
-    ("corrupt-3pct", fun ~now:_ -> F.make ~corrupt:0.03 ());
-    ("jitter-200us", fun ~now:_ -> F.make ~jitter_ns:200_000 ());
-    (* The first outage must land inside the transfer (~2 ms clean), hence
-       the early anchor. *)
-    ("link-flap", fun ~now -> F.make ~flap:(now + 500_000, ms 40, ms 200) ());
-    ( "everything",
-      fun ~now ->
-        F.make
-          ~ge:(F.burst_loss ~avg_loss:0.01 ~burst_len:4 ())
-          ~reorder:(0.05, 200_000) ~duplicate:0.02 ~corrupt:0.01 ~jitter_ns:100_000
-          ~flap:(now + ms 20, ms 20, ms 400) () );
-  ]
+let schedules = Testlib.chaos_schedules
 
 type outcome = {
   goodput_mbps : float;

@@ -6,9 +6,6 @@
 let slot_bytes = 32
 let backend_per_request_ns = 2_000
 
-(* Aggregate in-flight block requests across all blkifs in the process. *)
-let g_inflight = Trace.gauge "blkif.inflight"
-
 type pending = {
   gref : Xensim.Gnttab.grant_ref;
   buffer : Bytestruct.t;
@@ -92,7 +89,6 @@ let frontend_handle t () =
          | None -> ()
          | Some p ->
            Hashtbl.remove t.pending id;
-           Trace.gauge_add g_inflight (-1);
            Xensim.Gnttab.end_access (gnttab t) p.gref;
            Trace.finish p.span;
            Mthread.Msem.release t.ring_space;
@@ -158,7 +154,6 @@ let submit t ~op ~sector ~count ~buffer =
           (if op = `Read then "blkif.read" else "blkif.write")
       in
       Hashtbl.replace t.pending id { gref; buffer; waker; span };
-      Trace.gauge_add g_inflight 1;
       let slot = Xensim.Ring.Front.next_request t.front in
       Bytestruct.set_uint8 slot 0 (if op = `Read then 0 else 1);
       Bytestruct.LE.set_uint16 slot 2 id;

@@ -9,12 +9,8 @@ let slot_bytes = 16
 let mtu_bytes = 1500
 let backend_per_packet_ns = 1_600 (* dom0 netback work per frame *)
 
-let c_doorbell = Trace.counter "netif.tx_doorbells"
-
-(* Instantaneous ring occupancy across all PV netifs in the process;
-   deltas at the grant/response sites keep the aggregate current. *)
-let g_tx_inflight = Trace.gauge "netif.tx_inflight"
-let g_rx_posted = Trace.gauge "netif.rx_posted"
+(* TX doorbells rung by every PV netif in the process. *)
+let doorbells = ref 0
 
 type tx_pending = {
   gref : Xensim.Gnttab.grant_ref;
@@ -204,7 +200,6 @@ let post_rx_buffer t =
   in
   t.rx_gref.(id) <- gref;
   t.rx_posted <- t.rx_posted + 1;
-  Trace.gauge_add g_rx_posted 1;
   let slot = Xensim.Ring.Front.next_request t.rx_front in
   Bytestruct.LE.set_uint16 slot 0 id;
   Bytestruct.LE.set_uint32 slot 4 (Int32.of_int gref)
@@ -217,7 +212,6 @@ let frontend_handle_tx_responses t () =
          | None -> ()
          | Some { gref; waker; span; flow; owner } ->
            Hashtbl.remove t.tx_pending id;
-           Trace.gauge_add g_tx_inflight (-1);
            Xensim.Gnttab.end_access (gnttab t) gref;
            (* Driver's TX reference: the wire holds its own if the frame
               is still in flight, so this release is what lets a
@@ -251,7 +245,6 @@ let frontend_handle_rx_responses t () =
           t.rx_gref.(id) <- no_credit;
           t.rx_buf.(id) <- None;
           t.rx_posted <- t.rx_posted - 1;
-          Trace.gauge_add g_rx_posted (-1);
           Xensim.Gnttab.end_access (gnttab t) gref;
           arrived := (id, page, size) :: !arrived
         end)
@@ -528,7 +521,7 @@ let nic = function Pv t -> t.nic | Direct d -> d.d_nic
 let mtu _ = mtu_bytes
 let pool = function Pv t -> t.pool | Direct d -> d.d_pool
 
-let tx_doorbells () = Trace.counter_value c_doorbell
+let tx_doorbells () = !doorbells
 
 let rec pv_write ?owner t frame =
   let open Mthread.Promise in
@@ -555,7 +548,6 @@ let rec pv_write ?owner t frame =
     let span = Trace.span ~dom:t.dom.Xensim.Domain.id ~cat:Trace.Device "netif.tx" in
     let flow = if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none in
     Hashtbl.replace t.tx_pending id { gref; waker; span; flow; owner };
-    Trace.gauge_add g_tx_inflight 1;
     let slot = Xensim.Ring.Front.next_request t.tx_front in
     Bytestruct.LE.set_uint16 slot 0 id;
     Bytestruct.LE.set_uint16 slot 2 len;
@@ -581,7 +573,7 @@ let rec pv_write ?owner t frame =
           if t.closed then return ()
           else begin
             if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
-              Trace.incr c_doorbell;
+              incr doorbells;
               Xensim.Evtchn.notify (evtchn t) t.tx_port_front
             end;
             done_p
@@ -607,14 +599,12 @@ let pv_disconnect t =
   Xensim.Evtchn.close ev t.rx_port_front;
   t.listener <- None;
   t.capture <- None;
-  Trace.gauge_add g_tx_inflight (-Hashtbl.length t.tx_pending);
   Hashtbl.iter
     (fun _ (p : tx_pending) ->
       Xensim.Gnttab.end_access (gnttab t) p.gref;
       match p.owner with Some pb -> Pktbuf.release pb | None -> ())
     t.tx_pending;
   Hashtbl.reset t.tx_pending;
-  Trace.gauge_add g_rx_posted (-t.rx_posted);
   Array.iteri
     (fun id gref ->
       if gref <> no_credit then begin

@@ -85,10 +85,9 @@ val set_listener : t -> (Bytestruct.t -> unit) -> unit
     check per frame. *)
 val set_capture : t -> Netsim.Capture.t option -> unit
 
-(** Process-wide count of TX doorbells rung (the [netif.tx_doorbells]
-    trace counter, so it counts only while tracing is on). Each frame
-    pushes its request and notifies the backend unless it has not yet
-    consumed up to the previous notify. *)
+(** Process-wide count of TX doorbells rung, always counted whether or
+    not tracing is on. Each frame pushes its request and notifies the
+    backend unless it has not yet consumed up to the previous notify. *)
 val tx_doorbells : unit -> int
 
 (** [disconnect t] tears the device down: closes its event channels

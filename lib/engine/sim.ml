@@ -11,8 +11,6 @@ type t = {
 
 type handle = Eventq.handle
 
-let c_dispatch = Trace.counter "sim.dispatch"
-
 let create ?(seed = 42) () =
   let t =
     {
@@ -95,12 +93,10 @@ let step t =
     let time = Eventq.min_time t.q in
     if time > t.now then t.now <- time;
     let action = Eventq.take t.q in
-    if Trace.enabled () then begin
-      Trace.incr c_dispatch;
+    if Trace.enabled () then
       Trace.emit ~cat:Trace.Sched
         ~payload:[ ("pending", Trace.Int (Eventq.length t.q)) ]
-        "sim.dispatch"
-    end;
+        "sim.dispatch";
     if Trace.Flight.enabled () then Trace.Flight.watermark "sim.pending" (Eventq.length t.q);
     action ();
     true

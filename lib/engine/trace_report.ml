@@ -31,26 +31,19 @@ let span_row b ~name ~dom (h : Trace.Hist.t) =
        (us (Trace.Hist.max_ns h)))
 
 let summary_string () =
-  let counters = List.filter (fun (_, v) -> v <> 0) (Trace.counters ()) in
-  let gauges = List.filter (fun (_, v) -> v <> 0) (Trace.gauges ()) in
-  if counters = [] && gauges = [] && Trace.span_stats () = [] && Trace.events () = [] then ""
+  let counts = Trace.counts () in
+  if counts = [] && Trace.span_stats () = [] && Trace.events () = [] then ""
   else begin
     let stats = Trace.span_stats () in
     let b = Buffer.create 1024 in
     let nevents = List.length (Trace.events ()) in
     Buffer.add_string b
       (Printf.sprintf "events: %d retained, %d dropped (ring wrap)\n" nevents (Trace.dropped ()));
-    if counters <> [] then begin
+    if counts <> [] then begin
       Buffer.add_string b "counters:\n";
       List.iter
         (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-34s %12d\n" name v))
-        counters
-    end;
-    if gauges <> [] then begin
-      Buffer.add_string b "gauges (final value):\n";
-      List.iter
-        (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-34s %12d\n" name v))
-        gauges
+        counts
     end;
     if stats <> [] then begin
       Buffer.add_string b

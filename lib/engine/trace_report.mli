@@ -7,11 +7,12 @@
     so a bad path fails at once: one line on stderr, exit status 1. *)
 val open_output : string option -> (string * out_channel) option
 
-(** Write every recorded event, counter and span statistic to [oc] as
+(** Write every retained event, event count and span statistic to [oc] as
     JSON lines (see [Trace.export_jsonl]), then close [oc]. *)
 val write_jsonl : out_channel -> unit
 
-(** Multi-line summary: non-zero counters, then one row per span name
+(** Multi-line summary: the instant-event counts ([Trace.counts]) under
+    [counters:], then one row per span name
     and domain with count/mean/min/p50/p95/p99/max in microseconds
     (percentiles from the span's histogram), plus an [all] row per span
     name merging every domain's histogram. Returns [""] when nothing was

@@ -24,15 +24,6 @@ let mac_of_int i =
   Bytes.set b 5 '\x01';
   Bytes.to_string b
 
-(* Fault-injection counters: one per injected-fault kind, so a trace of a
-   chaotic run explains every retransmit the TCP layer records. *)
-let c_burst_drop = Trace.counter "netsim.fault.burst_drop"
-let c_flap_drop = Trace.counter "netsim.fault.flap_drop"
-let c_script_drop = Trace.counter "netsim.fault.script_drop"
-let c_corrupt = Trace.counter "netsim.fault.corrupt"
-let c_duplicate = Trace.counter "netsim.fault.duplicate"
-let c_reorder = Trace.counter "netsim.fault.reorder"
-
 module Faults = struct
   type gilbert_elliott = {
     p_good_bad : float;
@@ -201,6 +192,12 @@ module Nic = struct
       | Some _ -> ()
       | None -> flood ()
 
+  (* One [netsim.fault.*] event per injected fault, so a trace of a
+     chaotic run explains every retransmit the TCP layer records; the
+     bridge's [fault_counts] hold the totals whether or not tracing is on. *)
+  let trace_fault t name =
+    if Trace.enabled () then Trace.emit ~cat:Trace.Net ~payload:[ ("link", Trace.Int t.id) ] name
+
   (* Single-bit corruption, restricted to the IP packet body past the
      ethernet + IPv4 headers: this models the bit errors that evade the
      ethernet FCS and that the transport checksum must catch. Flipping
@@ -213,7 +210,7 @@ module Nic = struct
       let bit = Engine.Prng.int t.fault_prng 8 in
       Bytestruct.set_uint8 frame byte (Bytestruct.get_uint8 frame byte lxor (1 lsl bit));
       t.bridge.corrupted <- t.bridge.corrupted + 1;
-      Trace.incr c_corrupt
+      trace_fault t "netsim.fault.corrupt"
     end
 
   let link_down faults ~time =
@@ -260,12 +257,12 @@ module Nic = struct
     then begin
       b.dropped <- b.dropped + 1;
       b.script_dropped <- b.script_dropped + 1;
-      Trace.incr c_script_drop
+      trace_fault t "netsim.fault.script_drop"
     end
     else if link_down f ~time:start then begin
       b.dropped <- b.dropped + 1;
       b.flap_dropped <- b.flap_dropped + 1;
-      Trace.incr c_flap_drop
+      trace_fault t "netsim.fault.flap_drop"
     end
     else begin
       (* Gilbert–Elliott channel. The chain advances one step per [slot_ns]
@@ -298,7 +295,7 @@ module Nic = struct
       if ge_drop then begin
         b.dropped <- b.dropped + 1;
         b.burst_dropped <- b.burst_dropped + 1;
-        Trace.incr c_burst_drop
+        trace_fault t "netsim.fault.burst_drop"
       end
       else begin
         let wire_frame, owner =
@@ -321,7 +318,7 @@ module Nic = struct
           if f.Faults.reorder_p > 0.0 && Engine.Prng.float t.fault_prng 1.0 < f.Faults.reorder_p
           then begin
             b.reordered <- b.reordered + 1;
-            Trace.incr c_reorder;
+            trace_fault t "netsim.fault.reorder";
             arrival + 1 + Engine.Prng.int t.fault_prng f.Faults.reorder_extra_ns
           end
           else arrival
@@ -342,7 +339,7 @@ module Nic = struct
         dispatch arrival;
         if f.Faults.dup_p > 0.0 && Engine.Prng.float t.fault_prng 1.0 < f.Faults.dup_p then begin
           b.duplicated <- b.duplicated + 1;
-          Trace.incr c_duplicate;
+          trace_fault t "netsim.fault.duplicate";
           let dup_at = arrival + 1 + Engine.Prng.int t.fault_prng 50_000 in
           dispatch dup_at
         end

@@ -36,12 +36,6 @@ let max_data_retries = 15
    it is the one the sender will retransmit last anyway. *)
 let max_ooo_segments = 128
 
-let c_segs_sent = Trace.counter "tcp.segs_sent"
-let c_retransmit = Trace.counter "tcp.retransmits"
-let c_persist = Trace.counter "tcp.persist_probes"
-let c_ooo_evict = Trace.counter "tcp.ooo_evictions"
-let c_wnd_stale = Trace.counter "tcp.stale_window_updates"
-
 type state =
   | Syn_sent
   | Syn_rcvd
@@ -153,7 +147,6 @@ let advertised_window fl = max 0 (rcv_wnd_bytes - fl.rx_buffered) lsr our_wscale
 
 let send_segment t ~key ~seq ~ack ~flags ~options ~window ~payload =
   t.segs_sent <- t.segs_sent + 1;
-  Trace.incr c_segs_sent;
   if Trace.enabled () then
     Trace.emit
       ?dom:(Option.map (fun d -> d.Xensim.Domain.id) t.dom)
@@ -290,14 +283,12 @@ and retransmit_entry_now fl e =
      hole fill or persist probe — invalidates the open RTT probe, since an
      ACK covering it can no longer be attributed to one transmission. *)
   fl.rtt_probe <- None;
-  if Trace.enabled () then begin
-    Trace.incr c_retransmit;
+  if Trace.enabled () then
     Trace.emit
       ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
       ~cat:Trace.Net
       ~payload:[ ("seq", Trace.Int (Seq.to_int e.e_seq)); ("len", Trace.Int e.e_len) ]
-      "tcp.retransmit"
-  end;
+      "tcp.retransmit";
   if Trace.Flight.enabled () then
     Trace.Flight.note
       ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
@@ -535,14 +526,12 @@ and on_persist fl =
     else begin
       fl.probes_out <- fl.probes_out + 1;
       fl.t.persist_probes <- fl.t.persist_probes + 1;
-      if Trace.enabled () then begin
-        Trace.incr c_persist;
+      if Trace.enabled () then
         Trace.emit
           ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
           ~cat:Trace.Net
           ~payload:[ ("backoff_ns", Trace.Int fl.persist_backoff_ns) ]
-          "tcp.persist_probe"
-      end;
+          "tcp.persist_probe";
       if Trace.Flight.enabled () then
         Trace.Flight.note
           ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
@@ -609,16 +598,12 @@ and on_persist fl =
 (* ---------- RTT estimation (RFC 6298) ---------- *)
 
 
-let c_rtt_samples = Trace.counter "tcp.rtt_samples"
-
 let rtt_sample fl sample_ns =
-  if Trace.enabled () then begin
-    Trace.incr c_rtt_samples;
-    (* A segment rtt span: the probe opened at transmission closes here. *)
+  (* A segment rtt span: the probe opened at transmission closes here. *)
+  if Trace.enabled () then
     Trace.record_span_ns
       ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
-      ~cat:Trace.Net "tcp.rtt" sample_ns
-  end;
+      ~cat:Trace.Net "tcp.rtt" sample_ns;
   if fl.srtt_ns = 0 then begin
     fl.srtt_ns <- sample_ns;
     fl.rttvar_ns <- sample_ns / 2
@@ -785,7 +770,10 @@ let insert_ooo fl seq data owner =
     (* Evict the highest-seq segment — furthest from the hole, last to be
        retransmitted. *)
     fl.t.ooo_evictions <- fl.t.ooo_evictions + 1;
-    Trace.incr c_ooo_evict;
+    if Trace.enabled () then
+      Trace.emit
+        ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+        ~cat:Trace.Net "tcp.ooo_eviction";
     fl.ooo <-
       (match List.rev inserted with
       | (_, _, o) :: keep_rev ->
@@ -858,7 +846,10 @@ let update_snd_wnd fl (seg : Tcp_wire.segment) =
       if (not (Queue.is_empty fl.rtx)) && fl.rto_timer = None then arm_rto fl
     end
   end
-  else Trace.incr c_wnd_stale
+  else if Trace.enabled () then
+    Trace.emit
+      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ~cat:Trace.Net "tcp.stale_window_update"
 
 (* [owner] is the datagram's reference on the pool buffer backing
    [seg.payload] ([None] when the payload is a private copy); consumers

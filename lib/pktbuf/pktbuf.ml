@@ -18,10 +18,6 @@ and t = {
   mutable refs : int;  (* 0 = on the freelist *)
 }
 
-let c_alloc = Trace.counter "pktbuf.alloc"
-let c_recycle = Trace.counter "pktbuf.recycle"
-let c_grow = Trace.counter "pktbuf.grow"
-
 let freelists : (int, t Stack.t) Hashtbl.t = Hashtbl.create 4
 
 let freelist buf_bytes =
@@ -44,7 +40,6 @@ let bytes_reserved p = p.high_water * p.buf_bytes
 (* Growth is the only allocating path, one buffer per alloc that finds
    the shared freelist empty. *)
 let grow p =
-  Trace.incr c_grow;
   { pool = p; storage = Bytestruct.create p.buf_bytes; refs = 0 }
 
 let alloc p =
@@ -53,7 +48,6 @@ let alloc p =
   pb.refs <- 1;
   p.outstanding <- p.outstanding + 1;
   if p.outstanding > p.high_water then p.high_water <- p.outstanding;
-  Trace.incr c_alloc;
   pb
 
 let retain pb =
@@ -64,7 +58,6 @@ let release pb =
   if pb.refs <= 0 then raise Double_free;
   pb.refs <- pb.refs - 1;
   if pb.refs = 0 then begin
-    Trace.incr c_recycle;
     pb.pool.outstanding <- pb.pool.outstanding - 1;
     Stack.push pb pb.pool.free
   end

@@ -221,9 +221,6 @@ module Hist = struct
   end
 end
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
-
 type span_acc = {
   sa_name : string;
   sa_cat : category;
@@ -263,8 +260,7 @@ type state = {
   mutable last_time : int;
   mutable cur_flow : int;
   mutable next_flow : int;
-  counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
+  counts : (string, int ref) Hashtbl.t;  (* instant events per name, exact past ring wrap *)
   spans : (string * int, span_acc) Hashtbl.t;
 }
 
@@ -294,8 +290,7 @@ let t =
     last_time = 0;
     cur_flow = -1;
     next_flow = 0;
-    counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 32;
+    counts = Hashtbl.create 32;
     spans = Hashtbl.create 32;
   }
 
@@ -310,8 +305,7 @@ let reset () =
   t.clock_base <- 0;
   t.cur_flow <- -1;
   t.next_flow <- 0;
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
-  Hashtbl.iter (fun _ g -> g.g_value <- 0) t.gauges;
+  Hashtbl.reset t.counts;
   Hashtbl.reset t.spans
 
 let tracer = register_plane "trace" reset
@@ -353,6 +347,11 @@ let push ev =
   if t.length < cap then t.length <- t.length + 1 else t.dropped <- t.dropped + 1
 
 let record ?(dom = -1) ?(payload = []) ~cat ~phase name =
+  if phase = Instant then begin
+    match Hashtbl.find t.counts name with
+    | n -> incr n
+    | exception Not_found -> Hashtbl.add t.counts name (ref 1)
+  end;
   let seq = t.seq in
   t.seq <- seq + 1;
   push { seq; time = now (); dom; cat; name; phase; depth = t.depth; flow = t.cur_flow; payload }
@@ -364,6 +363,10 @@ let events () =
   List.init t.length (fun i -> t.ring.((t.head - t.length + i + (2 * cap)) mod cap))
 
 let dropped () = t.dropped
+
+let counts () =
+  Hashtbl.fold (fun name n acc -> (name, !n) :: acc) t.counts []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ---- flows ---- *)
 
@@ -395,51 +398,6 @@ module Flow = struct
     t.cur_flow <- id;
     Fun.protect ~finally:(fun () -> t.cur_flow <- prev) f
 end
-
-(* ---- counters ---- *)
-
-let counter name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; c_value = 0 } in
-    Hashtbl.replace t.counters name c;
-    c
-
-let add c n =
-  if tracer.on && n > 0 then
-    (* Saturate instead of wrapping negative on overflow. *)
-    c.c_value <- (if c.c_value > max_int - n then max_int else c.c_value + n)
-
-let incr c = add c 1
-let counter_value c = c.c_value
-
-let counters () =
-  Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* ---- gauges ----
-
-   Instantaneous values (ring occupancy, queue depth, buffered bytes):
-   unlike the saturating counters they move both ways, so they get
-   [set]/[add] instead of [incr]. Updates are gated on the enabled flag
-   like every other hot-path hook. *)
-
-let gauge name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; g_value = 0 } in
-    Hashtbl.replace t.gauges name g;
-    g
-
-let gauge_set g v = if tracer.on then g.g_value <- v
-let gauge_add g d = if tracer.on then g.g_value <- g.g_value + d
-let gauge_value g = g.g_value
-
-let gauges () =
-  Hashtbl.fold (fun name g acc -> (name, g.g_value) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ---- spans ---- *)
 
@@ -546,10 +504,7 @@ let export_jsonl oc =
     (events ());
   List.iter
     (fun (name, v) -> Printf.fprintf oc "{\"counter\":\"%s\",\"value\":%d}\n" (json_escape name) v)
-    (counters ());
-  List.iter
-    (fun (name, v) -> Printf.fprintf oc "{\"gauge\":\"%s\",\"value\":%d}\n" (json_escape name) v)
-    (gauges ());
+    (counts ());
   List.iter
     (fun s ->
       Printf.fprintf oc

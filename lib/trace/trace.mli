@@ -1,10 +1,10 @@
 (** Unified event tracing and metrics, in the spirit of Xen's xentrace.
 
     One global, process-wide trace: a bounded in-memory ring of typed
-    events stamped with the virtual clock, plus named monotonic counters
-    and latency-recording spans backed by mergeable log-linear
-    histograms, plus causal flow ids (Dapper-style) that propagate across
-    the layers of a request. Everything is a no-op until {!enable} is
+    events stamped with the virtual clock, an exact per-name count of
+    the instant events emitted, and latency-recording spans backed by
+    mergeable log-linear histograms, plus causal flow ids (Dapper-style)
+    that propagate across the layers of a request. Everything is a no-op until {!enable} is
     called; with tracing off every instrumentation site costs a single
     branch (guard payload construction with {!enabled} at call sites).
 
@@ -124,7 +124,7 @@ val planes : unit -> (string * bool) list
 val drop_dom : int -> unit
 
 (** Disable and reset every plane: afterwards each [enabled ()] is
-    false and every table is empty (events, counter values, spans,
+    false and every table is empty (events, event counts, spans,
     metric registrations, profile stacks, datapath cells, flight rings,
     watermarks and bundles). The teardown for a run that owned the whole
     process. *)
@@ -141,9 +141,8 @@ val enable : ?capacity:int -> unit -> unit
 
 val disable : unit -> unit
 
-(** Drop all recorded events, counter values, span statistics and flow
-    state (counter registrations survive). Does not change enabled/clock
-    state. *)
+(** Drop all recorded events, event counts, span statistics and flow
+    state. Does not change enabled/clock state. *)
 val reset : unit -> unit
 
 (** Install the virtual clock. Each installation re-bases timestamps so
@@ -163,6 +162,12 @@ val events : unit -> event list
 
 (** Events overwritten due to ring wraparound since the last {!reset}. *)
 val dropped : unit -> int
+
+(** Every instant event emitted since the last {!reset} (including the
+    ones the ring has since overwritten), counted per name, as
+    [(name, count)] sorted by name. Span [Begin]/[End] events are not
+    counted here: {!span_stats} counts spans. *)
+val counts : unit -> (string * int) list
 
 (** {1 Flows}
 
@@ -195,40 +200,6 @@ module Flow : sig
       scheduler to restore a captured context verbatim). *)
   val wrap : id -> (unit -> unit) -> unit
 end
-
-(** {1 Counters}
-
-    Counters are interned by name at first use and live for the whole
-    process; only their values react to enable/reset. Increments saturate
-    at [max_int] rather than wrapping negative. *)
-
-type counter
-
-val counter : string -> counter
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-(** All registered counters as [(name, value)], sorted by name. *)
-val counters : unit -> (string * int) list
-
-(** {1 Gauges}
-
-    Gauges hold an instantaneous value (ring occupancy, queue depth,
-    connection count) rather than a monotonic total: they can go down.
-    Like counters they are interned by name for the whole process, cost
-    one load-and-branch when tracing is disabled, and have their values
-    (not registrations) dropped by {!reset}. *)
-
-type gauge
-
-val gauge : string -> gauge
-val gauge_set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
-val gauge_value : gauge -> int
-
-(** All registered gauges as [(name, value)], sorted by name. *)
-val gauges : unit -> (string * int) list
 
 (** {1 Spans}
 
@@ -270,8 +241,9 @@ val span_stats : unit -> span_stat list
       "depth":..,"flow":..,"args":{..}}]. *)
 val to_json_line : event -> string
 
-(** Write the whole trace as JSON lines: every event, then one
-    [{"counter":..}] line per counter and one [{"span":..}] line per span
+(** Write the whole trace as JSON lines: every retained event, then one
+    [{"counter":..,"value":..}] line per instant-event name with its
+    {!counts} entry, and one [{"span":..}] line per span
     statistic (count/total/min/max plus histogram-derived p50/p95/p99).
     Deterministic for deterministic runs. *)
 val export_jsonl : out_channel -> unit
@@ -310,9 +282,8 @@ module Metrics : sig
   val enable : unit -> unit
   val disable : unit -> unit
 
-  (** Drop every registration (unlike the tracer's {!reset}, which keeps
-      counter registrations: metric read-callbacks capture subsystem
-      state, so they must not outlive the world that registered them). *)
+  (** Drop every registration: metric read-callbacks capture subsystem
+      state, so they must not outlive the world that registered them. *)
   val reset : unit -> unit
 
   (** Register a push-updated metric owned by the caller. [dom] defaults

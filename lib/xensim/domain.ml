@@ -1,7 +1,5 @@
 type state = Building | Running | Blocked | Shutdown of int
 
-let c_hypercall = Trace.counter "xen.hypercalls"
-
 type t = {
   id : int;
   name : string;
@@ -93,10 +91,7 @@ let utilisation d ~span_ns =
 
 let hypercall d ~name =
   d.stats.Xstats.hypercalls <- d.stats.Xstats.hypercalls + 1;
-  if Trace.enabled () then begin
-    Trace.incr c_hypercall;
-    Trace.emit ~dom:d.id ~cat:Trace.Hypercall name
-  end;
+  if Trace.enabled () then Trace.emit ~dom:d.id ~cat:Trace.Hypercall name;
   ignore (reserve d d.platform.Platform.hypercall_ns)
 
 let shutdown d ~exit_code = d.state <- Shutdown exit_code

@@ -22,13 +22,6 @@ type t = {
    sets the pending bit. *)
 let delivery_latency_ns = 700
 
-let c_notify = Trace.counter "evtchn.notify"
-let c_deliver = Trace.counter "evtchn.deliver"
-
-(* Same counter as Domain.hypercall (interned by name): a notify *is* the
-   EVTCHNOP_send hypercall, and it is the only hypercall on the data path. *)
-let c_hypercall = Trace.counter "xen.hypercalls"
-
 let create ~sim ~stats = { sim; stats; ports = Hashtbl.create 64; next_port = 1 }
 
 let get t p =
@@ -63,21 +56,19 @@ let deliver t p =
     | None -> ()
     | Some f ->
       st.pending <- false;
-      if Trace.enabled () then begin
-        Trace.incr c_deliver;
+      if Trace.enabled () then
         Trace.emit ~dom:st.owner ~cat:Trace.Evtchn ~payload:[ ("port", Trace.Int p) ]
-          "evtchn.deliver"
-      end;
+          "evtchn.deliver";
       f ()
   end
 
 let notify t p =
   let st = get t p in
+  (* A notify is the EVTCHNOP_send hypercall, the only one on the data
+     path; [Xstats.hypercalls] counts it with the rest. *)
   t.stats.Xstats.hypercalls <- t.stats.Xstats.hypercalls + 1;
   t.stats.Xstats.evtchn_notifies <- t.stats.Xstats.evtchn_notifies + 1;
   if Trace.enabled () then begin
-    Trace.incr c_notify;
-    Trace.incr c_hypercall;
     Trace.emit ~dom:st.owner ~cat:Trace.Hypercall ~payload:[ ("port", Trace.Int p) ] "evtchn_send";
     Trace.emit ~dom:st.owner ~cat:Trace.Evtchn ~payload:[ ("port", Trace.Int p) ] "evtchn.notify"
   end;

@@ -24,14 +24,8 @@ type entry = {
 
 type t = { stats : Xstats.t; entries : (grant_ref, entry) Hashtbl.t; mutable next_ref : int }
 
-let c_map = Trace.counter "gnttab.map"
-let c_copy = Trace.counter "gnttab.copy"
-
 let trace_op op ~by r =
-  if Trace.enabled () then begin
-    Trace.incr (if op = "gnttab.map" then c_map else c_copy);
-    Trace.emit ~dom:by ~cat:Trace.Gnttab ~payload:[ ("gref", Trace.Int r) ] op
-  end
+  if Trace.enabled () then Trace.emit ~dom:by ~cat:Trace.Gnttab ~payload:[ ("gref", Trace.Int r) ] op
 
 let create ~stats = { stats; entries = Hashtbl.create 128; next_ref = 8 }
 

@@ -6,24 +6,15 @@ let u32 x = x land 0xFFFFFFFF
 
 let header_bytes = 64
 
-let c_req_pushed = Trace.counter "ring.req_pushed"
-let c_rsp_pushed = Trace.counter "ring.rsp_pushed"
-let c_req_consumed = Trace.counter "ring.req_consumed"
-let c_rsp_consumed = Trace.counter "ring.rsp_consumed"
-
-let trace_push counter name ~n ~notify =
-  if n > 0 && Trace.enabled () then begin
-    Trace.add counter n;
+(* One event per batch; its [n] payload is the number of slots. *)
+let trace_push name ~n ~notify =
+  if n > 0 && Trace.enabled () then
     Trace.emit ~cat:Trace.Ring
       ~payload:[ ("n", Trace.Int n); ("notify", Trace.Bool notify) ]
       name
-  end
 
-let trace_consume counter name ~n =
-  if n > 0 && Trace.enabled () then begin
-    Trace.add counter n;
-    Trace.emit ~cat:Trace.Ring ~payload:[ ("n", Trace.Int n) ] name
-  end
+let trace_consume name ~n =
+  if n > 0 && Trace.enabled () then Trace.emit ~cat:Trace.Ring ~payload:[ ("n", Trace.Int n) ] name
 
 module Sring = struct
   type t = { page : Bytestruct.t; slot_bytes : int; nr_slots : int }
@@ -93,7 +84,7 @@ module Front = struct
     (* notify iff the producer advanced past req_event: the consumer armed
        the event and went to sleep before these requests landed. *)
     let notify = diff fresh (Sring.req_event t.sring) < diff fresh old in
-    trace_push c_req_pushed "ring.push_req" ~n:(diff fresh old) ~notify;
+    trace_push "ring.push_req" ~n:(diff fresh old) ~notify;
     notify
 
   let has_unconsumed_responses t = diff (Sring.rsp_prod t.sring) t.rsp_cons > 0
@@ -113,7 +104,7 @@ module Front = struct
       if has_unconsumed_responses t then loop ()
     in
     loop ();
-    trace_consume c_rsp_consumed "ring.consume_rsp" ~n:!handled;
+    trace_consume "ring.consume_rsp" ~n:!handled;
     !handled
 end
 
@@ -137,7 +128,7 @@ module Back = struct
       if has_unconsumed_requests t then loop ()
     in
     loop ();
-    trace_consume c_req_consumed "ring.consume_req" ~n:!handled;
+    trace_consume "ring.consume_req" ~n:!handled;
     !handled
 
   let unanswered t = diff t.req_cons t.rsp_prod_pvt
@@ -156,6 +147,6 @@ module Back = struct
     let fresh = t.rsp_prod_pvt in
     Sring.set_rsp_prod t.sring fresh;
     let notify = diff fresh (Sring.rsp_event t.sring) < diff fresh old in
-    trace_push c_rsp_pushed "ring.push_rsp" ~n:(diff fresh old) ~notify;
+    trace_push "ring.push_rsp" ~n:(diff fresh old) ~notify;
     notify
 end

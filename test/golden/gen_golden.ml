@@ -8,8 +8,9 @@
    second run with more requests and no ping — the `profile diff`
    input). The CLI renderings (waterfall/flame/queues for `trace`,
    profile_top/profile_folded/profile_diff for `profile`) are diffed by
-   `dune runtest`; if a schema or an analysis changes legitimately,
-   regenerate with
+   `dune runtest`, which also re-runs this program and diffs the trace
+   it writes against golden_trace.jsonl. If a schema or an analysis
+   changes legitimately, regenerate with
 
      dune exec test/golden/gen_golden.exe -- test/golden/golden_trace.jsonl \
        test/golden/golden_profile.jsonl test/golden/golden_profile_b.jsonl

@@ -10,28 +10,6 @@ open P.Infix
 module N = Netstack
 module F = Netsim.Faults
 
-let ms = Engine.Sim.ms
-
-(* Each schedule builds its faults relative to [now] (link flaps are
-   anchored in absolute sim time). *)
-let schedules : (string * (now:int -> F.t)) list =
-  [
-    ( "burst-loss-2pct",
-      fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.02 ~burst_len:5 ()) () );
-    ("reorder", fun ~now:_ -> F.make ~reorder:(0.15, 300_000) ());
-    ("duplicate", fun ~now:_ -> F.make ~duplicate:0.05 ());
-    ("corrupt", fun ~now:_ -> F.make ~corrupt:0.03 ());
-    ("jitter", fun ~now:_ -> F.make ~jitter_ns:200_000 ());
-    (* Anchored 0.5 ms in so the first outage lands inside the transfer. *)
-    ("link-flap", fun ~now -> F.make ~flap:(now + 500_000, ms 40, ms 200) ());
-    ( "everything",
-      fun ~now ->
-        F.make
-          ~ge:(F.burst_loss ~avg_loss:0.01 ~burst_len:4 ())
-          ~reorder:(0.05, 200_000) ~duplicate:0.02 ~corrupt:0.01 ~jitter_ns:100_000
-          ~flap:(now + ms 20, ms 20, ms 400) () );
-  ]
-
 type outcome = {
   digest : Digest.t;
   elapsed_ns : int;
@@ -112,7 +90,7 @@ let test_schedule (name, schedule) () =
 
 let test_replay_determinism () =
   (* Same seed, same schedule → the same run, down to every counter. *)
-  let _, schedule = List.nth schedules (List.length schedules - 1) in
+  let _, schedule = List.nth chaos_schedules (List.length chaos_schedules - 1) in
   match (chaos_run ~seed:7 ~schedule ~bytes, chaos_run ~seed:7 ~schedule ~bytes) with
   | `Done o1, `Done o2 ->
     check_bool "identical digests" true (Digest.equal o1.digest o2.digest);
@@ -178,7 +156,7 @@ let () =
   Alcotest.run "chaos"
     [
       ( "matrix",
-        List.map (fun s -> Alcotest.test_case (fst s) `Quick (test_schedule s)) schedules );
+        List.map (fun s -> Alcotest.test_case (fst s) `Quick (test_schedule s)) chaos_schedules );
       ( "properties",
         [
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;

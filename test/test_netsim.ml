@@ -380,6 +380,44 @@ let test_fault_replay_determinism () =
   check_bool "identical arrivals" true (r1 = r2);
   check_bool "identical fault counts" true (c1 = c2)
 
+(* With tracing on, each injected fault is one [netsim.fault.*] event:
+   the trace's per-name counts equal the bridge's own record. *)
+let test_fault_events_match_counts () =
+  Trace.quiesce ();
+  Trace.enable ();
+  Fun.protect ~finally:Trace.quiesce (fun () ->
+      let sim, br, a, b = two_nics ~latency_ns:0 () in
+      Netsim.Bridge.set_faults br a
+        (Netsim.Faults.make
+           ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.2 ~burst_len:3 ())
+           ~reorder:(0.3, 200_000) ~duplicate:0.2 ~corrupt:0.2
+           ~flap:(500_000, 200_000, 1_000_000)
+           ~drop_when:(fun ~now_ns:_ ~nth _ -> nth mod 11 = 5)
+           ());
+      Netsim.Nic.set_rx b ignore;
+      for i = 0 to 199 do
+        ignore
+          (Engine.Sim.at sim ~time:(i * 20_000) (fun () ->
+               Netsim.Nic.send a
+                 (ip_frame ~dst:(Netsim.Nic.mac b) ~src:(Netsim.Nic.mac a) (String.make 40 'f'))))
+      done;
+      Engine.Sim.run sim;
+      let fc = Netsim.Bridge.fault_counts br in
+      let counts = Trace.counts () in
+      List.iter
+        (fun (kind, n) ->
+          check_bool (kind ^ " fired") true (n > 0);
+          check_int kind n
+            (Option.value ~default:0 (List.assoc_opt ("netsim.fault." ^ kind) counts)))
+        [
+          ("corrupt", fc.Netsim.fc_corrupted);
+          ("duplicate", fc.Netsim.fc_duplicated);
+          ("reorder", fc.Netsim.fc_reordered);
+          ("script_drop", fc.Netsim.fc_script_dropped);
+          ("flap_drop", fc.Netsim.fc_flap_dropped);
+          ("burst_drop", fc.Netsim.fc_burst_dropped);
+        ])
+
 let () =
   Alcotest.run "netsim"
     [
@@ -412,5 +450,7 @@ let () =
           Alcotest.test_case "corrupt skips non-ip" `Quick test_corrupt_skips_non_ip;
           Alcotest.test_case "link flap" `Quick test_link_flap;
           Alcotest.test_case "replay determinism" `Quick test_fault_replay_determinism;
+          Alcotest.test_case "fault events match the bridge's counts" `Quick
+            test_fault_events_match_counts;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* lib/trace: ring wraparound, span nesting, counter saturation, disabled
+(* lib/trace: ring wraparound, span nesting, exact event counts, disabled
    no-op behaviour, deterministic JSON-lines output, and the emit points
    wired through the xensim/devices/netstack hot paths. *)
 
@@ -155,39 +155,56 @@ let test_set_clock_rebase () =
       let all = List.map (fun (ev : Trace.event) -> ev.Trace.time) (Trace.events ()) in
       check_bool "whole timeline monotone" true (List.sort compare all = all))
 
-(* ---- counters ---- *)
+(* ---- event counts ---- *)
 
-let test_counter_saturation () =
-  with_trace (fun () ->
-      let c = Trace.counter "test.sat" in
-      Trace.add c (max_int - 1);
-      check_int "near max" (max_int - 1) (Trace.counter_value c);
-      Trace.incr c;
-      check_int "at max" max_int (Trace.counter_value c);
-      Trace.add c 5;
-      check_int "saturates, no wraparound" max_int (Trace.counter_value c);
-      check_bool "listed" true (List.mem_assoc "test.sat" (Trace.counters ())))
-
-(* ---- gauges ---- *)
-
-let test_gauges () =
-  with_trace (fun () ->
-      let g = Trace.gauge "test.inflight" in
-      Trace.gauge_add g 1;
-      Trace.gauge_add g 1;
-      Trace.gauge_add g (-1);
-      check_int "delta-tracked level" 1 (Trace.gauge_value g);
-      Trace.gauge_set g 42;
-      check_int "set overrides" 42 (Trace.gauge_value g);
-      check_bool "listed" true (List.mem_assoc "test.inflight" (Trace.gauges ()));
-      let g' = Trace.gauge "test.inflight" in
-      Trace.gauge_add g' 1;
-      check_int "same name, same gauge" 43 (Trace.gauge_value g);
+(* The per-name counts stay exact however far the ring has wrapped: the
+   export's counter lines and the summary's [counters:] section report
+   every instant event emitted, and a span is counted in its span line
+   only. *)
+let test_counts_past_ring_wrap () =
+  with_trace ~capacity:4 (fun () ->
+      let cat = Trace.User "test" in
+      for _ = 1 to 7 do
+        Trace.emit ~cat "test.tick"
+      done;
+      for _ = 1 to 3 do
+        Trace.emit ~cat "test.tock"
+      done;
+      Trace.finish (Trace.span ~cat "test.span");
+      check_bool "the ring wrapped" true (Trace.dropped () > 0);
+      let want = [ ("test.tick", 7); ("test.tock", 3) ] in
+      check Alcotest.(list (pair string int)) "true count per name" want (Trace.counts ());
+      let file = Filename.temp_file "trace_counts" ".jsonl" in
+      let oc = open_out file in
+      Trace.export_jsonl oc;
+      close_out oc;
+      let lines = String.split_on_char '\n' (In_channel.with_open_text file In_channel.input_all) in
+      Sys.remove file;
+      check
+        Alcotest.(list string)
+        "exported counter lines"
+        (List.map (fun (n, v) -> Printf.sprintf "{\"counter\":\"%s\",\"value\":%d}" n v) want)
+        (List.filter (String.starts_with ~prefix:"{\"counter\"") lines);
+      check_int "the span counted once, in its span line" 1
+        (List.length
+           (List.filter
+              (String.starts_with ~prefix:"{\"span\":\"test.span\",\"cat\":\"test\",\"dom\":-1,\"count\":1,")
+              lines));
+      let rec after = function "counters:" :: rest -> rest | _ :: rest -> after rest | [] -> [] in
+      let rec section = function
+        | l :: rest when String.starts_with ~prefix:"  " l -> l :: section rest
+        | _ -> []
+      in
+      check
+        Alcotest.(list string)
+        "summary counters"
+        (List.map (fun (n, v) -> Printf.sprintf "  %-34s %12d" n v) want)
+        (section (after (String.split_on_char '\n' (Engine.Trace_report.summary_string ()))));
       Trace.reset ();
-      check_int "reset zeroes, keeps registration" 0 (Trace.gauge_value g);
-      Trace.disable ();
-      Trace.gauge_add g 7;
-      check_int "disabled updates are no-ops" 0 (Trace.gauge_value g))
+      check_int "reset zeroes the counts" 0 (List.length (Trace.counts ()));
+      Trace.emit ~cat "test.tick";
+      Trace.quiesce ();
+      check_int "quiesce zeroes the counts" 0 (List.length (Trace.counts ())))
 
 (* ---- the metrics registry ---- *)
 
@@ -257,16 +274,13 @@ let test_disabled_noop () =
   Trace.disable ();
   Trace.reset ();
   check_bool "disabled" false (Trace.enabled ());
-  let c = Trace.counter "test.noop" in
-  Trace.incr c;
-  Trace.add c 41;
   Trace.emit ~cat:Trace.Net "nothing";
   let sp = Trace.span ~dom:7 ~cat:Trace.Net "nothing" in
   Trace.finish sp;
   Trace.record_span_ns ~cat:Trace.Net "nothing" 5;
   check_int "no events" 0 (List.length (Trace.events ()));
   check_int "no drops" 0 (Trace.dropped ());
-  check_int "counter untouched" 0 (Trace.counter_value c);
+  check_int "nothing counted" 0 (List.length (Trace.counts ()));
   check_int "no span stats" 0 (List.length (Trace.span_stats ()))
 
 (* ---- JSON-lines export ---- *)
@@ -625,8 +639,6 @@ let test_quiesce () =
   Trace.Prof.enable ();
   Trace.Dpath.enable ();
   Trace.Flight.enable ();
-  let c = Trace.counter "test.quiesce" in
-  Trace.incr c;
   Trace.emit ~cat:Trace.Net "event";
   Trace.record_span_ns ~cat:Trace.Net "span" 5;
   record_series [ 1 ];
@@ -636,6 +648,7 @@ let test_quiesce () =
   Trace.Flight.trip ~reason:"test" ();
   check_bool "every plane recorded something" true
     (Trace.events () <> []
+    && Trace.counts () <> []
     && Trace.span_stats () <> []
     && Trace.Metrics.snapshot () <> []
     && Trace.Prof.stats () <> []
@@ -653,7 +666,7 @@ let test_quiesce () =
   check_bool "dpath off" false (Trace.Dpath.enabled ());
   check_bool "flight off" false (Trace.Flight.enabled ());
   check_int "no events" 0 (List.length (Trace.events ()));
-  check_int "counter value zeroed" 0 (Trace.counter_value c);
+  check_int "no event counts" 0 (List.length (Trace.counts ()));
   check_int "no spans" 0 (List.length (Trace.span_stats ()));
   check_int "empty metrics registry" 0 (List.length (Trace.Metrics.snapshot ()));
   check_int "no profile stacks" 0 (List.length (Trace.Prof.stats ()));
@@ -765,8 +778,7 @@ let () =
           Alcotest.test_case "histogram merge" `Quick test_hist_merge;
           Alcotest.test_case "set_clock re-basing" `Quick test_set_clock_rebase;
           Alcotest.test_case "flow propagation" `Quick test_flow_propagation;
-          Alcotest.test_case "counter saturation" `Quick test_counter_saturation;
-          Alcotest.test_case "gauges" `Quick test_gauges;
+          Alcotest.test_case "event counts exact past ring wrap" `Quick test_counts_past_ring_wrap;
           Alcotest.test_case "metrics registry + exposition" `Quick test_metrics_registry;
           Alcotest.test_case "metrics disabled / detached no-ops" `Quick
             test_metrics_disabled_and_detached;
