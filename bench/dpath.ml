@@ -1,13 +1,13 @@
 (* Per-packet datapath cost attribution (the `dpath` figure): a Mirage
-   web appliance serving a load generator with the Trace.Dpath plane
-   enabled, so every receive-path hop — backend ring slot, netfront
+   web appliance serving a load generator with the profiler enabled, so
+   every receive-path hop — backend ring slot, netfront
    delivery, IP demux, TCP processing, stream delivery, application
    reply — reports its packet count, exclusive vCPU nanoseconds and
    exclusive allocation per packet.
 
    vCPU time is simulated virtual time, so per-hop ns/pkt depends only
    on the seed and the cost model: the gateable numbers. Allocation is
-   real allocation of this binary (`Trace.Dpath.allocated_bytes` deltas,
+   real allocation of this binary (`Trace.Prof.allocated_bytes` deltas,
    exact whatever the GC phase) — deterministic for a
    fixed build, snapshotted for reference and gated with a generous
    tolerance. *)
@@ -47,19 +47,17 @@ let run_world () =
 
 let report ~label replies total_alloc stats =
   Printf.printf "  [%s] %d HTTP requests served; per-hop exclusive costs:\n" label replies;
-  Printf.printf "  %-10s %10s %14s %14s\n" "hop" "pkts" "vcpu-ns/pkt" "alloc-b/pkt";
+  let rows = Engine.Trace_report.hop_rows stats in
+  print_string (Engine.Trace_report.hop_table rows);
   List.iter
-    (fun (h : Trace.Dpath.hstat) ->
-      let name = Trace.Dpath.hop_name h.Trace.Dpath.h_hop in
-      let n = float_of_int h.Trace.Dpath.h_pkts in
-      let vcpu = float_of_int h.Trace.Dpath.h_vcpu_ns /. n in
-      let alloc = h.Trace.Dpath.h_alloc_b /. n in
-      Printf.printf "  %-10s %10d %14.1f %14.1f\n" name h.Trace.Dpath.h_pkts vcpu alloc;
+    (fun (name, pkts, vcpu_ns, alloc_b) ->
+      let n = float_of_int pkts in
+      let vcpu = float_of_int vcpu_ns /. n and alloc = alloc_b /. n in
       let m suffix = label ^ "/" ^ name ^ "/" ^ suffix in
-      Util.emit ~figure:"dpath" ~metric:(m "pkts") ~unit_:"pkts" (float_of_int h.Trace.Dpath.h_pkts);
+      Util.emit ~figure:"dpath" ~metric:(m "pkts") ~unit_:"pkts" n;
       Util.emit ~figure:"dpath" ~metric:(m "vcpu-ns-per-pkt") ~unit_:"ns/pkt" vcpu;
       Util.emit ~figure:"dpath" ~metric:(m "alloc-b-per-pkt") ~unit_:"B/pkt" alloc)
-    stats;
+    rows;
   Util.emit ~figure:"dpath" ~metric:(label ^ "/replies") ~unit_:"requests" (float_of_int replies);
   (* Whole-run allocation per request: robust to attribution shifts
      between hops (a copy removed from one hop can move the synchronous
@@ -72,8 +70,8 @@ let report ~label replies total_alloc stats =
      the pooled zero-copy datapath is gated on. *)
   let stack_b =
     List.fold_left
-      (fun acc (h : Trace.Dpath.hstat) ->
-        if h.Trace.Dpath.h_hop = Trace.Dpath.App then acc else acc +. h.Trace.Dpath.h_alloc_b)
+      (fun acc (h : Trace.Prof.hop_stat) ->
+        if h.h_hop = Trace.Prof.App then acc else acc +. h.h_alloc_b)
       0. stats
   in
   let stack_per_req = stack_b /. float_of_int (max 1 replies) in
@@ -82,19 +80,19 @@ let report ~label replies total_alloc stats =
 
 let run () =
   Util.header "Datapath cost attribution (per-packet, per-hop)";
-  let was_on = Trace.Dpath.enabled () in
-  if not was_on then Trace.Dpath.enable ();
-  Trace.Dpath.reset ();
-  let a0 = Trace.Dpath.allocated_bytes () in
+  let was_on = Trace.Prof.enabled () in
+  if not was_on then Trace.Prof.enable ();
+  Trace.Prof.reset ();
+  let a0 = Trace.Prof.allocated_bytes () in
   let replies = run_world () in
-  let total_alloc = Trace.Dpath.allocated_bytes () -. a0 in
+  let total_alloc = Trace.Prof.allocated_bytes () -. a0 in
   (* The "base" label keeps the metric names of the committed snapshot. *)
-  report ~label:"base" replies total_alloc (Trace.Dpath.stats ());
-  (* Under `--profile` the plane was already on: keep the ledger so the
-     end-of-run profile dump includes it. Standalone, leave no residue. *)
+  report ~label:"base" replies total_alloc (Trace.Prof.hop_stats ());
+  (* Under `--profile` the plane was already on: keep the tables so the
+     end-of-run profile dump includes them. Standalone, leave no residue. *)
   if not was_on then begin
-    Trace.Dpath.reset ();
-    Trace.Dpath.disable ()
+    Trace.Prof.reset ();
+    Trace.Prof.disable ()
   end;
   Printf.printf
     "  (exclusive costs: nested hops subtract — e.g. 'deliver' is inside 'tcp', which is\n";

@@ -220,7 +220,7 @@ let guard_rows () =
   (* with the registry off, every subsystem's handle is detached like this *)
   let m = Trace.Metrics.detached in
   let cap : Netsim.Capture.t option ref = ref None and frame = Bytestruct.create 64 in
-  let prof_on () = Trace.Prof.enabled () || Trace.Dpath.enabled () || Trace.Flight.enabled () in
+  let prof_on () = Trace.Prof.enabled () || Trace.Flight.enabled () in
   [
     { plane = "trace"; on = Trace.enabled; arm = None; disarm = (fun () -> 0);
       sites =
@@ -237,7 +237,7 @@ let guard_rows () =
           Trace.Metrics.disable ();
           Trace.Metrics.reset ();
           series) };
-    { plane = "prof+dpath+flight"; on = prof_on;
+    { plane = "prof+flight"; on = prof_on;
       sites =
         [ ("account-site", fun i -> if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i);
           ("frame-site", fun i ->
@@ -246,17 +246,17 @@ let guard_rows () =
           ("dpath-site", fun i ->
               let f () = i land 0xff in
               ignore
-                (if Trace.Dpath.enabled () then Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:i f
+                (if Trace.Prof.enabled () then Trace.Prof.hop Trace.Prof.Tcp ~vcpu_ns:i f
                  else f ()));
           ("flight-site", fun _ ->
               if Trace.Flight.enabled () then
                 Trace.Flight.note ~dom:0 ~cat:Trace.Net "guard.note") ];
-      arm = Some (fun () -> Trace.Prof.enable (); Trace.Dpath.enable (); Trace.Flight.enable ());
+      arm = Some (fun () -> Trace.Prof.enable (); Trace.Flight.enable ());
       disarm =
         (fun () ->
-          let rows = List.length (Trace.Prof.stats ()) + List.length (Trace.Dpath.stats ()) in
-          Trace.Prof.disable (); Trace.Dpath.disable (); Trace.Flight.disable ();
-          Trace.Prof.reset (); Trace.Dpath.reset (); Trace.Flight.reset ();
+          let rows = List.length (Trace.Prof.stats ()) + List.length (Trace.Prof.hop_stats ()) in
+          Trace.Prof.disable (); Trace.Flight.disable ();
+          Trace.Prof.reset (); Trace.Flight.reset ();
           rows) };
     { plane = "capture"; on = (fun () -> !Util.capture_worlds);
       sites =

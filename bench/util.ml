@@ -67,8 +67,8 @@ let with_trace trace_out f =
 
 (* ---- shared --profile / --flight plumbing ----
 
-   [--profile FILE] runs the requested experiments with the vCPU
-   profiler and datapath accounting enabled, writes the profile as JSON
+   [--profile FILE] runs the requested experiments with the profiler
+   (vCPU frames and per-packet hop costs) enabled, writes the profile as JSON
    lines (input to `mirage_sim profile top/folded/diff`) and prints a
    top-style summary. [--flight DIR] arms the flight recorder for the
    run; postmortem bundles land in DIR only when something actually
@@ -96,10 +96,7 @@ let flight_term =
 
 let with_profile profile_out flight_dir f =
   let profile_out = Engine.Trace_report.open_output profile_out in
-  if Option.is_some profile_out then begin
-    Trace.Prof.enable ();
-    Trace.Dpath.enable ()
-  end;
+  if Option.is_some profile_out then Trace.Prof.enable ();
   (match flight_dir with Some dir -> Trace.Flight.enable ~dir () | None -> ());
   f ();
   (match profile_out with

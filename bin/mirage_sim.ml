@@ -203,10 +203,7 @@ let boot_cmd =
     let trace_out = Engine.Trace_report.open_output trace_out in
     let profile_out = Engine.Trace_report.open_output profile_out in
     if Option.is_some trace_out then Trace.enable ();
-    if Option.is_some profile_out then begin
-      Trace.Prof.enable ();
-      Trace.Dpath.enable ()
-    end;
+    if Option.is_some profile_out then Trace.Prof.enable ();
     (match flight_dir with Some dir -> Trace.Flight.enable ~dir () | None -> ());
     let mk () = mk ?aslr_seed:None () in
     let w = Core.World.create ~seal_patch:(not no_seal) () in

@@ -13,7 +13,6 @@
 module J = Formats.Json
 
 type prow = { p_dom : int; p_stack : string; p_run : int; p_wait : int; p_samples : int }
-type drow = { d_hop : string; d_pkts : int; d_vcpu : int; d_alloc : float }
 
 let parse_line line =
   if String.length (String.trim line) = 0 then `Skip
@@ -39,13 +38,12 @@ let parse_line line =
       | _ -> (
         match J.member "dpath" obj with
         | Some (J.Object _ as p) ->
+          (* (hop, pkts, vcpu_ns, alloc_bytes): an Engine.Trace_report.hop_table row *)
           `Dpath
-            {
-              d_hop = str_of p "hop" "?";
-              d_pkts = int_of p "pkts" 0;
-              d_vcpu = int_of p "vcpu_ns" 0;
-              d_alloc = float_of p "alloc_bytes" 0.;
-            }
+            ( str_of p "hop" "?",
+              int_of p "pkts" 0,
+              int_of p "vcpu_ns" 0,
+              float_of p "alloc_bytes" 0. )
         | _ -> `Skip))
 
 let load file =
@@ -139,15 +137,8 @@ let top file limit =
     print_newline ()
   end;
   if ds <> [] then begin
-    Printf.printf "datapath (per packet):\n  %-10s %10s %14s %14s\n" "hop" "pkts" "vcpu-ns/pkt"
-      "alloc-b/pkt";
-    List.iter
-      (fun d ->
-        let n = float_of_int (max 1 d.d_pkts) in
-        Printf.printf "  %-10s %10d %14.1f %14.1f\n" d.d_hop d.d_pkts
-          (float_of_int d.d_vcpu /. n)
-          (d.d_alloc /. n))
-      ds
+    print_string "datapath (per packet):\n";
+    print_string (Engine.Trace_report.hop_table ds)
   end
 
 (* ---- folded stacks ---- *)
@@ -215,20 +206,18 @@ let diff file_a file_b limit =
     rows;
   (* datapath per-packet deltas *)
   if da <> [] || db <> [] then begin
-    let hop_tbl side = List.fold_left (fun acc d -> (d.d_hop, d) :: acc) [] side in
+    let hop_tbl side = List.fold_left (fun acc ((hop, _, _, _) as d) -> (hop, d) :: acc) [] side in
     let ha = hop_tbl da and hb = hop_tbl db in
-    let hops =
-      List.sort_uniq compare (List.map (fun d -> d.d_hop) da @ List.map (fun d -> d.d_hop) db)
-    in
+    let hops = List.sort_uniq compare (List.map (fun (hop, _, _, _) -> hop) (da @ db)) in
     Printf.printf "\ndatapath (vcpu-ns/pkt, alloc-b/pkt):\n  %-10s %14s %14s %14s %14s\n" "hop"
       "a_ns" "b_ns" "a_alloc" "b_alloc";
     List.iter
       (fun hop ->
         let per side =
           match List.assoc_opt hop side with
-          | Some d when d.d_pkts > 0 ->
-            let n = float_of_int d.d_pkts in
-            (float_of_int d.d_vcpu /. n, d.d_alloc /. n)
+          | Some (_, pkts, vcpu_ns, alloc_b) when pkts > 0 ->
+            let n = float_of_int pkts in
+            (float_of_int vcpu_ns /. n, alloc_b /. n)
           | _ -> (0., 0.)
         in
         let na, aa = per ha and nb, ab = per hb in

@@ -113,8 +113,8 @@ let backend_handle_tx t () =
               Bytestruct.LE.set_uint16 rsp 0 id;
               Bytestruct.LE.set_uint16 rsp 2 0 (* NETIF_RSP_OKAY *)
             in
-            if Trace.Dpath.enabled () then
-              Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work
+            if Trace.Prof.enabled () then
+              Trace.Prof.hop Trace.Prof.Ring_slot ~vcpu_ns:backend_per_packet_ns work
             else work ()))
   in
   if n > 0 then begin
@@ -145,8 +145,8 @@ let backend_deliver_frame t ~id ~gref frame =
     if Xensim.Ring.Back.push_responses_and_check_notify t.rx_back then
       Xensim.Evtchn.notify (evtchn t) t.rx_port_back
   in
-  if Trace.Dpath.enabled () then
-    Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work
+  if Trace.Prof.enabled () then
+    Trace.Prof.hop Trace.Prof.Ring_slot ~vcpu_ns:backend_per_packet_ns work
   else work ()
 
 let backend_handle_frame t frame =
@@ -303,8 +303,7 @@ let frontend_handle_rx_responses t () =
           end
         in
         let deliver () =
-          if Trace.Dpath.enabled () then
-            Trace.Dpath.measure Trace.Dpath.Netfront ~vcpu_ns:cost deliver
+          if Trace.Prof.enabled () then Trace.Prof.hop Trace.Prof.Netfront ~vcpu_ns:cost deliver
           else deliver ()
         in
         (* Charge under the [netif] frame so the rx work — and everything

@@ -61,7 +61,7 @@ module Make (U : Device_sig.UDP) = struct
         query_cost_ns t.engine ~zone_entries:(Db.entries t.db) ~platform:d.Xensim.Domain.platform
           ~memo_hit
       in
-      if Trace.Dpath.enabled () then Trace.Dpath.add_vcpu cost;
+      if Trace.Prof.enabled () then Trace.Prof.add_vcpu cost;
       if Trace.enabled () then begin
         (* Retro-span from enqueue to the end of the vCPU slice: the
            application layer of a DNS flow's waterfall (the response is
@@ -132,8 +132,8 @@ module Make (U : Device_sig.UDP) = struct
      sending the response is the stack's work. *)
   let handle t ~src ~src_port ~dst_port ~payload =
     let reply =
-      if Trace.Dpath.enabled () then
-        Trace.Dpath.measure Trace.Dpath.App ~vcpu_ns:0 (fun () -> answer t payload)
+      if Trace.Prof.enabled () then
+        Trace.Prof.hop Trace.Prof.App ~vcpu_ns:0 (fun () -> answer t payload)
       else answer t payload
     in
     match reply with Some encoded -> respond t ~src ~src_port ~dst_port encoded | None -> ()

@@ -83,53 +83,56 @@ let print_summary () =
 let write_profile oc =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_profile_jsonl oc)
 
+(* The per-hop table as [(hop, pkts, vcpu_ns, alloc_b)] rows, costs
+   shown per packet. *)
+let hop_table rows =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "  %-10s %10s %14s %14s\n" "hop" "pkts" "vcpu-ns/pkt" "alloc-b/pkt";
+  List.iter
+    (fun (hop, pkts, vcpu_ns, alloc_b) ->
+      let n = float_of_int (max 1 pkts) in
+      Printf.bprintf b "  %-10s %10d %14.1f %14.1f\n" hop pkts (float_of_int vcpu_ns /. n)
+        (alloc_b /. n))
+    rows;
+  Buffer.contents b
+
+let hop_rows stats =
+  List.map
+    (fun (h : Trace.Prof.hop_stat) ->
+      (Trace.Prof.hop_name h.h_hop, h.h_pkts, h.h_vcpu_ns, h.h_alloc_b))
+    stats
+
 let profile_summary_string () =
   let stats = Trace.Prof.stats () in
-  let dstats = Trace.Dpath.stats () in
+  let dstats = Trace.Prof.hop_stats () in
   if stats = [] && dstats = [] then ""
   else begin
     let b = Buffer.create 1024 in
     if stats <> [] then begin
-      let total = List.fold_left (fun a (s : Trace.Prof.stat) -> a + s.Trace.Prof.p_run_ns) 0 stats in
-      Buffer.add_string b
-        (Printf.sprintf "vcpu profile (total %.3f ms):\n  %-44s %5s %12s %7s %12s\n"
-           (float_of_int total /. 1e6)
-           "stack" "dom" "run_us" "share" "wait_us");
+      let total = List.fold_left (fun a (s : Trace.Prof.stat) -> a + s.p_run_ns) 0 stats in
+      Printf.bprintf b "vcpu profile (total %.3f ms):\n  %-44s %5s %12s %7s %12s\n"
+        (float_of_int total /. 1e6)
+        "stack" "dom" "run_us" "share" "wait_us";
       let by_run =
         List.sort
           (fun (a : Trace.Prof.stat) b ->
-            compare (b.Trace.Prof.p_run_ns, a.Trace.Prof.p_stack, a.Trace.Prof.p_dom)
-              (a.Trace.Prof.p_run_ns, b.Trace.Prof.p_stack, b.Trace.Prof.p_dom))
+            compare (b.p_run_ns, a.p_stack, a.p_dom) (a.p_run_ns, b.p_stack, b.p_dom))
           stats
       in
       List.iter
         (fun (s : Trace.Prof.stat) ->
           let share =
-            if total = 0 then 0.
-            else 100. *. float_of_int s.Trace.Prof.p_run_ns /. float_of_int total
+            if total = 0 then 0. else 100. *. float_of_int s.p_run_ns /. float_of_int total
           in
-          Buffer.add_string b
-            (Printf.sprintf "  %-44s %5d %12.1f %6.1f%% %12.1f\n" s.Trace.Prof.p_stack
-               s.Trace.Prof.p_dom
-               (float_of_int s.Trace.Prof.p_run_ns /. 1e3)
-               share
-               (float_of_int s.Trace.Prof.p_wait_ns /. 1e3)))
+          Printf.bprintf b "  %-44s %5d %12.1f %6.1f%% %12.1f\n" s.p_stack s.p_dom
+            (float_of_int s.p_run_ns /. 1e3)
+            share
+            (float_of_int s.p_wait_ns /. 1e3))
         by_run
     end;
     if dstats <> [] then begin
-      Buffer.add_string b
-        (Printf.sprintf "datapath (per packet):\n  %-10s %10s %14s %14s\n" "hop" "pkts"
-           "vcpu-ns/pkt" "alloc-b/pkt");
-      List.iter
-        (fun (h : Trace.Dpath.hstat) ->
-          let n = float_of_int h.Trace.Dpath.h_pkts in
-          Buffer.add_string b
-            (Printf.sprintf "  %-10s %10d %14.1f %14.1f\n"
-               (Trace.Dpath.hop_name h.Trace.Dpath.h_hop)
-               h.Trace.Dpath.h_pkts
-               (float_of_int h.Trace.Dpath.h_vcpu_ns /. n)
-               (h.Trace.Dpath.h_alloc_b /. n)))
-        dstats
+      Buffer.add_string b "datapath (per packet):\n";
+      Buffer.add_string b (hop_table (hop_rows dstats))
     end;
     Buffer.contents b
   end

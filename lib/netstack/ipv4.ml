@@ -55,12 +55,8 @@ let create sim eth arp cfg =
           if for_us then
             match Hashtbl.find_opt t.handlers proto with
             | Some f ->
-              if Trace.Prof.enabled () || Trace.Dpath.enabled () then
-                Trace.Prof.with_frame "ip" (fun () ->
-                    if Trace.Dpath.enabled () then
-                      Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:0 (fun () ->
-                          f ~src ~dst ~payload:body)
-                    else f ~src ~dst ~payload:body)
+              if Trace.Prof.enabled () then
+                Trace.Prof.hop Trace.Prof.Ip ~vcpu_ns:0 (fun () -> f ~src ~dst ~payload:body)
               else f ~src ~dst ~payload:body
             | None -> ()
         end

@@ -724,8 +724,8 @@ let deliver_rx fl ?owner payload =
      Without an owner the payload is already a private copy. *)
   rx_account fl (Bytestruct.length payload);
   Option.iter Pktbuf.retain owner;
-  if Trace.Dpath.enabled () then
-    Trace.Dpath.measure Trace.Dpath.Deliver ~vcpu_ns:0 (fun () -> push_rx fl payload owner)
+  if Trace.Prof.enabled () then
+    Trace.Prof.hop Trace.Prof.Deliver ~vcpu_ns:0 (fun () -> push_rx fl payload owner)
   else push_rx fl payload owner
 
 let rec integrate_ooo fl =
@@ -1087,11 +1087,11 @@ let handle_datagram t ~src ~dst ~payload =
           d.Xensim.Domain.platform.Platform.tcp_rx_extra_ns
         else d.Xensim.Domain.platform.Platform.tcp_ack_extra_ns
       in
-      (* Datapath hop: the deferred segment processing runs top-of-stack,
-         so its allocation region nests nothing but [deliver_rx]. *)
+      (* Packet-path hop: the deferred segment processing lands on the
+         [tcp] frame it is charged under, and its allocation region nests
+         nothing but [deliver_rx]. *)
       let process () =
-        if Trace.Dpath.enabled () then
-          Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:cost process
+        if Trace.Prof.enabled () then Trace.Prof.hop Trace.Prof.Tcp ~vcpu_ns:cost process
         else process ()
       in
       let charge () =

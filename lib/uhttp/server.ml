@@ -78,7 +78,7 @@ module Make (T : Device_sig.TCP) = struct
                  the request's exclusive application allocation. *)
               let render () = Bytestruct.of_string (Http_wire.render_response resp) in
               let data =
-                if Trace.Dpath.enabled () then
+                if Trace.Prof.enabled () then
                   let vcpu_ns =
                     match t.dom with
                     | Some d ->
@@ -87,7 +87,7 @@ module Make (T : Device_sig.TCP) = struct
                         *. d.Xensim.Domain.platform.Platform.app_factor)
                     | None -> t.per_request_cost_ns
                   in
-                  Trace.Dpath.measure Trace.Dpath.App ~vcpu_ns render
+                  Trace.Prof.hop Trace.Prof.App ~vcpu_ns render
                 else render ()
               in
               t.bytes_sent <- t.bytes_sent + Bytestruct.length data;

@@ -1011,8 +1011,8 @@ let test_dpath_steady_state_alloc_budget () =
   in
   (* Warm-up: pools grown, ARP cached, heaps sized. *)
   ignore (exchange ~blocks:16);
-  Trace.Dpath.reset ();
-  Trace.Dpath.enable ();
+  Trace.Prof.reset ();
+  Trace.Prof.enable ();
   Fun.protect ~finally:Trace.quiesce (fun () ->
       let blocks = 64 in
       check_int "all bytes delivered" (blocks * 4096) (exchange ~blocks);
@@ -1024,12 +1024,12 @@ let test_dpath_steady_state_alloc_budget () =
          reassembly) adds its full payload size to it. *)
       let stack_b, frames =
         List.fold_left
-          (fun (b, n) (h : Trace.Dpath.hstat) ->
-            match h.Trace.Dpath.h_hop with
-            | Trace.Dpath.App -> (b, n)
-            | Trace.Dpath.Ring_slot -> (b +. h.Trace.Dpath.h_alloc_b, max n h.Trace.Dpath.h_pkts)
-            | _ -> (b +. h.Trace.Dpath.h_alloc_b, n))
-          (0., 1) (Trace.Dpath.stats ())
+          (fun (b, n) (h : Trace.Prof.hop_stat) ->
+            match h.Trace.Prof.h_hop with
+            | Trace.Prof.App -> (b, n)
+            | Trace.Prof.Ring_slot -> (b +. h.Trace.Prof.h_alloc_b, max n h.Trace.Prof.h_pkts)
+            | _ -> (b +. h.Trace.Prof.h_alloc_b, n))
+          (0., 1) (Trace.Prof.hop_stats ())
       in
       let per_frame = stack_b /. float_of_int frames in
       (* Steady state measures ~2750 B/frame (promise fabric, segment
