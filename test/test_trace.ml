@@ -456,6 +456,31 @@ let test_prof_folded_stacks () =
         check_int "nested wait" 7 s.Trace.Prof.p_wait_ns
       | None -> Alcotest.fail "no engine;netif;tcp stack")
 
+(* Frame entry, [wrap] and [account] run inside measured hop regions, so
+   on a warm tree they must allocate nothing, or every hop's alloc B/pkt
+   would include the instrument. (Constant optional arguments are static
+   blocks, so the calls below allocate no [Some] of their own.) *)
+let test_prof_bookkeeping_allocates_nothing () =
+  with_prof (fun () ->
+      let body () =
+        Trace.Prof.account ~dom:1 ~wait_ns:2 3;
+        Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:1 5)
+      in
+      let round () =
+        Trace.Prof.with_frame "netif" body;
+        Trace.Prof.wrap (Trace.Prof.current_node ()) body
+      in
+      round ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        round ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      if words > 16. then Alcotest.failf "1000 warm rounds allocated %.0f words" words;
+      match find_stat ~dom:1 ~stack:"engine;netif;tcp" with
+      | Some s -> check_int "every round counted" 1001 s.Trace.Prof.p_samples
+      | None -> Alcotest.fail "no engine;netif;tcp stack")
+
 (* The frame stack is ambient: a callback deferred through the scheduler
    chokepoint keeps the stack of the code that scheduled it (same
    capture trick as causal flow ids). *)
@@ -838,6 +863,8 @@ let () =
           Alcotest.test_case "deterministic jsonl" `Quick test_deterministic_jsonl;
           Alcotest.test_case "appliance boot trace" `Quick test_appliance_boot_trace;
           Alcotest.test_case "profiler folded stacks" `Quick test_prof_folded_stacks;
+          Alcotest.test_case "profiler bookkeeping allocates nothing" `Quick
+            test_prof_bookkeeping_allocates_nothing;
           Alcotest.test_case "profiler ambient capture via scheduler" `Quick
             test_prof_scheduler_capture;
           Alcotest.test_case "callback scheduled under a frame before reset is counted after it"
