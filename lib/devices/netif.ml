@@ -505,15 +505,15 @@ let direct_write ?owner d frame =
       ~time_ns:(Engine.Sim.now d.d_dom.Xensim.Domain.sim)
       frame);
   let span = Trace.span ~dom:d.d_dom.Xensim.Domain.id ~cat:Trace.Device "netif.tx" in
-  bind
-    (Xensim.Domain.charge d.d_dom ~cost:(direct_tx_cost d len))
-    (fun () ->
+  let done_p, waker = wait () in
+  Xensim.Domain.charge_k d.d_dom ~cost:(direct_tx_cost d len) (fun () ->
       (* The wire retains per scheduled delivery, so the write's own
          reference (transferred by the caller) can drop right away. *)
       Netsim.Nic.send ?owner d.d_nic frame;
       (match owner with Some pb -> Pktbuf.release pb | None -> ());
       Trace.finish span;
-      return ())
+      wakeup waker ());
+  done_p
 
 let mac = function Pv t -> Netsim.Nic.mac t.nic | Direct d -> Netsim.Nic.mac d.d_nic
 let nic = function Pv t -> t.nic | Direct d -> d.d_nic
@@ -562,23 +562,21 @@ let rec pv_write ?owner t frame =
     (* The vCPU does the driver work before the frame reaches the ring —
        this is what makes a busy guest the throughput bottleneck. *)
     let send () =
-      bind
-        (Xensim.Domain.charge t.dom
-           ~cost:(Platform.tx_cost t.dom.Xensim.Domain.platform ~bytes_len:len))
+      Xensim.Domain.charge_k t.dom
+        ~cost:(Platform.tx_cost t.dom.Xensim.Domain.platform ~bytes_len:len)
         (fun () ->
           (* Torn down while the vCPU worked: [disconnect] has revoked
              the grant and released the buffer, so the frame is dropped
-             unpushed and nobody is notified. *)
-          if t.closed then return ()
-          else begin
-            if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
-              incr doorbells;
-              Xensim.Evtchn.notify (evtchn t) t.tx_port_front
-            end;
-            done_p
+             unpushed, and the write resolves here since no TX response
+             will. *)
+          if t.closed then wakeup waker ()
+          else if Xensim.Ring.Front.push_requests_and_check_notify t.tx_front then begin
+            incr doorbells;
+            Xensim.Evtchn.notify (evtchn t) t.tx_port_front
           end)
     in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" send else send ()
+    if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" send else send ();
+    done_p
   end
 
 let write ?owner t frame =

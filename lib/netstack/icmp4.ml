@@ -36,16 +36,17 @@ let handle t ~src ~payload =
     let data = Bytestruct.shift payload 8 in
     if typ = type_echo_request then begin
       t.answered <- t.answered + 1;
-      let reply = build ~typ:type_echo_reply ~id ~seq ~payload:(Bytestruct.copy data) in
-      let emit () = Ipv4.output t.ip ~dst:src ~proto:Ipv4.proto_icmp reply in
+      let data = Bytestruct.copy data in
+      let emit () =
+        Ipv4.output t.ip ~dst:src ~proto:Ipv4.proto_icmp
+          (build ~typ:type_echo_reply ~id ~seq ~payload:data)
+      in
       match t.dom with
       | None -> Mthread.Promise.async emit
       | Some d ->
         (* type-safe parse + reply construction occupy the vCPU first *)
-        Mthread.Promise.async (fun () ->
-            Mthread.Promise.bind
-              (Xensim.Domain.charge d ~cost:d.Xensim.Domain.platform.Platform.icmp_echo_extra_ns)
-              (fun () -> emit ()))
+        Xensim.Domain.charge_k d ~cost:d.Xensim.Domain.platform.Platform.icmp_echo_extra_ns
+          (fun () -> Mthread.Promise.async emit)
     end
     else if typ = type_echo_reply then begin
       t.replies <- t.replies + 1;

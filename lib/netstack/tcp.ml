@@ -166,8 +166,13 @@ let send_segment t ~key ~seq ~ack ~flags ~options ~window ~payload =
       payload;
     }
   in
-  let frags = Tcp_wire.encode ~src:(Ipv4.address t.ip) ~dst:key.k_rip seg in
-  let emit () = Ipv4.output t.ip ~dst:key.k_rip ~proto:Ipv4.proto_tcp frags in
+  (* The header bytes are built only when the segment leaves: what waits
+     out the vCPU backlog is [seg] (scalars and the payload view), not
+     encoded buffers. *)
+  let emit () =
+    Ipv4.output t.ip ~dst:key.k_rip ~proto:Ipv4.proto_tcp
+      (Tcp_wire.encode ~src:(Ipv4.address t.ip) ~dst:key.k_rip seg)
+  in
   match t.dom with
   | None -> Mthread.Promise.async emit
   | Some d ->
@@ -179,10 +184,7 @@ let send_segment t ~key ~seq ~ack ~flags ~options ~window ~payload =
         d.Xensim.Domain.platform.Platform.tcp_tx_extra_ns
       else d.Xensim.Domain.platform.Platform.tcp_ack_extra_ns
     in
-    let send () =
-      Mthread.Promise.async (fun () ->
-          Mthread.Promise.bind (Xensim.Domain.charge d ~cost) (fun () -> emit ()))
-    in
+    let send () = Xensim.Domain.charge_k d ~cost (fun () -> Mthread.Promise.async emit) in
     if Trace.Prof.enabled () then Trace.Prof.with_frame "tcp" send else send ()
 
 let send_rst_for t ~key ~seq ~ack =

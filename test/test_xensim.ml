@@ -596,6 +596,75 @@ let test_domain_charge_serialises () =
   ignore (run w (P.join [ Xensim.Domain.charge d ~cost:1000; Xensim.Domain.charge d ~cost:1000 ]));
   check_int "single vCPU serialises work" 2000 (Engine.Sim.now w.sim - t0)
 
+(* The packet path charges with [charge_k], applications with [charge]:
+   one reservation in two shapes. Interleaved on one vCPU with a plain
+   [Sim.at] at the same finish instant, every continuation fires at the
+   same virtual time, ties fire in insertion order, the slice's
+   vcpu.wait/vcpu.run spans are recorded before the continuation runs,
+   and the charge and its continuation sit on the caller's profiler
+   frame — with the trace and profiler planes on or off. *)
+let test_charge_and_charge_k_interchangeable () =
+  List.iter
+    (fun (trace, prof) ->
+      let w = create () in
+      let d =
+        Xensim.Hypervisor.create_domain w.hv ~name:"k" ~mem_mib:16 ~platform:Platform.xen_extent ()
+      in
+      if trace then Trace.enable ();
+      if prof then begin
+        Trace.Prof.reset ();
+        Trace.Prof.enable ()
+      end;
+      Fun.protect ~finally:Trace.quiesce (fun () ->
+          let t0 = Engine.Sim.now w.sim in
+          let runs () =
+            List.length (List.filter (fun e -> e.Trace.name = "vcpu.run") (Trace.events ()))
+          in
+          let frame = ref (Trace.Prof.current_node ()) in
+          let fired = ref [] in
+          let note label () =
+            fired :=
+              (label, Engine.Sim.now w.sim - t0, runs (), Trace.Prof.current_node () == !frame)
+              :: !fired
+          in
+          Trace.Prof.with_frame "tcp" (fun () ->
+              frame := Trace.Prof.current_node ();
+              P.async (fun () -> Xensim.Domain.charge d ~cost:1000 >|= note "charge 1000");
+              Xensim.Domain.charge_k d ~cost:500 (note "charge_k 500");
+              ignore (Engine.Sim.at w.sim ~time:(t0 + 1500) (note "Sim.at"));
+              P.async (fun () -> Xensim.Domain.charge d ~cost:0 >|= note "charge 0");
+              Xensim.Domain.charge_k d ~cost:0 (note "charge_k 0"));
+          Engine.Sim.run ~until:(t0 + 10_000) w.sim;
+          let spans n = if trace then n else 0 in
+          let expected =
+            [
+              ("charge 1000", 1000, spans 1, true);
+              ("charge_k 500", 1500, spans 2, true);
+              ("Sim.at", 1500, spans 2, true);
+              ("charge 0", 1500, spans 3, true);
+              ("charge_k 0", 1500, spans 4, true);
+            ]
+          in
+          let label = Printf.sprintf "trace=%b prof=%b" trace prof in
+          check
+            Alcotest.(list (pair string (pair int (pair int bool))))
+            (label ^ ": firing order, instant, spans so far, frame")
+            (List.map (fun (l, t, n, f) -> (l, (t, (n, f)))) expected)
+            (List.rev_map (fun (l, t, n, f) -> (l, (t, (n, f)))) !fired);
+          if prof then
+            match
+              List.find_opt
+                (fun (s : Trace.Prof.stat) ->
+                  s.p_dom = d.Xensim.Domain.id && s.p_stack = "engine;tcp")
+                (Trace.Prof.stats ())
+            with
+            | Some s ->
+              check_int (label ^ ": charges on the caller's frame") 4 s.p_samples;
+              check_int (label ^ ": run ns on the caller's frame") 1500 s.p_run_ns;
+              check_int (label ^ ": wait ns on the caller's frame") 4000 s.p_wait_ns
+            | None -> Alcotest.fail (label ^ ": no engine;tcp row")))
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
 let test_domain_multi_vcpu_parallel () =
   let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"smp" ~mem_mib:16 ~platform:Platform.linux_pv ~vcpus:2 () in
@@ -697,6 +766,8 @@ let () =
           Alcotest.test_case "build time grows with memory" `Quick
             test_toolstack_build_time_grows_with_memory;
           Alcotest.test_case "charge serialises on one vcpu" `Quick test_domain_charge_serialises;
+          Alcotest.test_case "charge and charge_k are interchangeable" `Quick
+            test_charge_and_charge_k_interchangeable;
           Alcotest.test_case "multi-vcpu parallel with tax" `Quick test_domain_multi_vcpu_parallel;
           Alcotest.test_case "utilisation" `Quick test_domain_utilisation;
           Alcotest.test_case "vcpu accounting" `Quick test_vcpu_accounting;
