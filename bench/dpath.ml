@@ -45,7 +45,7 @@ let run_world () =
   in
   result.Uhttp.Httperf.replies
 
-let report ~label replies total_alloc stats =
+let report ~label replies total_alloc promises stats =
   Printf.printf "  [%s] %d HTTP requests served; per-hop exclusive costs:\n" label replies;
   let rows = Engine.Trace_report.hop_rows stats in
   print_string (Engine.Trace_report.hop_table rows);
@@ -76,18 +76,25 @@ let report ~label replies total_alloc stats =
   in
   let stack_per_req = stack_b /. float_of_int (max 1 replies) in
   Printf.printf "  stack-hop allocation: %.0f B/request\n" stack_per_req;
-  Util.emit ~figure:"dpath" ~metric:(label ^ "/stack-alloc-b-per-req") ~unit_:"B/req" stack_per_req
+  Util.emit ~figure:"dpath" ~metric:(label ^ "/stack-alloc-b-per-req") ~unit_:"B/req" stack_per_req;
+  (* Promises created per request, both ends: the thread fabric the
+     packet path still builds. Deterministic, so gated. *)
+  let promises_per_req = float_of_int promises /. float_of_int (max 1 replies) in
+  Printf.printf "  promises: %.1f per request\n" promises_per_req;
+  Util.emit ~figure:"dpath" ~metric:(label ^ "/promises-per-req") ~unit_:"1/req" promises_per_req
 
 let run () =
   Util.header "Datapath cost attribution (per-packet, per-hop)";
   let was_on = Trace.Prof.enabled () in
   if not was_on then Trace.Prof.enable ();
   Trace.Prof.reset ();
+  Mthread.Promise.reset_counters ();
   let a0 = Trace.Prof.allocated_bytes () in
   let replies = run_world () in
   let total_alloc = Trace.Prof.allocated_bytes () -. a0 in
+  let promises = Mthread.Promise.created_count () in
   (* The "base" label keeps the metric names of the committed snapshot. *)
-  report ~label:"base" replies total_alloc (Trace.Prof.hop_stats ());
+  report ~label:"base" replies total_alloc promises (Trace.Prof.hop_stats ());
   (* Under `--profile` the plane was already on: keep the tables so the
      end-of-run profile dump includes them. Standalone, leave no residue. *)
   if not was_on then begin

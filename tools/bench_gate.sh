@@ -72,6 +72,7 @@ if [ $# -eq 0 ]; then
     'dpath:base/tcp/vcpu-ns-per-pkt:lower' \
     'dpath:base/app/vcpu-ns-per-pkt:lower' \
     'dpath:base/replies:higher' \
+    'dpath:base/promises-per-req:lower' \
     'capture:goodput-capture-off:higher' \
     'capture:goodput-capture-on:higher' \
     'capture:overhead-pct:lower'
