@@ -40,8 +40,10 @@ val vcpus : t -> int
     additional vCPU), the scaling-up penalty Figure 13 exhibits. *)
 val charge : t -> cost:int -> unit Mthread.Promise.t
 
-(** Non-blocking variant: reserve [cost] ns of vCPU and call [k] when it has
-    elapsed. *)
+(** Continuation variant: reserve [cost] ns of vCPU and call [k] when it has
+    elapsed — the same event, instant and tie order as {!charge}, without
+    the promise. The packet path uses it, so what waits out a busy vCPU's
+    backlog is only what [k] closes over. *)
 val charge_k : t -> cost:int -> (unit -> unit) -> unit
 
 (** Fraction of virtual time [0..span] the vCPU was busy, given a span. *)
