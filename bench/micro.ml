@@ -239,7 +239,7 @@ let guard_rows () =
           series) };
     { plane = "prof+flight"; on = prof_on;
       sites =
-        [ ("account-site", fun i -> if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i);
+        [ ("account-site", fun i -> if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 ~wait_ns:0 i);
           ("frame-site", fun i ->
               let f () = i land 0xff in
               ignore (if Trace.Prof.enabled () then Trace.Prof.with_frame "guard" f else f ()));

@@ -109,6 +109,23 @@ let set_char t off c =
   bounds t off 1;
   Bytes.set t.buffer (t.off + off) c
 
+(* Unsigned 32-bit fields as plain ints: the [int32] accessors return a
+   boxed [Int32] whenever the call is not inlined, which costs a ring
+   index or a grant ref 3 words per read. *)
+external unsafe_get32 : bytes -> int -> int32 = "%caml_bytes_get32u"
+external unsafe_set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let get_u32 ~swap t off =
+  bounds t off 4;
+  let v = unsafe_get32 t.buffer (t.off + off) in
+  Int32.to_int (if swap then swap32 v else v) land 0xFFFF_FFFF
+
+let set_u32 ~swap t off v =
+  bounds t off 4;
+  let v = Int32.of_int v in
+  unsafe_set32 t.buffer (t.off + off) (if swap then swap32 v else v)
+
 module BE = struct
   let get_uint16 t off =
     bounds t off 2;
@@ -125,6 +142,9 @@ module BE = struct
   let set_uint32 t off v =
     bounds t off 4;
     Bytes.set_int32_be t.buffer (t.off + off) v
+
+  let get_uint32_int t off = get_u32 ~swap:(not Sys.big_endian) t off
+  let set_uint32_int t off v = set_u32 ~swap:(not Sys.big_endian) t off v
 
   let get_uint64 t off =
     bounds t off 8;
@@ -151,6 +171,9 @@ module LE = struct
   let set_uint32 t off v =
     bounds t off 4;
     Bytes.set_int32_le t.buffer (t.off + off) v
+
+  let get_uint32_int t off = get_u32 ~swap:Sys.big_endian t off
+  let set_uint32_int t off v = set_u32 ~swap:Sys.big_endian t off v
 
   let get_uint64 t off =
     bounds t off 8;

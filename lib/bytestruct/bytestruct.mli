@@ -82,6 +82,13 @@ module BE : sig
   val set_uint16 : t -> int -> int -> unit
   val get_uint32 : t -> int -> int32
   val set_uint32 : t -> int -> int32 -> unit
+
+  (** The unsigned 32-bit field as an [int] in [\[0, 2^32)], unboxed. *)
+  val get_uint32_int : t -> int -> int
+
+  (** Stores the low 32 bits of the [int]. *)
+  val set_uint32_int : t -> int -> int -> unit
+
   val get_uint64 : t -> int -> int64
   val set_uint64 : t -> int -> int64 -> unit
 end
@@ -92,6 +99,13 @@ module LE : sig
   val set_uint16 : t -> int -> int -> unit
   val get_uint32 : t -> int -> int32
   val set_uint32 : t -> int -> int32 -> unit
+
+  (** The unsigned 32-bit field as an [int] in [\[0, 2^32)], unboxed. *)
+  val get_uint32_int : t -> int -> int
+
+  (** Stores the low 32 bits of the [int]. *)
+  val set_uint32_int : t -> int -> int -> unit
+
   val get_uint64 : t -> int -> int64
   val set_uint64 : t -> int -> int64 -> unit
 end

@@ -39,7 +39,7 @@ let backend_handle t () =
          let id = Bytestruct.LE.get_uint16 slot 2 in
          let sector = Int64.to_int (Bytestruct.LE.get_uint64 slot 8) in
          let count = Bytestruct.LE.get_uint16 slot 16 in
-         let gref = Int32.to_int (Bytestruct.LE.get_uint32 slot 20) in
+         let gref = Bytestruct.LE.get_uint32_int slot 20 in
          work := (op, id, sector, count, gref) :: !work));
   let respond id status =
     let rsp = Xensim.Ring.Back.next_response t.back in
@@ -159,7 +159,7 @@ let submit t ~op ~sector ~count ~buffer =
       Bytestruct.LE.set_uint16 slot 2 id;
       Bytestruct.LE.set_uint64 slot 8 (Int64.of_int sector);
       Bytestruct.LE.set_uint16 slot 16 count;
-      Bytestruct.LE.set_uint32 slot 20 (Int32.of_int gref);
+      Bytestruct.LE.set_uint32_int slot 20 gref;
       t.requests <- t.requests + 1;
       if Xensim.Ring.Front.push_requests_and_check_notify t.front then
         Xensim.Evtchn.notify (evtchn t) t.port_front;

@@ -12,13 +12,70 @@ let backend_per_packet_ns = 1_600 (* dom0 netback work per frame *)
 (* TX doorbells rung by every PV netif in the process. *)
 let doorbells = ref 0
 
+(* The TX requests in flight, each from its write to its TX response,
+   in parallel arrays: request [id] lives in slot [id land (capacity -
+   1)]. The ids in flight are consecutive and no more than the ring's
+   slots, so they never share a slot once the arrays are as large as the
+   ring. The arrays start small and double when an id finds its slot
+   taken, so a vif that sends a handful of frames keeps a handful of
+   slots. *)
 type tx_pending = {
-  gref : Xensim.Gnttab.grant_ref;
-  waker : unit Mthread.Promise.u;
-  span : Trace.span;  (* request enqueue -> TX response *)
-  flow : Trace.Flow.id;  (* causal flow of the sender, for the backend *)
-  owner : Pktbuf.t option;  (* TX buffer ref, released on TX response *)
+  mutable p_id : int array;  (* [-1]: slot free *)
+  mutable p_gref : Xensim.Gnttab.grant_ref array;
+  mutable p_waker : unit Mthread.Promise.u array;
+  mutable p_span : Trace.span array;  (* request enqueue -> TX response *)
+  mutable p_flow : Trace.Flow.id array;  (* causal flow of the sender, for the backend *)
+  mutable p_owner : Pktbuf.t option array;  (* TX buffer ref, released on TX response *)
 }
+
+let no_waker = snd (Mthread.Promise.wait ())
+
+let tx_pending_create cap =
+  {
+    p_id = Array.make cap (-1);
+    p_gref = Array.make cap 0;
+    p_waker = Array.make cap no_waker;
+    p_span = Array.make cap Trace.dead_span;
+    p_flow = Array.make cap Trace.Flow.none;
+    p_owner = Array.make cap None;
+  }
+
+(* The slot holding request [id], or -1. *)
+let tx_find p id =
+  let i = id land (Array.length p.p_id - 1) in
+  if p.p_id.(i) = id then i else -1
+
+let tx_set p i ~id ~gref ~waker ~span ~flow ~owner =
+  p.p_id.(i) <- id;
+  p.p_gref.(i) <- gref;
+  p.p_waker.(i) <- waker;
+  p.p_span.(i) <- span;
+  p.p_flow.(i) <- flow;
+  p.p_owner.(i) <- owner
+
+let tx_clear p i =
+  tx_set p i ~id:(-1) ~gref:0 ~waker:no_waker ~span:Trace.dead_span ~flow:Trace.Flow.none
+    ~owner:None
+
+let rec tx_add p ~id ~gref ~waker ~span ~flow ~owner =
+  let i = id land (Array.length p.p_id - 1) in
+  if p.p_id.(i) < 0 then tx_set p i ~id ~gref ~waker ~span ~flow ~owner
+  else begin
+    let q = tx_pending_create (2 * Array.length p.p_id) in
+    Array.iteri
+      (fun i id ->
+        if id >= 0 then
+          tx_set q (id land (Array.length q.p_id - 1)) ~id ~gref:p.p_gref.(i) ~waker:p.p_waker.(i)
+            ~span:p.p_span.(i) ~flow:p.p_flow.(i) ~owner:p.p_owner.(i))
+      p.p_id;
+    p.p_id <- q.p_id;
+    p.p_gref <- q.p_gref;
+    p.p_waker <- q.p_waker;
+    p.p_span <- q.p_span;
+    p.p_flow <- q.p_flow;
+    p.p_owner <- q.p_owner;
+    tx_add p ~id ~gref ~waker ~span ~flow ~owner
+  end
 
 type pv = {
   hv : Xensim.Hypervisor.t;
@@ -34,7 +91,7 @@ type pv = {
   tx_port_back : Xensim.Evtchn.port;  (* notify -> frontend wakes *)
   rx_port_front : Xensim.Evtchn.port;
   rx_port_back : Xensim.Evtchn.port;
-  tx_pending : (int, tx_pending) Hashtbl.t;
+  tx_pending : tx_pending;
   (* Posted RX credit, indexed by RX id = ring index of the credit's
      request (Linux netfront's xennet_rxidx): a slot's grant, or
      [no_credit], and its buffer once netback has copied a frame in.
@@ -44,8 +101,9 @@ type pv = {
   rx_buf : Pktbuf.t option array;
   mutable rx_posted : int;
   rx_fill : int -> Bytestruct.t;  (* the grant-table fill for every credit *)
-  rx_spans : (int, Trace.span) Hashtbl.t;  (* backend copy -> guest delivery *)
-  rx_flows : (int, Trace.Flow.id) Hashtbl.t;  (* per-slot flow: one evtchn batch mixes flows *)
+  (* Tracing only, keyed by RX id: *)
+  rx_spans : Trace.span Engine.Inttbl.t;  (* backend copy -> guest delivery *)
+  rx_flows : Trace.Flow.id Engine.Inttbl.t;  (* per-slot flow: one evtchn batch mixes flows *)
   tx_waiters : unit Mthread.Promise.u Queue.t;
   mutable listener : (Bytestruct.t -> unit) option;
   mutable next_tx_id : int;
@@ -92,14 +150,12 @@ let backend_handle_tx t () =
     Xensim.Ring.Back.consume_requests t.tx_back (fun slot ->
         let id = Bytestruct.LE.get_uint16 slot 0 in
         let size = Bytestruct.LE.get_uint16 slot 2 in
-        let gref = Int32.to_int (Bytestruct.LE.get_uint32 slot 4) in
+        let gref = Bytestruct.LE.get_uint32_int slot 4 in
         (* One evtchn kick covers a batch of slots from different flows:
            re-establish each frame's own flow around the wire send. *)
-        let fl, owner =
-          match Hashtbl.find_opt t.tx_pending id with
-          | Some p -> (p.flow, p.owner)
-          | None -> (Trace.Flow.none, None)
-        in
+        let i = tx_find t.tx_pending id in
+        let fl = if i < 0 then Trace.Flow.none else t.tx_pending.p_flow.(i) in
+        let owner = if i < 0 then None else t.tx_pending.p_owner.(i) in
         Trace.Flow.with_flow fl (fun () ->
             let work () =
               let page = Xensim.Gnttab.map (gnttab t) ~by:t.backend_dom.Xensim.Domain.id gref in
@@ -133,7 +189,7 @@ let backend_handle_rx_credit t () =
 
 let backend_deliver_frame t ~id ~gref frame =
   if Trace.enabled () then
-    Hashtbl.replace t.rx_spans id
+    Engine.Inttbl.replace t.rx_spans id
       (Trace.span ~dom:t.dom.Xensim.Domain.id ~cat:Trace.Device "netif.rx");
   let work () =
     Xensim.Gnttab.copy_to (gnttab t) ~by:t.backend_dom.Xensim.Domain.id gref ~src:frame;
@@ -160,14 +216,14 @@ let backend_handle_frame t frame =
   else begin
     let slot = Xensim.Ring.Back.oldest_unanswered t.rx_back in
     let id = Bytestruct.LE.get_uint16 slot 0 in
-    let gref = Int32.to_int (Bytestruct.LE.get_uint32 slot 4) in
+    let gref = Bytestruct.LE.get_uint32_int slot 4 in
     if Trace.enabled () then begin
       (* Every frame entering a backend begins a fresh causal flow; the
          flow then rides the scheduler ([Engine.Sim.at]) through evtchn
          delivery, the guest stack, the request handler and back out the
          TX path — until the next hop's backend RX starts the next one. *)
       let fl = Trace.Flow.start ~dom:t.dom.Xensim.Domain.id () in
-      Hashtbl.replace t.rx_flows id fl;
+      Engine.Inttbl.replace t.rx_flows id fl;
       Trace.Flow.with_flow fl (fun () -> backend_deliver_frame t ~id ~gref frame)
     end
     else backend_deliver_frame t ~id ~gref frame
@@ -202,16 +258,18 @@ let post_rx_buffer t =
   t.rx_posted <- t.rx_posted + 1;
   let slot = Xensim.Ring.Front.next_request t.rx_front in
   Bytestruct.LE.set_uint16 slot 0 id;
-  Bytestruct.LE.set_uint32 slot 4 (Int32.of_int gref)
+  Bytestruct.LE.set_uint32_int slot 4 gref
 
 let frontend_handle_tx_responses t () =
   ignore
     (Xensim.Ring.Front.consume_responses t.tx_front (fun slot ->
          let id = Bytestruct.LE.get_uint16 slot 0 in
-         match Hashtbl.find_opt t.tx_pending id with
-         | None -> ()
-         | Some { gref; waker; span; flow; owner } ->
-           Hashtbl.remove t.tx_pending id;
+         let p = t.tx_pending in
+         let i = tx_find p id in
+         if i >= 0 then begin
+           let gref = p.p_gref.(i) and waker = p.p_waker.(i) and span = p.p_span.(i) in
+           let flow = p.p_flow.(i) and owner = p.p_owner.(i) in
+           tx_clear p i;
            Xensim.Gnttab.end_access (gnttab t) gref;
            (* Driver's TX reference: the wire holds its own if the frame
               is still in flight, so this release is what lets a
@@ -219,7 +277,8 @@ let frontend_handle_tx_responses t () =
            (match owner with Some pb -> Pktbuf.release pb | None -> ());
            Trace.Flow.with_flow flow (fun () ->
                Trace.finish span;
-               if Mthread.Promise.wakener_pending waker then Mthread.Promise.wakeup waker ())));
+               if Mthread.Promise.wakener_pending waker then Mthread.Promise.wakeup waker ())
+         end));
   (* Ring space freed: wake writers blocked on a full ring. *)
   let rec wake () =
     if Xensim.Ring.Front.free_requests t.tx_front > 0 then
@@ -268,18 +327,21 @@ let frontend_handle_rx_responses t () =
                the frame that raised it; a batched ring holds frames from
                many flows, so re-establish this slot's own. *)
             let fl =
-              match Hashtbl.find_opt t.rx_flows id with
-              | Some fl ->
-                Hashtbl.remove t.rx_flows id;
-                fl
-              | None -> Trace.Flow.none
+              if Engine.Inttbl.length t.rx_flows = 0 then Trace.Flow.none
+              else
+                match Engine.Inttbl.find t.rx_flows id with
+                | fl ->
+                  Engine.Inttbl.remove t.rx_flows id;
+                  fl
+                | exception Not_found -> Trace.Flow.none
             in
             Trace.Flow.with_flow fl (fun () ->
-                (match Hashtbl.find_opt t.rx_spans id with
-                | Some span ->
-                  Hashtbl.remove t.rx_spans id;
-                  Trace.finish span
-                | None -> ());
+                if Engine.Inttbl.length t.rx_spans > 0 then (
+                  match Engine.Inttbl.find t.rx_spans id with
+                  | span ->
+                    Engine.Inttbl.remove t.rx_spans id;
+                    Trace.finish span
+                  | exception Not_found -> ());
                 (* Zero-copy handoff: the listener gets a view straight
                    over the granted buffer, with the pktbuf ambient so any
                    layer that defers work can retain instead of copying.
@@ -368,13 +430,13 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
       tx_port_back;
       rx_port_front;
       rx_port_back;
-      tx_pending = Hashtbl.create 1;
+      tx_pending = tx_pending_create 4;
       rx_gref = Array.make rx_slots no_credit;
       rx_buf = Array.make rx_slots None;
       rx_posted = 0;
       rx_fill = (fun id -> Pktbuf.storage (rx_buffer t id));
-      rx_spans = Hashtbl.create 1;
-      rx_flows = Hashtbl.create 1;
+      rx_spans = Engine.Inttbl.create 1;
+      rx_flows = Engine.Inttbl.create 1;
       tx_waiters = Queue.create ();
       listener = None;
       next_tx_id = 0;
@@ -405,7 +467,8 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
     regc "netif_tx_frames" (fun () -> t.tx_frames);
     regc "netif_rx_frames" (fun () -> t.rx_frames);
     regc "netif_rx_dropped" (fun () -> t.rx_dropped);
-    regg "netif_tx_inflight" (fun () -> Hashtbl.length t.tx_pending);
+    regg "netif_tx_inflight" (fun () ->
+        Array.fold_left (fun n id -> if id >= 0 then n + 1 else n) 0 t.tx_pending.p_id);
     regg "netif_rx_posted" (fun () -> t.rx_posted)
   end;
   Pv t
@@ -546,11 +609,11 @@ let rec pv_write ?owner t frame =
     let done_p, waker = Mthread.Promise.wait () in
     let span = Trace.span ~dom:t.dom.Xensim.Domain.id ~cat:Trace.Device "netif.tx" in
     let flow = if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none in
-    Hashtbl.replace t.tx_pending id { gref; waker; span; flow; owner };
+    tx_add t.tx_pending ~id ~gref ~waker ~span ~flow ~owner;
     let slot = Xensim.Ring.Front.next_request t.tx_front in
     Bytestruct.LE.set_uint16 slot 0 id;
     Bytestruct.LE.set_uint16 slot 2 len;
-    Bytestruct.LE.set_uint32 slot 4 (Int32.of_int gref);
+    Bytestruct.LE.set_uint32_int slot 4 gref;
     t.tx_frames <- t.tx_frames + 1;
     (match t.capture with
     | None -> ()
@@ -596,12 +659,15 @@ let pv_disconnect t =
   Xensim.Evtchn.close ev t.rx_port_front;
   t.listener <- None;
   t.capture <- None;
-  Hashtbl.iter
-    (fun _ (p : tx_pending) ->
-      Xensim.Gnttab.end_access (gnttab t) p.gref;
-      match p.owner with Some pb -> Pktbuf.release pb | None -> ())
-    t.tx_pending;
-  Hashtbl.reset t.tx_pending;
+  let p = t.tx_pending in
+  Array.iteri
+    (fun i id ->
+      if id >= 0 then begin
+        Xensim.Gnttab.end_access (gnttab t) p.p_gref.(i);
+        Option.iter Pktbuf.release p.p_owner.(i);
+        tx_clear p i
+      end)
+    p.p_id;
   Array.iteri
     (fun id gref ->
       if gref <> no_credit then begin
@@ -612,8 +678,8 @@ let pv_disconnect t =
       end)
     t.rx_gref;
   t.rx_posted <- 0;
-  Hashtbl.reset t.rx_spans;
-  Hashtbl.reset t.rx_flows;
+  Engine.Inttbl.reset t.rx_spans;
+  Engine.Inttbl.reset t.rx_flows;
   Queue.clear t.tx_waiters;
   Netsim.Nic.set_rx t.nic (fun _ -> ())
 

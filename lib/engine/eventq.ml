@@ -134,6 +134,21 @@ let push t ~time action =
   sift_up t (t.size - 1) time seq h;
   h
 
+(* Keys drawn ahead of the push, for an entry that waits in a run queue
+   (see [Sim.lane_at]) before its handle enters the heap. *)
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let handle t action = { action; pos = -1; owner = t }
+
+let push_keyed t h ~time ~seq =
+  if h.pos >= 0 || h.owner != t then invalid_arg "Eventq.push_keyed: handle is queued or foreign";
+  if t.size = Array.length t.times then resize t (2 * t.size);
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) time seq h
+
 (* Detach the last entry and re-place it at the hole [i] left by a
    removed entry. *)
 let fill_hole t i =

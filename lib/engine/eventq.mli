@@ -28,6 +28,26 @@ val length : t -> int
 (** [push t ~time f] schedules [f] at absolute virtual [time]. *)
 val push : t -> time:int -> (unit -> unit) -> handle
 
+(** {1 Keys drawn ahead}
+
+    A run queue (see [Sim.lane_at]) keeps its entries out of the heap and
+    lets only its head in. Each entry's key is drawn when the entry is
+    queued, so it ties exactly as a direct [push] at that moment would;
+    the head enters under one handle that is pushed again for every
+    entry. *)
+
+(** [reserve_seq t] draws the insertion key [push] would draw now. *)
+val reserve_seq : t -> int
+
+(** [handle t f] makes a handle that is not scheduled; [push_keyed]
+    schedules it, as often as it has fired in between. *)
+val handle : t -> (unit -> unit) -> handle
+
+(** [push_keyed t h ~time ~seq] schedules [h] under key [(time, seq)].
+    @raise Invalid_argument if [h] is already queued or belongs to
+    another queue. *)
+val push_keyed : t -> handle -> time:int -> seq:int -> unit
+
 (** [cancel h] prevents the event from firing; idempotent, and a no-op
     once the event has fired. *)
 val cancel : handle -> unit

@@ -35,8 +35,31 @@ val at : t -> time:int -> (unit -> unit) -> handle
     once it has fired. *)
 val cancel : handle -> unit
 
-(** Number of pending events. *)
+(** Number of pending events, lane entries included. *)
 val pending : t -> int
+
+(** {1 Run queues}
+
+    A [lane] is one vCPU's FIFO run queue: the continuations that wait out
+    its backlog, due in the order they were queued. Only a lane's head is
+    in the event queue, so a backlog of n slices costs one heap entry, not
+    n. Queueing on a lane keeps exactly the event, instant and tie order
+    of {!at}: an entry's (time, insertion-order) key is drawn when it is
+    queued, and flow and profiler frame are captured as {!at} captures
+    them. *)
+
+type lane
+
+(** [lane t] is a fresh, empty run queue on [t]. *)
+val lane : t -> lane
+
+(** [lane_at l ~time f] runs [f] at absolute [time] (clamped to now), as
+    [at] would, behind the entries already on [l].
+    @raise Invalid_argument if [time] is before the last entry's. *)
+val lane_at : lane -> time:int -> (unit -> unit) -> unit
+
+(** Entries queued on the lane and not yet fired. *)
+val lane_length : lane -> int
 
 (** [run t] executes events until the queue drains.
     @param until stop (leaving later events pending) once the clock would
@@ -56,7 +79,7 @@ val stop : t -> unit
     slice it reserves: [run_ns] of execution plus [wait_ns] of wakeup
     latency (time between becoming runnable and being scheduled, i.e.
     queueing behind earlier reservations and other domains on the shared
-    physical cores). Always on — a hashtable update per slice — so
+    physical cores). Always on — three field updates per slice — so
     utilisation is available even without tracing. *)
 
 type vcpu_totals = {
@@ -66,8 +89,15 @@ type vcpu_totals = {
   vt_slices : int;  (** number of reservations *)
 }
 
-(** Record one vCPU slice for domain [dom]. *)
-val vcpu_account : t -> dom:int -> run_ns:int -> wait_ns:int -> unit
+(** One domain's accumulator; a domain looks it up once and keeps it. *)
+type vcpu_acc
+
+(** [vcpu_acc t ~dom] is [dom]'s accumulator, created (and, with metrics
+    on, registered) on first use. *)
+val vcpu_acc : t -> dom:int -> vcpu_acc
+
+(** [vcpu_slice a ~run_ns ~wait_ns] records one slice. *)
+val vcpu_slice : vcpu_acc -> run_ns:int -> wait_ns:int -> unit
 
 (** Accumulated per-domain totals, sorted by domain id. *)
 val vcpu_totals : t -> vcpu_totals list

@@ -8,6 +8,16 @@ let broadcast_mac = "\xff\xff\xff\xff\xff\xff"
    observation per receiving port). *)
 type dir = Tx | Rx
 
+(* The forwarding table keys a MAC by its 48 bits as an [int], read
+   straight from the frame: no string per lookup. *)
+let mac_key m =
+  (String.get_uint16_be m 0 lsl 32) lor (String.get_uint16_be m 2 lsl 16) lor String.get_uint16_be m 4
+
+let frame_mac_key f off =
+  (Bytestruct.BE.get_uint16 f off lsl 32) lor Bytestruct.BE.get_uint32_int f (off + 2)
+
+let broadcast_key = 0xFFFF_FFFF_FFFF
+
 type tap_handle = int
 
 let mac_to_string m =
@@ -120,7 +130,7 @@ and bridge = {
      a Xen vif): a 10⁴-port boot storm never floods to learn addresses,
      which would otherwise cost O(ports) deliveries per unknown frame. *)
   static_fdb : bool;
-  table : (string, nic) Hashtbl.t;  (* learned MAC -> port *)
+  table : nic Engine.Inttbl.t;  (* learned MAC (as [mac_key]) -> port *)
   mutable forwarded : int;
   mutable flooded : int;
   mutable dropped : int;
@@ -170,27 +180,26 @@ module Nic = struct
 
   (* Bridge-side arrival: learn the source port, forward or flood. *)
   let forward b src_nic frame ~time =
-    let src = Bytestruct.get_string frame 6 6 in
-    Hashtbl.replace b.table src src_nic;
-    let dst = Bytestruct.get_string frame 0 6 in
+    Engine.Inttbl.replace b.table (frame_mac_key frame 6) src_nic;
+    let dst = frame_mac_key frame 0 in
     let flood () =
       b.flooded <- b.flooded + 1;
       List.iter (fun n -> if n != src_nic then deliver n frame ~time) b.nics
     in
-    if dst = broadcast_mac then flood ()
+    if dst = broadcast_key then flood ()
     else
-      match Hashtbl.find_opt b.table dst with
-      | Some port when not port.attached ->
+      match Engine.Inttbl.find b.table dst with
+      | port when not port.attached ->
         (* Stale entry for a detached port, cleaned lazily here rather
            than by an O(table) sweep at detach time: behaves exactly as
            if detach had flushed it (unknown destination → flood). *)
-        Hashtbl.remove b.table dst;
+        Engine.Inttbl.remove b.table dst;
         flood ()
-      | Some port when port != src_nic ->
+      | port when port != src_nic ->
         b.forwarded <- b.forwarded + 1;
         deliver port frame ~time
-      | Some _ -> ()
-      | None -> flood ()
+      | _ -> ()
+      | exception Not_found -> flood ()
 
   (* One [netsim.fault.*] event per injected fault, so a trace of a
      chaotic run explains every retransmit the TCP layer records; the
@@ -358,7 +367,7 @@ module Bridge = struct
       nic_count = 0;
       detached_count = 0;
       static_fdb;
-      table = Hashtbl.create 32;
+      table = Engine.Inttbl.create 32;
       forwarded = 0;
       flooded = 0;
       dropped = 0;
@@ -402,7 +411,7 @@ module Bridge = struct
     in
     t.nics <- nic :: t.nics;
     t.nic_count <- t.nic_count + 1;
-    if t.static_fdb then Hashtbl.replace t.table mac nic;
+    if t.static_fdb then Engine.Inttbl.replace t.table (mac_key mac) nic;
     nic
 
   (* Unplug a port: the NIC stops sending and receiving, its learned
@@ -419,9 +428,10 @@ module Bridge = struct
     if nic.attached then begin
       nic.attached <- false;
       nic.rx <- None;
-      (match Hashtbl.find_opt t.table nic.mac with
-      | Some port when port == nic -> Hashtbl.remove t.table nic.mac
-      | _ -> ());
+      (let key = mac_key nic.mac in
+       match Engine.Inttbl.find_opt t.table key with
+       | Some port when port == nic -> Engine.Inttbl.remove t.table key
+       | _ -> ());
       t.detached_count <- t.detached_count + 1;
       if t.detached_count * 2 > t.nic_count then begin
         t.nics <- List.filter (fun n -> n.attached) t.nics;

@@ -66,7 +66,7 @@ let create sim eth ~ip =
       requests_sent = 0;
     }
   in
-  Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_arp (fun ~src:_ ~dst:_ ~payload ->
+  Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_arp (fun ~payload ->
       handle t ~payload);
   t
 

@@ -2,33 +2,30 @@ let ethertype_ipv4 = 0x0800
 let ethertype_arp = 0x0806
 let header_bytes = 14
 
-type handler = src:Macaddr.t -> dst:Macaddr.t -> payload:Bytestruct.t -> unit
+type handler = payload:Bytestruct.t -> unit
 
 type t = {
   netif : Devices.Netif.t;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler Engine.Inttbl.t;
 }
 
 let handle t frame =
   if Bytestruct.length frame >= header_bytes then begin
-    let dst = Macaddr.get frame 0 in
-    let src = Macaddr.get frame 6 in
     let ethertype = Bytestruct.BE.get_uint16 frame 12 in
-    let payload = Bytestruct.shift frame header_bytes in
-    match Hashtbl.find_opt t.handlers ethertype with
-    | Some f -> f ~src ~dst ~payload
-    | None -> ()
+    match Engine.Inttbl.find t.handlers ethertype with
+    | f -> f ~payload:(Bytestruct.shift frame header_bytes)
+    | exception Not_found -> ()
   end
 
 let create netif =
-  let t = { netif; handlers = Hashtbl.create 4 } in
+  let t = { netif; handlers = Engine.Inttbl.create 4 } in
   Devices.Netif.set_listener netif (fun frame -> handle t frame);
   t
 
 let mac t = Macaddr.of_bytes (Devices.Netif.mac t.netif)
 let mtu t = Devices.Netif.mtu t.netif
 
-let set_handler t ~ethertype f = Hashtbl.replace t.handlers ethertype f
+let set_handler t ~ethertype f = Engine.Inttbl.replace t.handlers ethertype f
 
 let output t ~dst ~ethertype fragments =
   let payload_len = Bytestruct.lenv fragments in

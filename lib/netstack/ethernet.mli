@@ -10,9 +10,9 @@ type t
 val ethertype_ipv4 : int
 val ethertype_arp : int
 
-(** Frames handed to handlers are views over driver pages valid only for
-    the duration of the callback. *)
-type handler = src:Macaddr.t -> dst:Macaddr.t -> payload:Bytestruct.t -> unit
+(** A handler gets the frame's payload after the Ethernet header: a view
+    over a driver page, valid only for the duration of the callback. *)
+type handler = payload:Bytestruct.t -> unit
 
 val create : Devices.Netif.t -> t
 

@@ -12,7 +12,7 @@ type t = {
   eth : Ethernet.t;
   arp : Arp.t;
   mutable cfg : config;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler Engine.Inttbl.t;
   mutable ident : int;
   mutable checksum_failures : int;
 }
@@ -24,12 +24,12 @@ let create sim eth arp cfg =
       eth;
       arp;
       cfg;
-      handlers = Hashtbl.create 4;
+      handlers = Engine.Inttbl.create 4;
       ident = 1;
       checksum_failures = 0;
     }
   in
-  Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_ipv4 (fun ~src:_ ~dst:_ ~payload ->
+  Ethernet.set_handler eth ~ethertype:Ethernet.ethertype_ipv4 (fun ~payload ->
       if Bytestruct.length payload < header_bytes then
         t.checksum_failures <- t.checksum_failures + 1
       else begin
@@ -53,12 +53,12 @@ let create sim eth arp cfg =
             || Ipaddr.equal t.cfg.address Ipaddr.any (* unconfigured: DHCP listens *)
           in
           if for_us then
-            match Hashtbl.find_opt t.handlers proto with
-            | Some f ->
+            match Engine.Inttbl.find t.handlers proto with
+            | f ->
               if Trace.Prof.enabled () then
                 Trace.Prof.hop Trace.Prof.Ip ~vcpu_ns:0 (fun () -> f ~src ~dst ~payload:body)
               else f ~src ~dst ~payload:body
-            | None -> ()
+            | exception Not_found -> ()
         end
       end);
   t
@@ -70,7 +70,7 @@ let set_config t cfg =
   t.cfg <- cfg;
   Arp.set_ip t.arp cfg.address
 
-let set_handler t ~proto f = Hashtbl.replace t.handlers proto f
+let set_handler t ~proto f = Engine.Inttbl.replace t.handlers proto f
 
 let payload_mtu t = Ethernet.mtu t.eth - header_bytes
 

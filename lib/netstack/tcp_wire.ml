@@ -59,8 +59,8 @@ let encode ~src ~dst seg =
   let h = Bytestruct.create hlen in
   Bytestruct.BE.set_uint16 h 0 seg.src_port;
   Bytestruct.BE.set_uint16 h 2 seg.dst_port;
-  Bytestruct.BE.set_uint32 h 4 (Int32.of_int (Seq.to_int seg.seq));
-  Bytestruct.BE.set_uint32 h 8 (Int32.of_int (Seq.to_int seg.ack));
+  Bytestruct.BE.set_uint32_int h 4 (Seq.to_int seg.seq);
+  Bytestruct.BE.set_uint32_int h 8 (Seq.to_int seg.ack);
   Bytestruct.BE.set_uint16 h 12 (((hlen / 4) lsl 12) lor encode_flags seg.flags);
   Bytestruct.BE.set_uint16 h 14 seg.window;
   Bytestruct.BE.set_uint16 h 16 0;
@@ -125,8 +125,8 @@ let decode ~src ~dst buf =
         {
           src_port = Bytestruct.BE.get_uint16 buf 0;
           dst_port = Bytestruct.BE.get_uint16 buf 2;
-          seq = Seq.of_int (Int32.to_int (Bytestruct.BE.get_uint32 buf 4) land 0xFFFFFFFF);
-          ack = Seq.of_int (Int32.to_int (Bytestruct.BE.get_uint32 buf 8) land 0xFFFFFFFF);
+          seq = Seq.of_int (Bytestruct.BE.get_uint32_int buf 4);
+          ack = Seq.of_int (Bytestruct.BE.get_uint32_int buf 8);
           flags =
             {
               fin = fl land 0x01 <> 0;

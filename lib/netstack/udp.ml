@@ -17,7 +17,7 @@ type sock = {
 type t = {
   sim : Engine.Sim.t;
   ip : Ipv4.t;
-  listeners : (int, sock) Hashtbl.t;
+  listeners : sock Engine.Inttbl.t;
   mutable sent : int;
   mutable received : int;
   mutable checksum_failures : int;
@@ -46,12 +46,12 @@ let handle t ~src ~dst ~payload =
       else begin
         t.received <- t.received + 1;
         let body = Bytestruct.sub payload header_bytes (len - header_bytes) in
-        match Hashtbl.find_opt t.listeners dst_port with
-        | Some s ->
+        match Engine.Inttbl.find t.listeners dst_port with
+        | s ->
           s.s_rx <- s.s_rx + 1;
           s.s_last_ns <- Engine.Sim.now t.sim;
           s.s_cb ~src ~src_port ~dst_port ~payload:body
-        | None -> t.no_listener <- t.no_listener + 1
+        | exception Not_found -> t.no_listener <- t.no_listener + 1
       end
     end
   end
@@ -61,7 +61,7 @@ let create sim ?dom ip =
     {
       sim;
       ip;
-      listeners = Hashtbl.create 8;
+      listeners = Engine.Inttbl.create 8;
       sent = 0;
       received = 0;
       checksum_failures = 0;
@@ -80,14 +80,14 @@ let create sim ?dom ip =
        reg "udp_checksum_failures" (fun () -> t.checksum_failures);
        reg "udp_no_listener" (fun () -> t.no_listener);
        Trace.Metrics.register_read ~dom ~kind:Trace.Metrics.Gauge "udp_bound_ports" (fun () ->
-           Hashtbl.length t.listeners));
+           Engine.Inttbl.length t.listeners));
   t
 
 let listen t ~port f =
-  Hashtbl.replace t.listeners port
+  Engine.Inttbl.replace t.listeners port
     { s_cb = f; s_bound_ns = Engine.Sim.now t.sim; s_rx = 0; s_tx = 0; s_last_ns = Engine.Sim.now t.sim }
 
-let unlisten t ~port = Hashtbl.remove t.listeners port
+let unlisten t ~port = Engine.Inttbl.remove t.listeners port
 
 let sendto t ~src_port ~dst ~dst_port payload =
   let len = header_bytes + Bytestruct.length payload in
@@ -102,11 +102,11 @@ let sendto t ~src_port ~dst ~dst_port payload =
   let csum = Checksum.finish csum in
   Bytestruct.BE.set_uint16 h 6 (if csum = 0 then 0xffff else csum);
   t.sent <- t.sent + 1;
-  (match Hashtbl.find_opt t.listeners src_port with
-  | Some s ->
+  (match Engine.Inttbl.find t.listeners src_port with
+  | s ->
     s.s_tx <- s.s_tx + 1;
     s.s_last_ns <- Engine.Sim.now t.sim
-  | None -> ());
+  | exception Not_found -> ());
   Ipv4.output t.ip ~dst ~proto:Ipv4.proto_udp [ h; payload ]
 
 let datagrams_sent t = t.sent
@@ -125,7 +125,7 @@ type sock_info = {
 
 let sockets t =
   let now = Engine.Sim.now t.sim in
-  Hashtbl.fold
+  Engine.Inttbl.fold
     (fun port s acc ->
       {
         si_local_port = port;

@@ -810,7 +810,7 @@ module Prof = struct
     cur := node;
     restoring prev f
 
-  let account ?(dom = -1) ?(wait_ns = 0) run_ns =
+  let account ~dom ~wait_ns run_ns =
     if plane.on then begin
       let node = !cur in
       let a =

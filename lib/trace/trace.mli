@@ -210,6 +210,10 @@ end
 type span
 
 val span : ?dom:int -> ?payload:payload -> cat:category -> string -> span
+
+(** The span [span] returns while tracing is off: never live, so
+    [finish] ignores it. A placeholder for tables of open spans. *)
+val dead_span : span
 val finish : ?payload:payload -> span -> unit
 
 (** [record_span_ns ~dom ~cat name dur] records a duration measured
@@ -389,8 +393,10 @@ module Prof : sig
   val wrap : node -> (unit -> unit) -> unit
 
   (** [account ~dom ~wait_ns run_ns] attributes one vCPU charge to the
-      ambient stack. Called from the vCPU accounting chokepoint. *)
-  val account : ?dom:int -> ?wait_ns:int -> int -> unit
+      ambient stack. Called from the vCPU accounting chokepoint, so its
+      arguments are plain labels: an optional one would box a [Some] per
+      call. *)
+  val account : dom:int -> wait_ns:int -> int -> unit
 
   (** All non-empty (stack, dom) accumulators, sorted by (stack, dom).
       Deterministic for deterministic runs. *)

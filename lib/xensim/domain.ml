@@ -11,6 +11,9 @@ type t = {
   mutable state : state;
   cpu_free_at : int array;
   mutable busy_ns : int;
+  lanes : Engine.Sim.lane array;
+  mutable acc : Engine.Sim.vcpu_acc option;
+  mutable slice_start : int;
 }
 
 let create ~sim ~stats ~id ~name ~mem_mib ~platform ?(vcpus = 1) () =
@@ -26,6 +29,9 @@ let create ~sim ~stats ~id ~name ~mem_mib ~platform ?(vcpus = 1) () =
     state = Building;
     cpu_free_at = Array.make vcpus 0;
     busy_ns = 0;
+    lanes = Array.init vcpus (fun _ -> Engine.Sim.lane sim);
+    acc = None;
+    slice_start = 0;
   }
 
 let vcpus d = Array.length d.cpu_free_at
@@ -35,23 +41,47 @@ let vcpus d = Array.length d.cpu_free_at
    configurations beat scale-up. *)
 let contention_factor d = 1.0 +. (0.15 *. float_of_int (vcpus d - 1))
 
-let reserve_slice d cost =
-  let cost = int_of_float (float_of_int (max 0 cost) *. contention_factor d) in
-  let now = Engine.Sim.now d.sim in
-  (* Least-loaded vCPU. *)
-  let lane = ref 0 in
-  Array.iteri (fun i v -> if v < d.cpu_free_at.(!lane) then lane := i) d.cpu_free_at;
-  let start = max now d.cpu_free_at.(!lane) in
-  let finish = start + cost in
-  d.cpu_free_at.(!lane) <- finish;
+(* The simulator's accumulator, looked up on the first slice (when, with
+   metrics on, it is registered) and held from then on. *)
+let acc d =
+  match d.acc with
+  | Some a -> a
+  | None ->
+    let a = Engine.Sim.vcpu_acc d.sim ~dom:d.id in
+    d.acc <- Some a;
+    a
+
+(* Book [cost] ns on [vcpu] from [now]. *)
+let book d vcpu cost now =
+  let free = Array.unsafe_get d.cpu_free_at vcpu in
+  let start = if now > free then now else free in
+  Array.unsafe_set d.cpu_free_at vcpu (start + cost);
+  d.slice_start <- start;
   d.busy_ns <- d.busy_ns + cost;
-  Engine.Sim.vcpu_account d.sim ~dom:d.id ~run_ns:cost ~wait_ns:(start - now);
+  Engine.Sim.vcpu_slice (acc d) ~run_ns:cost ~wait_ns:(start - now);
   (* Profiler tick: every vCPU nanosecond charged lands on the ambient
      layer stack (the scheduler re-installs it across deferred hops). *)
   if Trace.Prof.enabled () then Trace.Prof.account ~dom:d.id ~wait_ns:(start - now) cost;
-  (start, finish)
+  vcpu
 
-let reserve d cost = snd (reserve_slice d cost)
+(* Reserve a slice on the least-loaded vCPU and return that vCPU: the
+   slice runs from [d.slice_start] to its [cpu_free_at]. An index rather
+   than a (start, finish) pair keeps the charge path allocation-free, and
+   a single vCPU (every unikernel) skips the search and the SMP tax. *)
+let reserve_slice d cost =
+  let now = Engine.Sim.now d.sim in
+  let n = Array.length d.cpu_free_at in
+  if n = 1 then book d 0 (max 0 cost) now
+  else begin
+    let cost = int_of_float (float_of_int (max 0 cost) *. contention_factor d) in
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if d.cpu_free_at.(i) < d.cpu_free_at.(!best) then best := i
+    done;
+    book d !best cost now
+  end
+
+let reserve d cost = d.cpu_free_at.(reserve_slice d cost)
 
 (* Runs when the slice completes: retro-record the wakeup latency
    [queued, start] and the execution [start, finish] so the offline
@@ -69,21 +99,25 @@ let note_slice d ~queued ~start ~finish () =
 
 let charge d ~cost =
   let queued = Engine.Sim.now d.sim in
-  let start, finish = reserve_slice d cost in
+  let finish = reserve d cost in
+  let start = d.slice_start in
   let p = Mthread.Promise.sleep d.sim (finish - queued) in
   if Trace.enabled () then Mthread.Promise.map (note_slice d ~queued ~start ~finish) p else p
 
 let charge_k d ~cost k =
   let queued = Engine.Sim.now d.sim in
-  let start, finish = reserve_slice d cost in
+  let vcpu = reserve_slice d cost in
+  let finish = d.cpu_free_at.(vcpu) in
   let k =
-    if Trace.enabled () then (
+    if Trace.enabled () then begin
+      let start = d.slice_start in
       fun () ->
         note_slice d ~queued ~start ~finish ();
-        k ())
+        k ()
+    end
     else k
   in
-  ignore (Engine.Sim.at d.sim ~time:finish k)
+  Engine.Sim.lane_at d.lanes.(vcpu) ~time:finish k
 
 let utilisation d ~span_ns =
   if span_ns <= 0 then 0.0

@@ -17,6 +17,9 @@ type t = {
   mutable state : state;
   cpu_free_at : int array;  (** per-vCPU: virtual time at which it next idles *)
   mutable busy_ns : int;  (** cumulative vCPU busy time, all vCPUs *)
+  lanes : Engine.Sim.lane array;  (** per-vCPU run queue of {!charge_k} continuations *)
+  mutable acc : Engine.Sim.vcpu_acc option;  (** the engine's accumulator, from the first slice *)
+  mutable slice_start : int;  (** start of the slice reserved last *)
 }
 
 (** [vcpus] defaults to 1 — the multikernel one-vCPU-per-unikernel model;
@@ -43,7 +46,9 @@ val charge : t -> cost:int -> unit Mthread.Promise.t
 (** Continuation variant: reserve [cost] ns of vCPU and call [k] when it has
     elapsed — the same event, instant and tie order as {!charge}, without
     the promise. The packet path uses it, so what waits out a busy vCPU's
-    backlog is only what [k] closes over. *)
+    backlog is only what [k] closes over. [k] waits on the vCPU's run
+    queue ({!Engine.Sim.lane_at}), so a backlog of slices is one event-queue
+    entry. *)
 val charge_k : t -> cost:int -> (unit -> unit) -> unit
 
 (** Fraction of virtual time [0..span] the vCPU was busy, given a span. *)

@@ -14,7 +14,7 @@ type port_state = {
 type t = {
   sim : Engine.Sim.t;
   stats : Xstats.t;
-  ports : (port, port_state) Hashtbl.t;
+  ports : port_state Engine.Inttbl.t;
   mutable next_port : int;
 }
 
@@ -22,17 +22,17 @@ type t = {
    sets the pending bit. *)
 let delivery_latency_ns = 700
 
-let create ~sim ~stats = { sim; stats; ports = Hashtbl.create 64; next_port = 1 }
+let create ~sim ~stats = { sim; stats; ports = Engine.Inttbl.create 64; next_port = 1 }
 
 let get t p =
-  match Hashtbl.find_opt t.ports p with
-  | Some st when not st.closed -> st
-  | Some _ | None -> raise (Invalid_port p)
+  match Engine.Inttbl.find t.ports p with
+  | st when not st.closed -> st
+  | _ | (exception Not_found) -> raise (Invalid_port p)
 
 let fresh t ~owner =
   let p = t.next_port in
   t.next_port <- t.next_port + 1;
-  Hashtbl.replace t.ports p
+  Engine.Inttbl.replace t.ports p
     { owner; peer = None; handler = None; masked = false; pending = false; closed = false };
   p
 
@@ -112,21 +112,21 @@ let is_pending t p = (get t p).pending
    hold the [port_state] record directly and check [closed], so removal
    is safe; [close] is idempotent because teardown paths race. *)
 let close t p =
-  match Hashtbl.find_opt t.ports p with
+  match Engine.Inttbl.find_opt t.ports p with
   | None -> ()
   | Some st ->
     st.closed <- true;
     st.handler <- None;
-    Hashtbl.remove t.ports p;
+    Engine.Inttbl.remove t.ports p;
     (match st.peer with
     | None -> ()
     | Some q -> (
-      match Hashtbl.find_opt t.ports q with
+      match Engine.Inttbl.find_opt t.ports q with
       | Some peer ->
         peer.peer <- None;
         peer.closed <- true;
         peer.handler <- None;
-        Hashtbl.remove t.ports q
+        Engine.Inttbl.remove t.ports q
       | None -> ()))
 
 let owner t p = (get t p).owner

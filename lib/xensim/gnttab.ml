@@ -22,15 +22,15 @@ type entry = {
   mutable mapped_by : int list;
 }
 
-type t = { stats : Xstats.t; entries : (grant_ref, entry) Hashtbl.t; mutable next_ref : int }
+type t = { stats : Xstats.t; entries : entry Engine.Inttbl.t; mutable next_ref : int }
 
 let trace_op op ~by r =
   if Trace.enabled () then Trace.emit ~dom:by ~cat:Trace.Gnttab ~payload:[ ("gref", Trace.Int r) ] op
 
-let create ~stats = { stats; entries = Hashtbl.create 128; next_ref = 8 }
+let create ~stats = { stats; entries = Engine.Inttbl.create 128; next_ref = 8 }
 
 let get t r =
-  match Hashtbl.find_opt t.entries r with Some e -> e | None -> raise (Invalid_grant r)
+  match Engine.Inttbl.find t.entries r with e -> e | exception Not_found -> raise (Invalid_grant r)
 
 let unfilled = Bytestruct.create 0
 let no_fill _ = unfilled
@@ -38,7 +38,7 @@ let no_fill _ = unfilled
 let grant t ~dom ~peer ~writable page fill key =
   let r = t.next_ref in
   t.next_ref <- t.next_ref + 1;
-  Hashtbl.replace t.entries r { dom; peer; writable; page; fill; key; mapped_by = [] };
+  Engine.Inttbl.replace t.entries r { dom; peer; writable; page; fill; key; mapped_by = [] };
   r
 
 let grant_access t ~dom ~peer ~writable page = grant t ~dom ~peer ~writable page no_fill 0
@@ -93,7 +93,7 @@ let copy_to t ~by r ~src =
 let end_access t r =
   let e = get t r in
   if e.mapped_by <> [] then raise (Grant_busy r);
-  Hashtbl.remove t.entries r
+  Engine.Inttbl.remove t.entries r
 
-let active_grants t = Hashtbl.length t.entries
+let active_grants t = Engine.Inttbl.length t.entries
 

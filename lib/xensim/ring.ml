@@ -35,10 +35,10 @@ module Sring = struct
     let t = attach page ~slot_bytes in
     (* As RING_INIT: producers at 0, event thresholds armed at 1 so the
        very first push triggers a notification. *)
-    Bytestruct.LE.set_uint32 page 0 0l;
-    Bytestruct.LE.set_uint32 page 4 1l;
-    Bytestruct.LE.set_uint32 page 8 0l;
-    Bytestruct.LE.set_uint32 page 12 1l;
+    Bytestruct.LE.set_uint32_int page 0 0;
+    Bytestruct.LE.set_uint32_int page 4 1;
+    Bytestruct.LE.set_uint32_int page 8 0;
+    Bytestruct.LE.set_uint32_int page 12 1;
     t
 
   let nr_slots t = t.nr_slots
@@ -47,8 +47,8 @@ module Sring = struct
     let idx = i land (t.nr_slots - 1) in
     Bytestruct.sub t.page (header_bytes + (idx * t.slot_bytes)) t.slot_bytes
 
-  let get t off = u32 (Int32.to_int (Bytestruct.LE.get_uint32 t.page off))
-  let set t off v = Bytestruct.LE.set_uint32 t.page off (Int32.of_int (u32 v))
+  let get t off = Bytestruct.LE.get_uint32_int t.page off
+  let set t off v = Bytestruct.LE.set_uint32_int t.page off v
 
   let req_prod t = get t 0
   let set_req_prod t v = set t 0 v

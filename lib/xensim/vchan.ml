@@ -26,8 +26,8 @@ type endpoint = {
 }
 
 let u32 x = x land 0xFFFFFFFF
-let get sh off = u32 (Int32.to_int (Bytestruct.LE.get_uint32 sh.ctrl off))
-let set sh off v = Bytestruct.LE.set_uint32 sh.ctrl off (Int32.of_int (u32 v))
+let get sh off = Bytestruct.LE.get_uint32_int sh.ctrl off
+let set sh off v = Bytestruct.LE.set_uint32_int sh.ctrl off v
 let get_flag sh off = Bytestruct.get_uint8 sh.ctrl off = 1
 let set_flag sh off b = Bytestruct.set_uint8 sh.ctrl off (if b then 1 else 0)
 

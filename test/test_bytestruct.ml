@@ -122,6 +122,60 @@ let test_equal_compare_allocate_nothing () =
   let words = Gc.minor_words () -. w0 in
   if words > 16. then Alcotest.failf "1000 equal+compare pairs allocated %.0f words" words
 
+(* The int-valued u32 accessors: full unsigned range at unaligned
+   offsets, the same bytes as the int32 accessors, the same bounds
+   errors, and no allocation. *)
+let test_uint32_int () =
+  let b = Bytestruct.sub (Bytestruct.create 16) 1 12 in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun off ->
+          Bytestruct.LE.set_uint32_int b off v;
+          check_int (Printf.sprintf "LE %d at %d" v off) v (Bytestruct.LE.get_uint32_int b off);
+          Alcotest.(check int32) "LE same bytes as int32" (Int32.of_int v)
+            (Bytestruct.LE.get_uint32 b off);
+          Bytestruct.BE.set_uint32_int b off v;
+          check_int (Printf.sprintf "BE %d at %d" v off) v (Bytestruct.BE.get_uint32_int b off);
+          Alcotest.(check int32) "BE same bytes as int32" (Int32.of_int v)
+            (Bytestruct.BE.get_uint32 b off))
+        [ 0; 1; 3; 5; 8 ])
+    [ 0; 1 lsl 31; (1 lsl 32) - 1 ];
+  Bytestruct.LE.set_uint32_int b 0 0x01020304;
+  check_int "little-endian byte order" 0x04 (Bytestruct.get_uint8 b 0);
+  Bytestruct.BE.set_uint32_int b 0 0x01020304;
+  check_int "big-endian byte order" 0x01 (Bytestruct.get_uint8 b 0);
+  let raises name f =
+    let expected =
+      match f `Int32 with
+      | () -> Alcotest.failf "%s: int32 accessor did not raise" name
+      | exception Invalid_argument m -> m
+    in
+    Alcotest.check_raises name (Invalid_argument expected) (fun () -> f `Int)
+  in
+  List.iter
+    (fun off ->
+      raises (Printf.sprintf "LE get at %d" off) (function
+        | `Int32 -> ignore (Bytestruct.LE.get_uint32 b off)
+        | `Int -> ignore (Bytestruct.LE.get_uint32_int b off));
+      raises (Printf.sprintf "LE set at %d" off) (function
+        | `Int32 -> Bytestruct.LE.set_uint32 b off 0l
+        | `Int -> Bytestruct.LE.set_uint32_int b off 0);
+      raises (Printf.sprintf "BE get at %d" off) (function
+        | `Int32 -> ignore (Bytestruct.BE.get_uint32 b off)
+        | `Int -> ignore (Bytestruct.BE.get_uint32_int b off));
+      raises (Printf.sprintf "BE set at %d" off) (function
+        | `Int32 -> Bytestruct.BE.set_uint32 b off 0l
+        | `Int -> Bytestruct.BE.set_uint32_int b off 0))
+    [ -1; 9; 12 ];
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Bytestruct.LE.set_uint32_int b 5 (Sys.opaque_identity i);
+    ignore (Sys.opaque_identity (Bytestruct.LE.get_uint32_int b 5))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0. then Alcotest.failf "1000 get/set pairs allocated %.0f words" words
+
 let test_get_set_string () =
   let b = Bytestruct.create 10 in
   Bytestruct.set_string b 2 "hey";
@@ -220,6 +274,8 @@ let () =
           Alcotest.test_case "equal/compare" `Quick test_equal_compare;
           Alcotest.test_case "equal/compare allocate nothing" `Quick
             test_equal_compare_allocate_nothing;
+          Alcotest.test_case "u32 as int: round trip, bounds, no allocation" `Quick
+            test_uint32_int;
           Alcotest.test_case "string get/set" `Quick test_get_set_string;
           Alcotest.test_case "hexdump" `Quick test_hexdump;
         ] );

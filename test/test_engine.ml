@@ -40,6 +40,41 @@ let test_prng_split_independent () =
   check_bool "split differs from parent" true
     (Engine.Prng.next_int64 p <> Engine.Prng.next_int64 q)
 
+(* The SplitMix64 stream is part of every seeded result: pin it, and
+   that a draw allocates nothing. *)
+let test_prng_stream_pinned () =
+  let p = Engine.Prng.create ~seed:42 () in
+  Alcotest.(check (list int64))
+    "first 8 values for seed 42"
+    [
+      -4767286540954276203L;
+      2949826092126892291L;
+      5139283748462763858L;
+      6349198060258255764L;
+      701532786141963250L;
+      -2430762948046562554L;
+      4028864712777624925L;
+      -3677692746721775708L;
+    ]
+    (List.init 8 (fun _ -> Engine.Prng.next_int64 p));
+  let p = Engine.Prng.create ~seed:42 () in
+  check_int "int" 706 (Engine.Prng.int p 1000);
+  Alcotest.(check (float 0.)) "float scaled" 0.39977598219230026 (Engine.Prng.float p 2.5);
+  Alcotest.(check (float 0.)) "float" 0x1.1d499d5c4c3e6p-2 (Engine.Prng.float p 1.0);
+  let q = Engine.Prng.split p in
+  Alcotest.(check int64) "split stream" 3676294358273406211L (Engine.Prng.next_int64 q);
+  Alcotest.(check int64) "parent after split" 701532786141963250L (Engine.Prng.next_int64 p);
+  check_bool "bool" false (Engine.Prng.bool p);
+  check_int "int max_int" 2014432356388812462 (Engine.Prng.int p max_int);
+  let w0 = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to 1000 do
+    acc := !acc + Engine.Prng.int p 1000
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  if words <> 0. then Alcotest.failf "1000 Prng.int draws allocated %.0f words" words
+
 let test_prng_shuffle_permutation () =
   let p = Engine.Prng.create ~seed:6 () in
   let arr = Array.init 50 (fun i -> i) in
@@ -391,6 +426,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
+          Alcotest.test_case "stream pinned, int allocates nothing" `Quick test_prng_stream_pinned;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "exponential" `Quick test_prng_exponential_positive;
         ] );

@@ -148,7 +148,7 @@ let test_destroy_clears_series () =
       let victim = b.dom.Xensim.Domain.id in
       (* some traffic was attributed to the server... *)
       Trace.Flight.note ~dom:victim ~cat:Trace.Net "breadcrumb";
-      Trace.Prof.account ~dom:victim 1_000;
+      Trace.Prof.account ~dom:victim ~wait_ns:0 1_000;
       check_bool "flight ring exists before destroy" true
         (Trace.Flight.recent victim <> []);
       check_bool "profiler series exist before destroy" true

@@ -436,12 +436,12 @@ let find_stat ~dom ~stack =
 
 let test_prof_folded_stacks () =
   with_prof (fun () ->
-      Trace.Prof.account ~dom:2 10;
+      Trace.Prof.account ~dom:2 ~wait_ns:0 10;
       Trace.Prof.with_frame "netif" (fun () ->
-          Trace.Prof.account ~dom:1 100;
+          Trace.Prof.account ~dom:1 ~wait_ns:0 100;
           Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:1 ~wait_ns:7 50));
       (* a second visit interns the same frame node and accumulates *)
-      Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 25);
+      Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 ~wait_ns:0 25);
       (match find_stat ~dom:2 ~stack:"engine" with
       | Some s -> check_int "root run" 10 s.Trace.Prof.p_run_ns
       | None -> Alcotest.fail "no engine stack for dom 2");
@@ -464,7 +464,7 @@ let test_prof_bookkeeping_allocates_nothing () =
   with_prof (fun () ->
       let body () =
         Trace.Prof.account ~dom:1 ~wait_ns:2 3;
-        Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:1 5)
+        Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:1 ~wait_ns:0 5)
       in
       let round () =
         Trace.Prof.with_frame "netif" body;
@@ -481,6 +481,22 @@ let test_prof_bookkeeping_allocates_nothing () =
       | Some s -> check_int "every round counted" 1001 s.Trace.Prof.p_samples
       | None -> Alcotest.fail "no engine;netif;tcp stack")
 
+(* The vCPU chokepoint calls [account] once per charge with arguments
+   that change every call; plain labels box nothing. *)
+let test_prof_account_allocates_nothing () =
+  with_prof (fun () ->
+      Trace.Prof.account ~dom:1 ~wait_ns:0 0;
+      Trace.Prof.account ~dom:2 ~wait_ns:0 0;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 1000 do
+        Trace.Prof.account ~dom:(1 + (i land 1)) ~wait_ns:(Sys.opaque_identity i) (2 * i)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      if words <> 0. then Alcotest.failf "1000 account calls allocated %.0f words" words;
+      match find_stat ~dom:2 ~stack:"engine" with
+      | Some s -> check_int "half the calls on dom 2" 501 s.Trace.Prof.p_samples
+      | None -> Alcotest.fail "no engine row for dom 2")
+
 (* The frame stack is ambient: a callback deferred through the scheduler
    chokepoint keeps the stack of the code that scheduled it (same
    capture trick as causal flow ids). *)
@@ -490,7 +506,7 @@ let test_prof_scheduler_capture () =
       Trace.Prof.with_frame "netif" (fun () ->
           ignore
             (Engine.Sim.schedule sim ~delay:10 (fun () ->
-                 Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:3 77))));
+                 Trace.Prof.with_frame "tcp" (fun () -> Trace.Prof.account ~dom:3 ~wait_ns:0 77))));
       Engine.Sim.run sim;
       match find_stat ~dom:3 ~stack:"engine;netif;tcp" with
       | Some s -> check_int "deferred account keeps the stack" 77 s.Trace.Prof.p_run_ns
@@ -502,7 +518,7 @@ let test_prof_reset_keeps_pending_frames () =
   with_prof (fun () ->
       let sim = Engine.Sim.create () in
       Trace.Prof.with_frame "netif" (fun () ->
-          ignore (Engine.Sim.schedule sim ~delay:10 (fun () -> Trace.Prof.account ~dom:4 33)));
+          ignore (Engine.Sim.schedule sim ~delay:10 (fun () -> Trace.Prof.account ~dom:4 ~wait_ns:0 33)));
       Trace.Prof.reset ();
       Engine.Sim.run sim;
       check_int "rows" 1 (List.length (Trace.Prof.stats ()));
@@ -557,8 +573,8 @@ let test_prof_exact_on_real_run () =
 let test_prof_unregister () =
   with_prof (fun () ->
       Trace.Prof.with_frame "netif" (fun () ->
-          Trace.Prof.account ~dom:1 10;
-          Trace.Prof.account ~dom:2 20);
+          Trace.Prof.account ~dom:1 ~wait_ns:0 10;
+          Trace.Prof.account ~dom:2 ~wait_ns:0 20);
       Trace.drop_dom 1;
       check_bool "dom 1 series dropped" true (find_stat ~dom:1 ~stack:"engine;netif" = None);
       match find_stat ~dom:2 ~stack:"engine;netif" with
@@ -567,8 +583,8 @@ let test_prof_unregister () =
 
 let test_prof_disabled_noop () =
   Trace.Prof.reset ();
-  Trace.Prof.account ~dom:1 100;
-  Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 100);
+  Trace.Prof.account ~dom:1 ~wait_ns:0 100;
+  Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 ~wait_ns:0 100);
   check_bool "disabled profiler stays empty" true (Trace.Prof.stats () = [])
 
 (* A hop on a disabled plane runs its body and records nothing. *)
@@ -591,7 +607,7 @@ let test_dpath_exclusive () =
       Trace.Prof.hop Trace.Prof.Netfront ~vcpu_ns:100 (fun () ->
           ignore (Sys.opaque_identity (Bytes.create 64));
           Trace.Prof.hop Trace.Prof.Tcp ~vcpu_ns:40 (fun () ->
-              Trace.Prof.account ~dom:1 7;
+              Trace.Prof.account ~dom:1 ~wait_ns:0 7;
               ignore (Sys.opaque_identity (Bytes.create 200_000))));
       check_bool "charge inside nested hops lands on their frames" true
         (find_stat ~dom:1 ~stack:"engine;netfront;tcp" <> None);
@@ -680,7 +696,7 @@ let record_series doms =
   List.iter
     (fun dom ->
       Trace.Metrics.inc (Trace.Metrics.counter ~dom "requests") 1;
-      Trace.Prof.account ~dom 10;
+      Trace.Prof.account ~dom ~wait_ns:0 10;
       Trace.Flight.note ~dom ~cat:Trace.Net "breadcrumb")
     doms
 
@@ -720,7 +736,7 @@ let test_quiesce () =
   Trace.emit ~cat:Trace.Net "event";
   Trace.record_span_ns ~cat:Trace.Net "span" 5;
   record_series [ 1 ];
-  Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 5);
+  Trace.Prof.with_frame "netif" (fun () -> Trace.Prof.account ~dom:1 ~wait_ns:0 5);
   Trace.Prof.hop Trace.Prof.Ip ~vcpu_ns:1 (fun () -> ());
   Trace.Flight.watermark "queue" 3;
   Trace.Flight.trip ~reason:"test" ();
@@ -865,6 +881,8 @@ let () =
           Alcotest.test_case "profiler folded stacks" `Quick test_prof_folded_stacks;
           Alcotest.test_case "profiler bookkeeping allocates nothing" `Quick
             test_prof_bookkeeping_allocates_nothing;
+          Alcotest.test_case "Prof.account allocates nothing" `Quick
+            test_prof_account_allocates_nothing;
           Alcotest.test_case "profiler ambient capture via scheduler" `Quick
             test_prof_scheduler_capture;
           Alcotest.test_case "callback scheduled under a frame before reset is counted after it"

@@ -665,6 +665,84 @@ let test_charge_and_charge_k_interchangeable () =
             | None -> Alcotest.fail (label ^ ": no engine;tcp row")))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
+(* Each vCPU's charge_k continuations wait on its own run queue, with
+   only the queue's head in the event heap. Mixed with plain events they
+   must still fire in (time, call order), [Sim.pending] must count every
+   queued continuation, and a destroyed domain's queues drain. *)
+let test_lane_order () =
+  let sim = Engine.Sim.create () in
+  let hv = Xensim.Hypervisor.create sim in
+  let dom vcpus =
+    Xensim.Hypervisor.create_domain hv ~name:"lanes" ~mem_mib:16 ~platform:Platform.xen_extent
+      ~vcpus ()
+  in
+  let d1 = dom 1 and d3 = dom 3 in
+  let t0 = Engine.Sim.now sim in
+  let calls = ref 0 and outstanding = ref 0 and expected = ref [] and fired = ref [] in
+  let record label due f =
+    let id = !calls in
+    incr calls;
+    incr outstanding;
+    expected := (due, id, label) :: !expected;
+    fun () ->
+      decr outstanding;
+      fired := (Engine.Sim.now sim, id, label) :: !fired;
+      f ()
+  in
+  let nop () = () in
+  let at label time f = ignore (Engine.Sim.at sim ~time:(t0 + time) (record label (t0 + time) f)) in
+  let schedule label delay f =
+    ignore (Engine.Sim.schedule sim ~delay (record label (Engine.Sim.now sim + delay) f))
+  in
+  (* Where the slice ends: the least-loaded vCPU, SMP tax on more than
+     one. *)
+  let k label d cost f =
+    let free = d.Xensim.Domain.cpu_free_at in
+    let n = Array.length free in
+    let scaled = int_of_float (float_of_int cost *. (1.0 +. (0.15 *. float_of_int (n - 1)))) in
+    let best = ref 0 in
+    Array.iteri (fun i v -> if v < free.(!best) then best := i) free;
+    let due = max (Engine.Sim.now sim) free.(!best) + scaled in
+    Xensim.Domain.charge_k d ~cost (record label due f)
+  in
+  k "d1 a" d1 1000 nop;
+  at "at 1000" 1000 nop;
+  k "d1 b" d1 500 (fun () ->
+      k "d1 b again" d1 0 nop;
+      schedule "sched in b" 0 nop;
+      k "d1 b third" d1 100 nop);
+  k "d3 a" d3 1000 nop;
+  k "d3 b" d3 1000 (fun () -> k "d3 b again" d3 1000 nop);
+  schedule "sched 1300" 1300 nop;
+  k "d3 c" d3 1000 nop;
+  k "d3 d" d3 500 (fun () ->
+      k "d3 d again" d3 0 nop;
+      at "at 1950" 1950 nop);
+  k "d1 c" d1 0 nop;
+  at "at 1500" 1500 nop;
+  k "d3 e" d3 0 nop;
+  at "at 0" 0 nop;
+  Xensim.Hypervisor.destroy hv d3;
+  check_int "pending before the run" !outstanding (Engine.Sim.pending sim);
+  while Engine.Sim.step sim do
+    check_int
+      (Printf.sprintf "pending after step %d" (List.length !fired))
+      !outstanding (Engine.Sim.pending sim)
+  done;
+  let key (t, id, label) = (label, (t - t0, id)) in
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "fired in (time, call order) at the expected instants"
+    (List.map key (List.sort compare !expected))
+    (List.rev_map key !fired);
+  check_int "every event fired" !calls (List.length !fired);
+  let queued d =
+    Array.fold_left (fun n l -> n + Engine.Sim.lane_length l) 0 d.Xensim.Domain.lanes
+  in
+  check_int "1-vCPU domain's run queue empty" 0 (queued d1);
+  check_int "destroyed 3-vCPU domain's run queues empty" 0 (queued d3);
+  check_int "nothing pending" 0 (Engine.Sim.pending sim)
+
 let test_domain_multi_vcpu_parallel () =
   let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"smp" ~mem_mib:16 ~platform:Platform.linux_pv ~vcpus:2 () in
@@ -768,6 +846,8 @@ let () =
           Alcotest.test_case "charge serialises on one vcpu" `Quick test_domain_charge_serialises;
           Alcotest.test_case "charge and charge_k are interchangeable" `Quick
             test_charge_and_charge_k_interchangeable;
+          Alcotest.test_case "run queues keep (time, call order) and the pending count" `Quick
+            test_lane_order;
           Alcotest.test_case "multi-vcpu parallel with tax" `Quick test_domain_multi_vcpu_parallel;
           Alcotest.test_case "utilisation" `Quick test_domain_utilisation;
           Alcotest.test_case "vcpu accounting" `Quick test_vcpu_accounting;
