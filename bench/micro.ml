@@ -172,12 +172,29 @@ let test_eventq_hold pending =
          let f = Engine.Eventq.take q in
          ignore (Engine.Eventq.push q ~time:(time + increment ()) f)))
 
+(* The same hold model on a lane (Engine.Sim.lane): one [Sim.step] pops
+   the lane's head, puts the next entry in the heap, and the fired entry
+   queues itself again at the tail, a constant delay later. With one
+   entry the lane's head enters and leaves a one-entry heap every step;
+   with 128 the heap still holds one entry and the rest wait in the ring.
+   A step includes the simulator's dispatch, which the eventq rows do
+   not. *)
+let test_lane_hold queued =
+  let sim = Engine.Sim.create () in
+  let l = Engine.Sim.lane sim in
+  let rec tick () = Engine.Sim.lane_at l ~time:(Engine.Sim.now sim + queued) tick in
+  for time = 1 to queued do
+    Engine.Sim.lane_at l ~time tick
+  done;
+  Test.make ~name:(Printf.sprintf "sim lane hold %d queued" queued)
+    (Staged.stage (fun () -> ignore (Engine.Sim.step sim)))
+
 let all_tests =
   [
     test_dns_encode_fmap; test_dns_encode_hashtable; test_compress_fmap_big;
     test_compress_hash_big; test_dns_decode; test_checksum; test_tcp_encode; test_ring_cycle;
     test_of_flow_mod; test_http_parse_render; test_json_parse; test_eventq_hold 128;
-    test_eventq_hold 2500;
+    test_eventq_hold 2500; test_lane_hold 1; test_lane_hold 128;
   ]
 
 (* ---- the observability guard ----

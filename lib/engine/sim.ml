@@ -54,11 +54,12 @@ let at t ~time f =
   in
   Eventq.push t.q ~time:(max time t.now) f
 
-(* A lane is one vCPU's run queue: continuations that wait out its
-   backlog, in the order their slices end. Finishing times along a lane
-   never decrease and insertion keys always increase, so the lane is
+(* A lane is a FIFO of events whose times never decrease: a vCPU's run
+   queue (continuations waiting out its backlog, in the order their
+   slices end), or any source that schedules at a constant delay and
+   never cancels. Insertion keys always increase too, so the lane is
    already sorted by the heap's (time, seq) order, and only its head
-   needs to be in the heap. A backlog of n slices is then one heap entry
+   needs to be in the heap. n queued events are then one heap entry
    instead of n, and a lane entry costs three array slots instead of a
    handle and a sift through the heap. The ring is three parallel arrays
    (times, seqs, actions), so queueing allocates nothing but the

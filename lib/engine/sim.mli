@@ -38,19 +38,20 @@ val cancel : handle -> unit
 (** Number of pending events, lane entries included. *)
 val pending : t -> int
 
-(** {1 Run queues}
+(** {1 Lanes}
 
-    A [lane] is one vCPU's FIFO run queue: the continuations that wait out
-    its backlog, due in the order they were queued. Only a lane's head is
-    in the event queue, so a backlog of n slices costs one heap entry, not
-    n. Queueing on a lane keeps exactly the event, instant and tie order
-    of {!at}: an entry's (time, insertion-order) key is drawn when it is
-    queued, and flow and profiler frame are captured as {!at} captures
-    them. *)
+    A [lane] is a FIFO of events whose times never decrease: a vCPU's run
+    queue, or any event source whose delay is a constant and that never
+    cancels (the TCP 2-MSL linger, the event-channel upcall). Only a
+    lane's head is in the event queue, so n queued events cost one heap
+    entry, not n. Queueing on a lane keeps exactly the event, instant and
+    tie order of {!at}: an entry's (time, insertion-order) key is drawn
+    when it is queued, and flow and profiler frame are captured as {!at}
+    captures them. A lane entry cannot be cancelled. *)
 
 type lane
 
-(** [lane t] is a fresh, empty run queue on [t]. *)
+(** [lane t] is a fresh, empty lane on [t]. *)
 val lane : t -> lane
 
 (** [lane_at l ~time f] runs [f] at absolute [time] (clamped to now), as

@@ -132,6 +132,9 @@ and engine = {
   mutable rto_fires : int;
   mutable persist_probes : int;
   mutable ooo_evictions : int;
+  (* 2-MSL lingers. Every one lasts 2 MSL and none is cancelled, so they
+     end in the order flows entered TIME_WAIT. *)
+  time_wait : Engine.Sim.lane;
 }
 
 type t = engine
@@ -800,11 +803,10 @@ let enter_time_wait fl =
   (match fl.close_waker with
   | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
   | _ -> ());
-  ignore
-    (Engine.Sim.schedule fl.t.sim ~delay:(2 * msl_ns) (fun () ->
-         fl.state <- Closed;
-         Hashtbl.remove fl.t.flows fl.key;
-         release_app_refs fl))
+  Engine.Sim.lane_at fl.t.time_wait ~time:(Engine.Sim.now fl.t.sim + (2 * msl_ns)) (fun () ->
+      fl.state <- Closed;
+      Hashtbl.remove fl.t.flows fl.key;
+      release_app_refs fl)
 
 let finish_close fl =
   fl.state <- Closed;
@@ -1127,6 +1129,7 @@ let create sim ?dom ip =
       rto_fires = 0;
       persist_probes = 0;
       ooo_evictions = 0;
+      time_wait = Engine.Sim.lane sim;
     }
   in
   Ipv4.set_handler ip ~proto:Ipv4.proto_tcp (fun ~src ~dst ~payload ->

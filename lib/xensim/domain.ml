@@ -81,28 +81,19 @@ let reserve_slice d cost =
     book d !best cost now
   end
 
-let reserve d cost = d.cpu_free_at.(reserve_slice d cost)
-
 (* Runs when the slice completes: retro-record the wakeup latency
    [queued, start] and the execution [start, finish] so the offline
    analyzer can split a flow's gap into queueing vs. processing.
    lag_ns positions vcpu.wait relative to the event's own timestamp
    (which is [finish] in the trace clock's re-based timeline), keeping
    the payload valid across consecutive simulator instances. *)
-let note_slice d ~queued ~start ~finish () =
+let note_slice d ~queued ~start ~finish =
   if Trace.enabled () then begin
     Trace.record_span_ns ~dom:d.id
       ~payload:[ ("lag_ns", Trace.Int (finish - start)) ]
       ~cat:Trace.Sched "vcpu.wait" (start - queued);
     Trace.record_span_ns ~dom:d.id ~cat:Trace.Sched "vcpu.run" (finish - start)
   end
-
-let charge d ~cost =
-  let queued = Engine.Sim.now d.sim in
-  let finish = reserve d cost in
-  let start = d.slice_start in
-  let p = Mthread.Promise.sleep d.sim (finish - queued) in
-  if Trace.enabled () then Mthread.Promise.map (note_slice d ~queued ~start ~finish) p else p
 
 let charge_k d ~cost k =
   let queued = Engine.Sim.now d.sim in
@@ -112,12 +103,19 @@ let charge_k d ~cost k =
     if Trace.enabled () then begin
       let start = d.slice_start in
       fun () ->
-        note_slice d ~queued ~start ~finish ();
+        note_slice d ~queued ~start ~finish;
         k ()
     end
     else k
   in
   Engine.Sim.lane_at d.lanes.(vcpu) ~time:finish k
+
+(* A lane entry cannot be cancelled: a cancelled charge's continuation
+   still fires at the slice's end and finds its wakener settled. *)
+let charge d ~cost =
+  let p, u = Mthread.Promise.wait () in
+  charge_k d ~cost (fun () -> Mthread.Promise.wakeup u ());
+  p
 
 let utilisation d ~span_ns =
   if span_ns <= 0 then 0.0
@@ -126,7 +124,7 @@ let utilisation d ~span_ns =
 let hypercall d ~name =
   d.stats.Xstats.hypercalls <- d.stats.Xstats.hypercalls + 1;
   if Trace.enabled () then Trace.emit ~dom:d.id ~cat:Trace.Hypercall name;
-  ignore (reserve d d.platform.Platform.hypercall_ns)
+  ignore (reserve_slice d d.platform.Platform.hypercall_ns)
 
 let shutdown d ~exit_code = d.state <- Shutdown exit_code
 

@@ -37,19 +37,20 @@ val create :
 
 val vcpus : t -> int
 
-(** [charge d ~cost] occupies the least-loaded vCPU for [cost] ns, queueing
-    behind work already scheduled; resolves when done. On multi-vCPU
-    domains the cost is inflated by a lock-contention factor (~15% per
-    additional vCPU), the scaling-up penalty Figure 13 exhibits. *)
-val charge : t -> cost:int -> unit Mthread.Promise.t
-
-(** Continuation variant: reserve [cost] ns of vCPU and call [k] when it has
-    elapsed — the same event, instant and tie order as {!charge}, without
-    the promise. The packet path uses it, so what waits out a busy vCPU's
-    backlog is only what [k] closes over. [k] waits on the vCPU's run
-    queue ({!Engine.Sim.lane_at}), so a backlog of slices is one event-queue
-    entry. *)
+(** [charge_k d ~cost k] occupies the least-loaded vCPU for [cost] ns,
+    queueing behind work already scheduled, and calls [k] when it has
+    elapsed. On multi-vCPU domains the cost is inflated by a
+    lock-contention factor (~15% per additional vCPU), the scaling-up
+    penalty Figure 13 exhibits. [k] waits on the vCPU's run queue
+    ({!Engine.Sim.lane_at}), so a backlog of slices is one event-queue
+    entry; the packet path charges this way, so what waits out a busy
+    vCPU's backlog is only what [k] closes over. *)
 val charge_k : t -> cost:int -> (unit -> unit) -> unit
+
+(** Promise form of {!charge_k}: resolves when the slice has elapsed.
+    Cancelling the promise does not give the slice back; the booked
+    continuation still fires and finds the promise settled. *)
+val charge : t -> cost:int -> unit Mthread.Promise.t
 
 (** Fraction of virtual time [0..span] the vCPU was busy, given a span. *)
 val utilisation : t -> span_ns:int -> float

@@ -16,13 +16,17 @@ type t = {
   stats : Xstats.t;
   ports : port_state Engine.Inttbl.t;
   mutable next_port : int;
+  (* Upcalls in flight. Every one is due a constant latency after its
+     notify and none is cancelled, so they fall due in notify order. *)
+  upcalls : Engine.Sim.lane;
 }
 
 (* Event delivery latency: the upcall into the guest after the hypervisor
    sets the pending bit. *)
 let delivery_latency_ns = 700
 
-let create ~sim ~stats = { sim; stats; ports = Engine.Inttbl.create 64; next_port = 1 }
+let create ~sim ~stats =
+  { sim; stats; ports = Engine.Inttbl.create 64; next_port = 1; upcalls = Engine.Sim.lane sim }
 
 let get t p =
   match Engine.Inttbl.find t.ports p with
@@ -79,14 +83,13 @@ let notify t p =
     if not peer.pending then begin
       peer.pending <- true;
       let t0 = if Trace.enabled () then Engine.Sim.now t.sim else 0 in
-      ignore
-        (Engine.Sim.schedule t.sim ~delay:delivery_latency_ns (fun () ->
-             if not peer.closed then begin
-               if Trace.enabled () then
-                 Trace.record_span_ns ~dom:peer.owner ~cat:Trace.Evtchn "evtchn.wakeup"
-                   (Engine.Sim.now t.sim - t0);
-               deliver t peer_port
-             end))
+      Engine.Sim.lane_at t.upcalls ~time:(Engine.Sim.now t.sim + delivery_latency_ns) (fun () ->
+          if not peer.closed then begin
+            if Trace.enabled () then
+              Trace.record_span_ns ~dom:peer.owner ~cat:Trace.Evtchn "evtchn.wakeup"
+                (Engine.Sim.now t.sim - t0);
+            deliver t peer_port
+          end)
     end
 
 let mask t p =

@@ -604,6 +604,23 @@ let test_memo_dotted_label_is_distinct () =
   | Some hit -> check_string "first entry kept" "THREE LABELS" (Bytestruct.to_string hit)
   | None -> Alcotest.fail "expected hit"
 
+(* One table entry per name, one response per qtype inside it: [entries]
+   still counts (name, qtype) pairs, and replacing a response adds none. *)
+let test_memo_entries_count_pairs () =
+  let m = Dns.Memo.create () in
+  Dns.Memo.add m ~qname:(name "a.b") ~qtype:Dns.Dns_wire.A (bs "A1");
+  Dns.Memo.add m ~qname:(name "a.b") ~qtype:Dns.Dns_wire.MX (bs "MX");
+  Dns.Memo.add m ~qname:(name "c.d") ~qtype:Dns.Dns_wire.A (bs "CD");
+  Dns.Memo.add m ~qname:(name "a.b") ~qtype:Dns.Dns_wire.A (bs "A2");
+  check_int "three (name, qtype) pairs" 3 (Dns.Memo.entries m);
+  let get qname qtype =
+    Option.map Bytestruct.to_string (Dns.Memo.find m ~qname:(name qname) ~qtype)
+  in
+  check Alcotest.(option string) "replaced" (Some "A2") (get "a.b" Dns.Dns_wire.A);
+  check Alcotest.(option string) "other qtype kept" (Some "MX") (get "a.b" Dns.Dns_wire.MX);
+  check Alcotest.(option string) "other name" (Some "CD") (get "c.d" Dns.Dns_wire.A);
+  check Alcotest.(option string) "absent qtype" None (get "c.d" Dns.Dns_wire.MX)
+
 (* ---- server over the simulated network ---- *)
 
 let dns_world ~engine =
@@ -769,7 +786,10 @@ let () =
         ] );
       ( "memo",
         [ Alcotest.test_case "cache behaviour" `Quick test_memo;
-          Alcotest.test_case "dotted label is distinct" `Quick test_memo_dotted_label_is_distinct ] );
+          Alcotest.test_case "dotted label is distinct" `Quick test_memo_dotted_label_is_distinct;
+          Alcotest.test_case "entries count (name, qtype) pairs" `Quick
+            test_memo_entries_count_pairs;
+        ] );
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;

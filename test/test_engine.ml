@@ -416,6 +416,81 @@ let prop_eventq_sorted =
       Engine.Sim.run sim;
       !ok)
 
+(* A lane (Sim.lane) keeps only its head in the heap, but must pop
+   exactly as if every entry had gone through [Sim.at] when it was
+   queued. A script of heap events, lane entries on three lanes (each
+   lane's times never decrease; small gaps make ties with each other and
+   with heap entries common) and steps runs twice: once with lanes, once
+   with every entry through [Sim.at]. Tags and instants must fire in the
+   same order, and [pending] must agree after every operation. *)
+type lane_op = Heap of int | Lane of int * int | Step
+
+let lane_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map (fun d -> Heap d) (Gen.int_bound 6));
+        (5, Gen.map2 (fun k d -> Lane (k, d)) (Gen.int_bound 2) (Gen.int_bound 2));
+        (3, Gen.return Step);
+      ]
+  in
+  let print = function
+    | Heap d -> Printf.sprintf "heap +%d" d
+    | Lane (k, d) -> Printf.sprintf "lane %d +%d" k d
+    | Step -> "step"
+  in
+  make ~print:(Print.list print) (Gen.list_size (Gen.int_bound 300) op)
+
+let run_lane_script ~lanes ops =
+  let sim = Engine.Sim.create () in
+  let ls = Array.init 3 (fun _ -> Engine.Sim.lane sim) in
+  let tails = Array.make 3 0 and fired = ref [] and pendings = ref [] in
+  let tag id () = fired := (id, Engine.Sim.now sim) :: !fired in
+  List.iteri
+    (fun id op ->
+      (match op with
+      | Heap d -> ignore (Engine.Sim.at sim ~time:(Engine.Sim.now sim + d) (tag id))
+      | Lane (k, d) ->
+        let time = max (Engine.Sim.now sim) tails.(k) + d in
+        tails.(k) <- time;
+        if lanes then Engine.Sim.lane_at ls.(k) ~time (tag id)
+        else ignore (Engine.Sim.at sim ~time (tag id))
+      | Step -> ignore (Engine.Sim.step sim));
+      pendings := Engine.Sim.pending sim :: !pendings)
+    ops;
+  Engine.Sim.run sim;
+  (List.rev !fired, List.rev !pendings, Engine.Sim.pending sim)
+
+let prop_lane_model =
+  qtest ~count:300 "lanes pop as Sim.at would" lane_ops (fun ops ->
+      run_lane_script ~lanes:true ops = run_lane_script ~lanes:false ops)
+
+let test_lane_rejects_earlier_time () =
+  let sim = Engine.Sim.create () in
+  let l = Engine.Sim.lane sim in
+  Engine.Sim.lane_at l ~time:10 ignore;
+  Engine.Sim.lane_at l ~time:10 ignore;
+  Alcotest.check_raises "before the tail"
+    (Invalid_argument "Sim.lane_at: time before the lane's last entry") (fun () ->
+      Engine.Sim.lane_at l ~time:9 ignore);
+  check_int "the rejected entry was not queued" 2 (Engine.Sim.lane_length l);
+  check_int "pending unchanged by the rejection" 2 (Engine.Sim.pending sim)
+
+let test_lane_pending () =
+  let sim = Engine.Sim.create () in
+  ignore (Engine.Sim.at sim ~time:1_000 ignore);
+  let start = Engine.Sim.pending sim in
+  let a = Engine.Sim.lane sim and b = Engine.Sim.lane sim in
+  List.iter (fun time -> Engine.Sim.lane_at a ~time ignore) [ 1; 2; 2; 5 ];
+  List.iter (fun time -> Engine.Sim.lane_at b ~time ignore) [ 3; 4 ];
+  check_int "queued entries counted, heads and waiters alike" (start + 6) (Engine.Sim.pending sim);
+  ignore (Engine.Sim.step sim);
+  check_int "one fewer after a step" (start + 5) (Engine.Sim.pending sim);
+  Engine.Sim.run ~until:999 sim;
+  check_int "lanes drained" 0 (Engine.Sim.lane_length a + Engine.Sim.lane_length b);
+  check_int "back to the start value" start (Engine.Sim.pending sim)
+
 let () =
   Alcotest.run "engine"
     [
@@ -453,5 +528,9 @@ let () =
           Alcotest.test_case "eventq hold allocation" `Quick test_eventq_hold_allocation;
           prop_eventq_sorted;
           prop_eventq_model;
+          prop_lane_model;
+          Alcotest.test_case "lane_at before the tail raises" `Quick
+            test_lane_rejects_earlier_time;
+          Alcotest.test_case "pending counts lane entries" `Quick test_lane_pending;
         ] );
     ]

@@ -769,6 +769,79 @@ let test_tcp_clean_transfer_leaves_no_timer () =
   scenario ~stall:false;
   scenario ~stall:true
 
+(* 200 back-to-back connections, each closed by the client, leave 200
+   flows lingering 2 MSL (MSL = 1 s) in TIME_WAIT at once; the lingers
+   share one lane per engine. Stepping one event at a time, a flow seen
+   in TIME_WAIT first after the event at [t] must turn CLOSED, and leave
+   the table, at the event at exactly [t + 2 MSL]: it was still there
+   after every earlier event, so at [t + 2 MSL - 1] too. Flows leave in
+   the order they entered, the table holds exactly the flows not yet
+   closed after every event, and nothing stays pending. *)
+let test_tcp_time_wait_churn () =
+  let conns = 200 and two_msl = Engine.Sim.sec 2 in
+  let w, a, b = pair_world () in
+  Engine.Sim.run w.sim;
+  let before = Engine.Sim.pending w.sim in
+  let ta = N.Stack.tcp a.stack and tb = N.Stack.tcp b.stack in
+  let live = ref [] and tracked = ref 0 and clients = ref [] in
+  let track flow =
+    live := (!tracked, flow) :: !live;
+    incr tracked
+  in
+  N.Tcp.listen tb ~port:5001 (fun flow ->
+      track flow;
+      let rec drain () =
+        N.Tcp.read flow >>= function None -> N.Tcp.close flow | Some _ -> drain ()
+      in
+      drain ());
+  let rec connect_all k =
+    if k = 0 then P.return ()
+    else
+      N.Tcp.connect ta ~dst:(N.Stack.address b.stack) ~dst_port:5001 >>= fun flow ->
+      clients := !tracked :: !clients;
+      track flow;
+      N.Tcp.write flow (bs "x") >>= fun () ->
+      N.Tcp.close flow >>= fun () -> connect_all (k - 1)
+  in
+  let all_closed = connect_all conns in
+  let entered = Hashtbl.create 256 and entries = ref [] and leaves = ref [] in
+  while Engine.Sim.step w.sim do
+    let now = Engine.Sim.now w.sim in
+    live :=
+      List.filter
+        (fun (id, flow) ->
+          match N.Tcp.state_name flow with
+          | "TIME_WAIT" ->
+            if not (Hashtbl.mem entered id) then begin
+              Hashtbl.replace entered id now;
+              entries := id :: !entries
+            end;
+            true
+          | "CLOSED" ->
+            Option.iter
+              (fun t ->
+                check_int (Printf.sprintf "flow %d leaves 2 MSL after TIME_WAIT" id) (t + two_msl)
+                  now;
+                leaves := id :: !leaves)
+              (Hashtbl.find_opt entered id);
+            false
+          | _ -> true)
+        (List.rev !live)
+      |> List.rev;
+    let lingering t =
+      List.length (List.filter (fun r -> r.N.Tcp.si_state = "TIME_WAIT") (N.Tcp.sockets t))
+    in
+    check_int "the table holds the lingering flows"
+      (List.length (List.filter (fun (id, _) -> Hashtbl.mem entered id) !live))
+      (lingering ta + lingering tb)
+  done;
+  check_bool "every connection closed" true (P.state all_closed = `Resolved ());
+  check_int "both ends of every connection tracked" (2 * conns) !tracked;
+  check_int "every client flow lingered" conns
+    (List.length (List.filter (Hashtbl.mem entered) !clients));
+  check Alcotest.(list int) "flows leave in entry order" (List.rev !entries) (List.rev !leaves);
+  check_int "pending back at its start value" before (Engine.Sim.pending w.sim)
+
 (* The peer vanishes (every frame either way is dropped) and the sender
    gives up with [Timeout] — through RTO backoff with data in flight, or
    through unanswered persist probes against a zero window. The failed
@@ -1191,6 +1264,8 @@ let () =
             test_tcp_clean_transfer_leaves_no_timer;
           Alcotest.test_case "vanished peer leaves no timer" `Quick
             test_tcp_vanished_peer_leaves_no_timer;
+          Alcotest.test_case "TIME_WAIT churn leaves after exactly 2 MSL" `Quick
+            test_tcp_time_wait_churn;
         ] );
       ( "dpath",
         [

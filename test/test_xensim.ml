@@ -743,6 +743,60 @@ let test_lane_order () =
   check_int "destroyed 3-vCPU domain's run queues empty" 0 (queued d3);
   check_int "nothing pending" 0 (Engine.Sim.pending sim)
 
+(* [charge] is [charge_k] plus a wakener, so its slice cannot be given
+   back: cancelling the promise before the slice ends leaves the booked
+   continuation in place, and when it fires it settles nothing. *)
+let test_cancelled_charge_settles_nothing () =
+  let w = create () in
+  let d = Xensim.Hypervisor.create_domain w.hv ~name:"c" ~mem_mib:16 ~platform:Platform.xen_extent () in
+  let t0 = Engine.Sim.now w.sim and start = Engine.Sim.pending w.sim in
+  let p = Xensim.Domain.charge d ~cost:1000 in
+  let settled = ref 0 and continued = ref false in
+  P.on_resolve p (fun _ -> incr settled);
+  P.async (fun () -> p >|= fun () -> continued := true);
+  P.cancel p;
+  check_int "settled once, by the cancel" 1 !settled;
+  let after = ref 0 in
+  Xensim.Domain.charge_k d ~cost:0 (fun () -> after := Engine.Sim.now w.sim - t0);
+  Engine.Sim.run ~until:(t0 + 10_000) w.sim;
+  check_int "the slice was not given back" 1000 !after;
+  check_bool "still cancelled" true (P.state p = `Failed P.Canceled);
+  check_int "nothing settled when the slice fired" 1 !settled;
+  check_bool "the caller's continuation never ran" false !continued;
+  check_int "the continuation left the queue" start (Engine.Sim.pending w.sim)
+
+let test_charge_and_charge_k_booking_order () =
+  let w = create () in
+  let d = Xensim.Hypervisor.create_domain w.hv ~name:"o" ~mem_mib:16 ~platform:Platform.xen_extent () in
+  let t0 = Engine.Sim.now w.sim in
+  let fired = ref [] in
+  let note label () = fired := (label, Engine.Sim.now w.sim - t0) :: !fired in
+  List.iter
+    (fun (label, cost, promise) ->
+      if promise then P.async (fun () -> Xensim.Domain.charge d ~cost >|= note label)
+      else Xensim.Domain.charge_k d ~cost (note label))
+    [
+      ("charge 300", 300, true);
+      ("charge_k 200", 200, false);
+      ("charge_k 0", 0, false);
+      ("charge 0", 0, true);
+      ("charge 100", 100, true);
+      ("charge_k 100", 100, false);
+    ];
+  Engine.Sim.run ~until:(t0 + 10_000) w.sim;
+  check
+    Alcotest.(list (pair string int))
+    "booking order, each at its slice's end"
+    [
+      ("charge 300", 300);
+      ("charge_k 200", 500);
+      ("charge_k 0", 500);
+      ("charge 0", 500);
+      ("charge 100", 600);
+      ("charge_k 100", 700);
+    ]
+    (List.rev !fired)
+
 let test_domain_multi_vcpu_parallel () =
   let w = create () in
   let d = Xensim.Hypervisor.create_domain w.hv ~name:"smp" ~mem_mib:16 ~platform:Platform.linux_pv ~vcpus:2 () in
@@ -851,5 +905,9 @@ let () =
           Alcotest.test_case "multi-vcpu parallel with tax" `Quick test_domain_multi_vcpu_parallel;
           Alcotest.test_case "utilisation" `Quick test_domain_utilisation;
           Alcotest.test_case "vcpu accounting" `Quick test_vcpu_accounting;
+          Alcotest.test_case "a cancelled charge settles nothing" `Quick
+            test_cancelled_charge_settles_nothing;
+          Alcotest.test_case "charge and charge_k complete in booking order" `Quick
+            test_charge_and_charge_k_booking_order;
         ] );
     ]
