@@ -20,6 +20,7 @@ let qtest ?(count = 100) name gen prop =
 
 (* The pinned capture scenario (shared with test/golden/gen_capture.exe). *)
 module Capture_scenario = Capture_scenario
+module Tcp_paths_scenario = Tcp_paths_scenario
 
 (* The chaos matrix's fault schedules, shared by test_chaos (pinned
    seeds) and `bench chaos` (the full sweep). Each builds its faults
