@@ -7,6 +7,7 @@
 module P = Mthread.Promise
 module N = Netstack
 module F = Netsim.Faults
+module Metrics = Uhttp.Metrics_export.Make (Netstack.Device)
 
 let bytes = 200_000
 let seeds = [ 1; 2; 3; 5; 7; 11; 42; 101; 443; 1001; 4242; 65537 ]
@@ -111,7 +112,7 @@ let alerting_run ~seed ~lossy =
     (Core.Apps.Net.Http.create w.Util.sim ~dom:web.Util.dom
        ~tcp:(N.Stack.tcp web.Util.stack) ~port:80 (fun _req ->
          P.return (Uhttp.Http_wire.response ~status:200 (String.make 512 'x'))));
-  ignore (Core.Apps.Net.Metrics.mount w.Util.sim ~dom:web.Util.dom ~port:9100 web.Util.stack);
+  ignore (Metrics.mount w.Util.sim ~dom:web.Util.dom ~port:9100 web.Util.stack);
   let client_tcp = N.Stack.tcp client.Util.stack in
   let dst = N.Stack.address web.Util.stack in
   let rec drive () =

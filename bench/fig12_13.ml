@@ -99,7 +99,7 @@ let fig13_config ~label ~servers =
         | `Apache ->
           ignore
             (Core.Apps.Net.Baseline.apache_static w.Util.sim ~dom:server.Util.dom
-               ~tcp:(Netstack.Stack.tcp server.Util.stack) ~port:80 ())
+               ~tcp:(Netstack.Stack.tcp server.Util.stack) ~port:80)
         | `Mirage ->
           ignore
             (Core.Apps.Net.Http.create w.Util.sim ~dom:server.Util.dom

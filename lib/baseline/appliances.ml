@@ -40,7 +40,7 @@ module Make (T : Device_sig.TCP) = struct
               Mthread.Promise.return ())
         end)
 
-  let nginx_webpy sim ~dom ~tcp ~port ?(max_concurrent = 64) handler =
+  let nginx_webpy sim ~dom ~tcp ~port handler =
     let wrapped req =
       (* fastCGI hop: two context switches and a pipe copy before Python
          runs; the interpreter cost is the dominant term and is charged by
@@ -48,11 +48,12 @@ module Make (T : Device_sig.TCP) = struct
       handler req
     in
     let server = S.create_detached sim ~dom ~per_request_cost_ns:webpy_request_cost_ns wrapped in
-    let t = { server; active = 0; max_concurrent; rejected = 0 } in
+    let t = { server; active = 0; max_concurrent = 64; rejected = 0 } in
     listen_gated t tcp ~port;
     t
 
-  let apache_static sim ~dom ~tcp ~port ?(page = String.make 4096 'x') () =
+  let apache_static sim ~dom ~tcp ~port =
+    let page = String.make 4096 'x' in
     let handler _req =
       Mthread.Promise.return
         (Uhttp.Http_wire.response ~headers:[ ("Content-Type", "text/html") ] ~status:200 page)

@@ -14,14 +14,13 @@ module Make (T : Device_sig.TCP) : sig
   (** nginx + fastCGI + web.py serving the Twitter-like API (Figure 12's
       baseline). [handler] is the same application logic the Mirage
       appliance runs; the wrapper adds the Python-interpreter request cost
-      and the fastCGI process hop, and aborts connections beyond
-      [max_concurrent] (fd limit). *)
+      and the fastCGI process hop, and aborts connections beyond 64
+      concurrent ones (fd limit). *)
   val nginx_webpy :
     Engine.Sim.t ->
     dom:Xensim.Domain.t ->
     tcp:T.t ->
     port:int ->
-    ?max_concurrent:int ->
     (Uhttp.Http_wire.request -> Uhttp.Http_wire.response Mthread.Promise.t) ->
     t
 
@@ -32,8 +31,6 @@ module Make (T : Device_sig.TCP) : sig
     dom:Xensim.Domain.t ->
     tcp:T.t ->
     port:int ->
-    ?page:string ->
-    unit ->
     t
 
   val requests_served : t -> int

@@ -12,7 +12,6 @@ type t = {
   sim : Engine.Sim.t;
   disk : Disk.t;
   cache_pages : int;
-  copy_bw : int;
   entries : (int, entry) Hashtbl.t;
   mutable clock : int;
   mutable hits : int;
@@ -20,12 +19,13 @@ type t = {
   mutable copy_busy_until : int;
 }
 
-let create sim ?(cache_pages = 4096) ?(copy_bandwidth_bytes_per_sec = 320_000_000) disk =
+let copy_bandwidth_bytes_per_sec = 320_000_000
+
+let create sim ?(cache_pages = 4096) disk =
   {
     sim;
     disk;
     cache_pages;
-    copy_bw = copy_bandwidth_bytes_per_sec;
     entries = Hashtbl.create (2 * cache_pages);
     clock = 0;
     hits = 0;
@@ -65,7 +65,7 @@ let insert t page =
    the buffered plateau. *)
 let copy_delay t ~bytes =
   let now = Engine.Sim.now t.sim in
-  let cost = int_of_float (float_of_int bytes /. float_of_int t.copy_bw *. 1e9) in
+  let cost = int_of_float (float_of_int bytes /. float_of_int copy_bandwidth_bytes_per_sec *. 1e9) in
   let start = max now t.copy_busy_until in
   t.copy_busy_until <- start + cost;
   t.copy_busy_until - now

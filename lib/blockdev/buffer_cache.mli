@@ -13,7 +13,6 @@ type t
 val create :
   Engine.Sim.t ->
   ?cache_pages:int ->
-  ?copy_bandwidth_bytes_per_sec:int ->
   Disk.t ->
   t
 

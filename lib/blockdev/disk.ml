@@ -3,11 +3,8 @@ exception Torn_write
 
 type t = {
   sim : Engine.Sim.t;
-  sector_bytes : int;
   sectors : int;
   chunks : (int, Bytestruct.t) Hashtbl.t;  (* chunk index -> contents; see [iter_chunks] *)
-  access_ns : int;
-  bandwidth : int;
   mutable busy_until : int;
   mutable reads : int;
   mutable writes : int;
@@ -17,23 +14,23 @@ type t = {
 (* Calibration: ~55 µs access latency and ~1.75 GB/s internal bandwidth
    reproduce Figure 9's range — ~20 MiB/s at 1 KiB requests rising to
    ~1.6 GiB/s at multi-megabyte requests. *)
-let create sim ?(sector_bytes = 512) ?(access_ns = 55_000) ?(bandwidth_bytes_per_sec = 1_750_000_000)
-    ~sectors () =
+let sector_size = 512
+let access_ns = 55_000
+let bandwidth_bytes_per_sec = 1_750_000_000
+
+let create sim ~sectors () =
   if sectors <= 0 then invalid_arg "Disk.create: need at least one sector";
   {
     sim;
-    sector_bytes;
     sectors;
     chunks = Hashtbl.create 16;
-    access_ns;
-    bandwidth = bandwidth_bytes_per_sec;
     busy_until = 0;
     reads = 0;
     writes = 0;
     torn = None;
   }
 
-let sector_bytes t = t.sector_bytes
+let sector_bytes _ = sector_size
 let sectors t = t.sectors
 let reads_issued t = t.reads
 let writes_issued t = t.writes
@@ -42,9 +39,9 @@ let inject_torn_write t ~sectors = t.torn <- Some sectors
 
 let service t ~bytes =
   let now = Engine.Sim.now t.sim in
-  let transfer = int_of_float (float_of_int bytes /. float_of_int t.bandwidth *. 1e9) in
+  let transfer = int_of_float (float_of_int bytes /. float_of_int bandwidth_bytes_per_sec *. 1e9) in
   let start = max now t.busy_until in
-  t.busy_until <- start + t.access_ns + transfer;
+  t.busy_until <- start + access_ns + transfer;
   t.busy_until - now
 
 let check t ~sector ~count =
@@ -71,16 +68,16 @@ let iter_chunks ~pos ~len f =
   go 0
 
 let load t ~sector ~count =
-  let bytes = count * t.sector_bytes in
+  let bytes = count * sector_size in
   let out = Bytestruct.create bytes in
-  iter_chunks ~pos:(sector * t.sector_bytes) ~len:bytes (fun i within off n ->
+  iter_chunks ~pos:(sector * sector_size) ~len:bytes (fun i within off n ->
       match Hashtbl.find_opt t.chunks i with
       | Some chunk -> Bytestruct.blit chunk within out off n
       | None -> ());
   out
 
 let store t ~sector data ~len =
-  iter_chunks ~pos:(sector * t.sector_bytes) ~len (fun i within off n ->
+  iter_chunks ~pos:(sector * sector_size) ~len (fun i within off n ->
       let chunk =
         match Hashtbl.find_opt t.chunks i with
         | Some chunk -> chunk
@@ -98,15 +95,15 @@ let peek t ~sector ~count =
 let read t ~sector ~count =
   check t ~sector ~count;
   t.reads <- t.reads + 1;
-  let bytes = count * t.sector_bytes in
+  let bytes = count * sector_size in
   let delay = service t ~bytes in
   Mthread.Promise.bind (Mthread.Promise.sleep t.sim delay) (fun () ->
       Mthread.Promise.return (load t ~sector ~count))
 
 let write t ~sector data =
   let len = Bytestruct.length data in
-  if len mod t.sector_bytes <> 0 then invalid_arg "Disk.write: partial sector";
-  let count = len / t.sector_bytes in
+  if len mod sector_size <> 0 then invalid_arg "Disk.write: partial sector";
+  let count = len / sector_size in
   check t ~sector ~count;
   t.writes <- t.writes + 1;
   let delay = service t ~bytes:len in
@@ -114,7 +111,7 @@ let write t ~sector data =
       match t.torn with
       | Some keep when keep < count ->
         t.torn <- None;
-        store t ~sector data ~len:(keep * t.sector_bytes);
+        store t ~sector data ~len:(keep * sector_size);
         Mthread.Promise.fail Torn_write
       | _ ->
         t.torn <- None;

@@ -9,9 +9,6 @@ type t
 
 val create :
   Engine.Sim.t ->
-  ?sector_bytes:int ->
-  ?access_ns:int ->
-  ?bandwidth_bytes_per_sec:int ->
   sectors:int ->
   unit ->
   t

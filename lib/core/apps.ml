@@ -12,7 +12,6 @@ module Net = struct
   module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
   module Dns = Dns.Server.Make (Netstack.Device.Udp)
   module Baseline = Baseline.Appliances.Make (Netstack.Device.Tcp)
-  module Metrics = Uhttp.Metrics_export.Make (Netstack.Device)
   module Monitor = Monitor.Make (Netstack.Device.Tcp)
   module Loadgen = Lb.Loadgen.Make (Netstack.Device.Tcp)
   module Orchestrator = Orchestrator.Make (Netstack.Device.Tcp)
@@ -21,13 +20,5 @@ end
 
 module Host = struct
   module Http = Uhttp.Server.Make (Hostnet.Device.Tcp)
-  module Http_client = Uhttp.Client.Make (Hostnet.Device.Tcp)
-  module Httperf = Uhttp.Httperf.Make (Hostnet.Device.Tcp)
   module Dns = Dns.Server.Make (Hostnet.Device.Udp)
-  module Baseline = Baseline.Appliances.Make (Hostnet.Device.Tcp)
-  module Metrics = Uhttp.Metrics_export.Make (Hostnet.Device)
-  module Monitor = Monitor.Make (Hostnet.Device.Tcp)
-  module Loadgen = Lb.Loadgen.Make (Hostnet.Device.Tcp)
-  module Orchestrator = Orchestrator.Make (Hostnet.Device.Tcp)
-  module Lb = Lb.Balancer.Make (Hostnet.Device.Tcp)
 end

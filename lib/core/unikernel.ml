@@ -29,10 +29,14 @@ let mirage_profile ~image_bytes =
 let posix_libc_bytes = 180 * 1024
 let process_spawn_ns = 1_200_000 (* fork+exec+dynamic linking *)
 
-let boot hv ts ?(mode = `Async) ?(dce = Specialize.Ocamlclean) ?(seal = true)
-    ?(platform = Platform.xen_extent) ?(target = Xen_direct) ~config ~mem_mib ~main () =
+let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
+    ?(target = Xen_direct) ~config ~mem_mib ~main () =
   let open Mthread.Promise in
-  let dce = match target with Xen_direct -> dce | Posix_sockets | Posix_direct -> Specialize.Standard in
+  let dce =
+    match target with
+    | Xen_direct -> Specialize.Ocamlclean
+    | Posix_sockets | Posix_direct -> Specialize.Standard
+  in
   let plan = Specialize.plan ~target config dce in
   (match Specialize.verify plan with
   | Ok () -> ()

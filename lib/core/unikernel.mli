@@ -39,12 +39,12 @@ val mirage_profile : image_bytes:int -> Xensim.Toolstack.profile
 
 (** [boot hv ts ~config ~mem_mib ~main ()] runs the full pipeline.
     [main] returns the VM exit code. Defaults: [`Async] toolstack,
-    [Ocamlclean] DCE, sealing requested. *)
+    sealing requested. A Xen_direct image is linked with [Ocamlclean]
+    DCE, a POSIX one with [Standard]. *)
 val boot :
   Xensim.Hypervisor.t ->
   Xensim.Toolstack.t ->
   ?mode:[ `Sync | `Async ] ->
-  ?dce:Specialize.dce ->
   ?seal:bool ->
   ?platform:Platform.t ->
   ?target:target ->

@@ -122,6 +122,7 @@ and engine = {
   sim : Engine.Sim.t;
   ip : Ipv4.t;
   dom : Xensim.Domain.t option;
+  dom_id : int option;  (* [dom]'s id, the domain every trace record names *)
   flows : (key, flow) Hashtbl.t;
   listeners : (int, flow -> unit Mthread.Promise.t) Hashtbl.t;
   mutable next_ephemeral : int;
@@ -152,7 +153,7 @@ let send_segment t ~key ~seq ~ack ~flags ~options ~window ~payload =
   t.segs_sent <- t.segs_sent + 1;
   if Trace.enabled () then
     Trace.emit
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) t.dom)
+      ?dom:t.dom_id
       ~cat:Trace.Net
       ~payload:
         [ ("seq", Trace.Int (Seq.to_int seq)); ("len", Trace.Int (Bytestruct.length payload)) ]
@@ -195,6 +196,33 @@ let send_rst_for t ~key ~seq ~ack =
     ~flags:{ Tcp_wire.flags_none with rst = true; ack = true }
     ~options:[] ~window:0 ~payload:(Bytestruct.create 0)
 
+(* The ACK field: zero until the peer's SYN is known. *)
+let seg_ack fl = if fl.state = Syn_sent then Seq.zero else fl.rcv_nxt
+
+(* A segment's first transmission: queue it for retransmission, advance
+   [snd_nxt] past it and send it. Its sequence space is the payload plus
+   one for a SYN or a FIN. The caller chooses the flags, options and
+   window: a SYN's differ from those [retransmit_entry_now] gives its
+   retransmission. *)
+let send_new fl ~flags ~options ~window payload =
+  let seq = fl.snd_nxt in
+  let syn = flags.Tcp_wire.syn and fin = flags.Tcp_wire.fin in
+  let len = Bytestruct.length payload + if syn || fin then 1 else 0 in
+  Queue.add
+    {
+      e_seq = seq;
+      e_len = len;
+      e_payload = payload;
+      e_syn = syn;
+      e_fin = fin;
+      e_sent_at = Engine.Sim.now fl.t.sim;
+      e_retx = false;
+      e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
+    }
+    fl.rtx;
+  fl.snd_nxt <- Seq.add seq len;
+  send_segment fl.t ~key:fl.key ~seq ~ack:(seg_ack fl) ~flags ~options ~window ~payload
+
 (* ---------- timers ---------- *)
 
 let cancel_rto fl =
@@ -217,12 +245,21 @@ let release_rx_refs fl =
   List.iter (fun (_, _, o) -> Option.iter Pktbuf.release o) fl.ooo;
   fl.ooo <- []
 
-(* The flow is leaving the table: return the pool references it still
+(* Nothing more is sent or reassembled: both timers stop and the
+   reassembly references go back to the pool. *)
+let quiesce fl =
+  cancel_rto fl;
+  cancel_persist fl;
+  release_rx_refs fl
+
+(* The flow leaves the table and returns the pool references it still
    holds for the application. The chunk last returned by [read] is valid
    only until now (see [read]). Chunks pushed but not yet read are first
    copied out of their pool pages, so a late reader still gets the same
    bytes. *)
-let release_app_refs fl =
+let leave_table fl =
+  fl.state <- Closed;
+  Hashtbl.remove fl.t.flows fl.key;
   Option.iter Pktbuf.release fl.read_hold;
   fl.read_hold <- None;
   if not (Queue.is_empty fl.rx_owners) then begin
@@ -230,6 +267,13 @@ let release_app_refs fl =
     Queue.iter (Option.iter Pktbuf.release) fl.rx_owners;
     Queue.clear fl.rx_owners
   end
+
+(* [close]'s contract is "our direction is shut down and acknowledged";
+   full teardown may wait on the peer's FIN indefinitely. *)
+let wake_close fl =
+  match fl.close_waker with
+  | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
+  | _ -> ()
 
 let rec arm_rto fl =
   cancel_rto fl;
@@ -245,10 +289,7 @@ and on_rto fl =
     (match fl.state with
     | Syn_sent | Syn_rcvd ->
       fl.syn_tries <- fl.syn_tries + 1;
-      if fl.syn_tries > max_syn_retries then begin
-        fail_flow fl Mthread.Promise.Timeout;
-        cancel_rto fl
-      end
+      if fl.syn_tries > max_syn_retries then fail_flow fl Mthread.Promise.Timeout
       else retransmit_entry fl e
     | _ ->
       fl.rto_tries <- fl.rto_tries + 1;
@@ -256,8 +297,7 @@ and on_rto fl =
         (* Data-path give-up (tcp_retries2): this many consecutive
            backed-off RTOs with no forward progress means the peer is
            gone — fail the flow instead of retransmitting forever. *)
-        fail_flow fl Mthread.Promise.Timeout;
-        cancel_rto fl
+        fail_flow fl Mthread.Promise.Timeout
       end
       else begin
         (* Timeout: collapse to slow start (RFC 5681). *)
@@ -290,13 +330,13 @@ and retransmit_entry_now fl e =
   fl.rtt_probe <- None;
   if Trace.enabled () then
     Trace.emit
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ?dom:fl.t.dom_id
       ~cat:Trace.Net
       ~payload:[ ("seq", Trace.Int (Seq.to_int e.e_seq)); ("len", Trace.Int e.e_len) ]
       "tcp.retransmit";
   if Trace.Flight.enabled () then
     Trace.Flight.note
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ?dom:fl.t.dom_id
       ~cat:Trace.Net
       ~payload:
         [
@@ -320,9 +360,8 @@ and retransmit_entry_now fl e =
   let options =
     if e.e_syn then [ Tcp_wire.Mss fl.mss; Tcp_wire.Window_scale our_wscale ] else []
   in
-  send_segment fl.t ~key:fl.key ~seq:e.e_seq
-    ~ack:(if fl.state = Syn_sent then Seq.zero else fl.rcv_nxt)
-    ~flags ~options ~window:(advertised_window fl) ~payload:e.e_payload
+  send_segment fl.t ~key:fl.key ~seq:e.e_seq ~ack:(seg_ack fl) ~flags ~options
+    ~window:(advertised_window fl) ~payload:e.e_payload
 
 (* ---------- failure ---------- *)
 
@@ -333,7 +372,7 @@ and fail_flow fl err =
        [Timeout] means retransmits/probes exhausted against a silent peer,
        exactly the failure that is invisible once the flow is dropped. *)
     if Trace.Flight.enabled () then begin
-      let dom = match fl.t.dom with Some d -> d.Xensim.Domain.id | None -> -1 in
+      let dom = Option.value fl.t.dom_id ~default:(-1) in
       let payload =
         [
           ("port", Trace.Int fl.key.k_port);
@@ -351,26 +390,20 @@ and fail_flow fl err =
       | Mthread.Promise.Timeout -> Trace.Flight.trip ~dom ~payload ~reason:"tcp.timeout" ()
       | _ -> ()
     end;
-    fl.state <- Closed;
     fl.error <- Some err;
-    cancel_rto fl;
-    cancel_persist fl;
+    quiesce fl;
     (* Drop all unsent/unacked data: nothing may retransmit from a dead
        flow, and a non-empty [rtx] would invite a later [arm_rto]. *)
     Queue.clear fl.rtx;
     Queue.clear fl.tx_chunks;
     fl.tx_head_off <- 0;
     fl.tx_buffered <- 0;
-    release_rx_refs fl;
-    Hashtbl.remove fl.t.flows fl.key;
-    release_app_refs fl;
+    leave_table fl;
     Mthread.Mstream.close fl.rx;
     (match fl.connect_waker with
     | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup_exn u err
     | _ -> ());
-    (match fl.close_waker with
-    | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
-    | _ -> ());
+    wake_close fl;
     Queue.iter
       (fun u -> if Mthread.Promise.wakener_pending u then Mthread.Promise.wakeup_exn u err)
       fl.tx_waiters;
@@ -443,25 +476,11 @@ let rec try_output fl =
       let len = min (min fl.tx_buffered room) fl.mss in
       if len > 0 then begin
         let payload = gather_tx fl len in
-        let entry =
-          {
-            e_seq = fl.snd_nxt;
-            e_len = len;
-            e_payload = payload;
-            e_syn = false;
-            e_fin = false;
-            e_sent_at = Engine.Sim.now fl.t.sim;
-            e_retx = false;
-            e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-          }
-        in
-        Queue.add entry fl.rtx;
         if fl.rtt_probe = None then
           fl.rtt_probe <- Some (Seq.add fl.snd_nxt len, Engine.Sim.now fl.t.sim);
-        fl.snd_nxt <- Seq.add fl.snd_nxt len;
-        send_segment fl.t ~key:fl.key ~seq:entry.e_seq ~ack:fl.rcv_nxt
+        send_new fl
           ~flags:{ Tcp_wire.flags_none with ack = true; psh = fl.tx_buffered = 0 }
-          ~options:[] ~window:(advertised_window fl) ~payload;
+          ~options:[] ~window:(advertised_window fl) payload;
         if fl.rto_timer = None then arm_rto fl;
         wake_tx_waiters fl;
         try_output fl
@@ -478,26 +497,17 @@ and maybe_send_fin fl =
     fl.fin_queued && (not fl.fin_sent) && fl.tx_buffered = 0
     && flight_size fl < effective_snd_wnd fl
   then begin
-    fl.fin_sent <- true;
-    let entry =
-      {
-        e_seq = fl.snd_nxt;
-        e_len = 1;
-        e_payload = Bytestruct.create 0;
-        e_syn = false;
-        e_fin = true;
-        e_sent_at = Engine.Sim.now fl.t.sim;
-        e_retx = false;
-        e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-      }
-    in
-    Queue.add entry fl.rtx;
-    fl.snd_nxt <- Seq.add fl.snd_nxt 1;
-    send_segment fl.t ~key:fl.key ~seq:entry.e_seq ~ack:fl.rcv_nxt
-      ~flags:{ Tcp_wire.flags_none with ack = true; fin = true }
-      ~options:[] ~window:(advertised_window fl) ~payload:entry.e_payload;
+    send_fin fl;
     if fl.rto_timer = None then arm_rto fl
   end
+
+(* Our FIN, sent when the window has room for it or as a zero-window
+   probe. *)
+and send_fin fl =
+  fl.fin_sent <- true;
+  send_new fl
+    ~flags:{ Tcp_wire.flags_none with ack = true; fin = true }
+    ~options:[] ~window:(advertised_window fl) (Bytestruct.create 0)
 
 (* Persist timer (RFC 1122 4.2.2.17): a peer advertising a zero window
    with nothing of ours in flight would deadlock us — its reopening window
@@ -533,13 +543,13 @@ and on_persist fl =
       fl.t.persist_probes <- fl.t.persist_probes + 1;
       if Trace.enabled () then
         Trace.emit
-          ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+          ?dom:fl.t.dom_id
           ~cat:Trace.Net
           ~payload:[ ("backoff_ns", Trace.Int fl.persist_backoff_ns) ]
           "tcp.persist_probe";
       if Trace.Flight.enabled () then
         Trace.Flight.note
-          ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+          ?dom:fl.t.dom_id
           ~cat:Trace.Net
           ~payload:
             [
@@ -553,46 +563,11 @@ and on_persist fl =
         (* The previous probe is still unacknowledged: resend it. *)
         retransmit_entry fl e
       | None ->
-        if fl.tx_buffered > 0 then begin
-          let payload = gather_tx fl 1 in
-          let entry =
-            {
-              e_seq = fl.snd_nxt;
-              e_len = 1;
-              e_payload = payload;
-              e_syn = false;
-              e_fin = false;
-              e_sent_at = Engine.Sim.now fl.t.sim;
-              e_retx = false;
-              e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-            }
-          in
-          Queue.add entry fl.rtx;
-          fl.snd_nxt <- Seq.add fl.snd_nxt 1;
-          send_segment fl.t ~key:fl.key ~seq:entry.e_seq ~ack:fl.rcv_nxt
+        if fl.tx_buffered > 0 then
+          send_new fl
             ~flags:{ Tcp_wire.flags_none with ack = true; psh = true }
-            ~options:[] ~window:(advertised_window fl) ~payload
-        end
-        else if fl.fin_queued && not fl.fin_sent then begin
-          fl.fin_sent <- true;
-          let entry =
-            {
-              e_seq = fl.snd_nxt;
-              e_len = 1;
-              e_payload = Bytestruct.create 0;
-              e_syn = false;
-              e_fin = true;
-              e_sent_at = Engine.Sim.now fl.t.sim;
-              e_retx = false;
-              e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-            }
-          in
-          Queue.add entry fl.rtx;
-          fl.snd_nxt <- Seq.add fl.snd_nxt 1;
-          send_segment fl.t ~key:fl.key ~seq:entry.e_seq ~ack:fl.rcv_nxt
-            ~flags:{ Tcp_wire.flags_none with ack = true; fin = true }
-            ~options:[] ~window:(advertised_window fl) ~payload:entry.e_payload
-        end);
+            ~options:[] ~window:(advertised_window fl) (gather_tx fl 1)
+        else if fl.fin_queued && not fl.fin_sent then send_fin fl);
       fl.persist_backoff_ns <- min (fl.persist_backoff_ns * 2) max_persist_ns;
       fl.persist_timer <-
         Some
@@ -607,7 +582,7 @@ let rtt_sample fl sample_ns =
   (* A segment rtt span: the probe opened at transmission closes here. *)
   if Trace.enabled () then
     Trace.record_span_ns
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ?dom:fl.t.dom_id
       ~cat:Trace.Net "tcp.rtt" sample_ns;
   if fl.srtt_ns = 0 then begin
     fl.srtt_ns <- sample_ns;
@@ -716,7 +691,7 @@ let rx_account fl len =
   fl.rx_buffered <- fl.rx_buffered + len;
   if Trace.enabled () then
     Trace.emit
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ?dom:fl.t.dom_id
       ~cat:Trace.Net
       ~payload:[ ("qlen", Trace.Int fl.rx_buffered) ]
       "tcp.rx_buffered";
@@ -777,7 +752,7 @@ let insert_ooo fl seq data owner =
     fl.t.ooo_evictions <- fl.t.ooo_evictions + 1;
     if Trace.enabled () then
       Trace.emit
-        ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+        ?dom:fl.t.dom_id
         ~cat:Trace.Net "tcp.ooo_eviction";
     fl.ooo <-
       (match List.rev inserted with
@@ -795,38 +770,19 @@ let send_ack fl =
 
 let enter_time_wait fl =
   fl.state <- Time_wait;
-  cancel_rto fl;
-  cancel_persist fl;
-  release_rx_refs fl;
+  quiesce fl;
   (* Reaching TIME_WAIT means our FIN is acknowledged: [close]'s contract
      is satisfied now, not after the 2-MSL linger. *)
-  (match fl.close_waker with
-  | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
-  | _ -> ());
+  wake_close fl;
   Engine.Sim.lane_at fl.t.time_wait ~time:(Engine.Sim.now fl.t.sim + (2 * msl_ns)) (fun () ->
-      fl.state <- Closed;
-      Hashtbl.remove fl.t.flows fl.key;
-      release_app_refs fl)
+      leave_table fl)
 
 let finish_close fl =
-  fl.state <- Closed;
-  cancel_rto fl;
-  cancel_persist fl;
-  release_rx_refs fl;
-  Hashtbl.remove fl.t.flows fl.key;
-  release_app_refs fl;
-  match fl.close_waker with
-  | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
-  | _ -> ()
+  quiesce fl;
+  leave_table fl;
+  wake_close fl
 
 let fin_acked fl = fl.fin_sent && Queue.is_empty fl.rtx && Seq.equal fl.snd_una fl.snd_nxt
-
-(* [close]'s contract is "our direction is shut down and acknowledged";
-   full teardown may wait on the peer's FIN indefinitely. *)
-let wake_close fl =
-  match fl.close_waker with
-  | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u ()
-  | _ -> ()
 
 (* RFC 793 §3.9: take a window update only from a segment at least as
    recent as the one last used (SND.WL1/WL2), with an acceptable ack —
@@ -852,8 +808,45 @@ let update_snd_wnd fl (seg : Tcp_wire.segment) =
   end
   else if Trace.enabled () then
     Trace.emit
-      ?dom:(Option.map (fun d -> d.Xensim.Domain.id) fl.t.dom)
+      ?dom:fl.t.dom_id
       ~cat:Trace.Net "tcp.stale_window_update"
+
+(* ---------- handshake ---------- *)
+
+(* The peer's SYN or SYN-ACK: its options, and the sequence number its
+   data starts after. *)
+let take_syn fl (seg : Tcp_wire.segment) =
+  List.iter
+    (function
+      | Tcp_wire.Mss m -> fl.mss <- min fl.mss m
+      | Tcp_wire.Window_scale s -> fl.snd_wscale <- s)
+    seg.options;
+  fl.rcv_nxt <- Seq.add seg.seq 1
+
+(* Our SYN is acknowledged by [seg]. Only the send window's scaling
+   differs between the two ends, so the caller passes it. *)
+let establish fl (seg : Tcp_wire.segment) ~window =
+  fl.state <- Established;
+  fl.snd_una <- seg.ack;
+  fl.snd_wnd <- window;
+  fl.snd_wl1 <- seg.seq;
+  fl.snd_wl2 <- seg.ack;
+  Queue.clear fl.rtx;
+  cancel_rto fl;
+  fl.rto_ns <- initial_rto_ns;
+  fl.cwnd <- 10 * fl.mss
+
+(* The SYN of [connect] and the SYN-ACK of [handle_syn]. A SYN's window
+   is never scaled (RFC 7323 §2.2), so it offers the whole buffer, capped
+   at 16 bits. [retransmit_entry_now] resends a SYN with the scaled
+   window and [fl.mss] instead: a known fault, kept until the fix can
+   move the paper rows it touches. *)
+let send_syn fl =
+  send_new fl
+    ~flags:{ Tcp_wire.flags_none with syn = true; ack = fl.state = Syn_rcvd }
+    ~options:[ Tcp_wire.Mss default_mss; Tcp_wire.Window_scale our_wscale ]
+    ~window:(min 0xffff rcv_wnd_bytes) (Bytestruct.create 0);
+  arm_rto fl
 
 (* [owner] is the datagram's reference on the pool buffer backing
    [seg.payload] ([None] when the payload is a private copy); consumers
@@ -870,22 +863,9 @@ let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
     match fl.state with
     | Syn_sent when seg.flags.Tcp_wire.syn && seg.flags.Tcp_wire.ack ->
       if Seq.equal seg.ack fl.snd_nxt then begin
-        List.iter
-          (function
-            | Tcp_wire.Mss m -> fl.mss <- min fl.mss m
-            | Tcp_wire.Window_scale s -> fl.snd_wscale <- s)
-          seg.options;
-        fl.rcv_nxt <- Seq.add seg.seq 1;
-        fl.snd_una <- seg.ack;
+        take_syn fl seg;
         (* The SYN-ACK window is never scaled (RFC 7323). *)
-        fl.snd_wnd <- seg.window;
-        fl.snd_wl1 <- seg.seq;
-        fl.snd_wl2 <- seg.ack;
-        Queue.clear fl.rtx;
-        cancel_rto fl;
-        fl.rto_ns <- initial_rto_ns;
-        fl.state <- Established;
-        fl.cwnd <- 10 * fl.mss;
+        establish fl seg ~window:seg.window;
         send_ack fl;
         match fl.connect_waker with
         | Some u when Mthread.Promise.wakener_pending u -> Mthread.Promise.wakeup u fl
@@ -895,15 +875,7 @@ let rec handle_segment fl ?owner (seg : Tcp_wire.segment) =
     | Syn_sent ->
       () (* simultaneous open not supported; ignore *)
     | Syn_rcvd when seg.flags.Tcp_wire.ack && Seq.equal seg.ack fl.snd_nxt ->
-      fl.state <- Established;
-      fl.snd_una <- seg.ack;
-      fl.snd_wnd <- seg.window lsl fl.snd_wscale;
-      fl.snd_wl1 <- seg.seq;
-      fl.snd_wl2 <- seg.ack;
-      Queue.clear fl.rtx;
-      cancel_rto fl;
-      fl.rto_ns <- initial_rto_ns;
-      fl.cwnd <- 10 * fl.mss;
+      establish fl seg ~window:(seg.window lsl fl.snd_wscale);
       (match Hashtbl.find_opt t.listeners fl.key.k_port with
       | Some accept_cb -> Mthread.Promise.async (fun () -> accept_cb fl)
       | None -> ());
@@ -1023,35 +995,12 @@ let handle_syn t ~src (seg : Tcp_wire.segment) =
   | Some _ ->
     let key = { k_port = seg.dst_port; k_rip = src; k_rport = seg.src_port } in
     let fl = make_flow t key Syn_rcvd in
-    List.iter
-      (function
-        | Tcp_wire.Mss m -> fl.mss <- min fl.mss m
-        | Tcp_wire.Window_scale s -> fl.snd_wscale <- s)
-      seg.options;
-    fl.rcv_nxt <- Seq.add seg.seq 1;
+    take_syn fl seg;
     fl.snd_wnd <- seg.window;
     fl.snd_wl1 <- seg.seq;
     fl.snd_wl2 <- Seq.zero;
     Hashtbl.replace t.flows key fl;
-    let entry =
-      {
-        e_seq = fl.snd_nxt;
-        e_len = 1;
-        e_payload = Bytestruct.create 0;
-        e_syn = true;
-        e_fin = false;
-        e_sent_at = Engine.Sim.now t.sim;
-        e_retx = false;
-        e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-      }
-    in
-    Queue.add entry fl.rtx;
-    fl.snd_nxt <- Seq.add fl.snd_nxt 1;
-    send_segment t ~key ~seq:entry.e_seq ~ack:fl.rcv_nxt
-      ~flags:{ Tcp_wire.flags_none with syn = true; ack = true }
-      ~options:[ Tcp_wire.Mss default_mss; Tcp_wire.Window_scale our_wscale ]
-      ~window:(min 0xffff rcv_wnd_bytes) ~payload:entry.e_payload;
-    arm_rto fl
+    send_syn fl
 
 let handle_datagram t ~src ~dst ~payload =
   match Tcp_wire.decode ~src ~dst payload with
@@ -1119,6 +1068,7 @@ let create sim ?dom ip =
       sim;
       ip;
       dom;
+      dom_id = (match dom with Some d -> Some d.Xensim.Domain.id | None -> None);
       flows = Hashtbl.create 64;
       listeners = Hashtbl.create 8;
       next_ephemeral = 32768;
@@ -1173,25 +1123,7 @@ let connect t ~dst ~dst_port =
   Hashtbl.replace t.flows key fl;
   let p, u = wait () in
   fl.connect_waker <- Some u;
-  let entry =
-    {
-      e_seq = fl.snd_nxt;
-      e_len = 1;
-      e_payload = Bytestruct.create 0;
-      e_syn = true;
-      e_fin = false;
-      e_sent_at = Engine.Sim.now t.sim;
-      e_retx = false;
-      e_flow = (if Trace.enabled () then Trace.Flow.current () else Trace.Flow.none);
-    }
-  in
-  Queue.add entry fl.rtx;
-  fl.snd_nxt <- Seq.add fl.snd_nxt 1;
-  send_segment t ~key ~seq:entry.e_seq ~ack:Seq.zero
-    ~flags:{ Tcp_wire.flags_none with syn = true }
-    ~options:[ Tcp_wire.Mss default_mss; Tcp_wire.Window_scale our_wscale ]
-    ~window:(min 0xffff rcv_wnd_bytes) ~payload:entry.e_payload;
-  arm_rto fl;
+  send_syn fl;
   p
 
 (* ---------- flow API ---------- *)

@@ -1,6 +1,5 @@
 type t = {
   platform : Platform.t;
-  minor_bytes : int;
   mutable minor_used : int;
   mutable minor_live : int;  (* portion of minor that will survive *)
   mutable live_bytes : int;
@@ -26,10 +25,11 @@ let major_growth_headroom = 2.0
 let page = 4096
 let superpage = 2 * 1024 * 1024
 
-let create ~platform ?(minor_kib = 2048) () =
+let minor_bytes = 2048 * 1024
+
+let create ~platform () =
   {
     platform;
-    minor_bytes = minor_kib * 1024;
     minor_used = 0;
     minor_live = 0;
     live_bytes = 0;
@@ -87,7 +87,7 @@ let minor_collect t =
   cost
 
 let alloc_common t ~bytes ~live =
-  let gc = if t.minor_used + bytes > t.minor_bytes then minor_collect t else 0 in
+  let gc = if t.minor_used + bytes > minor_bytes then minor_collect t else 0 in
   t.minor_used <- t.minor_used + bytes;
   if live then t.minor_live <- t.minor_live + bytes;
   alloc_base_ns + gc

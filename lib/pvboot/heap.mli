@@ -11,7 +11,7 @@
 
 type t
 
-val create : platform:Platform.t -> ?minor_kib:int -> unit -> t
+val create : platform:Platform.t -> unit -> t
 
 (** Allocate [bytes] that remain live (e.g. a sleeping thread record).
     Returns the virtual-time cost in ns. *)

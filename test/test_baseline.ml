@@ -36,7 +36,7 @@ let test_apache_serves_and_rejects_overload () =
   let w, server, client = web_world ~vcpus:1 in
   let apache =
     Core.Apps.Net.Baseline.apache_static w.sim ~dom:server.dom ~tcp:(Netstack.Stack.tcp server.stack)
-      ~port:80 ()
+      ~port:80
   in
   (* A single request works. *)
   let resp =
