@@ -10,82 +10,20 @@ module F = Netsim.Faults
 module Metrics = Uhttp.Metrics_export.Make (Netstack.Device)
 
 let bytes = 200_000
+let deadline_ns = Engine.Sim.sec 60
 let seeds = [ 1; 2; 3; 5; 7; 11; 42; 101; 443; 1001; 4242; 65537 ]
-let schedules = Testlib.chaos_schedules
-
-type outcome = {
-  goodput_mbps : float;
-  retransmits : int;
-  fast_rtx : int;
-  rtos : int;
-  persists : int;
-  faults_injected : int;
-}
+let schedules = Scenario.chaos_schedules
 
 let one_run ~seed ~schedule =
-  let w = Util.make_world ~seed () in
-  let a = Util.host w ~platform:Platform.xen_extent ~name:"a" ~ip:"10.0.0.1" () in
-  let b = Util.host w ~platform:Platform.linux_pv ~name:"b" ~ip:"10.0.0.2" () in
-  let received = Buffer.create bytes in
-  let finished_at = ref 0 in
-  let server_flow = ref None in
-  let server_done, done_u = P.wait () in
-  N.Tcp.listen (N.Stack.tcp b.Util.stack) ~port:5001 (fun flow ->
-      server_flow := Some flow;
-      let rec drain () =
-        P.bind (N.Tcp.read flow) (function
-          | None ->
-            finished_at := Engine.Sim.now w.Util.sim;
-            P.wakeup done_u ();
-            P.return ()
-          | Some c ->
-            Buffer.add_string received (Bytestruct.to_string c);
-            drain ())
-      in
-      drain ());
-  let data = String.init bytes (fun i -> Char.chr ((i * 131 + i / 251) land 0xff)) in
-  let flow =
-    Util.run w
-      (N.Tcp.connect (N.Stack.tcp a.Util.stack)
-         ~dst:(N.Stack.address b.Util.stack) ~dst_port:5001)
-  in
-  let now = Engine.Sim.now w.Util.sim in
-  Netsim.Bridge.set_faults w.Util.bridge a.Util.nic (schedule ~now);
-  Netsim.Bridge.set_faults w.Util.bridge b.Util.nic (schedule ~now);
-  P.async (fun () ->
-      let rec send off =
-        if off >= bytes then N.Tcp.close flow
-        else
-          P.bind
-            (N.Tcp.write flow (Util.bs (String.sub data off (min 4096 (bytes - off)))))
-            (fun () -> send (off + 4096))
-      in
-      send 0);
-  Engine.Sim.run w.Util.sim ~until:(now + Engine.Sim.sec 60);
-  if P.state server_done = `Pending then
+  let o = Scenario.bulk_transfer ~seed ~schedule ~bytes ~chunk:4096 ~deadline_ns () in
+  match o.Scenario.eof_ns with
+  | None ->
     Error
       (Printf.sprintf "did not terminate (client %s / server %s, %d/%d bytes, sim now %dms)"
-         (N.Tcp.state_name flow)
-         (match !server_flow with Some f -> N.Tcp.state_name f | None -> "-")
-         (Buffer.length received) bytes
-         ((Engine.Sim.now w.Util.sim - now) / 1_000_000))
-  else if Buffer.contents received <> data then Error "payload corrupted"
-  else begin
-    let tcp = N.Stack.tcp a.Util.stack in
-    let fc = Netsim.Bridge.fault_counts w.Util.bridge in
-    let elapsed = !finished_at - now in
-    Ok
-      {
-        goodput_mbps = float_of_int bytes *. 8.0 /. Engine.Sim.to_sec elapsed /. 1e6;
-        retransmits = N.Tcp.retransmissions tcp;
-        fast_rtx = N.Tcp.fast_retransmits tcp;
-        rtos = N.Tcp.rto_fires tcp;
-        persists = N.Tcp.persist_probes tcp;
-        faults_injected =
-          fc.Netsim.fc_burst_dropped + fc.Netsim.fc_flap_dropped + fc.Netsim.fc_script_dropped
-          + fc.Netsim.fc_corrupted + fc.Netsim.fc_duplicated + fc.Netsim.fc_reordered;
-      }
-  end
+         o.client_state o.server_state o.received bytes (deadline_ns / 1_000_000))
+  | Some _ when not o.intact -> Error "payload corrupted"
+  | Some elapsed ->
+    Ok (float_of_int bytes *. 8.0 /. Engine.Sim.to_sec elapsed /. 1e6, o)
 
 (* ---- alerting accuracy (the monitoring plane's chaos check) ----
 
@@ -115,18 +53,9 @@ let alerting_run ~seed ~lossy =
   ignore (Metrics.mount w.Util.sim ~dom:web.Util.dom ~port:9100 web.Util.stack);
   let client_tcp = N.Stack.tcp client.Util.stack in
   let dst = N.Stack.address web.Util.stack in
-  let rec drive () =
-    P.bind
-      (P.catch
-         (fun () ->
-           P.bind
-             (P.with_timeout w.Util.sim (Engine.Sim.ms 200) (fun () ->
-                  Core.Apps.Net.Http_client.get_once client_tcp ~dst ~port:80 "/"))
-             (fun _ -> P.return ()))
-         (fun _ -> P.sleep w.Util.sim (Engine.Sim.ms 5)))
-      (fun () -> P.bind (P.sleep w.Util.sim (Engine.Sim.ms 2)) drive)
-  in
-  P.async drive;
+  P.async (fun () ->
+      Scenario.http_load w.Util.sim client_tcp ~dst ~timeout_ns:(Engine.Sim.ms 200)
+        ~gap_ns:(Engine.Sim.ms 2) ~backoff_ns:(Engine.Sim.ms 5) ());
   let rules =
     [
       Monitor.Slo.rule "goodput-floor"
@@ -202,22 +131,20 @@ let run () =
           | seed, Ok o ->
             Util.emit ~figure:"chaos" ~seed
               ~metric:(Printf.sprintf "goodput/%s" name)
-              ~unit_:"Mbps" o.goodput_mbps)
+              ~unit_:"Mbps" (fst o))
         outcomes;
       let oks = List.filter_map (function _, Ok o -> Some o | _ -> None) outcomes in
       if List.length oks = List.length seeds then begin
-        let sum f = List.fold_left (fun acc o -> acc +. f o) 0.0 oks in
-        let isum f = List.fold_left (fun acc o -> acc + f o) 0 oks in
-        let mean = sum (fun o -> o.goodput_mbps) /. float_of_int (List.length oks) in
-        let mn =
-          List.fold_left (fun acc o -> min acc o.goodput_mbps) infinity oks
-        in
+        let goodputs = List.map fst oks in
+        let mean = List.fold_left ( +. ) 0.0 goodputs /. float_of_int (List.length oks) in
+        let mn = List.fold_left min infinity goodputs in
+        let isum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 oks in
         Printf.printf "  %-18s %6.1f Mbps %6.1f Mbps %6d %7d %6d %8d %8d\n" name mean mn
-          (isum (fun o -> o.faults_injected))
-          (isum (fun o -> o.retransmits))
-          (isum (fun o -> o.fast_rtx))
-          (isum (fun o -> o.rtos))
-          (isum (fun o -> o.persists))
+          (isum (fun o -> Scenario.faults_injected o.Scenario.faults))
+          (isum (fun o -> o.Scenario.retransmits))
+          (isum (fun o -> o.Scenario.fast_retransmits))
+          (isum (fun o -> o.Scenario.rtos))
+          (isum (fun o -> o.Scenario.persists))
       end)
     schedules;
   if !failures = 0 then

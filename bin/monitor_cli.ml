@@ -71,17 +71,9 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   List.iter
     (fun (n : Core.Appliance.networked) ->
       let dst = Core.Appliance.address n in
-      let rec drive () =
-        P.catch
-          (fun () ->
-            P.with_timeout sim (Engine.Sim.ms 200) (fun () ->
-                Core.Apps.Net.Http_client.get_once client_tcp ~dst ~port:80 "/")
-            >>= fun _ -> P.return ())
-          (fun _ -> P.sleep sim (Engine.Sim.ms 5))
-        >>= fun () ->
-        P.sleep sim (Engine.Sim.ms 2) >>= fun () -> drive ()
-      in
-      P.async drive)
+      P.async (fun () ->
+          Scenario.http_load sim client_tcp ~dst ~timeout_ns:(Engine.Sim.ms 200)
+            ~gap_ns:(Engine.Sim.ms 2) ~backoff_ns:(Engine.Sim.ms 5) ()))
     webs;
 
   (* -- fault injection: one appliance's link flaps mid-run -- *)

@@ -12,9 +12,6 @@
    retransmit storm is visible in the capture. *)
 
 open Cmdliner
-module P = Mthread.Promise
-
-let ( >>= ) = P.bind
 
 let dir_str = function Netsim.Tx -> "tx" | Netsim.Rx -> "rx"
 
@@ -36,58 +33,11 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
   let cap = Netsim.Capture.create ~name:"cap0" ~capacity ~snaplen ~filter () in
   if not at_vif then Netsim.Capture.attach_bridge cap bridge;
 
-  (* -- server appliance: HTTP on :80, UDP echo on :53 -- *)
-  let router = Uhttp.Router.create () in
-  Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
-      P.return (Uhttp.Http_wire.response ~status:200 (String.make 1024 'x')));
-  let server =
-    Core.World.appliance w ~config:(Core.Appliance.web_server ~aslr_seed:0x9ca ()) ~ip:"10.0.0.10"
-      ~main:(fun h ->
-        let stack = Core.Appliance.Handle.stack h in
-        ignore
-          (Core.Apps.Net.Http.of_router sim
-             ~dom:(Core.Appliance.Handle.domain h)
-             ~tcp:(Netstack.Stack.tcp stack) ~port:80 router);
-        let udp = Netstack.Stack.udp stack in
-        Netstack.Udp.listen udp ~port:53 (fun ~src ~src_port ~dst_port:_ ~payload ->
-            P.async (fun () ->
-                Netstack.Udp.sendto udp ~src_port:53 ~dst:src ~dst_port:src_port payload));
-        P.sleep sim (duration_ns * 2) >>= fun () -> P.return 0)
-      ()
-  in
-  if at_vif then
-    Devices.Netif.set_capture (Core.Appliance.netif (Core.Appliance.Handle.networked server))
-      (Some cap);
-  (if loss > 0.0 then
-     let nic = Devices.Netif.nic (Core.Appliance.netif (Core.Appliance.Handle.networked server)) in
-     Netsim.Bridge.set_loss bridge nic loss);
-
-  (* -- client: HTTP GET loop + a UDP query loop -- *)
-  let client_stack =
-    (Core.World.host w ~account_cpu:false ~name:"client" ~ip:"10.0.0.9" ())
-      .Core.World.stack
-  in
-  let dst = Core.Appliance.Handle.address server in
-  let rec http_drive () =
-    P.catch
-      (fun () ->
-        P.with_timeout sim (Engine.Sim.ms 500) (fun () ->
-            Core.Apps.Net.Http_client.get_once (Netstack.Stack.tcp client_stack) ~dst ~port:80 "/")
-        >>= fun _ -> P.return ())
-      (fun _ -> P.return ())
-    >>= fun () ->
-    P.sleep sim (Engine.Sim.ms 10) >>= fun () -> http_drive ()
-  in
-  P.async http_drive;
-  let udp = Netstack.Stack.udp client_stack in
-  Netstack.Udp.listen udp ~port:5353 (fun ~src:_ ~src_port:_ ~dst_port:_ ~payload:_ -> ());
-  let rec udp_drive n =
-    Netstack.Udp.sendto udp ~src_port:5353 ~dst ~dst_port:53
-      (Bytestruct.of_string (Printf.sprintf "query-%d" n))
-    >>= fun () ->
-    P.sleep sim (Engine.Sim.ms 25) >>= fun () -> udp_drive (n + 1)
-  in
-  P.async (fun () -> udp_drive 0);
+  ignore
+    (Scenario.web_and_echo w
+       ?vif_capture:(if at_vif then Some cap else None)
+       ~aslr_seed:0x9ca ~page_bytes:1024 ~loss ~duration_ns ~http_gap_ns:(Engine.Sim.ms 10)
+       ~query:(Printf.sprintf "query-%d") ~query_gap_ns:(Engine.Sim.ms 25) ());
 
   let started = Engine.Sim.now sim in
   Engine.Sim.run ~until:(started + duration_ns) sim;

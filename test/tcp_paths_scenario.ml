@@ -65,18 +65,8 @@ let scripted_drops drops =
       | Some h -> List.exists (fun p -> p h) drops)
     ()
 
-let run () =
-  Trace.quiesce ();
-  Trace.enable ~capacity:65536 ();
-  let w = Core.World.create ~seed:11 () in
+let steer w cap =
   let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
-  let cap =
-    Netsim.Capture.create ~name:"tcp_paths" ~capacity:4096 ~snaplen:96
-      ~filter:
-        (match Netsim.Capture.parse_filter "tcp" with Ok f -> f | Error e -> failwith e)
-      ()
-  in
-  Netsim.Capture.attach_bridge cap bridge;
   let s = Core.World.host w ~name:"server" ~ip:"10.0.0.2" () in
   let c = Core.World.host w ~name:"client" ~ip:"10.0.0.9" () in
   let stcp = N.Stack.tcp s.Core.World.stack and ctcp = N.Stack.tcp c.Core.World.stack in
@@ -179,9 +169,6 @@ let run () =
   check "nothing evicted" (Netsim.Capture.evicted cap = 0);
   List.iter
     (fun (what, ok) -> if not ok then failwith ("Tcp_paths_scenario: not reached: " ^ what))
-    (List.rev !reached);
-  let pcap = Netsim.Capture.to_pcap cap in
-  let flows = Netsim.Capture.flows_json cap in
-  Netsim.Capture.close cap;
-  Trace.quiesce ();
-  (pcap, flows)
+    (List.rev !reached)
+
+let run () = Scenario.traced_capture ~name:"tcp_paths" ~capacity:4096 ~snaplen:96 ~filter:"tcp" steer

@@ -57,18 +57,9 @@ let scenario ?(seed = 42) ?(flap = false) () =
   List.iter
     (fun (n : Core.Appliance.networked) ->
       let dst = Core.Appliance.address n in
-      let rec drive () =
-        if !stopping then P.return ()
-        else
-          P.catch
-            (fun () ->
-              P.with_timeout w.sim (ms 200) (fun () ->
-                  Core.Apps.Net.Http_client.get_once client_tcp ~dst ~port:80 "/")
-              >>= fun _ -> P.return ())
-            (fun _ -> P.sleep w.sim (ms 5))
-          >>= fun () -> P.sleep w.sim (ms 2) >>= fun () -> drive ()
-      in
-      P.async drive)
+      P.async (fun () ->
+          Scenario.http_load w.sim client_tcp ~dst ~timeout_ns:(ms 200) ~gap_ns:(ms 2)
+            ~backoff_ns:(ms 5) ~stop:stopping ()))
     webs;
   (if flap then
      match webs with

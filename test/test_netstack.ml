@@ -492,37 +492,13 @@ let test_tcp_heavy_loss_rto () =
   check_bool "RTO fired" true (N.Tcp.rto_fires (N.Stack.tcp a.stack) > 0)
 
 let test_tcp_flow_control_backpressure () =
-  let w, a, b = pair_world () in
-  (* Server does not read for a while: the sender must stall at the
+  (* Server does not read for 100 ms: the sender must stall at the
      receive window, not lose data. *)
-  let start_reading, start_u = P.wait () in
-  let received = Buffer.create 0 in
-  let server_done, done_u = P.wait () in
-  N.Tcp.listen (N.Stack.tcp b.stack) ~port:5001 (fun flow ->
-      start_reading >>= fun () ->
-      let rec drain () =
-        N.Tcp.read flow >>= function
-        | None -> P.wakeup done_u (); P.return ()
-        | Some c -> Buffer.add_string received (Bytestruct.to_string c); drain ()
-      in
-      drain ());
-  let bytes = 600_000 in
-  let data = pattern bytes in
-  P.async (fun () ->
-      N.Tcp.connect (N.Stack.tcp a.stack) ~dst:(N.Stack.address b.stack) ~dst_port:5001
-      >>= fun flow ->
-      let rec send off =
-        if off >= bytes then N.Tcp.close flow
-        else
-          N.Tcp.write flow (bs (String.sub data off (min 8192 (bytes - off)))) >>= fun () ->
-          send (off + 8192)
-      in
-      send 0);
-  (* let the sender run against a non-reading server for 100 ms *)
-  ignore (run w (P.sleep w.sim (Engine.Sim.ms 100)));
-  P.wakeup start_u ();
-  ignore (run w server_done);
-  check_bool "all delivered after stall" true (Buffer.contents received = data)
+  let o =
+    Scenario.bulk_transfer ~seed:42 ~schedule:(fun ~now:_ -> Netsim.Faults.none) ~bytes:600_000
+      ~chunk:8192 ~stall_ns:(Engine.Sim.ms 100) ~deadline_ns:(Engine.Sim.sec 30) ()
+  in
+  check_bool "all delivered after stall" true (o.eof_ns <> None && o.intact)
 
 let test_tcp_concurrent_flows () =
   let w, a, b = pair_world () in
