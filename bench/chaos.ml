@@ -8,6 +8,7 @@ module P = Mthread.Promise
 module N = Netstack
 module F = Netsim.Faults
 module Metrics = Uhttp.Metrics_export.Make (Netstack.Device)
+module Mon = Monitor.Make (Netstack.Device.Tcp)
 
 let bytes = 200_000
 let deadline_ns = Engine.Sim.sec 60
@@ -65,23 +66,23 @@ let alerting_run ~seed ~lossy =
     ]
   in
   let m =
-    Core.Apps.Net.Monitor.create w.Util.sim ~tcp:(N.Stack.tcp mon.Util.stack)
+    Mon.create w.Util.sim ~tcp:(N.Stack.tcp mon.Util.stack)
       ~interval_ns:alert_interval_ns ~rules ()
   in
-  Core.Apps.Net.Monitor.add_target m ~name:"web"
+  Mon.add_target m ~name:"web"
     ~addr:(N.Ipaddr.of_string "10.0.0.2")
     ~port:9100;
   if lossy then
     Netsim.Bridge.set_faults w.Util.bridge web.Util.nic
-      (F.make ~ge:(F.burst_loss ~avg_loss:0.4 ~burst_len:30 ()) ());
-  P.async (fun () -> Core.Apps.Net.Monitor.run m);
+      (F.make ~ge:(F.burst_loss ~avg_loss:0.4 ~burst_len:30) ());
+  P.async (fun () -> Mon.run m);
   let now = Engine.Sim.now w.Util.sim in
   Engine.Sim.run w.Util.sim ~until:(now + alert_duration_ns);
   let fired =
     List.length
       (List.filter
          (fun a -> a.Monitor.al_rule = "goodput-floor")
-         (Core.Apps.Net.Monitor.alerts m))
+         (Mon.alerts m))
   in
   Trace.Metrics.disable ();
   Trace.Metrics.reset ();

@@ -36,12 +36,12 @@ let run_world () =
   let counter = ref 0 in
   let result =
     Util.run w
-      (Core.Apps.Net.Httperf.run w.Util.sim
+      (Util.Httperf.run w.Util.sim
          (Netstack.Stack.tcp client.Util.stack)
          ~dst:(Netstack.Ipaddr.of_string "10.0.0.80")
          ~port:80 ~rate:500.0 ~sessions:requests
          ~session_timeout_ns:(Engine.Sim.sec 10) ~counter
-         ~session:(Core.Apps.Net.Httperf.static_session ~path:"/index.html" ~counter) ())
+         ~session:(Util.Httperf.static_session ~path:"/index.html" ~counter) ())
   in
   result.Uhttp.Httperf.replies
 

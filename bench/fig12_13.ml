@@ -10,6 +10,7 @@
 
 module P = Mthread.Promise
 module H = Uhttp.Http_wire
+module Appliances = Baseline.Appliances.Make (Netstack.Device.Tcp)
 
 let twitter_router () =
   let tweets : (string, string list) Hashtbl.t = Hashtbl.create 64 in
@@ -46,16 +47,16 @@ let fig12_point ~appliance ~rate =
     let server = Util.host w ~platform:Platform.linux_pv ~name:"nginx-webpy" ~ip:"10.0.0.80" () in
     let router = twitter_router () in
     ignore
-      (Core.Apps.Net.Baseline.nginx_webpy w.Util.sim ~dom:server.Util.dom
+      (Appliances.nginx_webpy w.Util.sim ~dom:server.Util.dom
          ~tcp:(Netstack.Stack.tcp server.Util.stack) ~port:80 (fun req ->
            match Uhttp.Router.dispatch router req.H.meth req.H.path with
            | Some h -> h req
            | None -> P.return (H.response ~status:404 "not found"))));
   let result =
     Util.run w
-      (Core.Apps.Net.Httperf.run w.Util.sim (Netstack.Stack.tcp client.Util.stack) ~dst:server_ip ~port:80
+      (Util.Httperf.run w.Util.sim (Netstack.Stack.tcp client.Util.stack) ~dst:server_ip ~port:80
          ~rate ~sessions ~session_timeout_ns:(Engine.Sim.sec 10) ~counter
-         ~session:(Core.Apps.Net.Httperf.twitter_session ~user:"alice" ~counter) ())
+         ~session:(Util.Httperf.twitter_session ~user:"alice" ~counter) ())
   in
   result.Uhttp.Httperf.reply_rate
 
@@ -98,7 +99,7 @@ let fig13_config ~label ~servers =
         (match kind with
         | `Apache ->
           ignore
-            (Core.Apps.Net.Baseline.apache_static w.Util.sim ~dom:server.Util.dom
+            (Appliances.apache_static w.Util.sim ~dom:server.Util.dom
                ~tcp:(Netstack.Stack.tcp server.Util.stack) ~port:80)
         | `Mirage ->
           ignore
@@ -117,11 +118,11 @@ let fig13_config ~label ~servers =
     List.map
       (fun ip ->
         let counter = ref 0 in
-        Core.Apps.Net.Httperf.run w.Util.sim (Netstack.Stack.tcp client.Util.stack) ~dst:ip ~port:80
+        Util.Httperf.run w.Util.sim (Netstack.Stack.tcp client.Util.stack) ~dst:ip ~port:80
           ~rate:(fig13_offered_rate /. float_of_int (Array.length ips))
           ~sessions:(fig13_sessions / Array.length ips)
           ~session_timeout_ns:(Engine.Sim.sec 5) ~counter
-          ~session:(Core.Apps.Net.Httperf.static_session ~path:"/index.html" ~counter) ())
+          ~session:(Util.Httperf.static_session ~path:"/index.html" ~counter) ())
       (Array.to_list ips)
   in
   let all = Util.run w (P.all results) in

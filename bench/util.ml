@@ -5,6 +5,10 @@ module P = Mthread.Promise
 (* Worlds and hosts are [Core.World]'s. *)
 include Core.World
 
+(* The httperf load generator over the unikernel netstack, shared by the
+   web figures (12, 13) and the datapath breakdown. *)
+module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
+
 (* When [capture_worlds] is set, every world made after that point gets a
    wire capture attached to its bridge (collected in [world_captures] so
    the capture guard can close them). The capture-invariance guard flips

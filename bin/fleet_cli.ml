@@ -40,14 +40,14 @@ let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
 
   Printf.printf "\n-- scale events --\n";
   List.iter
-    (fun (ev : Core.Apps.Net.Orchestrator.event) ->
+    (fun (ev : Fleet.Orch.event) ->
       Printf.printf "  [%8.1f ms] %-9s %-8s -> %2d shards  (%s)\n"
-        (Engine.Sim.to_ms ev.Core.Apps.Net.Orchestrator.ev_time_ns)
-        (match ev.Core.Apps.Net.Orchestrator.ev_action with
-        | Core.Apps.Net.Orchestrator.Scale_out -> "SCALE-OUT"
-        | Core.Apps.Net.Orchestrator.Scale_in -> "SCALE-IN")
-        ev.Core.Apps.Net.Orchestrator.ev_shard ev.Core.Apps.Net.Orchestrator.ev_shards
-        ev.Core.Apps.Net.Orchestrator.ev_reason)
+        (Engine.Sim.to_ms ev.Fleet.Orch.ev_time_ns)
+        (match ev.Fleet.Orch.ev_action with
+        | Fleet.Orch.Scale_out -> "SCALE-OUT"
+        | Fleet.Orch.Scale_in -> "SCALE-IN")
+        ev.Fleet.Orch.ev_shard ev.Fleet.Orch.ev_shards
+        ev.Fleet.Orch.ev_reason)
     o.Fleet.o_events;
 
   Printf.printf "\n-- timeline (0.5 s samples) --\n";

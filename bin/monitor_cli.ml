@@ -1,7 +1,7 @@
 (* mirage_sim monitor: the self-hosted monitoring plane, end to end.
 
    Boots N web-server appliances with /metrics mounted (one line of
-   Boot_spec), a load-generating host, and the monitor unikernel, which
+   their main), a load-generating host, and the monitor unikernel, which
    discovers the fleet from the bridge's service directory and scrapes
    it over real simulated TCP. At the end of the virtual-time run it
    renders a dashboard: per-target sparklines, SLO verdicts, and the
@@ -10,6 +10,7 @@
 
 open Cmdliner
 module P = Mthread.Promise
+module Mon = Monitor.Make (Netstack.Device.Tcp)
 
 let ( >>= ) = P.bind
 
@@ -49,10 +50,11 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 (String.make 512 'x')));
   let boot_web i =
-    Core.World.appliance w ~metrics_port
+    Core.World.appliance w
       ~config:(Core.Appliance.web_server ~aslr_seed:(0x3eb + i) ())
       ~ip:(Printf.sprintf "10.0.0.%d" (10 + i))
       ~main:(fun h ->
+        Core.Exporter.mount h ~port:metrics_port;
         let dom = Core.Appliance.Handle.domain h in
         ignore
           (Core.Apps.Net.Http.of_router sim ~dom
@@ -115,16 +117,16 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
       ~main:(fun h ->
         let dom = Core.Appliance.Handle.domain h in
         let m =
-          Core.Apps.Net.Monitor.create sim ~dom:dom.Xensim.Domain.id
+          Mon.create sim ~dom:dom.Xensim.Domain.id
             ~tcp:(Netstack.Stack.tcp (Core.Appliance.Handle.stack h))
             ~interval_ns ~rules ()
         in
         List.iter
           (fun (name, ip, port) ->
-            Core.Apps.Net.Monitor.add_target m ~name ~addr:(Netstack.Ipaddr.of_string ip) ~port)
+            Mon.add_target m ~name ~addr:(Netstack.Ipaddr.of_string ip) ~port)
           (Monitor.discover bridge);
         monitor_ref := Some m;
-        Core.Apps.Net.Monitor.run m >>= fun () -> P.return 0)
+        Mon.run m >>= fun () -> P.return 0)
       ()
   in
   let started = Engine.Sim.now sim in
@@ -134,14 +136,14 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
   (* -- dashboard -- *)
   let width = 44 in
   Printf.printf "\n==== monitoring plane: %d targets, %d scrape rounds over %.0f ms ====\n"
-    (List.length (Core.Apps.Net.Monitor.targets m))
-    (Core.Apps.Net.Monitor.rounds m)
+    (List.length (Mon.targets m))
+    (Mon.rounds m)
     (Engine.Sim.to_ms duration_ns);
   List.iter
     (fun tg ->
-      let name = tg.Core.Apps.Net.Monitor.tg_name in
-      Printf.printf "\n%s (scrapes ok %d, failed %d)\n" name tg.Core.Apps.Net.Monitor.tg_ok
-        tg.Core.Apps.Net.Monitor.tg_failed;
+      let name = tg.Mon.tg_name in
+      Printf.printf "\n%s (scrapes ok %d, failed %d)\n" name tg.Mon.tg_ok
+        tg.Mon.tg_failed;
       let spark label points unit_ =
         match points with
         | [] -> Printf.printf "  %-12s %-8s (no data)\n" label unit_
@@ -151,10 +153,10 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
             (Monitor.sparkline ~width pts) (fmt_rate last)
       in
       let counter_rate key =
-        match Core.Apps.Net.Monitor.series tg key with Some s -> rate_points s | None -> []
+        match Mon.series tg key with Some s -> rate_points s | None -> []
       in
       let gauge_vals key =
-        match Core.Apps.Net.Monitor.series tg key with Some s -> value_points s | None -> []
+        match Mon.series tg key with Some s -> value_points s | None -> []
       in
       spark "req/s" (counter_rate "http_requests") "";
       spark "goodput" (counter_rate "http_bytes_sent") "B/s";
@@ -166,7 +168,7 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
           let fired =
             List.filter
               (fun a -> a.Monitor.al_target = name && a.Monitor.al_rule = r.Monitor.Slo.r_name)
-              (Core.Apps.Net.Monitor.alerts m)
+              (Mon.alerts m)
           in
           let verdict =
             match fired with
@@ -180,8 +182,8 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
           in
           Printf.printf "  slo %-22s %s\n" r.Monitor.Slo.r_name verdict)
         rules)
-    (Core.Apps.Net.Monitor.targets m);
-  (match Core.Apps.Net.Monitor.alerts m with
+    (Mon.targets m);
+  (match Mon.alerts m with
   | [] -> Printf.printf "\nalert timeline: quiet (no SLO breaches)\n"
   | alerts ->
     Printf.printf "\nalert timeline:\n";

@@ -59,12 +59,6 @@ type net =
   | Direct of { netif : Devices.Netif.t; stack : Netstack.Stack.t }
   | Sockets of Hostnet.t
 
-(* The exposition endpoint instantiated per backend, like every other
-   protocol functor — but here rather than in [Apps] because mounting is
-   part of bring-up ([Boot_spec.metrics_port]), not application code. *)
-module Net_metrics = Uhttp.Metrics_export.Make (Netstack.Device)
-module Host_metrics = Uhttp.Metrics_export.Make (Hostnet.Device)
-
 type networked = { unikernel : Unikernel.t; net : net }
 
 let stack n =
@@ -111,7 +105,13 @@ module Handle = struct
   let spec t = t.h_spec
   let stopped t = t.h_stopped
   let on_drain t f = t.h_drain_hooks <- f :: t.h_drain_hooks
-  let add_advertisement t ad = t.h_ads <- ad :: t.h_ads
+
+  let advertise t ~port =
+    let ad = Printf.sprintf "%s.%d" (name t) (domain t).Xensim.Domain.id in
+    t.h_ads <- ad :: t.h_ads;
+    Netsim.Bridge.advertise t.h_spec.Boot_spec.bridge ~name:ad
+      ~ip:(Netstack.Ipaddr.to_string (address t))
+      ~port
 
   let emit_lifecycle t what =
     if Trace.enabled () then
@@ -206,27 +206,6 @@ let start hv ts (spec : Boot_spec.t) ~main =
                  h_stopped_w = stopped_w;
                }
              in
-             (* One line in the spec makes any appliance scrapable: mount
-                the /metrics endpoint on its own stack and advertise it in
-                the bridge's service directory for monitor discovery. The
-                advertisement is recorded on the handle so shutdown
-                withdraws it. *)
-             (match spec.Boot_spec.metrics_port with
-             | None -> ()
-             | Some port ->
-               (match net with
-               | Direct d ->
-                 ignore (Net_metrics.mount sim ~dom ~port d.stack)
-               | Sockets h ->
-                 ignore (Host_metrics.mount sim ~dom ~port h));
-               let ad =
-                 Printf.sprintf "%s.%d" spec.Boot_spec.config.Config.app_name
-                   dom.Xensim.Domain.id
-               in
-               Handle.add_advertisement handle ad;
-               Netsim.Bridge.advertise spec.Boot_spec.bridge ~name:ad
-                 ~ip:(Netstack.Ipaddr.to_string (address networked))
-                 ~port);
              Trace.finish boot_span;
              wakeup result_waker handle;
              main handle))

@@ -82,6 +82,12 @@ module Handle : sig
       {!drain} is called; {!shutdown} skips them. *)
   val on_drain : t -> (unit -> unit Mthread.Promise.t) -> unit
 
+  (** [advertise t ~port] lists the appliance in its bridge's service
+      directory as [<name>.<domain id>] at its address and [port], and
+      records the entry so {!shutdown} and {!drain} withdraw it.
+      {!Exporter.mount} advertises the /metrics endpoint this way. *)
+  val advertise : t -> port:int -> unit
+
   (** Immediate stop: withdraw advertisements, detach the vif (frames in
       flight vanish), destroy the domain with exit code 0. Idempotent. *)
   val shutdown : t -> unit Mthread.Promise.t

@@ -1,24 +1,15 @@
-(* The configure step (paper §3, Fig. 2): every protocol server in the
-   tree is a functor over Device_sig signatures, and this module is the
-   single place they meet a concrete backend. [Net] instantiates them
-   over the unikernel netstack — what a Posix_direct or Xen_direct
-   appliance runs; [Host] over Hostnet's host-kernel sockets — the
-   Posix_sockets developer target. Application code built against either
-   is line-for-line identical; only this file differs between targets. *)
+(* The configure step (paper §3, Fig. 2) for the servers every kind of
+   caller names: each is its protocol functor applied to the unikernel
+   netstack in a one-line unit of its own, and [Net] only aliases them,
+   so naming [Core.Apps.Net.Dns] links the DNS server and neither the
+   HTTP units nor this module. Every other application is applied by the
+   code that uses it: the fleet's balancer, monitor, orchestrator and
+   load generator in [Fleet], httperf, the baseline servers and the
+   monitor in bench/ and test/, the host-socket servers in
+   test_targets. *)
 
 module Net = struct
-  module Http = Uhttp.Server.Make (Netstack.Device.Tcp)
-  module Http_client = Uhttp.Client.Make (Netstack.Device.Tcp)
-  module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
-  module Dns = Dns.Server.Make (Netstack.Device.Udp)
-  module Baseline = Baseline.Appliances.Make (Netstack.Device.Tcp)
-  module Monitor = Monitor.Make (Netstack.Device.Tcp)
-  module Loadgen = Lb.Loadgen.Make (Netstack.Device.Tcp)
-  module Orchestrator = Orchestrator.Make (Netstack.Device.Tcp)
-  module Lb = Lb.Balancer.Make (Netstack.Device.Tcp)
-end
-
-module Host = struct
-  module Http = Uhttp.Server.Make (Hostnet.Device.Tcp)
-  module Dns = Dns.Server.Make (Hostnet.Device.Udp)
+  module Http = Net_http
+  module Http_client = Net_http_client
+  module Dns = Net_dns
 end

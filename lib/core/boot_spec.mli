@@ -13,11 +13,6 @@ type t = {
   mem_mib : int;
   ip : Netstack.Ipv4.config option;  (** static address, or DHCP when [None] *)
   target : Target.t;  (** which backend the appliance is configured against *)
-  metrics_port : int option;
-      (** when set, [Appliance.start] mounts a /metrics exposition endpoint
-          on this port and advertises it in the bridge's service directory
-          (see [Netsim.Bridge.advertise]) — one line makes the appliance
-          scrapable by the monitor *)
   quiet_net : bool;
       (** suppress the gratuitous ARP broadcast a static-IP stack sends
           at bring-up ([Netstack.Stack.create ~announce:false]). Boot
@@ -36,7 +31,8 @@ type t = {
 }
 
 (** Smart constructor; defaults: [mode = `Async], [mem_mib = 32],
-    [ip = None] (DHCP), [target = Xen_direct], no metrics endpoint.
+    [ip = None] (DHCP), [target = Xen_direct], [quiet_net = false],
+    [rx_slots = 512].
     @raise Invalid_argument if [mem_mib <= 0]. *)
 val make :
   backend_dom:Xensim.Domain.t ->
@@ -46,16 +42,18 @@ val make :
   ?mem_mib:int ->
   ?ip:Netstack.Ipv4.config ->
   ?target:Target.t ->
-  ?metrics_port:int ->
   ?quiet_net:bool ->
   ?rx_slots:int ->
   unit ->
   t
 
 (** [clone t ~name ?ip ()] stamps out a fleet replica from a template
-    spec: same libraries, bridge, target and metrics port, but a fresh
-    appliance name, its own address, and an ASR seed re-derived from the
-    name (each replica links a differently-randomised image,
-    deterministically). The orchestrator uses this to boot shard N+1
-    without rebuilding a spec by hand. *)
+    spec: same libraries, bridge, target, memory, toolstack mode and
+    network settings, but a fresh appliance name, its own address
+    ([ip], else the template's), and an ASR seed re-derived from the
+    name unless [aslr_seed] is given (each replica links a
+    differently-randomised image, deterministically). A spec says
+    nothing about /metrics: a replica that should be scraped mounts the
+    exporter from its [main] ({!Exporter.mount}). The fleet's shard
+    factory and the boot storms build every replica this way. *)
 val clone : t -> name:string -> ?ip:Netstack.Ipv4.config -> ?aslr_seed:int -> unit -> t

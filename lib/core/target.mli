@@ -1,7 +1,8 @@
 (** The three compilation targets of the progressive developer workflow
     (paper §5.4): one appliance, three device configurations. Each target
-    selects which backend the application functors are instantiated with
-    ({!Apps}) and which libraries the specialiser links ({!Specialize}). *)
+    selects which backend the application functors are applied to
+    ({!Appliance}) and which libraries the specialiser links
+    ({!Specialize}). *)
 
 type t =
   | Posix_sockets

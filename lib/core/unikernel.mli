@@ -14,7 +14,7 @@
     the unikernel network stack over tuntap, then cross-compile to the
     sealed Xen image. An alias of {!Target.t}; each target selects both
     the library closure ({!Specialize}) and the device backend the
-    application functors are instantiated with ({!Apps}/{!Appliance}). *)
+    application functors are applied to ({!Appliance}). *)
 type target = Target.t =
   | Posix_sockets  (** host kernel networking; bytecode-friendly; no seal *)
   | Posix_direct  (** unikernel stack via tuntap (copy-taxed); no seal *)

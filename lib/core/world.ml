@@ -57,8 +57,6 @@ let host w ?platform ?vcpus ?(account_cpu = true) ?bandwidth_bps ?latency_ns ?an
   in
   { dom; nic; netif; stack }
 
-let appliance w ?metrics_port ~config ~ip ~main () =
-  let spec =
-    Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge ~config ~ip:(static_ip ip) ?metrics_port ()
-  in
+let appliance w ~config ~ip ~main () =
+  let spec = Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge ~config ~ip:(static_ip ip) () in
   run w (Appliance.start w.hv w.toolstack spec ~main)

@@ -63,7 +63,6 @@ val host :
     the simulator until its stack is up. *)
 val appliance :
   t ->
-  ?metrics_port:int ->
   config:Config.t ->
   ip:string ->
   main:(Appliance.Handle.t -> int Mthread.Promise.t) ->

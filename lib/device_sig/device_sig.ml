@@ -2,7 +2,8 @@
    application libraries from the device backends they run on. Protocol
    servers (`Uhttp.Server`, `Dns.Server`, `Baseline.Appliances`) are
    functors over these signatures; the configure step — `Unikernel.target`
-   via `Core.Appliance`/`Core.Apps` — picks the implementation: the
+   via `Core.Appliance`, and the functor application where a server is
+   used — picks the implementation: the
    type-safe unikernel netstack over a PV ring or tuntap device, or the
    `Hostnet` shim that models host-kernel sockets for the POSIX developer
    targets. Application code is identical at every target. *)

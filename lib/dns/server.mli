@@ -8,8 +8,8 @@
     are produced from one correct implementation plus explicit models of
     BIND's and NSD's processing costs.
 
-    The server is a functor over the transport; instantiation happens at
-    configure time ([Core.Apps], per [Unikernel.target]). *)
+    The server is a functor over the transport, applied where it is used
+    ([Core.Apps.Net.Dns] over the unikernel netstack). *)
 
 type engine =
   | Mirage of { memoize : bool }  (** the real Mirage appliance path *)

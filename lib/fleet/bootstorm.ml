@@ -98,7 +98,7 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
   let template =
     Core.Boot_spec.make ~backend_dom:w.World.dom0 ~bridge:w.World.bridge
       ~config:(Core.Appliance.web_server ())
-      ~metrics_port:9100 ~quiet_net:true ~rx_slots:64 ()
+      ~quiet_net:true ~rx_slots:64 ()
   in
   let body = "storm" in
   let t0 = Engine.Sim.now sim in
@@ -113,6 +113,7 @@ let run ?(seed = 42) ?(at_peak = ignore) ~n () =
              ~ip:{ Netstack.Ipv4.address = ip_of_index i; netmask = mask8; gateway = None }
              ())
           ~main:(fun h ->
+            Core.Exporter.mount h ~port:9100;
             let dom = Handle.domain h in
             let srv =
               Apps.Http.create sim ~dom

@@ -21,7 +21,13 @@
 module Bootstorm = Bootstorm
 
 module P = Mthread.Promise
-module Apps = Core.Apps.Net
+
+(* The fleet's own appliances, applied once to the unikernel netstack:
+   the orchestrator brings the monitor ([Orch.M]) and the balancer
+   ([Orch.LB]) it drives. *)
+module Orch = Orchestrator.Make (Netstack.Device.Tcp)
+module Loadgen = Lb.Loadgen.Make (Netstack.Device.Tcp)
+module Http = Core.Apps.Net.Http
 module Handle = Core.Appliance.Handle
 module World = Core.World
 
@@ -111,7 +117,7 @@ type outcome = {
   o_peak_shards : int;
   o_final_shards : int;
   o_peak_population : int;
-  o_events : Apps.Orchestrator.event list;
+  o_events : Orch.event list;
   o_timeline : sample list;
   o_domains_left : int;  (* hypervisor domain-table size at the end *)
   o_shard_handles : (string * Handle.t) list;  (* every shard ever booted *)
@@ -132,23 +138,24 @@ let simulate p =
   let orch_ref = ref None in
   let on_demand =
     if p.scale_to_zero then
-      Some (fun () -> match !orch_ref with Some o -> Apps.Orchestrator.cold_start o | None -> ())
+      Some (fun () -> match !orch_ref with Some o -> Orch.cold_start o | None -> ())
     else None
   in
   let lb_ref = ref None in
   let lb_h =
-    World.appliance w ~metrics_port:9100 ~config:(Core.Appliance.lb_appliance ()) ~ip:"10.0.0.2"
+    World.appliance w ~config:(Core.Appliance.lb_appliance ()) ~ip:"10.0.0.2"
       ~main:(fun h ->
+        Core.Exporter.mount h ~port:9100;
         let dom = Handle.domain h in
         let lb =
-          Apps.Lb.create sim ~dom:dom.Xensim.Domain.id ~policy:p.policy
+          Orch.LB.create sim ~dom:dom.Xensim.Domain.id ~policy:p.policy
             ~check_interval_ns:p.interval_ns ?on_demand
             ~pending_timeout_ns:p.s2z_pending_timeout_ns
             ~tcp:(Netstack.Stack.tcp (Handle.stack h))
             ~port:80 ()
         in
         lb_ref := Some lb;
-        Handle.on_drain h (fun () -> Apps.Lb.drain lb);
+        Handle.on_drain h (fun () -> Orch.LB.drain lb);
         Handle.stopped h >>= fun () -> P.return 0)
       ()
   in
@@ -170,12 +177,12 @@ let simulate p =
       ~main:(fun h ->
         let dom = Handle.domain h in
         let m =
-          Apps.Monitor.create sim ~dom:dom.Xensim.Domain.id
+          Orch.M.create sim ~dom:dom.Xensim.Domain.id
             ~tcp:(Netstack.Stack.tcp (Handle.stack h))
             ~interval_ns:p.interval_ns ~rules ()
         in
         mon_ref := Some m;
-        Apps.Monitor.run m >>= fun () -> P.return 0)
+        Orch.M.run m >>= fun () -> P.return 0)
       ()
   in
   ignore mon_h;
@@ -185,7 +192,7 @@ let simulate p =
   let template =
     Core.Boot_spec.make ~backend_dom:w.World.dom0 ~bridge:w.World.bridge
       ~config:(Core.Appliance.web_server ())
-      ~metrics_port:9100 ()
+      ()
   in
   let body = String.make 512 'x' in
   let shard_handles = ref [] in
@@ -195,6 +202,7 @@ let simulate p =
     Core.Appliance.start w.World.hv w.World.toolstack
       (Core.Boot_spec.clone template ~name ~ip ())
       ~main:(fun h ->
+        Core.Exporter.mount h ~port:9100;
         let dom = Handle.domain h in
         (* windowed p99 gauge: the recoverable latency signal the SLO
            rule watches (the cumulative http_request_ns summary never
@@ -204,20 +212,20 @@ let simulate p =
           "http_p99_window_ns" (fun () ->
             int_of_float (Trace.Hist.Window.percentile win ~now:(Engine.Sim.now sim) 99.0));
         let srv =
-          Apps.Http.create sim ~dom ~per_request_cost_ns:p.per_request_cost_ns
+          Http.create sim ~dom ~per_request_cost_ns:p.per_request_cost_ns
             ~on_request:(fun ~latency_ns ->
               Trace.Hist.Window.record win ~now:(Engine.Sim.now sim) latency_ns)
             ~tcp:(Netstack.Stack.tcp (Handle.stack h))
             ~port:80
             (fun _req -> P.return (Uhttp.Http_wire.response ~status:200 body))
         in
-        Handle.on_drain h (fun () -> Apps.Http.drain srv);
+        Handle.on_drain h (fun () -> Http.drain srv);
         Handle.stopped h >>= fun () -> P.return 0)
     >>= fun h ->
     shard_handles := (name, h) :: !shard_handles;
     P.return
       {
-        Apps.Orchestrator.ep_name = name;
+        Orch.ep_name = name;
         ep_addr = Handle.address h;
         ep_port = 80;
         ep_metrics_port = 9100;
@@ -227,7 +235,7 @@ let simulate p =
 
   (* -- the control loop -- *)
   let orch =
-    Apps.Orchestrator.create sim
+    Orch.create sim
       ~dom:(Handle.domain mon_h).Xensim.Domain.id
       ~lb ~mon ~boot:boot_shard
       ~min_shards:(if p.scale_to_zero then 0 else p.min_shards)
@@ -236,8 +244,8 @@ let simulate p =
       ~scale_in_hold_ns:(Engine.Sim.sec 5) ~max_step:2 ()
   in
   orch_ref := Some orch;
-  P.run sim (Apps.Orchestrator.launch orch);
-  if p.autoscale then P.async (fun () -> Apps.Orchestrator.run orch);
+  P.run sim (Orch.launch orch);
+  if p.autoscale then P.async (fun () -> Orch.run orch);
 
   (* -- the client population -- *)
   (* no vCPU accounting: the population is an infinitely fast traffic
@@ -250,7 +258,7 @@ let simulate p =
   let hold_end = hold_start + p.hold_ns in
   let hold_hist = Trace.Hist.create () in
   let gen =
-    Apps.Loadgen.create sim
+    Loadgen.create sim
       ~tcp:(Netstack.Stack.tcp client_stack)
       ~dst:(Handle.address lb_h) ~port:80 ~think_ns:p.think_ns
       ~on_sample:(fun ~latency_ns ->
@@ -291,7 +299,7 @@ let simulate p =
         (duration_ns, p.base_rps);
       ]
   in
-  P.async (fun () -> Apps.Loadgen.run gen ~schedule ~duration_ns);
+  P.async (fun () -> Loadgen.run gen ~schedule ~duration_ns);
 
   (* -- timeline sampler (for the dashboard and the bench trace) -- *)
   let timeline = ref [] in
@@ -303,10 +311,10 @@ let simulate p =
       timeline :=
         {
           s_ms = Engine.Sim.to_ms (now - t0);
-          s_shards = Apps.Orchestrator.shard_count orch;
-          s_rate_rps = Option.value (Apps.Orchestrator.total_rate orch) ~default:0.0;
-          s_p99_ms = Trace.Hist.Window.percentile (Apps.Loadgen.window gen) ~now 99.0 /. 1e6;
-          s_in_flight = Apps.Loadgen.in_flight gen;
+          s_shards = Orch.shard_count orch;
+          s_rate_rps = Option.value (Orch.total_rate orch) ~default:0.0;
+          s_p99_ms = Trace.Hist.Window.percentile (Loadgen.window gen) ~now 99.0 /. 1e6;
+          s_in_flight = Loadgen.in_flight gen;
         }
         :: !timeline;
       P.sleep sim sample_every >>= sample_loop
@@ -317,33 +325,33 @@ let simulate p =
   (* run to the end of the schedule plus a grace period for stragglers *)
   Engine.Sim.run ~until:(t0 + duration_ns + Engine.Sim.sec 3) sim;
 
-  let events = Apps.Orchestrator.events orch in
+  let events = Orch.events orch in
   let peak_shards =
     List.fold_left (fun acc (s : sample) -> max acc s.s_shards)
-      (Apps.Orchestrator.shard_count orch)
+      (Orch.shard_count orch)
       !timeline
   in
   {
     o_params = p;
-    o_issued = Apps.Loadgen.issued gen;
-    o_ok = Apps.Loadgen.ok gen;
-    o_errors = Apps.Loadgen.errors gen;
-    o_timeouts = Apps.Loadgen.timeouts gen;
-    o_refused = Apps.Lb.refused lb;
-    o_latencies = Apps.Loadgen.latencies gen;
+    o_issued = Loadgen.issued gen;
+    o_ok = Loadgen.ok gen;
+    o_errors = Loadgen.errors gen;
+    o_timeouts = Loadgen.timeouts gen;
+    o_refused = Orch.LB.refused lb;
+    o_latencies = Loadgen.latencies gen;
     o_hold_p99_ns = Trace.Hist.percentile hold_hist 99.0;
-    o_scale_outs = Apps.Orchestrator.scale_outs orch;
-    o_scale_ins = Apps.Orchestrator.scale_ins orch;
+    o_scale_outs = Orch.scale_outs orch;
+    o_scale_ins = Orch.scale_ins orch;
     o_peak_shards = peak_shards;
-    o_final_shards = Apps.Orchestrator.shard_count orch;
-    o_peak_population = Apps.Loadgen.peak_population gen;
+    o_final_shards = Orch.shard_count orch;
+    o_peak_population = Loadgen.peak_population gen;
     o_events = events;
     o_timeline = List.rev !timeline;
     o_domains_left = Xensim.Hypervisor.domain_count w.World.hv;
     o_shard_handles = List.rev !shard_handles;
-    o_cold_starts = Apps.Orchestrator.cold_starts orch;
-    o_held = Apps.Lb.held_total lb;
-    o_held_wait_max_ns = Apps.Lb.held_wait_max_ns lb;
+    o_cold_starts = Orch.cold_starts orch;
+    o_held = Orch.LB.held_total lb;
+    o_held_wait_max_ns = Orch.LB.held_wait_max_ns lb;
   }
 
 (* The orchestrator decides from scraped metrics, so a run owns the
@@ -363,11 +371,11 @@ let run p =
 (* The single-shard reference: same machinery, flat schedule at the base
    rate, autoscaler parked. Its p99 is the denominator of the "p99 within
    2x of a single-shard baseline across a 100x ramp" acceptance check. *)
-let baseline ?(p = defaults) () =
+let baseline () =
   run
     {
-      p with
-      peak_rps = p.base_rps;
+      defaults with
+      peak_rps = defaults.base_rps;
       min_shards = 1;
       max_shards = 1;
       autoscale = false;

@@ -5,10 +5,10 @@
 
    Like every protocol engine in the tree it is a functor over the
    transport signature — the same balancer runs over the unikernel
-   netstack or host sockets, instantiated in [Core.Apps].
+   netstack or host sockets; [Orchestrator.Make] applies it.
 
    Backends are health-checked against their /metrics endpoint (every
-   appliance with [Boot_spec.metrics_port] set already serves it, so the
+   appliance that mounts [Core.Exporter] already serves it, so the
    check exercises the same stack the scrape plane uses): a backend that
    misses [unhealthy_after] consecutive checks stops receiving new
    connections, and recovers after [healthy_after] consecutive passes.
@@ -23,6 +23,10 @@ type policy =
   | Least_conns  (** fewest in-flight proxied connections, ties by age *)
 
 let policy_name = function Hash -> "hash" | Least_conns -> "least-conns"
+
+(* Consecutive health-check outcomes that flip a backend's state. *)
+let healthy_after = 2
+let unhealthy_after = 2
 
 module Make (T : Device_sig.TCP) = struct
   module C = Uhttp.Client.Make (T)
@@ -57,10 +61,7 @@ module Make (T : Device_sig.TCP) = struct
     tcp : T.t;
     port : int;
     policy : policy;
-    check_interval_ns : int;
-    check_timeout_ns : int;
-    healthy_after : int;
-    unhealthy_after : int;
+    check_interval_ns : int;  (* a check times out after half of it *)
     (* scale-to-zero hooks: when set, a flow arriving with no eligible
        backend is parked on [pending] and [on_demand] is poked (the
        orchestrator's cold-start path) instead of refusing outright. *)
@@ -258,7 +259,7 @@ module Make (T : Device_sig.TCP) = struct
   let check t b =
     Mthread.Promise.catch
       (fun () ->
-        Mthread.Promise.with_timeout t.sim t.check_timeout_ns (fun () ->
+        Mthread.Promise.with_timeout t.sim (t.check_interval_ns / 2) (fun () ->
             C.get_once t.tcp ~dst:b.b_addr ~port:b.b_health_port "/metrics")
         >>= fun resp -> return (resp.Uhttp.Http_wire.status = 200))
       (fun _ -> return false)
@@ -267,7 +268,7 @@ module Make (T : Device_sig.TCP) = struct
       b.b_checks_ok <- b.b_checks_ok + 1;
       b.b_fail_streak <- 0;
       b.b_ok_streak <- b.b_ok_streak + 1;
-      if (not b.b_healthy) && b.b_ok_streak >= t.healthy_after then begin
+      if (not b.b_healthy) && b.b_ok_streak >= healthy_after then begin
         b.b_healthy <- true;
         emit t "lb.backend_up" b;
         flush_pending t
@@ -277,7 +278,7 @@ module Make (T : Device_sig.TCP) = struct
       b.b_checks_failed <- b.b_checks_failed + 1;
       b.b_ok_streak <- 0;
       b.b_fail_streak <- b.b_fail_streak + 1;
-      if b.b_healthy && b.b_fail_streak >= t.unhealthy_after then begin
+      if b.b_healthy && b.b_fail_streak >= unhealthy_after then begin
         b.b_healthy <- false;
         emit t "lb.backend_down" b
       end
@@ -301,11 +302,7 @@ module Make (T : Device_sig.TCP) = struct
   (* ---- lifecycle ---- *)
 
   let create sim ?(dom = -1) ?(policy = Least_conns) ?(check_interval_ns = 100_000_000)
-      ?check_timeout_ns ?(healthy_after = 2) ?(unhealthy_after = 2) ?on_demand
-      ?(pending_timeout_ns = 1_000_000_000) ~tcp ~port () =
-    let check_timeout_ns =
-      match check_timeout_ns with Some n -> n | None -> check_interval_ns / 2
-    in
+      ?on_demand ?(pending_timeout_ns = 1_000_000_000) ~tcp ~port () =
     let t =
       {
         sim;
@@ -314,9 +311,6 @@ module Make (T : Device_sig.TCP) = struct
         port;
         policy;
         check_interval_ns;
-        check_timeout_ns;
-        healthy_after;
-        unhealthy_after;
         on_demand;
         pending_timeout_ns;
         pending = Queue.create ();

@@ -43,11 +43,11 @@ module Faults = struct
     slot_ns : int;
   }
 
-  let burst_loss ?(slot_ns = 100_000) ~avg_loss ~burst_len () =
+  let burst_loss ~avg_loss ~burst_len =
     if avg_loss < 0.0 || avg_loss >= 1.0 then invalid_arg "Faults.burst_loss: avg_loss in [0,1)";
     let p_bad_good = 1.0 /. float_of_int (max 1 burst_len) in
     let p_good_bad = avg_loss *. p_bad_good /. (1.0 -. avg_loss) in
-    { p_good_bad; p_bad_good; loss_good = 0.0; loss_bad = 1.0; slot_ns }
+    { p_good_bad; p_bad_good; loss_good = 0.0; loss_bad = 1.0; slot_ns = 100_000 }
 
   type t = {
     ge : gilbert_elliott option;

@@ -44,11 +44,10 @@ module Faults : sig
     slot_ns : int;  (** chain step duration (a "packet slot") *)
   }
 
-  (** [burst_loss ~avg_loss ~burst_len ()] derives Gilbert–Elliott
+  (** [burst_loss ~avg_loss ~burst_len] derives Gilbert–Elliott
       parameters with stationary loss rate [avg_loss], mean burst length
-      [burst_len] slots, [loss_bad = 1] and [loss_good = 0]. [slot_ns]
-      defaults to 100 µs. *)
-  val burst_loss : ?slot_ns:int -> avg_loss:float -> burst_len:int -> unit -> gilbert_elliott
+      [burst_len] slots of 100 µs, [loss_bad = 1] and [loss_good = 0]. *)
+  val burst_loss : avg_loss:float -> burst_len:int -> gilbert_elliott
 
   type t
 

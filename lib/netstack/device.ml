@@ -1,6 +1,6 @@
 (* Conformance of the unikernel netstack to the Device_sig signatures.
-   These are the modules Core.Apps plugs into the application functors
-   for the Posix_direct and Xen_direct targets; the ascriptions in the
+   These are the modules the application functors are applied to for
+   the Posix_direct and Xen_direct targets; the ascriptions in the
    mli are the compile-time proof that the netstack implements the
    device contracts. *)
 

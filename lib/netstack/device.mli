@@ -2,7 +2,7 @@
 
     [Device.Tcp]/[Device.Udp] are the netstack's own engines ascribed to
     [Device_sig.TCP]/[Device_sig.UDP] — the configure-time modules that
-    [Core.Apps.Net] feeds to the application functors for the
+    the application functors are applied to for the
     [Posix_direct] and [Xen_direct] targets. The [with type] equalities
     keep them interchangeable with the underlying {!Tcp}/{!Udp} values,
     so a harness can still reach engine statistics through the concrete

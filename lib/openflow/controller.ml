@@ -12,52 +12,52 @@ let mirage_profile = { prof_name = "Mirage"; per_read_fixed_ns = 3_000; per_msg_
 let nox_profile = { prof_name = "NOX destiny-fast"; per_read_fixed_ns = 2_000; per_msg_ns = 5_300 }
 let maestro_profile = { prof_name = "Maestro"; per_read_fixed_ns = 35_000; per_msg_ns = 9_000 }
 
-type app = { packet_in : dpid:int64 -> Of_wire.packet_in -> Of_wire.msg list }
+(* The OpenFlow 1.0 well-known controller port. *)
+let port = 6633
 
 let parse_l2 data =
   if String.length data >= 12 then Some (String.sub data 0 6, String.sub data 6 6) else None
 
-let learning_app () =
-  let table : (int64 * string, int) Hashtbl.t = Hashtbl.create 256 in
-  let packet_in ~dpid (pi : Of_wire.packet_in) =
-    match parse_l2 pi.Of_wire.data with
-    | None -> []
-    | Some (dl_dst, dl_src) ->
-      Hashtbl.replace table (dpid, dl_src) pi.Of_wire.pi_in_port;
-      (match Hashtbl.find_opt table (dpid, dl_dst) with
-      | Some out_port ->
-        [
-          Of_wire.Flow_mod
-            {
-              Of_wire.fm_match =
-                Of_wire.match_l2 ~in_port:pi.Of_wire.pi_in_port ~dl_src ~dl_dst;
-              cookie = 0L;
-              command = `Add;
-              idle_timeout = 60;
-              hard_timeout = 0;
-              priority = 100;
-              buffer_id = pi.Of_wire.pi_buffer_id;
-              fm_actions = [ Of_wire.Output out_port ];
-            };
-        ]
-      | None ->
-        [
-          Of_wire.Packet_out
-            {
-              Of_wire.po_buffer_id = pi.Of_wire.pi_buffer_id;
-              po_in_port = pi.Of_wire.pi_in_port;
-              po_actions = [ Of_wire.Output Of_wire.output_flood ];
-              po_data = (if pi.Of_wire.pi_buffer_id = -1l then pi.Of_wire.data else "");
-            };
-        ])
-  in
-  { packet_in }
+(* The learning switch (the service Figure 11 measures): learn the
+   source MAC's port, then install a flow towards a known destination or
+   flood the packet. [table] maps (datapath, MAC) to a port. *)
+let learn table ~dpid (pi : Of_wire.packet_in) =
+  match parse_l2 pi.Of_wire.data with
+  | None -> []
+  | Some (dl_dst, dl_src) ->
+    Hashtbl.replace table (dpid, dl_src) pi.Of_wire.pi_in_port;
+    (match Hashtbl.find_opt table (dpid, dl_dst) with
+    | Some out_port ->
+      [
+        Of_wire.Flow_mod
+          {
+            Of_wire.fm_match =
+              Of_wire.match_l2 ~in_port:pi.Of_wire.pi_in_port ~dl_src ~dl_dst;
+            cookie = 0L;
+            command = `Add;
+            idle_timeout = 60;
+            hard_timeout = 0;
+            priority = 100;
+            buffer_id = pi.Of_wire.pi_buffer_id;
+            fm_actions = [ Of_wire.Output out_port ];
+          };
+      ]
+    | None ->
+      [
+        Of_wire.Packet_out
+          {
+            Of_wire.po_buffer_id = pi.Of_wire.pi_buffer_id;
+            po_in_port = pi.Of_wire.pi_in_port;
+            po_actions = [ Of_wire.Output Of_wire.output_flood ];
+            po_data = (if pi.Of_wire.pi_buffer_id = -1l then pi.Of_wire.data else "");
+          };
+      ])
 
 type t = {
   sim : Engine.Sim.t;
   dom : Xensim.Domain.t option;
   profile : profile;
-  app : app;
+  table : (int64 * string, int) Hashtbl.t;  (* [learn]'s (datapath, MAC) -> port *)
   mutable packet_ins : int;
   mutable switches : int;
   mutable next_xid : int;
@@ -101,7 +101,7 @@ let serve t flow =
         return ()
       | Of_wire.Packet_in pi ->
         t.packet_ins <- t.packet_ins + 1;
-        List.iter queue_reply (t.app.packet_in ~dpid:!dpid pi);
+        List.iter queue_reply (learn t.table ~dpid:!dpid pi);
         return ()
       | Of_wire.Echo_reply _ | Of_wire.Error_msg _ | Of_wire.Features_request
       | Of_wire.Packet_out _ | Of_wire.Flow_mod _ ->
@@ -128,10 +128,17 @@ let serve t flow =
   in
   send t flow Of_wire.Hello >>= fun () -> read_loop ()
 
-let create sim ?dom ~tcp ?(port = 6633) ~profile ?app () =
-  let app = match app with Some a -> a | None -> learning_app () in
+let create sim ?dom ~tcp ~profile () =
   let t =
-    { sim; dom; profile; app; packet_ins = 0; switches = 0; next_xid = 0 }
+    {
+      sim;
+      dom;
+      profile;
+      table = Hashtbl.create 256;
+      packet_ins = 0;
+      switches = 0;
+      next_xid = 0;
+    }
   in
   Netstack.Tcp.listen tcp ~port (fun flow ->
       Mthread.Promise.catch

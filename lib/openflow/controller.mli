@@ -23,20 +23,11 @@ val mirage_profile : profile
 val nox_profile : profile
 val maestro_profile : profile
 
-(** Application logic: replies to send for a packet-in. *)
-type app = { packet_in : dpid:int64 -> Of_wire.packet_in -> Of_wire.msg list }
-
 type t
 
-val create :
-  Engine.Sim.t ->
-  ?dom:Xensim.Domain.t ->
-  tcp:Netstack.Tcp.t ->
-  ?port:int ->
-  profile:profile ->
-  ?app:app ->
-  unit ->
-  t
+(** [create sim ~tcp ~profile ()] listens on the OpenFlow port (6633)
+    and answers every switch's packet-ins as a learning switch. *)
+val create : Engine.Sim.t -> ?dom:Xensim.Domain.t -> tcp:Netstack.Tcp.t -> profile:profile -> unit -> t
 
 val packet_ins : t -> int
 val switches_connected : t -> int

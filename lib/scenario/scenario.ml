@@ -20,7 +20,7 @@ let pattern n = String.init n (fun i -> Char.chr ((i * 131 + i / 251) land 0xff)
 let chaos_schedules : (string * (now:int -> F.t)) list =
   let ms = Engine.Sim.ms in
   [
-    ("burst-loss-2pct", fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.02 ~burst_len:5 ()) ());
+    ("burst-loss-2pct", fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.02 ~burst_len:5) ());
     ("reorder-15pct", fun ~now:_ -> F.make ~reorder:(0.15, 300_000) ());
     ("duplicate-5pct", fun ~now:_ -> F.make ~duplicate:0.05 ());
     ("corrupt-3pct", fun ~now:_ -> F.make ~corrupt:0.03 ());
@@ -31,7 +31,7 @@ let chaos_schedules : (string * (now:int -> F.t)) list =
     ( "everything",
       fun ~now ->
         F.make
-          ~ge:(F.burst_loss ~avg_loss:0.01 ~burst_len:4 ())
+          ~ge:(F.burst_loss ~avg_loss:0.01 ~burst_len:4)
           ~reorder:(0.05, 200_000) ~duplicate:0.02 ~corrupt:0.01 ~jitter_ns:100_000
           ~flap:(now + ms 20, ms 20, ms 400) () );
   ]

@@ -385,18 +385,29 @@ module Flow = struct
     t.cur_flow <- prev;
     id
 
+  (* Put [prev] back however [f] ends, without the closure a
+     [Fun.protect ~finally] would allocate per call. *)
+  let restoring prev f =
+    match f () with
+    | v ->
+      t.cur_flow <- prev;
+      v
+    | exception e ->
+      t.cur_flow <- prev;
+      raise e
+
   let with_flow id f =
     if id < 0 then f ()
     else begin
       let prev = t.cur_flow in
       t.cur_flow <- id;
-      Fun.protect ~finally:(fun () -> t.cur_flow <- prev) f
+      restoring prev f
     end
 
   let wrap id f =
     let prev = t.cur_flow in
     t.cur_flow <- id;
-    Fun.protect ~finally:(fun () -> t.cur_flow <- prev) f
+    restoring prev f
 end
 
 (* ---- spans ---- *)

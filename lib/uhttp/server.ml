@@ -2,8 +2,8 @@ type handler = Http_wire.request -> Http_wire.response Mthread.Promise.t
 
 (* Functor over the transport (paper §3, Fig. 2): the server speaks
    Device_sig.TCP only, so the same code serves over the unikernel
-   netstack or Hostnet's host-kernel sockets — the configure step in
-   Core.Apps picks the backend per Unikernel.target. *)
+   netstack or Hostnet's host-kernel sockets; whoever uses a server
+   applies it to the backend its target selects. *)
 module Make (T : Device_sig.TCP) = struct
   type t = {
     sim : Engine.Sim.t;

@@ -4,8 +4,8 @@
     served (application work: routing, handler, rendering); the default
     models the lean Mirage dynamic-web path of §4.4.
 
-    The server is a functor over the transport signature; instantiation
-    happens at configure time ([Core.Apps], per [Unikernel.target]), so
+    The server is a functor over the transport signature, applied where
+    it is used ([Core.Apps.Net.Http] over the unikernel netstack), so
     this library never names a concrete backend. *)
 
 type handler = Http_wire.request -> Http_wire.response Mthread.Promise.t

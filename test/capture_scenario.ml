@@ -18,7 +18,7 @@ let gets_through_loss w _cap =
      in EXPERIMENTS.md dissects *)
   Netsim.Bridge.set_faults bridge s.Core.World.nic
     (Netsim.Faults.make
-       ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.08 ~burst_len:4 ())
+       ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.08 ~burst_len:4)
        ());
   ignore
     (Core.Apps.Net.Http.create sim ~dom:s.Core.World.dom ~tcp:(Netstack.Stack.tcp server) ~port:80

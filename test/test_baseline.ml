@@ -1,6 +1,7 @@
 open Testlib
 module P = Mthread.Promise
 open P.Infix
+module Appliances = Baseline.Appliances.Make (Netstack.Device.Tcp)
 
 (* ---- boot profiles (Figures 5/6 inputs) ---- *)
 
@@ -35,7 +36,7 @@ let web_world ~vcpus =
 let test_apache_serves_and_rejects_overload () =
   let w, server, client = web_world ~vcpus:1 in
   let apache =
-    Core.Apps.Net.Baseline.apache_static w.sim ~dom:server.dom ~tcp:(Netstack.Stack.tcp server.stack)
+    Appliances.apache_static w.sim ~dom:server.dom ~tcp:(Netstack.Stack.tcp server.stack)
       ~port:80
   in
   (* A single request works. *)
@@ -45,7 +46,7 @@ let test_apache_serves_and_rejects_overload () =
          ~dst:(Netstack.Stack.address server.stack) ~port:80 "/index.html")
   in
   check_int "static page" 200 resp.Uhttp.Http_wire.status;
-  check_int "served" 1 (Core.Apps.Net.Baseline.requests_served apache);
+  check_int "served" 1 (Appliances.requests_served apache);
   (* Open far more concurrent connections than the worker pool (32/vCPU):
      the surplus is refused. *)
   let hold_connection () =
@@ -62,7 +63,7 @@ let test_apache_serves_and_rejects_overload () =
   let fates = run w (P.all (List.init 100 (fun _ -> hold_connection ()))) in
   let rejected = List.length (List.filter (fun f -> f = `Rejected) fates) in
   check_bool (Printf.sprintf "overload rejected (%d/100)" rejected) true (rejected > 0);
-  check_bool "rejections counted" true (Core.Apps.Net.Baseline.connections_rejected apache > 0)
+  check_bool "rejections counted" true (Appliances.connections_rejected apache > 0)
 
 let test_webpy_request_cost_dominates () =
   check_bool "python path much dearer than mirage path" true
@@ -72,7 +73,7 @@ let test_nginx_webpy_end_to_end () =
   let w, server, client = web_world ~vcpus:1 in
   let handler _req = P.return (Uhttp.Http_wire.response ~status:200 "tweets") in
   let app =
-    Core.Apps.Net.Baseline.nginx_webpy w.sim ~dom:server.dom ~tcp:(Netstack.Stack.tcp server.stack)
+    Appliances.nginx_webpy w.sim ~dom:server.dom ~tcp:(Netstack.Stack.tcp server.stack)
       ~port:80 handler
   in
   let resp =
@@ -81,7 +82,7 @@ let test_nginx_webpy_end_to_end () =
          ~dst:(Netstack.Stack.address server.stack) ~port:80 "/tweets/alice")
   in
   check_int "200" 200 resp.Uhttp.Http_wire.status;
-  check_int "served" 1 (Core.Apps.Net.Baseline.requests_served app)
+  check_int "served" 1 (Appliances.requests_served app)
 
 (* ---- Loc (Figure 14a) ---- *)
 

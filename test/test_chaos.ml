@@ -53,7 +53,7 @@ let test_zero_window_under_loss () =
      update can be lost. Persist probes must unstick it. *)
   let o =
     Scenario.bulk_transfer ~seed:11
-      ~schedule:(fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.05 ~burst_len:4 ()) ())
+      ~schedule:(fun ~now:_ -> F.make ~ge:(F.burst_loss ~avg_loss:0.05 ~burst_len:4) ())
       ~bytes:450_000 ~chunk:8192 ~stall_ns:(Engine.Sim.ms 500) ~deadline_ns:(Engine.Sim.sec 30) ()
   in
   check_bool "window went to zero and persist probed" true (o.persists >= 1);

@@ -367,9 +367,10 @@ let test_world_reaps_1000_appliances () =
       let reaped =
         List.init 1000 (fun _ ->
             let h =
-              appliance w ~metrics_port:9100 ~config:(Core.Appliance.web_server ())
-                ~ip:"10.0.0.53"
-                ~main:(fun h -> Core.Appliance.Handle.stopped h >>= fun () -> P.return 0)
+              appliance w ~config:(Core.Appliance.web_server ()) ~ip:"10.0.0.53"
+                ~main:(fun h ->
+                  Core.Exporter.mount h ~port:9100;
+                  Core.Appliance.Handle.stopped h >>= fun () -> P.return 0)
                 ()
             in
             let id = (Core.Appliance.Handle.domain h).Xensim.Domain.id in

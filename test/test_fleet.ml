@@ -5,6 +5,7 @@
 open Testlib
 module P = Mthread.Promise
 module Handle = Core.Appliance.Handle
+module LB = Fleet.Orch.LB
 
 let ( >>= ) = P.bind
 
@@ -18,8 +19,9 @@ let boot_web w ?(name = "web-server") ?(cost_ns = 10_000_000) ~ip handler =
   let config = { config with Core.Config.app_name = name } in
   let srv_ref = ref None in
   let h =
-    appliance w ~metrics_port:9100 ~config ~ip
+    appliance w ~config ~ip
       ~main:(fun h ->
+        Core.Exporter.mount h ~port:9100;
         let srv =
           Core.Apps.Net.Http.create w.sim ~dom:(Handle.domain h) ~per_request_cost_ns:cost_ns
             ~tcp:(Netstack.Stack.tcp (Handle.stack h))
@@ -138,11 +140,11 @@ let test_lb_spreads_and_survives_backend_death () =
   let h2, _ = boot_web w ~name:"web.1" ~cost_ns:1_000_000 ~ip:"10.0.0.12" echo_handler in
   let lb_host = host w ~account_cpu:false ~name:"lb" ~ip:"10.0.0.2" () in
   let lb =
-    Core.Apps.Net.Lb.create w.sim ~check_interval_ns:(ms 50)
+    LB.create w.sim ~check_interval_ns:(ms 50)
       ~tcp:(Netstack.Stack.tcp lb_host.stack) ~port:80 ()
   in
-  Core.Apps.Net.Lb.add_backend lb ~name:"web.0" ~addr:(Handle.address h1) ~port:80 ~health_port:9100;
-  Core.Apps.Net.Lb.add_backend lb ~name:"web.1" ~addr:(Handle.address h2) ~port:80 ~health_port:9100;
+  LB.add_backend lb ~name:"web.0" ~addr:(Handle.address h1) ~port:80 ~health_port:9100;
+  LB.add_backend lb ~name:"web.1" ~addr:(Handle.address h2) ~port:80 ~health_port:9100;
   let client = host w ~account_cpu:false ~name:"load" ~ip:"10.0.0.9" () in
   let tcp = Netstack.Stack.tcp client.stack in
   let get () =
@@ -164,14 +166,14 @@ let test_lb_spreads_and_survives_backend_death () =
   check_int "all forwarded" 20 !ok;
   let totals =
     List.map
-      (fun b -> Core.Apps.Net.Lb.(b.b_total))
-      (Core.Apps.Net.Lb.backends lb)
+      (fun b -> LB.(b.b_total))
+      (LB.backends lb)
   in
   check_bool "both backends served traffic" true (List.for_all (fun t -> t > 0) totals);
   (* kill one backend; health checks must take it out of rotation *)
   run w (Handle.shutdown h1);
   Engine.Sim.run ~until:(Engine.Sim.now w.sim + ms 400) w.sim;
-  check_int "one healthy backend left" 1 (Core.Apps.Net.Lb.healthy_count lb);
+  check_int "one healthy backend left" 1 (LB.healthy_count lb);
   let ok2 = ref 0 in
   for _ = 1 to 10 do
     match get () with
@@ -188,11 +190,11 @@ let test_lb_hash_affinity () =
   ignore h2;
   let lb_host = host w ~account_cpu:false ~name:"lb" ~ip:"10.0.0.2" () in
   let lb =
-    Core.Apps.Net.Lb.create w.sim ~policy:Lb.Balancer.Hash ~check_interval_ns:(ms 50)
+    LB.create w.sim ~policy:Lb.Balancer.Hash ~check_interval_ns:(ms 50)
       ~tcp:(Netstack.Stack.tcp lb_host.stack) ~port:80 ()
   in
-  Core.Apps.Net.Lb.add_backend lb ~name:"web.0" ~addr:(Handle.address h1) ~port:80 ~health_port:9100;
-  Core.Apps.Net.Lb.add_backend lb ~name:"web.1" ~addr:(Handle.address h2) ~port:80 ~health_port:9100;
+  LB.add_backend lb ~name:"web.0" ~addr:(Handle.address h1) ~port:80 ~health_port:9100;
+  LB.add_backend lb ~name:"web.1" ~addr:(Handle.address h2) ~port:80 ~health_port:9100;
   (* one client, persistent connection: every request on it must land on
      one backend (the hash key is the client endpoint) *)
   let client = host w ~account_cpu:false ~name:"load" ~ip:"10.0.0.9" () in
@@ -211,7 +213,7 @@ let test_lb_hash_affinity () =
   in
   check_int "all answered over one connection" 8 n;
   let totals =
-    List.map (fun b -> Core.Apps.Net.Lb.(b.b_total)) (Core.Apps.Net.Lb.backends lb)
+    List.map (fun b -> LB.(b.b_total)) (LB.backends lb)
   in
   (* one TCP connection -> one backend carried everything *)
   check_bool "affinity: a single backend carried the connection" true
@@ -224,7 +226,7 @@ let test_boot_spec_clone () =
   let template =
     Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge
       ~config:(Core.Appliance.web_server ())
-      ~metrics_port:9100 ()
+      ()
   in
   let a = Core.Boot_spec.clone template ~name:"web.7" () in
   let b = Core.Boot_spec.clone template ~name:"web.7" () in
@@ -306,10 +308,10 @@ let test_fleet_deterministic_under_seed () =
   check_int "same completions" a.Fleet.o_ok b.Fleet.o_ok;
   let sig_of (o : Fleet.outcome) =
     List.map
-      (fun (ev : Core.Apps.Net.Orchestrator.event) ->
-        ( ev.Core.Apps.Net.Orchestrator.ev_time_ns,
-          ev.Core.Apps.Net.Orchestrator.ev_shard,
-          ev.Core.Apps.Net.Orchestrator.ev_action = Core.Apps.Net.Orchestrator.Scale_out ))
+      (fun (ev : Fleet.Orch.event) ->
+        ( ev.Fleet.Orch.ev_time_ns,
+          ev.Fleet.Orch.ev_shard,
+          ev.Fleet.Orch.ev_action = Fleet.Orch.Scale_out ))
       o.Fleet.o_events
   in
   check_bool "identical scale-event schedule" true (sig_of a = sig_of b)

@@ -1,5 +1,5 @@
 (* The monitoring plane end-to-end: three web appliances booted with
-   /metrics mounted ([Boot_spec.metrics_port]), a load generator, and a
+   /metrics mounted ([Core.Exporter.mount]), a load generator, and a
    scraper polling every exporter over real simulated TCP. Checks that
    scraped counters agree exactly with the exporters' registries once
    the workload quiesces, that the goodput SLO fires under a link-flap
@@ -11,7 +11,7 @@
 
 open Testlib
 module P = Mthread.Promise
-module Mon = Core.Apps.Net.Monitor
+module Mon = Monitor.Make (Netstack.Device.Tcp)
 
 let ( >>= ) = P.bind
 let ms = Engine.Sim.ms
@@ -37,10 +37,11 @@ let scenario ?(seed = 42) ?(flap = false) () =
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 (String.make 512 'x')));
   let boot_web i =
-    appliance w ~metrics_port:9100
+    appliance w
       ~config:(Core.Appliance.web_server ~aslr_seed:(0x3eb + i) ())
       ~ip:(Printf.sprintf "10.0.0.%d" (10 + i))
       ~main:(fun h ->
+        Core.Exporter.mount h ~port:9100;
         let dom = Core.Appliance.Handle.domain h in
         ignore
           (Core.Apps.Net.Http.of_router w.sim ~dom

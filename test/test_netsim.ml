@@ -243,7 +243,7 @@ let test_ge_stays_good () =
   check_int "no burst drops" 0 (Netsim.Bridge.fault_counts br).Netsim.fc_burst_dropped
 
 let test_burst_loss_params () =
-  let g = Netsim.Faults.burst_loss ~avg_loss:0.02 ~burst_len:5 () in
+  let g = Netsim.Faults.burst_loss ~avg_loss:0.02 ~burst_len:5 in
   check_bool "bad is lossy" true (g.Netsim.Faults.loss_bad = 1.0);
   check_bool "good is clean" true (g.Netsim.Faults.loss_good = 0.0);
   check_bool "mean burst length 5" true (abs_float (g.Netsim.Faults.p_bad_good -. 0.2) < 1e-9);
@@ -361,7 +361,7 @@ let test_fault_replay_determinism () =
     let b = Netsim.Bridge.new_nic br ~mac:(Netsim.mac_of_int 2) () in
     Netsim.Bridge.set_faults br a
       (Netsim.Faults.make
-         ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.3 ~burst_len:3 ())
+         ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.3 ~burst_len:3)
          ~reorder:(0.3, 200_000) ~duplicate:0.2 ~corrupt:0.2 ~jitter_ns:100_000 ());
     let got = ref [] in
     Netsim.Nic.set_rx b (fun f ->
@@ -389,7 +389,7 @@ let test_fault_events_match_counts () =
       let sim, br, a, b = two_nics ~latency_ns:0 () in
       Netsim.Bridge.set_faults br a
         (Netsim.Faults.make
-           ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.2 ~burst_len:3 ())
+           ~ge:(Netsim.Faults.burst_loss ~avg_loss:0.2 ~burst_len:3)
            ~reorder:(0.3, 200_000) ~duplicate:0.2 ~corrupt:0.2
            ~flap:(500_000, 200_000, 1_000_000)
            ~drop_when:(fun ~now_ns:_ ~nth _ -> nth mod 11 = 5)

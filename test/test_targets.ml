@@ -1,5 +1,5 @@
 (* Cross-target equivalence (§5.4 workflow): the same appliance code,
-   configured against each backend via [Core.Apps], must produce
+   applied to each backend's device modules, must produce
    byte-identical wire responses on all three targets — only the timing
    signature may differ. An external PV host on the same bridge speaks
    raw UDP/TCP to the appliance, so the bytes compared are exactly what
@@ -7,6 +7,11 @@
 
 open Testlib
 module P = Mthread.Promise
+
+(* The two servers over host-kernel sockets (Posix_sockets); the
+   netstack ones are [Core.Apps.Net]'s. *)
+module Host_dns = Dns.Server.Make (Hostnet.Device.Udp)
+module Host_http = Uhttp.Server.Make (Hostnet.Device.Tcp)
 
 let ( >>= ) = P.bind
 let appliance_ip = "10.0.0.53"
@@ -42,7 +47,7 @@ let dns_run target =
       ~serve:(fun n ->
         let dom = n.Core.Appliance.unikernel.Core.Unikernel.domain in
         match Core.Appliance.hostnet n with
-        | Some h -> ignore (Core.Apps.Host.Dns.create w.sim ~dom ~udp:h ~db ~engine ())
+        | Some h -> ignore (Host_dns.create w.sim ~dom ~udp:h ~db ~engine ())
         | None ->
           ignore
             (Core.Apps.Net.Dns.create w.sim ~dom
@@ -88,7 +93,7 @@ let http_run target =
       ~serve:(fun n ->
         let dom = n.Core.Appliance.unikernel.Core.Unikernel.domain in
         match Core.Appliance.hostnet n with
-        | Some h -> ignore (Core.Apps.Host.Http.of_router w.sim ~dom ~tcp:h ~port:80 router)
+        | Some h -> ignore (Host_http.of_router w.sim ~dom ~tcp:h ~port:80 router)
         | None ->
           ignore
             (Core.Apps.Net.Http.of_router w.sim ~dom

@@ -497,6 +497,32 @@ let test_prof_account_allocates_nothing () =
       | Some s -> check_int "half the calls on dom 2" 501 s.Trace.Prof.p_samples
       | None -> Alcotest.fail "no engine row for dom 2")
 
+(* Netif TX/RX and every flow-carrying [Sim.at] callback run under
+   [Flow.with_flow]/[Flow.wrap] inside measured hop regions: installing
+   and restoring the ambient flow allocates nothing, and a raise still
+   restores it. *)
+let test_flow_with_flow_allocates_nothing () =
+  let base = Trace.Flow.current () in
+  let seen = ref 0 in
+  let body () = seen := !seen + Trace.Flow.current () in
+  let round () =
+    Trace.Flow.with_flow 7 body;
+    Trace.Flow.wrap 9 body
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0. then Alcotest.failf "1000 with_flow/wrap rounds allocated %.0f words" words;
+  check_int "each body ran under its flow" (1001 * 16) !seen;
+  check_int "ambient flow restored" base (Trace.Flow.current ());
+  (match Trace.Flow.with_flow 5 (fun () -> raise Exit) with
+  | () -> Alcotest.fail "the raise was lost"
+  | exception Exit -> ());
+  check_int "ambient flow restored after a raise" base (Trace.Flow.current ())
+
 (* The frame stack is ambient: a callback deferred through the scheduler
    chokepoint keeps the stack of the code that scheduled it (same
    capture trick as causal flow ids). *)
@@ -883,6 +909,8 @@ let () =
             test_prof_bookkeeping_allocates_nothing;
           Alcotest.test_case "Prof.account allocates nothing" `Quick
             test_prof_account_allocates_nothing;
+          Alcotest.test_case "Flow.with_flow allocates nothing" `Quick
+            test_flow_with_flow_allocates_nothing;
           Alcotest.test_case "profiler ambient capture via scheduler" `Quick
             test_prof_scheduler_capture;
           Alcotest.test_case "callback scheduled under a frame before reset is counted after it"

@@ -2,6 +2,7 @@ open Testlib
 module P = Mthread.Promise
 open P.Infix
 module H = Uhttp.Http_wire
+module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
 
 let is_sub needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -213,9 +214,9 @@ let test_httperf_run () =
   let counter = ref 0 in
   let result =
     run w
-      (Core.Apps.Net.Httperf.run w.sim (Netstack.Stack.tcp client.stack)
+      (Httperf.run w.sim (Netstack.Stack.tcp client.stack)
          ~dst:(Netstack.Stack.address server.stack) ~port:80 ~rate:50.0 ~sessions:20 ~counter
-         ~session:(Core.Apps.Net.Httperf.twitter_session ~user:"alice" ~counter) ())
+         ~session:(Httperf.twitter_session ~user:"alice" ~counter) ())
   in
   check_int "all sessions completed" 20 result.Uhttp.Httperf.completed_sessions;
   check_int "10 replies per session" 200 result.Uhttp.Httperf.replies;
