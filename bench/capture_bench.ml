@@ -17,7 +17,7 @@ let run () =
   let on = transfer () in
   Util.capture_worlds := false;
   let captured =
-    List.fold_left (fun acc c -> acc + Netsim.Capture.matched c) 0 !Util.world_captures
+    List.fold_left (fun acc c -> acc + Capture.matched c) 0 !Util.world_captures
   in
   Util.close_world_captures ();
   let overhead = if off > 0.0 then Float.max 0.0 ((off -. on) /. off *. 100.0) else 0.0 in
@@ -31,11 +31,11 @@ let run () =
   (* enabled-path per-frame cost: a representative TCP frame through
      filter match + retain/copy + ring store, amortised over the ring *)
   let cap =
-    Netsim.Capture.create ~name:"bench-record" ~capacity:256
+    Capture.create ~name:"bench-record" ~capacity:256
       ~filter:
-        (match Netsim.Capture.parse_filter "tcp and port 5001" with
+        (match Capture.parse_filter "tcp and port 5001" with
         | Ok f -> f
-        | Error _ -> Netsim.Capture.filter_all)
+        | Error _ -> Capture.filter_all)
       ()
   in
   let frame =
@@ -51,9 +51,9 @@ let run () =
   let iters = 1_000_000 in
   let t0 = Sys.time () in
   for i = 1 to iters do
-    Netsim.Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:i frame
+    Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:i frame
   done;
   let per_op = (Sys.time () -. t0) *. 1e9 /. float_of_int iters in
-  Netsim.Capture.close cap;
+  Capture.close cap;
   Util.emit ~figure:"capture" ~metric:"record-cost" ~unit_:"ns/op" per_op;
   Printf.printf "  %-28s %8.1f ns/op (wall-clock, not gated)\n" "enabled record cost" per_op

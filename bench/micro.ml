@@ -236,7 +236,7 @@ type guard_row = {
 let guard_rows () =
   (* with the registry off, every subsystem's handle is detached like this *)
   let m = Trace.Metrics.detached in
-  let cap : Netsim.Capture.t option ref = ref None and frame = Bytestruct.create 64 in
+  let cap : Capture.t option ref = ref None and frame = Bytestruct.create 64 in
   let prof_on () = Trace.Prof.enabled () || Trace.Flight.enabled () in
   [
     { plane = "trace"; on = Trace.enabled; arm = None; disarm = (fun () -> 0);
@@ -280,12 +280,12 @@ let guard_rows () =
         [ ("capture-site", fun i ->
               match !cap with
               | None -> ()
-              | Some c -> Netsim.Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame) ];
+              | Some c -> Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame) ];
       arm = Some (fun () -> Util.capture_worlds := true);
       disarm =
         (fun () ->
           Util.capture_worlds := false;
-          let matched n c = n + Netsim.Capture.matched c in
+          let matched n c = n + Capture.matched c in
           let frames = List.fold_left matched 0 !Util.world_captures in
           Util.close_world_captures ();
           frames) };

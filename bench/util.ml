@@ -14,17 +14,17 @@ module Httperf = Uhttp.Httperf.Make (Netstack.Device.Tcp)
    the capture guard can close them). The capture-invariance guard flips
    this around a Figure 8 run to prove a live capture changes nothing. *)
 let capture_worlds = ref false
-let world_captures : Netsim.Capture.t list ref = ref []
+let world_captures : Capture.t list ref = ref []
 
 let close_world_captures () =
-  List.iter Netsim.Capture.close !world_captures;
+  List.iter Capture.close !world_captures;
   world_captures := []
 
 let make_world ?seed () =
   let w = create ?seed () in
   if !capture_worlds then begin
-    let c = Netsim.Capture.create ~name:"bench-cap" () in
-    Netsim.Capture.attach_bridge c w.bridge;
+    let c = Capture.create ~name:"bench-cap" () in
+    Capture.attach_bridge c w.bridge;
     world_captures := c :: !world_captures
   end;
   w

@@ -224,12 +224,12 @@ let boot_cmd =
         ~image_bytes:u.Core.Unikernel.image.Core.Linker.total_bytes
     in
     (match u.Core.Unikernel.target with
-    | Core.Unikernel.Xen_direct ->
+    | Core.Target.Xen_direct ->
       Printf.printf "booted %s (%d MiB, %s toolstack)\n" name mem (if sync then "sync" else "async");
       Printf.printf "  domain build : %8.1f ms\n" (Engine.Sim.to_ms build);
       Printf.printf "  guest init   : %8.1f ms\n"
         (Engine.Sim.to_ms (u.Core.Unikernel.ready_at_ns - t0 - build))
-    | Core.Unikernel.Posix_sockets | Core.Unikernel.Posix_direct ->
+    | Core.Target.Posix_sockets | Core.Target.Posix_direct ->
       Printf.printf "started %s as a host process (developer target)\n" name);
     Printf.printf "  total        : %8.1f ms\n" (Engine.Sim.to_ms (u.Core.Unikernel.ready_at_ns - t0));
     Printf.printf "  image        : %d kB, %d sections (ASR seed %d)\n"

@@ -17,7 +17,7 @@ let dir_str = function Netsim.Tx -> "tx" | Netsim.Rx -> "rx"
 
 let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
   let filter =
-    match Netsim.Capture.parse_filter filter_str with
+    match Capture.parse_filter filter_str with
     | Ok f -> f
     | Error e ->
       Printf.eprintf "pcap: bad filter %S: %s\n" filter_str e;
@@ -30,8 +30,8 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
   let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
   let duration_ns = Engine.Sim.ms duration_ms in
 
-  let cap = Netsim.Capture.create ~name:"cap0" ~capacity ~snaplen ~filter () in
-  if not at_vif then Netsim.Capture.attach_bridge cap bridge;
+  let cap = Capture.create ~name:"cap0" ~capacity ~snaplen ~filter () in
+  if not at_vif then Capture.attach_bridge cap bridge;
 
   ignore
     (Scenario.web_and_echo w
@@ -44,30 +44,30 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
 
   (* -- render the ring -- *)
   Printf.printf "capture %s at %s: %d matched, %d stored, %d evicted (filter %S)\n"
-    (Netsim.Capture.name cap)
+    (Capture.name cap)
     (if at_vif then "server vif" else "bridge")
-    (Netsim.Capture.matched cap) (Netsim.Capture.stored cap) (Netsim.Capture.evicted cap)
+    (Capture.matched cap) (Capture.stored cap) (Capture.evicted cap)
     filter_str;
   Printf.printf "%5s %10s %-3s %4s %6s %5s  %s\n" "idx" "time" "dir" "link" "flow" "len" "summary";
   List.iteri
-    (fun i (r : Netsim.Capture.record_info) ->
+    (fun i (r : Capture.record_info) ->
       Printf.printf "%5d %8.3fms %-3s %4d %6s %5d  %s\n" i
-        (Engine.Sim.to_ms (r.Netsim.Capture.r_t - started))
-        (dir_str r.Netsim.Capture.r_dir)
-        r.Netsim.Capture.r_link
-        (if r.Netsim.Capture.r_flow < 0 then "-" else string_of_int r.Netsim.Capture.r_flow)
-        r.Netsim.Capture.r_len r.Netsim.Capture.r_summary)
-    (Netsim.Capture.records cap);
+        (Engine.Sim.to_ms (r.Capture.r_t - started))
+        (dir_str r.Capture.r_dir)
+        r.Capture.r_link
+        (if r.Capture.r_flow < 0 then "-" else string_of_int r.Capture.r_flow)
+        r.Capture.r_len r.Capture.r_summary)
+    (Capture.records cap);
   (match (out, flows_out) with
   | Some (file, oc), Some (_, flows_oc) ->
-    output_string oc (Netsim.Capture.to_pcap cap);
+    output_string oc (Capture.to_pcap cap);
     close_out oc;
-    output_string flows_oc (Netsim.Capture.flows_json cap);
+    output_string flows_oc (Capture.flows_json cap);
     close_out flows_oc;
     Printf.printf "\nwrote %s (libpcap, %d packets) and %s.flows (sidecar)\n" file
-      (Netsim.Capture.stored cap) file
+      (Capture.stored cap) file
   | _ -> ());
-  Netsim.Capture.close cap;
+  Capture.close cap;
   Trace.quiesce ()
 
 let cmd =

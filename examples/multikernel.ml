@@ -12,13 +12,13 @@ module P = Mthread.Promise
 open P.Infix
 
 let () =
-  let w = Core.World.create ~seed:3 () in
-  let sim = w.Core.World.sim and hv = w.Core.World.hv in
+  let w = Core.Machine.create ~seed:3 () in
+  let sim = w.Core.Machine.sim and hv = w.Core.Machine.hv in
 
   let boot name =
     let config = Core.Config.make ~app_name:name ~roots:[ "kv" ] () in
     P.run sim
-      (Core.Unikernel.boot hv w.Core.World.toolstack ~config ~mem_mib:16
+      (Core.Unikernel.boot hv w.Core.Machine.toolstack ~config ~mem_mib:16
          ~main:(fun _ -> fst (P.wait ()) (* stay alive; the pipeline drives us *))
          ())
   in

@@ -51,22 +51,14 @@ let table2 () =
     ("OpenFlow controller", openflow_controller ());
   ]
 
-(* The network attachment is the target's choice (the whole point of the
-   functorized stack): the PV split driver + netstack on Xen, a
-   copy-taxed tuntap + netstack on Posix_direct, host-kernel sockets on
-   Posix_sockets. *)
-type net =
-  | Direct of { netif : Devices.Netif.t; stack : Netstack.Stack.t }
-  | Sockets of Hostnet.t
+(* The network attachment is the backend's choice (the whole point of
+   the functorized stack), made by the connect step of the spec's backend
+   value, so this module names no backend and links none. *)
+type networked = { unikernel : Unikernel.t; net : Backend.net }
 
-type networked = { unikernel : Unikernel.t; net : net }
-
-let stack n =
-  match n.net with Direct d -> d.stack | Sockets h -> Hostnet.kernel_stack h
-
-let netif n = match n.net with Direct d -> d.netif | Sockets h -> Hostnet.netif h
+let stack n = n.net.Backend.stack
+let netif n = n.net.Backend.netif
 let address n = Netstack.Stack.address (stack n)
-let hostnet n = match n.net with Sockets h -> Some h | Direct _ -> None
 
 (* ---- lifecycle handles ----
 
@@ -100,7 +92,7 @@ module Handle = struct
   let stack t = stack t.h_networked
   let netif t = netif t.h_networked
   let address t = address t.h_networked
-  let hostnet t = hostnet t.h_networked
+  let device t = t.h_networked.net.Backend.device
   let name t = t.h_spec.Boot_spec.config.Config.app_name
   let spec t = t.h_spec
   let stopped t = t.h_stopped
@@ -157,11 +149,10 @@ end
 
 let start hv ts (spec : Boot_spec.t) ~main =
   let open Mthread.Promise in
-  let sim = hv.Xensim.Hypervisor.sim in
   let result, result_waker = wait () in
   let boot_span = Trace.span ~cat:Trace.Boot "appliance.boot" in
   bind
-    (Unikernel.boot hv ts ~mode:spec.Boot_spec.mode ~target:spec.Boot_spec.target
+    (Unikernel.boot hv ts ~mode:spec.Boot_spec.mode ~target:spec.Boot_spec.backend.Backend.target
        ~config:spec.Boot_spec.config ~mem_mib:spec.Boot_spec.mem_mib
        ~main:(fun unikernel ->
          let dom = unikernel.Unikernel.domain in
@@ -176,22 +167,10 @@ let start hv ts (spec : Boot_spec.t) ~main =
            | None -> Netstack.Stack.Dhcp
          in
          let announce = not spec.Boot_spec.quiet_net in
-         let net =
-           match spec.Boot_spec.target with
-           | Target.Xen_direct ->
-             let netif =
-               Devices.Netif.connect hv ~dom ~backend_dom:spec.Boot_spec.backend_dom ~nic
-                 ~rx_slots:spec.Boot_spec.rx_slots ()
-             in
-             bind (Netstack.Stack.create sim ~dom ~announce ~netif cfg) (fun stack ->
-                 return (Direct { netif; stack }))
-           | Target.Posix_direct ->
-             let netif = Devices.Netif.connect_direct ~dom ~nic ~frame_tax:true () in
-             bind (Netstack.Stack.create sim ~dom ~announce ~netif cfg) (fun stack ->
-                 return (Direct { netif; stack }))
-           | Target.Posix_sockets -> bind (Hostnet.create sim ~dom ~nic cfg) (fun h -> return (Sockets h))
-         in
-         bind net (fun net ->
+         bind
+           (spec.Boot_spec.backend.Backend.connect hv ~dom ~backend_dom:spec.Boot_spec.backend_dom
+              ~nic ~rx_slots:spec.Boot_spec.rx_slots ~announce cfg)
+           (fun net ->
              let networked = { unikernel; net } in
              let stopped, stopped_w = wait () in
              let handle =

@@ -22,25 +22,16 @@ val lb_appliance : ?aslr_seed:int -> unit -> Config.t
 (** All four, in Table 2 order, with their display names. *)
 val table2 : unit -> (string * Config.t) list
 
-(** The target-selected network attachment of a booted appliance:
-    netstack over a device ([Xen_direct]'s PV ring or [Posix_direct]'s
-    tuntap), or host-kernel sockets ([Posix_sockets]). *)
-type net =
-  | Direct of { netif : Devices.Netif.t; stack : Netstack.Stack.t }
-  | Sockets of Hostnet.t
+(** A booted appliance with its network plumbing, as its backend
+    attached it. *)
+type networked = { unikernel : Unikernel.t; net : Backend.net }
 
-(** A booted appliance with its network plumbing. *)
-type networked = { unikernel : Unikernel.t; net : net }
-
-(** The netstack instance: the appliance's own on the direct targets,
-    the modelled host kernel's beneath [Sockets]. *)
+(** The netstack instance: the appliance's own on the direct backends,
+    the modelled host kernel's beneath {!Posix_sockets}. *)
 val stack : networked -> Netstack.Stack.t
 
 val netif : networked -> Devices.Netif.t
 val address : networked -> Netstack.Ipaddr.t
-
-(** The socket layer when the appliance runs on [Posix_sockets]. *)
-val hostnet : networked -> Hostnet.t option
 
 (** A running appliance as a first-class value: the network plumbing plus
     the lifecycle. Fleet control (the orchestrator's scale-in path, test
@@ -58,7 +49,7 @@ module Handle : sig
 
   val status : t -> status
 
-  (** The network plumbing: unikernel, address and stack or sockets. *)
+  (** The network plumbing: unikernel, vif and stacks. *)
   val networked : t -> networked
 
   val unikernel : t -> Unikernel.t
@@ -66,7 +57,10 @@ module Handle : sig
   val stack : t -> Netstack.Stack.t
   val netif : t -> Devices.Netif.t
   val address : t -> Netstack.Ipaddr.t
-  val hostnet : t -> Hostnet.t option
+
+  (** The backend's stack under the {!Device_sig} contracts: what the
+      appliance's servers are applied to, whatever the backend. *)
+  val device : t -> Device_sig.stack
 
   (** The appliance name from the spec's config. *)
   val name : t -> string
@@ -100,7 +94,7 @@ module Handle : sig
 end
 
 (** [start hv ts spec ~main] boots the unikernel described by [spec],
-    attaches a NIC on its bridge, brings up the target's network backend
+    attaches a NIC on its bridge, brings up the spec's network backend
     (static address or DHCP per [spec.ip]) and runs [main] once the
     network is ready. The returned promise resolves with the lifecycle
     handle as soon as the stack is up; [main] keeps running in the

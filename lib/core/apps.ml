@@ -5,8 +5,8 @@
    HTTP units nor this module. Every other application is applied by the
    code that uses it: the fleet's balancer, monitor, orchestrator and
    load generator in [Fleet], httperf, the baseline servers and the
-   monitor in bench/ and test/, the host-socket servers in
-   test_targets. *)
+   monitor in bench/ and test/, the servers test_targets runs on each
+   backend's stack. *)
 
 module Net = struct
   module Http = Net_http

@@ -5,7 +5,7 @@ type t = {
   mode : [ `Sync | `Async ];
   mem_mib : int;
   ip : Netstack.Ipv4.config option;
-  target : Target.t;
+  backend : Backend.t;
   quiet_net : bool;
       (* suppress the gratuitous ARP broadcast at stack bring-up — boot
          storms pre-seed ARP instead of announcing to 10⁴ ports *)
@@ -15,10 +15,10 @@ type t = {
 }
 
 let make ~backend_dom ~bridge ~config ?(mode = `Async) ?(mem_mib = 32) ?ip
-    ?(target = Target.Xen_direct) ?(quiet_net = false) ?(rx_slots = 512) () =
+    ?(backend = Xen_direct.backend) ?(quiet_net = false) ?(rx_slots = 512) () =
   if mem_mib <= 0 then invalid_arg "Boot_spec.make: mem_mib must be positive";
   if rx_slots < 1 then invalid_arg "Boot_spec.make: rx_slots must be positive";
-  { backend_dom; bridge; config; mode; mem_mib; ip; target; quiet_net; rx_slots }
+  { backend_dom; bridge; config; mode; mem_mib; ip; backend; quiet_net; rx_slots }
 
 (* Stamp out replica N+1 from a template: same library configuration and
    placement, fresh identity. The ASR seed is re-derived from the replica

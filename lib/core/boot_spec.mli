@@ -3,7 +3,7 @@
     Collapses a long argument list into one value that can be built once,
     logged, and reused across benchmark iterations. Construct with
     {!make}, which fills in the defaults ([`Async] toolstack, 32 MiB,
-    DHCP, [Xen_direct]). *)
+    DHCP, {!Xen_direct.backend}). *)
 
 type t = {
   backend_dom : Xensim.Domain.t;  (** dom0-side backend for the NIC *)
@@ -12,7 +12,7 @@ type t = {
   mode : [ `Sync | `Async ];  (** toolstack build mode *)
   mem_mib : int;
   ip : Netstack.Ipv4.config option;  (** static address, or DHCP when [None] *)
-  target : Target.t;  (** which backend the appliance is configured against *)
+  backend : Backend.t;  (** the network backend the appliance is built against *)
   quiet_net : bool;
       (** suppress the gratuitous ARP broadcast a static-IP stack sends
           at bring-up ([Netstack.Stack.create ~announce:false]). Boot
@@ -31,7 +31,7 @@ type t = {
 }
 
 (** Smart constructor; defaults: [mode = `Async], [mem_mib = 32],
-    [ip = None] (DHCP), [target = Xen_direct], [quiet_net = false],
+    [ip = None] (DHCP), [backend = Xen_direct.backend], [quiet_net = false],
     [rx_slots = 512].
     @raise Invalid_argument if [mem_mib <= 0]. *)
 val make :
@@ -41,14 +41,14 @@ val make :
   ?mode:[ `Sync | `Async ] ->
   ?mem_mib:int ->
   ?ip:Netstack.Ipv4.config ->
-  ?target:Target.t ->
+  ?backend:Backend.t ->
   ?quiet_net:bool ->
   ?rx_slots:int ->
   unit ->
   t
 
 (** [clone t ~name ?ip ()] stamps out a fleet replica from a template
-    spec: same libraries, bridge, target, memory, toolstack mode and
+    spec: same libraries, bridge, backend, memory, toolstack mode and
     network settings, but a fresh appliance name, its own address
     ([ip], else the template's), and an ASR seed re-derived from the
     name unless [aslr_seed] is given (each replica links a

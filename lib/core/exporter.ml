@@ -1,13 +1,11 @@
-(* The /metrics exposition endpoint, applied per backend. It lives in its
-   own unit so that only appliances that mount it link it. *)
-
-module Direct = Uhttp.Metrics_export.Make (Netstack.Device)
-module Sockets = Uhttp.Metrics_export.Make (Hostnet.Device)
+(* The /metrics exposition endpoint, applied once to whatever stack the
+   appliance's backend carries. It lives in its own unit so that only
+   appliances that mount it link it. *)
 
 let mount h ~port =
   let dom = Appliance.Handle.domain h in
-  let sim = dom.Xensim.Domain.sim in
-  (match Appliance.Handle.hostnet h with
-  | None -> ignore (Direct.mount sim ~dom ~port (Appliance.Handle.stack h))
-  | Some s -> ignore (Sockets.mount sim ~dom ~port s));
+  (match Appliance.Handle.device h with
+  | Device_sig.Stack ((module S), stack) ->
+    let module E = Uhttp.Metrics_export.Make (S) in
+    ignore (E.mount dom.Xensim.Domain.sim ~dom ~port stack));
   Appliance.Handle.advertise h ~port

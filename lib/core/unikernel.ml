@@ -1,5 +1,3 @@
-type target = Target.t = Posix_sockets | Posix_direct | Xen_direct
-
 type t = {
   domain : Xensim.Domain.t;
   image : Linker.image;
@@ -7,7 +5,7 @@ type t = {
   config : Config.t;
   sealed : bool;
   ready_at_ns : int;
-  target : target;
+  target : Target.t;
   console : Devices.Console.t;
 }
 
@@ -30,12 +28,12 @@ let posix_libc_bytes = 180 * 1024
 let process_spawn_ns = 1_200_000 (* fork+exec+dynamic linking *)
 
 let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
-    ?(target = Xen_direct) ~config ~mem_mib ~main () =
+    ?(target = Target.Xen_direct) ~config ~mem_mib ~main () =
   let open Mthread.Promise in
   let dce =
     match target with
-    | Xen_direct -> Specialize.Ocamlclean
-    | Posix_sockets | Posix_direct -> Specialize.Standard
+    | Target.Xen_direct -> Specialize.Ocamlclean
+    | Target.Posix_sockets | Target.Posix_direct -> Specialize.Standard
   in
   let plan = Specialize.plan ~target config dce in
   (match Specialize.verify plan with
@@ -44,18 +42,18 @@ let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
   let image = Linker.link plan ~seed:config.Config.aslr_seed in
   let image =
     match target with
-    | Xen_direct -> image
-    | Posix_sockets | Posix_direct ->
+    | Target.Xen_direct -> image
+    | Target.Posix_sockets | Target.Posix_direct ->
       { image with Linker.total_bytes = image.Linker.total_bytes + posix_libc_bytes }
   in
-  let platform = match target with Xen_direct -> platform | Posix_sockets | Posix_direct -> Platform.linux_native in
-  let seal = seal && target = Xen_direct in
+  let platform = if target = Target.Xen_direct then platform else Platform.linux_native in
+  let seal = seal && target = Target.Xen_direct in
   let profile = mirage_profile ~image_bytes:image.Linker.total_bytes in
   let built =
     match target with
-    | Xen_direct ->
+    | Target.Xen_direct ->
       Xensim.Toolstack.boot ts ~mode ~profile ~name:config.Config.app_name ~mem_mib ~platform
-    | Posix_sockets | Posix_direct ->
+    | Target.Posix_sockets | Target.Posix_direct ->
       (* a process on the developer's host, not a domain build *)
       let d = Xensim.Hypervisor.create_domain hv ~name:config.Config.app_name ~mem_mib ~platform () in
       d.Xensim.Domain.state <- Xensim.Domain.Running;
@@ -67,7 +65,7 @@ let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
       (* Start-of-day: install the randomised image and the runtime memory
          regions, then seal (Xen target only — POSIX targets live in an
          ordinary mutable process address space). *)
-      if target = Xen_direct then begin
+      if target = Target.Xen_direct then begin
         let layout = Pvboot.Layout.standard ~mem_mib ~text_bytes:4096 ~data_bytes:4096 in
         Linker.install image domain.Xensim.Domain.pagetable;
         Pvboot.Layout.install_only layout domain.Xensim.Domain.pagetable
@@ -105,10 +103,10 @@ let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
    domain-build + guest-init path for Xen, a process spawn for POSIX. *)
 let boot_estimate_ns ~target ~mem_mib ~image_bytes =
   match target with
-  | Xen_direct ->
+  | Target.Xen_direct ->
     Xensim.Toolstack.build_time_ns ~mem_mib ~image_bytes
     + (mirage_profile ~image_bytes).Xensim.Toolstack.kernel_init_ns ~mem_mib
-  | Posix_sockets | Posix_direct -> process_spawn_ns
+  | Target.Posix_sockets | Target.Posix_direct -> process_spawn_ns
 
 let exit_code t =
   match t.domain.Xensim.Domain.state with

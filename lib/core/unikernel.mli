@@ -9,17 +9,6 @@
     shuts down when main returns, its exit code the thread's return
     (paper §3.3). *)
 
-(** The three specialisation steps of the paper's developer workflow
-    (§5.4): debug as an ordinary process with host sockets, then swap in
-    the unikernel network stack over tuntap, then cross-compile to the
-    sealed Xen image. An alias of {!Target.t}; each target selects both
-    the library closure ({!Specialize}) and the device backend the
-    application functors are applied to ({!Appliance}). *)
-type target = Target.t =
-  | Posix_sockets  (** host kernel networking; bytecode-friendly; no seal *)
-  | Posix_direct  (** unikernel stack via tuntap (copy-taxed); no seal *)
-  | Xen_direct  (** standalone sealed VM on the hypervisor *)
-
 type t = {
   domain : Xensim.Domain.t;
   image : Linker.image;
@@ -27,7 +16,7 @@ type t = {
   config : Config.t;
   sealed : bool;  (** false on an unpatched hypervisor (§2.3.3) *)
   ready_at_ns : int;  (** boot-complete instant *)
-  target : target;
+  target : Target.t;  (** which step of the developer workflow (§5.4) *)
   console : Devices.Console.t;  (** the boot banner and anything main writes *)
 }
 
@@ -47,7 +36,7 @@ val boot :
   ?mode:[ `Sync | `Async ] ->
   ?seal:bool ->
   ?platform:Platform.t ->
-  ?target:target ->
+  ?target:Target.t ->
   config:Config.t ->
   mem_mib:int ->
   main:(t -> int Mthread.Promise.t) ->
@@ -66,4 +55,4 @@ val posix_libc_bytes : int
 (** Estimated time from "run it" to ready, per target: toolstack domain
     build + guest init for [Xen_direct], a process spawn for the POSIX
     targets. Used by the build report's per-target delta table. *)
-val boot_estimate_ns : target:target -> mem_mib:int -> image_bytes:int -> int
+val boot_estimate_ns : target:Target.t -> mem_mib:int -> image_bytes:int -> int

@@ -1,9 +1,10 @@
 (* Device signatures (paper §3, Fig. 2): the module types that separate
    application libraries from the device backends they run on. Protocol
    servers (`Uhttp.Server`, `Dns.Server`, `Baseline.Appliances`) are
-   functors over these signatures; the configure step — `Unikernel.target`
-   via `Core.Appliance`, and the functor application where a server is
-   used — picks the implementation: the
+   functors over these signatures; the configure step — the backend value
+   in a `Core.Boot_spec` (`Core.Xen_direct`, `Posix_direct` or
+   `Posix_sockets`), and the functor application where a server is used,
+   over the {!stack} that backend carries — picks the implementation: the
    type-safe unikernel netstack over a PV ring or tuntap device, or the
    `Hostnet` shim that models host-kernel sockets for the POSIX developer
    targets. Application code is identical at every target. *)
@@ -87,6 +88,12 @@ module type STACK = sig
   val udp : t -> Udp.t
   val address : t -> ipaddr
 end
+
+(** A running stack packed with its implementation: what a backend hands
+    an appliance, so that code serving on it applies its functor to [S]
+    once, whatever the backend:
+    [match s with Stack ((module S), v) -> let module H = F (S.Tcp) in ...]. *)
+type stack = Stack : (module STACK with type t = 'a) * 'a -> stack
 
 (** Monotonic simulated time. *)
 module type CLOCK = sig

@@ -12,6 +12,23 @@ let backend_per_packet_ns = 1_600 (* dom0 netback work per frame *)
 (* TX doorbells rung by every PV netif in the process. *)
 let doorbells = ref 0
 
+(* Vif taps, shaped like [Netsim.Bridge.tap]: frames as this guest's
+   device sees them (TX as the request reaches the ring or the wire, RX
+   at delivery), as opposed to a bridge-wide tap. Handles are unique in
+   the process. *)
+type observer = dir:Netsim.dir -> link:int -> time_ns:int -> Bytestruct.t -> unit
+type tap_handle = int
+
+let tap_seq = ref 0
+
+(* Offer one frame to a vif's taps with its backing buffer [owner]
+   ambient, as the bridge's Tx tap does, so an observer retains instead
+   of copying. Callers skip it when no tap is installed: one null check
+   per frame. *)
+let tap_frame taps ~owner ~dir ~nic ~time_ns frame =
+  let fire () = List.iter (fun (_, f) -> f ~dir ~link:(Netsim.Nic.id nic) ~time_ns frame) taps in
+  match owner with Some pb -> Pktbuf.with_current pb fire | None -> fire ()
+
 (* The TX requests in flight, each from its write to its TX response,
    in parallel arrays: request [id] lives in slot [id land (capacity -
    1)]. The ids in flight are consecutive and no more than the ring's
@@ -112,10 +129,7 @@ type pv = {
   mutable rx_frames : int;
   mutable rx_dropped : int;
   mutable closed : bool;
-  (* Per-vif wire capture: frames as this guest's device sees them (TX at
-     the ring, RX at delivery), as opposed to a bridge-wide tap. One null
-     check per frame when unset; cleared at disconnect. *)
-  mutable capture : Netsim.Capture.t option;
+  mutable taps : (tap_handle * observer) list;  (* cleared at disconnect *)
 }
 
 (* Direct (non-PV) attachment: the NIC is a host-kernel device, so there
@@ -135,7 +149,7 @@ type direct = {
   mutable d_tx_frames : int;
   mutable d_rx_frames : int;
   mutable d_rx_dropped : int;
-  mutable d_capture : Netsim.Capture.t option;
+  mutable d_taps : (tap_handle * observer) list;
 }
 
 type t = Pv of pv | Direct of direct
@@ -347,11 +361,10 @@ let frontend_handle_rx_responses t () =
                    layer that defers work can retain instead of copying.
                    Releasing the driver's reference afterwards returns the
                    buffer to the pool only if nobody retained. *)
-                (match t.capture with
-                | None -> ()
-                | Some c ->
-                  Netsim.Capture.record ~owner:page c ~dir:Netsim.Rx
-                    ~link:(Netsim.Nic.id t.nic)
+                (match t.taps with
+                | [] -> ()
+                | taps ->
+                  tap_frame taps ~owner:(Some page) ~dir:Netsim.Rx ~nic:t.nic
                     ~time_ns:(Engine.Sim.now t.hv.Xensim.Hypervisor.sim)
                     (Pktbuf.view page ~off:0 ~len:size));
                 (match t.listener with
@@ -445,7 +458,7 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
       rx_frames = 0;
       rx_dropped = 0;
       closed = false;
-      capture = None;
+      taps = [];
     }
   in
   Xensim.Evtchn.set_handler ev tx_port_back (fun () -> backend_handle_tx t ());
@@ -512,11 +525,10 @@ let direct_handle_frame d frame =
       in
       Xensim.Domain.charge_k d.d_dom ~cost:(direct_rx_cost d size) (fun () ->
           (match span with Some sp -> Trace.finish sp | None -> ());
-          (match d.d_capture with
-          | None -> ()
-          | Some c ->
-            Netsim.Capture.record ~owner:holder c ~dir:Netsim.Rx
-              ~link:(Netsim.Nic.id d.d_nic)
+          (match d.d_taps with
+          | [] -> ()
+          | taps ->
+            tap_frame taps ~owner:(Some holder) ~dir:Netsim.Rx ~nic:d.d_nic
               ~time_ns:(Engine.Sim.now d.d_dom.Xensim.Domain.sim)
               view);
           (match d.d_listener with
@@ -542,7 +554,7 @@ let connect_direct ~dom ~nic ?(frame_tax = false) () =
       d_tx_frames = 0;
       d_rx_frames = 0;
       d_rx_dropped = 0;
-      d_capture = None;
+      d_taps = [];
     }
   in
   Netsim.Nic.set_rx nic (fun frame -> direct_handle_frame d frame);
@@ -560,11 +572,10 @@ let direct_write ?owner d frame =
   let len = Bytestruct.length frame in
   if len > mtu_bytes + 14 then invalid_arg "Netif.write: frame exceeds MTU";
   d.d_tx_frames <- d.d_tx_frames + 1;
-  (match d.d_capture with
-  | None -> ()
-  | Some c ->
-    Netsim.Capture.record ?owner c ~dir:Netsim.Tx
-      ~link:(Netsim.Nic.id d.d_nic)
+  (match d.d_taps with
+  | [] -> ()
+  | taps ->
+    tap_frame taps ~owner ~dir:Netsim.Tx ~nic:d.d_nic
       ~time_ns:(Engine.Sim.now d.d_dom.Xensim.Domain.sim)
       frame);
   let span = Trace.span ~dom:d.d_dom.Xensim.Domain.id ~cat:Trace.Device "netif.tx" in
@@ -615,11 +626,10 @@ let rec pv_write ?owner t frame =
     Bytestruct.LE.set_uint16 slot 2 len;
     Bytestruct.LE.set_uint32_int slot 4 gref;
     t.tx_frames <- t.tx_frames + 1;
-    (match t.capture with
-    | None -> ()
-    | Some c ->
-      Netsim.Capture.record ?owner c ~dir:Netsim.Tx
-        ~link:(Netsim.Nic.id t.nic)
+    (match t.taps with
+    | [] -> ()
+    | taps ->
+      tap_frame taps ~owner ~dir:Netsim.Tx ~nic:t.nic
         ~time_ns:(Engine.Sim.now t.hv.Xensim.Hypervisor.sim)
         frame);
     (* The vCPU does the driver work before the frame reaches the ring —
@@ -658,7 +668,7 @@ let pv_disconnect t =
   Xensim.Evtchn.close ev t.tx_port_front;
   Xensim.Evtchn.close ev t.rx_port_front;
   t.listener <- None;
-  t.capture <- None;
+  t.taps <- [];
   let p = t.tx_pending in
   Array.iteri
     (fun i id ->
@@ -687,14 +697,21 @@ let disconnect = function
   | Pv t -> pv_disconnect t
   | Direct d ->
     d.d_listener <- None;
-    d.d_capture <- None;
+    d.d_taps <- [];
     Netsim.Nic.set_rx d.d_nic (fun _ -> ())
 
 let set_listener t f =
   match t with Pv p -> p.listener <- Some f | Direct d -> d.d_listener <- Some f
 
-let set_capture t c =
-  match t with Pv p -> p.capture <- c | Direct d -> d.d_capture <- c
+let tap t f =
+  let h = !tap_seq in
+  tap_seq := h + 1;
+  (match t with Pv p -> p.taps <- (h, f) :: p.taps | Direct d -> d.d_taps <- (h, f) :: d.d_taps);
+  h
+
+let untap t h =
+  let drop = List.filter (fun (h', _) -> h' <> h) in
+  match t with Pv p -> p.taps <- drop p.taps | Direct d -> d.d_taps <- drop d.d_taps
 
 let tx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.tx_front | Direct _ -> 0
 let rx_ring_slots = function Pv t -> Xensim.Ring.Front.nr_slots t.rx_front | Direct _ -> 0

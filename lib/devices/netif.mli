@@ -75,15 +75,21 @@ val write : ?owner:Pktbuf.t -> t -> Bytestruct.t -> unit Mthread.Promise.t
     the view valid instead of copying. *)
 val set_listener : t -> (Bytestruct.t -> unit) -> unit
 
-(** [set_capture t (Some c)] installs a per-vif wire capture: every frame
-    this device transmits ([Tx], as the request reaches the ring) or
-    delivers to its listener ([Rx]) is offered to [c] — the view from
-    one guest's device, as opposed to a bridge-wide
-    {!Netsim.Capture.attach_bridge}. Frames are recorded with this vif's
-    {!Netsim.Nic.id} as the link and pass the capture's filter as usual.
-    [None] (and {!disconnect}) detaches; the cost when unset is one null
-    check per frame. *)
-val set_capture : t -> Netsim.Capture.t option -> unit
+(** Returned by {!tap}; pass to {!untap} to detach. *)
+type tap_handle
+
+(** [tap t f] observes every frame this device transmits ([Tx], as the
+    request reaches the ring, or the wire on a direct attachment) or
+    delivers to its listener ([Rx]) — the view from one guest's device,
+    shaped like {!Netsim.Bridge.tap}. [link] is this vif's
+    {!Netsim.Nic.id}. When the frame is pktbuf-backed the backing buffer
+    is the ambient {!Pktbuf.current} during the callback, so observers
+    can retain instead of copying. {!disconnect} detaches every tap; the
+    cost with none installed is one null check per frame. *)
+val tap : t -> (dir:Netsim.dir -> link:int -> time_ns:int -> Bytestruct.t -> unit) -> tap_handle
+
+(** [untap t h] detaches a tap; unknown handles are ignored. *)
+val untap : t -> tap_handle -> unit
 
 (** Process-wide count of TX doorbells rung, always counted whether or
     not tracing is on. Each frame pushes its request and notifies the

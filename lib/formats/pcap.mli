@@ -13,7 +13,7 @@
 
     Classic pcap has no per-packet annotations (those are pcapng); flow
     ids and link metadata travel in a JSONL sidecar written next to the
-    capture (see [Netsim.Capture]). *)
+    capture (see the [Capture] library). *)
 
 (** One captured record. [len] is the original frame length on the wire;
     [data] holds the stored bytes ([String.length data <= len] when the

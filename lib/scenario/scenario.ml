@@ -170,7 +170,7 @@ let web_and_echo (w : Core.World.t) ?vif_capture ~aslr_seed ~page_bytes ~loss ~d
       ()
   in
   let netif = Core.Appliance.Handle.netif server in
-  if Option.is_some vif_capture then Devices.Netif.set_capture netif vif_capture;
+  Option.iter (fun c -> Capture.attach_vif c netif) vif_capture;
   if loss > 0.0 then Netsim.Bridge.set_loss w.bridge (Devices.Netif.nic netif) loss;
   let client = (Core.World.host w ~account_cpu:false ~name:"client" ~ip:"10.0.0.9" ()).stack in
   let dst = Core.Appliance.Handle.address server in
@@ -196,12 +196,12 @@ let traced_capture ~name ~capacity ?snaplen ~filter body =
   Trace.quiesce ();
   Trace.enable ~capacity:65536 ();
   let w = Core.World.create ~seed:11 () in
-  let filter = match Netsim.Capture.parse_filter filter with Ok f -> f | Error e -> failwith e in
-  let cap = Netsim.Capture.create ~name ~capacity ?snaplen ~filter () in
-  Netsim.Capture.attach_bridge cap w.bridge;
+  let filter = match Capture.parse_filter filter with Ok f -> f | Error e -> failwith e in
+  let cap = Capture.create ~name ~capacity ?snaplen ~filter () in
+  Capture.attach_bridge cap w.bridge;
   body w cap;
-  let pcap = Netsim.Capture.to_pcap cap in
-  let flows = Netsim.Capture.flows_json cap in
-  Netsim.Capture.close cap;
+  let pcap = Capture.to_pcap cap in
+  let flows = Capture.flows_json cap in
+  Capture.close cap;
   Trace.quiesce ();
   (pcap, flows)

@@ -1063,8 +1063,8 @@ module Flight = struct
 
   let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-  (* Wire-capture hook, installed by the capture plane (Netsim.Capture)
-     from above this layer: given the trip's context it returns extra
+  (* Wire-capture hook, installed by the capture plane (the Capture
+     library) from above this layer: given the trip's context it returns extra
      bundle lines — the last few captured frames of the implicated flow —
      or "" when nothing is captured. *)
   let capture_hook : (dom:int -> reason:string -> payload:payload -> string) option ref = ref None

@@ -520,8 +520,9 @@ module Flight : sig
 
   (** Install (or remove, with [None]) the wire-capture hook: called
       while building each {!trip} bundle with the trip's context, it
-      returns extra bundle lines — the capture plane ([Netsim.Capture])
-      uses this to freeze the last few captured frames of the implicated
-      flow into the postmortem. Returning [""] appends nothing. *)
+      returns extra bundle lines — the capture plane (the [Capture]
+      library, which installs it when its module initialises) uses this
+      to freeze the last few captured frames of the implicated flow into
+      the postmortem. Returning [""] appends nothing. *)
   val set_capture_hook : (dom:int -> reason:string -> payload:payload -> string) option -> unit
 end

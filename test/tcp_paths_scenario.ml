@@ -154,19 +154,19 @@ let steer w cap =
     List.length
       (List.filter
          (fun r ->
-           let s = r.Netsim.Capture.r_summary in
+           let s = r.Capture.r_summary in
            let n = String.length s and p = String.length prefix and e = String.length ends in
-           r.Netsim.Capture.r_dir = Netsim.Tx
-           && (match len with Some l -> r.Netsim.Capture.r_len = l | None -> true)
+           r.Capture.r_dir = Netsim.Tx
+           && (match len with Some l -> r.Capture.r_len = l | None -> true)
            && n >= p + e
            && String.sub s 0 p = prefix
            && String.sub s (n - e) e = ends)
-         (Netsim.Capture.records cap))
+         (Capture.records cap))
   in
   check "SYN retransmitted" (sent ~prefix:"tcp 10.0.0.9:32768 >" "S" = 2);
   check "SYN-ACK retransmitted" (sent ~prefix:"tcp 10.0.0.2:7001 >" "SA" = 2);
   check "one-byte probe resent" (sent ~len:55 ~prefix:"tcp 10.0.0.2:7001 >" "AP" >= 3);
-  check "nothing evicted" (Netsim.Capture.evicted cap = 0);
+  check "nothing evicted" (Capture.evicted cap = 0);
   List.iter
     (fun (what, ok) -> if not ok then failwith ("Tcp_paths_scenario: not reached: " ^ what))
     (List.rev !reached)

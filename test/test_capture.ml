@@ -85,9 +85,9 @@ let test_pcap_errors () =
 (* ---- filter language ---- *)
 
 let matches expr frame =
-  match Netsim.Capture.parse_filter expr with
+  match Capture.parse_filter expr with
   | Error e -> Alcotest.failf "parse %S: %s" expr e
-  | Ok f -> Netsim.Capture.filter_matches f frame
+  | Ok f -> Capture.filter_matches f frame
 
 let test_filter_language () =
   let t = tcp_frame () in
@@ -118,7 +118,7 @@ let test_filter_language () =
   Alcotest.(check bool) "empty matches arp" true (matches "" (arp_frame ()));
   List.iter
     (fun e ->
-      match Netsim.Capture.parse_filter e with
+      match Capture.parse_filter e with
       | Ok _ -> Alcotest.failf "accepted bad filter %S" e
       | Error _ -> ())
     [ "bogus"; "port"; "port x"; "tcp and"; "(tcp"; "flag zzz"; "host 1.2.3"; "tcp tcp" ]
@@ -126,20 +126,20 @@ let test_filter_language () =
 (* ---- ring behaviour ---- *)
 
 let test_ring_eviction () =
-  let cap = Netsim.Capture.create ~capacity:4 ~snaplen:16 () in
+  let cap = Capture.create ~capacity:4 ~snaplen:16 () in
   for i = 0 to 9 do
-    Netsim.Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:(i * 1000)
+    Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:(i * 1000)
       (tcp_frame ~sport:(1000 + i) ())
   done;
-  Alcotest.(check int) "matched" 10 (Netsim.Capture.matched cap);
-  Alcotest.(check int) "stored" 4 (Netsim.Capture.stored cap);
-  Alcotest.(check int) "evicted" 6 (Netsim.Capture.evicted cap);
-  (match Netsim.Capture.records cap with
-  | { Netsim.Capture.r_t = 6000; r_len = 60; _ } :: _ -> ()
-  | r :: _ -> Alcotest.failf "oldest is t=%d len=%d" r.Netsim.Capture.r_t r.Netsim.Capture.r_len
+  Alcotest.(check int) "matched" 10 (Capture.matched cap);
+  Alcotest.(check int) "stored" 4 (Capture.stored cap);
+  Alcotest.(check int) "evicted" 6 (Capture.evicted cap);
+  (match Capture.records cap with
+  | { Capture.r_t = 6000; r_len = 60; _ } :: _ -> ()
+  | r :: _ -> Alcotest.failf "oldest is t=%d len=%d" r.Capture.r_t r.Capture.r_len
   | [] -> Alcotest.fail "empty ring");
   (* snaplen caps stored bytes, orig_len records the wire length *)
-  (match Formats.Pcap.parse (Netsim.Capture.to_pcap cap) with
+  (match Formats.Pcap.parse (Capture.to_pcap cap) with
   | Error e -> Alcotest.failf "to_pcap unparseable: %s" e
   | Ok f ->
     Alcotest.(check int) "pcap packet count" 4 (List.length f.Formats.Pcap.packets);
@@ -148,9 +148,50 @@ let test_ring_eviction () =
         Alcotest.(check int) "stored capped" 16 (String.length p.Formats.Pcap.data);
         Alcotest.(check int) "orig len" 60 p.Formats.Pcap.len)
       f.Formats.Pcap.packets);
-  Netsim.Capture.clear cap;
-  Alcotest.(check int) "cleared" 0 (Netsim.Capture.stored cap);
-  Netsim.Capture.close cap
+  Capture.clear cap;
+  Alcotest.(check int) "cleared" 0 (Capture.stored cap);
+  Capture.close cap
+
+(* ---- closing a capture detaches its vif taps ---- *)
+
+(* A capture at a vif, closed, must stop recording there and hand back
+   every pool buffer it held: [stored] stays 0 through later traffic and
+   the vif pool's outstanding count returns to its value before the
+   capture. [attach] gives the vif under test and its peer's stack. *)
+let check_close_detaches_vif attach =
+  let w = Core.World.create ~seed:5 () in
+  let peer = (Core.World.host w ~name:"peer" ~ip:"10.0.0.2" ()).Core.World.stack in
+  let netif, stack = attach w in
+  let exchange () =
+    let send src dst =
+      Netstack.Udp.sendto (Netstack.Stack.udp src) ~src_port:7
+        ~dst:(Netstack.Stack.address dst) ~dst_port:7 (Bytestruct.of_string "ping")
+    in
+    Core.World.run w (send peer stack >>= fun () -> send stack peer);
+    Engine.Sim.run ~until:(Engine.Sim.now w.sim + Engine.Sim.ms 10) w.sim
+  in
+  let pool = Devices.Netif.pool netif in
+  exchange ();
+  let before = Pktbuf.outstanding pool in
+  let cap = Capture.create ~name:"vif" () in
+  Capture.attach_vif cap netif;
+  exchange ();
+  Alcotest.(check bool) "captured while attached" true (Capture.stored cap > 0);
+  Capture.close cap;
+  exchange ();
+  Alcotest.(check int) "nothing stored after close" 0 (Capture.stored cap);
+  Alcotest.(check int) "vif pool buffers returned" before (Pktbuf.outstanding pool)
+
+let test_close_detaches_vif () =
+  check_close_detaches_vif (fun w ->
+      let h = Core.World.host w ~name:"pv" ~ip:"10.0.0.1" () in
+      (h.Core.World.netif, h.Core.World.stack));
+  check_close_detaches_vif (fun w ->
+      let dom = Core.World.domain w ~name:"direct" () in
+      let nic = Netsim.Bridge.new_nic w.bridge ~mac:(Netsim.mac_of_int 7) () in
+      let netif = Devices.Netif.connect_direct ~dom ~nic () in
+      let cfg = Netstack.Stack.Static (Core.World.static_ip "10.0.0.1") in
+      (netif, Core.World.run w (Netstack.Stack.create w.sim ~dom ~netif cfg)))
 
 (* ---- pinned-scenario determinism + golden cross-check ---- *)
 
@@ -178,12 +219,12 @@ let test_capture_deterministic () =
     mono f.Formats.Pcap.packets;
     (* every packet passed the "tcp and port 80" filter *)
     let filt =
-      match Netsim.Capture.parse_filter "tcp and port 80" with Ok f -> f | Error e -> failwith e
+      match Capture.parse_filter "tcp and port 80" with Ok f -> f | Error e -> failwith e
     in
     List.iter
       (fun (p : Formats.Pcap.packet) ->
         Alcotest.(check bool) "filter holds" true
-          (Netsim.Capture.filter_matches filt (Bytestruct.of_string p.Formats.Pcap.data)))
+          (Capture.filter_matches filt (Bytestruct.of_string p.Formats.Pcap.data)))
       f.Formats.Pcap.packets;
     (* sidecar lines the same packets, with flow ids for cross-reference *)
     let sidecar_lines =
@@ -280,12 +321,12 @@ let test_ss_matches_tcp_state () =
 let test_flight_includes_capture () =
   Trace.Flight.reset ();
   Trace.Flight.enable ();
-  let cap = Netsim.Capture.create ~name:"fl-cap" ~capacity:32 () in
+  let cap = Capture.create ~name:"fl-cap" ~capacity:32 () in
   (* traffic on two ports; the trip implicates only port 80 *)
   for i = 0 to 9 do
-    Netsim.Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:(i * 10)
+    Capture.record cap ~dir:Netsim.Tx ~link:0 ~time_ns:(i * 10)
       (tcp_frame ~dport:80 ~sport:(2000 + i) ());
-    Netsim.Capture.record cap ~dir:Netsim.Rx ~link:1 ~time_ns:((i * 10) + 5)
+    Capture.record cap ~dir:Netsim.Rx ~link:1 ~time_ns:((i * 10) + 5)
       (tcp_frame ~dport:9999 ~sport:(3000 + i) ())
   done;
   Trace.Flight.trip ~dom:1 ~payload:[ ("port", Trace.Int 80) ] ~reason:"tcp.timeout" ();
@@ -298,7 +339,7 @@ let test_flight_includes_capture () =
       (contains ~needle:":80 " bundle);
     Alcotest.(check bool) "unrelated flow filtered out" true
       (not (contains ~needle:":9999" bundle)));
-  Netsim.Capture.close cap;
+  Capture.close cap;
   (* with no live captures the hook contributes nothing *)
   Trace.Flight.trip ~dom:1 ~payload:[ ("port", Trace.Int 80) ] ~reason:"tcp.timeout" ();
   (match Trace.Flight.last_bundle () with
@@ -319,7 +360,10 @@ let () =
       ( "filter",
         [ Alcotest.test_case "language semantics" `Quick test_filter_language ] );
       ( "ring",
-        [ Alcotest.test_case "bounded eviction + snaplen" `Quick test_ring_eviction ] );
+        [
+          Alcotest.test_case "bounded eviction + snaplen" `Quick test_ring_eviction;
+          Alcotest.test_case "close detaches vif taps" `Quick test_close_detaches_vif;
+        ] );
       ( "determinism",
         [ Alcotest.test_case "pinned scenario byte-identical" `Quick test_capture_deterministic ]
       );

@@ -299,9 +299,9 @@ let test_developer_workflow_targets () =
     Engine.Sim.run w.sim;
     (u, u.Core.Unikernel.ready_at_ns - t0)
   in
-  let sockets, t_sockets = boot_with Core.Unikernel.Posix_sockets in
-  let direct, _ = boot_with Core.Unikernel.Posix_direct in
-  let xen, t_xen = boot_with Core.Unikernel.Xen_direct in
+  let sockets, t_sockets = boot_with Core.Target.Posix_sockets in
+  let direct, _ = boot_with Core.Target.Posix_direct in
+  let xen, t_xen = boot_with Core.Target.Xen_direct in
   check_bool "posix targets unsealed" true
     ((not sockets.Core.Unikernel.sealed) && not direct.Core.Unikernel.sealed);
   check_bool "xen target sealed" true xen.Core.Unikernel.sealed;

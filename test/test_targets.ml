@@ -8,23 +8,21 @@
 open Testlib
 module P = Mthread.Promise
 
-(* The two servers over host-kernel sockets (Posix_sockets); the
-   netstack ones are [Core.Apps.Net]'s. *)
-module Host_dns = Dns.Server.Make (Hostnet.Device.Udp)
-module Host_http = Uhttp.Server.Make (Hostnet.Device.Tcp)
-
 let ( >>= ) = P.bind
 let appliance_ip = "10.0.0.53"
 
-let boot_appliance w ~target ~config ~serve =
-  run w
-    (Core.Appliance.start w.hv w.toolstack
-       (Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge ~config
-          ~ip:(static_ip appliance_ip) ~target ())
-       ~main:(fun h ->
-         serve (Core.Appliance.Handle.networked h);
-         P.sleep w.sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0))
-  |> Core.Appliance.Handle.networked
+(* Boots [config] on [backend] and calls [serve dom device] from its
+   main: each server below applies its functor once, to whatever stack
+   the backend carries. *)
+let boot_appliance w ~backend ~config ~serve =
+  ignore
+    (run w
+       (Core.Appliance.start w.hv w.toolstack
+          (Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge ~config
+             ~ip:(static_ip appliance_ip) ~backend ())
+          ~main:(fun h ->
+            serve (Core.Appliance.Handle.domain h) (Core.Appliance.Handle.device h);
+            P.sleep w.sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0)))
 
 (* ---- DNS: scripted query sequence, raw payload capture ---- *)
 
@@ -37,23 +35,15 @@ let dns_script =
     ("host-199.example.org", 0x1005);
   ]
 
-let dns_run target =
+let dns_run backend =
   let w = create () in
   let db = Dns.Db.of_zone (Dns.Zone.synthesize ~origin:"example.org" ~entries:200) in
   let engine = Dns.Server.Mirage { memoize = true } in
-  let _networked =
-    boot_appliance w ~target
-      ~config:(Core.Appliance.dns_appliance ())
-      ~serve:(fun n ->
-        let dom = n.Core.Appliance.unikernel.Core.Unikernel.domain in
-        match Core.Appliance.hostnet n with
-        | Some h -> ignore (Host_dns.create w.sim ~dom ~udp:h ~db ~engine ())
-        | None ->
-          ignore
-            (Core.Apps.Net.Dns.create w.sim ~dom
-               ~udp:(Netstack.Stack.udp (Core.Appliance.stack n))
-               ~db ~engine ()))
-  in
+  boot_appliance w ~backend
+    ~config:(Core.Appliance.dns_appliance ())
+    ~serve:(fun dom (Device_sig.Stack ((module S), stack)) ->
+      let module D = Dns.Server.Make (S.Udp) in
+      ignore (D.create w.sim ~dom ~udp:(S.udp stack) ~db ~engine ()));
   let client = host w ~platform:Platform.linux_native ~name:"resolver" ~ip:"10.0.0.9" () in
   let udp = Netstack.Stack.udp client.stack in
   let dst = Netstack.Ipaddr.of_string appliance_ip in
@@ -80,26 +70,18 @@ let dns_run target =
 
 let http_script = [ "/"; "/tweets/alice"; "/tweets/bob"; "/" ]
 
-let http_run target =
+let http_run backend =
   let w = create () in
   let router = Uhttp.Router.create () in
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 "index"));
   Uhttp.Router.add router Uhttp.Http_wire.GET "/tweets/:user" (fun params _ ->
       P.return (Uhttp.Http_wire.response ~status:200 ("tweets of " ^ List.assoc "user" params)));
-  let _networked =
-    boot_appliance w ~target
-      ~config:(Core.Appliance.web_server ())
-      ~serve:(fun n ->
-        let dom = n.Core.Appliance.unikernel.Core.Unikernel.domain in
-        match Core.Appliance.hostnet n with
-        | Some h -> ignore (Host_http.of_router w.sim ~dom ~tcp:h ~port:80 router)
-        | None ->
-          ignore
-            (Core.Apps.Net.Http.of_router w.sim ~dom
-               ~tcp:(Netstack.Stack.tcp (Core.Appliance.stack n))
-               ~port:80 router))
-  in
+  boot_appliance w ~backend
+    ~config:(Core.Appliance.web_server ())
+    ~serve:(fun dom (Device_sig.Stack ((module S), stack)) ->
+      let module H = Uhttp.Server.Make (S.Tcp) in
+      ignore (H.of_router w.sim ~dom ~tcp:(S.tcp stack) ~port:80 router));
   let client = host w ~platform:Platform.linux_native ~name:"browser" ~ip:"10.0.0.9" () in
   let tcp = Netstack.Stack.tcp client.stack in
   let dst = Netstack.Ipaddr.of_string appliance_ip in
@@ -159,14 +141,17 @@ let check_equivalent what runs =
     ignore first
   | [] -> assert false
 
-let all_targets () =
-  List.map (fun t -> (Core.Target.to_string t, t)) Core.Target.all
+(* The three backends in workflow order ([Core.Target.all]). *)
+let all_backends () =
+  List.map
+    (fun (b : Core.Backend.t) -> (Core.Target.to_string b.target, b))
+    [ Core.Posix_sockets.backend; Core.Posix_direct.backend; Core.Xen_direct.backend ]
 
 let test_dns_equivalence () =
-  check_equivalent "dns" (List.map (fun (name, t) -> (name, dns_run t)) (all_targets ()))
+  check_equivalent "dns" (List.map (fun (name, b) -> (name, dns_run b)) (all_backends ()))
 
 let test_http_equivalence () =
-  check_equivalent "http" (List.map (fun (name, t) -> (name, http_run t)) (all_targets ()))
+  check_equivalent "http" (List.map (fun (name, b) -> (name, http_run b)) (all_backends ()))
 
 (* ---- per-target library closures (Table 2 becomes target-dependent) ---- *)
 

@@ -9,7 +9,8 @@
 #   2. dune runtest         — unit/golden tests plus `bench guard`, one
 #                             table-driven guard over every observability
 #                             plane (disabled-site budgets, figure-8
-#                             invariance)
+#                             invariance); then tools/links.sh -s prints
+#                             each example's linked units and text bytes
 #   3. tools/check_fmt.sh   — dune + ocamlformat formatting gate
 #   4. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
@@ -33,6 +34,10 @@ dune build
 
 echo "== ci: dune runtest =="
 dune runtest
+
+echo "== ci: linked units and text bytes per example (Table 2, this tree) =="
+tools/links.sh -s _build/default/examples/quickstart.exe _build/default/examples/dns_appliance.exe \
+  _build/default/examples/openflow_learning.exe _build/default/examples/multikernel.exe
 
 echo "== ci: formatting =="
 tools/check_fmt.sh

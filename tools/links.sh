@@ -28,7 +28,11 @@ fi
 for exe in "$@"; do
   [ -f "$exe" ] || { echo "links.sh: no such file: $exe" >&2; exit 1; }
   units=$(nm "$exe" | sed -n 's/^[0-9a-fA-F]* [A-Za-z] caml\(.*\)\(\.\|__\)code_begin$/\1/p' | sort -u)
-  count=$(printf '%s\n' "$units" | grep -c .)
+  if [ -z "$units" ]; then
+    echo "links.sh: nm finds no OCaml unit in $exe (not a native OCaml executable?)" >&2
+    exit 1
+  fi
+  count=$(printf '%s\n' "$units" | wc -l)
   text=$(size "$exe" | awk 'NR == 2 { print $1 }')
   if ! $summary_only; then
     printf '%s\n' "$units" | sed "s|^|unit $exe |"
