@@ -47,8 +47,8 @@ let run_world () =
 
 let report ~label replies total_alloc promises stats =
   Printf.printf "  [%s] %d HTTP requests served; per-hop exclusive costs:\n" label replies;
-  let rows = Engine.Trace_report.hop_rows stats in
-  print_string (Engine.Trace_report.hop_table rows);
+  let rows = Plane_cli.Trace_report.hop_rows stats in
+  print_string (Plane_cli.Trace_report.hop_table rows);
   List.iter
     (fun (name, pkts, vcpu_ns, alloc_b) ->
       let n = float_of_int pkts in

@@ -2,7 +2,7 @@
    evaluation (see DESIGN.md's per-experiment index). Run everything with
    `dune exec bench/main.exe`, or a subset: `dune exec bench/main.exe -- fig10 table2`.
    Pass `--trace out.jsonl` to record a full event trace of the run and
-   print a latency summary at the end (shared plumbing in Util). *)
+   print a latency summary at the end (the plane flags are Plane_cli's). *)
 
 let experiments =
   [
@@ -30,7 +30,7 @@ let experiments =
     ("guard", "disabled-site budgets + figure-8 invariance, every plane", Micro.guard);
   ]
 
-let run requested trace_out out profile_out flight_dir =
+let run requested trace out profile flight =
   let to_run =
     if requested = [] then experiments
     else
@@ -45,8 +45,7 @@ let run requested trace_out out profile_out flight_dir =
         requested
   in
   Util.with_out out (fun () ->
-      Util.with_profile profile_out flight_dir (fun () ->
-      Util.with_trace trace_out (fun () ->
+      Plane_cli.run ?trace ?profile ?flight (fun () ->
           Printf.printf "Unikernels (ASPLOS'13) reproduction — benchmark harness\n";
           Printf.printf "All appliance measurements run in simulated virtual time;\n";
           Printf.printf "the 'micro' suite measures real wall-clock of the implementations.\n";
@@ -55,7 +54,7 @@ let run requested trace_out out profile_out flight_dir =
               ignore name;
               ignore descr;
               f ())
-            to_run)))
+            to_run))
 
 let () =
   let open Cmdliner in
@@ -64,7 +63,7 @@ let () =
   let cmd =
     Cmd.v (Cmd.info "bench" ~doc)
       Term.(
-        const run $ names $ Util.trace_term $ Util.out_term $ Util.profile_term
-        $ Util.flight_term)
+        const run $ names $ Plane_cli.trace $ Util.out_term $ Plane_cli.profile
+        $ Plane_cli.flight)
   in
   exit (Cmd.eval cmd)

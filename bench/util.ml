@@ -40,79 +40,6 @@ let bar label value unit_ max_value =
   let width = int_of_float (46.0 *. value /. max_value) in
   Printf.printf "  %-34s %8.1f %-8s |%s\n" label value unit_ (String.make (max 0 width) '#')
 
-(* ---- shared --trace plumbing ----
-
-   Every figure subcommand accepts the same [--trace FILE] option; the
-   run executes with the global tracer enabled (a larger ring than the
-   default — figure workloads emit hundreds of thousands of events) and
-   the JSONL export plus a latency summary are produced at the end. The
-   output feeds `mirage_sim trace report/waterfall/flame/queues`. *)
-
-let trace_term =
-  let open Cmdliner in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a full event trace of the run and write it to $(docv) as JSON lines \
-           (analyse with mirage_sim trace).")
-
-let with_trace trace_out f =
-  let trace_out = Engine.Trace_report.open_output trace_out in
-  if Option.is_some trace_out then Trace.enable ~capacity:262144 ();
-  f ();
-  match trace_out with
-  | None -> ()
-  | Some (file, oc) ->
-    Engine.Trace_report.write_jsonl oc;
-    Printf.printf "\ntrace written to %s\n" file;
-    Engine.Trace_report.print_summary ()
-
-(* ---- shared --profile / --flight plumbing ----
-
-   [--profile FILE] runs the requested experiments with the profiler
-   (vCPU frames and per-packet hop costs) enabled, writes the profile as JSON
-   lines (input to `mirage_sim profile top/folded/diff`) and prints a
-   top-style summary. [--flight DIR] arms the flight recorder for the
-   run; postmortem bundles land in DIR only when something actually
-   fails. *)
-
-let profile_term =
-  let open Cmdliner in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"FILE"
-        ~doc:
-          "Run with the vCPU profiler and per-packet datapath accounting enabled and write the \
-           profile to $(docv) as JSON lines (analyse with mirage_sim profile).")
-
-let flight_term =
-  let open Cmdliner in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight" ] ~docv:"DIR"
-        ~doc:
-          "Arm the flight recorder; postmortem bundles are written into $(docv) on failure \
-           signals only.")
-
-let with_profile profile_out flight_dir f =
-  let profile_out = Engine.Trace_report.open_output profile_out in
-  if Option.is_some profile_out then Trace.Prof.enable ();
-  (match flight_dir with Some dir -> Trace.Flight.enable ~dir () | None -> ());
-  f ();
-  (match profile_out with
-  | None -> ()
-  | Some (file, oc) ->
-    Engine.Trace_report.write_profile oc;
-    Printf.printf "\nprofile written to %s\n" file;
-    Engine.Trace_report.print_profile_summary ());
-  if flight_dir <> None then
-    Printf.printf "flight recorder: %d trip(s), %d bundle(s) retained\n" (Trace.Flight.trips ())
-      (List.length (Trace.Flight.bundles ()))
-
 (* ---- shared --out plumbing ----
 
    Machine-readable results. Every experiment calls [emit] next to the
@@ -179,7 +106,7 @@ let out_term =
            ({\"figure\",\"metric\",\"value\",\"unit\",\"seed\"}), one object per point.")
 
 let with_out out f =
-  let out = Engine.Trace_report.open_output out in
+  let out = Plane_cli.open_output out in
   results := [];
   f ();
   match out with

@@ -5,9 +5,8 @@
 
 open Cmdliner
 
-let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
-  let trace_out = Engine.Trace_report.open_output trace_out in
-  (if Option.is_some trace_out then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
+let run_fleet seed peak_rps duration_scale policy scale_to_zero trace =
+  Plane_cli.run ?trace @@ fun () ->
   let scale n = n * duration_scale / 100 in
   let d = Fleet.defaults in
   let p =
@@ -77,14 +76,7 @@ let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
       o.Fleet.o_cold_starts o.Fleet.o_held
       (Engine.Sim.to_ms o.Fleet.o_held_wait_max_ns);
   Printf.printf "  domains    : %d left in the hypervisor table (retired shards are gone)\n"
-    o.Fleet.o_domains_left;
-
-  (match trace_out with
-  | None -> ()
-  | Some (file, oc) ->
-    Engine.Trace_report.write_jsonl oc;
-    Printf.printf "\ntrace: %s\n" file);
-  Trace.quiesce ()
+    o.Fleet.o_domains_left
 
 let policy_conv =
   let parse = function
@@ -112,12 +104,6 @@ let cmd =
       & opt policy_conv Lb.Balancer.Least_conns
       & info [ "policy" ] ~docv:"POLICY" ~doc:"Balancing policy: hash or least-conns.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace to $(docv) as JSON lines.")
-  in
   let scale_to_zero =
     Arg.(
       value & flag
@@ -128,4 +114,4 @@ let cmd =
              idle gaps reap the pool back to zero.")
   in
   Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(const run_fleet $ seed $ peak $ duration $ policy $ scale_to_zero $ trace_out)
+    Term.(const run_fleet $ seed $ peak $ duration $ policy $ scale_to_zero $ Plane_cli.trace)

@@ -84,16 +84,8 @@ let build_cmd =
   let appliance = Arg.(required & pos 0 (some appliance_conv) None & info [] ~docv:"APPLIANCE") in
   let dce = Arg.(value & opt dce_conv Core.Specialize.Ocamlclean & info [ "dce" ] ~docv:"MODE") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"ASR build seed") in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Trace the build pipeline stages and write the events to $(docv) as JSON lines.")
-  in
-  let run (name, mk) dce seed target trace_out =
-    let trace_out = Engine.Trace_report.open_output trace_out in
-    if Option.is_some trace_out then Trace.enable ();
+  let run (name, mk) dce seed target trace =
+    Plane_cli.run ?trace @@ fun () ->
     let staged what f =
       if Trace.enabled () then begin
         let sp = Trace.span ~cat:Trace.Boot ("build." ^ what) in
@@ -104,10 +96,9 @@ let build_cmd =
       else f ()
     in
     let config = mk ?aslr_seed:(Some seed) () in
-    (* Mirror [Unikernel.boot]: the developer targets always build with the
-       stock compiler, so ocamlclean only ever applies to the Xen image. *)
-    let dce_for t = match t with Core.Target.Xen_direct -> dce | _ -> Core.Specialize.Standard in
-    let plan = staged "plan" (fun () -> Core.Specialize.plan ~target config (dce_for target)) in
+    let recipe = Core.Unikernel.recipe ~xen_dce:dce in
+    let dce = (recipe target).Core.Unikernel.dce in
+    let plan = staged "plan" (fun () -> Core.Specialize.plan ~target config dce) in
     (match staged "verify" (fun () -> Core.Specialize.verify plan) with
     | Ok () -> ()
     | Error e ->
@@ -138,33 +129,40 @@ let build_cmd =
     Printf.printf "  %-15s %5s %9s %10s\n" "target" "libs" "image kB" "boot";
     List.iter
       (fun t ->
-        let p = Core.Specialize.plan ~target:t config (dce_for t) in
+        let r = recipe t in
+        let p = Core.Specialize.plan ~target:t config r.Core.Unikernel.dce in
         (match Core.Specialize.verify p with
         | Ok () -> ()
         | Error e ->
           Printf.eprintf "verification failed for %s: %s\n" (Core.Target.to_string t) e;
           exit 1);
         let img = Core.Linker.link p ~seed:config.Core.Config.aslr_seed in
-        let image_bytes =
-          img.Core.Linker.total_bytes
-          + (match t with Core.Target.Xen_direct -> 0 | _ -> Core.Unikernel.posix_libc_bytes)
-        in
+        let image_bytes = img.Core.Linker.total_bytes + r.Core.Unikernel.libc_bytes in
         let boot_ns = Core.Unikernel.boot_estimate_ns ~target:t ~mem_mib ~image_bytes in
         Printf.printf "  %-15s %5d %9d %7.1f ms%s\n" (Core.Target.to_string t)
           (List.length p.Core.Specialize.libs)
           (image_bytes / 1024) (Engine.Sim.to_ms boot_ns)
           (if t = target then "  *" else ""))
-      Core.Target.all;
-    match trace_out with
-    | None -> ()
-    | Some (file, oc) ->
-      Engine.Trace_report.write_jsonl oc;
-      Printf.printf "trace: %s\n" file;
-      Engine.Trace_report.print_summary ()
+      Core.Target.all
   in
-  Cmd.v (Cmd.info "build" ~doc) Term.(const run $ appliance $ dce $ seed $ target_arg $ trace_out)
+  Cmd.v (Cmd.info "build" ~doc)
+    Term.(const run $ appliance $ dce $ seed $ target_arg $ Plane_cli.trace)
 
 (* ---- boot ---- *)
+
+(* Per-domain vCPU totals, printed under the boot's trace summary. *)
+let vcpu_accounting sim =
+  match Engine.Sim.vcpu_totals sim with
+  | [] -> ()
+  | totals ->
+    Printf.printf "vcpu accounting:\n";
+    Printf.printf "  %5s %10s %12s %12s\n" "dom" "slices" "run_us" "wait_us";
+    List.iter
+      (fun (v : Engine.Sim.vcpu_totals) ->
+        Printf.printf "  %5d %10d %12.1f %12.1f\n" v.Engine.Sim.vt_dom v.Engine.Sim.vt_slices
+          (float_of_int v.Engine.Sim.vt_run_ns /. 1e3)
+          (float_of_int v.Engine.Sim.vt_wait_ns /. 1e3))
+      totals
 
 let boot_cmd =
   let doc = "Boot an appliance on the simulated hypervisor and report the timeline" in
@@ -172,39 +170,8 @@ let boot_cmd =
   let mem = Arg.(value & opt int 64 & info [ "mem" ] ~docv:"MIB") in
   let sync = Arg.(value & flag & info [ "sync" ] ~doc:"use the stock synchronous toolstack") in
   let no_seal = Arg.(value & flag & info [ "no-seal" ] ~doc:"hypervisor without the seal patch") in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Record a full event trace of the boot and write it to $(docv) as JSON lines.")
-  in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:
-            "Attribute every vCPU nanosecond to its layer stack and every datapath packet to its \
-             per-hop cost; write the profile to $(docv) as JSON lines (input to $(b,mirage_sim \
-             profile)) and print a top-style summary.")
-  in
-  let flight_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight" ] ~docv:"DIR"
-          ~doc:
-            "Arm the flight recorder: keep a bounded ring of recent events per domain and dump a \
-             postmortem bundle into $(docv) on failure signals (TCP give-up, fired alerts, \
-             non-zero domain exits). No bundle is written on a clean run.")
-  in
-  let run (name, mk) mem sync no_seal target trace_out profile_out flight_dir =
-    let trace_out = Engine.Trace_report.open_output trace_out in
-    let profile_out = Engine.Trace_report.open_output profile_out in
-    if Option.is_some trace_out then Trace.enable ();
-    if Option.is_some profile_out then Trace.Prof.enable ();
-    (match flight_dir with Some dir -> Trace.Flight.enable ~dir () | None -> ());
+  let run (name, mk) mem sync no_seal target trace profile flight =
+    Plane_cli.run ?trace ?profile ?flight ~after_trace:vcpu_accounting @@ fun () ->
     let mk () = mk ?aslr_seed:None () in
     let w = Core.World.create ~seal_patch:(not no_seal) () in
     let sim = w.Core.World.sim in
@@ -242,37 +209,12 @@ let boot_cmd =
     List.iter
       (fun line -> Printf.printf "  console      | %s\n" line)
       (Devices.Console.log u.Core.Unikernel.console);
-    (match trace_out with
-    | None -> ()
-    | Some (file, oc) ->
-      Engine.Trace_report.write_jsonl oc;
-      Printf.printf "  trace        : %s\n" file;
-      Engine.Trace_report.print_summary ();
-      (match Engine.Sim.vcpu_totals sim with
-      | [] -> ()
-      | totals ->
-        Printf.printf "vcpu accounting:\n";
-        Printf.printf "  %5s %10s %12s %12s\n" "dom" "slices" "run_us" "wait_us";
-        List.iter
-          (fun (v : Engine.Sim.vcpu_totals) ->
-            Printf.printf "  %5d %10d %12.1f %12.1f\n" v.Engine.Sim.vt_dom v.Engine.Sim.vt_slices
-              (float_of_int v.Engine.Sim.vt_run_ns /. 1e3)
-              (float_of_int v.Engine.Sim.vt_wait_ns /. 1e3))
-          totals));
-    (match profile_out with
-    | None -> ()
-    | Some (file, oc) ->
-      Engine.Trace_report.write_profile oc;
-      Printf.printf "  profile      : %s\n" file;
-      Engine.Trace_report.print_profile_summary ());
-    if Trace.Flight.enabled () then
-      Printf.printf "  flight       : %d trip(s), %d bundle(s) retained\n" (Trace.Flight.trips ())
-        (List.length (Trace.Flight.bundles ()))
+    sim
   in
   Cmd.v (Cmd.info "boot" ~doc)
     Term.(
-      const run $ appliance $ mem $ sync $ no_seal $ target_arg $ trace_out $ profile_out
-      $ flight_dir)
+      const run $ appliance $ mem $ sync $ no_seal $ target_arg $ Plane_cli.trace
+      $ Plane_cli.profile $ Plane_cli.flight)
 
 let main =
   let doc = "Mirage unikernel construction pipeline on a simulated Xen host" in

@@ -36,9 +36,8 @@ let fmt_rate v =
 
 (* ---- the scenario ---- *)
 
-let run_monitor seed servers duration_ms interval_ms flap trace_out =
-  let trace_out = Engine.Trace_report.open_output trace_out in
-  (if Option.is_some trace_out then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
+let run_monitor seed servers duration_ms interval_ms flap trace =
+  Plane_cli.run ?trace @@ fun () ->
   Trace.Metrics.enable ();
   let w = Core.World.create ~seed () in
   let sim = w.Core.World.sim and bridge = w.Core.World.bridge in
@@ -198,13 +197,7 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
             (Engine.Sim.to_ms (t - started))
             a.Monitor.al_rule a.Monitor.al_target
         | None -> ())
-      alerts);
-  (match trace_out with
-  | None -> ()
-  | Some (file, oc) ->
-    Engine.Trace_report.write_jsonl oc;
-    Printf.printf "\ntrace: %s\n" file);
-  Trace.quiesce ()
+      alerts)
 
 let cmd =
   let doc = "Boot an appliance fleet plus the monitor unikernel; render the scrape dashboard" in
@@ -223,11 +216,5 @@ let cmd =
       value & flag
       & info [ "flap" ] ~doc:"Take one appliance's link down mid-run (fires the goodput SLO).")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace to $(docv) as JSON lines.")
-  in
   Cmd.v (Cmd.info "monitor" ~doc)
-    Term.(const run_monitor $ seed $ servers $ duration $ interval $ flap $ trace_out)
+    Term.(const run_monitor $ seed $ servers $ duration $ interval $ flap $ Plane_cli.trace)

@@ -23,8 +23,8 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
       Printf.eprintf "pcap: bad filter %S: %s\n" filter_str e;
       exit 2
   in
-  let out = Engine.Trace_report.open_output out in
-  let flows_out = Engine.Trace_report.open_output (Option.map (fun (f, _) -> f ^ ".flows") out) in
+  let out = Plane_cli.open_output out in
+  let flows_out = Plane_cli.open_output (Option.map (fun (f, _) -> f ^ ".flows") out) in
   Trace.enable ();
   let w = Core.World.create ~seed () in
   let sim = w.Core.World.sim and bridge = w.Core.World.bridge in

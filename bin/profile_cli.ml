@@ -1,6 +1,6 @@
 (* Offline analysis of profile JSONL exports (`--profile FILE` on
    `mirage_sim boot` and `bench/main.exe`, or
-   [Engine.Trace_report.write_profile]): a top-style per-domain/per-layer
+   [Plane_cli.Trace_report.write_profile]): a top-style per-domain/per-layer
    vCPU attribution table, folded-stack output feeding the same
    flamegraph.pl path as `trace flame`, and a diff mode comparing two
    profiles for before/after optimization reports.
@@ -38,7 +38,7 @@ let parse_line line =
       | _ -> (
         match J.member "dpath" obj with
         | Some (J.Object _ as p) ->
-          (* (hop, pkts, vcpu_ns, alloc_bytes): an Engine.Trace_report.hop_table row *)
+          (* (hop, pkts, vcpu_ns, alloc_bytes): an Plane_cli.Trace_report.hop_table row *)
           `Dpath
             ( str_of p "hop" "?",
               int_of p "pkts" 0,
@@ -138,7 +138,7 @@ let top file limit =
   end;
   if ds <> [] then begin
     print_string "datapath (per packet):\n";
-    print_string (Engine.Trace_report.hop_table ds)
+    print_string (Plane_cli.Trace_report.hop_table ds)
   end
 
 (* ---- folded stacks ---- *)

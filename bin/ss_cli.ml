@@ -13,7 +13,6 @@ module P = Mthread.Promise
 let ( >>= ) = P.bind
 
 let run_ss seed duration_ms loss =
-  Trace.enable ();
   let w = Core.World.create ~seed () in
   let sim = w.Core.World.sim in
   let duration_ns = Engine.Sim.ms duration_ms in
@@ -44,8 +43,7 @@ let run_ss seed duration_ms loss =
   let started = Engine.Sim.now sim in
   Engine.Sim.run ~until:(started + duration_ns) sim;
   snap "end of run";
-  print_string (Buffer.contents snapshots);
-  Trace.quiesce ()
+  print_string (Buffer.contents snapshots)
 
 let cmd =
   let doc = "Boot a client/server scenario and render ss-style socket tables" in

@@ -33,8 +33,9 @@ forbid() {
   fi
 }
 
-# No example captures or runs on host sockets.
-unused='Formats__Pcap|Capture(__.*)?|Hostnet(__.*)?'
+# No example captures, runs on host sockets or parses a command line
+# (the plane flags stay with the tools that run appliances).
+unused='Formats__Pcap|Capture(__.*)?|Hostnet(__.*)?|Plane_cli(__.*)?|Cmdliner.*'
 forbid dns_appliance.exe "$unused|Uhttp(__.*)?|Lb(__.*)?|Monitor(__.*)?|Orchestrator(__.*)?|Baseline(__.*)?"
 forbid quickstart.exe "$unused|Dns(__.*)?|Lb(__.*)?|Monitor(__.*)?|Orchestrator(__.*)?|Baseline(__.*)?"
 forbid multikernel.exe "$unused|Uhttp(__.*)?|Netstack__.*|Devices__Netif|Core__Appliance|Core__Boot_spec"

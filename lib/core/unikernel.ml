@@ -27,25 +27,25 @@ let mirage_profile ~image_bytes =
 let posix_libc_bytes = 180 * 1024
 let process_spawn_ns = 1_200_000 (* fork+exec+dynamic linking *)
 
+type recipe = { dce : Specialize.dce; libc_bytes : int }
+
+(* The developer targets always build with the stock compiler, so
+   ocamlclean only ever applies to the Xen image. *)
+let recipe ?(xen_dce = Specialize.Ocamlclean) = function
+  | Target.Xen_direct -> { dce = xen_dce; libc_bytes = 0 }
+  | Target.Posix_sockets | Target.Posix_direct ->
+    { dce = Specialize.Standard; libc_bytes = posix_libc_bytes }
+
 let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
     ?(target = Target.Xen_direct) ~config ~mem_mib ~main () =
   let open Mthread.Promise in
-  let dce =
-    match target with
-    | Target.Xen_direct -> Specialize.Ocamlclean
-    | Target.Posix_sockets | Target.Posix_direct -> Specialize.Standard
-  in
-  let plan = Specialize.plan ~target config dce in
+  let r = recipe target in
+  let plan = Specialize.plan ~target config r.dce in
   (match Specialize.verify plan with
   | Ok () -> ()
   | Error msg -> raise (Build_error msg));
   let image = Linker.link plan ~seed:config.Config.aslr_seed in
-  let image =
-    match target with
-    | Target.Xen_direct -> image
-    | Target.Posix_sockets | Target.Posix_direct ->
-      { image with Linker.total_bytes = image.Linker.total_bytes + posix_libc_bytes }
-  in
+  let image = { image with Linker.total_bytes = image.Linker.total_bytes + r.libc_bytes } in
   let platform = if target = Target.Xen_direct then platform else Platform.linux_native in
   let seal = seal && target = Target.Xen_direct in
   let profile = mirage_profile ~image_bytes:image.Linker.total_bytes in

@@ -26,10 +26,20 @@ exception Build_error of string
     near-flat in memory size). *)
 val mirage_profile : image_bytes:int -> Xensim.Toolstack.profile
 
-(** [boot hv ts ~config ~mem_mib ~main ()] runs the full pipeline.
-    [main] returns the VM exit code. Defaults: [`Async] toolstack,
-    sealing requested. A Xen_direct image is linked with [Ocamlclean]
-    DCE, a POSIX one with [Standard]. *)
+(** How an image is built for a target: the DCE mode its plan uses and
+    the host libc bytes a POSIX image drags in (the unikernel links
+    none). *)
+type recipe = { dce : Specialize.dce; libc_bytes : int }
+
+(** [recipe target]: [xen_dce] (default [Ocamlclean]) and no libc for
+    [Xen_direct]; [Standard] DCE and the host libc for the POSIX
+    targets, which build with the stock compiler. {!boot} and
+    [mirage_sim build] both build this way. *)
+val recipe : ?xen_dce:Specialize.dce -> Target.t -> recipe
+
+(** [boot hv ts ~config ~mem_mib ~main ()] runs the full pipeline, with
+    the target's default {!recipe}. [main] returns the VM exit code.
+    Defaults: [`Async] toolstack, sealing requested. *)
 val boot :
   Xensim.Hypervisor.t ->
   Xensim.Toolstack.t ->
@@ -47,10 +57,6 @@ val boot :
     it raised), or the code a later teardown recorded. [None] while the
     domain runs. *)
 val exit_code : t -> int option
-
-(** Host libc bytes a POSIX-target image drags in (the unikernel links
-    none). *)
-val posix_libc_bytes : int
 
 (** Estimated time from "run it" to ready, per target: toolstack domain
     build + guest init for [Xen_direct], a process spawn for the POSIX

@@ -1,10 +1,3 @@
-let open_output =
-  Option.map (fun file ->
-      try (file, open_out file)
-      with Sys_error msg ->
-        Printf.eprintf "%s: cannot write output: %s\n" (Filename.basename Sys.executable_name) msg;
-        exit 1)
-
 let write_jsonl oc = Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_jsonl oc)
 
 let us ns = float_of_int ns /. 1e3

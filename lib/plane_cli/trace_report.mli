@@ -3,10 +3,6 @@
     per-span log-linear histograms ([Trace.Hist]), merging per-domain
     histograms into an appliance-wide row. *)
 
-(** Open an optional output file before the run, paired with its name,
-    so a bad path fails at once: one line on stderr, exit status 1. *)
-val open_output : string option -> (string * out_channel) option
-
 (** Write every retained event, event count and span statistic to [oc] as
     JSON lines (see [Trace.export_jsonl]), then close [oc]. *)
 val write_jsonl : out_channel -> unit

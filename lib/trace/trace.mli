@@ -10,7 +10,7 @@
 
     The library is dependency-free so it can sit below the simulation
     engine in the build graph; the engine installs its virtual clock via
-    {!set_clock} and renders summaries (see [Engine.Trace_report]). *)
+    {!set_clock} and renders summaries (see [Plane_cli.Trace_report]). *)
 
 (** Event categories mirror the subsystems of the simulated stack. *)
 type category =

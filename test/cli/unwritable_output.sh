@@ -1,7 +1,8 @@
 #!/bin/sh
-# Every command-line output file is opened before the run: a path that
-# cannot be written must fail at once with one line on stderr, a
-# non-zero exit, and nothing on stdout (no workload ran).
+# Every command-line output file is opened, and every flight directory
+# checked, before the run: a path that cannot be written must fail at
+# once with one line on stderr, a non-zero exit, and nothing on stdout
+# (no workload ran).
 #
 #   unwritable_output.sh BENCH_EXE MIRAGE_SIM_EXE
 set -u
@@ -24,9 +25,11 @@ check() {
 check "$bench" fig7a --trace "$bad"
 check "$bench" fig7a --profile "$bad"
 check "$bench" fig7a --out "$bad"
+check "$bench" fig7a --flight "$bad"
 check "$sim" build dns --trace "$bad"
 check "$sim" boot dns --trace "$bad"
 check "$sim" boot dns --profile "$bad"
+check "$sim" boot dns --flight "$bad"
 check "$sim" fleet --trace "$bad"
 check "$sim" monitor --trace "$bad"
 check "$sim" pcap --out "$bad"

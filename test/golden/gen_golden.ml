@@ -56,11 +56,11 @@ let () =
   Trace.enable ~capacity:65536 ();
   Trace.Prof.enable ();
   scenario ~gets:3 ~ping:true;
-  Engine.Trace_report.write_jsonl (open_out file);
-  Engine.Trace_report.write_profile (open_out profile_a);
+  Plane_cli.Trace_report.write_jsonl (open_out file);
+  Plane_cli.Trace_report.write_profile (open_out profile_a);
   Printf.eprintf "wrote %s (%d events), %s\n" file (List.length (Trace.events ())) profile_a;
   (* Run B: same world, more work — the `profile diff` golden input. *)
   Trace.Prof.reset ();
   scenario ~gets:5 ~ping:false;
-  Engine.Trace_report.write_profile (open_out profile_b);
+  Plane_cli.Trace_report.write_profile (open_out profile_b);
   Printf.eprintf "wrote %s\n" profile_b

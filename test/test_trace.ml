@@ -199,7 +199,7 @@ let test_counts_past_ring_wrap () =
         Alcotest.(list string)
         "summary counters"
         (List.map (fun (n, v) -> Printf.sprintf "  %-34s %12d" n v) want)
-        (section (after (String.split_on_char '\n' (Engine.Trace_report.summary_string ()))));
+        (section (after (String.split_on_char '\n' (Plane_cli.Trace_report.summary_string ()))));
       Trace.reset ();
       check_int "reset zeroes the counts" 0 (List.length (Trace.counts ()));
       Trace.emit ~cat "test.tick";
@@ -356,7 +356,7 @@ let test_appliance_boot_trace () =
       check_bool "boot took virtual time" true
         ((List.hd boot_spans).Trace.span_total_ns > 0);
       (* the summary renderer digests this state without blowing up *)
-      check_bool "summary non-empty" true (String.length (Engine.Trace_report.summary_string ()) > 0))
+      check_bool "summary non-empty" true (String.length (Plane_cli.Trace_report.summary_string ()) > 0))
 
 (* ---- causal flow propagation ---- *)
 
