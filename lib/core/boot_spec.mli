@@ -27,7 +27,8 @@ type t = {
           absorbs several TCP windows of burst; boot storms use a small
           ring because 10⁴ vifs times 511 posted grants is millions of
           live grant-table entries for appliances that each serve a
-          handful of frames. *)
+          handful of frames. Only {!Xen_direct.backend} reads it: neither
+          POSIX backend has a ring. *)
 }
 
 (** Smart constructor; defaults: [mode = `Async], [mem_mib = 32],

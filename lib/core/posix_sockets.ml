@@ -5,8 +5,9 @@ let backend =
   {
     Backend.target = Target.Posix_sockets;
     connect =
-      (fun hv ~dom ~backend_dom:_ ~nic ~rx_slots:_ ~announce:_ cfg ->
-        Mthread.Promise.bind (Hostnet.create hv.Xensim.Hypervisor.sim ~dom ~nic cfg) (fun h ->
+      (fun hv ~dom ~backend_dom:_ ~nic ~rx_slots:_ ~announce cfg ->
+        Mthread.Promise.bind (Hostnet.create hv.Xensim.Hypervisor.sim ~dom ~announce ~nic cfg)
+          (fun h ->
             Mthread.Promise.return
               {
                 Backend.netif = Hostnet.netif h;

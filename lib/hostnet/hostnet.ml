@@ -30,9 +30,9 @@ let charge t ~bytes_len =
 let charge_k t ~bytes_len k =
   Xensim.Domain.charge_k t.dom ~cost:(tax t ~bytes_len) k
 
-let create sim ~dom ~nic config =
+let create sim ~dom ?announce ~nic config =
   let netif = Devices.Netif.connect_direct ~dom ~nic () in
-  Netstack.Stack.create sim ~dom ~netif config >>= fun stack ->
+  Netstack.Stack.create sim ~dom ?announce ~netif config >>= fun stack ->
   return { sim; dom; netif; stack }
 
 let kernel_stack t = t.stack

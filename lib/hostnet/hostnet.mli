@@ -12,10 +12,12 @@
 type t
 
 (** [create sim ~dom ~nic config] brings up the modelled host kernel
-    stack on [nic] and returns the socket layer for [dom]. *)
+    stack on [nic] and returns the socket layer for [dom]. [announce]
+    is the stack's ({!Netstack.Stack.create}). *)
 val create :
   Engine.Sim.t ->
   dom:Xensim.Domain.t ->
+  ?announce:bool ->
   nic:Netsim.Nic.t ->
   Netstack.Stack.ip_config ->
   t Mthread.Promise.t

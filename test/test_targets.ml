@@ -153,6 +153,36 @@ let test_dns_equivalence () =
 let test_http_equivalence () =
   check_equivalent "http" (List.map (fun (name, b) -> (name, http_run b)) (all_backends ()))
 
+(* ---- Boot_spec.quiet_net on every backend ---- *)
+
+(* ARP frames an appliance booted on [backend] with a static address
+   puts on the bridge when nothing else talks: its stack's gratuitous
+   announcement, unless the spec is quiet. *)
+let boot_arp_frames backend ~quiet_net =
+  let w = create () in
+  let arps = ref 0 in
+  ignore
+    (Netsim.Bridge.tap w.bridge (fun ~dir ~link:_ ~time_ns:_ frame ->
+         if dir = Netsim.Tx && Bytestruct.BE.get_uint16 frame 12 = 0x0806 then incr arps));
+  ignore
+    (run w
+       (Core.Appliance.start w.hv w.toolstack
+          (Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge
+             ~config:(Core.Appliance.dns_appliance ()) ~ip:(static_ip appliance_ip) ~backend
+             ~quiet_net ())
+          ~main:(fun _ -> P.return 0)));
+  Engine.Sim.run w.sim;
+  !arps
+
+let test_quiet_net () =
+  List.iter
+    (fun (name, backend) ->
+      check_bool (name ^ ": a static address is announced") true
+        (boot_arp_frames backend ~quiet_net:false > 0);
+      check_int (name ^ ": quiet_net announces nothing") 0
+        (boot_arp_frames backend ~quiet_net:true))
+    (all_backends ())
+
 (* ---- per-target library closures (Table 2 becomes target-dependent) ---- *)
 
 let libs_of target =
@@ -201,6 +231,7 @@ let () =
         [
           Alcotest.test_case "dns answers are target-independent" `Quick test_dns_equivalence;
           Alcotest.test_case "http responses are target-independent" `Quick test_http_equivalence;
+          Alcotest.test_case "quiet_net holds on every backend" `Quick test_quiet_net;
           Alcotest.test_case "library closures swap backends" `Quick test_closures_swap_backends;
           Alcotest.test_case "verify rejects netstack on posix-sockets" `Quick
             test_verify_rejects_netstack_on_sockets;
