@@ -36,23 +36,29 @@ let prng t = t.prng
    ambient runs under that flow, however many hops later. Only when
    tracing — with it off, [f] is pushed untouched. The same trick
    applies to profiler frames, so vCPU charges made by deferred
-   continuations still land on the layer that caused them. *)
-let at t ~time f =
+   continuations still land on the layer that caused them. The wrapping
+   closures are built out of line, because a function that builds a
+   closure is never inlined and [capture] is inlined into [at] and
+   [lane_at]; [opaque_identity] keeps each builder a two-argument
+   function, not a partial application. *)
+let in_flow fl f = Sys.opaque_identity (fun () -> Trace.Flow.wrap fl f)
+let in_frame node f = Sys.opaque_identity (fun () -> Trace.Prof.wrap node f)
+
+let[@inline] capture f =
   let f =
     if Trace.enabled () then begin
       let fl = Trace.Flow.current () in
-      if fl >= 0 then fun () -> Trace.Flow.wrap fl f else f
+      if fl >= 0 then in_flow fl f else f
     end
     else f
   in
-  let f =
-    if Trace.Prof.enabled () then begin
-      let node = Trace.Prof.current_node () in
-      if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
-    end
-    else f
-  in
-  Eventq.push t.q ~time:(max time t.now) f
+  if Trace.Prof.enabled () then begin
+    let node = Trace.Prof.current_node () in
+    if not (Trace.Prof.is_root node) then in_frame node f else f
+  end
+  else f
+
+let at t ~time f = Eventq.push t.q ~time:(max time t.now) (capture f)
 
 (* A lane is a FIFO of events whose times never decrease: a vCPU's run
    queue (continuations waiting out its backlog, in the order their
@@ -127,24 +133,9 @@ let grow_lane l =
   l.l_actions <- actions;
   l.l_head <- 0
 
-(* [at]'s flow and frame capture, spelled out again rather than shared:
-   [at] is the hottest function in the simulator and keeps its body. *)
 let lane_at l ~time f =
   let t = l.sim in
-  let f =
-    if Trace.enabled () then begin
-      let fl = Trace.Flow.current () in
-      if fl >= 0 then fun () -> Trace.Flow.wrap fl f else f
-    end
-    else f
-  in
-  let f =
-    if Trace.Prof.enabled () then begin
-      let node = Trace.Prof.current_node () in
-      if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
-    end
-    else f
-  in
+  let f = capture f in
   let time = max time t.now in
   let cap = Array.length l.l_actions in
   if l.l_len > 0
