@@ -38,7 +38,7 @@ let parse_line line =
       | _ -> (
         match J.member "dpath" obj with
         | Some (J.Object _ as p) ->
-          (* (hop, pkts, vcpu_ns, alloc_bytes): an Plane_cli.Trace_report.hop_table row *)
+          (* (hop, pkts, vcpu_ns, alloc_bytes): a Plane_cli.Trace_report.hop_table row *)
           `Dpath
             ( str_of p "hop" "?",
               int_of p "pkts" 0,
