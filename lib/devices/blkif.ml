@@ -50,7 +50,7 @@ let backend_handle t () =
   in
   List.iter
     (fun (op, id, sector, count, gref) ->
-      Xensim.Domain.charge_k t.backend_dom ~cost:backend_per_request_ns (fun () -> ());
+      Xensim.Domain.book t.backend_dom ~cost:backend_per_request_ns;
       Mthread.Promise.async (fun () ->
           let open Mthread.Promise in
           if op = 0 then

@@ -188,7 +188,7 @@ let backend_handle_tx t () =
             else work ()))
   in
   if n > 0 then begin
-    let kick () = Xensim.Domain.charge_k t.backend_dom ~cost:(n * backend_per_packet_ns) (fun () -> ()) in
+    let kick () = Xensim.Domain.book t.backend_dom ~cost:(n * backend_per_packet_ns) in
     if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" kick else kick ();
     if Xensim.Ring.Back.push_responses_and_check_notify t.tx_back then
       Xensim.Evtchn.notify (evtchn t) t.tx_port_back
@@ -210,7 +210,7 @@ let backend_deliver_frame t ~id ~gref frame =
     let rsp = Xensim.Ring.Back.next_response t.rx_back in
     Bytestruct.LE.set_uint16 rsp 0 id;
     Bytestruct.LE.set_uint16 rsp 2 (Bytestruct.length frame);
-    let kick () = Xensim.Domain.charge_k t.backend_dom ~cost:backend_per_packet_ns (fun () -> ()) in
+    let kick () = Xensim.Domain.book t.backend_dom ~cost:backend_per_packet_ns in
     if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" kick else kick ();
     if Xensim.Ring.Back.push_responses_and_check_notify t.rx_back then
       Xensim.Evtchn.notify (evtchn t) t.rx_port_back

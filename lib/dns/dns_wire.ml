@@ -180,7 +180,7 @@ let rec write_txt e s off =
   else if String.length s = 0 then add_u8 e 0
 
 let write_rdata e = function
-  | A_data ip -> add_u32 e (Int32.to_int (Netstack.Ipaddr.to_int32 ip) land 0xFFFFFFFF)
+  | A_data ip -> add_u32 e (Netstack.Ipaddr.to_int ip)
   | NS_data n | CNAME_data n | PTR_data n -> write_name e n
   | SOA_data s ->
     write_name e s.mname;

@@ -74,7 +74,7 @@ module Make (U : Device_sig.UDP) = struct
                 ~cat:(Trace.User "dns") "dns.query"
                 (Engine.Sim.now t.sim - queued))
       end
-      else Xensim.Domain.charge_k d ~cost (fun () -> ())
+      else Xensim.Domain.book d ~cost
 
   let respond t ~src ~src_port ~dst_port encoded =
     Mthread.Promise.async (fun () ->

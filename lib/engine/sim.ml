@@ -58,7 +58,9 @@ let[@inline] capture f =
   end
   else f
 
-let at t ~time f = Eventq.push t.q ~time:(max time t.now) (capture f)
+(* Every clamp here compares [int]s inline: [Stdlib.max] is polymorphic,
+   a call to the generic comparison on every event. *)
+let at t ~time f = Eventq.push t.q ~time:(if time > t.now then time else t.now) (capture f)
 
 (* A lane is a FIFO of events whose times never decrease: a vCPU's run
    queue (continuations waiting out its backlog, in the order their
@@ -136,7 +138,7 @@ let grow_lane l =
 let lane_at l ~time f =
   let t = l.sim in
   let f = capture f in
-  let time = max time t.now in
+  let time = if time > t.now then time else t.now in
   let cap = Array.length l.l_actions in
   if l.l_len > 0
      && time < Array.unsafe_get l.l_times ((l.l_head + l.l_len - 1) land (cap - 1))
@@ -170,8 +172,8 @@ let vcpu_acc t ~dom =
     a
 
 let vcpu_slice a ~run_ns ~wait_ns =
-  a.a_run_ns <- a.a_run_ns + max 0 run_ns;
-  a.a_wait_ns <- a.a_wait_ns + max 0 wait_ns;
+  if run_ns > 0 then a.a_run_ns <- a.a_run_ns + run_ns;
+  if wait_ns > 0 then a.a_wait_ns <- a.a_wait_ns + wait_ns;
   a.a_slices <- a.a_slices + 1
 
 let vcpu_totals t =
@@ -182,7 +184,7 @@ let vcpu_totals t =
     t.vcpu []
   |> List.sort (fun a b -> compare a.vt_dom b.vt_dom)
 
-let schedule t ~delay f = at t ~time:(t.now + max 0 delay) f
+let schedule t ~delay f = at t ~time:(if delay > 0 then t.now + delay else t.now) f
 
 let cancel = Eventq.cancel
 
@@ -210,7 +212,7 @@ let run ?until t =
     ignore (step t)
   done;
   match until with
-  | Some limit when not t.stopped -> t.now <- max t.now limit
+  | Some limit when not t.stopped -> if limit > t.now then t.now <- limit
   | _ -> ()
 
 let stop t = t.stopped <- true

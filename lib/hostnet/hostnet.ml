@@ -74,7 +74,7 @@ module Device = struct
     let close fl = charge fl.host ~bytes_len:0 >>= fun () -> Netstack.Tcp.close fl.fl
 
     let abort fl =
-      charge_k fl.host ~bytes_len:0 (fun () -> ());
+      Xensim.Domain.book fl.host.dom ~cost:(tax fl.host ~bytes_len:0);
       Netstack.Tcp.abort fl.fl
 
     let remote fl = Netstack.Tcp.remote fl.fl

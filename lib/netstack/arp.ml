@@ -10,8 +10,9 @@ type t = {
   sim : Engine.Sim.t;
   eth : Ethernet.t;
   mutable ip : Ipaddr.t;
-  cache : (Ipaddr.t, Macaddr.t) Hashtbl.t;
-  waiting : (Ipaddr.t, Macaddr.t Mthread.Promise.u list ref) Hashtbl.t;
+  (* Both keyed by [Ipaddr.to_int]. *)
+  cache : Macaddr.t Engine.Inttbl.t;
+  waiting : Macaddr.t Mthread.Promise.u list ref Engine.Inttbl.t;
   mutable requests_sent : int;
 }
 
@@ -31,11 +32,12 @@ let build_packet ~op ~sha ~spa ~tha ~tpa =
 let output t ~dst packet = Ethernet.output t.eth ~dst ~ethertype:Ethernet.ethertype_arp [ packet ]
 
 let learn t ip mac =
-  Hashtbl.replace t.cache ip mac;
-  match Hashtbl.find_opt t.waiting ip with
+  let key = Ipaddr.to_int ip in
+  Engine.Inttbl.replace t.cache key mac;
+  match Engine.Inttbl.find_opt t.waiting key with
   | None -> ()
   | Some waiters ->
-    Hashtbl.remove t.waiting ip;
+    Engine.Inttbl.remove t.waiting key;
     List.iter
       (fun u -> if Mthread.Promise.wakener_pending u then Mthread.Promise.wakeup u mac)
       !waiters
@@ -61,8 +63,8 @@ let create sim eth ~ip =
       sim;
       eth;
       ip;
-      cache = Hashtbl.create 32;
-      waiting = Hashtbl.create 8;
+      cache = Engine.Inttbl.create 8;
+      waiting = Engine.Inttbl.create 4;
       requests_sent = 0;
     }
   in
@@ -93,25 +95,26 @@ let max_tries = 3
 
 let resolve t ip =
   let open Mthread.Promise in
-  match Hashtbl.find_opt t.cache ip with
-  | Some mac -> return mac
-  | None ->
+  let key = Ipaddr.to_int ip in
+  match Engine.Inttbl.find t.cache key with
+  | mac -> return mac
+  | exception Not_found ->
     let p, u = wait () in
     let waiters =
-      match Hashtbl.find_opt t.waiting ip with
+      match Engine.Inttbl.find_opt t.waiting key with
       | Some w -> w
       | None ->
         let w = ref [] in
-        Hashtbl.replace t.waiting ip w;
+        Engine.Inttbl.replace t.waiting key w;
         w
     in
     waiters := u :: !waiters;
     let rec attempt n =
-      if Hashtbl.mem t.cache ip then return ()
+      if Option.is_some (Engine.Inttbl.find_opt t.cache key) then return ()
       else if n > max_tries then begin
-        (match Hashtbl.find_opt t.waiting ip with
+        (match Engine.Inttbl.find_opt t.waiting key with
         | Some ws ->
-          Hashtbl.remove t.waiting ip;
+          Engine.Inttbl.remove t.waiting key;
           List.iter
             (fun u ->
               if wakener_pending u then wakeup_exn u (Resolution_failed ip))
@@ -141,5 +144,5 @@ let resolve t ip =
    boots don't each broadcast a resolution to 10⁴ ports. *)
 let add_static t ~ip ~mac = learn t ip mac
 
-let cached t ip = Hashtbl.find_opt t.cache ip
+let cached t ip = Engine.Inttbl.find_opt t.cache (Ipaddr.to_int ip)
 let requests_sent t = t.requests_sent

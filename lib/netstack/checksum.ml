@@ -8,8 +8,7 @@
 let swap16 s = ((s land 0xff) lsl 8) lor (s lsr 8)
 
 let pseudo ~src ~dst ~proto ~len =
-  let src = Int32.to_int (Ipaddr.to_int32 src) land 0xffff_ffff
-  and dst = Int32.to_int (Ipaddr.to_int32 dst) land 0xffff_ffff in
+  let src = Ipaddr.to_int src and dst = Ipaddr.to_int dst in
   let sum =
     (src lsr 16) + (src land 0xffff) + (dst lsr 16) + (dst land 0xffff) + proto + (len land 0xffff)
   in

@@ -51,8 +51,8 @@ let acc d =
     d.acc <- Some a;
     a
 
-(* Book [cost] ns on [vcpu] from [now]. *)
-let book d vcpu cost now =
+(* Take [cost] ns on [vcpu] from [now]. *)
+let take d vcpu cost now =
   let free = Array.unsafe_get d.cpu_free_at vcpu in
   let start = if now > free then now else free in
   Array.unsafe_set d.cpu_free_at vcpu (start + cost);
@@ -71,14 +71,15 @@ let book d vcpu cost now =
 let reserve_slice d cost =
   let now = Engine.Sim.now d.sim in
   let n = Array.length d.cpu_free_at in
-  if n = 1 then book d 0 (max 0 cost) now
+  let cost = if cost > 0 then cost else 0 in
+  if n = 1 then take d 0 cost now
   else begin
-    let cost = int_of_float (float_of_int (max 0 cost) *. contention_factor d) in
+    let cost = int_of_float (float_of_int cost *. contention_factor d) in
     let best = ref 0 in
     for i = 1 to n - 1 do
       if d.cpu_free_at.(i) < d.cpu_free_at.(!best) then best := i
     done;
-    book d !best cost now
+    take d !best cost now
   end
 
 (* Runs when the slice completes: retro-record the wakeup latency
@@ -109,6 +110,12 @@ let charge_k d ~cost k =
     else k
   in
   Engine.Sim.lane_at d.lanes.(vcpu) ~time:finish k
+
+(* Nothing waits for the slice, so untraced there is nothing to queue:
+   the slice is taken exactly as [charge_k] takes it. Traced, the event
+   stays, because its firing records the vcpu.wait/vcpu.run spans. *)
+let book d ~cost =
+  if Trace.enabled () then charge_k d ~cost ignore else ignore (reserve_slice d cost)
 
 (* A lane entry cannot be cancelled: a cancelled charge's continuation
    still fires at the slice's end and finds its wakener settled. *)

@@ -47,6 +47,13 @@ val vcpus : t -> int
     vCPU's backlog is only what [k] closes over. *)
 val charge_k : t -> cost:int -> (unit -> unit) -> unit
 
+(** [book d ~cost] is [charge_k d ~cost ignore] for work whose end
+    nothing waits for (a backend's kick, an application's compute):
+    the same slice on the same vCPU, but untraced no event is queued.
+    Traced, the slice's event is kept, so the trace records the same
+    vcpu.wait/vcpu.run spans as {!charge_k}. *)
+val book : t -> cost:int -> unit
+
 (** Promise form of {!charge_k}: resolves when the slice has elapsed.
     Cancelling the promise does not give the slice back; the booked
     continuation still fires and finds the promise settled. *)

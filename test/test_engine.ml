@@ -491,6 +491,110 @@ let test_lane_pending () =
   check_int "lanes drained" 0 (Engine.Sim.lane_length a + Engine.Sim.lane_length b);
   check_int "back to the start value" start (Engine.Sim.pending sim)
 
+(* ---- Inttbl ----
+
+   Engine.Inttbl against Stdlib.Hashtbl as the model: random replace,
+   remove, find and reset sequences, with [length] and every model
+   binding checked after each step (so a removal that broke a probe
+   chain shows at once), and [fold] checked to visit each binding once
+   at the end. Keys mix a dense small range (long probe chains while the
+   table is small, growth as it fills), keys that differ only in their
+   high bits, keys sharing their low byte as MACs do, negative keys and
+   the extremes. *)
+type inttbl_op = Replace of int * int | Remove of int | Find of int | Reset
+
+let inttbl_ops =
+  let open QCheck in
+  let key =
+    Gen.frequency
+      [
+        (6, Gen.int_bound 40);
+        (2, Gen.map (fun i -> i lsl 50) (Gen.int_bound 12));
+        (2, Gen.map (fun i -> (i lsl 40) lor 0x01) (Gen.int_bound 12));
+        (2, Gen.map (fun i -> -i - 1) (Gen.int_bound 12));
+        (1, Gen.oneofl [ min_int; max_int; 0; -1 ]);
+      ]
+  in
+  let op =
+    Gen.frequency
+      [
+        (6, Gen.map2 (fun k v -> Replace (k, v)) key Gen.small_nat);
+        (3, Gen.map (fun k -> Remove k) key);
+        (3, Gen.map (fun k -> Find k) key);
+        (1, Gen.return Reset);
+      ]
+  in
+  let print = function
+    | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Find k -> Printf.sprintf "find %d" k
+    | Reset -> "reset"
+  in
+  make ~print:(Print.list print) (Gen.list_size (Gen.int_bound 400) op)
+
+let inttbl_agrees t model =
+  Engine.Inttbl.length t = Hashtbl.length model
+  && Hashtbl.fold (fun k v ok -> ok && Engine.Inttbl.find t k = v) model true
+
+let prop_inttbl_model =
+  qtest ~count:300 "inttbl agrees with Hashtbl" inttbl_ops (fun ops ->
+      let t = Engine.Inttbl.create 1 and model = Hashtbl.create 8 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+            Engine.Inttbl.replace t k v;
+            Hashtbl.replace model k v
+          | Remove k ->
+            Engine.Inttbl.remove t k;
+            Hashtbl.remove model k
+          | Find _ -> ()
+          | Reset ->
+            Engine.Inttbl.reset t;
+            Hashtbl.reset model);
+          let found =
+            match op with
+            | Find k ->
+              Engine.Inttbl.find_opt t k = Hashtbl.find_opt model k
+              && (match Engine.Inttbl.find t k with
+                 | v -> Hashtbl.find_opt model k = Some v
+                 | exception Not_found -> not (Hashtbl.mem model k))
+            | _ -> true
+          in
+          found && inttbl_agrees t model)
+        ops
+      &&
+      let bindings = Engine.Inttbl.fold (fun k v acc -> (k, v) :: acc) t [] in
+      List.sort compare bindings = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+
+(* Growth to the boot storm's grant-table size and back: sequential keys
+   (grant refs), then every other one removed from the middle of its
+   chain, then [reset] empties the table for reuse. *)
+let test_inttbl_grow_and_thin () =
+  let n = 131_072 in
+  let t = Engine.Inttbl.create 128 in
+  for k = 0 to n - 1 do
+    Engine.Inttbl.replace t (8 + k) (k * 3)
+  done;
+  check_int "all bound" n (Engine.Inttbl.length t);
+  for k = 0 to n - 1 do
+    if k land 1 = 0 then Engine.Inttbl.remove t (8 + k)
+  done;
+  check_int "half left" (n / 2) (Engine.Inttbl.length t);
+  let ok = ref true in
+  for k = 0 to n - 1 do
+    let expect = if k land 1 = 0 then None else Some (k * 3) in
+    if Engine.Inttbl.find_opt t (8 + k) <> expect then ok := false
+  done;
+  check_bool "survivors found, removed keys gone" true !ok;
+  check_int "fold sums the survivors" (3 * (n / 2) * (n / 2))
+    (Engine.Inttbl.fold (fun _ v acc -> acc + v) t 0);
+  Engine.Inttbl.reset t;
+  check_int "reset empties" 0 (Engine.Inttbl.length t);
+  check_bool "reset forgets" true (Engine.Inttbl.find_opt t 9 = None);
+  Engine.Inttbl.replace t 9 1;
+  check_int "usable after reset" 1 (Engine.Inttbl.find t 9)
+
 let () =
   Alcotest.run "engine"
     [
@@ -532,5 +636,10 @@ let () =
           Alcotest.test_case "lane_at before the tail raises" `Quick
             test_lane_rejects_earlier_time;
           Alcotest.test_case "pending counts lane entries" `Quick test_lane_pending;
+        ] );
+      ( "inttbl",
+        [
+          prop_inttbl_model;
+          Alcotest.test_case "grow to 131072 keys, thin, reset" `Quick test_inttbl_grow_and_thin;
         ] );
     ]

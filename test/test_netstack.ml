@@ -21,6 +21,41 @@ let test_ipaddr () =
   check_bool "different subnet" false
     (N.Ipaddr.same_subnet ~netmask:nm (N.Ipaddr.v4 10 0 0 1) (N.Ipaddr.v4 10 0 1 1))
 
+(* Addresses order by their unsigned value, so 10/8 sorts before
+   192.168/16 and 255.255.255.255 is the greatest; the int32 conversions
+   round-trip at and above 128.0.0.0, where an int32 is negative; and
+   the all-ones address reads and writes as four 0xff bytes. *)
+let test_ipaddr_unsigned () =
+  let ip = N.Ipaddr.of_string in
+  let sorted =
+    List.sort N.Ipaddr.compare
+      [ ip "192.168.0.1"; ip "255.255.255.255"; ip "10.0.0.1"; ip "128.0.0.0"; ip "0.0.0.0";
+        ip "127.255.255.255" ]
+  in
+  check
+    Alcotest.(list string)
+    "unsigned order"
+    [ "0.0.0.0"; "10.0.0.1"; "127.255.255.255"; "128.0.0.0"; "192.168.0.1"; "255.255.255.255" ]
+    (List.map N.Ipaddr.to_string sorted);
+  check_bool "10.0.0.1 < 192.168.0.1" true (N.Ipaddr.compare (ip "10.0.0.1") (ip "192.168.0.1") < 0);
+  List.iter
+    (fun (s, i32) ->
+      check Alcotest.int32 (s ^ " to_int32") i32 (N.Ipaddr.to_int32 (ip s));
+      check_string (s ^ " of_int32") s (N.Ipaddr.to_string (N.Ipaddr.of_int32 i32));
+      check_bool (s ^ " round trip") true (N.Ipaddr.equal (ip s) (N.Ipaddr.of_int32 i32)))
+    [
+      ("127.255.255.255", 0x7FFF_FFFFl); ("128.0.0.0", Int32.min_int);
+      ("192.168.0.1", 0xC0A8_0001l); ("255.255.255.255", -1l);
+    ];
+  check_bool "of_int32 (-1l) is broadcast" true (N.Ipaddr.equal N.Ipaddr.broadcast (N.Ipaddr.of_int32 (-1l)));
+  check_int "to_int of broadcast" 0xFFFF_FFFF (N.Ipaddr.to_int N.Ipaddr.broadcast);
+  let b = Bytestruct.create 6 in
+  Bytestruct.fill b '\000';
+  N.Ipaddr.set b 1 N.Ipaddr.broadcast;
+  check_string "set writes four 0xff bytes" "\000\xff\xff\xff\xff\000" (Bytestruct.to_string b);
+  check_bool "get reads them back" true (N.Ipaddr.equal N.Ipaddr.broadcast (N.Ipaddr.get b 1));
+  check_string "get of 255.255.255.255" "255.255.255.255" (N.Ipaddr.to_string (N.Ipaddr.get b 1))
+
 let test_macaddr () =
   let m = N.Macaddr.of_string "aa:bb:cc:dd:ee:ff" in
   check_string "roundtrip" "aa:bb:cc:dd:ee:ff" (N.Macaddr.to_string m);
@@ -1164,6 +1199,8 @@ let () =
       ( "addresses",
         [
           Alcotest.test_case "ipaddr" `Quick test_ipaddr;
+          Alcotest.test_case "ipaddr unsigned order and int32 round trip" `Quick
+            test_ipaddr_unsigned;
           Alcotest.test_case "macaddr" `Quick test_macaddr;
         ] );
       ( "checksum",

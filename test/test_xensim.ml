@@ -665,6 +665,72 @@ let test_charge_and_charge_k_interchangeable () =
             | None -> Alcotest.fail (label ^ ": no engine;tcp row")))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
+(* [book] takes the slice [charge_k] takes, and untraced queues nothing
+   for it. Twin worlds get the same charges, some before and some after
+   the clock moves, on one vCPU and on three: one through [charge_k]
+   with a continuation that does nothing, one through [book]. They must
+   agree on [cpu_free_at], [busy_ns] and the vCPU totals, and [book]
+   must leave [Sim.pending] as it found it. Traced, [book] keeps its
+   event and records the slice's vcpu.wait and vcpu.run spans. *)
+let test_book_same_slice () =
+  let charged ~vcpus charge =
+    let w = create () in
+    let d =
+      Xensim.Hypervisor.create_domain w.hv ~name:"b" ~mem_mib:16 ~platform:Platform.xen_extent
+        ~vcpus ()
+    in
+    let t0 = Engine.Sim.now w.sim in
+    let queued = ref 0 in
+    let charge_all costs =
+      List.iter
+        (fun cost ->
+          let before = Engine.Sim.pending w.sim in
+          charge d ~cost;
+          queued := !queued + Engine.Sim.pending w.sim - before)
+        costs
+    in
+    charge_all [ 1000; 0; 250 ];
+    Engine.Sim.run ~until:(t0 + 600) w.sim;
+    charge_all [ -5; 700; 300; 40 ];
+    Engine.Sim.run ~until:(t0 + 10_000) w.sim;
+    ( (Array.to_list d.Xensim.Domain.cpu_free_at, d.Xensim.Domain.busy_ns),
+      (Engine.Sim.vcpu_totals w.sim, !queued) )
+  in
+  let totals =
+    Alcotest.testable
+      (fun ppf (t : Engine.Sim.vcpu_totals) ->
+        Fmt.pf ppf "dom %d run %d wait %d slices %d" t.vt_dom t.vt_run_ns t.vt_wait_ns t.vt_slices)
+      ( = )
+  in
+  List.iter
+    (fun vcpus ->
+      let label = Printf.sprintf "%d vCPU(s)" vcpus in
+      let (k_slices, (k_totals, k_queued)) =
+        charged ~vcpus (fun d ~cost -> Xensim.Domain.charge_k d ~cost ignore)
+      in
+      let (b_slices, (b_totals, b_queued)) = charged ~vcpus Xensim.Domain.book in
+      check Alcotest.(pair (list int) int) (label ^ ": cpu_free_at and busy_ns") k_slices b_slices;
+      check (Alcotest.list totals) (label ^ ": vcpu_totals") k_totals b_totals;
+      check_int (label ^ ": charge_k queues an event per charge") 7 k_queued;
+      check_int (label ^ ": book queues none") 0 b_queued)
+    [ 1; 3 ];
+  let w = create () in
+  let d = Xensim.Hypervisor.create_domain w.hv ~name:"t" ~mem_mib:16 ~platform:Platform.xen_extent () in
+  Trace.enable ();
+  Fun.protect ~finally:Trace.quiesce (fun () ->
+      let before = Engine.Sim.pending w.sim in
+      Xensim.Domain.book d ~cost:500;
+      check_int "traced: book keeps its event" (before + 1) (Engine.Sim.pending w.sim);
+      Engine.Sim.run ~until:(Engine.Sim.now w.sim + 10_000) w.sim;
+      let named n =
+        List.length
+          (List.filter
+             (fun e -> e.Trace.name = n && e.Trace.dom = d.Xensim.Domain.id)
+             (Trace.events ()))
+      in
+      check_int "traced: vcpu.wait recorded" 1 (named "vcpu.wait");
+      check_int "traced: vcpu.run recorded" 1 (named "vcpu.run"))
+
 (* Each vCPU's charge_k continuations wait on its own run queue, with
    only the queue's head in the event heap. Mixed with plain events they
    must still fire in (time, call order), [Sim.pending] must count every
@@ -909,5 +975,7 @@ let () =
             test_cancelled_charge_settles_nothing;
           Alcotest.test_case "charge and charge_k complete in booking order" `Quick
             test_charge_and_charge_k_booking_order;
+          Alcotest.test_case "book takes charge_k's slice, queues no event untraced" `Quick
+            test_book_same_slice;
         ] );
     ]
