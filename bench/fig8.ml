@@ -81,7 +81,7 @@ let run () =
     let n = 2000 in
     let rec go i acc =
       if i = 0 then P.return acc
-      else P.bind (Netstack.Icmp4.ping icmp ~dst ~seq:i ()) (fun rtt -> go (i - 1) (acc + rtt))
+      else P.bind (Netstack.Icmp4.ping icmp ~dst ~seq:i) (fun rtt -> go (i - 1) (acc + rtt))
     in
     float_of_int (Util.run w (go n 0)) /. float_of_int n
   in

@@ -77,19 +77,6 @@ let emit ~figure ~metric ?(seed = 42) ~unit_ value =
     { r_figure = figure; r_metric = metric; r_value = value; r_unit = unit_; r_seed = seed }
     :: !results
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float v =
   if not (Float.is_finite v) then "null"
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -117,8 +104,8 @@ let with_out out f =
         Printf.fprintf oc
           "{\"schema\": %d, \"figure\": \"%s\", \"metric\": \"%s\", \"value\": %s, \"unit\": \
            \"%s\", \"seed\": %d}\n"
-          schema_version (json_escape r.r_figure) (json_escape r.r_metric) (json_float r.r_value)
-          (json_escape r.r_unit) r.r_seed)
+          schema_version (Formats.Json.escape r.r_figure) (Formats.Json.escape r.r_metric)
+          (json_float r.r_value) (Formats.Json.escape r.r_unit) r.r_seed)
       (List.rev !results);
     close_out oc;
     Printf.printf "\n%d results written to %s\n" (List.length !results) file

@@ -57,7 +57,7 @@ let () =
   let rtt =
     P.run sim
       (Netstack.Icmp4.ping (Netstack.Stack.icmp client)
-         ~dst:(Netstack.Stack.address (Core.Appliance.stack networked)) ~seq:1 ())
+         ~dst:(Netstack.Stack.address (Core.Appliance.stack networked)) ~seq:1)
   in
   Printf.printf "ping             : %.1f us\n" (float_of_int rtt /. 1e3);
   let resp =

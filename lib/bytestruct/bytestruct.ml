@@ -53,18 +53,10 @@ let compare a b =
 
 let equal a b = a.len = b.len && compare a b = 0
 
-let same_storage a b = a.buffer == b.buffer && a.off = b.off && a.len = b.len
-
 let blit src srcoff dst dstoff len =
   check_view src srcoff len;
   check_view dst dstoff len;
   Bytes.blit src.buffer (src.off + srcoff) dst.buffer (dst.off + dstoff) len
-
-let blit_from_string s srcoff dst dstoff len =
-  if srcoff < 0 || len < 0 || srcoff + len > String.length s then
-    invalid_arg "Bytestruct.blit_from_string: source out of range";
-  check_view dst dstoff len;
-  Bytes.blit_string s srcoff dst.buffer (dst.off + dstoff) len
 
 let fill t c = Bytes.fill t.buffer t.off t.len c
 
@@ -74,19 +66,6 @@ let copy t =
   fresh
 
 let lenv ts = List.fold_left (fun acc t -> acc + t.len) 0 ts
-
-let concat ts =
-  let out = create (lenv ts) in
-  let _ =
-    List.fold_left
-      (fun pos t ->
-        blit t 0 out pos t.len;
-        pos + t.len)
-      0 ts
-  in
-  out
-
-let append a b = concat [ a; b ]
 
 let bounds t off n =
   if off < 0 || off + n > t.len then
@@ -100,14 +79,6 @@ let get_uint8 t off =
 let set_uint8 t off v =
   bounds t off 1;
   Bytes.set t.buffer (t.off + off) (Char.chr (v land 0xff))
-
-let get_char t off =
-  bounds t off 1;
-  Bytes.get t.buffer (t.off + off)
-
-let set_char t off c =
-  bounds t off 1;
-  Bytes.set t.buffer (t.off + off) c
 
 (* Unsigned 32-bit fields as plain ints: the [int32] accessors return a
    boxed [Int32] whenever the call is not inlined, which costs a ring
@@ -145,14 +116,6 @@ module BE = struct
 
   let get_uint32_int t off = get_u32 ~swap:(not Sys.big_endian) t off
   let set_uint32_int t off v = set_u32 ~swap:(not Sys.big_endian) t off v
-
-  let get_uint64 t off =
-    bounds t off 8;
-    Bytes.get_int64_be t.buffer (t.off + off)
-
-  let set_uint64 t off v =
-    bounds t off 8;
-    Bytes.set_int64_be t.buffer (t.off + off) v
 end
 
 module LE = struct
@@ -163,10 +126,6 @@ module LE = struct
   let set_uint16 t off v =
     bounds t off 2;
     Bytes.set_uint16_le t.buffer (t.off + off) (v land 0xffff)
-
-  let get_uint32 t off =
-    bounds t off 4;
-    Bytes.get_int32_le t.buffer (t.off + off)
 
   let set_uint32 t off v =
     bounds t off 4;
@@ -223,26 +182,3 @@ let set_string t off s =
   let len = String.length s in
   bounds t off len;
   Bytes.blit_string s 0 t.buffer (t.off + off) len
-
-let hexdump t =
-  let buf = Buffer.create (t.len * 4) in
-  for line = 0 to (t.len - 1) / 16 do
-    Buffer.add_string buf (Printf.sprintf "%04x  " (line * 16));
-    for i = 0 to 15 do
-      let idx = (line * 16) + i in
-      if idx < t.len then Buffer.add_string buf (Printf.sprintf "%02x " (get_uint8 t idx))
-      else Buffer.add_string buf "   ";
-      if i = 7 then Buffer.add_char buf ' '
-    done;
-    Buffer.add_char buf ' ';
-    for i = 0 to 15 do
-      let idx = (line * 16) + i in
-      if idx < t.len then begin
-        let c = get_char t idx in
-        Buffer.add_char buf (if c >= ' ' && c <= '~' then c else '.')
-      end
-    done;
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-

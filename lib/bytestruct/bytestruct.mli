@@ -37,10 +37,6 @@ val equal : t -> t -> bool
 (** Lexicographic content comparison, in place and allocation-free. *)
 val compare : t -> t -> int
 
-(** True when both views share storage and coordinates — used by tests to
-    check zero-copy paths. *)
-val same_storage : t -> t -> bool
-
 (** {1 Slicing} *)
 
 (** [sub t off len]: view of [len] bytes starting at [off]. *)
@@ -55,16 +51,10 @@ val split : t -> int -> t * t
 (** {1 Copying} *)
 
 val blit : t -> int -> t -> int -> int -> unit
-val blit_from_string : string -> int -> t -> int -> int -> unit
 val fill : t -> char -> unit
 
 (** Fresh buffer holding a copy of the view's contents. *)
 val copy : t -> t
-
-(** [concat ts] copies the views into one fresh contiguous buffer. *)
-val concat : t list -> t
-
-val append : t -> t -> t
 
 (** Total length of a list of views. *)
 val lenv : t list -> int
@@ -73,8 +63,6 @@ val lenv : t list -> int
 
 val get_uint8 : t -> int -> int
 val set_uint8 : t -> int -> int -> unit
-val get_char : t -> int -> char
-val set_char : t -> int -> char -> unit
 
 (** Big-endian (network order) accessors. *)
 module BE : sig
@@ -88,16 +76,12 @@ module BE : sig
 
   (** Stores the low 32 bits of the [int]. *)
   val set_uint32_int : t -> int -> int -> unit
-
-  val get_uint64 : t -> int -> int64
-  val set_uint64 : t -> int -> int64 -> unit
 end
 
 (** Little-endian accessors (Xen shared rings are little-endian). *)
 module LE : sig
   val get_uint16 : t -> int -> int
   val set_uint16 : t -> int -> int -> unit
-  val get_uint32 : t -> int -> int32
   val set_uint32 : t -> int -> int32 -> unit
 
   (** The unsigned 32-bit field as an [int] in [\[0, 2^32)], unboxed. *)
@@ -126,9 +110,4 @@ val get_string : t -> int -> int -> string
 
 (** [set_string t off s] writes [s] at [off]. *)
 val set_string : t -> int -> string -> unit
-
-(** {1 Debugging} *)
-
-(** Conventional 16-bytes-per-line hexdump. *)
-val hexdump : t -> string
 

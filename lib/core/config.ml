@@ -41,6 +41,3 @@ let int t key = typed "int" (function Int v -> Some v | _ -> None) t key
 let bool t key = typed "bool" (function Bool v -> Some v | _ -> None) t key
 
 let clonable t = not (List.exists (fun b -> b.static) t.bindings)
-
-let set t binding =
-  { t with bindings = binding :: List.filter (fun b -> b.key <> binding.key) t.bindings }

@@ -53,6 +53,3 @@ val bool : t -> string -> bool option
 (** A VM image is clonable by copy-on-write snapshot only if no
     identity-bearing configuration was compiled in (§2.3.1). *)
 val clonable : t -> bool
-
-(** Replace a binding (rebuild-time reconfiguration). *)
-val set : t -> binding -> t

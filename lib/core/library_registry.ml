@@ -107,9 +107,3 @@ let by_subsystem () =
     (fun s ->
       (s, List.filter_map (fun l -> if l.subsystem = s then Some l.lib_name else None) registry))
     subsystems
-
-let dependants name =
-  ignore (find name);
-  List.filter_map
-    (fun l -> if List.mem name l.deps then Some l.lib_name else None)
-    registry

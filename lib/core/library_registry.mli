@@ -41,6 +41,3 @@ val dependency_closure : ?rewrite:(string -> string option) -> string list -> li
 
 (** Table 1 layout: [(subsystem, library names)] in presentation order. *)
 val by_subsystem : unit -> (string * string list) list
-
-(** Direct reverse dependencies. *)
-val dependants : string -> string list

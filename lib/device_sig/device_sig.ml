@@ -38,6 +38,10 @@ module type FLOW = sig
   val abort : flow -> unit
 
   val remote : flow -> ipaddr * int
+
+  (** The address's 32-bit value, so that a functor body can hash or
+      order addresses by value whatever their representation. *)
+  val ipaddr_to_int : ipaddr -> int
 end
 
 (** Connection-oriented transport: listeners and active opens on top of

@@ -434,7 +434,7 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
          returned to the shared freelist. An eager [rx_slots]-buffer
          pool would pin ~1 MiB per vif whether or not a single frame
          ever arrives. *)
-      pool = Pktbuf.create_pool ~name:(Printf.sprintf "netif.dom%d" dom.Xensim.Domain.id) ();
+      pool = Pktbuf.create_pool ();
       tx_front;
       tx_back;
       rx_front;
@@ -548,7 +548,7 @@ let connect_direct ~dom ~nic ?(frame_tax = false) () =
     {
       d_dom = dom;
       d_nic = nic;
-      d_pool = Pktbuf.create_pool ~name:(Printf.sprintf "netif.dom%d" dom.Xensim.Domain.id) ();
+      d_pool = Pktbuf.create_pool ();
       d_frame_tax = frame_tax;
       d_listener = None;
       d_tx_frames = 0;

@@ -31,8 +31,6 @@ let next_int64 t = step t
 
 let split t = of_state (step t)
 
-let copy t = Bytes.copy t
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let mask = Int64.shift_right_logical (step t) 1 in

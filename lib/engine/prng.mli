@@ -13,9 +13,6 @@ val create : seed:int -> unit -> t
 (** [split t] derives an independent generator from [t], advancing [t]. *)
 val split : t -> t
 
-(** [copy t] duplicates the generator state. *)
-val copy : t -> t
-
 (** Next raw 64-bit value. *)
 val next_int64 : t -> int64
 

@@ -221,6 +221,5 @@ let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
-let sec_f x = int_of_float (x *. 1e9)
 let to_sec x = float_of_int x /. 1e9
 let to_ms x = float_of_int x /. 1e6

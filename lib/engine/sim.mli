@@ -109,7 +109,6 @@ val ns : int -> int
 val us : int -> int
 val ms : int -> int
 val sec : int -> int
-val sec_f : float -> int
 
 (** Nanoseconds to floating-point seconds / milliseconds. *)
 val to_sec : int -> float

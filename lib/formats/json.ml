@@ -210,37 +210,4 @@ let to_string v =
   write buf v;
   Buffer.contents buf
 
-let rec write_pretty buf indent = function
-  | Array (_ :: _ as vs) ->
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (String.make (indent + 2) ' ');
-        write_pretty buf (indent + 2) v)
-      vs;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (String.make indent ' ');
-    Buffer.add_char buf ']'
-  | Object (_ :: _ as ms) ->
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (String.make (indent + 2) ' ');
-        Buffer.add_string buf ("\"" ^ escape k ^ "\": ");
-        write_pretty buf (indent + 2) v)
-      ms;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (String.make indent ' ');
-    Buffer.add_char buf '}'
-  | v -> write buf v
-
-let to_string_pretty v =
-  let buf = Buffer.create 128 in
-  write_pretty buf 0 v;
-  Buffer.contents buf
-
 let member key = function Object ms -> List.assoc_opt key ms | _ -> None
-
-let equal = ( = )

@@ -13,10 +13,10 @@ exception Parse_error of int * string  (** position, message *)
 val parse : string -> t
 val to_string : t -> string
 
-(** Pretty-printed with two-space indentation. *)
-val to_string_pretty : t -> string
+(** [escape s] is the body of the JSON string literal for [s], without the
+    surrounding quotes: ['"'], ['\\'], newline, tab and carriage return
+    take their short escapes, every other control character [\u00XX]. *)
+val escape : string -> string
 
 (** Object member access. *)
 val member : string -> t -> t option
-
-val equal : t -> t -> bool

@@ -16,35 +16,22 @@ let add_u32le b v =
   add_u16le b (v land 0xffff);
   add_u16le b ((v lsr 16) land 0xffff)
 
-let add_header ?(snaplen = 65535) ?(linktype = linktype_ethernet) b =
+let add_header ?(snaplen = 65535) b =
   add_u32le b magic_usec;
   add_u16le b version_major;
   add_u16le b version_minor;
   add_u32le b 0 (* thiszone: GMT *);
   add_u32le b 0 (* sigfigs *);
   add_u32le b snaplen;
-  add_u32le b linktype
-
-let add_record b ~ts_sec ~ts_usec ~orig_len data =
-  add_u32le b ts_sec;
-  add_u32le b ts_usec;
-  add_u32le b (String.length data);
-  add_u32le b orig_len;
-  Buffer.add_string b data
+  add_u32le b linktype_ethernet
 
 let add_packet b ~ts_ns ?orig_len data =
   let orig_len = match orig_len with Some n -> n | None -> String.length data in
-  add_record b ~ts_sec:(ts_ns / 1_000_000_000)
-    ~ts_usec:(ts_ns mod 1_000_000_000 / 1000)
-    ~orig_len data
-
-let to_string f =
-  let b = Buffer.create 4096 in
-  add_header ~snaplen:f.snaplen ~linktype:f.linktype b;
-  List.iter
-    (fun p -> add_record b ~ts_sec:p.ts_sec ~ts_usec:p.ts_usec ~orig_len:p.len p.data)
-    f.packets;
-  Buffer.contents b
+  add_u32le b (ts_ns / 1_000_000_000);
+  add_u32le b (ts_ns mod 1_000_000_000 / 1000);
+  add_u32le b (String.length data);
+  add_u32le b orig_len;
+  Buffer.add_string b data
 
 let u32 ~le s off =
   let g i = Char.code s.[off + i] in

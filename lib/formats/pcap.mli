@@ -24,18 +24,14 @@ type file = { snaplen : int; linktype : int; packets : packet list }
 
 (** {1 Writing} *)
 
-(** Append the 24-byte global header. [snaplen] defaults to 65535,
-    [linktype] to {!linktype_ethernet}. *)
-val add_header : ?snaplen:int -> ?linktype:int -> Buffer.t -> unit
+(** Append the 24-byte global header, linktype Ethernet. [snaplen]
+    defaults to 65535. *)
+val add_header : ?snaplen:int -> Buffer.t -> unit
 
 (** [add_packet b ~ts_ns ~orig_len data] appends one record, converting
     the virtual-time nanosecond stamp to seconds + microseconds.
     [orig_len] defaults to [String.length data]. *)
 val add_packet : Buffer.t -> ts_ns:int -> ?orig_len:int -> string -> unit
-
-(** Serialise a parsed {!file} back to bytes — [to_string (parse s) = s]
-    for any file this module wrote (the round-trip contract). *)
-val to_string : file -> string
 
 (** {1 Reading} *)
 

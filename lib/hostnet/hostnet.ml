@@ -78,6 +78,7 @@ module Device = struct
       Netstack.Tcp.abort fl.fl
 
     let remote fl = Netstack.Tcp.remote fl.fl
+    let ipaddr_to_int = Netstack.Ipaddr.to_int
   end
 
   module Udp = struct

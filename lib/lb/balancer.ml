@@ -19,7 +19,7 @@ let ( >>= ) = Mthread.Promise.bind
 let return = Mthread.Promise.return
 
 type policy =
-  | Hash  (** connection affinity: hash of the client endpoint *)
+  | Hash  (** connection affinity: hash of the client endpoint's value *)
   | Least_conns  (** fewest in-flight proxied connections, ties by age *)
 
 let policy_name = function Hash -> "hash" | Least_conns -> "least-conns"
@@ -117,12 +117,14 @@ module Make (T : Device_sig.TCP) = struct
 
   (* ---- picking ---- *)
 
-  let pick t ~client =
+  let pick t ~client:(addr, port) =
     match eligible t with
     | [] -> None
     | pool -> (
       match t.policy with
-      | Hash -> Some (List.nth pool (Hashtbl.hash client mod List.length pool))
+      | Hash ->
+        let key = Hashtbl.hash (T.ipaddr_to_int addr, port) in
+        Some (List.nth pool (key mod List.length pool))
       | Least_conns ->
         (* fewest in-flight; [pool] is oldest-first so ties go to the
            longest-lived backend (stable under churn) *)

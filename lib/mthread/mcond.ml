@@ -7,11 +7,6 @@ let wait t =
   Queue.add u t.waiters;
   p
 
-let rec signal t v =
-  match Queue.take_opt t.waiters with
-  | None -> ()
-  | Some u -> if Promise.wakener_pending u then Promise.wakeup u v else signal t v
-
 let broadcast t v =
   let all = Queue.to_seq t.waiters |> List.of_seq in
   Queue.clear t.waiters;

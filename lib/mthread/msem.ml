@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Msem.create: negative count";
   { permits = n; waiters = Queue.create () }
 
-let available t = t.permits
-
 let acquire t =
   if t.permits > 0 then begin
     t.permits <- t.permits - 1;

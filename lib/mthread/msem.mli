@@ -5,9 +5,6 @@ type t
 (** @raise Invalid_argument if [n < 0]. *)
 val create : int -> t
 
-(** Currently available permits. *)
-val available : t -> int
-
 (** [acquire t] blocks until a permit is available. *)
 val acquire : t -> unit Promise.t
 

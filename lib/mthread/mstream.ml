@@ -30,8 +30,6 @@ let close t =
     flush ()
   end
 
-let length t = Queue.length t.buffered
-
 let next t =
   match Queue.take_opt t.buffered with
   | Some v -> Promise.return (Some v)
@@ -48,13 +46,3 @@ let map_buffered f t =
   Queue.iter (fun v -> Queue.add (f v) mapped) t.buffered;
   Queue.clear t.buffered;
   Queue.transfer mapped t.buffered
-
-let rec iter f t =
-  Promise.bind (next t) (function
-    | None -> Promise.return ()
-    | Some v -> Promise.bind (f v) (fun () -> iter f t))
-
-let rec fold f t acc =
-  Promise.bind (next t) (function
-    | None -> Promise.return acc
-    | Some v -> Promise.bind (f acc v) (fun acc -> fold f t acc))

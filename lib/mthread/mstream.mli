@@ -12,19 +12,9 @@ val push : 'a t -> 'a -> unit
     buffered values drain. *)
 val close : 'a t -> unit
 
-(** Buffered (not yet consumed) element count. *)
-val length : 'a t -> int
-
 (** [next t] blocks until a value or end-of-stream is available. *)
 val next : 'a t -> 'a option Promise.t
 
 (** [map_buffered f t] replaces every buffered (not yet consumed) value
     [v] by [f v] in place, keeping order; works on a closed stream. *)
 val map_buffered : ('a -> 'a) -> 'a t -> unit
-
-(** [iter f t] consumes the stream, applying [f] to each element; the
-    promise resolves at end-of-stream. *)
-val iter : ('a -> unit Promise.t) -> 'a t -> unit Promise.t
-
-(** [fold f t init] folds over the whole stream. *)
-val fold : ('acc -> 'a -> 'acc Promise.t) -> 'a t -> 'acc -> 'acc Promise.t

@@ -20,9 +20,6 @@ let broadcast_key = 0xFFFF_FFFF_FFFF
 
 type tap_handle = int
 
-let mac_to_string m =
-  String.concat ":" (List.init (String.length m) (fun i -> Printf.sprintf "%02x" (Char.code m.[i])))
-
 let mac_of_int i =
   (* 0x02 prefix: locally administered, unicast. *)
   let b = Bytes.create 6 in
@@ -384,7 +381,7 @@ module Bridge = struct
       ad_seq = 0;
     }
 
-  let new_nic t ?(bandwidth_bps = 1_000_000_000) ?(latency_ns = 30_000) ?(loss = 0.0) ~mac () =
+  let new_nic t ?(bandwidth_bps = 1_000_000_000) ?(latency_ns = 30_000) ~mac () =
     if String.length mac <> 6 then invalid_arg "Netsim.Bridge.new_nic: MAC must be 6 bytes";
     let id = t.nic_seq in
     t.nic_seq <- id + 1;
@@ -394,7 +391,7 @@ module Bridge = struct
         mac;
         bandwidth_bps;
         latency_ns;
-        loss;
+        loss = 0.0;
         bridge = t;
         rx = None;
         tx_free_at = 0;

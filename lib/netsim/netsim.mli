@@ -137,19 +137,18 @@ module Bridge : sig
   val create : ?static_fdb:bool -> Engine.Sim.t -> t
 
   (** [new_nic t ~mac] attaches a NIC. Defaults: 1 Gb/s, 30 µs propagation
-      latency, no loss, no faults. [loss] is a uniform per-frame drop
-      probability (kept distinct from {!Faults} for the simple tests). *)
+      latency, no loss, no faults. *)
   val new_nic :
     t ->
     ?bandwidth_bps:int ->
     ?latency_ns:int ->
-    ?loss:float ->
     mac:string ->
     unit ->
     Nic.t
 
-  (** [set_loss t nic p] changes a link's drop probability mid-run (failure
-      injection for the TCP tests). *)
+  (** [set_loss t nic p] sets a link's uniform per-frame drop probability
+      ([0] when the NIC is attached), also mid-run; it is kept distinct
+      from {!Faults} for the simple tests. *)
   val set_loss : t -> Nic.t -> float -> unit
 
   (** [detach t nic] unplugs a port: the NIC stops sending and receiving,
@@ -204,9 +203,6 @@ end
 
 (** Broadcast MAC, [ff:ff:ff:ff:ff:ff]. *)
 val broadcast_mac : string
-
-(** Render a six-byte MAC as [aa:bb:cc:dd:ee:ff]. *)
-val mac_to_string : string -> string
 
 (** [mac_of_int i] derives a locally-administered unicast MAC from an
     integer — handy for generating fleets of NICs. *)

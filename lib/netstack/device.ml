@@ -8,6 +8,8 @@ module Tcp = struct
   include Tcp
 
   type ipaddr = Ipaddr.t
+
+  let ipaddr_to_int = Ipaddr.to_int
 end
 
 module Udp = struct

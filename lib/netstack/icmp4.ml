@@ -75,11 +75,14 @@ let create sim ?dom ip =
   Ipv4.set_handler ip ~proto:Ipv4.proto_icmp (fun ~src ~dst:_ ~payload -> handle t ~src ~payload);
   t
 
-let ping t ~dst ~seq ?(len = 56) () =
+(* The payload of every echo request: the 56 bytes of ping(8)'s default. *)
+let echo_payload_bytes = 56
+
+let ping t ~dst ~seq =
   let open Mthread.Promise in
   let id = t.next_id in
   t.next_id <- (t.next_id + 1) land 0xffff;
-  let payload = Bytestruct.create len in
+  let payload = Bytestruct.create echo_payload_bytes in
   let packet = build ~typ:type_echo_request ~id ~seq ~payload in
   let p, waker = wait () in
   Hashtbl.replace t.pending (id, seq) (waker, Engine.Sim.now t.sim);

@@ -7,9 +7,9 @@ type t
     reproduces the flood-ping latency gap of §4.1.3. *)
 val create : Engine.Sim.t -> ?dom:Xensim.Domain.t -> Ipv4.t -> t
 
-(** [ping t ~dst ~seq ~len] sends an echo request with [len] payload bytes
-    and resolves with the round-trip time in ns. *)
-val ping : t -> dst:Ipaddr.t -> seq:int -> ?len:int -> unit -> int Mthread.Promise.t
+(** [ping t ~dst ~seq] sends an echo request with 56 payload bytes and
+    resolves with the round-trip time in ns. *)
+val ping : t -> dst:Ipaddr.t -> seq:int -> int Mthread.Promise.t
 
 val echo_requests_answered : t -> int
 val echo_replies_received : t -> int

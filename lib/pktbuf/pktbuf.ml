@@ -1,16 +1,10 @@
 exception Double_free
 
 (* A pool is accounting only: what its owner has out and the most it
-   ever had out at once. Storage lives in one freelist per buffer size,
-   shared by every pool of that size, so a buffer one device releases is
-   the next one any device allocates, and idle devices hold nothing. *)
-type pool = {
-  name : string;
-  buf_bytes : int;
-  free : t Stack.t;  (* the shared freelist for [buf_bytes] *)
-  mutable outstanding : int;
-  mutable high_water : int;
-}
+   ever had out at once. Storage lives in one freelist shared by every
+   pool, so a buffer one device releases is the next one any device
+   allocates, and idle devices hold nothing. *)
+type pool = { mutable outstanding : int; mutable high_water : int }
 
 and t = {
   mutable pool : pool;  (* the pool that allocated it last *)
@@ -18,32 +12,19 @@ and t = {
   mutable refs : int;  (* 0 = on the freelist *)
 }
 
-let freelists : (int, t Stack.t) Hashtbl.t = Hashtbl.create 4
-
-let freelist buf_bytes =
-  match Hashtbl.find_opt freelists buf_bytes with
-  | Some free -> free
-  | None ->
-    let free = Stack.create () in
-    Hashtbl.replace freelists buf_bytes free;
-    free
-
-let create_pool ?(buf_bytes = 2048) ~name () =
-  if buf_bytes <= 0 then invalid_arg "Pktbuf.create_pool";
-  { name; buf_bytes; free = freelist buf_bytes; outstanding = 0; high_water = 0 }
-
-let buf_bytes p = p.buf_bytes
+let buf_bytes = 2048
+let free : t Stack.t = Stack.create ()
+let create_pool () = { outstanding = 0; high_water = 0 }
 let free_buffers p = p.high_water - p.outstanding
 let outstanding p = p.outstanding
-let bytes_reserved p = p.high_water * p.buf_bytes
+let bytes_reserved p = p.high_water * buf_bytes
 
 (* Growth is the only allocating path, one buffer per alloc that finds
    the shared freelist empty. *)
-let grow p =
-  { pool = p; storage = Bytestruct.create p.buf_bytes; refs = 0 }
+let grow p = { pool = p; storage = Bytestruct.create buf_bytes; refs = 0 }
 
 let alloc p =
-  let pb = if Stack.is_empty p.free then grow p else Stack.pop p.free in
+  let pb = if Stack.is_empty free then grow p else Stack.pop free in
   pb.pool <- p;
   pb.refs <- 1;
   p.outstanding <- p.outstanding + 1;
@@ -59,7 +40,7 @@ let release pb =
   pb.refs <- pb.refs - 1;
   if pb.refs = 0 then begin
     pb.pool.outstanding <- pb.pool.outstanding - 1;
-    Stack.push pb pb.pool.free
+    Stack.push pb free
   end
 
 let refs pb = pb.refs

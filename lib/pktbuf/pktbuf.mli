@@ -8,12 +8,12 @@
     {!release}. When the count reaches zero the buffer returns to the
     freelist — nothing on the steady-state path allocates.
 
-    Storage lives in one freelist per buffer size, shared by every pool
-    of that size; a pool is accounting only (its buffers out and their
-    high-water mark). A buffer is created only when an [alloc] finds the
-    shared freelist empty, so the process holds the high-water mark of
-    buffers in flight across all devices, and an idle appliance holds
-    none: what one device releases is the next buffer any device
+    Every buffer is {!buf_bytes} long. Storage lives in one freelist,
+    shared by every pool; a pool is accounting only (its buffers out and
+    their high-water mark). A buffer is created only when an [alloc]
+    finds the shared freelist empty, so the process holds the high-water
+    mark of buffers in flight across all devices, and an idle appliance
+    holds none: what one device releases is the next buffer any device
     allocates. Freelist recycling never allocates.
 
     Ownership at each hop is documented in DESIGN.md ("Datapath buffer
@@ -33,12 +33,12 @@ exception Double_free
 
 (** {1 Pools} *)
 
-(** [create_pool ~name ~buf_bytes ()] makes an empty pool of
-    [buf_bytes]-sized buffers (default 2048 — one wire frame plus room),
-    drawing on the shared freelist for that size. *)
-val create_pool : ?buf_bytes:int -> name:string -> unit -> pool
+(** The size of every buffer: 2048 bytes, one wire frame plus room. *)
+val buf_bytes : int
 
-val buf_bytes : pool -> int
+(** [create_pool ()] makes an empty pool drawing on the shared
+    freelist. *)
+val create_pool : unit -> pool
 
 (** The pool's high-water mark of outstanding buffers minus those out
     now: what a private freelist would hold. *)
@@ -48,7 +48,7 @@ val free_buffers : pool -> int
 val outstanding : pool -> int
 
 (** Arena footprint: the pool's high-water mark of outstanding buffers
-    times [buf_bytes] (grows, never shrinks). [0] until the first
+    times {!buf_bytes} (grows, never shrinks). [0] until the first
     [alloc]. *)
 val bytes_reserved : pool -> int
 

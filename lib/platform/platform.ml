@@ -12,7 +12,6 @@ type t = {
   gc_scan_factor : float;
   timer_slack_ns : int;
   timer_jitter_ns : int;
-  context_switch_ns : int;
   app_factor : float;
   io_sched_penalty_ns : int;
   tcp_tx_extra_ns : int;
@@ -46,7 +45,6 @@ let linux_native =
     gc_scan_factor = 1.0;
     timer_slack_ns = 8_000;
     timer_jitter_ns = 55_000;
-    context_switch_ns = 1_500;
     app_factor = 1.0;
     io_sched_penalty_ns = 0;
     (* Per-segment TCP costs (see .mli). Together with the per-frame
@@ -69,7 +67,6 @@ let linux_pv =
     per_packet_ns = 2_600;
     timer_slack_ns = 15_000;
     timer_jitter_ns = 95_000;
-    context_switch_ns = 2_200;
   }
 
 let xen_extent =
@@ -85,7 +82,6 @@ let xen_extent =
     gc_scan_factor = 0.72;
     timer_slack_ns = 2_000;
     timer_jitter_ns = 12_000;
-    context_switch_ns = 0;
     app_factor = 1.0;
     io_sched_penalty_ns = 0;
     (* OCaml transmit path: header preparation with boxed int32s and a

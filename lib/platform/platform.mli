@@ -32,7 +32,6 @@ type t = {
           extent-based heap of Figure 2 *)
   timer_slack_ns : int;  (** deterministic scheduler wakeup latency *)
   timer_jitter_ns : int;  (** magnitude of random additional wakeup jitter *)
-  context_switch_ns : int;  (** process context switch (baseline OSes) *)
   app_factor : float;
       (** multiplier on application-level compute (interpreter/JVM tax) *)
   io_sched_penalty_ns : int;

@@ -1,7 +1,6 @@
 type t = {
   platform : Platform.t;
-  mutable minor_used : int;
-  mutable minor_live : int;  (* portion of minor that will survive *)
+  mutable minor_used : int;  (* every allocated byte survives its minor collection *)
   mutable live_bytes : int;
   mutable major_capacity : int;
   mutable next_major_at : int;  (* live threshold triggering a major cycle *)
@@ -31,7 +30,6 @@ let create ~platform () =
   {
     platform;
     minor_used = 0;
-    minor_live = 0;
     live_bytes = 0;
     major_capacity = 0;
     next_major_at = 8 * 1024 * 1024;
@@ -70,11 +68,10 @@ let scan_cost t ~bytes ~ns_per_byte =
 
 let minor_collect t =
   t.minor_collections <- t.minor_collections + 1;
-  let survivors = t.minor_live in
+  let survivors = t.minor_used in
   let cost = 4_000 + scan_cost t ~bytes:survivors ~ns_per_byte:minor_scan_ns_per_byte in
   t.live_bytes <- t.live_bytes + survivors;
   t.minor_used <- 0;
-  t.minor_live <- 0;
   let cost = cost + grow_major t ~need:t.live_bytes in
   let cost =
     if t.live_bytes >= t.next_major_at then begin
@@ -86,16 +83,10 @@ let minor_collect t =
   in
   cost
 
-let alloc_common t ~bytes ~live =
+let alloc t ~bytes =
   let gc = if t.minor_used + bytes > minor_bytes then minor_collect t else 0 in
   t.minor_used <- t.minor_used + bytes;
-  if live then t.minor_live <- t.minor_live + bytes;
   alloc_base_ns + gc
-
-let alloc t ~bytes = alloc_common t ~bytes ~live:true
-let alloc_transient t ~bytes = alloc_common t ~bytes ~live:false
-
-let release t ~bytes = t.live_bytes <- max 0 (t.live_bytes - bytes)
 
 let live_bytes t = t.live_bytes
 let major_capacity_bytes t = t.major_capacity

@@ -17,12 +17,6 @@ val create : platform:Platform.t -> unit -> t
     Returns the virtual-time cost in ns. *)
 val alloc : t -> bytes:int -> int
 
-(** Allocate [bytes] that die before the next minor collection. *)
-val alloc_transient : t -> bytes:int -> int
-
-(** Drop [bytes] from the live set (e.g. threads completed). *)
-val release : t -> bytes:int -> unit
-
 val live_bytes : t -> int
 val major_capacity_bytes : t -> int
 val minor_collections : t -> int

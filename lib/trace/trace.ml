@@ -971,11 +971,10 @@ module Flight = struct
   type fev = { fe_t : int; fe_dom : int; fe_cat : category; fe_name : string; fe_payload : payload }
   type ring = { buf : fev array; mutable len : int; mutable head : int }
 
-  let default_capacity = 256
+  let capacity = 256
   let max_bundles = 8
 
   type fstate = {
-    mutable f_cap : int;
     mutable f_dir : string option;
     rings : (int, ring) Hashtbl.t;
     marks : (string, int ref) Hashtbl.t;
@@ -986,7 +985,6 @@ module Flight = struct
 
   let fs =
     {
-      f_cap = default_capacity;
       f_dir = None;
       rings = Hashtbl.create 8;
       marks = Hashtbl.create 8;
@@ -1008,9 +1006,7 @@ module Flight = struct
   let plane = register_plane ~drop_dom:(Hashtbl.remove fs.rings) "flight" reset
   let enabled () = plane.on
 
-  let enable ?(capacity = default_capacity) ?dir () =
-    if capacity <= 0 then invalid_arg "Trace.Flight.enable: capacity must be positive";
-    fs.f_cap <- capacity;
+  let enable ?dir () =
     (match dir with Some _ -> fs.f_dir <- dir | None -> ());
     plane.on <- true
 
@@ -1022,7 +1018,7 @@ module Flight = struct
     match Hashtbl.find_opt fs.rings dom with
     | Some r -> r
     | None ->
-      let r = { buf = Array.make fs.f_cap dummy_fev; len = 0; head = 0 } in
+      let r = { buf = Array.make capacity dummy_fev; len = 0; head = 0 } in
       Hashtbl.replace fs.rings dom r;
       r
 

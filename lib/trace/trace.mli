@@ -479,11 +479,10 @@ module Flight : sig
 
   val enabled : unit -> bool
 
-  (** [enable ~capacity ~dir ()] turns the recorder on. [capacity] bounds
-      each per-domain ring (default 256, applies to rings created from
-      now on); [dir], when given, is where {!trip} writes each bundle as
-      [flight-NNNN-<reason>.jsonl]. *)
-  val enable : ?capacity:int -> ?dir:string -> unit -> unit
+  (** [enable ~dir ()] turns the recorder on. Each per-domain ring keeps
+      the last 256 notes; [dir], when given, is where {!trip} writes each
+      bundle as [flight-NNNN-<reason>.jsonl]. *)
+  val enable : ?dir:string -> unit -> unit
 
   val disable : unit -> unit
 

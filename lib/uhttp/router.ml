@@ -37,5 +37,3 @@ let dispatch t meth path =
       else go rest
   in
   go t.routes
-
-let routes t = List.length t.routes

@@ -13,5 +13,3 @@ val add : 'a t -> Http_wire.meth -> string -> (params -> 'a) -> unit
 (** [dispatch t meth path] returns the first matching handler applied to
     its captured params. *)
 val dispatch : 'a t -> Http_wire.meth -> string -> 'a option
-
-val routes : 'a t -> int

@@ -8,7 +8,7 @@ module Make (T : Device_sig.TCP) = struct
   type t = {
     sim : Engine.Sim.t;
     dom : Xensim.Domain.t option;
-    per_request_cost_ns : int;
+    request_ns : int;  (* per_request_cost_ns scaled by the platform's app_factor *)
     handler : handler;
     on_request : (latency_ns:int -> unit) option;
     mutable requests : int;
@@ -30,13 +30,7 @@ module Make (T : Device_sig.TCP) = struct
   let return = Mthread.Promise.return
 
   let charge t =
-    match t.dom with
-    | None -> return ()
-    | Some d ->
-      Xensim.Domain.charge d
-        ~cost:
-          (int_of_float
-             (float_of_int t.per_request_cost_ns *. d.Xensim.Domain.platform.Platform.app_factor))
+    match t.dom with None -> return () | Some d -> Xensim.Domain.charge d ~cost:t.request_ns
 
   let serve_flow t ~busy flow =
     let reader = Device_sig.Reader.create ~read:(fun () -> T.read flow) in
@@ -79,15 +73,7 @@ module Make (T : Device_sig.TCP) = struct
               let render () = Bytestruct.of_string (Http_wire.render_response resp) in
               let data =
                 if Trace.Prof.enabled () then
-                  let vcpu_ns =
-                    match t.dom with
-                    | Some d ->
-                      int_of_float
-                        (float_of_int t.per_request_cost_ns
-                        *. d.Xensim.Domain.platform.Platform.app_factor)
-                    | None -> t.per_request_cost_ns
-                  in
-                  Trace.Prof.hop Trace.Prof.App ~vcpu_ns render
+                  Trace.Prof.hop Trace.Prof.App ~vcpu_ns:t.request_ns render
                 else render ()
               in
               t.bytes_sent <- t.bytes_sent + Bytestruct.length data;
@@ -128,7 +114,12 @@ module Make (T : Device_sig.TCP) = struct
       {
         sim;
         dom;
-        per_request_cost_ns;
+        request_ns =
+          (match dom with
+          | Some d ->
+            int_of_float
+              (float_of_int per_request_cost_ns *. d.Xensim.Domain.platform.Platform.app_factor)
+          | None -> per_request_cost_ns);
         handler;
         on_request;
         requests = 0;

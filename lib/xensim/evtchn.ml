@@ -6,7 +6,6 @@ type port_state = {
   owner : int;
   mutable peer : port option;
   mutable handler : (unit -> unit) option;
-  mutable masked : bool;
   mutable pending : bool;
   mutable closed : bool;
 }
@@ -37,7 +36,7 @@ let fresh t ~owner =
   let p = t.next_port in
   t.next_port <- t.next_port + 1;
   Engine.Inttbl.replace t.ports p
-    { owner; peer = None; handler = None; masked = false; pending = false; closed = false };
+    { owner; peer = None; handler = None; pending = false; closed = false };
   p
 
 let alloc_unbound t ~owner = fresh t ~owner
@@ -55,7 +54,7 @@ let set_handler t p f = (get t p).handler <- Some f
 
 let deliver t p =
   let st = get t p in
-  if st.pending && not st.masked then begin
+  if st.pending then begin
     match st.handler with
     | None -> ()
     | Some f ->
@@ -91,21 +90,6 @@ let notify t p =
             deliver t peer_port
           end)
     end
-
-let mask t p =
-  let st = get t p in
-  st.masked <- true;
-  if Trace.enabled () then
-    Trace.emit ~dom:st.owner ~cat:Trace.Evtchn ~payload:[ ("port", Trace.Int p) ] "evtchn.mask"
-
-let unmask t p =
-  let st = get t p in
-  st.masked <- false;
-  if Trace.enabled () then
-    Trace.emit ~dom:st.owner ~cat:Trace.Evtchn ~payload:[ ("port", Trace.Int p) ] "evtchn.unmask";
-  if st.pending then ignore (Engine.Sim.schedule t.sim ~delay:0 (fun () -> if not st.closed then deliver t p))
-
-let is_pending t p = (get t p).pending
 
 (* Closing actually frees the port table entries (both ends of a bound
    pair).  Dropping the entry is what releases the handler closure — a

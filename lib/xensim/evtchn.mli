@@ -3,8 +3,7 @@
 
     An interdomain channel is a pair of ports. [notify] on one port raises
     a (level-triggered) pending event on the peer; a registered handler runs
-    after the event-delivery latency unless the port is masked, in which
-    case delivery happens on unmask. *)
+    after the event-delivery latency. *)
 
 type t
 type port = int
@@ -27,10 +26,6 @@ val set_handler : t -> port -> (unit -> unit) -> unit
 (** Raise an event on the peer of [port]; costs one hypercall's worth of
     latency before delivery. *)
 val notify : t -> port -> unit
-
-val mask : t -> port -> unit
-val unmask : t -> port -> unit
-val is_pending : t -> port -> bool
 
 (** Close both halves of the channel and free their port table entries —
     including the registered handlers, so device state captured by a

@@ -3,7 +3,6 @@ type t = {
   stats : Xstats.t;
   evtchn : Evtchn.t;
   gnttab : Gnttab.t;
-  xenstore : Xenstore.t;
   seal_patch : bool;
   (* Domain table keyed by id: boot storms create and destroy 10⁴+
      domains, so lookup/destroy must not scan.  Reports that need a
@@ -22,7 +21,6 @@ let create ?(seal_patch = true) sim =
     stats;
     evtchn = Evtchn.create ~sim ~stats;
     gnttab = Gnttab.create ~stats;
-    xenstore = Xenstore.create ();
     seal_patch;
     domain_table = Hashtbl.create 64;
     next_domid = 0;

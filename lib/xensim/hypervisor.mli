@@ -1,5 +1,5 @@
 (** The simulated hypervisor: domain table plus the shared facilities
-    (event channels, grant tables, XenStore).
+    (event channels and grant tables).
 
     [seal_patch] models the paper's optional <50-line Xen extension
     (§2.3.3): when absent, unikernels still run but the seal hypercall is
@@ -11,7 +11,6 @@ type t = {
   stats : Xstats.t;
   evtchn : Evtchn.t;
   gnttab : Gnttab.t;
-  xenstore : Xenstore.t;
   seal_patch : bool;
   domain_table : (int, Domain.t) Hashtbl.t;
   mutable next_domid : int;

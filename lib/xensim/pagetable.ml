@@ -67,4 +67,3 @@ let can_exec t ~va =
 let can_write t ~va =
   match find_region t ~va with Some { perm = Read_write; _ } -> true | Some _ | None -> false
 
-let regions t = List.rev t.regions

@@ -51,5 +51,3 @@ val can_exec : t -> va:int -> bool
 
 (** Would a data write at [va] be permitted? *)
 val can_write : t -> va:int -> bool
-
-val regions : t -> region list

@@ -31,7 +31,4 @@ val write : endpoint -> Bytestruct.t -> unit Mthread.Promise.t
     resolves [None] at end-of-stream. *)
 val read : endpoint -> max:int -> Bytestruct.t option Mthread.Promise.t
 
-(** Bytes immediately available to read. *)
-val available : endpoint -> int
-
 val close : endpoint -> unit

@@ -45,7 +45,7 @@ let scenario ~gets ~ping =
      in
      get gets >>= fun () ->
      if ping then
-       Netstack.Icmp4.ping (Netstack.Stack.icmp client) ~dst ~seq:1 () >>= fun _ -> P.return ()
+       Netstack.Icmp4.ping (Netstack.Stack.icmp client) ~dst ~seq:1 >>= fun _ -> P.return ()
      else P.return ())
 
 let () =

@@ -64,9 +64,7 @@ let test_pcap_roundtrip () =
       Alcotest.(check int) "p1 orig len" 11 p1.Formats.Pcap.len;
       Alcotest.(check int) "p2 orig len" 9000 p2.Formats.Pcap.len;
       Alcotest.(check int) "p2 stored" 1500 (String.length p2.Formats.Pcap.data)
-    | ps -> Alcotest.failf "expected 2 packets, got %d" (List.length ps));
-    (* re-serialising the parse reproduces the file byte for byte *)
-    Alcotest.(check string) "re-serialised byte-identical" bytes (Formats.Pcap.to_string f)
+    | ps -> Alcotest.failf "expected 2 packets, got %d" (List.length ps))
 
 let test_pcap_errors () =
   let bad s =

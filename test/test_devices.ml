@@ -294,10 +294,10 @@ let test_blkif_concurrent_requests () =
   in
   ignore (run w (P.join (List.init 20 write)));
   let read i =
-    Devices.Blkif.read blkif ~sector:(i * 8) ~count:1 >|= fun b -> Bytestruct.get_char b 0
+    Devices.Blkif.read blkif ~sector:(i * 8) ~count:1 >|= fun b -> Bytestruct.get_uint8 b 0
   in
   let chars = run w (P.all (List.init 20 read)) in
-  List.iteri (fun i c -> check_bool "right sector" true (c = Char.chr (65 + i))) chars
+  List.iteri (fun i c -> check_int "right sector" (65 + i) c) chars
 
 let test_blkif_out_of_range () =
   let w, _, blkif = blkif_world () in

@@ -194,7 +194,6 @@ let test_time_units () =
   check_int "us" 1_000 (Engine.Sim.us 1);
   check_int "ms" 1_000_000 (Engine.Sim.ms 1);
   check_int "sec" 1_000_000_000 (Engine.Sim.sec 1);
-  check_int "sec_f" 1_500_000_000 (Engine.Sim.sec_f 1.5);
   check (Alcotest.float 1e-12) "to_sec" 1.5 (Engine.Sim.to_sec 1_500_000_000);
   check (Alcotest.float 1e-12) "to_ms" 2.5 (Engine.Sim.to_ms 2_500_000)
 

@@ -219,6 +219,40 @@ let test_lb_hash_affinity () =
   check_bool "affinity: a single backend carried the connection" true
     (List.exists (fun t -> t = 1) totals && List.fold_left ( + ) 0 totals = 1)
 
+(* The hash policy keys on the client endpoint's value (address as its
+   32-bit int, and port), so the backend each of these fixed clients
+   lands on is pinned: it moves only if the key or the hash does. *)
+let test_lb_hash_pinned () =
+  Trace.Metrics.reset ();
+  let w = create () in
+  let h1, _ = boot_web w ~name:"web.0" ~cost_ns:1_000_000 ~ip:"10.0.0.11" echo_handler in
+  let h2, _ = boot_web w ~name:"web.1" ~cost_ns:1_000_000 ~ip:"10.0.0.12" echo_handler in
+  let lb_host = host w ~account_cpu:false ~name:"lb" ~ip:"10.0.0.2" () in
+  let lb =
+    LB.create w.sim ~policy:Lb.Balancer.Hash ~check_interval_ns:(ms 50)
+      ~tcp:(Netstack.Stack.tcp lb_host.stack) ~port:80 ()
+  in
+  LB.add_backend lb ~name:"web.0" ~addr:(Handle.address h1) ~port:80 ~health_port:9100;
+  LB.add_backend lb ~name:"web.1" ~addr:(Handle.address h2) ~port:80 ~health_port:9100;
+  let totals () = List.map (fun b -> LB.(b.b_name, b.b_total)) (LB.backends lb) in
+  let chosen ip =
+    let client = host w ~account_cpu:false ~name:("client-" ^ ip) ~ip () in
+    let before = totals () in
+    let r =
+      run w
+        (Core.Apps.Net.Http_client.connect (Netstack.Stack.tcp client.stack)
+           ~dst:(Netstack.Ipaddr.of_string "10.0.0.2") ~port:80
+         >>= fun conn -> Core.Apps.Net.Http_client.get conn "/a")
+    in
+    check_int "answered" 200 r.Uhttp.Http_wire.status;
+    match List.filter (fun (n, t) -> List.assoc n before <> t) (totals ()) with
+    | [ (name, _) ] -> name
+    | _ -> Alcotest.fail "one connection goes to exactly one backend"
+  in
+  Alcotest.(check (list string))
+    "backend per client" [ "web.0"; "web.1"; "web.0"; "web.1" ]
+    (List.map chosen [ "10.0.0.21"; "10.0.0.22"; "10.0.0.23"; "10.0.0.24" ])
+
 (* ---- Boot_spec.clone ---- *)
 
 let test_boot_spec_clone () =
@@ -340,6 +374,7 @@ let () =
           Alcotest.test_case "least-conns spreads, health checks evict the dead" `Quick
             test_lb_spreads_and_survives_backend_death;
           Alcotest.test_case "hash policy pins a connection" `Quick test_lb_hash_affinity;
+          Alcotest.test_case "hash policy keys on the endpoint's value" `Quick test_lb_hash_pinned;
           Alcotest.test_case "latency window forgets old samples" `Quick
             test_window_forgets_old_samples;
         ] );

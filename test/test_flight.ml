@@ -26,18 +26,19 @@ let contains hay needle =
 
 let test_ring_bounds () =
   Trace.Flight.reset ();
-  Trace.Flight.enable ~capacity:4 ();
+  Trace.Flight.enable ();
   Fun.protect ~finally:Trace.quiesce (fun () ->
-      for i = 0 to 9 do
+      (* A ring keeps its domain's last 256 notes. *)
+      for i = 0 to 259 do
         Trace.Flight.note ~dom:3 ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "tick"
       done;
       let evs = Trace.Flight.recent 3 in
-      check_int "ring keeps last capacity notes" 4 (List.length evs);
-      (* oldest-first: the survivors are i = 6..9 *)
+      check_int "ring keeps last capacity notes" 256 (List.length evs);
+      (* oldest-first: the survivors are i = 4..259 *)
       List.iteri
         (fun k (fe : Trace.Flight.fev) ->
           match fe.Trace.Flight.fe_payload with
-          | [ ("i", Trace.Int i) ] -> check_int "oldest first" (6 + k) i
+          | [ ("i", Trace.Int i) ] -> check_int "oldest first" (4 + k) i
           | _ -> Alcotest.fail "unexpected payload")
         evs;
       check_int "other dom ring empty" 0 (List.length (Trace.Flight.recent 7));

@@ -9,14 +9,14 @@ let frame ~dst ~src payload =
   b
 
 let test_mac_utils () =
-  check_string "format" "02:00:00:00:07:01" (Netsim.mac_to_string (Netsim.mac_of_int 7));
+  check_string "bytes" "\x02\x00\x00\x00\x07\x01" (Netsim.mac_of_int 7);
   check_int "length" 6 (String.length (Netsim.mac_of_int 1));
   check_bool "distinct" true (Netsim.mac_of_int 1 <> Netsim.mac_of_int 2)
 
-let two_nics ?latency_ns ?bandwidth_bps ?loss () =
+let two_nics ?latency_ns ?bandwidth_bps () =
   let sim = Engine.Sim.create () in
   let br = Netsim.Bridge.create sim in
-  let a = Netsim.Bridge.new_nic br ?latency_ns ?bandwidth_bps ?loss ~mac:(Netsim.mac_of_int 1) () in
+  let a = Netsim.Bridge.new_nic br ?latency_ns ?bandwidth_bps ~mac:(Netsim.mac_of_int 1) () in
   let b = Netsim.Bridge.new_nic br ~mac:(Netsim.mac_of_int 2) () in
   (sim, br, a, b)
 
@@ -110,7 +110,8 @@ let test_bandwidth_serialisation () =
   | _ -> Alcotest.fail "expected two arrivals")
 
 let test_loss () =
-  let sim, br, a, b = two_nics ~loss:1.0 () in
+  let sim, br, a, b = two_nics () in
+  Netsim.Bridge.set_loss br a 1.0;
   let got = ref 0 in
   Netsim.Nic.set_rx b (fun _ -> incr got);
   for _ = 1 to 10 do

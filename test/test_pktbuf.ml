@@ -4,14 +4,14 @@ module Pb = Pktbuf
 (* ---- pool recycling ---- *)
 
 let test_pool_grow_and_recycle () =
-  let p = Pb.create_pool ~buf_bytes:256 ~name:"t" () in
+  let p = Pb.create_pool () in
   check_int "pool starts empty" 0 (Pb.free_buffers p);
   check_int "nothing reserved yet" 0 (Pb.bytes_reserved p);
   let b = Pb.alloc p in
   check_int "grew by exactly one buffer" 0 (Pb.free_buffers p);
   check_int "one outstanding" 1 (Pb.outstanding p);
   check_int "fresh buffer has one ref" 1 (Pb.refs b);
-  check_int "arena is one buffer" 256 (Pb.bytes_reserved p);
+  check_int "arena is one buffer" Pb.buf_bytes (Pb.bytes_reserved p);
   Pb.release b;
   check_int "released buffer back on freelist" 1 (Pb.free_buffers p);
   check_int "none outstanding" 0 (Pb.outstanding p);
@@ -22,26 +22,25 @@ let test_pool_grow_and_recycle () =
     check_bool "recycled buffer reuses storage" true (Pb.storage again == Pb.storage b);
     Pb.release again
   done;
-  check_int "recycling does not grow the arena" 256 (Pb.bytes_reserved p)
+  check_int "recycling does not grow the arena" Pb.buf_bytes (Pb.bytes_reserved p)
 
 let test_pool_grows_under_pressure () =
-  let p = Pb.create_pool ~buf_bytes:128 ~name:"t" () in
+  let p = Pb.create_pool () in
   let bufs = List.init 5 (fun _ -> Pb.alloc p) in
   check_int "five outstanding" 5 (Pb.outstanding p);
-  check_int "arena is the high-water mark" (5 * 128) (Pb.bytes_reserved p);
+  check_int "arena is the high-water mark" (5 * Pb.buf_bytes) (Pb.bytes_reserved p);
   List.iter Pb.release bufs;
   check_int "all returned" 5 (Pb.free_buffers p);
   (* Below the high-water mark nothing grows. *)
   let again = List.init 3 (fun _ -> Pb.alloc p) in
-  check_int "arena never shrinks or regrows" (5 * 128) (Pb.bytes_reserved p);
+  check_int "arena never shrinks or regrows" (5 * Pb.buf_bytes) (Pb.bytes_reserved p);
   List.iter Pb.release again
 
-(* Pools of one buffer size share a freelist, so storage one device
-   releases is the next any device allocates; the accounting stays per
-   pool. *)
+(* Pools share one freelist, so storage one device releases is the next
+   any device allocates; the accounting stays per pool. *)
 let test_pools_share_freelist () =
-  let a = Pb.create_pool ~buf_bytes:192 ~name:"a" () in
-  let b = Pb.create_pool ~buf_bytes:192 ~name:"b" () in
+  let a = Pb.create_pool () in
+  let b = Pb.create_pool () in
   let from_a = Pb.alloc a in
   Pb.release from_a;
   let from_b = Pb.alloc b in
@@ -49,23 +48,18 @@ let test_pools_share_freelist () =
     (Pb.storage from_b == Pb.storage from_a);
   check_int "a: nothing outstanding" 0 (Pb.outstanding a);
   check_int "a: its buffer counts as free" 1 (Pb.free_buffers a);
-  check_int "a: reserved its high-water mark" 192 (Pb.bytes_reserved a);
+  check_int "a: reserved its high-water mark" Pb.buf_bytes (Pb.bytes_reserved a);
   check_int "b: one outstanding" 1 (Pb.outstanding b);
   check_int "b: nothing free" 0 (Pb.free_buffers b);
-  check_int "b: reserved its high-water mark" 192 (Pb.bytes_reserved b);
+  check_int "b: reserved its high-water mark" Pb.buf_bytes (Pb.bytes_reserved b);
   Pb.release from_b;
   check_int "b: returned" 0 (Pb.outstanding b);
-  check_int "a untouched by b's release" 1 (Pb.free_buffers a);
-  let other = Pb.create_pool ~buf_bytes:160 ~name:"c" () in
-  let from_c = Pb.alloc other in
-  check_bool "another size has its own freelist" true
-    (Pb.storage from_c != Pb.storage from_a && Bytestruct.length (Pb.storage from_c) = 160);
-  Pb.release from_c
+  check_int "a untouched by b's release" 1 (Pb.free_buffers a)
 
 (* ---- ownership bugs must raise ---- *)
 
 let test_double_free_raises () =
-  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
+  let p = Pb.create_pool () in
   let b = Pb.alloc p in
   Pb.release b;
   Alcotest.check_raises "second release" Pb.Double_free (fun () -> Pb.release b);
@@ -84,7 +78,7 @@ let test_double_free_raises () =
    freelist until the deferred callback releases it. *)
 let test_refcount_across_deferred () =
   let sim = Engine.Sim.create ~seed:1 () in
-  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
+  let p = Pb.create_pool () in
   let b = Pb.alloc p in
   Bytestruct.set_uint8 (Pb.storage b) 0 0xab;
   let seen = ref (-1) in
@@ -109,7 +103,7 @@ let test_refcount_across_deferred () =
 (* ---- the ambient current packet ---- *)
 
 let test_ambient_current_scoping () =
-  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
+  let p = Pb.create_pool () in
   let b = Pb.alloc p in
   check_bool "no ambient outside delivery" true (Pb.current () = None);
   check_bool "retain_current falls back to None" true (Pb.retain_current () = None);
@@ -125,7 +119,7 @@ let test_ambient_current_scoping () =
   Pb.release b
 
 let test_views_share_storage () =
-  let p = Pb.create_pool ~buf_bytes:64 ~name:"t" () in
+  let p = Pb.create_pool () in
   let b = Pb.alloc p in
   let v = Pb.view b ~off:8 ~len:4 in
   Bytestruct.set_uint8 v 0 0x55;
@@ -172,9 +166,9 @@ let test_one_request_reserves_peak_only () =
       check_bool "the request moved frames" true (Pb.bytes_reserved p > 0);
       check_bool
         (Printf.sprintf "reserved %d B <= peak %d in flight x %d B" (Pb.bytes_reserved p) !m
-           (Pb.buf_bytes p))
+           Pb.buf_bytes)
         true
-        (Pb.bytes_reserved p <= !m * Pb.buf_bytes p))
+        (Pb.bytes_reserved p <= !m * Pb.buf_bytes))
     pools peak
 
 let () =
@@ -184,7 +178,7 @@ let () =
         [
           Alcotest.test_case "grow and recycle" `Quick test_pool_grow_and_recycle;
           Alcotest.test_case "grows under pressure" `Quick test_pool_grows_under_pressure;
-          Alcotest.test_case "pools share one freelist per size" `Quick test_pools_share_freelist;
+          Alcotest.test_case "pools share one freelist" `Quick test_pools_share_freelist;
           Alcotest.test_case "fresh vif reserves nothing" `Quick test_fresh_vif_reserves_nothing;
           Alcotest.test_case "one request reserves its peak only" `Quick
             test_one_request_reserves_peak_only;

@@ -87,23 +87,6 @@ let test_heap_linux_pv_costlier_than_native () =
   let _, native = fill_heap Platform.linux_native in
   check_bool "PV page-table updates cost more" true (pv > native)
 
-let test_heap_transient_no_promotion () =
-  let h = Pvboot.Heap.create ~platform:Platform.xen_extent () in
-  for _ = 1 to 100_000 do
-    ignore (Pvboot.Heap.alloc_transient h ~bytes:64)
-  done;
-  check_int "nothing promoted" 0 (Pvboot.Heap.live_bytes h);
-  check_bool "minor collections still ran" true (Pvboot.Heap.minor_collections h > 0)
-
-let test_heap_release () =
-  let h = Pvboot.Heap.create ~platform:Platform.xen_extent () in
-  for _ = 1 to 100_000 do
-    ignore (Pvboot.Heap.alloc h ~bytes:64)
-  done;
-  let live = Pvboot.Heap.live_bytes h in
-  Pvboot.Heap.release h ~bytes:live;
-  check_int "released" 0 (Pvboot.Heap.live_bytes h)
-
 (* The minor heap is one 2 MiB superpage extent, as in [Layout]: the first
    collection comes with the first allocation that would overflow it. *)
 let minor_heap_bytes = 2 * 1024 * 1024
@@ -111,10 +94,10 @@ let minor_heap_bytes = 2 * 1024 * 1024
 let test_heap_minor_fits_extent () =
   let h = Pvboot.Heap.create ~platform:Platform.xen_extent () in
   for _ = 1 to minor_heap_bytes / 64 do
-    ignore (Pvboot.Heap.alloc_transient h ~bytes:64)
+    ignore (Pvboot.Heap.alloc h ~bytes:64)
   done;
   check_int "no collection yet" 0 (Pvboot.Heap.minor_collections h);
-  ignore (Pvboot.Heap.alloc_transient h ~bytes:64);
+  ignore (Pvboot.Heap.alloc h ~bytes:64);
   check_int "one collection" 1 (Pvboot.Heap.minor_collections h)
 
 let () =
@@ -134,8 +117,6 @@ let () =
           Alcotest.test_case "collections happen" `Quick test_heap_collections_happen;
           Alcotest.test_case "extent cheaper than malloc" `Quick test_heap_extent_cheaper_than_malloc;
           Alcotest.test_case "pv costlier than native" `Quick test_heap_linux_pv_costlier_than_native;
-          Alcotest.test_case "transient allocations die young" `Quick test_heap_transient_no_promotion;
-          Alcotest.test_case "release" `Quick test_heap_release;
         ] );
       (* Alcotest sizes its suite column to the longest suite name and cuts
          test names at the terminal width; this name's 20 characters keep

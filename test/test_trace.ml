@@ -296,7 +296,7 @@ let traced_ping_run ~seed =
   let rtt =
     run w
       (Netstack.Icmp4.ping (Netstack.Stack.icmp a.stack) ~dst:(Netstack.Stack.address b.stack)
-         ~seq:1 ())
+         ~seq:1)
   in
   Engine.Sim.run w.sim;
   check_bool "ping completed" true (rtt > 0);

@@ -59,8 +59,7 @@ let test_router () =
   check_bool "no match" true (Uhttp.Router.dispatch r H.GET "/nope" = None);
   check_bool "wrong method" true (Uhttp.Router.dispatch r H.DELETE "/tweets/bob" = None);
   check_bool "query string stripped" true
-    (Uhttp.Router.dispatch r H.GET "/tweets/bob?since=1" = Some (`Tweets "bob"));
-  check_int "route count" 3 (Uhttp.Router.routes r)
+    (Uhttp.Router.dispatch r H.GET "/tweets/bob?since=1" = Some (`Tweets "bob"))
 
 (* ---- server + client over the stack ---- *)
 

@@ -10,7 +10,10 @@
 #                             table-driven guard over every observability
 #                             plane (disabled-site budgets, figure-8
 #                             invariance); then tools/links.sh -s prints
-#                             each example's linked units and text bytes
+#                             each example's linked units and text bytes,
+#                             and tools/surface.sh each library's exported
+#                             vals and optional parameters (for
+#                             information: neither gates)
 #   3. tools/check_fmt.sh   — dune + ocamlformat formatting gate
 #   4. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
@@ -38,6 +41,9 @@ dune runtest
 echo "== ci: linked units and text bytes per example (Table 2, this tree) =="
 tools/links.sh -s _build/default/examples/quickstart.exe _build/default/examples/dns_appliance.exe \
   _build/default/examples/openflow_learning.exe _build/default/examples/multikernel.exe
+
+echo "== ci: exported vals and optional parameters per library (this tree) =="
+tools/surface.sh
 
 echo "== ci: formatting =="
 tools/check_fmt.sh
