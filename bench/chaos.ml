@@ -61,8 +61,7 @@ let alerting_run ~seed ~lossy =
     [
       Monitor.Slo.rule "goodput-floor"
         ~source:(Monitor.Slo.Rate "http_bytes_sent")
-        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor ~for_ns:(2 * alert_interval_ns)
-        ~hold_ns:(2 * alert_interval_ns);
+        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor;
     ]
   in
   let m =

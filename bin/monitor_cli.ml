@@ -97,17 +97,14 @@ let run_monitor seed servers duration_ms interval_ms flap trace =
     [
       Monitor.Slo.rule "goodput-floor"
         ~source:(Monitor.Slo.Rate "http_bytes_sent")
-        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor
-        ~for_ns:(2 * interval_ns) ~hold_ns:(2 * interval_ns);
+        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor;
       Monitor.Slo.rule "error-rate"
         ~source:(Monitor.Slo.Rate "http_bad_requests")
-        ~cmp:Monitor.Slo.Above ~threshold:0.5
-        ~for_ns:(2 * interval_ns) ~hold_ns:(2 * interval_ns);
+        ~cmp:Monitor.Slo.Above ~threshold:0.5;
       Monitor.Slo.rule "p99-latency"
         ~source:(Monitor.Slo.Value "http_request_ns{quantile=\"0.99\"}")
         ~cmp:Monitor.Slo.Above
-        ~threshold:(float_of_int (Engine.Sim.ms 50))
-        ~for_ns:(2 * interval_ns) ~hold_ns:(2 * interval_ns);
+        ~threshold:(float_of_int (Engine.Sim.ms 50));
     ]
   in
   let monitor_ref = ref None in
@@ -133,7 +130,6 @@ let run_monitor seed servers duration_ms interval_ms flap trace =
   let m = match !monitor_ref with Some m -> m | None -> failwith "monitor did not boot" in
 
   (* -- dashboard -- *)
-  let width = 44 in
   Printf.printf "\n==== monitoring plane: %d targets, %d scrape rounds over %.0f ms ====\n"
     (List.length (Mon.targets m))
     (Mon.rounds m)
@@ -149,7 +145,7 @@ let run_monitor seed servers duration_ms interval_ms flap trace =
         | pts ->
           let last = List.nth pts (List.length pts - 1) in
           Printf.printf "  %-12s %-8s |%s| last %s\n" label unit_
-            (Monitor.sparkline ~width pts) (fmt_rate last)
+            (Monitor.sparkline pts) (fmt_rate last)
       in
       let counter_rate key =
         match Mon.series tg key with Some s -> rate_points s | None -> []

@@ -28,6 +28,10 @@ let policy_name = function Hash -> "hash" | Least_conns -> "least-conns"
 let healthy_after = 2
 let unhealthy_after = 2
 
+(* How long a flow parked with no backend waits for a cold boot to
+   produce one before it is refused. *)
+let pending_timeout_ns = 2_000_000_000
+
 module Make (T : Device_sig.TCP) = struct
   module C = Uhttp.Client.Make (T)
 
@@ -66,7 +70,6 @@ module Make (T : Device_sig.TCP) = struct
        backend is parked on [pending] and [on_demand] is poked (the
        orchestrator's cold-start path) instead of refusing outright. *)
     on_demand : (unit -> unit) option;
-    pending_timeout_ns : int;
     pending : pending Queue.t;
     mutable pending_count : int;  (* unsettled entries in [pending] *)
     mutable held_total : int;
@@ -168,7 +171,7 @@ module Make (T : Device_sig.TCP) = struct
         Queue.add e t.pending;
         t.pending_count <- t.pending_count + 1;
         t.held_total <- t.held_total + 1;
-        let timer = Mthread.Promise.sleep t.sim t.pending_timeout_ns in
+        let timer = Mthread.Promise.sleep t.sim pending_timeout_ns in
         e.p_timer <- Some timer;
         Mthread.Promise.async (fun () ->
             Mthread.Promise.catch
@@ -303,8 +306,7 @@ module Make (T : Device_sig.TCP) = struct
 
   (* ---- lifecycle ---- *)
 
-  let create sim ?(dom = -1) ?(policy = Least_conns) ?(check_interval_ns = 100_000_000)
-      ?on_demand ?(pending_timeout_ns = 1_000_000_000) ~tcp ~port () =
+  let create sim ?(dom = -1) ?(policy = Least_conns) ~check_interval_ns ?on_demand ~tcp ~port () =
     let t =
       {
         sim;
@@ -314,7 +316,6 @@ module Make (T : Device_sig.TCP) = struct
         policy;
         check_interval_ns;
         on_demand;
-        pending_timeout_ns;
         pending = Queue.create ();
         pending_count = 0;
         held_total = 0;

@@ -19,6 +19,11 @@
 let ( >>= ) = Mthread.Promise.bind
 let return = Mthread.Promise.return
 
+(* Every arrival is [GET /] on port 80, abandoned after 2 s. *)
+let port = 80
+let path = "/"
+let timeout_ns = 2_000_000_000
+
 module Make (T : Device_sig.TCP) = struct
   module C = Uhttp.Client.Make (T)
 
@@ -26,12 +31,9 @@ module Make (T : Device_sig.TCP) = struct
     sim : Engine.Sim.t;
     tcp : T.t;
     dst : T.ipaddr;
-    port : int;
-    path : string;
     think_ns : int;
-    timeout_ns : int;
     prng : Engine.Prng.t;
-    on_sample : (latency_ns:int -> unit) option;
+    on_sample : latency_ns:int -> unit;
     latencies : Trace.Hist.t;
     window : Trace.Hist.Window.t;
     mutable peak_rate : float;
@@ -43,16 +45,12 @@ module Make (T : Device_sig.TCP) = struct
     mutable peak_in_flight : int;
   }
 
-  let create sim ~tcp ~dst ?(port = 80) ?(path = "/") ?(think_ns = 100_000_000_000)
-      ?(timeout_ns = 2_000_000_000) ?on_sample ~prng () =
+  let create sim ~tcp ~dst ~think_ns ~on_sample ~prng =
     {
       sim;
       tcp;
       dst;
-      port;
-      path;
       think_ns;
-      timeout_ns;
       prng;
       on_sample;
       latencies = Trace.Hist.create ();
@@ -105,15 +103,15 @@ module Make (T : Device_sig.TCP) = struct
       (fun () ->
         Mthread.Promise.catch
           (fun () ->
-            Mthread.Promise.with_timeout t.sim t.timeout_ns (fun () ->
-                C.get_once t.tcp ~dst:t.dst ~port:t.port t.path)
+            Mthread.Promise.with_timeout t.sim timeout_ns (fun () ->
+                C.get_once t.tcp ~dst:t.dst ~port path)
             >>= fun resp ->
             let lat = Engine.Sim.now t.sim - started in
             if resp.Uhttp.Http_wire.status = 200 then begin
               t.ok <- t.ok + 1;
               Trace.Hist.record t.latencies lat;
               Trace.Hist.Window.record t.window ~now:(Engine.Sim.now t.sim) lat;
-              match t.on_sample with None -> () | Some f -> f ~latency_ns:lat
+              t.on_sample ~latency_ns:lat
             end
             else t.errors <- t.errors + 1;
             return ())

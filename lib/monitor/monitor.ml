@@ -11,31 +11,32 @@ let return = Mthread.Promise.return
 (* ---- ring-buffer time series ---- *)
 
 module Series = struct
+  (* Samples each series retains: 64 s of history at the fleet's 250 ms
+     scrape interval. *)
+  let capacity = 256
+
   type t = {
-    cap : int;
     times : int array;  (* virtual-time ns *)
     values : float array;
-    mutable len : int;  (* samples held, <= cap *)
+    mutable len : int;  (* samples held, <= capacity *)
     mutable next : int;  (* write position *)
   }
 
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Monitor.Series.create: capacity must be positive";
-    { cap = capacity; times = Array.make capacity 0; values = Array.make capacity 0.0; len = 0; next = 0 }
+  let create () =
+    { times = Array.make capacity 0; values = Array.make capacity 0.0; len = 0; next = 0 }
 
   let push t ~time v =
     t.times.(t.next) <- time;
     t.values.(t.next) <- v;
-    t.next <- (t.next + 1) mod t.cap;
-    if t.len < t.cap then t.len <- t.len + 1
+    t.next <- (t.next + 1) mod capacity;
+    if t.len < capacity then t.len <- t.len + 1
 
   let length t = t.len
-  let capacity t = t.cap
 
   (* [get t i]: i-th retained sample, oldest first. *)
   let get t i =
     if i < 0 || i >= t.len then invalid_arg "Monitor.Series.get: index out of window";
-    let pos = (t.next - t.len + i + t.cap * 2) mod t.cap in
+    let pos = (t.next - t.len + i + capacity * 2) mod capacity in
     (t.times.(pos), t.values.(pos))
 
   let last t = if t.len = 0 then None else Some (get t (t.len - 1))
@@ -44,13 +45,13 @@ module Series = struct
     let rec go i acc = if i < 0 then acc else go (i - 1) (get t i :: acc) in
     go (t.len - 1) []
 
-  (* Per-second rate of change over the most recent [window] samples
-     (counter derivation). None until two samples exist or while time
-     stands still. *)
-  let rate ?(window = 8) t =
+  (* Per-second rate of change over the most recent 8 samples (counter
+     derivation). None until two samples exist or while time stands
+     still. *)
+  let rate t =
     if t.len < 2 then None
     else begin
-      let n = min window t.len in
+      let n = min 8 t.len in
       let t0, v0 = get t (t.len - n) in
       let t1, v1 = get t (t.len - 1) in
       if t1 <= t0 then None else Some ((v1 -. v0) *. 1e9 /. float_of_int (t1 - t0))
@@ -105,18 +106,10 @@ module Slo = struct
 
   type cmp = Above | Below
 
-  type rule = {
-    r_name : string;
-    r_source : source;
-    r_cmp : cmp;
-    r_threshold : float;
-    r_for_ns : int;  (* breach must hold this long before firing *)
-    r_hold_ns : int;  (* breach must stay clear this long before resolving *)
-  }
+  type rule = { r_name : string; r_source : source; r_cmp : cmp; r_threshold : float }
 
-  let rule ?(for_ns = 0) ?(hold_ns = 0) ~source ~cmp ~threshold name =
-    { r_name = name; r_source = source; r_cmp = cmp; r_threshold = threshold;
-      r_for_ns = for_ns; r_hold_ns = hold_ns }
+  let rule ~source ~cmp ~threshold name =
+    { r_name = name; r_source = source; r_cmp = cmp; r_threshold = threshold }
 
   type state = {
     s_rule : rule;
@@ -129,9 +122,11 @@ module Slo = struct
 
   type transition = Fired of float | Resolved of float
 
-  (* Advance one rule given the current observation. [None] (no data yet)
-     never breaches — a monitor must not alert on its own cold start. *)
-  let step st ~now value =
+  (* Advance one rule given the current observation. A breach must hold
+     for [debounce_ns] before the rule fires, and stay clear as long
+     before it resolves. [None] (no data yet) never breaches — a monitor
+     must not alert on its own cold start. *)
+  let step st ~now ~debounce_ns value =
     let r = st.s_rule in
     let breached =
       match value with
@@ -142,7 +137,7 @@ module Slo = struct
       st.clear_since <- None;
       (match st.breach_since with None -> st.breach_since <- Some now | Some _ -> ());
       match st.breach_since with
-      | Some since when (not st.firing) && now - since >= r.r_for_ns ->
+      | Some since when (not st.firing) && now - since >= debounce_ns ->
         st.firing <- true;
         Some (Fired (Option.value value ~default:0.0))
       | _ -> None
@@ -156,7 +151,7 @@ module Slo = struct
       else begin
         (match st.clear_since with None -> st.clear_since <- Some now | Some _ -> ());
         match st.clear_since with
-        | Some since when now - since >= r.r_hold_ns ->
+        | Some since when now - since >= debounce_ns ->
           st.firing <- false;
           st.clear_since <- None;
           Some (Resolved (Option.value value ~default:0.0))
@@ -174,9 +169,10 @@ type alert = {
 
 let sparkline_glyphs = " .:-=+*#%@"
 
-(* Render a value sequence as a fixed-width sparkline, scaled to its own
+(* Render a value sequence as a 44-column sparkline, scaled to its own
    min..max (flat series render as all-low). *)
-let sparkline ?(width = 40) values =
+let sparkline values =
+  let width = 44 in
   match values with
   | [] -> String.make width ' '
   | _ ->
@@ -195,7 +191,7 @@ let sparkline ?(width = 40) values =
     in
     String.init width (fun i ->
         (* resample n points onto [width] columns *)
-        let j = if width = 1 then 0 else i * (n - 1) / (width - 1) in
+        let j = i * (n - 1) / (width - 1) in
         glyph arr.(j))
 
 (* Discovery: the bridge's service directory, oldest first. *)
@@ -219,32 +215,15 @@ module Make (T : Device_sig.TCP) = struct
     sim : Engine.Sim.t;
     dom : int;
     tcp : T.t;
-    interval_ns : int;
-    timeout_ns : int;
-    capacity : int;
+    interval_ns : int;  (* a scrape times out after half of it *)
     rules : Slo.rule list;
     mutable targets : target list;  (* newest first; [targets] reverses *)
     mutable rounds : int;
     mutable alerts : alert list;  (* newest first; [alerts] reverses *)
   }
 
-  let create sim ?(dom = -1) ~tcp ?(interval_ns = 100_000_000) ?timeout_ns ?(capacity = 256)
-      ?(rules = []) () =
-    let timeout_ns = match timeout_ns with Some n -> n | None -> interval_ns / 2 in
-    let t =
-      {
-        sim;
-        dom;
-        tcp;
-        interval_ns;
-        timeout_ns;
-        capacity;
-        rules;
-        targets = [];
-        rounds = 0;
-        alerts = [];
-      }
-    in
+  let create sim ?(dom = -1) ~tcp ~interval_ns ~rules () =
+    let t = { sim; dom; tcp; interval_ns; rules; targets = []; rounds = 0; alerts = [] } in
     if Trace.Metrics.enabled () then begin
       let reg kind name read = Trace.Metrics.register_read ~dom ~kind name read in
       reg Trace.Metrics.Counter "monitor_rounds" (fun () -> t.rounds);
@@ -304,11 +283,14 @@ module Make (T : Device_sig.TCP) = struct
         | Some (tl, _) when Engine.Sim.now t.sim - tl > 3 * t.interval_ns -> Some 0.0
         | _ -> Series.rate s))
 
+  (* Every rule's breach must persist for two scrape rounds before it
+     fires, and stay clear for two before it resolves: one late scrape
+     neither raises nor clears an alert. *)
   let evaluate t tg ~now =
     List.iter
       (fun st ->
         let v = observe t tg st.Slo.s_rule.Slo.r_source in
-        match Slo.step st ~now v with
+        match Slo.step st ~now ~debounce_ns:(2 * t.interval_ns) v with
         | None -> ()
         | Some (Slo.Fired value) ->
           t.alerts <-
@@ -360,7 +342,7 @@ module Make (T : Device_sig.TCP) = struct
   let scrape t tg =
     Mthread.Promise.catch
       (fun () ->
-        Mthread.Promise.with_timeout t.sim t.timeout_ns (fun () ->
+        Mthread.Promise.with_timeout t.sim (t.interval_ns / 2) (fun () ->
             C.get_once t.tcp ~dst:tg.tg_addr ~port:tg.tg_port "/metrics")
         >>= fun resp ->
         let now = Engine.Sim.now t.sim in
@@ -372,7 +354,7 @@ module Make (T : Device_sig.TCP) = struct
                 match Hashtbl.find_opt tg.tg_series key with
                 | Some s -> s
                 | None ->
-                  let s = Series.create ~capacity:t.capacity in
+                  let s = Series.create () in
                   Hashtbl.replace tg.tg_series key s;
                   tg.tg_keys <- key :: tg.tg_keys;
                   s

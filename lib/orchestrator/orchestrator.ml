@@ -14,7 +14,7 @@
      per-shard target is set well under capacity so the fleet scales
      ahead of a ramp instead of after the queues build.
 
-   - SLO alerts (reactive): while a watched rule (typically on the
+   - SLO alerts (reactive): while the [watch_rule] alert (on the
      windowed p99 gauge) is firing, the loop wants at least one more
      shard than it has, whatever the rate arithmetic says. This is the
      backstop for load the rate signal underestimates.
@@ -31,6 +31,19 @@
 
 let ( >>= ) = Mthread.Promise.bind
 let return = Mthread.Promise.return
+
+(* The control loop's timing. It evaluates every 500 ms (two scrape
+   rounds of the fleet's 250 ms monitor); after any scaling action it
+   waits [cooldown_ns] before the next; it retires a shard only after
+   the surplus has lasted [scale_in_hold_ns]; and it boots at most
+   [max_step] shards per evaluation. *)
+let interval_ns = 500_000_000
+let cooldown_ns = 1_000_000_000
+let scale_in_hold_ns = 5_000_000_000
+let max_step = 2
+
+(* The alert rule that forces a scale-out while it fires. *)
+let watch_rule = "p99-latency"
 
 module Make (T : Device_sig.TCP) = struct
   module M = Monitor.Make (T)
@@ -67,11 +80,6 @@ module Make (T : Device_sig.TCP) = struct
     min_shards : int;
     max_shards : int;
     target_rps_per_shard : float;
-    watch_rule : string option;  (* alert rule that forces scale-out *)
-    interval_ns : int;
-    cooldown_ns : int;
-    scale_in_hold_ns : int;
-    max_step : int;
     mutable shards : endpoint list;  (* newest first *)
     mutable next_index : int;
     mutable last_scale_ns : int;
@@ -84,9 +92,7 @@ module Make (T : Device_sig.TCP) = struct
     mutable events : event list;  (* newest first; [events] reverses *)
   }
 
-  let create sim ?(dom = -1) ~lb ~mon ~boot ?(min_shards = 1) ?(max_shards = 16)
-      ?(target_rps_per_shard = 35.0) ?watch_rule ?(interval_ns = 500_000_000)
-      ?(cooldown_ns = 1_000_000_000) ?(scale_in_hold_ns = 5_000_000_000) ?(max_step = 2) () =
+  let create sim ~dom ~lb ~mon ~boot ~min_shards ~max_shards ~target_rps_per_shard =
     (* 0 is legal: scale-to-zero fleets idle with no shards at all and
        boot on demand via [cold_start]. *)
     if min_shards < 0 then invalid_arg "Orchestrator.create: min_shards must be >= 0";
@@ -101,11 +107,6 @@ module Make (T : Device_sig.TCP) = struct
         min_shards;
         max_shards;
         target_rps_per_shard;
-        watch_rule;
-        interval_ns;
-        cooldown_ns;
-        scale_in_hold_ns;
-        max_step;
         shards = [];
         next_index = 0;
         last_scale_ns = min_int / 2;
@@ -187,12 +188,9 @@ module Make (T : Device_sig.TCP) = struct
       0 (shards t)
 
   let alert_firing t =
-    match t.watch_rule with
-    | None -> false
-    | Some rule ->
-      List.exists
-        (fun a -> a.Monitor.al_rule = rule && a.Monitor.al_resolved_ns = None)
-        (M.alerts t.mon)
+    List.exists
+      (fun a -> a.Monitor.al_rule = watch_rule && a.Monitor.al_resolved_ns = None)
+      (M.alerts t.mon)
 
   (* ---- actuation ---- *)
 
@@ -260,8 +258,7 @@ module Make (T : Device_sig.TCP) = struct
     let n, reason =
       if alert_firing t then
         ( max (current + 1) tracked,
-          Printf.sprintf "alert:%s p99=%dns" (Option.value t.watch_rule ~default:"?")
-            (worst_p99_ns t) )
+          Printf.sprintf "alert:%s p99=%dns" watch_rule (worst_p99_ns t) )
       else
         ( tracked,
           Printf.sprintf "rate=%.1frps target=%.1frps/shard"
@@ -277,8 +274,8 @@ module Make (T : Device_sig.TCP) = struct
     let want, reason = desired t in
     if want > current then begin
       t.low_since <- None;
-      if now - t.last_scale_ns >= t.cooldown_ns then begin
-        let n = min t.max_step (want - current) in
+      if now - t.last_scale_ns >= cooldown_ns then begin
+        let n = min max_step (want - current) in
         let rec go i = if i >= n then return () else scale_out t ~reason >>= fun () -> go (i + 1) in
         go 0
       end
@@ -288,7 +285,7 @@ module Make (T : Device_sig.TCP) = struct
       (match t.low_since with None -> t.low_since <- Some now | Some _ -> ());
       match t.low_since with
       | Some since
-        when now - since >= t.scale_in_hold_ns && now - t.last_scale_ns >= t.cooldown_ns ->
+        when now - since >= scale_in_hold_ns && now - t.last_scale_ns >= cooldown_ns ->
         t.low_since <- None;
         scale_in t ~reason:("headroom " ^ reason)
       | _ -> return ()
@@ -309,5 +306,5 @@ module Make (T : Device_sig.TCP) = struct
   (* Evaluate forever (the orchestrator appliance's main). *)
   let rec run t =
     evaluate t >>= fun () ->
-    Mthread.Promise.sleep t.sim t.interval_ns >>= fun () -> run t
+    Mthread.Promise.sleep t.sim interval_ns >>= fun () -> run t
 end

@@ -78,8 +78,7 @@ let scenario ?(seed = 42) ?(flap = false) () =
     [
       Monitor.Slo.rule "goodput-floor"
         ~source:(Monitor.Slo.Rate "http_bytes_sent")
-        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor ~for_ns:(2 * interval_ns)
-        ~hold_ns:(2 * interval_ns);
+        ~cmp:Monitor.Slo.Below ~threshold:goodput_floor;
     ]
   in
   let m =
