@@ -11,7 +11,6 @@ type t = {
   app_loc : int;
 }
 
-exception Missing_key of string
 exception Type_error of string
 
 let make ~app_name ~roots ?(bindings = []) ?(aslr_seed = 0x5eed) ?(app_text_bytes = 8 * 1024)
@@ -24,8 +23,6 @@ let dynamic key value = { key; value; static = false }
 
 let find t key =
   List.find_map (fun b -> if b.key = key then Some b.value else None) t.bindings
-
-let find_exn t key = match find t key with Some v -> v | None -> raise (Missing_key key)
 
 let typed name extract t key =
   match find t key with

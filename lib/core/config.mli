@@ -24,7 +24,6 @@ type t = {
   app_loc : int;
 }
 
-exception Missing_key of string
 exception Type_error of string
 
 val make :
@@ -41,7 +40,6 @@ val static : string -> value -> binding
 val dynamic : string -> value -> binding
 
 val find : t -> string -> value option
-val find_exn : t -> string -> value
 
 (** @raise Type_error when present with another type. *)
 val ip : t -> string -> Netstack.Ipaddr.t option

@@ -29,12 +29,8 @@ val to_string : t -> string
 (** The labels, leftmost first: [labels (of_string "a.b")] = [["a"; "b"]]. *)
 val labels : t -> string list
 
-(** Inverse of {!labels}; labels are lowercased and may hold any octet,
-    dots included. @raise Invalid_argument as {!of_string}. *)
-val of_labels : string list -> t
-
-(** [cons label name] prepends one label. @raise Invalid_argument as
-    {!of_string}. *)
+(** [cons label name] prepends one label, lowercased; it may hold any
+    octet, dots included. @raise Invalid_argument as {!of_string}. *)
 val cons : string -> t -> t
 
 (** [append a b] is [a]'s labels followed by [b]'s: a plain string

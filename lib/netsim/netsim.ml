@@ -1,5 +1,3 @@
-let broadcast_mac = "\xff\xff\xff\xff\xff\xff"
-
 (* Which side of the wire a tapped frame was seen on: [Tx] as it leaves
    the sending NIC (before the fault layer — dropped frames are still
    observed leaving, exactly like a capture on the sending host), [Rx] as

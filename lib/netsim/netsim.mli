@@ -201,9 +201,6 @@ module Bridge : sig
   val services : t -> (string * string * int) list
 end
 
-(** Broadcast MAC, [ff:ff:ff:ff:ff:ff]. *)
-val broadcast_mac : string
-
 (** [mac_of_int i] derives a locally-administered unicast MAC from an
     integer — handy for generating fleets of NICs. *)
 val mac_of_int : int -> string

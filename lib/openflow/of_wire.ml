@@ -9,16 +9,6 @@ type match_ = {
   dl_dst : string;
 }
 
-let match_all =
-  {
-    wildcard_in_port = true;
-    in_port = 0;
-    wildcard_dl_src = true;
-    dl_src = "\000\000\000\000\000\000";
-    wildcard_dl_dst = true;
-    dl_dst = "\000\000\000\000\000\000";
-  }
-
 let match_l2 ~in_port ~dl_src ~dl_dst =
   {
     wildcard_in_port = false;

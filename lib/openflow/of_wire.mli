@@ -14,8 +14,6 @@ type match_ = {
   dl_dst : string;
 }
 
-val match_all : match_
-
 (** Exact L2 match on (in_port, src, dst). *)
 val match_l2 : in_port:int -> dl_src:string -> dl_dst:string -> match_
 

@@ -7,15 +7,12 @@
     JSON lines (see [Trace.export_jsonl]), then close [oc]. *)
 val write_jsonl : out_channel -> unit
 
-(** Multi-line summary: the instant-event counts ([Trace.counts]) under
-    [counters:], then one row per span name
-    and domain with count/mean/min/p50/p95/p99/max in microseconds
-    (percentiles from the span's histogram), plus an [all] row per span
-    name merging every domain's histogram. Returns [""] when nothing was
-    recorded. *)
-val summary_string : unit -> string
-
-(** Print {!summary_string} to stdout with a heading, if non-empty. *)
+(** Print a multi-line summary to stdout under a heading: the
+    instant-event counts ([Trace.counts]) under [counters:], then one row
+    per span name and domain with count/mean/min/p50/p95/p99/max in
+    microseconds (percentiles from the span's histogram), plus an [all]
+    row per span name merging every domain's histogram. Prints nothing
+    when nothing was recorded. *)
 val print_summary : unit -> unit
 
 (** Write the profiler's frame and hop tables to [oc] as JSON lines (see

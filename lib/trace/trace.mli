@@ -240,12 +240,9 @@ val span_stats : unit -> span_stat list
 
 (** {1 Export} *)
 
-(** One event as a single-line JSON object (no trailing newline):
+(** Write the whole trace as JSON lines: every retained event as
     [{"seq":..,"t":..,"dom":..,"cat":"..","name":"..","ph":"I|B|E",
-      "depth":..,"flow":..,"args":{..}}]. *)
-val to_json_line : event -> string
-
-(** Write the whole trace as JSON lines: every retained event, then one
+      "depth":..,"flow":..,"args":{..}}], then one
     [{"counter":..,"value":..}] line per instant-event name with its
     {!counts} entry, and one [{"span":..}] line per span
     statistic (count/total/min/max plus histogram-derived p50/p95/p99).

@@ -258,12 +258,6 @@ let test_verify_rejects_broken_plan () =
   | Error msg -> check_bool "names the stray" true (String.length msg > 0)
   | Ok () -> Alcotest.fail "unrequested service must fail verification"
 
-let test_config_find_exn () =
-  let cfg = Core.Config.make ~app_name:"x" ~roots:[ "kv" ] () in
-  match Core.Config.find_exn cfg "missing" with
-  | exception Core.Config.Missing_key _ -> ()
-  | _ -> Alcotest.fail "expected Missing_key"
-
 let test_sync_boot_slower_than_async () =
   let measure mode =
     let w = create () in
@@ -416,7 +410,6 @@ let () =
           Alcotest.test_case "table 2 magnitudes" `Quick test_table2_magnitudes;
           Alcotest.test_case "verify closure" `Quick test_verify_detects_closure;
           Alcotest.test_case "verify rejects broken plans" `Quick test_verify_rejects_broken_plan;
-          Alcotest.test_case "find_exn" `Quick test_config_find_exn;
         ] );
       ( "linker",
         [

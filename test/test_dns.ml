@@ -3,6 +3,9 @@ module P = Mthread.Promise
 
 let name = Dns.Dns_name.of_string
 
+(* A name from its labels, leftmost first, one [cons] at a time. *)
+let of_labels labels = List.fold_right Dns.Dns_name.cons labels (name ".")
+
 (* ---- names ---- *)
 
 let test_name_parsing () =
@@ -11,10 +14,10 @@ let test_name_parsing () =
   Alcotest.(check (list string)) "trailing dot" [ "a"; "b" ] (Dns.Dns_name.labels (name "a.b."));
   Alcotest.(check (list string)) "root" [] (Dns.Dns_name.labels (name "."));
   check_string "to_string" "www.example.com" (Dns.Dns_name.to_string (name "www.example.com"));
-  check_string "root prints dot" "." (Dns.Dns_name.to_string (Dns.Dns_name.of_labels []));
+  check_string "root prints dot" "." (Dns.Dns_name.to_string (of_labels []));
   check_string "wire form" "\003www\007example\003com" (name "WWW.example.com" :> string);
-  check_bool "of_labels inverts labels" true
-    (Dns.Dns_name.equal (Dns.Dns_name.of_labels [ "www"; "Example"; "com" ]) (name "www.example.com"));
+  check_bool "cons inverts labels" true
+    (Dns.Dns_name.equal (of_labels [ "www"; "Example"; "com" ]) (name "www.example.com"));
   check_bool "cons" true (Dns.Dns_name.equal (Dns.Dns_name.cons "WWW" (name "example.com")) (name "www.example.com"));
   check_bool "append" true
     (Dns.Dns_name.equal (Dns.Dns_name.append (name "a.b") (name "example.com")) (name "a.b.example.com"))
@@ -39,11 +42,11 @@ let test_name_suffix_label_boundary () =
   (* "\009a\007example" ends with the bytes of "\007example", but inside
      its one label. *)
   check_bool "bytes match off a label boundary" false
-    (Dns.Dns_name.is_suffix ~suffix:(name "example") (Dns.Dns_name.of_labels [ "a\007example" ]));
+    (Dns.Dns_name.is_suffix ~suffix:(name "example") (of_labels [ "a\007example" ]));
   let t = Dns.Compress.create Dns.Compress.Hashtable in
   Dns.Compress.add t (name "example") ~start:0 12;
   check_bool "compression never splits a label" true
-    (Dns.Compress.find_longest t (Dns.Dns_name.of_labels [ "a\007example" ]) = None)
+    (Dns.Compress.find_longest t (of_labels [ "a\007example" ]) = None)
 
 let rejects what f =
   match f () with
@@ -53,7 +56,7 @@ let rejects what f =
 let test_name_empty_label () =
   rejects "a..b.example" (fun () -> name "a..b.example");
   rejects "leading dot" (fun () -> name ".a");
-  rejects "of_labels empty label" (fun () -> Dns.Dns_name.of_labels [ "a"; ""; "b" ])
+  rejects "cons empty label" (fun () -> of_labels [ "a"; ""; "b" ])
 
 let test_name_long_label () =
   ignore (name (String.make 63 'a' ^ ".example"));
@@ -360,7 +363,7 @@ end
 let gen_message =
   let open QCheck.Gen in
   let gen_name =
-    map Dns.Dns_name.of_labels
+    map of_labels
       (list_size (int_range 0 4) (oneofl [ "a"; "www"; "mail"; "Example"; "com"; "x-1"; "zone" ]))
   in
   let u32 = map (fun i -> i land 0xFFFFFFFF) (int_bound 0x3FFFFFFF) in
@@ -595,7 +598,7 @@ let test_memo () =
 
 let test_memo_dotted_label_is_distinct () =
   let m = Dns.Memo.create () in
-  let labels = Dns.Dns_name.of_labels in
+  let labels = of_labels in
   Dns.Memo.add m ~qname:(labels [ "a"; "b"; "example" ]) ~qtype:Dns.Dns_wire.A (bs "THREE LABELS");
   check_bool "a label holding a dot is another name" true
     (Dns.Memo.find m ~qname:(labels [ "a.b"; "example" ]) ~qtype:Dns.Dns_wire.A = None);

@@ -97,10 +97,14 @@ let test_wire_bad_version () =
 
 let mac = Netsim.mac_of_int
 
+let match_all =
+  { (OF.match_l2 ~in_port:0 ~dl_src:(mac 0) ~dl_dst:(mac 0)) with
+    OF.wildcard_in_port = true; wildcard_dl_src = true; wildcard_dl_dst = true }
+
 let test_flow_table_priority () =
   let t = Openflow.Flow_table.create () in
   Openflow.Flow_table.add t
-    { Openflow.Flow_table.priority = 10; match_ = OF.match_all; actions = [ OF.Output 1 ]; cookie = 1L };
+    { Openflow.Flow_table.priority = 10; match_ = match_all; actions = [ OF.Output 1 ]; cookie = 1L };
   Openflow.Flow_table.add t
     { Openflow.Flow_table.priority = 100;
       match_ = OF.match_l2 ~in_port:1 ~dl_src:(mac 1) ~dl_dst:(mac 2);

@@ -14,6 +14,34 @@ let with_trace ?(capacity = 4096) f =
 
 let nth_event evs i = List.nth evs i
 
+(* Every line [Trace.export_jsonl] writes. *)
+let exported_lines () =
+  let file = Filename.temp_file "trace" ".jsonl" in
+  let oc = open_out file in
+  Trace.export_jsonl oc;
+  close_out oc;
+  let text = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  String.split_on_char '\n' text
+
+(* What [f ()] prints to stdout. *)
+let stdout_of f =
+  let file = Filename.temp_file "trace" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let text = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  text
+
 (* ---- ring buffer ---- *)
 
 let test_ring_wraparound () =
@@ -174,12 +202,7 @@ let test_counts_past_ring_wrap () =
       check_bool "the ring wrapped" true (Trace.dropped () > 0);
       let want = [ ("test.tick", 7); ("test.tock", 3) ] in
       check Alcotest.(list (pair string int)) "true count per name" want (Trace.counts ());
-      let file = Filename.temp_file "trace_counts" ".jsonl" in
-      let oc = open_out file in
-      Trace.export_jsonl oc;
-      close_out oc;
-      let lines = String.split_on_char '\n' (In_channel.with_open_text file In_channel.input_all) in
-      Sys.remove file;
+      let lines = exported_lines () in
       check
         Alcotest.(list string)
         "exported counter lines"
@@ -199,7 +222,9 @@ let test_counts_past_ring_wrap () =
         Alcotest.(list string)
         "summary counters"
         (List.map (fun (n, v) -> Printf.sprintf "  %-34s %12d" n v) want)
-        (section (after (String.split_on_char '\n' (Plane_cli.Trace_report.summary_string ()))));
+        (section
+           (after
+              (String.split_on_char '\n' (stdout_of Plane_cli.Trace_report.print_summary))));
       Trace.reset ();
       check_int "reset zeroes the counts" 0 (List.length (Trace.counts ()));
       Trace.emit ~cat "test.tick";
@@ -300,7 +325,7 @@ let traced_ping_run ~seed =
   in
   Engine.Sim.run w.sim;
   check_bool "ping completed" true (rtt > 0);
-  let lines = List.map Trace.to_json_line (Trace.events ()) in
+  let lines = List.filter (String.starts_with ~prefix:"{\"seq\"") (exported_lines ()) in
   let events = Trace.events () in
   Trace.quiesce ();
   (lines, events)
@@ -356,7 +381,8 @@ let test_appliance_boot_trace () =
       check_bool "boot took virtual time" true
         ((List.hd boot_spans).Trace.span_total_ns > 0);
       (* the summary renderer digests this state without blowing up *)
-      check_bool "summary non-empty" true (String.length (Plane_cli.Trace_report.summary_string ()) > 0))
+      check_bool "summary non-empty" true
+        (String.length (stdout_of Plane_cli.Trace_report.print_summary) > 0))
 
 (* ---- causal flow propagation ---- *)
 
