@@ -72,15 +72,6 @@ let unmap t ~by r =
   in
   e.mapped_by <- remove_one e.mapped_by
 
-let copy t ~by r ~dst =
-  let e = get t r in
-  if e.peer <> by then raise (Permission_denied r);
-  t.stats.Xstats.grant_copies <- t.stats.Xstats.grant_copies + 1;
-  trace_op "gnttab.copy" ~by r;
-  let page = page e in
-  let len = min (Bytestruct.length page) (Bytestruct.length dst) in
-  Bytestruct.blit page 0 dst 0 len
-
 let copy_to t ~by r ~src =
   let e = get t r in
   if e.peer <> by || not e.writable then raise (Permission_denied r);

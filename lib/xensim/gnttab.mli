@@ -22,7 +22,7 @@ val grant_access :
   t -> dom:int -> peer:int -> writable:bool -> Bytestruct.t -> grant_ref
 
 (** [grant_access_deferred t ~dom ~peer ~writable ~fill key] grants a
-    page that does not exist yet: the first {!map}, {!map_rw}, {!copy} or
+    page that does not exist yet: the first {!map}, {!map_rw} or
     {!copy_to} through the grant calls [fill key] once and keeps the page
     it returns. Receive credit posted on device rings is the intended
     user: netfront posts up to 511 buffers per vif, and in a large boot
@@ -41,9 +41,6 @@ val map : t -> by:int -> grant_ref -> Bytestruct.t
 val map_rw : t -> by:int -> grant_ref -> Bytestruct.t
 
 val unmap : t -> by:int -> grant_ref -> unit
-
-(** Hypervisor-mediated copy into [dst] (the non-zero-copy fallback path). *)
-val copy : t -> by:int -> grant_ref -> dst:Bytestruct.t -> unit
 
 (** Hypervisor-mediated copy of [src] into the granted page (netback's
     receive path, GNTTABOP_copy). @raise Permission_denied unless the grant

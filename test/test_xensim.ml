@@ -246,12 +246,9 @@ let test_gnttab_copy_ops () =
   let gt = w.hv.Xensim.Hypervisor.gnttab in
   let page = bs "SOURCE" in
   let r = Xensim.Gnttab.grant_access gt ~dom:1 ~peer:2 ~writable:true page in
-  let dst = Bytestruct.create 6 in
-  Xensim.Gnttab.copy gt ~by:2 r ~dst;
-  check_string "copy out" "SOURCE" (Bytestruct.to_string dst);
   Xensim.Gnttab.copy_to gt ~by:2 r ~src:(bs "TARGET");
   check_string "copy in" "TARGET" (Bytestruct.to_string page);
-  check_int "copies counted" 2 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.grant_copies
+  check_int "copies counted" 1 w.hv.Xensim.Hypervisor.stats.Xensim.Xstats.grant_copies
 
 (* A deferred grant has no page until the grantee first touches it;
    then the device's one fill function supplies it, keyed by credit,
