@@ -136,9 +136,10 @@ let window evs intervals =
     intervals;
   if !lo > !hi then (0, 0) else (!lo, !hi)
 
-(* Sweep the window's elementary slices; return (layer, ns) tallies.
-   The tallies partition [lo, hi] exactly. *)
-let attribute intervals ~lo ~hi =
+(* Sweep the window's elementary slices: [f ns covering] for each slice
+   of positive length [ns], with the intervals covering all of it. The
+   slices partition [lo, hi] exactly. *)
+let sweep_slices intervals ~lo ~hi f =
   let module IS = Set.Make (Int) in
   let pts =
     List.fold_left
@@ -147,33 +148,39 @@ let attribute intervals ~lo ~hi =
       intervals
     |> IS.elements
   in
+  let rec sweep = function
+    | a :: (b :: _ as rest) ->
+      if b > a then f (b - a) (List.filter (fun i -> i.i_lo <= a && i.i_hi >= b) intervals);
+      sweep rest
+    | _ -> ()
+  in
+  sweep pts
+
+(* The scheduler state under a slice with no layer interval: vcpu.run
+   (processing) over vcpu.wait (queueing), else none. *)
+let background covering =
+  if List.exists (fun i -> i.i_name = "vcpu.run") covering then Some "vcpu.run"
+  else if List.exists (fun i -> i.i_name = "vcpu.wait") covering then Some "vcpu.wait"
+  else None
+
+(* Return (layer, ns) tallies over the window's slices; they partition
+   [lo, hi] exactly. *)
+let attribute intervals ~lo ~hi =
   let tally = Hashtbl.create 16 in
   let add layer ns =
     Hashtbl.replace tally layer (ns + Option.value ~default:0 (Hashtbl.find_opt tally layer))
   in
-  let rec sweep = function
-    | a :: (b :: _ as rest) ->
-      if b > a then begin
-        let covering = List.filter (fun i -> i.i_lo <= a && i.i_hi >= b) intervals in
-        let layers = List.filter (fun i -> not (is_vcpu i)) covering in
-        (match layers with
-        | _ :: _ ->
-          (* innermost: latest start; break ties by name for determinism *)
-          let innermost =
-            List.fold_left
-              (fun best i -> if (i.i_lo, i.i_name) > (best.i_lo, best.i_name) then i else best)
-              (List.hd layers) (List.tl layers)
-          in
-          add innermost.i_name (b - a)
-        | [] ->
-          if List.exists (fun i -> i.i_name = "vcpu.run") covering then add "vcpu.run" (b - a)
-          else if List.exists (fun i -> i.i_name = "vcpu.wait") covering then add "vcpu.wait" (b - a)
-          else add "idle/wire" (b - a))
-      end;
-      sweep rest
-    | _ -> ()
-  in
-  sweep pts;
+  sweep_slices intervals ~lo ~hi (fun ns covering ->
+      match List.filter (fun i -> not (is_vcpu i)) covering with
+      | first :: rest ->
+        (* innermost: latest start; break ties by name for determinism *)
+        let innermost =
+          List.fold_left
+            (fun best i -> if (i.i_lo, i.i_name) > (best.i_lo, best.i_name) then i else best)
+            first rest
+        in
+        add innermost.i_name ns
+      | [] -> add (Option.value ~default:"idle/wire" (background covering)) ns);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [] |> List.sort compare
 
 (* ---- report ---- *)
@@ -310,36 +317,19 @@ let flame file =
     (fun (_, evs) ->
       let ivs = intervals_of evs in
       let lo, hi = window evs ivs in
-      let module IS = Set.Make (Int) in
-      let pts =
-        List.fold_left
-          (fun s i -> IS.add (max lo (min hi i.i_lo)) (IS.add (max lo (min hi i.i_hi)) s))
-          (IS.add lo (IS.add hi IS.empty))
-          ivs
-        |> IS.elements
-      in
-      let rec sweep = function
-        | a :: (b :: _ as rest) ->
-          if b > a then begin
-            let covering = List.filter (fun i -> i.i_lo <= a && i.i_hi >= b) ivs in
-            let layers =
-              List.filter (fun i -> not (is_vcpu i)) covering
-              |> List.sort (fun x y -> compare (x.i_lo, -x.i_hi, x.i_name) (y.i_lo, -y.i_hi, y.i_name))
-            in
-            let frames = List.map (fun i -> i.i_name) layers in
-            let frames =
-              if List.exists (fun i -> i.i_name = "vcpu.run") covering then frames @ [ "vcpu.run" ]
-              else if List.exists (fun i -> i.i_name = "vcpu.wait") covering then
-                frames @ [ "vcpu.wait" ]
-              else if frames = [] then [ "idle/wire" ]
-              else frames
-            in
-            add (String.concat ";" ("flow" :: frames)) (b - a)
-          end;
-          sweep rest
-        | _ -> ()
-      in
-      sweep pts)
+      sweep_slices ivs ~lo ~hi (fun ns covering ->
+          let frames =
+            List.filter (fun i -> not (is_vcpu i)) covering
+            |> List.sort (fun x y ->
+                   compare (x.i_lo, -x.i_hi, x.i_name) (y.i_lo, -y.i_hi, y.i_name))
+            |> List.map (fun i -> i.i_name)
+          in
+          let frames =
+            match background covering with
+            | Some bg -> frames @ [ bg ]
+            | None -> if frames = [] then [ "idle/wire" ] else frames
+          in
+          add (String.concat ";" ("flow" :: frames)) ns))
     flows;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) stacks []
   |> List.sort compare
