@@ -11,9 +11,10 @@
 #                             plane (disabled-site budgets, figure-8
 #                             invariance); then tools/links.sh -s prints
 #                             each example's linked units and text bytes,
-#                             and tools/surface.sh each library's exported
-#                             vals and optional parameters (for
-#                             information: neither gates)
+#                             tools/surface.sh each library's exported
+#                             vals and optional parameters, and
+#                             tools/loc.sh the source line counts (for
+#                             information: none of them gates)
 #   3. tools/check_fmt.sh   — dune + ocamlformat formatting gate
 #   4. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
@@ -44,6 +45,9 @@ tools/links.sh -s _build/default/examples/quickstart.exe _build/default/examples
 
 echo "== ci: exported vals and optional parameters per library (this tree) =="
 tools/surface.sh
+
+echo "== ci: source lines per directory (this tree) =="
+tools/loc.sh lib bin bench test examples
 
 echo "== ci: formatting =="
 tools/check_fmt.sh
