@@ -1,7 +1,13 @@
-(** The Xen split network driver (paper §3.4): a frontend in the guest and
-    a backend attached to a simulated NIC, connected by two shared rings
-    (TX, RX), grant references for payload pages, and event channels for
-    notifications.
+(** A guest's network device: one device with two attachments. Every
+    attachment has the same guest-facing state (domain, NIC, buffer
+    pool, listener, taps, frame counters) and the same write, delivery
+    and teardown semantics; only what lies between the guest and the
+    NIC differs.
+
+    The PV attachment ({!connect}) is the Xen split network driver
+    (paper §3.4): a frontend in the guest and a backend attached to a
+    simulated NIC, connected by two shared rings (TX, RX), grant
+    references for payload pages, and event channels for notifications.
 
     Transmit is zero-copy from the guest's perspective: the frame buffer
     (an I/O page view) is granted to the backend, which maps it and puts it
@@ -14,7 +20,7 @@
     ({!Xensim.Gnttab.grant_access_deferred}), and the buffer is drawn
     from the pool only when netback copies a frame in.
 
-    A second, {e direct} attachment mode serves the POSIX developer
+    The {e direct} attachment ({!connect_direct}) serves the POSIX developer
     targets (paper §5.4): no rings, grants or backend domain — frames go
     straight between the NIC and the guest, with the cost model carrying
     the difference. With [frame_tax] the domain pays the full userspace
@@ -40,8 +46,9 @@ val connect :
 
 (** [connect_direct ~dom ~nic ()] attaches [dom] to [nic] without the PV
     split-driver machinery — the host-kernel device path of the POSIX
-    targets. [frame_tax] charges the userspace per-frame copy + syscall
-    tax (tuntap); off by default. *)
+    targets. The device counts, taps, delivers and tears down exactly as
+    a PV one does. [frame_tax] charges the userspace per-frame copy +
+    syscall tax (tuntap); off by default. *)
 val connect_direct : dom:Xensim.Domain.t -> nic:Netsim.Nic.t -> ?frame_tax:bool -> unit -> t
 
 val mac : t -> string
@@ -75,7 +82,8 @@ val write : ?owner:Pktbuf.t -> t -> Bytestruct.t -> unit Mthread.Promise.t
     the view valid instead of copying. *)
 val set_listener : t -> (Bytestruct.t -> unit) -> unit
 
-(** Returned by {!tap}; pass to {!untap} to detach. *)
+(** Returned by {!tap}; pass to {!untap} on the same device to detach.
+    Handles are numbered per device. *)
 type tap_handle
 
 (** [tap t f] observes every frame this device transmits ([Tx], as the
@@ -84,8 +92,9 @@ type tap_handle
     shaped like {!Netsim.Bridge.tap}. [link] is this vif's
     {!Netsim.Nic.id}. When the frame is pktbuf-backed the backing buffer
     is the ambient {!Pktbuf.current} during the callback, so observers
-    can retain instead of copying. {!disconnect} detaches every tap; the
-    cost with none installed is one null check per frame. *)
+    can retain instead of copying. Both attachments fire the taps at
+    these points. {!disconnect} detaches every tap; the cost with none
+    installed is one null check per frame. *)
 val tap : t -> (dir:Netsim.dir -> link:int -> time_ns:int -> Bytestruct.t -> unit) -> tap_handle
 
 (** [untap t h] detaches a tap; unknown handles are ignored. *)
