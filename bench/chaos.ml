@@ -51,7 +51,7 @@ let alerting_run ~seed ~lossy =
     (Core.Apps.Net.Http.create w.Util.sim ~dom:web.Util.dom
        ~tcp:(N.Stack.tcp web.Util.stack) ~port:80 (fun _req ->
          P.return (Uhttp.Http_wire.response ~status:200 (String.make 512 'x'))));
-  ignore (Metrics.mount w.Util.sim ~dom:web.Util.dom ~port:9100 web.Util.stack);
+  Metrics.mount w.Util.sim ~dom:web.Util.dom ~port:9100 web.Util.stack;
   let client_tcp = N.Stack.tcp client.Util.stack in
   let dst = N.Stack.address web.Util.stack in
   P.async (fun () ->

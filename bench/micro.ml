@@ -258,8 +258,8 @@ type guard_row = {
 }
 
 let guard_rows () =
-  (* with the registry off, every subsystem's handle is detached like this *)
-  let m = Trace.Metrics.detached in
+  (* with the registry off, an HTTP server holds no latency histogram *)
+  let latency : Trace.Hist.t option = Sys.opaque_identity None in
   let cap : Capture.t option ref = ref None and frame = Bytestruct.create 64 in
   let prof_on () = Trace.Prof.enabled () || Trace.Flight.enabled () in
   [
@@ -270,8 +270,8 @@ let guard_rows () =
                 Trace.emit ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "guard.event") ] };
     { plane = "metrics"; on = Trace.Metrics.enabled; arm = Some Trace.Metrics.enable;
       sites =
-        [ ("inc-site", fun _ -> Trace.Metrics.inc m 1);
-          ("observe-site", fun i -> Trace.Metrics.observe m i) ];
+        [ ("latency-site", fun i ->
+              match latency with Some h -> Trace.Hist.record h i | None -> ()) ];
       disarm =
         (fun () ->
           let series = List.length (Trace.Metrics.snapshot ()) in

@@ -67,7 +67,6 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
     Printf.printf "\nwrote %s (libpcap, %d packets) and %s.flows (sidecar)\n" file
       (Capture.stored cap) file
   | _ -> ());
-  Capture.close cap;
   Trace.quiesce ()
 
 let cmd =

@@ -246,27 +246,9 @@ type t = {
   mutable c_untaps : (unit -> unit) list;  (* one per attached bridge or vif *)
 }
 
-(* All live captures, oldest first — the flight-recorder hook walks
-   this to freeze recent frames into postmortem bundles. *)
+(* All live captures, oldest first: the capture plane is on while this
+   is not empty, and a postmortem bundle freezes recent frames of each. *)
 let live : t list ref = ref []
-
-let create ?(name = "cap0") ?(capacity = 256) ?(snaplen = 65535) ?(filter = All) () =
-  if capacity <= 0 then invalid_arg "Capture.create: capacity must be positive";
-  if snaplen < 14 then invalid_arg "Capture.create: snaplen below an Ethernet header";
-  let c =
-    {
-      c_name = name;
-      c_filter = filter;
-      c_snaplen = snaplen;
-      c_ring = Array.make capacity None;
-      c_head = 0;
-      c_matched = 0;
-      c_evicted = 0;
-      c_untaps = [];
-    }
-  in
-  live := !live @ [ c ];
-  c
 
 let name c = c.c_name
 let matched c = c.c_matched
@@ -390,48 +372,68 @@ let close c =
   clear c;
   live := List.filter (fun c' -> c' != c) !live
 
-(* --- flight-recorder integration ---
+(* --- the capture plane ---
 
-   On a postmortem trip, freeze the last few captured frames of the
-   implicated flow into the bundle. The trip payloads emitted by the
-   TCP layer carry the flow's ports as ("port", Int _) / ("rport",
-   Int _); frames are filtered by those when present, otherwise the
-   most recent frames are taken as-is. *)
+   Captures join Trace's plane registry as "capture": on while any is
+   live, reset by closing every live one (so [Trace.quiesce] untaps them
+   and releases their frames), and, on a postmortem trip, adding the
+   last few captured frames of the implicated flow to the bundle. The
+   trip payloads emitted by the TCP layer carry the flow's ports as
+   ("port", Int _) / ("rport", Int _); frames are filtered by those when
+   present, otherwise the most recent frames are taken as-is. *)
 
 let flight_k = 16
 
 let rec drop n = function l when n <= 0 -> l | [] -> [] | _ :: tl -> drop (n - 1) tl
 
-let flight_lines ~dom:_ ~reason:_ ~payload =
-  match !live with
-  | [] -> ""
-  | captures ->
-    let ports =
-      List.filter_map
-        (function ("port" | "rport" | "lport"), Trace.Int p -> Some p | _ -> None)
-        payload
-    in
-    let relevant e =
-      match ports with
-      | [] -> true
-      | ps ->
-        has_ports e.en_frame
-        && (List.mem (src_port e.en_frame) ps || List.mem (dst_port e.en_frame) ps)
-    in
-    let b = Buffer.create 256 in
-    List.iter
-      (fun c ->
-        let es = List.filter relevant (entries c) in
-        let es = drop (List.length es - flight_k) es in
-        List.iter
-          (fun e ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 "{\"capture\":\"%s\",\"t\":%d,\"dir\":\"%s\",\"link\":%d,\"flow\":%d,\"len\":%d,\"frame\":\"%s\"}\n"
-                 c.c_name e.en_t (dir_name e.en_dir) e.en_link e.en_flow e.en_len
-                 (summarize e.en_frame)))
-          es)
-      captures;
-    Buffer.contents b
+let section ~dom:_ ~payload b =
+  let ports =
+    List.filter_map
+      (function ("port" | "rport" | "lport"), Trace.Int p -> Some p | _ -> None)
+      payload
+  in
+  let relevant e =
+    match ports with
+    | [] -> true
+    | ps ->
+      has_ports e.en_frame && (List.mem (src_port e.en_frame) ps || List.mem (dst_port e.en_frame) ps)
+  in
+  List.iter
+    (fun c ->
+      let es = List.filter relevant (entries c) in
+      let es = drop (List.length es - flight_k) es in
+      List.iter
+        (fun e ->
+          Printf.bprintf b
+            "{\"capture\":\"%s\",\"t\":%d,\"dir\":\"%s\",\"link\":%d,\"flow\":%d,\"len\":%d,\"frame\":\"%s\"}\n"
+            c.c_name e.en_t (dir_name e.en_dir) e.en_link e.en_flow e.en_len (summarize e.en_frame))
+        es)
+    !live
 
-let () = Trace.Flight.set_capture_hook (Some flight_lines)
+(* Registered by the program's first [create], so one that never
+   captures has no capture plane. *)
+let plane =
+  lazy
+    (Trace.register_plane "capture"
+       ~on:(fun () -> !live <> [])
+       ~reset:(fun () -> List.iter close !live)
+       ~section)
+
+let create ?(name = "cap0") ?(capacity = 256) ?(snaplen = 65535) ?(filter = All) () =
+  if capacity <= 0 then invalid_arg "Capture.create: capacity must be positive";
+  if snaplen < 14 then invalid_arg "Capture.create: snaplen below an Ethernet header";
+  Lazy.force plane;
+  let c =
+    {
+      c_name = name;
+      c_filter = filter;
+      c_snaplen = snaplen;
+      c_ring = Array.make capacity None;
+      c_head = 0;
+      c_matched = 0;
+      c_evicted = 0;
+      c_untaps = [];
+    }
+  in
+  live := !live @ [ c ];
+  c

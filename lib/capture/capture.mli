@@ -14,11 +14,12 @@
     {!Trace.Flow} id that [mirage_sim trace waterfall] prints, so a
     capture and a trace cross-reference.
 
-    Captures also feed the flight recorder: while any capture is live, a
+    Captures are a plane of {!Trace}'s registry, ["capture"],
+    registered by the program's first {!create}: it is on while any
+    capture is live, {!Trace.quiesce} closes every live capture, and a
     {!Trace.Flight.trip} bundle freezes the last few captured frames of
     the implicated flow (matched by the ["port"]/["rport"] fields of the
-    trip payload). The hook is installed when this module initialises,
-    which any program that makes a capture does. *)
+    trip payload). *)
 
 (** {1 Filters} *)
 
@@ -46,8 +47,8 @@ type t
 (** [create ()] makes a capture ring. [capacity] (default 256) bounds
     retained frames — the ring keeps the most recent matches; [snaplen]
     (default 65535) caps stored bytes per frame; [filter] defaults to
-    {!filter_all}. The capture is registered with the flight-recorder
-    hook until {!close}. *)
+    {!filter_all}. The capture is live, and so in the capture plane,
+    until {!close} or {!Trace.quiesce}. *)
 val create : ?name:string -> ?capacity:int -> ?snaplen:int -> ?filter:filter -> unit -> t
 
 val name : t -> string
@@ -105,6 +106,6 @@ val flows_json : t -> string
 (** Drop all retained frames (releasing their references). *)
 val clear : t -> unit
 
-(** Detach from every bridge and vif, drop retained frames, unregister
-    from the flight-recorder hook. *)
+(** Detach from every bridge and vif, drop retained frames, leave the
+    capture plane. *)
 val close : t -> unit

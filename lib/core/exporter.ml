@@ -7,5 +7,5 @@ let mount h ~port =
   (match Appliance.Handle.device h with
   | Device_sig.Stack ((module S), stack) ->
     let module E = Uhttp.Metrics_export.Make (S) in
-    ignore (E.mount dom.Xensim.Domain.sim ~dom ~port stack));
+    E.mount dom.Xensim.Domain.sim ~dom ~port stack);
   Appliance.Handle.advertise h ~port

@@ -202,6 +202,5 @@ let traced_capture ~name ~capacity ?snaplen ~filter body =
   body w cap;
   let pcap = Capture.to_pcap cap in
   let flows = Capture.flows_json cap in
-  Capture.close cap;
   Trace.quiesce ();
   (pcap, flows)

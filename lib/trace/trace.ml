@@ -1,30 +1,3 @@
-(* ---- plane registry ----
-
-   Every in-process observability plane (the event tracer, Metrics, Prof,
-   Flight) is one entry here: its on/off flag, how to clear it,
-   and how to forget a retired domain. A plane's [enabled ()] reads its
-   own entry's [on] field, so the registry adds nothing to a disabled
-   hot site; only the whole-process calls below walk the list. *)
-
-type plane = { name : string; mutable on : bool; reset : unit -> unit; drop_dom : int -> unit }
-
-let all_planes : plane list ref = ref []
-
-let register_plane ?(drop_dom = ignore) name reset =
-  let p = { name; on = false; reset; drop_dom } in
-  all_planes := !all_planes @ [ p ];
-  p
-
-let planes () = List.map (fun p -> (p.name, p.on)) !all_planes
-let drop_dom dom = List.iter (fun p -> p.drop_dom dom) !all_planes
-
-let quiesce () =
-  List.iter
-    (fun p ->
-      p.on <- false;
-      p.reset ())
-    !all_planes
-
 type category =
   | Sched
   | Boot
@@ -62,6 +35,44 @@ type event = {
   flow : int;
   payload : payload;
 }
+
+(* ---- plane registry ----
+
+   Every observability plane is one entry here: whether it is on, how to
+   turn it off and empty it, how to forget a retired domain, and the
+   lines it adds to a postmortem bundle. The in-process planes (the event
+   tracer, Metrics, Prof, Flight) each keep a [switch] that their
+   [enabled ()] reads, so the registry adds nothing to a disabled hot
+   site; the wire capture joins from above through [register_plane].
+   Only the whole-process calls below walk the list. *)
+
+type switch = { mutable on : bool }
+
+type plane = {
+  name : string;
+  is_on : unit -> bool;
+  reset : unit -> unit;  (* off, and empty *)
+  drop_dom : int -> unit;
+  section : dom:int -> payload:payload -> Buffer.t -> unit;  (* bundle lines *)
+}
+
+let all_planes : plane list ref = ref []
+
+let add_plane ?(drop_dom = ignore) ?(section = fun ~dom:_ ~payload:_ _ -> ()) name ~on ~reset =
+  all_planes := !all_planes @ [ { name; is_on = on; reset; drop_dom; section } ]
+
+let register_plane name ~on ~reset ~section = add_plane ~section name ~on ~reset
+
+let switch_plane ?drop_dom ?section name sw reset =
+  add_plane ?drop_dom ?section name
+    ~on:(fun () -> sw.on)
+    ~reset:(fun () ->
+      sw.on <- false;
+      reset ())
+
+let planes () = List.map (fun p -> (p.name, p.is_on ())) !all_planes
+let drop_dom dom = List.iter (fun p -> p.drop_dom dom) !all_planes
+let quiesce () = List.iter (fun p -> p.reset ()) !all_planes
 
 let default_capacity = 65536
 
@@ -308,7 +319,8 @@ let reset () =
   Hashtbl.reset t.counts;
   Hashtbl.reset t.spans
 
-let tracer = register_plane "trace" reset
+let tracer = { on = false }
+let () = switch_plane "trace" tracer reset
 let enabled () = tracer.on
 
 let enable ?(capacity = default_capacity) () =
@@ -536,23 +548,13 @@ let export_jsonl oc =
    appliance scrapes it. Orthogonal to the event tracer above: tracing
    can be off while the monitoring plane is on, and vice versa.
 
-   Cost discipline: with the registry disabled (the default) an update
-   site is one load and one predictable branch — `bench guard` pins
-   that cost. Pull-based metrics ([register_read]) cost
-   nothing at the update site at all: the callback reads state the
-   subsystem already maintains, evaluated only at snapshot time. *)
+   Pull only: a series reads state its owner already keeps (an int for
+   a counter or a gauge, a [Hist.t] for a summary), evaluated only at
+   snapshot time, so the registry adds nothing to any update site. *)
 
 module Metrics = struct
   type kind = Counter | Gauge | Summary
-
-  type metric = {
-    m_name : string;
-    m_dom : int;
-    m_kind : kind;
-    mutable m_value : int;
-    m_read : (unit -> int) option;
-    m_hist : Hist.t option;
-  }
+  type series = Read of kind * (unit -> int) | Dist of Hist.t
 
   type sample = {
     s_name : string;
@@ -564,7 +566,7 @@ module Metrics = struct
   }
 
   let quantiles = [ 0.5; 0.9; 0.99 ]
-  let registry : (string * int, metric) Hashtbl.t = Hashtbl.create 64
+  let registry : (string * int, series) Hashtbl.t = Hashtbl.create 64
   let reset () = Hashtbl.reset registry
 
   (* Domain teardown drops every series the domain registered, so read
@@ -578,58 +580,37 @@ module Metrics = struct
     in
     List.iter (Hashtbl.remove registry) doomed
 
-  let plane = register_plane ~drop_dom "metrics" reset
+  let plane = { on = false }
   let enabled () = plane.on
   let enable () = plane.on <- true
   let disable () = plane.on <- false
 
   (* Registration is itself gated: with the plane off, subsystem create
      paths leave no trace in the registry, so successive disabled runs in
-     one process cannot accumulate stale read callbacks. The returned
-     metric is then detached — updates to it are no-ops. *)
-  let register ?(dom = -1) ~kind ?read ?hist name =
-    let m = { m_name = name; m_dom = dom; m_kind = kind; m_value = 0; m_read = read; m_hist = hist } in
-    if plane.on then Hashtbl.replace registry (name, dom) m;
-    m
+     one process cannot accumulate stale read callbacks. *)
+  let register ?(dom = -1) name series =
+    if plane.on then Hashtbl.replace registry (name, dom) series
 
-  let counter ?dom name = register ?dom ~kind:Counter name
-  let summary ?dom name = register ?dom ~kind:Summary ~hist:(Hist.create ()) name
-  let register_read ?dom ~kind name read = ignore (register ?dom ~kind ~read name)
+  let register_read ?dom ~kind name read = register ?dom name (Read (kind, read))
+  let register_summary ?dom name h = register ?dom name (Dist h)
 
-  (* A metric attached to nothing: every update is a no-op. Lets a
-     subsystem keep one unconditional update site while opting out of
-     registration (e.g. the exposition server's own internal Uhttp). *)
-  let detached =
-    { m_name = ""; m_dom = -1; m_kind = Counter; m_value = 0; m_read = None; m_hist = None }
-
-  let inc m n =
-    if plane.on && n > 0 then
-      m.m_value <- (if m.m_value > max_int - n then max_int else m.m_value + n)
-
-  let observe m v =
-    if plane.on then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
-
-  let value m = match m.m_read with Some f -> f () | None -> m.m_value
-
-  let sample_of m =
-    match m.m_hist with
-    | Some h ->
+  let sample_of (name, dom) = function
+    | Dist h ->
       {
-        s_name = m.m_name;
-        s_dom = m.m_dom;
-        s_kind = m.m_kind;
+        s_name = name;
+        s_dom = dom;
+        s_kind = Summary;
         s_value = Hist.count h;
         s_sum = Hist.total h;
         s_quantiles = List.map (fun q -> (q, Hist.percentile h (q *. 100.))) quantiles;
       }
-    | None ->
-      { s_name = m.m_name; s_dom = m.m_dom; s_kind = m.m_kind; s_value = value m; s_sum = 0;
-        s_quantiles = [] }
+    | Read (kind, read) ->
+      { s_name = name; s_dom = dom; s_kind = kind; s_value = read (); s_sum = 0; s_quantiles = [] }
 
   let snapshot ?dom () =
     Hashtbl.fold
-      (fun (_, d) m acc ->
-        match dom with Some want when d <> want -> acc | _ -> sample_of m :: acc)
+      (fun ((_, d) as key) series acc ->
+        match dom with Some want when d <> want -> acc | _ -> sample_of key series :: acc)
       registry []
     |> List.sort (fun a b -> compare (a.s_name, a.s_dom) (b.s_name, b.s_dom))
 
@@ -662,6 +643,17 @@ module Metrics = struct
           Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" n lbl s.s_value))
       (snapshot ?dom ());
     Buffer.contents b
+
+  (* Bundle lines: the unattributed series and the tripping domain's. *)
+  let section ~dom ~payload:_ b =
+    let samples = if dom >= 0 then snapshot ~dom:(-1) () @ snapshot ~dom () else snapshot () in
+    List.iter
+      (fun s ->
+        Printf.bprintf b "{\"metric\":\"%s\",\"dom\":%d,\"value\":%d,\"sum\":%d}\n"
+          (json_escape s.s_name) s.s_dom s.s_value s.s_sum)
+      samples
+
+  let () = switch_plane ~drop_dom ~section "metrics" plane reset
 end
 
 (* ---- continuous virtual-time profiler ----
@@ -760,7 +752,7 @@ module Prof = struct
   (* Domain teardown: retired domains leave no stale series behind. *)
   let drop_dom dom = fold (fun () n -> Hashtbl.remove n.n_accs dom) () root
 
-  let plane = register_plane ~drop_dom "prof" reset
+  let plane = { on = false }
   let enabled () = plane.on
   let enable () = plane.on <- true
   let disable () = plane.on <- false
@@ -950,6 +942,11 @@ let add_profile_lines b =
         (Prof.hop_name h.h_hop) h.h_pkts h.h_vcpu_ns h.h_alloc_b)
     (Prof.hop_stats ())
 
+let () =
+  switch_plane ~drop_dom:Prof.drop_dom
+    ~section:(fun ~dom:_ ~payload:_ b -> add_profile_lines b)
+    "prof" Prof.plane Prof.reset
+
 let export_profile_jsonl oc =
   output_string oc "{\"profile\":\"v1\"}\n";
   let b = Buffer.create 4096 in
@@ -962,10 +959,11 @@ let export_profile_jsonl oc =
    probes, drops, state changes) plus named high-watermarks, kept even
    when full tracing is off. On a failure signal — TCP flow give-up,
    monitor alert firing, nonzero domain exit — [trip] freezes a
-   postmortem bundle: the tripping domain's recent notes, watermarks,
-   the profiler's frame and hop tables (when it is on), and a metrics
-   snapshot. Bundles are retained in memory (bounded)
-   and optionally written to a directory as JSONL. *)
+   postmortem bundle: the tripping domain's recent notes and the
+   watermarks, then the section of every registered plane that is on
+   (the profiler's frame and hop tables, a metrics snapshot, the
+   captured frames of the implicated flow). Bundles are retained in
+   memory (bounded) and optionally written to a directory as JSONL. *)
 
 module Flight = struct
   type fev = { fe_t : int; fe_dom : int; fe_cat : category; fe_name : string; fe_payload : payload }
@@ -1003,7 +1001,8 @@ module Flight = struct
 
   (* Domain teardown drops the retired domain's ring (postmortem-on-exit
      trips before this runs, so a crash bundle still sees the ring). *)
-  let plane = register_plane ~drop_dom:(Hashtbl.remove fs.rings) "flight" reset
+  let plane = { on = false }
+  let () = switch_plane ~drop_dom:(Hashtbl.remove fs.rings) "flight" plane reset
   let enabled () = plane.on
 
   let enable ?dir () =
@@ -1059,13 +1058,6 @@ module Flight = struct
 
   let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-  (* Wire-capture hook, installed by the capture plane (the Capture
-     library) from above this layer: given the trip's context it returns extra
-     bundle lines — the last few captured frames of the implicated flow —
-     or "" when nothing is captured. *)
-  let capture_hook : (dom:int -> reason:string -> payload:payload -> string) option ref = ref None
-  let set_capture_hook h = capture_hook := h
-
   let build_bundle ~dom ~reason ~payload =
     let b = Buffer.create 4096 in
     Buffer.add_string b
@@ -1081,24 +1073,7 @@ module Flight = struct
       (fun (name, v) ->
         Buffer.add_string b (Printf.sprintf "{\"watermark\":\"%s\",\"max\":%d}\n" (json_escape name) v))
       (watermarks ());
-    add_profile_lines b;
-    if Metrics.enabled () then begin
-      let samples =
-        if dom >= 0 then Metrics.snapshot ~dom:(-1) () @ Metrics.snapshot ~dom ()
-        else Metrics.snapshot ()
-      in
-      List.iter
-        (fun (s : Metrics.sample) ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"metric\":\"%s\",\"dom\":%d,\"value\":%d,\"sum\":%d}\n"
-               (json_escape s.Metrics.s_name) s.Metrics.s_dom s.Metrics.s_value s.Metrics.s_sum))
-        samples
-    end;
-    (match !capture_hook with
-    | None -> ()
-    | Some h ->
-      let s = h ~dom ~reason ~payload in
-      if s <> "" then Buffer.add_string b s);
+    List.iter (fun p -> if p.is_on () then p.section ~dom ~payload b) !all_planes;
     Buffer.contents b
 
   let trip ?(dom = -1) ?(payload = []) ~reason () =

@@ -107,15 +107,30 @@ end
 (** {1 Planes}
 
     The event tracer, {!Metrics}, {!Prof} and {!Flight} are the four
-    in-process observability planes. Each is switched on with its own
-    [enable] (which may take plane-specific settings), and all of them
-    register in one table that owns whole-process teardown. A plane's
-    [enabled ()] reads a single mutable field, so the table adds nothing
-    to a disabled hot site. *)
+    in-process observability planes; the wire capture (the [Capture]
+    library) is the fifth and joins from above with {!register_plane}.
+    Each is switched on with its own [enable] (which may take
+    plane-specific settings), and all of them register in one table that
+    owns whole-process teardown and the sections of a {!Flight.trip}
+    bundle. A plane's [enabled ()] reads a single mutable field, so the
+    table adds nothing to a disabled hot site. *)
 
 (** Every plane as [(name, on)], in registration order: ["trace"],
-    ["metrics"], ["prof"], ["flight"]. *)
+    ["metrics"], ["prof"], ["flight"], then ["capture"] once the program
+    has made a capture. *)
 val planes : unit -> (string * bool) list
+
+(** [register_plane name ~on ~reset ~section] adds a plane kept above
+    this library. [on ()] says whether it is live, [reset ()] turns it
+    off and empties it ({!quiesce} calls it), and [section ~dom ~payload
+    b] appends its lines to a {!Flight.trip} bundle for domain [dom] and
+    the trip's [payload], while it is on. *)
+val register_plane :
+  string ->
+  on:(unit -> bool) ->
+  reset:(unit -> unit) ->
+  section:(dom:int -> payload:payload -> Buffer.t -> unit) ->
+  unit
 
 (** [drop_dom dom] forgets [dom] in every plane: its metric series
     (whose read callbacks would otherwise pin the domain's devices and
@@ -126,8 +141,8 @@ val drop_dom : int -> unit
 (** Disable and reset every plane: afterwards each [enabled ()] is
     false and every table is empty (events, event counts, spans,
     metric registrations, profile stacks and hop counts, flight rings,
-    watermarks and bundles). The teardown for a run that owned the whole
-    process. *)
+    watermarks and bundles), and no capture is live. The teardown for a
+    run that owned the whole process. *)
 val quiesce : unit -> unit
 
 (** {1 Lifecycle of the event tracer} *)
@@ -257,14 +272,15 @@ val export_jsonl : out_channel -> unit
     text by the exposition handler ([Uhttp.Metrics_export]), which the
     monitor appliance scrapes over simulated TCP.
 
-    Orthogonal to the event tracer: either plane can be on while the
-    other is off. Disabled (the default), an update site costs one load
-    and one predictable branch, and registration is a no-op — figure
-    output is byte-identical with the plane compiled in. *)
+    Pull only: every series reads state its owner already keeps,
+    evaluated at snapshot time, so the registry adds nothing to any
+    update site. Orthogonal to the event tracer: either plane can be on
+    while the other is off. Disabled (the default), registration is a
+    no-op — figure output is byte-identical with the plane compiled
+    in. *)
 
 module Metrics : sig
   type kind = Counter | Gauge | Summary
-  type metric
 
   (** One registry entry at snapshot time. For counters/gauges, [s_value]
       is the value and the other fields are empty; for summaries,
@@ -287,30 +303,16 @@ module Metrics : sig
       state, so they must not outlive the world that registered them. *)
   val reset : unit -> unit
 
-  (** Register a push-updated metric owned by the caller. [dom] defaults
-      to [-1] (unattributed). When the plane is disabled the metric is
-      created but not entered in the registry, and updates to it are
-      no-ops. Re-registering the same (name, dom) replaces the entry. *)
-  val counter : ?dom:int -> string -> metric
-  val summary : ?dom:int -> string -> metric
-
-  (** [register_read ~dom ~kind name read] registers a pull metric whose
-      value is [read ()] evaluated at snapshot time — zero update-site
-      cost for stats the subsystem already maintains. *)
+  (** [register_read ~dom ~kind name read] registers a series whose
+      value is [read ()] evaluated at snapshot time. [dom] defaults to
+      [-1] (unattributed). A no-op while the plane is disabled;
+      re-registering the same (name, dom) replaces the entry. *)
   val register_read : ?dom:int -> kind:kind -> string -> (unit -> int) -> unit
 
-  (** A metric attached to nothing: every update is a no-op. Lets a
-      subsystem keep one unconditional update site while opting out of
-      registration. *)
-  val detached : metric
-
-  (** Saturating add of [n > 0] (counters). *)
-  val inc : metric -> int -> unit
-
-  (** Record one observation into a summary's histogram. *)
-  val observe : metric -> int -> unit
-
-  val value : metric -> int
+  (** [register_summary ~dom name h] registers a summary over the
+      caller's histogram [h], read at snapshot time; otherwise as
+      {!register_read}. *)
+  val register_summary : ?dom:int -> string -> Hist.t -> unit
 
   (** All samples, optionally restricted to one domain, sorted by
       (name, dom). Deterministic for deterministic runs. *)
@@ -458,9 +460,10 @@ val export_profile_jsonl : out_channel -> unit
     high-watermarks, cheap enough to leave always-on. On a failure signal
     — TCP flow give-up ([Timeout]), a monitor alert firing, a nonzero
     domain exit — {!Flight.trip} freezes a postmortem bundle: the
-    tripping domain's recent notes, the watermarks, the profiler's
-    frame and hop tables (when it is on) and a metrics
-    snapshot, as JSON lines. Bundles are retained in memory (last 8) and
+    tripping domain's recent notes and the watermarks, then the section
+    of every plane that is on (see {!register_plane}): the profiler's
+    frame and hop tables, a metrics snapshot, the last captured frames
+    of the implicated flow, as JSON lines. Bundles are retained in memory (last 8) and
     optionally written to a directory. Clean runs trip nothing and write
     nothing. *)
 
@@ -513,12 +516,4 @@ module Flight : sig
   val bundles : unit -> (string * string) list
 
   val last_bundle : unit -> (string * string) option
-
-  (** Install (or remove, with [None]) the wire-capture hook: called
-      while building each {!trip} bundle with the trip's context, it
-      returns extra bundle lines — the capture plane (the [Capture]
-      library, which installs it when its module initialises) uses this
-      to freeze the last few captured frames of the implicated flow into
-      the postmortem. Returning [""] appends nothing. *)
-  val set_capture_hook : (dom:int -> reason:string -> payload:payload -> string) option -> unit
 end

@@ -10,32 +10,24 @@
    ([register_metrics:false]) so the exposition path never overwrites
    the workload server's per-domain http_* series. *)
 
-let default_port = 9100
-
 module Make (S : Device_sig.STACK) = struct
   module Http = Server.Make (S.Tcp)
 
-  type t = { server : Http.t; port : int }
-
-  let mount sim ?dom ?(port = default_port) stack =
-    let mid = Option.map (fun d -> d.Xensim.Domain.id) dom in
-    let scrapes = Trace.Metrics.counter ?dom:mid "metrics_scrapes" in
+  let mount sim ~dom ~port stack =
+    let id = dom.Xensim.Domain.id in
+    let scrapes = ref 0 in
+    Trace.Metrics.register_read ~dom:id ~kind:Trace.Metrics.Counter "metrics_scrapes" (fun () ->
+        !scrapes);
     let handler (req : Http_wire.request) =
       match req.Http_wire.path with
       | "/metrics" ->
-        Trace.Metrics.inc scrapes 1;
+        incr scrapes;
         Mthread.Promise.return
           (Http_wire.response
              ~headers:[ ("Content-Type", "text/plain; version=0.0.4") ]
              ~status:200
-             (Trace.Metrics.to_text ?dom:mid ()))
+             (Trace.Metrics.to_text ~dom:id ()))
       | _ -> Mthread.Promise.return (Http_wire.response ~status:404 "not found")
     in
-    let server =
-      Http.create sim ?dom ~register_metrics:false ~tcp:(S.tcp stack) ~port handler
-    in
-    { server; port }
-
-  let port t = t.port
-  let scrapes_served t = Http.requests_served t.server
+    ignore (Http.create sim ~dom ~register_metrics:false ~tcp:(S.tcp stack) ~port handler)
 end

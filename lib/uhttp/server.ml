@@ -15,7 +15,7 @@ module Make (T : Device_sig.TCP) = struct
     mutable connections : int;
     mutable bad : int;
     mutable bytes_sent : int;
-    m_latency : Trace.Metrics.metric;  (* http_request_ns summary *)
+    latency : Trace.Hist.t option;  (* the http_request_ns summary, when registered *)
     (* drain state: a draining server has unlistened its port, finishes
        the request in flight on each open connection byte-for-byte, then
        closes instead of continuing the keep-alive loop. *)
@@ -80,7 +80,7 @@ module Make (T : Device_sig.TCP) = struct
               T.write flow data >>= fun () ->
               Trace.finish sp;
               let latency_ns = Engine.Sim.now t.sim - started in
-              Trace.Metrics.observe t.m_latency latency_ns;
+              (match t.latency with Some h -> Trace.Hist.record h latency_ns | None -> ());
               (match t.on_request with None -> () | Some f -> f ~latency_ns);
               busy := false;
               if ka && not t.draining then loop () else T.close flow
@@ -106,10 +106,6 @@ module Make (T : Device_sig.TCP) = struct
       ?on_request handler =
     let mid = Option.map (fun d -> d.Xensim.Domain.id) dom in
     let registered = register_metrics && Trace.Metrics.enabled () in
-    let m_latency =
-      if registered then Trace.Metrics.summary ?dom:mid "http_request_ns"
-      else Trace.Metrics.detached
-    in
     let t =
       {
         sim;
@@ -126,7 +122,7 @@ module Make (T : Device_sig.TCP) = struct
         connections = 0;
         bad = 0;
         bytes_sent = 0;
-        m_latency;
+        latency = (if registered then Some (Trace.Hist.create ()) else None);
         bound = None;
         active = 0;
         flows = [];
@@ -135,6 +131,7 @@ module Make (T : Device_sig.TCP) = struct
       }
     in
     if registered then begin
+      Option.iter (Trace.Metrics.register_summary ?dom:mid "http_request_ns") t.latency;
       let reg name read =
         Trace.Metrics.register_read ?dom:mid ~kind:Trace.Metrics.Counter name read
       in

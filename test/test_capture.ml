@@ -1,7 +1,8 @@
 (* Wire-level observability: the pcap format, the capture-filter
    language, the capture ring's ownership/eviction behaviour, pcap
    determinism on the pinned scenario, ss-style introspection matching
-   the TCP state machine, and the flight-recorder capture splice. *)
+   the TCP state machine, the capture plane's teardown and its
+   postmortem section. *)
 
 module P = Mthread.Promise
 
@@ -191,6 +192,33 @@ let test_close_detaches_vif () =
       let cfg = Netstack.Stack.Static (Core.World.static_ip "10.0.0.1") in
       (netif, Core.World.run w (Netstack.Stack.create w.sim ~dom ~netif cfg)))
 
+(* ---- Trace.quiesce closes a capture left open ---- *)
+
+(* The capture plane's reset closes every live capture: after
+   [Trace.quiesce] the plane is off, the ring is empty and every pool
+   buffer it held is back with the sender. *)
+let test_quiesce_closes_captures () =
+  let w = Core.World.create ~seed:5 () in
+  let a = Core.World.host w ~name:"a" ~ip:"10.0.0.1" () in
+  let b = Core.World.host w ~name:"b" ~ip:"10.0.0.2" () in
+  let exchange () =
+    Core.World.run w
+      (Netstack.Udp.sendto (Netstack.Stack.udp a.stack) ~src_port:7
+         ~dst:(Netstack.Stack.address b.stack) ~dst_port:7 (Bytestruct.of_string "ping"));
+    Engine.Sim.run ~until:(Engine.Sim.now w.sim + Engine.Sim.ms 10) w.sim
+  in
+  let pool = Devices.Netif.pool a.netif in
+  let cap = Capture.create ~name:"left-open" () in
+  Capture.attach_bridge cap w.bridge;
+  exchange ();
+  Alcotest.(check bool) "the capture holds the sender's buffers" true (Pktbuf.outstanding pool > 0);
+  Alcotest.(check bool) "capture plane on" true (List.assoc "capture" (Trace.planes ()));
+  Trace.quiesce ();
+  Alcotest.(check int) "sender's pool buffers returned" 0 (Pktbuf.outstanding pool);
+  Alcotest.(check bool) "capture plane off" false (List.assoc "capture" (Trace.planes ()));
+  exchange ();
+  Alcotest.(check int) "untapped: nothing stored" 0 (Capture.stored cap)
+
 (* ---- pinned-scenario determinism + golden cross-check ---- *)
 
 let test_capture_deterministic () =
@@ -314,7 +342,7 @@ let test_ss_matches_tcp_state () =
        (fun r -> r.Netstack.Tcp.si_state <> "ESTABLISHED")
        (Netstack.Tcp.sockets (Netstack.Stack.tcp client)))
 
-(* ---- flight-recorder capture splice ---- *)
+(* ---- the capture plane's postmortem section ---- *)
 
 let test_flight_includes_capture () =
   Trace.Flight.reset ();
@@ -337,13 +365,14 @@ let test_flight_includes_capture () =
       (contains ~needle:":80 " bundle);
     Alcotest.(check bool) "unrelated flow filtered out" true
       (not (contains ~needle:":9999" bundle)));
-  Capture.close cap;
-  (* with no live captures the hook contributes nothing *)
+  (* quiesce closes the capture: with none live, the plane adds nothing *)
+  Trace.quiesce ();
+  Trace.Flight.enable ();
   Trace.Flight.trip ~dom:1 ~payload:[ ("port", Trace.Int 80) ] ~reason:"tcp.timeout" ();
   (match Trace.Flight.last_bundle () with
   | None -> Alcotest.fail "no second bundle"
   | Some (_, bundle) ->
-    Alcotest.(check bool) "no capture lines after close" true
+    Alcotest.(check bool) "no capture lines after quiesce" true
       (not (contains ~needle:"\"capture\":" bundle)));
   Trace.quiesce ()
 
@@ -361,6 +390,7 @@ let () =
         [
           Alcotest.test_case "bounded eviction + snaplen" `Quick test_ring_eviction;
           Alcotest.test_case "close detaches vif taps" `Quick test_close_detaches_vif;
+          Alcotest.test_case "quiesce closes live captures" `Quick test_quiesce_closes_captures;
         ] );
       ( "determinism",
         [ Alcotest.test_case "pinned scenario byte-identical" `Quick test_capture_deterministic ]
