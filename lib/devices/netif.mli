@@ -124,7 +124,14 @@ val rx_ring_slots : t -> int
 val rx_posted : t -> int
 
 val tx_frames : t -> int
+
+(** Frames received for the guest. PV: every frame that found posted
+    receive credit, including one that arrives while no listener is set
+    (the Rx taps still see it). Direct: every frame that arrives while a
+    listener is set. *)
 val rx_frames : t -> int
 
-(** Frames dropped because no receive buffer was posted. *)
+(** Frames dropped on arrival. PV: those that found no posted receive
+    credit. Direct: those that arrive while no listener is set; the Rx
+    taps never see them. *)
 val rx_dropped : t -> int
