@@ -253,6 +253,65 @@ let test_lb_hash_pinned () =
     "backend per client" [ "web.0"; "web.1"; "web.0"; "web.1" ]
     (List.map chosen [ "10.0.0.21"; "10.0.0.22"; "10.0.0.23"; "10.0.0.24" ])
 
+(* ---- the splice ----
+
+   [read] returns a chunk that is valid only until the next read, and a
+   [write] queues its buffer until the peer acknowledges it, so the
+   balancer must copy what it reads before writing it on. 400 000 bytes
+   spliced client -> balancer -> backend arrive intact, over a clean and
+   a lossy balancer link, on three seeds. *)
+let test_lb_splice_intact () =
+  let module Tcp = Netstack.Tcp in
+  let len = 400_000 in
+  let data = pattern len in
+  List.iter
+    (fun (seed, loss) ->
+      let label = Printf.sprintf "seed %d, loss %.2f" seed loss in
+      let w = create ~seed () in
+      let backend = host w ~name:"backend" ~ip:"10.0.0.11" () in
+      let lb_host = host w ~name:"lb" ~ip:"10.0.0.2" () in
+      let client = host w ~name:"client" ~ip:"10.0.0.9" () in
+      if loss > 0.0 then Netsim.Bridge.set_loss w.bridge lb_host.nic loss;
+      (* no health round falls inside the transfer *)
+      let lb =
+        LB.create w.sim ~check_interval_ns:(sec 600) ~tcp:(Netstack.Stack.tcp lb_host.stack)
+          ~port:80 ()
+      in
+      LB.add_backend lb ~name:"sink" ~addr:(Netstack.Stack.address backend.stack) ~port:80
+        ~health_port:9100;
+      let got = Buffer.create len in
+      let eof, eof_u = P.wait () in
+      Tcp.listen (Netstack.Stack.tcp backend.stack) ~port:80 (fun flow ->
+          let rec drain () =
+            Tcp.read flow >>= function
+            | None ->
+              P.wakeup eof_u ();
+              Tcp.close flow
+            | Some c ->
+              Buffer.add_string got (Bytestruct.to_string c);
+              drain ()
+          in
+          drain ());
+      let rec send flow off =
+        if off >= len then Tcp.close flow
+        else
+          let n = min 8192 (len - off) in
+          Tcp.write flow (bs (String.sub data off n)) >>= fun () -> send flow (off + n)
+      in
+      run w
+        ( Tcp.connect (Netstack.Stack.tcp client.stack) ~dst:(Netstack.Stack.address lb_host.stack)
+            ~dst_port:80
+        >>= fun flow -> send flow 0 );
+      run w eof;
+      let got = Buffer.contents got in
+      check_int (label ^ ": length") len (String.length got);
+      let first_bad =
+        let rec go i = if i >= len || got.[i] <> data.[i] then i else go (i + 1) in
+        go 0
+      in
+      check_int (label ^ ": first corrupted offset") len first_bad)
+    [ (1, 0.0); (2, 0.0); (3, 0.0); (1, 0.02); (2, 0.02); (3, 0.02) ]
+
 (* ---- Boot_spec.clone ---- *)
 
 let test_boot_spec_clone () =
@@ -375,6 +434,7 @@ let () =
             test_lb_spreads_and_survives_backend_death;
           Alcotest.test_case "hash policy pins a connection" `Quick test_lb_hash_affinity;
           Alcotest.test_case "hash policy keys on the endpoint's value" `Quick test_lb_hash_pinned;
+          Alcotest.test_case "splice delivers every byte intact" `Quick test_lb_splice_intact;
           Alcotest.test_case "latency window forgets old samples" `Quick
             test_window_forgets_old_samples;
         ] );

@@ -723,6 +723,63 @@ let test_tcp_unread_data_survives_flow_removal () =
     | None -> false);
   check_bool "then end-of-stream" true (run w (N.Tcp.read flow) = None)
 
+(* A connection that finishes closing holds no pool page, 2 MSL early.
+   Each end reads one chunk and keeps it; the client leaves a second
+   chunk unread. Whichever end closes first (or both at once) lingers
+   in TIME_WAIT, and by then the chunk it read last is released and the
+   unread one copied out: a late read still sees its bytes. *)
+let test_tcp_time_wait_holds_no_pool_refs () =
+  let scenario label ~client_close ~server_close =
+    let w, a, b = pair_world () in
+    let ta = N.Stack.tcp a.stack and tb = N.Stack.tcp b.stack in
+    let server = ref None and held = ref [] in
+    let at delay flow =
+      ignore (Engine.Sim.schedule w.sim ~delay (fun () -> ignore (N.Tcp.close flow)))
+    in
+    N.Tcp.listen tb ~port:5001 (fun flow ->
+        server := Some flow;
+        N.Tcp.read flow >>= fun c ->
+        held := c :: !held;
+        N.Tcp.write flow (bs "first") >>= fun () ->
+        P.sleep w.sim (Engine.Sim.ms 1) >>= fun () ->
+        N.Tcp.write flow (bs "second") >>= fun () ->
+        at server_close flow;
+        P.return ());
+    let client =
+      run w
+        ( N.Tcp.connect ta ~dst:(N.Stack.address b.stack) ~dst_port:5001 >>= fun flow ->
+          N.Tcp.write flow (bs "hello") >>= fun () ->
+          N.Tcp.read flow >>= fun c ->
+          held := c :: !held;
+          P.return flow )
+    in
+    at client_close client;
+    let start = Engine.Sim.now w.sim in
+    let flows () = client :: Option.to_list !server in
+    let finished f = List.mem (N.Tcp.state_name f) [ "TIME_WAIT"; "CLOSED" ] in
+    while not (List.length (flows ()) = 2 && List.for_all finished (flows ())) do
+      if not (Engine.Sim.step w.sim) then Alcotest.failf "%s: the connection never closed" label
+    done;
+    check_int (label ^ ": both ends read a chunk") 2 (List.length !held);
+    check_bool (label ^ ": an end lingers in TIME_WAIT") true
+      (List.exists (fun f -> N.Tcp.state_name f = "TIME_WAIT") (flows ()));
+    check_bool (label ^ ": within 2 MSL") true
+      (Engine.Sim.now w.sim < start + Engine.Sim.sec 2);
+    check_int (label ^ ": client pool empty") 0 (Pktbuf.outstanding (Devices.Netif.pool a.netif));
+    check_int (label ^ ": server pool empty") 0 (Pktbuf.outstanding (Devices.Netif.pool b.netif));
+    check_bool (label ^ ": the unread chunk survives") true
+      (match run w (N.Tcp.read client) with
+      | Some c -> Bytestruct.to_string c = "second"
+      | None -> false);
+    check_bool (label ^ ": then end-of-stream") true (run w (N.Tcp.read client) = None);
+    Engine.Sim.run w.sim;
+    check_int (label ^ ": both flows gone") 0 (N.Tcp.active_flows ta + N.Tcp.active_flows tb)
+  in
+  let ms = Engine.Sim.ms in
+  scenario "client closes first" ~client_close:(ms 20) ~server_close:(ms 40);
+  scenario "server closes first" ~client_close:(ms 40) ~server_close:(ms 20);
+  scenario "simultaneous close" ~client_close:(ms 20) ~server_close:(ms 20)
+
 (* [data] in 8 KB writes, then [close]. Beyond the 128 KB receive window
    plus the 256 KB send buffer, a writer whose bytes are not acknowledged
    blocks — and a flow that gives up wakes it with [Timeout]. *)
@@ -1279,6 +1336,8 @@ let () =
             test_tcp_discarded_flows_release_pool_refs;
           Alcotest.test_case "unread data survives flow removal" `Quick
             test_tcp_unread_data_survives_flow_removal;
+          Alcotest.test_case "TIME_WAIT holds no pool page" `Quick
+            test_tcp_time_wait_holds_no_pool_refs;
           Alcotest.test_case "clean transfer leaves no timer" `Quick
             test_tcp_clean_transfer_leaves_no_timer;
           Alcotest.test_case "vanished peer leaves no timer" `Quick

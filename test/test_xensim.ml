@@ -29,6 +29,62 @@ let test_pt_overlap_rejected () =
   | exception Xensim.Pagetable.Overlap _ -> ()
   | _ -> Alcotest.fail "overlap should be rejected"
 
+(* Five disjoint regions inserted in every rotation and in reverse: an
+   insert that overlaps one or several of them is rejected with the
+   same message whatever the insertion order (the lowest-addressed
+   region it overlaps is named), and lookups agree. *)
+let test_pt_overlap_order_independent () =
+  let module Pt = Xensim.Pagetable in
+  let regions =
+    [ (0x1000, 0x1000, "a"); (0x3000, 0x2000, "b"); (0x6000, 0x1000, "c"); (0x8000, 0x3000, "d");
+      (0xc000, 0x1000, "e") ]
+  in
+  let orders =
+    List.init (List.length regions) (fun k ->
+        List.filteri (fun i _ -> i >= k) regions @ List.filteri (fun i _ -> i < k) regions)
+    @ [ List.rev regions ]
+  in
+  let build order =
+    let pt = Pt.create () in
+    List.iter (fun (va, len, label) -> Pt.add_region pt ~va ~len ~perm:Pt.Read_write ~label) order;
+    pt
+  in
+  let overlap_msg pt ~va ~len =
+    match Pt.add_region pt ~va ~len ~perm:Pt.Read_only ~label:"new" with
+    | exception Pt.Overlap msg -> msg
+    | () -> Alcotest.failf "[0x%x,0x%x) should overlap" va (va + len)
+  in
+  let probes =
+    [
+      (0x1800, 0x100, "region new [0x1800,0x1900) overlaps a [0x1000,0x2000)");
+      (0x4fff, 0x1, "region new [0x4fff,0x5000) overlaps b [0x3000,0x5000)");
+      (0x1800, 0x5000, "region new [0x1800,0x6800) overlaps a [0x1000,0x2000)");
+      (0x0, 0x10000, "region new [0x0,0x10000) overlaps a [0x1000,0x2000)");
+      (0x5000, 0x4000, "region new [0x5000,0x9000) overlaps c [0x6000,0x7000)");
+      (0xa000, 0x3000, "region new [0xa000,0xd000) overlaps d [0x8000,0xb000)");
+    ]
+  in
+  List.iteri
+    (fun i order ->
+      let pt = build order in
+      List.iter
+        (fun (va, len, want) ->
+          check_string (Printf.sprintf "order %d: overlap at 0x%x" i va) want (overlap_msg pt ~va ~len))
+        probes;
+      (* adjacent and in-gap inserts are not overlaps *)
+      Pt.add_region pt ~va:0x2000 ~len:0x1000 ~perm:Pt.Read_exec ~label:"gap";
+      Pt.add_region pt ~va:0xd000 ~len:0x1000 ~perm:Pt.Read_exec ~label:"tail";
+      List.iter
+        (fun (va, w, x) ->
+          check_bool (Printf.sprintf "order %d: write 0x%x" i va) w (Pt.can_write pt ~va);
+          check_bool (Printf.sprintf "order %d: exec 0x%x" i va) x (Pt.can_exec pt ~va))
+        [
+          (0x0, false, false); (0x1000, true, false); (0x1fff, true, false); (0x2000, false, true);
+          (0x3000, true, false); (0x5000, false, false); (0xbfff, false, false);
+          (0xc000, true, false); (0xdfff, false, true); (0xe000, false, false);
+        ])
+    orders
+
 let test_seal_blocks_modification () =
   let pt = pt_with_regions () in
   Xensim.Pagetable.seal pt;
@@ -845,6 +901,8 @@ let () =
         [
           Alcotest.test_case "permissions" `Quick test_pt_basic;
           Alcotest.test_case "overlap rejected" `Quick test_pt_overlap_rejected;
+          Alcotest.test_case "overlap independent of insertion order" `Quick
+            test_pt_overlap_order_independent;
           Alcotest.test_case "seal blocks modification" `Quick test_seal_blocks_modification;
           Alcotest.test_case "code injection blocked" `Quick test_seal_code_injection_scenario;
           Alcotest.test_case "io mappings survive seal" `Quick test_seal_allows_io_mappings;
