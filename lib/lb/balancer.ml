@@ -139,12 +139,14 @@ module Make (T : Device_sig.TCP) = struct
   (* ---- the splice ---- *)
 
   (* One direction: copy until EOF, then half-close the other side; a
-     reset on either side aborts both. *)
+     reset on either side aborts both. Each chunk is copied before it is
+     written on: [read]'s chunk is valid only until the next read, and
+     [write] keeps its buffer queued until the peer acknowledges it. *)
   let pump src dst =
     let rec loop () =
       T.read src >>= function
       | None -> T.close dst
-      | Some b -> T.write dst b >>= fun () -> loop ()
+      | Some b -> T.write dst (Bytestruct.copy b) >>= fun () -> loop ()
     in
     Mthread.Promise.catch loop (fun _ ->
         T.abort dst;
