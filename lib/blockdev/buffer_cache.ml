@@ -1,19 +1,22 @@
-(* LRU over page-sized cache lines, keyed by page index. The recency list
-   is a simple doubly-ended structure via generation counters: each access
-   stamps the entry; eviction scans for the oldest. Cache sizes in the
-   benchmarks are a few thousand pages, so the scan is acceptable and the
-   code stays obvious. *)
+(* LRU over page-sized cache lines, keyed by page index. Resident
+   entries sit on an intrusive doubly linked recency list, least
+   recently used first, so a touch, an insert, an eviction and an
+   invalidation are each O(1). A buffered Figure 9 run inserts 8 192 to
+   16 384 pages into a full 4 096-page cache; a scan per insert for the
+   oldest entry was most of that figure's host time. The list evicts
+   exactly the entry such a scan would: every touch and insert moves an
+   entry to the back, so the front is always the least recently used. *)
 
 let page_sectors disk = max 1 (4096 / Disk.sector_bytes disk)
 
-type entry = { mutable stamp : int }
+type entry = { page : int; mutable prev : entry; mutable next : entry }
 
 type t = {
   sim : Engine.Sim.t;
   disk : Disk.t;
   cache_pages : int;
   entries : (int, entry) Hashtbl.t;
-  mutable clock : int;
+  lru : entry;  (* sentinel: [lru.next] is the least recently used entry *)
   mutable hits : int;
   mutable misses : int;
   mutable copy_busy_until : int;
@@ -22,44 +25,57 @@ type t = {
 let copy_bandwidth_bytes_per_sec = 320_000_000
 
 let create sim ?(cache_pages = 4096) disk =
+  let rec lru = { page = -1; prev = lru; next = lru } in
   {
     sim;
     disk;
     cache_pages;
     entries = Hashtbl.create (2 * cache_pages);
-    clock = 0;
+    lru;
     hits = 0;
     misses = 0;
     copy_busy_until = 0;
   }
 
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+let push_back t e =
+  e.prev <- t.lru.prev;
+  e.next <- t.lru;
+  t.lru.prev.next <- e;
+  t.lru.prev <- e
+
 let touch t page =
-  t.clock <- t.clock + 1;
   match Hashtbl.find_opt t.entries page with
   | Some e ->
-    e.stamp <- t.clock;
+    unlink e;
+    push_back t e;
     true
   | None -> false
 
 let evict_if_full t =
-  if Hashtbl.length t.entries >= t.cache_pages then begin
-    let victim = ref (-1) and oldest = ref max_int in
-    Hashtbl.iter
-      (fun page e ->
-        if e.stamp < !oldest then begin
-          oldest := e.stamp;
-          victim := page
-        end)
-      t.entries;
-    if !victim >= 0 then Hashtbl.remove t.entries !victim
+  let oldest = t.lru.next in
+  if Hashtbl.length t.entries >= t.cache_pages && oldest != t.lru then begin
+    unlink oldest;
+    Hashtbl.remove t.entries oldest.page
   end
 
 let insert t page =
   if not (Hashtbl.mem t.entries page) then begin
     evict_if_full t;
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.entries page { stamp = t.clock }
+    let rec e = { page; prev = e; next = e } in
+    push_back t e;
+    Hashtbl.replace t.entries page e
   end
+
+let invalidate t page =
+  match Hashtbl.find_opt t.entries page with
+  | Some e ->
+    unlink e;
+    Hashtbl.remove t.entries page
+  | None -> ()
 
 (* The kernel/userspace copy serialises through one path; its bandwidth is
    the buffered plateau. *)
@@ -117,7 +133,7 @@ let write t ~sector data =
   let count = Bytestruct.length data / Disk.sector_bytes t.disk in
   let first_page = sector / ps and last_page = (sector + max 1 count - 1) / ps in
   for p = first_page to last_page do
-    Hashtbl.remove t.entries p
+    invalidate t p
   done;
   bind (sleep t.sim (copy_delay t ~bytes:(Bytestruct.length data))) (fun () ->
       Disk.write t.disk ~sector data)
@@ -125,3 +141,4 @@ let write t ~sector data =
 let hits t = t.hits
 let misses t = t.misses
 let resident_pages t = Hashtbl.length t.entries
+let resident t ~page = Hashtbl.mem t.entries page

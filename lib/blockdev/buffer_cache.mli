@@ -26,3 +26,6 @@ val write : t -> sector:int -> Bytestruct.t -> unit Mthread.Promise.t
 val hits : t -> int
 val misses : t -> int
 val resident_pages : t -> int
+
+(** Is the page with index [page] (sector / sectors per page) cached? *)
+val resident : t -> page:int -> bool

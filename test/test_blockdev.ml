@@ -162,6 +162,82 @@ let test_cache_eviction_bounded () =
   done;
   check_bool "resident bounded" true (Blockdev.Buffer_cache.resident_pages bc <= 16)
 
+(* The LRU evicts exactly what a scan for the oldest stamp evicts. The
+   model is that scan: every touch and insert stamps a page from one
+   clock, and a full cache evicts the resident page with the smallest
+   stamp. Over random reads (1-3 pages) and invalidating writes, the
+   cache and the model agree after every operation on the hit and miss
+   counts and on which pages are resident. *)
+module Scan_model = struct
+  type t = { cap : int; stamps : (int, int) Hashtbl.t; mutable clock : int }
+
+  let create cap = { cap; stamps = Hashtbl.create 16; clock = 0 }
+
+  let touch m p =
+    m.clock <- m.clock + 1;
+    if Hashtbl.mem m.stamps p then begin
+      Hashtbl.replace m.stamps p m.clock;
+      true
+    end
+    else false
+
+  let insert m p =
+    if not (Hashtbl.mem m.stamps p) then begin
+      if Hashtbl.length m.stamps >= m.cap then begin
+        let victim, _ =
+          Hashtbl.fold
+            (fun q s (v, oldest) -> if s < oldest then (q, s) else (v, oldest))
+            m.stamps (-1, max_int)
+        in
+        Hashtbl.remove m.stamps victim
+      end;
+      m.clock <- m.clock + 1;
+      Hashtbl.replace m.stamps p m.clock
+    end
+end
+
+let prop_cache_lru_matches_scan =
+  let pages = 24 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun p n -> `Read (p, n)) (int_bound (pages - 3)) (int_range 1 3));
+          (1, map (fun p -> `Write p) (int_bound (pages - 1)));
+        ])
+  in
+  let print = function
+    | `Read (p, n) -> Printf.sprintf "read %d+%d" p n
+    | `Write p -> Printf.sprintf "write %d" p
+  in
+  qtest ~count:200 "LRU evicts what the oldest-stamp scan evicts"
+    QCheck.(
+      pair (int_range 1 8) (list_of_size (QCheck.Gen.int_range 1 150) (make ~print:print op)))
+    (fun (cap, ops) ->
+      let sim, disk = disk_world ~sectors:(pages * 8) () in
+      let bc = Blockdev.Buffer_cache.create sim ~cache_pages:cap disk in
+      let m = Scan_model.create cap in
+      let hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Read (p, n) ->
+            ignore (P.run sim (Blockdev.Buffer_cache.read bc ~sector:(p * 8) ~count:(n * 8)));
+            let missing = List.filter (fun q -> not (Scan_model.touch m q)) (List.init n (( + ) p)) in
+            hits := !hits + n - List.length missing;
+            misses := !misses + List.length missing;
+            List.iter (Scan_model.insert m) missing
+          | `Write p ->
+            ignore (P.run sim (Blockdev.Buffer_cache.write bc ~sector:(p * 8) (bs (pattern 4096))));
+            Hashtbl.remove m.Scan_model.stamps p);
+          Blockdev.Buffer_cache.hits bc = !hits
+          && Blockdev.Buffer_cache.misses bc = !misses
+          && Blockdev.Buffer_cache.resident_pages bc = Hashtbl.length m.Scan_model.stamps
+          && List.for_all
+               (fun q -> Blockdev.Buffer_cache.resident bc ~page:q = Hashtbl.mem m.Scan_model.stamps q)
+               (List.init pages Fun.id))
+        ops)
+
 let test_buffered_plateau_vs_direct () =
   (* Figure 9's shape: at large block sizes, direct I/O far exceeds the
      buffered path, which plateaus at the cache-copy bandwidth. *)
@@ -212,6 +288,7 @@ let () =
           Alcotest.test_case "correctness" `Quick test_cache_correctness;
           Alcotest.test_case "write invalidates" `Quick test_cache_write_invalidates;
           Alcotest.test_case "eviction bounded" `Quick test_cache_eviction_bounded;
+          prop_cache_lru_matches_scan;
           Alcotest.test_case "buffered plateau vs direct" `Quick test_buffered_plateau_vs_direct;
         ] );
     ]
