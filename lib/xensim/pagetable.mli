@@ -12,8 +12,6 @@ type perm =
   | Read_write  (** data, heaps, I/O pages — never executable *)
   | Read_exec  (** text — never writable *)
 
-type region = { va : int; len : int; perm : perm; label : string }
-
 type t
 
 exception Sealed_violation of string
