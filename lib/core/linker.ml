@@ -1,4 +1,10 @@
-type section = { sec_name : string; va : int; bytes : int; perm : Xensim.Pagetable.perm }
+type section = {
+  sec_name : string;
+  guard_name : string;
+  va : int;
+  bytes : int;
+  perm : Xensim.Pagetable.perm;
+}
 
 type image = { sections : section list; entry_va : int; total_bytes : int; seed : int }
 
@@ -11,11 +17,30 @@ let image_limit = 0xF000000
 
 let round_up v = (v + page - 1) / page * page
 
+(* Section and guard labels, built once per library. Every clone of an
+   appliance links the same libraries, and each label lives as long as
+   the clone's image and page table, so a storm of 10⁴ clones shares one
+   copy of each instead of concatenating its own. *)
+type labels = { text : string; data : string; text_guard : string; data_guard : string }
+
+let labels : (string, labels) Hashtbl.t = Hashtbl.create 64
+
+let guard name = "guard:" ^ name
+
+let labels_of name =
+  match Hashtbl.find_opt labels name with
+  | Some l -> l
+  | None ->
+    let text = "text:" ^ name and data = "data:" ^ name in
+    let l = { text; data; text_guard = guard text; data_guard = guard data } in
+    Hashtbl.add labels name l;
+    l
+
 let link (plan : Specialize.plan) ~seed =
   let prng = Engine.Prng.create ~seed () in
+  let app = "app:" ^ plan.Specialize.config.Config.app_name in
   let pieces =
-    ("app:" ^ plan.Specialize.config.Config.app_name,
-     plan.Specialize.config.Config.app_text_bytes, Xensim.Pagetable.Read_exec)
+    (app, guard app, plan.Specialize.config.Config.app_text_bytes, Xensim.Pagetable.Read_exec)
     :: List.concat_map
          (fun (l : Library_registry.lib) ->
            let text =
@@ -26,10 +51,10 @@ let link (plan : Specialize.plan) ~seed =
                  (float_of_int l.Library_registry.text_bytes
                  *. (1.0 -. l.Library_registry.unused_fraction))
            in
+           let n = labels_of l.Library_registry.lib_name in
            [
-             ("text:" ^ l.Library_registry.lib_name, text, Xensim.Pagetable.Read_exec);
-             ("data:" ^ l.Library_registry.lib_name, l.Library_registry.data_bytes,
-              Xensim.Pagetable.Read_write);
+             (n.text, n.text_guard, text, Xensim.Pagetable.Read_exec);
+             (n.data, n.data_guard, l.Library_registry.data_bytes, Xensim.Pagetable.Read_write);
            ])
          plan.Specialize.libs
   in
@@ -41,12 +66,12 @@ let link (plan : Specialize.plan) ~seed =
   let cursor = ref (image_base + (page * Engine.Prng.int prng 256)) in
   let sections =
     Array.to_list arr
-    |> List.map (fun (sec_name, bytes, perm) ->
+    |> List.map (fun (sec_name, guard_name, bytes, perm) ->
            let gap = page * (1 + Engine.Prng.int prng 15) in
            let va = !cursor + gap in
            cursor := va + round_up (max bytes 1);
            if !cursor > image_limit then failwith "Linker.link: image exceeds reserved range";
-           { sec_name; va; bytes = max bytes 1; perm })
+           { sec_name; guard_name; va; bytes = max bytes 1; perm })
   in
   let sections = List.sort (fun a b -> compare a.va b.va) sections in
   let entry_va =
@@ -64,7 +89,7 @@ let install image pt =
         ~label:s.sec_name;
       (* Guard page after each section. *)
       Xensim.Pagetable.add_region pt ~va:(s.va + round_up s.bytes) ~len:page
-        ~perm:Xensim.Pagetable.Read_only ~label:("guard:" ^ s.sec_name))
+        ~perm:Xensim.Pagetable.Read_only ~label:s.guard_name)
     image.sections
 
 let layout_distance a b =

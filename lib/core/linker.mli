@@ -9,6 +9,7 @@
 
 type section = {
   sec_name : string;  (** e.g. "text:tcp" *)
+  guard_name : string;  (** the guard page after it, e.g. "guard:text:tcp" *)
   va : int;
   bytes : int;
   perm : Xensim.Pagetable.perm;
