@@ -153,7 +153,7 @@ let start hv ts (spec : Boot_spec.t) ~main =
   let boot_span = Trace.span ~cat:Trace.Boot "appliance.boot" in
   bind
     (Unikernel.boot hv ts ~mode:spec.Boot_spec.mode ~target:spec.Boot_spec.backend.Backend.target
-       ~config:spec.Boot_spec.config ~mem_mib:spec.Boot_spec.mem_mib
+       ~plan:(Lazy.force spec.Boot_spec.plan) ~config:spec.Boot_spec.config ~mem_mib:spec.Boot_spec.mem_mib
        ~main:(fun unikernel ->
          let dom = unikernel.Unikernel.domain in
          let nic =

@@ -29,6 +29,12 @@ type t = {
           live grant-table entries for appliances that each serve a
           handful of frames. Only {!Xen_direct.backend} reads it: neither
           POSIX backend has a ring. *)
+  plan : Specialize.plan Lazy.t;
+      (** [config]'s libraries, specialised for the backend's target and
+          verified ({!Unikernel.configure}), on first use. {!clone}
+          shares it, so a fleet of replicas configures once; each
+          replica still links its own layout. Forcing it raises
+          {!Unikernel.Build_error} when verification fails. *)
 }
 
 (** Smart constructor; defaults: [mode = `Async], [mem_mib = 32],

@@ -36,14 +36,30 @@ let recipe ?(xen_dce = Specialize.Ocamlclean) = function
   | Target.Posix_sockets | Target.Posix_direct ->
     { dce = Specialize.Standard; libc_bytes = posix_libc_bytes }
 
+let configure ?(target = Target.Xen_direct) config =
+  let plan = Specialize.plan ~target config (recipe target).dce in
+  match Specialize.verify plan with Ok () -> plan | Error msg -> raise (Build_error msg)
+
+(* A configured plan serves every configuration with the same libraries
+   and application size: a clone differs from its template only in name
+   and ASR seed, so it takes the template's plan with its own config. *)
+let plan_for ~target config = function
+  | None -> configure ~target config
+  | Some (p : Specialize.plan) ->
+    let c = p.Specialize.config in
+    if
+      p.Specialize.target <> target
+      || c.Config.roots <> config.Config.roots
+      || c.Config.app_text_bytes <> config.Config.app_text_bytes
+      || c.Config.app_loc <> config.Config.app_loc
+    then invalid_arg "Unikernel.boot: plan configured for other libraries or target";
+    { p with Specialize.config }
+
 let boot hv ts ?(mode = `Async) ?(seal = true) ?(platform = Platform.xen_extent)
-    ?(target = Target.Xen_direct) ~config ~mem_mib ~main () =
+    ?(target = Target.Xen_direct) ?plan ~config ~mem_mib ~main () =
   let open Mthread.Promise in
   let r = recipe target in
-  let plan = Specialize.plan ~target config r.dce in
-  (match Specialize.verify plan with
-  | Ok () -> ()
-  | Error msg -> raise (Build_error msg));
+  let plan = plan_for ~target config plan in
   let image = Linker.link plan ~seed:config.Config.aslr_seed in
   let image = { image with Linker.total_bytes = image.Linker.total_bytes + r.libc_bytes } in
   let platform = if target = Target.Xen_direct then platform else Platform.linux_native in

@@ -37,9 +37,23 @@ type recipe = { dce : Specialize.dce; libc_bytes : int }
     [mirage_sim build] both build this way. *)
 val recipe : ?xen_dce:Specialize.dce -> Target.t -> recipe
 
+(** [configure ?target config] is the configure step: {!Specialize.plan}
+    with the target's default {!recipe}, then {!Specialize.verify}. It
+    depends only on the libraries, application size and target, so one
+    result serves every clone of a template ({!Boot_spec.plan}).
+    @raise Build_error when verification fails. *)
+val configure : ?target:Target.t -> Config.t -> Specialize.plan
+
 (** [boot hv ts ~config ~mem_mib ~main ()] runs the full pipeline, with
     the target's default {!recipe}. [main] returns the VM exit code.
-    Defaults: [`Async] toolstack, sealing requested. *)
+    Defaults: [`Async] toolstack, sealing requested. [plan], when given,
+    is a {!configure} result for a configuration that differs from
+    [config] at most in name and ASR seed (a template's, for a clone):
+    boot skips the configure step and still links its own layout from
+    [config]'s seed.
+    @raise Build_error when verification fails
+    @raise Invalid_argument when [plan] was configured for other
+    libraries, application size or target. *)
 val boot :
   Xensim.Hypervisor.t ->
   Xensim.Toolstack.t ->
@@ -47,6 +61,7 @@ val boot :
   ?seal:bool ->
   ?platform:Platform.t ->
   ?target:Target.t ->
+  ?plan:Specialize.plan ->
   config:Config.t ->
   mem_mib:int ->
   main:(t -> int Mthread.Promise.t) ->
