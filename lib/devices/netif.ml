@@ -9,8 +9,10 @@ let slot_bytes = 16
 let mtu_bytes = 1500
 let backend_per_packet_ns = 1_600 (* dom0 netback work per frame *)
 
-(* TX doorbells rung by every PV netif in the process. *)
+(* TX doorbells rung, and writes parked on a full TX ring, by every PV
+   netif in the process. *)
 let doorbells = ref 0
+let tx_parks = ref 0
 
 (* Vif taps, shaped like [Netsim.Bridge.tap]: frames as this guest's
    device sees them (TX as the request reaches the ring or the wire, RX
@@ -425,10 +427,13 @@ let frontend_handle_rx_responses t p () =
    RX before the backend must drop. *)
 let max_ring_slots = 512
 
-(* Receive credit is at most one less than the ring, so the RX ring is
-   the smallest power of two above it: the default 511 credits get 512
-   slots, a storm vif's 64 get 128. *)
-let rx_ring_slots_for credit =
+(* Receive credit is at most one less than the ring, so each ring is the
+   smallest power of two above it: the default 511 credits get 512
+   slots, a storm vif's 64 get 128. The TX ring is sized the same way:
+   the negotiated credit is how much traffic the vif was provisioned
+   for, and a storm vif that sends a handful of frames never fills 128
+   slots (a full ring parks the writer, counted by [tx_full_parks]). *)
+let ring_slots_for credit =
   let rec pow2 n = if n > credit then n else pow2 (2 * n) in
   pow2 1
 
@@ -441,8 +446,8 @@ let connect hv ~dom ~backend_dom ~nic ?(rx_slots = 512) () =
     (Xensim.Ring.Front.init sring, Xensim.Ring.Back.init (Xensim.Ring.Sring.attach page ~slot_bytes))
   in
   let credit = min rx_slots (max_ring_slots - 1) in
-  let tx_front, tx_back = make_ring max_ring_slots in
-  let rx_front, rx_back = make_ring (rx_ring_slots_for credit) in
+  let tx_front, tx_back = make_ring (ring_slots_for credit) in
+  let rx_front, rx_back = make_ring (ring_slots_for credit) in
   let ev = hv.Xensim.Hypervisor.evtchn in
   let alloc_pair () =
     let back_port = Xensim.Evtchn.alloc_unbound ev ~owner:backend_dom.Xensim.Domain.id in
@@ -575,6 +580,7 @@ let mtu _ = mtu_bytes
 let pool t = t.pool
 
 let tx_doorbells () = !doorbells
+let tx_full_parks () = !tx_parks
 
 let rec write ?owner t frame =
   let len = Bytestruct.length frame in
@@ -592,6 +598,7 @@ let rec write ?owner t frame =
 and pv_write ?owner t p frame len =
   let open Mthread.Promise in
   if Xensim.Ring.Front.free_requests p.tx_front = 0 then begin
+    incr tx_parks;
     let blocked, u = wait () in
     Queue.add u p.tx_waiters;
     bind blocked (fun () -> write ?owner t frame)

@@ -33,8 +33,8 @@ type t
 (** [connect hv ~dom ~backend_dom ~nic ()] wires a frontend in [dom] to a
     backend in [backend_dom] driving [nic]. [rx_slots] bounds posted
     receive credit (default 512, at most 511 posted). Each ring page is
-    sized to its slots: the TX ring has 512, the RX ring the smallest
-    power of two above the posted credit. *)
+    sized to its slots: both rings get the smallest power of two above
+    the posted credit, 512 by default and 128 for 64 credits. *)
 val connect :
   Xensim.Hypervisor.t ->
   dom:Xensim.Domain.t ->
@@ -104,6 +104,11 @@ val untap : t -> tap_handle -> unit
     not tracing is on. Each frame pushes its request and notifies the
     backend unless it has not yet consumed up to the previous notify. *)
 val tx_doorbells : unit -> int
+
+(** Process-wide count of writes that found their TX ring full and
+    parked until a TX response freed a slot, always counted. A small
+    ring that never parks a writer behaves exactly as a large one. *)
+val tx_full_parks : unit -> int
 
 (** [disconnect t] tears the device down: closes its event channels
     (freeing the port entries whose handler closures pin the device),

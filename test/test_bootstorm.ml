@@ -11,7 +11,11 @@ module Bootstorm = Fleet.Bootstorm
 let storm ?(seed = 42) n = Bootstorm.run ~seed ~n ()
 
 let test_storm_all_answered () =
+  let parks = Devices.Netif.tx_full_parks () in
   let o = storm 100 in
+  (* storm vifs get 128-slot TX rings: sized right, no writer ever
+     finds one full *)
+  check_int "no write parked on a full TX ring" parks (Devices.Netif.tx_full_parks ());
   check_int "all appliances booted and answered" 100 o.Bootstorm.bs_ok;
   check_int "no failures" 0 o.Bootstorm.bs_failed;
   check_int "reaped to dom0 + client" 2 o.Bootstorm.bs_domains_left;
