@@ -23,8 +23,10 @@ module type FLOW = sig
 
   (** Next chunk of the stream; [None] at end-of-stream. The chunk may
       alias a pooled driver page: it is valid until the next [read] on
-      the same flow, or until the transport discards the flow, whichever
-      comes first. Copy what must outlive that. *)
+      the same flow, or until the connection finishes closing (both
+      directions shut down, or a reset), whichever comes first. Copy
+      what must outlive that, and whatever is passed on to a [write]:
+      a write keeps its buffer queued until the peer acknowledges it. *)
   val read : flow -> Bytestruct.t option Mthread.Promise.t
 
   (** Queue bytes for transmission, blocking while the send buffer is

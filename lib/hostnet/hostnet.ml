@@ -62,7 +62,11 @@ module Device = struct
       Netstack.Tcp.read fl.fl >>= function
       | None -> charge fl.host ~bytes_len:0 >>= fun () -> return None
       | Some chunk ->
-        (* read(2) copies the chunk out of the kernel socket buffer *)
+        (* read(2) copies the chunk out of the kernel socket buffer. The
+           copy is taken before the charge: the kernel's chunk is valid
+           only until the connection finishes closing, which may happen
+           while the charge runs. *)
+        let chunk = Bytestruct.copy chunk in
         charge fl.host ~bytes_len:(Bytestruct.length chunk) >>= fun () -> return (Some chunk)
 
     let write fl buf =

@@ -252,14 +252,13 @@ let quiesce fl =
   cancel_persist fl;
   release_rx_refs fl
 
-(* The flow leaves the table and returns the pool references it still
-   holds for the application. The chunk last returned by [read] is valid
-   only until now (see [read]). Chunks pushed but not yet read are first
-   copied out of their pool pages, so a late reader still gets the same
-   bytes. *)
-let leave_table fl =
-  fl.state <- Closed;
-  Hashtbl.remove fl.t.flows fl.key;
+(* Return the pool references the flow holds for the application: the
+   chunk last returned by [read] is valid only until now (see [read]).
+   Chunks pushed but not yet read are first copied out of their pool
+   pages, so a late reader still gets the same bytes. Done once the
+   connection has finished closing (TIME_WAIT, or leaving the table):
+   no more data can arrive, and a 2-MSL linger must not pin a page. *)
+let release_app_refs fl =
   Option.iter Pktbuf.release fl.read_hold;
   fl.read_hold <- None;
   if not (Queue.is_empty fl.rx_owners) then begin
@@ -267,6 +266,11 @@ let leave_table fl =
     Queue.iter (Option.iter Pktbuf.release) fl.rx_owners;
     Queue.clear fl.rx_owners
   end
+
+let leave_table fl =
+  fl.state <- Closed;
+  Hashtbl.remove fl.t.flows fl.key;
+  release_app_refs fl
 
 (* [close]'s contract is "our direction is shut down and acknowledged";
    full teardown may wait on the peer's FIN indefinitely. *)
@@ -771,6 +775,7 @@ let send_ack fl =
 let enter_time_wait fl =
   fl.state <- Time_wait;
   quiesce fl;
+  release_app_refs fl;
   (* Reaching TIME_WAIT means our FIN is acknowledged: [close]'s contract
      is satisfied now, not after the 2-MSL linger. *)
   wake_close fl;
@@ -1132,8 +1137,8 @@ let read fl =
   Mthread.Promise.bind (Mthread.Mstream.next fl.rx) (function
     | Some c as chunk ->
       (* The previous chunk's pool reference drops now: a returned chunk
-         is valid until the next [read] or until the flow leaves the
-         table (the Device_sig contract). *)
+         is valid until the next [read] or until the connection finishes
+         closing (the Device_sig contract). *)
       Option.iter Pktbuf.release fl.read_hold;
       fl.read_hold <- (match Queue.take_opt fl.rx_owners with Some o -> o | None -> None);
       let free_before = rcv_wnd_bytes - fl.rx_buffered in

@@ -42,11 +42,12 @@ val connect : t -> dst:Ipaddr.t -> dst_port:int -> flow Mthread.Promise.t
 
 (** [read fl] blocks for the next chunk; [None] at end-of-stream. The
     chunk may be a zero-copy view over a pooled driver page and is
-    valid until the next [read] on the same flow, or until the flow
-    leaves the table (2 MSL after TIME_WAIT, the final ACK of LAST_ACK,
-    or a reset or timeout), whichever comes first — consume or copy it
-    before either. Chunks not yet read when the flow leaves the table
-    are copied out of the pool and stay readable. *)
+    valid until the next [read] on the same flow, or until the
+    connection finishes closing (entering TIME_WAIT, the final ACK of
+    LAST_ACK, or a reset or timeout), whichever comes first — consume
+    or copy it before either. A flow lingering 2 MSL in TIME_WAIT holds
+    no pool page: chunks not yet read when the connection finishes
+    closing are copied out of the pool and stay readable. *)
 val read : flow -> Bytestruct.t option Mthread.Promise.t
 
 (** [write fl buf] queues bytes for transmission, blocking while the send
