@@ -145,9 +145,12 @@ type t = {
 let gnttab p = p.hv.Xensim.Hypervisor.gnttab
 let evtchn p = p.hv.Xensim.Hypervisor.evtchn
 
+(* The one check a frame pays with no tap installed. *)
+let[@inline] tapped t = match t.taps with [] -> false | _ :: _ -> true
+
 (* Offer one frame to the taps with its backing buffer [owner] ambient,
    as the bridge's Tx tap does, so an observer retains instead of
-   copying. The cost with no tap installed is one null check. *)
+   copying. *)
 let fire_taps t ~owner ~dir frame =
   match t.taps with
   | [] -> ()
@@ -164,10 +167,11 @@ let count_tx t ~owner frame =
 (* The end of every receive path: the Rx taps, then the listener, each
    with [pb] ambient so a layer that defers work retains instead of
    copying. Releasing the driver's reference afterwards returns the
-   buffer to the pool only if nobody retained. *)
+   buffer to the pool only if nobody retained. With no tap installed a
+   frame allocates nothing here. *)
 let deliver t pb view =
-  fire_taps t ~owner:(Some pb) ~dir:Netsim.Rx view;
-  (match t.listener with Some f -> Pktbuf.with_current pb (fun () -> f view) | None -> ());
+  if tapped t then fire_taps t ~owner:(Some pb) ~dir:Netsim.Rx view;
+  (match t.listener with Some f -> Pktbuf.with_current_arg pb f view | None -> ());
   Pktbuf.release pb
 
 (* The counters every attachment exports, then the attachment's

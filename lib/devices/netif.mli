@@ -100,6 +100,10 @@ val tap : t -> (dir:Netsim.dir -> link:int -> time_ns:int -> Bytestruct.t -> uni
 (** [untap t h] detaches a tap; unknown handles are ignored. *)
 val untap : t -> tap_handle -> unit
 
+(** Whether any tap is installed: the check every delivered frame makes
+    before it offers itself to the taps. *)
+val tapped : t -> bool
+
 (** Process-wide count of TX doorbells rung, always counted whether or
     not tracing is on. Each frame pushes its request and notifies the
     backend unless it has not yet consumed up to the previous notify. *)

@@ -49,16 +49,18 @@ let view pb ~off ~len = Bytestruct.sub pb.storage off len
 
 let ambient : t option ref = ref None
 
-let with_current pb f =
+let with_current_arg pb f x =
   let saved = !ambient in
   ambient := Some pb;
-  match f () with
+  match f x with
   | v ->
     ambient := saved;
     v
   | exception e ->
     ambient := saved;
     raise e
+
+let with_current pb f = with_current_arg pb f ()
 
 let current () = !ambient
 
