@@ -1,13 +1,44 @@
-(* Keyed on the name's wire form itself: one string hash and one memcmp
-   per probe. *)
-module Tbl = Hashtbl.Make (struct
-  type t = Dns_name.t
+(* The record sets in one flat array, by open addressing with linear
+   probing, at most half full. A record set is never empty and is its
+   own key: the name of its first record, compared in wire form. An
+   empty slot is [[]], so a probe needs no key array and no bucket, and
+   the zone's copy of each name is the one its records hold. *)
+type t = {
+  origin : Dns_name.t;
+  mutable sets : Dns_wire.rr list array;
+  mutable names : int;
+  mutable soa : Dns_wire.rr option;
+}
 
-  let equal = Dns_name.equal
-  let hash (n : t) = Hashtbl.hash (n :> string)
-end)
+let[@inline] home mask (name : Dns_name.t) = Hashtbl.hash (name :> string) land mask
 
-type t = { origin : Dns_name.t; table : Dns_wire.rr list Tbl.t; mutable soa : Dns_wire.rr option }
+(* Top-level, so that a probe allocates no closure. *)
+let rec slot sets mask (name : Dns_name.t) i =
+  match Array.unsafe_get sets i with
+  | { Dns_wire.name = n; _ } :: _ when not (String.equal (n :> string) (name :> string)) ->
+    slot sets mask name ((i + 1) land mask)
+  | _ -> i
+
+(* The slot holding [name]'s record set, or the empty one where it would
+   go. *)
+let[@inline] index t name =
+  let mask = Array.length t.sets - 1 in
+  slot t.sets mask name (home mask name)
+
+let find t name = Array.unsafe_get t.sets (index t name)
+
+(* Double the array and re-place every set; the names are distinct, so
+   each goes to the first empty slot from its home. *)
+let grow t =
+  let old = t.sets in
+  t.sets <- Array.make (2 * Array.length old) [];
+  let mask = Array.length t.sets - 1 in
+  Array.iter
+    (function
+      | [] -> ()
+      | { Dns_wire.name; _ } :: _ as set ->
+        Array.unsafe_set t.sets (slot t.sets mask name (home mask name)) set)
+    old
 
 type lookup_result =
   | Answers of Dns_wire.rr list
@@ -15,14 +46,25 @@ type lookup_result =
   | Nx_domain of Dns_wire.rr
   | Not_authoritative
 
-let create ~origin = { origin; table = Tbl.create 64; soa = None }
+let create ~origin = { origin; sets = Array.make 64 []; names = 0; soa = None }
 
 let add t (rr : Dns_wire.rr) =
   (match rr.Dns_wire.rdata with
   | Dns_wire.SOA_data _ when t.soa = None -> t.soa <- Some rr
   | _ -> ());
-  let existing = match Tbl.find_opt t.table rr.Dns_wire.name with Some l -> l | None -> [] in
-  Tbl.replace t.table rr.Dns_wire.name (existing @ [ rr ])
+  let i = index t rr.Dns_wire.name in
+  match Array.unsafe_get t.sets i with
+  | [] ->
+    let i =
+      if 2 * (t.names + 1) > Array.length t.sets then begin
+        grow t;
+        index t rr.Dns_wire.name
+      end
+      else i
+    in
+    Array.unsafe_set t.sets i [ rr ];
+    t.names <- t.names + 1
+  | set -> Array.unsafe_set t.sets i (set @ [ rr ])
 
 let of_zone (z : Zone.t) =
   let t = create ~origin:z.Zone.origin in
@@ -57,9 +99,9 @@ let lookup t ~qname ~qtype =
   if not (Dns_name.is_suffix ~suffix:t.origin qname) then Not_authoritative
   else begin
     let rec chase name acc depth =
-      match Tbl.find_opt t.table name with
-      | None -> if acc = [] then Nx_domain (soa_rr t) else Answers (List.rev acc)
-      | Some rrs -> (
+      match find t name with
+      | [] -> if acc = [] then Nx_domain (soa_rr t) else Answers (List.rev acc)
+      | rrs -> (
         let wanted = List.filter (matches qtype) rrs in
         if wanted <> [] then Answers (List.rev_append acc wanted)
         else
@@ -79,7 +121,9 @@ let lookup t ~qname ~qtype =
     chase qname [] 0
   end
 
-let entries t = Tbl.length t.table
+let entries t = t.names
+
+let own_name t name = match find t name with { Dns_wire.name = own; _ } :: _ -> own | [] -> name
 
 let origin t = t.origin
 

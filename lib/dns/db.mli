@@ -20,6 +20,11 @@ val lookup : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> lookup_result
 (** Distinct names in the zone (Figure 10's x-axis). *)
 val entries : t -> int
 
+(** [own_name t n] is the zone's own string for the name [n] when the
+    zone holds it, and [n] itself otherwise: a cache keyed on the result
+    shares the zone's copy instead of keeping another. *)
+val own_name : t -> Dns_name.t -> Dns_name.t
+
 val origin : t -> Dns_name.t
 
 (** Build the full response message for one query. *)

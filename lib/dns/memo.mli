@@ -1,7 +1,14 @@
 (** Response memoisation — the paper's "simple 20 line patch" that lifted
     the Mirage DNS appliance from ~40 to 75-80 kqueries/s (§4.2): encoded
-    responses are cached by (name, type); a hit only patches the
-    transaction id. Each response is kept as one immutable string. *)
+    responses are cached by (name, qtype code); a hit only patches the
+    transaction id. Each response is kept as one immutable string.
+
+    The table is flat: open addressing over parallel arrays of names,
+    qtype codes and responses, three words a slot and no allocation per
+    probe. It holds the name string it is given, so a caller that passes
+    the zone database's own copy ({!Db.own_name}) keeps one copy of each
+    zone name between the two. It never evicts: every distinct (name,
+    qtype) asked adds an entry. *)
 
 type t
 
@@ -11,8 +18,17 @@ val create : unit -> t
     {!Dns_wire.patch_id}). *)
 val find : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Bytestruct.t option
 
+(** [add t ~qname ~qtype encoded] caches a copy of [encoded], replacing
+    any response already held for (name, qtype). A new entry is stored
+    under [qname] itself. *)
 val add : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Bytestruct.t -> unit
+
+(** The name string the entry for (name, qtype) is stored under, if
+    any; counts neither a hit nor a miss. *)
+val key : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Dns_name.t option
 
 val hits : t -> int
 val misses : t -> int
+
+(** Distinct (name, qtype) pairs held. *)
 val entries : t -> int

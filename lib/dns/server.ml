@@ -106,7 +106,7 @@ module Make (U : Device_sig.UDP) = struct
             (true, cached)
           | None ->
             let fresh = Dns_wire.encode (Db.answer t.db ~id q) in
-            Memo.add cache ~qname ~qtype fresh;
+            Memo.add cache ~qname:(Db.own_name t.db qname) ~qtype fresh;
             (false, fresh))
         | None -> (false, Dns_wire.encode (Db.answer t.db ~id q))
       in

@@ -2,48 +2,48 @@ type t = { origin : Dns_name.t; default_ttl : int; records : Dns_wire.rr list }
 
 exception Parse_error of int * string
 
-let strip_comment line =
-  (* ';' starts a comment (we do not support quoted ';' in TXT for
-     simplicity; TXT values here are unquoted single tokens or "..."). *)
-  let in_quote = ref false in
-  let buf = Buffer.create (String.length line) in
-  (try
-     String.iter
-       (fun c ->
-         if c = '"' then in_quote := not !in_quote;
-         if c = ';' && not !in_quote then raise Exit;
-         Buffer.add_char buf c)
-       line
-   with Exit -> ());
-  Buffer.contents buf
-
 let tokenize s =
   List.filter (fun t -> t <> "") (String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) s))
 
-(* Join continuation lines between parentheses. *)
-let logical_lines text =
-  let lines = String.split_on_char '\n' text in
-  let out = ref [] in
+(* Join continuation lines between parentheses, handing [f] each logical
+   line as it completes with the number of the raw line it started on.
+   A raw line is read in place: its comment is cut (';' starts one
+   outside a quote; we do not support quoted ';' in TXT for simplicity,
+   TXT values here are unquoted single tokens or "..."), its parentheses
+   are counted and become spaces, and it joins the logical line with a
+   trailing space. No list of lines is built. *)
+let iter_logical_lines text f =
+  let len = String.length text in
   let acc = Buffer.create 80 in
-  let depth = ref 0 in
-  let start_line = ref 0 in
-  List.iteri
-    (fun i raw ->
-      let line = strip_comment raw in
-      let opens = String.fold_left (fun n c -> if c = '(' then n + 1 else n) 0 line in
-      let closes = String.fold_left (fun n c -> if c = ')' then n + 1 else n) 0 line in
-      if !depth = 0 then start_line := i + 1;
-      Buffer.add_string acc (String.map (function '(' | ')' -> ' ' | c -> c) line);
-      Buffer.add_char acc ' ';
-      depth := !depth + opens - closes;
-      if !depth < 0 then raise (Parse_error (i + 1, "unbalanced parentheses"));
-      if !depth = 0 then begin
-        out := (!start_line, Buffer.contents acc) :: !out;
-        Buffer.clear acc
-      end)
-    lines;
-  if !depth <> 0 then raise (Parse_error (List.length lines, "unclosed parenthesis"));
-  List.rev !out
+  let depth = ref 0 and start_line = ref 0 in
+  let rec raw_line lineno pos =
+    let stop = match String.index_from text pos '\n' with i -> i | exception Not_found -> len in
+    if !depth = 0 then start_line := lineno;
+    let in_quote = ref false and i = ref pos in
+    while !i < stop && (text.[!i] <> ';' || !in_quote) do
+      (match text.[!i] with
+      | '"' ->
+        in_quote := not !in_quote;
+        Buffer.add_char acc '"'
+      | '(' ->
+        incr depth;
+        Buffer.add_char acc ' '
+      | ')' ->
+        decr depth;
+        Buffer.add_char acc ' '
+      | c -> Buffer.add_char acc c);
+      incr i
+    done;
+    Buffer.add_char acc ' ';
+    if !depth < 0 then raise (Parse_error (lineno, "unbalanced parentheses"));
+    if !depth = 0 then begin
+      f !start_line (Buffer.contents acc);
+      Buffer.clear acc
+    end;
+    if stop < len then raw_line (lineno + 1) (stop + 1)
+    else if !depth <> 0 then raise (Parse_error (lineno, "unclosed parenthesis"))
+  in
+  raw_line 1 0
 
 (* A name that breaks RFC 1035's limits is the zone file's error, at
    this line. *)
@@ -118,15 +118,22 @@ let parse ~origin text =
     in
     records := { Dns_wire.name; ttl; rdata } :: !records
   in
-  List.iter
-    (fun (lineno, line) ->
-      let indented = String.length line > 0 && (line.[0] = ' ' || line.[0] = '\t') in
-      match tokenize line with
-      | [] -> ()
-      | [ "$TTL"; v ] -> default_ttl := parse_u lineno v
-      | [ "$ORIGIN"; v ] -> origin := name_at lineno (fun () -> Dns_name.of_string v)
-      | tokens -> handle_record lineno ~indented tokens)
-    (logical_lines text);
+  let handle_line lineno line =
+    let indented = String.length line > 0 && (line.[0] = ' ' || line.[0] = '\t') in
+    match tokenize line with
+    | [] -> ()
+    | [ "$TTL"; v ] -> default_ttl := parse_u lineno v
+    | [ "$ORIGIN"; v ] -> origin := name_at lineno (fun () -> Dns_name.of_string v)
+    | tokens -> handle_record lineno ~indented tokens
+  in
+  (* A parenthesis error anywhere in the text is the one reported, as if
+     the lines were all joined first: a record's error waits for the end
+     of the text, and no later record is read. *)
+  let failed = ref None in
+  iter_logical_lines text (fun lineno line ->
+      if Option.is_none !failed then
+        match handle_line lineno line with () -> () | exception e -> failed := Some e);
+  Option.iter raise !failed;
   { origin = !origin; default_ttl = !default_ttl; records = List.rev !records }
 
 let synthesize ~origin ~entries =

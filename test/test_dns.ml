@@ -529,6 +529,23 @@ let test_zone_name_limits () =
   check_int "rdata name" 2 (line_of (ok ^ "www IN CNAME a..b\n"));
   check_int "$ORIGIN" 1 (line_of "$ORIGIN a..b.\n")
 
+(* The zone is read as it streams, yet a parenthesis error anywhere is
+   reported as if every line had been joined before any record was
+   read: it wins over an earlier bad record. *)
+let test_zone_paren_errors_first () =
+  let error text =
+    match Dns.Zone.parse ~origin:"example.org" text with
+    | exception Dns.Zone.Parse_error (line, msg) -> (line, msg)
+    | _ -> (0, "parsed")
+  in
+  let bad = "ok IN A 10.0.0.1\nfoo IN BOGUS data\n" in
+  check Alcotest.(pair int string) "bad record alone" (2, "unsupported record type or bad rdata: BOGUS")
+    (error bad);
+  check Alcotest.(pair int string) "unclosed at the last line" (4, "unclosed parenthesis")
+    (error (bad ^ "a IN SOA ( ns1\n"));
+  check Alcotest.(pair int string) "unbalanced" (3, "unbalanced parentheses")
+    (error (bad ^ "a IN A 10.0.0.2 )\nb IN A 10.0.0.3\n"))
+
 let test_zone_synthesize_and_roundtrip () =
   let z = Dns.Zone.synthesize ~origin:"bench.zone" ~entries:50 in
   check_int "soa+ns+nsA+50" 53 (List.length z.Dns.Zone.records);
@@ -538,6 +555,35 @@ let test_zone_synthesize_and_roundtrip () =
 (* ---- database ---- *)
 
 let db () = Dns.Db.of_zone (Dns.Zone.parse ~origin:"example.org" zone_text)
+
+(* The flat record-set table against a list model: names added in any
+   order, some with several records, are each found with their records
+   in the order added; names never added are NXDOMAIN and keep their own
+   string. Up to 400 names grow the table from 64 slots. *)
+let prop_db_model =
+  qtest "record-set table agrees with a list model"
+    QCheck.(list_of_size (Gen.int_range 0 600) (int_bound 400))
+    (fun ids ->
+      let origin = name "m.test" in
+      let host i = Dns.Dns_name.cons (Printf.sprintf "h%d" i) origin in
+      let d = Dns.Db.create ~origin in
+      List.iteri
+        (fun k i ->
+          Dns.Db.add d { Dns.Dns_wire.name = host i; ttl = k; rdata = Dns.Dns_wire.A_data (Netstack.Ipaddr.v4 10 0 0 1) })
+        ids;
+      let ttls i = List.concat (List.mapi (fun k j -> if j = i then [ k ] else []) ids) in
+      Dns.Db.entries d = List.length (List.sort_uniq compare ids)
+      && List.for_all
+           (fun i ->
+             let asked = host i in
+             match (Dns.Db.lookup d ~qname:asked ~qtype:Dns.Dns_wire.A, ttls i) with
+             | Dns.Db.Nx_domain _, [] -> Dns.Db.own_name d asked == asked
+             | Dns.Db.Answers rrs, want ->
+               List.map (fun (r : Dns.Dns_wire.rr) -> r.Dns.Dns_wire.ttl) rrs = want
+               && Dns.Dns_name.equal (Dns.Db.own_name d asked) asked
+               && Dns.Db.own_name d asked != asked
+             | _ -> false)
+           (List.init 401 Fun.id))
 
 let test_db_lookup_a () =
   match Dns.Db.lookup (db ()) ~qname:(name "www.example.org") ~qtype:Dns.Dns_wire.A with
@@ -624,18 +670,67 @@ let test_memo_entries_count_pairs () =
   check Alcotest.(option string) "other name" (Some "CD") (get "c.d" Dns.Dns_wire.A);
   check Alcotest.(option string) "absent qtype" None (get "c.d" Dns.Dns_wire.MX)
 
+(* The flat memo against an association list keyed on (wire name,
+   qtype code). The names are the root, a dotted label and its split
+   twin, and 125 more, so a run grows the table from 16 slots through
+   several doublings; [Unknown_qtype 1] shares A's code. Ops are a find
+   (0) or an add (1-3), and an add to a held key replaces it. *)
+let memo_names =
+  Array.of_list
+    ([ name "."; of_labels [ "a.b"; "example" ]; of_labels [ "a"; "b"; "example" ] ]
+    @ List.init 125 (fun i -> name (Printf.sprintf "h%d.example" i)))
+
+let memo_qtypes = Dns.Dns_wire.[| A; MX; AAAA; ANY; Unknown_qtype 1 |]
+
+let prop_memo_model =
+  qtest "flat memo agrees with an association list"
+    QCheck.(list_of_size (Gen.int_range 0 600) (triple (int_bound 127) (int_bound 4) (int_bound 3)))
+    (fun ops ->
+      let m = Dns.Memo.create () in
+      let model = ref [] and hits = ref 0 and misses = ref 0 in
+      let key n q = ((memo_names.(n) :> string), Dns.Dns_wire.qtype_to_int memo_qtypes.(q) land 0xffff) in
+      let find n q =
+        Option.map Bytestruct.to_string (Dns.Memo.find m ~qname:memo_names.(n) ~qtype:memo_qtypes.(q))
+      in
+      let agrees i (n, q, op) =
+        if op = 0 then begin
+          let want = List.assoc_opt (key n q) !model in
+          if want = None then incr misses else incr hits;
+          find n q = want
+        end
+        else begin
+          let r = string_of_int i in
+          Dns.Memo.add m ~qname:memo_names.(n) ~qtype:memo_qtypes.(q) (bs r);
+          model := (key n q, r) :: List.remove_assoc (key n q) !model;
+          true
+        end
+        && Dns.Memo.entries m = List.length !model
+        && Dns.Memo.hits m = !hits
+        && Dns.Memo.misses m = !misses
+      in
+      List.for_all Fun.id (List.mapi agrees ops)
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun n _ ->
+                Array.for_all Fun.id
+                  (Array.mapi (fun q _ -> find n q = List.assoc_opt (key n q) !model) memo_qtypes))
+              memo_names))
+
 (* ---- server over the simulated network ---- *)
 
-let dns_world ~engine =
+let test_db () = Dns.Db.of_zone (Dns.Zone.synthesize ~origin:"test.zone" ~entries:100)
+
+let dns_world_with ~db ~engine =
   let w = create () in
   let server = host w ~platform:Platform.xen_extent ~name:"dns" ~ip:"10.0.0.53" () in
   let client = host w ~platform:Platform.linux_native ~name:"resolver" ~ip:"10.0.0.9" () in
-  let zone = Dns.Zone.synthesize ~origin:"test.zone" ~entries:100 in
   let srv =
-    Core.Apps.Net.Dns.create w.sim ~dom:server.dom ~udp:(Netstack.Stack.udp server.stack)
-      ~db:(Dns.Db.of_zone zone) ~engine ()
+    Core.Apps.Net.Dns.create w.sim ~dom:server.dom ~udp:(Netstack.Stack.udp server.stack) ~db
+      ~engine ()
   in
   (w, server, client, Core.Apps.Net.Dns.Client.create w.sim (Netstack.Stack.udp client.stack), srv)
+
+let dns_world ~engine = dns_world_with ~db:(test_db ()) ~engine
 
 let query w resolver server_ip qname =
   run w
@@ -674,6 +769,26 @@ let test_server_memoization_hits () =
     check_int "two hits" 2 (Dns.Memo.hits cache);
     check_int "one miss" 1 (Dns.Memo.misses cache)
   | None -> Alcotest.fail "memo expected"
+
+(* A miss on a name the zone holds keys the memo on the zone's own
+   string, so the two share one copy of it; a name outside the zone is
+   keyed on the query's. *)
+let test_server_memo_shares_zone_names () =
+  let db = test_db () in
+  let w, server, _, resolver, srv =
+    dns_world_with ~db ~engine:(Dns.Server.Mirage { memoize = true })
+  in
+  let ip = Netstack.Stack.address server.stack in
+  check_bool "zone name answered" true (query w resolver ip "host-7.test.zone" <> None);
+  check_bool "nxdomain answered" true (query w resolver ip "ghost.test.zone" <> None);
+  let memo = Option.get (Core.Apps.Net.Dns.memo srv) in
+  let key n = Dns.Memo.key memo ~qname:(name n) ~qtype:Dns.Dns_wire.A in
+  (match key "host-7.test.zone" with
+  | Some k -> check_bool "key is the zone's string" true (k == Dns.Db.own_name db (name "host-7.test.zone"))
+  | None -> Alcotest.fail "zone name not memoised");
+  match key "ghost.test.zone" with
+  | Some k -> check_bool "outside the zone" true (Dns.Dns_name.equal k (name "ghost.test.zone"))
+  | None -> Alcotest.fail "nxdomain not memoised"
 
 (* A resolver owns its id sequence: two identical fresh worlds, run one
    after the other in this process, issue the same first query id. Two
@@ -778,6 +893,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_zone_parse_errors;
           Alcotest.test_case "synthesize + roundtrip" `Quick test_zone_synthesize_and_roundtrip;
           Alcotest.test_case "name limits are parse errors" `Quick test_zone_name_limits;
+          Alcotest.test_case "parenthesis errors first" `Quick test_zone_paren_errors_first;
         ] );
       ( "db",
         [
@@ -786,17 +902,20 @@ let () =
           Alcotest.test_case "nxdomain/nodata" `Quick test_db_nxdomain_nodata;
           Alcotest.test_case "not authoritative" `Quick test_db_not_authoritative;
           Alcotest.test_case "answer rcodes" `Quick test_db_answer_rcodes;
+          prop_db_model;
         ] );
       ( "memo",
         [ Alcotest.test_case "cache behaviour" `Quick test_memo;
           Alcotest.test_case "dotted label is distinct" `Quick test_memo_dotted_label_is_distinct;
           Alcotest.test_case "entries count (name, qtype) pairs" `Quick
             test_memo_entries_count_pairs;
+          prop_memo_model;
         ] );
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "memoization hits" `Quick test_server_memoization_hits;
+          Alcotest.test_case "memo shares the zone's names" `Quick test_server_memo_shares_zone_names;
           Alcotest.test_case "bad packet counted" `Quick test_server_bad_packet_counted;
           Alcotest.test_case "engine cost calibration" `Quick test_server_engines_have_calibrated_costs;
           Alcotest.test_case "crafted label counted, then served" `Quick test_server_reserved_label_counted;
