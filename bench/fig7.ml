@@ -62,15 +62,17 @@ let fig7b () =
             in
             (base +. tail) /. 1e6)
       in
-      let pc q = Engine.Stats.percentile q samples in
-      List.iter
-        (fun q ->
+      let qs = [ 50.0; 90.0; 99.0; 99.9 ] in
+      let pcs = Engine.Stats.percentiles qs samples in
+      List.iter2
+        (fun q pc ->
           Util.emit ~figure:"fig7b" ~seed:7
             ~metric:(Printf.sprintf "wakeup-jitter/%s/p%g" name q)
-            ~unit_:"ms" (pc q))
-        [ 50.0; 90.0; 99.0; 99.9 ];
-      Printf.printf "  %-18s %-10.3f %-10.3f %-10.3f %-10.3f\n" name (pc 50.0) (pc 90.0)
-        (pc 99.0) (pc 99.9))
+            ~unit_:"ms" pc)
+        qs pcs;
+      Printf.printf "  %-18s" name;
+      List.iter (Printf.printf " %-10.3f") pcs;
+      print_newline ())
     [ ("Mirage", Platform.xen_extent); ("Linux native", Platform.linux_native);
       ("Linux PV", Platform.linux_pv) ]
 
