@@ -159,6 +159,24 @@ let test_netif_tx_doorbells () =
       Trace.enable ();
       check_int "tracing on: the same count" 1 (burst (pair ()) 8))
 
+(* One receive credit gives a 2-slot TX ring. A burst of 16 writes,
+   faster than netback answers, fills it: the third write parks until a
+   TX response frees a slot, each parked write is counted, and every
+   frame still reaches the peer. *)
+let test_netif_full_tx_ring_parks () =
+  let w = create () in
+  let _, tx = vif w ~rx_slots:1 "tx" in
+  let _, rx = vif w "rx" in
+  check_int "2-slot tx ring" 2 (Devices.Netif.tx_ring_slots tx);
+  let count = ref 0 in
+  Devices.Netif.set_listener rx (fun _ -> incr count);
+  let frame = eth_frame ~dst:(Devices.Netif.mac rx) ~src:(Devices.Netif.mac tx) (String.make 200 'p') in
+  let before = Devices.Netif.tx_full_parks () in
+  ignore (run w (P.join (List.init 16 (fun _ -> Devices.Netif.write tx frame))));
+  Engine.Sim.run w.sim;
+  check_bool "writes parked on the full ring" true (Devices.Netif.tx_full_parks () - before > 0);
+  check_int "every frame delivered" 16 !count
+
 (* ---- Netif teardown ---- *)
 
 (* Teardown mid-frame must leave no grant, no buffer and no event behind:
@@ -482,6 +500,7 @@ let () =
           Alcotest.test_case "rings sized to credit" `Quick test_netif_rings_sized_to_credit;
           Alcotest.test_case "small rx ring wraps" `Quick test_netif_small_rx_ring_wraps;
           Alcotest.test_case "tx doorbells" `Quick test_netif_tx_doorbells;
+          Alcotest.test_case "full tx ring parks writers" `Quick test_netif_full_tx_ring_parks;
           Alcotest.test_case "disconnect mid-delivery" `Quick test_netif_disconnect_mid_delivery;
           Alcotest.test_case "disconnect mid-write" `Quick test_netif_disconnect_mid_write;
           Alcotest.test_case "disconnect after netback copy" `Quick test_netif_disconnect_after_copy;
