@@ -6,7 +6,7 @@
 type t = {
   origin : Dns_name.t;
   mutable sets : Dns_wire.rr list array;
-  mutable names : int;
+  mutable entries : int;
   mutable soa : Dns_wire.rr option;
 }
 
@@ -46,7 +46,7 @@ type lookup_result =
   | Nx_domain of Dns_wire.rr
   | Not_authoritative
 
-let create ~origin = { origin; sets = Array.make 64 []; names = 0; soa = None }
+let create ~origin = { origin; sets = Array.make 64 []; entries = 0; soa = None }
 
 let add t (rr : Dns_wire.rr) =
   (match rr.Dns_wire.rdata with
@@ -56,14 +56,14 @@ let add t (rr : Dns_wire.rr) =
   match Array.unsafe_get t.sets i with
   | [] ->
     let i =
-      if 2 * (t.names + 1) > Array.length t.sets then begin
+      if 2 * (t.entries + 1) > Array.length t.sets then begin
         grow t;
         index t rr.Dns_wire.name
       end
       else i
     in
     Array.unsafe_set t.sets i [ rr ];
-    t.names <- t.names + 1
+    t.entries <- t.entries + 1
   | set -> Array.unsafe_set t.sets i (set @ [ rr ])
 
 let of_zone (z : Zone.t) =
@@ -121,7 +121,7 @@ let lookup t ~qname ~qtype =
     chase qname [] 0
   end
 
-let entries t = t.names
+let entries t = t.entries
 
 let own_name t name = match find t name with { Dns_wire.name = own; _ } :: _ -> own | [] -> name
 

@@ -65,11 +65,6 @@ let find t ~qname ~qtype =
     Some (Bytestruct.of_string (Array.unsafe_get t.responses i))
   end
 
-let key t ~qname ~qtype =
-  let i = index t qname (code qtype) in
-  let n = Array.unsafe_get t.names i in
-  if n == free then None else Some n
-
 let rec free_slot names mask i =
   if Array.unsafe_get names i == free then i else free_slot names mask ((i + 1) land mask)
 

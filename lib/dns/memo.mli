@@ -23,10 +23,6 @@ val find : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Bytestruct.t option
     under [qname] itself. *)
 val add : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Bytestruct.t -> unit
 
-(** The name string the entry for (name, qtype) is stored under, if
-    any; counts neither a hit nor a miss. *)
-val key : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Dns_name.t option
-
 val hits : t -> int
 val misses : t -> int
 
