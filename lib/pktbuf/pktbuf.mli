@@ -91,6 +91,7 @@ val with_current : t -> (unit -> 'a) -> 'a
 (** [with_current_arg pb f x] is [with_current pb (fun () -> f x)]
     without allocating that closure: the per-frame form. *)
 val with_current_arg : t -> ('a -> 'b) -> 'a -> 'b
+
 val current : unit -> t option
 
 (** [retain_current ()] retains and returns the ambient buffer, or
